@@ -242,7 +242,7 @@ class CampaignStats:
     def note_scheduler(self, fields: dict, accumulate: bool = False) -> None:
         """Fold one ``scheduler_stats`` event in.  Sequential-runner events
         are cumulative (replace); parallel per-chunk and distributed
-        per-task events are independent schedulers (``accumulate=True``)."""
+        per-task events are one batch's own figures (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
         saved = int(fields.get("prefix_steps_saved", 0)) + int(

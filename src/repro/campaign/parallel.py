@@ -5,11 +5,17 @@ node (Appendix A.4).  This runner partitions a campaign's experiment
 indices into **chunked sub-slices** (several chunks per worker), submits
 them to a process pool, and consumes completions with ``as_completed`` —
 so progress callbacks, telemetry events and checkpoints all happen
-mid-flight rather than only at the end.  Each worker compiles/profiles its
-own tool instance (processes share nothing) and returns a partial
-:class:`CampaignResult`; parts are merged **in chunk order** by
+mid-flight rather than only at the end.  Each worker process compiles and
+profiles its own tool instance once (processes share nothing), keeps it —
+and the trigger scheduler's golden timeline — across its chunks
+(:class:`SliceContexts`), and returns partial :class:`CampaignResult`
+objects; parts are merged **in chunk order** by
 :func:`repro.campaign.io.merge_results`, so a parallel campaign is
 bit-identical to the sequential one regardless of worker count.
+
+:func:`run_slice` is the one slice executor: this module's pool processes,
+the distributed worker (:mod:`repro.dist.worker`) and its ``-j N``
+sub-slices all run through it.
 
 Seeds are derived from the *global* experiment index, which also makes
 checkpoint resume trivial: completed indices are simply excluded from the
@@ -20,8 +26,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -37,6 +44,7 @@ from repro.campaign.results import CampaignResult
 from repro.campaign.runner import DEFAULT_SEED, _fresh_result, run_experiment
 from repro.campaign.schedule import (
     PhaseTimes,
+    SchedulerStats,
     TriggerScheduler,
     resolve_trigger_order,
     validate_schedule,
@@ -44,13 +52,25 @@ from repro.campaign.schedule import (
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
 from repro.fi.models import resolve_fault_model
-from repro.fi.tools import TOOL_CLASSES
+from repro.fi.tools import TOOL_CLASSES, FITool
 from repro.campaign.classify import Outcome
 
 #: Target number of chunks handed to each worker.  More than one, so that
-#: completions trickle in and progress/checkpointing can happen mid-flight;
-#: not so many that per-chunk compile/profile overhead dominates.
+#: completions trickle in and progress/checkpointing can happen mid-flight.
 CHUNKS_PER_WORKER = 4
+
+#: Compiled tools (each with its scheduler and golden timeline, ~4 MiB) one
+#: slice executor keeps.  Tasks are leased cell by cell, so an executor
+#: works on one cell, straddles two at a boundary, and may see a requeued
+#: lease of an older one: three contexts catch every such reuse, while a
+#: worker that lives through thousands of campaigns stays bounded.
+CONTEXT_CAPACITY = 3
+
+#: The :class:`~repro.snapshot.engine.SnapshotStats` fields that count per
+#: experiment (the rest describe the tool's golden chain).
+_SNAPSHOT_COUNTERS = (
+    "hits", "misses", "instructions_skipped", "instructions_executed",
+)
 
 
 @dataclass(frozen=True)
@@ -87,15 +107,25 @@ class SliceTask:
     #: keeps pickled/JSON tasks from older coordinators valid.
     fault_model: str = "single-bit"
 
+    def context_key(self) -> tuple:
+        """Everything that determines the compiled tool and its fault plans
+        — not which experiments of it are asked for (``base_seed``,
+        ``indices``), so every shard of a cell, and every campaign over the
+        same binary, maps to one context."""
+        return (
+            self.tool_name, self.source, self.workload, self.opt_level,
+            self.fi_enabled, self.fi_funcs, self.fi_instrs,
+            self.opcode_faults, self.snapshot_interval, self.snapshot_dir,
+            self.engine, self.schedule, self.fault_model,
+        )
 
-def run_slice(task: SliceTask) -> CampaignResult:
-    """Run one slice of a campaign (executed inside a worker process).
 
-    Per-experiment records are always collected here — the parent needs
-    them to emit ``experiment`` telemetry events and feed write-through
-    result sinks (:mod:`repro.resultsdb`) — and are stripped by the parent
-    after emission when the campaign did not ask for ``keep_records``.
-    """
+def make_slice_context(
+    task: SliceTask,
+) -> tuple[FITool, TriggerScheduler | None]:
+    """Build the tool ``task`` runs on and, for the trigger schedule, the
+    scheduler that sweeps it (raises :class:`CampaignError` if the
+    tool/engine combination cannot be trigger-scheduled)."""
     config = FIConfig(
         enabled=task.fi_enabled, funcs=task.fi_funcs, instrs=task.fi_instrs
     )
@@ -109,12 +139,68 @@ def run_slice(task: SliceTask) -> CampaignResult:
             interval=task.snapshot_interval, store_dir=task.snapshot_dir,
             coarse=task.schedule == "trigger",
         )
+    scheduler = TriggerScheduler(tool) if task.schedule == "trigger" else None
+    return tool, scheduler
+
+
+class SliceContexts:
+    """A slice executor's LRU of ``(tool, scheduler)`` contexts.
+
+    Owned by exactly one executor at a time — one per distributed
+    :class:`~repro.dist.worker.Worker`, one per pool process: tools and
+    schedulers are not thread-safe, so threaded workers never share one.
+    """
+
+    def __init__(self) -> None:
+        self._contexts: OrderedDict[tuple, tuple] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._contexts)
+
+    def get(self, task: SliceTask) -> tuple[FITool, TriggerScheduler | None]:
+        key = task.context_key()
+        context = self._contexts.get(key)
+        if context is None:
+            context = self._contexts[key] = make_slice_context(task)
+            while len(self._contexts) > CONTEXT_CAPACITY:
+                self._contexts.popitem(last=False)
+        else:
+            self._contexts.move_to_end(key)
+        return context
+
+
+#: The process's own contexts: what lets a pool process's chunks share one
+#: compile, one profile and one golden timeline.
+_process_contexts = SliceContexts()
+
+
+def run_slice(
+    task: SliceTask, contexts: SliceContexts | None = None
+) -> CampaignResult:
+    """Run one slice of a campaign.
+
+    ``contexts`` is the calling executor's context cache; a slice whose
+    tool is already there skips compile and profile, and under the trigger
+    schedule replays only its own window of the retained golden timeline.
+    The default is the process's own cache — what a pool process's chunks
+    share; an executor that is one of several threads passes its own.
+
+    Per-experiment records are always collected here — the parent needs
+    them to emit ``experiment`` telemetry events and feed write-through
+    result sinks (:mod:`repro.resultsdb`) — and are stripped by the parent
+    after emission when the campaign did not ask for ``keep_records``.
+    The phase/scheduler/snapshot breakdowns riding back on the result are
+    this slice's own (deltas of a reused context), so the parent sums them.
+    """
+    if contexts is None:
+        contexts = _process_contexts
+    tool, sched = contexts.get(task)
     result = _fresh_result(tool, len(task.indices))
-    if task.schedule == "trigger":
-        # The slice is a contiguous trigger range; run it along one golden
-        # cursor.  Phase/scheduler breakdowns ride back on the pickled
-        # result so the parent can aggregate and emit telemetry.
-        sched = TriggerScheduler(tool)
+    snaps = tool.snapshots
+    before = None if snaps is None else replace(snaps.stats)
+    if sched is not None:
+        # The slice is a contiguous trigger range: fork it along the
+        # scheduler's golden timeline.
         for rec in sched.run_batch(task.base_seed, task.indices):
             result.add(rec, keep_record=True)
         result.phase_times = sched.phases.as_dict()
@@ -124,11 +210,29 @@ def run_slice(task: SliceTask) -> CampaignResult:
             result.add(
                 run_experiment(tool, task.base_seed, i), keep_record=True
             )
-    if tool.snapshots is not None:
-        # Piggy-backed on the pickled result so the parent can surface the
-        # worker's hit rate as a snapshot_stats event.
-        result.snapshot_stats = tool.snapshots.stats.as_dict()
+    if snaps is not None:
+        result.snapshot_stats = replace(snaps.stats, **{
+            name: getattr(snaps.stats, name) - getattr(before, name)
+            for name in _SNAPSHOT_COUNTERS
+        }).as_dict()
     return result
+
+
+def merge_slice_parts(
+    parts: list[CampaignResult], slices: list[tuple[int, ...]]
+) -> CampaignResult:
+    """One part for a task that was run as several sub-slices (a worker's
+    ``-j N``): results merged, per-slice breakdowns summed."""
+    merged = merge_results(parts, indices=slices)
+    merged.n = sum(len(sub) for sub in slices)
+    if any(hasattr(part, "scheduler_stats") for part in parts):
+        phases, totals = PhaseTimes(), SchedulerStats()
+        for part in parts:
+            phases.accumulate(part.phase_times)
+            totals.accumulate(part.scheduler_stats)
+        merged.phase_times = phases.as_dict()
+        merged.scheduler_stats = totals.as_dict()
+    return merged
 
 
 def run_campaign_parallel(
@@ -295,20 +399,38 @@ def run_campaign_parallel(
             )
         return _finish(prior)
 
+    whole = SliceTask(
+        tool_name=tool_name,
+        source=source,
+        workload=workload,
+        opt_level=opt_level,
+        fi_enabled=config.enabled,
+        fi_funcs=config.funcs,
+        fi_instrs=config.instrs,
+        base_seed=base_seed,
+        indices=(),
+        keep_records=keep_records,
+        opcode_faults=opcode_faults,
+        chunk=0,
+        snapshot_interval=snapshot_interval,
+        snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
+        engine=engine,
+        schedule=schedule,
+        fault_model=model.spec,
+    )
+    # the parent's own context: trigger resolution and a single in-process
+    # chunk share one compile
+    contexts = SliceContexts()
     if schedule == "trigger":
         # Pre-resolve every remaining experiment's trigger in the parent and
         # re-order the work list along the golden timeline; contiguous
         # chunks of this list are trigger ranges, so each worker's cursor
-        # covers one compact window instead of the whole run.  The parent
-        # tool is also the fail-fast check that the tool/engine combination
-        # supports trigger scheduling (raises here, not as a pickled
-        # worker traceback).
+        # covers one compact window instead of the whole run.  Building the
+        # context is also the fail-fast check that the tool/engine
+        # combination supports trigger scheduling (raises here, not as a
+        # pickled worker traceback).
         t0 = time.perf_counter()
-        order_tool = cls(
-            source, workload, config=config, opt_level=opt_level,
-            opcode_faults=opcode_faults, engine=engine, fault_model=model,
-        )
-        TriggerScheduler(order_tool)
+        order_tool, _ = contexts.get(whole)
         remaining = [
             i for _, i in resolve_trigger_order(order_tool, base_seed, remaining)
         ]
@@ -326,25 +448,7 @@ def run_campaign_parallel(
         for lo in range(0, len(remaining), chunk_size)
     ]
     tasks = [
-        SliceTask(
-            tool_name=tool_name,
-            source=source,
-            workload=workload,
-            opt_level=opt_level,
-            fi_enabled=config.enabled,
-            fi_funcs=config.funcs,
-            fi_instrs=config.instrs,
-            base_seed=base_seed,
-            indices=indices,
-            keep_records=keep_records,
-            opcode_faults=opcode_faults,
-            chunk=ci,
-            snapshot_interval=snapshot_interval,
-            snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
-            engine=engine,
-            schedule=schedule,
-            fault_model=model.spec,
-        )
+        replace(whole, indices=indices, chunk=ci)
         for ci, indices in enumerate(chunks)
     ]
 
@@ -401,7 +505,7 @@ def run_campaign_parallel(
     if len(tasks) == 1:
         # One chunk: run in-process, skipping pool overhead.
         try:
-            part = run_slice(tasks[0])
+            part = run_slice(tasks[0], contexts)
         except BaseException:
             if checkpoint_path is not None:
                 _save()

@@ -235,7 +235,6 @@ def run_campaign(
     scheduler: TriggerScheduler | None = None
     if schedule == "trigger":
         scheduler = TriggerScheduler(tool, events=events)
-        phases = scheduler.phases
         records = scheduler.run_batch(base_seed, remaining)
     else:
         records = (
@@ -286,7 +285,11 @@ def run_campaign(
     wall = time.monotonic() - started
     _emit_snapshot_stats(tool, events)
     if events is not None:
-        extra = {"scheduler": scheduler.stats.as_dict()} if scheduler else {}
+        extra = {}
+        if scheduler is not None:
+            # the batch's own figures, valid once its generator has run
+            phases = scheduler.phases
+            extra["scheduler"] = scheduler.stats.as_dict()
         events.emit(
             "campaign_finish", workload=tool.workload, tool=tool.name,
             counts={o.value: result.frequency(o) for o in Outcome},

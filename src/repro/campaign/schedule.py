@@ -16,9 +16,10 @@ the existing machinery:
    fast engine (:meth:`repro.engine.fast.FastEngine.run_cursor`).  Whenever
    the next block would cross a pending trigger, capture one cheap
    copy-on-write fork (:func:`repro.snapshot.state.capture_snapshot`) at
-   the block entry; one fork covers every trigger inside that block.  The
-   cursor never rewinds, so the whole batch pays O(one golden run) of
-   prefix execution instead of O(sum of per-experiment trigger distances).
+   the block entry; one fork covers every trigger inside that block.
+   Within a batch the cursor never rewinds, so the batch pays O(one golden
+   run) of prefix execution instead of O(sum of per-experiment trigger
+   distances).
 3. **Run each faulty tail** from its fork to completion, in trigger order.
 4. **Golden rejoin**: the cursor also records full-state sync snapshots at
    interval multiples.  A faulty tail pauses at the same absolute step
@@ -30,6 +31,13 @@ the existing machinery:
    behaviour, and the tool counters are behaviourally inert once the
    single-shot fault has fired.  Outputs, counts, steps and exit code of a
    spliced result are bit-identical to running the tail out natively.
+5. **Keep the timeline.**  Everything the first pass learned about the
+   golden run — the sync states, the step/count/exit totals — is a
+   :class:`GoldenTimeline` the scheduler retains, so one scheduler serves
+   any number of batches of the same tool (the shards of one cell, in any
+   order).  A later batch restores the nearest retained sync state below
+   its first trigger and replays the cursor only across its own trigger
+   window; its tails rejoin and splice against the retained timeline.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except ``snapshot_hit`` (a fast-path provenance flag) matches the
@@ -41,7 +49,9 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from functools import partial
 
 from repro.campaign.classify import classify
 from repro.campaign.results import ExperimentRecord
@@ -166,18 +176,52 @@ def resolve_trigger_order(
     return pairs
 
 
+@dataclass
+class GoldenTimeline:
+    """What one full cursor pass learned about a tool's golden run."""
+
+    #: sync states sit at multiples of this many dynamic instructions
+    interval: int
+    #: absolute step count -> full golden state there (rejoin references),
+    #: from the program entry at step 0
+    sync_states: dict[int, CpuSnapshot] = field(default_factory=dict)
+    #: per sync state, in step order: the trigger counter once the block
+    #: the state sits in has run (``run_cursor``'s ``reach``; 0 at the
+    #: entry).  A window may start from a state only if its first trigger
+    #: lies beyond that.
+    reaches: list[int] = field(default_factory=list)
+    #: golden totals, set when the pass that recorded them has finished
+    steps: int = 0
+    counts: list[int] = field(default_factory=list)
+    exit_code: int = 0
+
+    def start_below(self, trigger: int) -> CpuSnapshot:
+        """The latest sync state from which a cursor forks ``trigger``
+        exactly where a pass from the program entry would."""
+        i = bisect_left(self.reaches, trigger)
+        return self.sync_states[(i - 1) * self.interval]
+
+
 def _pack_fregs(fregs) -> bytes:
     """Bitwise image of the float registers (NaN payloads, signed zeros)."""
     return struct.pack(f"<{len(fregs)}d", *fregs)
 
 
 class TriggerScheduler:
-    """Run a batch of experiments in trigger order along one golden cursor.
+    """Run batches of experiments in trigger order along one golden timeline.
 
-    One instance serves one (tool, batch); :meth:`run_batch` yields
-    :class:`ExperimentRecord` objects in trigger order.  Requires the fast
-    engine (the cursor's fork stops and the tails' exact-step sync pauses
-    are fast-engine features) and a tool with a snapshot trigger counter.
+    One instance serves one tool and any number of :meth:`run_batch` calls
+    (one campaign, or the shards of a cell in whatever order they arrive);
+    each call yields :class:`ExperimentRecord` objects in trigger order.
+    The first call's cursor pass records the :class:`GoldenTimeline`; later
+    calls replay only their own trigger window from a retained sync state.
+    ``stats`` and ``phases`` describe the most recent batch alone, so
+    per-batch figures can be summed by whoever merges the batches.
+
+    Requires the fast engine (the cursor's fork stops and the tails'
+    exact-step sync pauses are fast-engine features) and a tool with a
+    snapshot trigger counter.  Not thread-safe: one executor owns a
+    scheduler at a time.
     """
 
     def __init__(self, tool: FITool, events=None) -> None:
@@ -197,16 +241,17 @@ class TriggerScheduler:
         self.counter = counter
         self.stats = SchedulerStats()
         self.phases = PhaseTimes()
+        self._timeline: GoldenTimeline | None = None
+        self._base: list[bytes] | None = None
         self._forks: dict[int, CpuSnapshot] = {}
-        self._fork_users: dict[int, int] = {}
-        self._sync_states: dict[int, CpuSnapshot] = {}
         self._triggers: list[int] = []
         self._pend_i = 0
         self._prev_capture: CpuSnapshot | None = None
         self._hook_s = 0.0
-        #: one pooled CPU serves every tail (restore is in-place, so the
-        #: fast engine's instantiated blocks survive across experiments)
-        self._tail_cpu = None
+        #: one pooled CPU serves the cursor and then every tail (restore is
+        #: in-place, so the fast engine's instantiated blocks survive
+        #: across experiments and batches)
+        self._cpu = None
         self._mem_template: bytes | None = None
         #: plan of the tail currently resuming (rejoin gates on its window)
         self._tail_plan = None
@@ -235,38 +280,55 @@ class TriggerScheduler:
         self._hook_s += time.perf_counter() - t0
         return triggers[i] if i < len(triggers) else None
 
-    def _sync_hook(self, cpu, pc: int) -> None:
+    def _sync_hook(self, timeline: GoldenTimeline, cpu, pc: int,
+                   reach: int) -> None:
         """Record the golden reference state at an interval multiple."""
         t0 = time.perf_counter()
         snap = capture_snapshot(cpu, pc, prev=self._prev_capture,
                                 base=self._base)
         self._prev_capture = snap
-        self._sync_states[snap.steps] = snap
+        timeline.sync_states[snap.steps] = snap
+        timeline.reaches.append(reach)
         self.stats.sync_states += 1
         self._hook_s += time.perf_counter() - t0
 
-    def _run_cursor(self) -> None:
-        tool = self.tool
-        profile = tool.profile
-        self._base = base_pages(tool.program)
-        self._interval = resolve_interval(0, profile.steps)
-        syncs = list(range(self._interval, profile.steps, self._interval))
-
+    def _advance_cursor(self) -> None:
+        """Capture a fork for every trigger of the batch: by the one full
+        pass that also records the timeline, or — once that exists — by
+        replaying the batch's window of it."""
+        self._hook_s = 0.0
         t0 = time.perf_counter()
-        cpu = tool._make_cpu(None)
-        result = tool.engine.run_cursor(
-            cpu,
-            budget=GOLDEN_BUDGET,
-            counter=self.counter,
-            first_stop=self._triggers[0] if self._triggers else None,
-            fork_hook=self._fork_hook,
-            syncs=syncs,
-            sync_hook=self._sync_hook,
-        )
+        try:
+            if self._timeline is None:
+                self._timeline = self._record_timeline()
+            else:
+                self._replay_window(self._timeline)
+        finally:
+            # release the capture chain head (and never carry it into the
+            # next batch's cursor, whatever happened to this one)
+            self._prev_capture = None
         wall = time.perf_counter() - t0
         self.phases.fork_s += self._hook_s
         self.phases.prefix_s += wall - self._hook_s
 
+    def _record_timeline(self) -> GoldenTimeline:
+        tool = self.tool
+        profile = tool.profile
+        self._base = base_pages(tool.program)
+        timeline = GoldenTimeline(interval=resolve_interval(0, profile.steps))
+        # the entry, reported unasked, is sync state 0
+        syncs = list(range(timeline.interval, profile.steps, timeline.interval))
+        cpu = self._cpu = tool._make_cpu(None)
+        self._mem_template = bytes(cpu.mem)
+        result = tool.engine.run_cursor(
+            cpu,
+            budget=GOLDEN_BUDGET,
+            counter=self.counter,
+            first_stop=self._triggers[0],
+            fork_hook=self._fork_hook,
+            syncs=syncs,
+            sync_hook=partial(self._sync_hook, timeline),
+        )
         if result.trap is not None or result.exit_status != 0:
             raise CampaignError(
                 f"{tool.name}: golden cursor run of {tool.workload!r} failed "
@@ -282,11 +344,34 @@ class TriggerScheduler:
                 f"{tool.name}: golden cursor of {tool.workload!r} ran "
                 f"{result.steps} steps, profile says {profile.steps}"
             )
+        if len(timeline.reaches) != 1 + len(syncs):
+            raise CampaignError(
+                f"{tool.name}: golden cursor of {tool.workload!r} recorded "
+                f"{len(timeline.reaches)} of {1 + len(syncs)} sync states"
+            )
         self.stats.cursor_steps = result.steps
-        self._g_steps = result.steps
-        self._g_counts = result.counts
-        self._g_exit = result.exit_code
-        self._prev_capture = None  # release the capture chain head
+        timeline.steps = result.steps
+        # a copy: the pooled CPU goes on to run tails
+        timeline.counts = list(result.counts)
+        timeline.exit_code = result.exit_code
+        return timeline
+
+    def _replay_window(self, timeline: GoldenTimeline) -> None:
+        """Fork the batch's triggers from the nearest retained sync state
+        instead of from the program entry."""
+        start = timeline.start_below(self._triggers[0])
+        cpu = self._cpu_for(None)
+        restore_snapshot(cpu, start)
+        self._prev_capture = start
+        self.tool.engine.run_cursor(
+            cpu,
+            budget=GOLDEN_BUDGET,
+            counter=self.counter,
+            first_stop=self._triggers[0],
+            fork_hook=self._fork_hook,
+            start_pc=start.pc,
+        )
+        self.stats.cursor_steps = cpu.steps - start.steps
 
     # -- golden rejoin ------------------------------------------------------
 
@@ -294,12 +379,12 @@ class TriggerScheduler:
         """Thinned schedule of rejoin checkpoints for a tail forked at
         ``fork_steps``: the first :data:`REJOIN_DENSE` interval multiples
         after the fork, then geometrically growing strides."""
-        interval = self._interval
+        interval = self._timeline.interval
         k = fork_steps // interval + 1
         out: list[int] = []
         dense = REJOIN_DENSE
         stride = 1
-        while k * interval < self._g_steps and len(out) < REJOIN_MAX_CHECKS:
+        while k * interval < self._timeline.steps and len(out) < REJOIN_MAX_CHECKS:
             out.append(k * interval)
             if dense > 0:
                 dense -= 1
@@ -329,7 +414,7 @@ class TriggerScheduler:
                 return False
         if self._mem_misses >= REJOIN_MAX_MEM_MISSES:
             return False
-        ref = self._sync_states.get(cpu.steps)
+        ref = self._timeline.sync_states.get(cpu.steps)
         if ref is None:
             return False
         if pc != ref.pc or cpu.flags != ref.flags:
@@ -363,44 +448,42 @@ class TriggerScheduler:
         rejoin is admissible.
         """
         golden_output = self.tool.profile.golden_output
+        timeline = self._timeline
         result = ExecutionResult()
         result.trap = None
         result.trap_pc = -1
-        result.exit_code = self._g_exit
+        result.exit_code = timeline.exit_code
         result.output = list(cpu.output) + list(golden_output[len(ref.output):])
-        result.steps = self._g_steps
+        result.steps = timeline.steps
         result.fault = cpu.fault
-        g_counts = self._g_counts
+        g_counts = timeline.counts
         ref_counts = ref.counts
         result.counts = [
             c + g_counts[i] - ref_counts[i] for i, c in enumerate(cpu.counts)
         ]
         result.counts_attached = cpu.counts_attached
         result.attached_candidates = cpu.attached_candidates
-        self.stats.tail_steps_saved += self._g_steps - ref.steps
+        self.stats.tail_steps_saved += timeline.steps - ref.steps
         return result
 
     # -- tails --------------------------------------------------------------
 
-    def _tail_cpu_for(self, plan):
-        """The pooled tail CPU, reset to pristine state and armed with
-        ``plan``.
+    def _cpu_for(self, plan):
+        """The pooled CPU, reset to pristine state and armed with ``plan``
+        (``None``: disarmed, for the golden cursor).
 
         ``restore_snapshot`` overwrites registers, counters, output and
-        the fork's dirty pages in place; this reset covers everything it
-        assumes or does not touch — pristine memory for the untouched
-        pages, no fired fault, and the tool's plan re-armed.
+        the snapshot's dirty pages in place; this reset covers everything
+        it assumes or does not touch — pristine memory for the untouched
+        pages, no fired fault, and the previous tail's plan replaced.
         """
-        cpu = self._tail_cpu
-        if cpu is None:
-            cpu = self.tool._make_cpu(plan)
-            self._tail_cpu = cpu
-            self._mem_template = bytes(cpu.mem)
-            return cpu
+        cpu = self._cpu
         cpu.mem[:] = self._mem_template
         cpu.fault = None
         counter = self.counter
-        if counter == "refine_count":
+        if plan is None:
+            cpu._refine_plan = cpu._pin_plan = cpu._llfi_plan = None
+        elif counter == "refine_count":
             cpu.arm_refine(plan)
         elif counter == "pin_count":
             cpu.attach_pinfi(plan)
@@ -424,7 +507,7 @@ class TriggerScheduler:
         else:
             plan = tool.plan_from_seed(seed)
             self._tail_plan = plan
-            cpu = self._tail_cpu_for(plan)
+            cpu = self._cpu_for(plan)
             restore_snapshot(cpu, fork)
             self._mem_misses = 0
             self._rejoin_ref = None
@@ -462,29 +545,30 @@ class TriggerScheduler:
     def run_batch(self, base_seed: int, indices):
         """Yield one :class:`ExperimentRecord` per index, in trigger order.
 
-        The first yield happens only after the whole golden cursor has run
+        The first yield happens only after the batch's cursor has run
         (forks for every trigger must exist before any tail does), so a
         consumer checkpointing between yields loses at most the cursor on
         interruption — never a completed experiment.
         """
         tool = self.tool
         indices = list(indices)
+        self.stats = SchedulerStats()
+        self.phases = PhaseTimes()
         if not indices:
             return
         t0 = time.perf_counter()
         ordered = resolve_trigger_order(tool, base_seed, indices)
         self.phases.translate_s += time.perf_counter() - t0
-        self.stats.experiments += len(ordered)
+        self.stats.experiments = len(ordered)
 
         self._triggers = sorted({trigger for trigger, _ in ordered})
         self._pend_i = 0
         self._forks.clear()
-        self._sync_states.clear()
         users: dict[int, int] = {}
         for trigger, _ in ordered:
             users[trigger] = users.get(trigger, 0) + 1
 
-        self._run_cursor()
+        self._advance_cursor()
         if self.events is not None:
             self.events.emit(
                 "scheduler_stats", workload=tool.workload, tool=tool.name,

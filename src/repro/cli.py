@@ -136,8 +136,8 @@ class _LiveTelemetry(EventLog):
             self._stats.note_snapshots(fields, accumulate="chunk" in fields)
         elif event == "scheduler_stats" and self._stats is not None:
             # Sequential-runner events are cumulative for the campaign;
-            # per-chunk (parallel) and per-task (dist) events are
-            # independent schedulers and accumulate.
+            # per-chunk (parallel) and per-task (dist) events are each
+            # batch's own figures and accumulate.
             self._stats.note_scheduler(
                 fields, accumulate="chunk" in fields or "task" in fields
             )

@@ -10,6 +10,10 @@ the :mod:`repro.dist.protocol` wire format.  The delivery model:
   deadline, and the worker must heartbeat to keep it.  A worker that dies,
   hangs or partitions simply stops heartbeating; after ``lease_timeout``
   the sweep requeues its tasks for someone else.
+* **Held requests.** A worker asking for work when none is leasable is
+  not told to poll: its request stays open until a task becomes leasable
+  (or the run ends), bounded by :data:`IDLE_HOLD_S`, so idle workers start
+  new or requeued work the moment it exists.
 * **Exponential backoff.** Every requeue (timeout, disconnect or an
   explicit ``task_failed``) re-schedules the task ``backoff_base * 2**k``
   seconds out, so a poison task cannot busy-spin the cluster; after
@@ -53,12 +57,9 @@ from repro.campaign.io import (
     result_from_dict,
 )
 from repro.campaign.results import CampaignResult
+from repro.campaign.parallel import make_slice_context
 from repro.campaign.runner import matrix_checkpoint_path
-from repro.campaign.schedule import (
-    PhaseTimes,
-    TriggerScheduler,
-    resolve_trigger_order,
-)
+from repro.campaign.schedule import PhaseTimes, resolve_trigger_order
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     CampaignSpec,
@@ -66,13 +67,18 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
-from repro.errors import CampaignError, DistError
+from repro.errors import CampaignError, DistConnectionError, DistError
 
 #: Lease lifetime without a heartbeat before a task is requeued.
 DEFAULT_LEASE_TIMEOUT = 60.0
 
 #: Requeues per task before the campaign fails instead of retrying.
 DEFAULT_MAX_ATTEMPTS = 5
+
+#: Longest an idle worker's ``request`` is held open waiting for a task to
+#: become leasable before it is answered ``wait``: bounds how long a
+#: handler thread can sit on a peer that silently went away.
+IDLE_HOLD_S = 1.0
 
 #: Default sharding granularity: aim for this many tasks per cell so a
 #: handful of workers still get several tasks each (stragglers re-lease
@@ -112,18 +118,7 @@ def trigger_order_indices(
     combination supports trigger scheduling — raising here beats a pickled
     worker traceback after the first lease.
     """
-    from repro.fi.config import FIConfig
-    from repro.fi.tools import TOOL_CLASSES
-
-    config = FIConfig(
-        enabled=spec.fi_enabled, funcs=spec.fi_funcs, instrs=spec.fi_instrs
-    )
-    tool = TOOL_CLASSES[spec.tool_name](
-        spec.source, spec.workload, config=config, opt_level=spec.opt_level,
-        opcode_faults=spec.opcode_faults, engine=spec.engine,
-        fault_model=spec.fault_model,
-    )
-    TriggerScheduler(tool)
+    tool, _ = make_slice_context(spec.slice_task(()))
     return [
         i for _, i in resolve_trigger_order(tool, spec.base_seed, remaining)
     ]
@@ -220,7 +215,10 @@ class Coordinator:
         self._events = events
 
         self._lock = threading.Lock()
-        self._done_cv = threading.Condition(self._lock)
+        #: notified whenever what a blocked thread waits for may have
+        #: changed: work became leasable (held ``request``s), the run
+        #: finished, failed or is shutting down (``wait``, held requests)
+        self._changed = threading.Condition(self._lock)
         self._cells: dict[tuple[str, str], _Cell] = {}
         self._tasks: dict[int, _Task] = {}
         self._pending: list[tuple[float, int]] = []  # (not_before, task_id)
@@ -246,7 +244,8 @@ class Coordinator:
 
         for spec in specs:
             cell, remaining = self._prepare_cell(spec, checkpoint_dir)
-            self._install_cell(cell, remaining)
+            with self._lock:
+                self._install_cell(cell, remaining)
 
     # ------------------------------------------------------------------ API
 
@@ -304,8 +303,8 @@ class Coordinator:
         Raises the campaign's fatal error if one occurred, or
         :class:`DistError` on timeout / external :meth:`stop`.
         """
-        with self._done_cv:
-            finished = self._done_cv.wait_for(
+        with self._changed:
+            finished = self._changed.wait_for(
                 lambda: self._error is not None or self._stopped
                 or len(self._results) == len(self._cells),
                 timeout=timeout,
@@ -345,6 +344,12 @@ class Coordinator:
                 and len(self._results) == len(self._cells)
                 and not self._stopped
             )
+            if finished:
+                # Nothing is in flight: from here on idle workers (held or
+                # polling) are answered ``done``, whether or not this
+                # coordinator ever considers its campaign finished.
+                self._draining = True
+                self._changed.notify_all()
         if finished:
             deadline = time.monotonic() + drain_timeout
             while time.monotonic() < deadline:
@@ -359,7 +364,7 @@ class Coordinator:
             for cell in self._cells.values():
                 if cell.result is None and cell.ckpt_path is not None:
                     self._save_cell(cell)
-            self._done_cv.notify_all()
+            self._changed.notify_all()
             conns = list(self._conns)
         for conn in conns:
             try:
@@ -398,6 +403,7 @@ class Coordinator:
             if self._draining or self._stopped:
                 return
             self._draining = True
+            self._changed.notify_all()
             self._emit("dist_drain", grace_s=grace_s)
         self._drain_thread = threading.Thread(
             target=self._drain_loop, args=(grace_s,),
@@ -552,8 +558,7 @@ class Coordinator:
         return cell, remaining
 
     def _install_cell(self, cell: _Cell, remaining: list[int]) -> None:
-        """Register a prepared cell and shard its tasks (lock held, or
-        construction time)."""
+        """Register a prepared cell and shard its tasks (lock held)."""
         spec = cell.spec
         if spec.key in self._cells:
             raise DistError(f"cell {spec.key} already being served")
@@ -569,6 +574,7 @@ class Coordinator:
             self._tasks[self._next_task] = task
             heapq.heappush(self._pending, (0.0, self._next_task))
             self._next_task += 1
+        self._changed.notify_all()
 
     def _drain_loop(self, grace_s: float) -> None:
         deadline = time.monotonic() + grace_s
@@ -598,7 +604,7 @@ class Coordinator:
     def _fatal(self, exc: Exception) -> None:
         if self._error is None:
             self._error = exc
-        self._done_cv.notify_all()
+        self._changed.notify_all()
 
     def _accept_loop(self) -> None:
         while not self._stopped:
@@ -709,15 +715,48 @@ class Coordinator:
         }
 
     def _handle_request(self, worker: str) -> dict:
-        if self._error is not None:
-            return {"type": "error", "message": str(self._error)}
-        if self._draining:
-            # Graceful shutdown: refuse new leases; the worker treats
-            # ``done`` as "campaign over" and exits (or, with a reconnect
-            # window, comes back once the service restarts).
-            return {"type": "done"}
-        now = time.monotonic()
-        self._sweep(now)
+        """Lease the next task to ``worker``.  With nothing leasable the
+        request is held (the lock released) until something changes or
+        :data:`IDLE_HOLD_S` passes, so an idle worker picks up new or
+        requeued work — and its final ``done`` — the moment it exists
+        instead of at its next poll."""
+        give_up = time.monotonic() + IDLE_HOLD_S
+        while True:
+            if self._error is not None:
+                return {"type": "error", "message": str(self._error)}
+            if self._draining:
+                # Graceful shutdown: refuse new leases; the worker treats
+                # ``done`` as "campaign over" and exits (or, with a
+                # reconnect window, comes back once the service restarts).
+                return {"type": "done"}
+            if self._stopped:
+                # Abort (or ``kill``): the connection is going away
+                # unanswered, exactly as a polling worker would find it —
+                # a ``done`` here would send a reconnecting worker home.
+                raise DistConnectionError("coordinator stopped")
+            now = time.monotonic()
+            self._sweep(now)
+            lease = self._lease_next(worker, now)
+            if lease is not None:
+                return lease
+            if self._campaign_done():
+                return {"type": "done"}
+            if now >= give_up:
+                # The next request is held again; no need to stay away.
+                return {"type": "wait", "delay_s": 0.05}
+            # Work can also appear by time alone: the earliest backoff
+            # expiry or lease deadline.
+            horizons = [nb for nb, tid in self._pending
+                        if tid in self._tasks
+                        and self._tasks[tid].state == "pending"]
+            horizons.extend(
+                t.deadline for t in self._tasks.values()
+                if t.state == "leased"
+            )
+            self._changed.wait(max(0.0, min([give_up, *horizons]) - now))
+
+    def _lease_next(self, worker: str, now: float) -> dict | None:
+        """Grant the earliest leasable pending task, if there is one."""
         while self._pending:
             not_before, task_id = self._pending[0]
             task = self._tasks.get(task_id)
@@ -725,7 +764,7 @@ class Coordinator:
                 heapq.heappop(self._pending)  # stale entry (done/retired)
                 continue
             if not_before > now:
-                break  # earliest backoff not yet elapsed
+                return None  # earliest backoff not yet elapsed
             heapq.heappop(self._pending)
             task.state = "leased"
             task.worker = worker
@@ -744,21 +783,7 @@ class Coordinator:
                 "indices": encode_indices(task.indices),
                 "attempt": task.attempt,
             }
-        if self._campaign_done():
-            return {"type": "done"}
-        # Nothing leasable now: tell the worker when to ask again (earliest
-        # backoff expiry or lease deadline, whichever might free work first).
-        horizons = [nb for nb, tid in self._pending
-                    if tid in self._tasks
-                    and self._tasks[tid].state == "pending"]
-        horizons.extend(
-            t.deadline for t in self._tasks.values() if t.state == "leased"
-        )
-        delay = min(horizons) - now if horizons else self._heartbeat_interval
-        return {
-            "type": "wait",
-            "delay_s": max(0.05, min(delay, self._lease_timeout)),
-        }
+        return None
 
     def _handle_heartbeat(self, worker: str) -> dict:
         now = time.monotonic()
@@ -938,6 +963,7 @@ class Coordinator:
         task.state = "pending"
         task.not_before = time.monotonic() + delay
         heapq.heappush(self._pending, (task.not_before, task.task_id))
+        self._changed.notify_all()
         self._emit(
             "task_requeue", task=task.task_id, worker=worker, reason=reason,
             attempt=task.attempt, delay_s=delay,
@@ -1039,4 +1065,4 @@ class Coordinator:
                 wall_s=wall,
                 experiments_per_sec=self._total / wall if wall > 0 else 0.0,
             )
-            self._done_cv.notify_all()
+            self._changed.notify_all()

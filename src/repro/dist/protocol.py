@@ -28,7 +28,9 @@ coordinator → worker
 ``lease``           ``task_id``, ``spec`` (campaign parameters),
                     ``indices`` (run-length ``[start, stop)`` ranges),
                     ``attempt``
-``wait``            ``delay_s`` — nothing leasable right now, poll again
+``wait``            ``delay_s`` — nothing leasable right now, ask again (the
+                    coordinator holds an idle ``request`` open for up to a
+                    second before it says so)
 ``done``            campaign complete, worker may exit
 ``ok``              acknowledgement; for ``result`` carries ``duplicate``
 ``error``           ``message`` — fatal; the worker should abort

@@ -1,14 +1,14 @@
 """Campaign worker: lease tasks, run them, stream results back.
 
 A worker is stateless and disposable — it holds no campaign state beyond
-the task it is currently running, caches compiled tools per campaign spec
-(so consecutive slices of the same cell skip recompilation), and can be
+the task it is currently running, keeps a small bounded cache of compiled
+tools and their golden timelines (so the leases of a cell skip
+recompilation and replay only their own trigger window), and can be
 killed at any moment without corrupting the campaign: the coordinator's
 lease timeout requeues whatever it was holding.
 
-Slices execute through the exact machinery the single-host runners use
-(:func:`repro.campaign.runner.run_experiment` /
-:func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
+Slices execute through the one slice executor the single-host runners use
+(:func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
 bit-identical to a sequential one.  With ``procs > 1`` a worker fans each
 leased task out over a local process pool — the cluster topology the paper
 used: many nodes, each fully subscribed (Appendix A.4).
@@ -28,16 +28,16 @@ from concurrent.futures import (
 )
 from dataclasses import dataclass, replace
 
-from repro.campaign.io import merge_results
-from repro.campaign.parallel import run_slice
+from repro.campaign.parallel import (
+    SliceContexts,
+    SliceTask,
+    merge_slice_parts,
+    run_slice,
+)
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import _fresh_result, run_experiment
-from repro.campaign.schedule import PhaseTimes, TriggerScheduler
 from repro.dist.client import CoordinatorClient
 from repro.dist.protocol import CampaignSpec, decode_indices
 from repro.errors import DistConnectionError, DistError
-from repro.fi.config import FIConfig
-from repro.fi.tools import FITool, TOOL_CLASSES
 
 
 #: Upper bound on one idle-poll sleep, whatever delay the coordinator
@@ -100,7 +100,9 @@ class Worker:
         #: ignores the spec's snapshot request entirely.
         self._snapshot_dir = snapshot_dir
         self._use_snapshots = use_snapshots
-        self._tools: dict[CampaignSpec, FITool] = {}
+        #: this worker's compiled tools and golden timelines (the slice
+        #: runs on one thread at a time, so nothing else touches them)
+        self._contexts = SliceContexts()
         self._pool: ProcessPoolExecutor | None = None
 
     def run(self) -> WorkerStats:
@@ -166,11 +168,11 @@ class Worker:
             if message["type"] == "done":
                 return True
             if message["type"] == "wait":
-                # The coordinator's delay_s is when new work *could*
-                # appear (a lease deadline, a backoff expiry), but that
-                # horizon moves — someone may crash, finish or submit
-                # sooner.  Poll at least once a second so an idle worker
-                # picks up requeued tasks (and the final done) promptly.
+                # A current coordinator has already held this request
+                # until nothing had changed for a while and asks us
+                # straight back; an older one names the horizon at which
+                # work *could* appear (a lease deadline, a backoff
+                # expiry), which moves — so poll at least once a second.
                 time.sleep(min(message["delay_s"], _MAX_IDLE_POLL_S))
                 continue
             if self._die_after is not None and stats.tasks >= self._die_after:
@@ -252,78 +254,26 @@ class Worker:
     def _run_task(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
+        task = spec.slice_task(indices, snapshot_dir=self._snapshot_dir)
+        if not self._use_snapshots:
+            task = replace(task, snapshot_interval=None)
         if self._procs > 1 and len(indices) > 1:
-            return self._run_task_pooled(spec, indices)
-        tool = self._tool_for(spec)
-        result = _fresh_result(tool, len(indices))
-        # Records are always collected: the coordinator emits per-experiment
-        # telemetry (and feeds write-through result sinks) from them, then
-        # strips them when the campaign did not ask for keep_records.
-        if spec.schedule == "trigger":
-            # The lease is a contiguous trigger range: sweep it with one
-            # golden cursor.  Phase/scheduler breakdowns travel back on the
-            # part (see repro.campaign.io) for coordinator-side telemetry.
-            sched = TriggerScheduler(tool)
-            for rec in sched.run_batch(spec.base_seed, indices):
-                result.add(rec, keep_record=True)
-            result.phase_times = sched.phases.as_dict()
-            result.scheduler_stats = sched.stats.as_dict()
-        else:
-            for i in indices:
-                result.add(
-                    run_experiment(tool, spec.base_seed, i), keep_record=True
-                )
-        return result
+            return self._run_task_pooled(task)
+        return run_slice(task, self._contexts)
 
-    def _run_task_pooled(
-        self, spec: CampaignSpec, indices: tuple[int, ...]
-    ) -> CampaignResult:
+    def _run_task_pooled(self, task: SliceTask) -> CampaignResult:
         """Split one task across the local process pool (``-j N``)."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self._procs)
+        indices = task.indices
         step = max(1, -(-len(indices) // self._procs))
         slices = [
             indices[lo:lo + step] for lo in range(0, len(indices), step)
         ]
-        tasks = [
-            spec.slice_task(sub, chunk=ci, snapshot_dir=self._snapshot_dir)
+        futures = [
+            self._pool.submit(run_slice, replace(task, indices=sub, chunk=ci))
             for ci, sub in enumerate(slices)
         ]
-        if not self._use_snapshots:
-            tasks = [replace(t, snapshot_interval=None) for t in tasks]
-        futures = [self._pool.submit(run_slice, t) for t in tasks]
         futures_wait(futures, return_when=FIRST_EXCEPTION)
         parts = [f.result() for f in futures]  # re-raises the first failure
-        merged = merge_results(parts, indices=slices)
-        merged.n = len(indices)
-        if spec.schedule == "trigger":
-            phases = PhaseTimes()
-            totals: dict[str, int] = {}
-            for p in parts:
-                phases.accumulate(getattr(p, "phase_times", None) or {})
-                for key, val in (getattr(p, "scheduler_stats", None) or {}).items():
-                    totals[key] = totals.get(key, 0) + val
-            merged.phase_times = phases.as_dict()
-            merged.scheduler_stats = totals
-        return merged
-
-    def _tool_for(self, spec: CampaignSpec) -> FITool:
-        tool = self._tools.get(spec)
-        if tool is None:
-            config = FIConfig(
-                enabled=spec.fi_enabled, funcs=spec.fi_funcs,
-                instrs=spec.fi_instrs,
-            )
-            tool = TOOL_CLASSES[spec.tool_name](
-                spec.source, spec.workload, config=config,
-                opt_level=spec.opt_level, opcode_faults=spec.opcode_faults,
-                engine=spec.engine, fault_model=spec.fault_model,
-            )
-            if spec.snapshot_interval is not None and self._use_snapshots:
-                tool.enable_snapshots(
-                    interval=spec.snapshot_interval,
-                    store_dir=self._snapshot_dir,
-                    coarse=spec.schedule == "trigger",
-                )
-            self._tools[spec] = tool
-        return tool
+        return merge_slice_parts(parts, slices)

@@ -335,7 +335,8 @@ class FastEngine:
         fork_hook=None,
         syncs=None,
         sync_hook=None,
-    ) -> ExecutionResult:
+        start_pc: int | None = None,
+    ) -> ExecutionResult | None:
         """Free-run a golden (plan-free) CPU with counter-based fork stops.
 
         The trigger-ordered scheduler advances one cursor monotonically
@@ -351,7 +352,21 @@ class FastEngine:
         ``syncs``/``sync_hook`` additionally pause at exact absolute step
         counts (reference states for golden-rejoin detection); the fork
         check deliberately precedes the sync check so a partial-block
-        stride can never cross a pending trigger unforked.
+        stride can never cross a pending trigger unforked.  The hook is
+        called as ``sync_hook(cpu, pc, reach)`` with ``reach`` the counter
+        value once the block starting at ``pc`` has run: a trigger
+        ``<= reach`` forks before the block containing the sync point is
+        left, so only triggers beyond ``reach`` see the same fork points
+        from this state as from the program entry.  The entry itself is
+        reported first, as the sync state at step 0 (``reach`` 0: every
+        trigger lies beyond it).
+
+        ``start_pc`` replays a *window* of a golden run whose timeline is
+        already known: the CPU has been restored to a sync state recorded
+        by an earlier full pass and execution continues at that state's
+        pc.  Nothing past the last pending trigger is of interest then, so
+        the cursor returns ``None`` as soon as ``fork_hook`` reports no
+        further stop instead of running to the halt.
         """
         if budget is not None:
             cpu.budget = budget
@@ -365,7 +380,7 @@ class FastEngine:
         table = getattr(trans, table_name)
         execs: dict[int, int] = {}
 
-        pc = cpu.prepare_entry()
+        pc = cpu.prepare_entry() if start_pc is None else start_pc
         steps = cpu.steps
         rc = cpu._refine_count
         pin = cpu._pin_count
@@ -379,6 +394,8 @@ class FastEngine:
         else:
             cnt = cpu._llfi_count
         stop = first_stop
+        if sync_hook is not None and start_pc is None:
+            sync_hook(cpu, pc, cnt)
 
         if syncs:
             sync_i = bisect_right(syncs, steps)
@@ -411,6 +428,8 @@ class FastEngine:
                     # the block entry, before any stride can cross it.
                     self._flush(cpu, FL, execs, trans, steps, rc, pin)
                     stop = fork_hook(cpu, pc, upto)
+                    if stop is None and start_pc is not None:
+                        return None
 
             if steps + n >= sync_v:
                 self._flush(cpu, FL, execs, trans, steps, rc, pin)
@@ -426,10 +445,14 @@ class FastEngine:
                 rc = cpu._refine_count
                 pin = cpu._pin_count
                 attached = cpu._attached
-                if not live:
+                if live:
+                    cnt = cpu._llfi_count
+                else:
                     cnt = rc if counter == "refine_count" else pin
                 if sync_hook is not None:
-                    sync_hook(cpu, pc)
+                    if blocks_get(pc) is None:
+                        trans.add_suffix(pc, cpu, FL, blocks)
+                    sync_hook(cpu, pc, cnt + table[pc])
                 sync_i = bisect_right(syncs, steps)
                 sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
                 continue

@@ -13,7 +13,9 @@ background *pump* thread advances the queue state machine:
    (lifecycle ``validate``: chi-squared vs pinned baselines) and marked
    ``done``, their verdicts written to the results database;
 3. **admit** — while there is an open slot, the highest-priority queued
-   campaign is populated through its lifecycle and its cells added live;
+   campaign is populated through its lifecycle and its cells added live
+   (``campaign_admitted`` is logged once it has the slot, ahead of its
+   cells' events; if adding them fails, ``campaign_failed`` follows);
 4. **soak** — in soak mode, the queue is topped up with deterministic
    fuzz campaigns mining for divergence.
 
@@ -176,8 +178,8 @@ class ServiceCoordinator(Coordinator):
         """Block until the service stops (drain or fatal error); re-raises
         the fatal error if one occurred."""
         while True:
-            with self._done_cv:
-                if self._done_cv.wait_for(
+            with self._changed:
+                if self._changed.wait_for(
                     lambda: self._stopped or self._error is not None,
                     timeout=poll,
                 ):
@@ -214,7 +216,7 @@ class ServiceCoordinator(Coordinator):
         picks the pieces up on the next start."""
         with self._lock:
             self._stopped = True
-            self._done_cv.notify_all()
+            self._changed.notify_all()
             conns = list(self._conns)
         self._kick.set()
         for conn in conns:
@@ -380,6 +382,16 @@ class ServiceCoordinator(Coordinator):
                 None if self._ckpt_root is None
                 else self._ckpt_root / f"campaign-{cid}"
             )
+            # The campaign has its slot; installing its cells can still
+            # fail (``campaign_failed`` follows).  Logged first because
+            # held workers lease the moment the cells go live, and a
+            # campaign's ``cell_start``/``lease`` lines belong after its
+            # admission in the stream.
+            self._emit(
+                "campaign_admitted", campaign=cid, tenant=row["tenant"],
+                priority=row["priority"], cells=len(keys),
+                experiments=sum(spec.n for spec in specs),
+            )
             try:
                 lifecycle.run(self, specs, ckpt_dir)
             except (DistError, CampaignError) as exc:
@@ -393,11 +405,6 @@ class ServiceCoordinator(Coordinator):
                 "tenant": row["tenant"],
             }
             self.queue.set_state(cid, "running")
-            self._emit(
-                "campaign_admitted", campaign=cid, tenant=row["tenant"],
-                priority=row["priority"], cells=len(keys),
-                experiments=sum(spec.n for spec in specs),
-            )
 
     def _top_up_soak(self) -> None:
         if not self._soak:

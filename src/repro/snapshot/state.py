@@ -78,12 +78,17 @@ class CpuSnapshot:
 
 def base_pages(program) -> list[bytes]:
     """Split a program's freshly loaded memory image into pages (the
-    reference each snapshot's deltas are computed against)."""
+    reference each snapshot's deltas are computed against).  Equal pages —
+    nearly all of the image is zeros — share one object."""
     mem = program.fresh_memory()
     view = memoryview(mem)
+    distinct: dict[bytes, bytes] = {}
     return [
-        bytes(view[off : off + PAGE_SIZE])
-        for off in range(0, len(mem), PAGE_SIZE)
+        distinct.setdefault(page, page)
+        for page in (
+            bytes(view[off : off + PAGE_SIZE])
+            for off in range(0, len(mem), PAGE_SIZE)
+        )
     ]
 
 

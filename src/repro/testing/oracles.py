@@ -352,7 +352,10 @@ class SchedulerOracle(Oracle):
     with exact-step pauses).  On an arbitrary program those must be
     behaviour-preserving: the cursor run must equal the plain run bit for
     bit, and a fresh CPU restored from *any* fork must finish with the
-    plain run's output, exit code, per-pc counts and step total.
+    plain run's output, exit code, per-pc counts and step total.  A cursor
+    restarted from a retained sync state (``start_pc``, the scheduler's
+    window replay) must capture each trigger's fork at the very point the
+    full pass did.
     """
 
     name = "scheduler"
@@ -369,6 +372,7 @@ class SchedulerOracle(Oracle):
         from repro.snapshot.state import (
             base_pages,
             capture_snapshot,
+            cpu_state_digest,
             restore_snapshot,
         )
 
@@ -395,6 +399,11 @@ class SchedulerOracle(Oracle):
             output=tuple(plain.output),
             trace=tuple(plain.counts),
         )
+
+        def state_of(snap) -> tuple:
+            revived = CPU(program)
+            restore_snapshot(revived, snap)
+            return snap.pc, cpu_state_digest(revived)
 
         def outcome_of(result, label: str) -> RunOutcome:
             return RunOutcome(
@@ -443,11 +452,11 @@ class SchedulerOracle(Oracle):
                 forks[pending.pop(0)] = snap
             return pending[0] if pending else None
 
-        def sync_hook(c, pc) -> None:
+        def sync_hook(c, pc, reach) -> None:
             nonlocal prev
             snap = capture_snapshot(c, pc, prev=prev, base=base)
             prev = snap
-            sync_states[snap.steps] = snap
+            sync_states[snap.steps] = (reach, snap)
 
         interval = max(1, plain.steps // 7)
         sync_steps = list(range(interval, plain.steps, interval))
@@ -494,6 +503,40 @@ class SchedulerOracle(Oracle):
             problem = diverged(result, f"tail forked at trigger {trigger}")
             if problem is not None:
                 return problem
+            # Window replay: from the latest sync state whose block does not
+            # reach the trigger (the entry, at worst), the cursor must fork
+            # where the full pass did.
+            starts = [
+                start for reach, start in sync_states.values()
+                if reach < trigger
+            ]
+            window = CPU(program)
+            restore_snapshot(window, starts[-1])
+            refork: list = []
+
+            def window_hook(c, pc, upto):
+                refork.append(capture_snapshot(c, pc, base=base))
+                return None
+
+            engine.run_cursor(
+                window,
+                budget=self.budget,
+                counter="refine_count",
+                first_stop=trigger,
+                fork_hook=window_hook,
+                start_pc=starts[-1].pc,
+            )
+            if not refork or state_of(refork[0]) != state_of(snap):
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"window replay from step {starts[-1].steps} forked "
+                        f"trigger {trigger} at "
+                        f"{refork[0].steps if refork else 'no'} steps, the "
+                        f"full pass at {snap.steps}"
+                    ),
+                    expected=expected,
+                )
         return None
 
 

@@ -6,6 +6,9 @@ record a campaign produces — seed, outcome, cycles, steps, trap, fault
 coordinates — must match the sequential index-ordered run exactly.
 """
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.campaign import (
@@ -17,9 +20,12 @@ from repro.campaign import (
     run_campaign_parallel,
     validate_schedule,
 )
-from repro.campaign.io import result_to_dict
+from repro.campaign.io import experiment_event_fields, result_to_dict
+from repro.campaign.parallel import SliceContexts, SliceTask, run_slice
+from repro.campaign.runner import run_experiment
 from repro.campaign.schedule import TriggerScheduler
 from repro.errors import CampaignError
+from repro.fi.models import MODEL_ORDER
 from repro.fi.tools import TOOL_CLASSES
 from repro.testing.oracles import check_workload_scheduler_equivalence
 from repro.workloads.registry import workload_sources
@@ -107,6 +113,97 @@ class TestSequentialEquivalence:
     def test_workload_smoke(self, workload):
         divergence = check_workload_scheduler_equivalence(workload, n=6)
         assert divergence is None, divergence.describe()
+
+
+def _shards(tool, size):
+    """The cell's indices cut into trigger-contiguous shards, the way the
+    parallel runner and the dist coordinator cut leases."""
+    order = [i for _, i in resolve_trigger_order(tool, SEED, range(N))]
+    return [order[lo:lo + size] for lo in range(0, N, size)]
+
+
+class TestTimelineReuse:
+    """One scheduler serves every shard of a cell: the first batch records
+    the golden timeline, later batches replay only their trigger window —
+    and nothing about the records may depend on how the cell was cut or in
+    which order the shards arrived."""
+
+    @pytest.mark.parametrize("model", MODEL_ORDER)
+    @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
+    def test_shards_in_any_order_equal_one_batch(self, tool_name, model):
+        if model == "opcode" and not TOOL_CLASSES[tool_name].supports_opcode_faults:
+            pytest.skip("IR-level tools cannot corrupt instruction encodings")
+        tool = make_tool(
+            tool_name, DEMO_SOURCE, "demo", schedule="trigger",
+            fault_model=model,
+        )
+        whole = {
+            rec.index: experiment_event_fields(rec)
+            for rec in TriggerScheduler(tool).run_batch(SEED, range(N))
+        }
+        assert sorted(whole) == list(range(N))
+        # ... which is index order on the reference engine, field for field
+        oracle = make_tool(
+            tool_name, DEMO_SOURCE, "demo", engine="reference",
+            fault_model=model,
+        )
+        for index in range(N):
+            expected = experiment_event_fields(run_experiment(oracle, SEED, index))
+            got = dict(whole[index])
+            for fields in (expected, got):
+                fields.pop("engine")
+                fields.pop("snapshot_hit")
+            assert got == expected
+
+        shards = _shards(tool, 4)
+        shuffled = list(shards)
+        random.Random(7).shuffle(shuffled)
+        # a requeued lease lands behind windows already served
+        requeued = shards[2:] + shards[:2]
+        for order in (shards, shards[::-1], shuffled, requeued):
+            sched = TriggerScheduler(tool)
+            got = {}
+            full_passes = 0
+            for shard in order:
+                for rec in sched.run_batch(SEED, shard):
+                    got[rec.index] = experiment_event_fields(rec)
+                assert sched.stats.experiments == len(shard)
+                full_passes += sched.stats.cursor_steps == tool.profile.steps
+            assert got == whole
+            assert full_passes == 1, "only the first batch sweeps the whole run"
+
+    def test_batch_stats_are_deltas_that_sum_to_the_single_batch(self):
+        task = SliceTask(
+            tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
+            opt_level="O2", fi_enabled=True, fi_funcs="*", fi_instrs="all",
+            base_seed=SEED, indices=tuple(range(N)), keep_records=True,
+            opcode_faults=0.0, chunk=0, schedule="trigger",
+        )
+        single = run_slice(task)
+        contexts = SliceContexts()
+        tool, _ = contexts.get(task)
+        parts = [
+            run_slice(replace(task, indices=tuple(shard), chunk=ci), contexts)
+            for ci, shard in enumerate(_shards(tool, 5))
+        ]
+        assert len(contexts) == 1
+        for key in ("experiments", "fork_hits", "rejoins", "tail_steps_saved",
+                    "prefix_steps_saved", "scratch"):
+            assert (
+                sum(p.scheduler_stats[key] for p in parts)
+                == single.scheduler_stats[key]
+            ), key
+        # one full pass, then windows: the golden run is not replayed per part
+        steps = tool.profile.steps
+        assert parts[0].scheduler_stats["cursor_steps"] == steps
+        assert parts[0].scheduler_stats["sync_states"] > 0
+        for part in parts[1:]:
+            assert part.scheduler_stats["cursor_steps"] < steps
+            assert part.scheduler_stats["sync_states"] == 0
+        assert all(set(p.phase_times) == set(single.phase_times) for p in parts)
+        assert sorted(
+            (r.index, r.seed, r.outcome, r.steps) for p in parts for r in p.records
+        ) == sorted((r.index, r.seed, r.outcome, r.steps) for r in single.records)
 
 
 @pytest.mark.slow
@@ -237,6 +334,42 @@ class TestParallelEquivalence:
         assert _records_key(parallel) == _records_key(baseline)
         _assert_equivalent(parallel, baseline)
 
+    def test_parallel_compiles_once_per_process(self, tmp_path, monkeypatch):
+        """Chunks of one campaign share their process's compiled tool (and
+        golden timeline) instead of building a fresh one each."""
+        import multiprocessing
+        import os
+
+        import repro.fi.tools as tools
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the counting patch reaches pool processes by fork")
+        log = tmp_path / "compiles.log"
+        real = tools.compile_minic
+
+        def counting(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tools, "compile_minic", counting)
+        events = tmp_path / "events.jsonl"
+        with EventLog(events) as sink:
+            run_campaign_parallel(
+                "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
+                schedule="trigger", chunk_size=2, events=sink,
+            )
+        pids = log.read_text().split()
+        assert len(pids) == len(set(pids)) <= 3  # parent + two pool processes
+        chunks = [
+            e for e in read_events(events)
+            if e["event"] == "scheduler_stats" and "chunk" in e
+        ]
+        assert len(chunks) == N // 2
+        steps = make_tool("REFINE", DEMO_SOURCE, "demo").profile.steps
+        # one full golden pass per pool process, windows for the rest
+        assert sum(e["cursor_steps"] == steps for e in chunks) <= 2
+
     def test_parallel_trigger_finish_event_aggregates(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
         log = EventLog(log_path)
@@ -253,5 +386,5 @@ class TestParallelEquivalence:
             e for e in events
             if e["event"] == "scheduler_stats" and "chunk" in e
         ]
-        # Per-chunk stats are independent schedulers; they sum to the totals.
+        # Per-chunk stats are each batch's own; they sum to the totals.
         assert sum(e["experiments"] for e in chunk_stats) == N

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.backend import compile_minic
@@ -38,6 +40,25 @@ int main() {
 
 #: dot(grid, grid, 16) with grid[i] = i*0.5 + 1.
 DEMO_DOT = sum((i * 0.5 + 1.0) ** 2 for i in range(16))
+
+
+#: Wall budget of one tier-1 (non-``slow``) test.  The slowest honest one
+#: takes ~6 s on the reference box; a test that sits out a network timeout
+#: or a backoff window takes minutes, and must fail here instead of
+#: silently multiplying the edit loop.
+TEST_WALL_BUDGET_S = 30.0
+
+
+@pytest.fixture(autouse=True)
+def _wall_budget(request):
+    started = time.monotonic()
+    yield
+    wall = time.monotonic() - started
+    if wall > TEST_WALL_BUDGET_S and request.node.get_closest_marker("slow") is None:
+        pytest.fail(
+            f"took {wall:.1f} s; tier-1 tests get {TEST_WALL_BUDGET_S:.0f} s "
+            "(mark it slow or fix what it waits for)"
+        )
 
 
 def run_minic(source: str, opt_level: str = "O2", budget: int | None = None):

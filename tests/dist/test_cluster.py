@@ -398,3 +398,89 @@ class TestTriggerSchedule:
         ) as cluster:
             results = cluster.results(timeout=120)
         self._assert_equivalent(results[KEY], sequential)
+
+    def test_leases_replay_windows_not_the_golden_run(self, tmp_path):
+        """32 leases of one cell cost one golden pass per worker plus each
+        lease's own trigger window — not 32 golden runs."""
+        from repro.campaign.schedule import resolve_trigger_order
+        from repro.snapshot.engine import resolve_interval
+        from repro.workloads import workload_sources
+
+        n, leases = 64, 32
+        spec = CampaignSpec(
+            workload="EP", source=workload_sources()["EP"],
+            tool_name="REFINE", n=n, schedule="trigger",
+        )
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events:
+            with LocalCluster(
+                spec, workers=2, chunk_size=n // leases, events=events
+            ) as cluster:
+                results = cluster.results(timeout=120)
+        assert sum(results[("EP", "REFINE")].counts.values()) == n
+
+        # Where along the golden run each trigger forks, from a cursor of
+        # our own: a lease's window is the span between its outermost forks.
+        tool = make_tool("REFINE", spec.source, "EP")
+        trigger_of = {
+            index: trigger for trigger, index
+            in resolve_trigger_order(tool, spec.base_seed, range(n))
+        }
+        pending = sorted(set(trigger_of.values()))
+        fork_step: dict[int, int] = {}
+
+        def fork_hook(cpu, pc, upto):
+            while pending and pending[0] <= upto:
+                fork_step[pending.pop(0)] = cpu.steps
+            return pending[0] if pending else None
+
+        tool.engine.run_cursor(
+            tool._make_cpu(None), first_stop=pending[0], fork_hook=fork_hook
+        )
+        forks_of: dict[int, list[int]] = {}
+        for e in _events_named(log, "experiment"):
+            forks_of.setdefault(e["task"], []).append(
+                fork_step[trigger_of[e["index"]]]
+            )
+
+        per_task = _events_named(log, "scheduler_stats")
+        assert len(per_task) == leases
+        steps = tool.profile.steps
+        interval = resolve_interval(0, steps)
+        full = [e for e in per_task if e["cursor_steps"] == steps]
+        assert 1 <= len(full) <= 2  # each worker's first lease of the cell
+        windows = 0
+        for e in per_task:
+            if e in full:
+                continue
+            forks = forks_of[e["task"]]
+            window = max(forks) - min(forks)
+            windows += window
+            # The start is the latest sync state strictly before the block
+            # of the first fork (one sitting exactly on it would re-fork
+            # mid-block), so less than two intervals back.
+            assert e["cursor_steps"] < window + 2 * interval, e
+        assert windows <= steps  # disjoint trigger ranges
+        assert sum(e["cursor_steps"] for e in per_task) <= (
+            2 * steps + windows + leases * interval
+        )
+
+    def test_more_workers_than_cores_racing_for_single_leases(self, sequential):
+        """Held requests, wake-ups and per-worker contexts under contention:
+        five workers fight over one-experiment leases with the interpreter
+        switching threads as often as it can."""
+        import sys
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with LocalCluster(
+                _spec(schedule="trigger"), workers=5, chunk_size=1
+            ) as cluster:
+                results = cluster.results(timeout=120)
+                stats = cluster.worker_stats()
+        finally:
+            sys.setswitchinterval(interval)
+        self._assert_equivalent(results[KEY], sequential)
+        assert not cluster._worker_errors
+        assert sum(s.experiments for s in stats if s is not None) >= N

@@ -2,6 +2,7 @@
 raw protocol conversation (no experiments run here)."""
 
 import socket
+import time
 
 import pytest
 
@@ -159,3 +160,90 @@ class TestProtocolConversation:
         coordinator.stop()
         with pytest.raises(DistError, match="stopped before completion"):
             coordinator.wait(timeout=1.0)
+
+
+class TestIdleRequests:
+    """An idle worker's ``request`` is held until work exists (bounded by
+    ``IDLE_HOLD_S``), in the same frames a polling worker already speaks."""
+
+    @pytest.fixture
+    def coordinator(self):
+        # one task, retried without backoff
+        coord = Coordinator(_spec(), port=0, chunk_size=8, backoff_base=0.0)
+        coord.start()
+        yield coord
+        coord.stop()
+
+    @staticmethod
+    def _worker(coordinator, name):
+        sock = socket.create_connection(coordinator.address, timeout=5.0)
+        send_message(sock, {"type": "hello", "name": name, "procs": 1})
+        assert recv_message(sock)["type"] == "welcome"
+        return sock
+
+    def test_held_request_is_granted_the_moment_work_is_requeued(
+        self, coordinator
+    ):
+        busy = self._worker(coordinator, "busy")
+        idle = self._worker(coordinator, "idle")
+        try:
+            send_message(busy, {"type": "request"})
+            lease = recv_message(busy)
+            assert lease["type"] == "lease"
+            send_message(idle, {"type": "request"})  # nothing left: held
+            time.sleep(0.1)
+            asked = time.monotonic()
+            send_message(busy, {
+                "type": "task_failed", "task_id": lease["task_id"],
+                "error": "boom",
+            })
+            assert recv_message(busy)["type"] == "ok"
+            again = recv_message(idle)
+            assert again["type"] == "lease"
+            assert again["task_id"] == lease["task_id"]
+            assert again["attempt"] == 1
+            assert time.monotonic() - asked < 0.5
+        finally:
+            busy.close()
+            idle.close()
+
+    def test_held_request_expires_with_wait(self, coordinator, monkeypatch):
+        from repro.dist import coordinator as module
+
+        monkeypatch.setattr(module, "IDLE_HOLD_S", 0.2)
+        busy = self._worker(coordinator, "busy")
+        idle = self._worker(coordinator, "idle")
+        try:
+            send_message(busy, {"type": "request"})
+            assert recv_message(busy)["type"] == "lease"
+            asked = time.monotonic()
+            send_message(idle, {"type": "request"})
+            reply = recv_message(idle)
+            held = time.monotonic() - asked
+            assert reply["type"] == "wait"
+            assert reply["delay_s"] > 0
+            assert 0.15 < held < 1.0
+        finally:
+            busy.close()
+            idle.close()
+
+    def test_held_request_is_released_by_stop(self, coordinator):
+        busy = self._worker(coordinator, "busy")
+        idle = self._worker(coordinator, "idle")
+        try:
+            send_message(busy, {"type": "request"})
+            assert recv_message(busy)["type"] == "lease"
+            send_message(idle, {"type": "request"})
+            time.sleep(0.1)
+            asked = time.monotonic()
+            coordinator.stop()
+            # an aborted campaign cuts its workers off, it does not send
+            # them home: EOF or a torn connection, never ``done``
+            try:
+                assert recv_message(idle) is None
+            except DistError:
+                pass
+            assert time.monotonic() - asked < 0.5
+        finally:
+            busy.close()
+            idle.close()

@@ -1,0 +1,46 @@
+"""The worker's bounded context cache (tier-1: no coordinator needed —
+``Worker._run_task`` is driven directly)."""
+
+from repro.campaign.parallel import CONTEXT_CAPACITY
+from repro.dist import CampaignSpec, Worker
+
+from tests.conftest import DEMO_SOURCE
+
+
+def _spec(**overrides):
+    kwargs = dict(
+        workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=8,
+        schedule="trigger",
+    )
+    kwargs.update(overrides)
+    return CampaignSpec(**kwargs)
+
+
+class TestContextCache:
+    def test_campaigns_over_one_binary_share_a_context(self):
+        worker = Worker("127.0.0.1", 1)
+        first = _spec()
+        worker._run_task(first, (0, 1))
+        tool, scheduler = worker._contexts.get(first.slice_task(()))
+        # another campaign size, another seed: same binary, same timeline
+        other = _spec(n=200, base_seed=1234)
+        part = worker._run_task(other, (5, 150))
+        assert len(worker._contexts) == 1
+        assert worker._contexts.get(other.slice_task(())) == (tool, scheduler)
+        assert part.scheduler_stats["cursor_steps"] < tool.profile.steps
+        # what determines the binary or its fault plans does not
+        worker._run_task(_spec(fault_model="multi-bit"), (0,))
+        worker._run_task(_spec(opt_level="O0"), (0,))
+        assert len(worker._contexts) == 3
+
+    def test_cache_stays_at_its_bound(self):
+        # A soak-mode service feeds a worker one new program per campaign.
+        worker = Worker("127.0.0.1", 1)
+        for k in range(CONTEXT_CAPACITY + 3):
+            worker._run_task(_spec(workload=f"demo{k}"), (0, 1))
+            assert len(worker._contexts) <= CONTEXT_CAPACITY
+        assert len(worker._contexts) == CONTEXT_CAPACITY
+        # least recently used went first: the newest cells are still warm
+        newest = _spec(workload=f"demo{CONTEXT_CAPACITY + 2}")
+        part = worker._run_task(newest, (2, 3))
+        assert part.scheduler_stats["sync_states"] == 0

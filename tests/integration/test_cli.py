@@ -198,7 +198,11 @@ class TestExitCodes:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        assert worker_main([f"127.0.0.1:{port}"]) == 1
+        # The CLI's default reconnect window would sit in backoff for five
+        # minutes; a worker told not to wait fails on the first refusal.
+        assert worker_main(
+            [f"127.0.0.1:{port}", "--reconnect-window", "0"]
+        ) == 1
         assert "cannot reach coordinator" in capsys.readouterr().err
 
 

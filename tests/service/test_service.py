@@ -271,6 +271,21 @@ class TestWorkerReconnect:
             host, port, reconnect_window=60.0,
             reconnect_base=0.05, reconnect_cap=0.2,
         )
+        # The worker holds its third lease until the kill has landed, so it
+        # is mid-campaign then however fast the leases go; were it to finish
+        # first, the second service would complete from checkpoints alone
+        # and drain before the worker's backoff let it redial.
+        killed = threading.Event()
+        served = []
+        run_task = worker._run_task
+
+        def held_run_task(spec, indices):
+            if len(served) == 2:
+                assert killed.wait(timeout=60.0)
+            served.append(indices)
+            return run_task(spec, indices)
+
+        worker._run_task = held_run_task
         thread = threading.Thread(
             target=lambda: stats_box.append(worker.run()), daemon=True
         )
@@ -279,6 +294,7 @@ class TestWorkerReconnect:
         cid = client.submit(_request(n=32))
         _wait_progress(client, cid, 2)
         first.kill()
+        killed.set()
         second = ServiceCoordinator(
             host=host, port=port, queue_path=paths["queue_path"],
             checkpoint_root=paths["checkpoint_root"],
