@@ -3,16 +3,16 @@
 PY ?= python3
 SAMPLES ?= 60
 
-.PHONY: install test bench bench-paper campaign examples lint-docs clean
+.PHONY: install test test-fast bench bench-paper campaign results-tables examples clean
 
 install:
 	pip install -e .
 
 test:
-	$(PY) -m pytest tests/
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -m pytest tests/
 
 test-fast:
-	$(PY) -m pytest tests/ -x -q -p no:warnings
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -m pytest tests/ -x -q -p no:warnings
 
 bench:
 	REPRO_SAMPLES=$(SAMPLES) $(PY) -m pytest benchmarks/ --benchmark-only
@@ -33,6 +33,7 @@ examples:
 	  echo "== $$f"; REPRO_SAMPLES=50 $(PY) $$f || exit 1; \
 	done
 
+# results/bench_artifacts/ holds the tracked paper tables: not build debris.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks results/bench_artifacts
+	rm -rf .pytest_cache .hypothesis .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

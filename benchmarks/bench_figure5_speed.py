@@ -12,29 +12,9 @@ runs early (EP in the paper).
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import time
-
-from repro.campaign.runner import DEFAULT_SEED
-from repro.fi import RefineTool
 from repro.reporting import render_figure5
-from repro.utils.rng import derive_seed
-from repro.workloads import workload_sources
 
 from benchmarks.conftest import emit_artifact
-
-#: Fault runs per workload for the snapshot-vs-scratch wall-time measure.
-#: Small enough to keep the bench quick, large enough to amortize the one
-#: golden recording the snapshot path pays up front.
-SNAP_SAMPLES = int(os.environ.get("REPRO_SNAP_SAMPLES", "40"))
-
-#: Fault runs per workload for the fast-vs-reference engine measure.
-ENGINE_SAMPLES = int(os.environ.get("REPRO_ENGINE_SAMPLES", "40"))
-
-#: Fault runs per workload for the trigger-scheduler measure.
-SCHED_SAMPLES = int(os.environ.get("REPRO_SCHED_SAMPLES", "40"))
 
 
 def test_figure5_normalized_times(benchmark, campaign_matrix, workloads):
@@ -50,204 +30,3 @@ def test_figure5_normalized_times(benchmark, campaign_matrix, workloads):
     assert llfi_ratio > 1.8, f"LLFI only {llfi_ratio:.2f}x PINFI"
     assert 0.7 < refine_ratio < 1.8, f"REFINE at {refine_ratio:.2f}x PINFI"
     assert totals["REFINE"] < totals["LLFI"]
-
-
-def test_snapshot_campaign_speedup(benchmark):
-    """Real wall time of the snapshot fast path vs from-scratch injection.
-
-    For every workload, runs the same REFINE fault campaign twice — once
-    re-executing each experiment from instruction 0, once served from
-    golden-run snapshots (the snapshot side pays its golden recording
-    inside the measurement).  Emits ``BENCH_snapshot.json`` so the perf
-    trajectory is tracked PR over PR.
-    """
-    per_workload: dict[str, dict] = {}
-
-    def sweep():
-        for name, source in workload_sources().items():
-            seeds = [
-                derive_seed(DEFAULT_SEED, name, "REFINE", i)
-                for i in range(SNAP_SAMPLES)
-            ]
-            scratch = RefineTool(source, name)
-            _ = scratch.profile  # compile + profile outside the clock
-            t0 = time.perf_counter()
-            for seed in seeds:
-                scratch.inject(seed)
-            scratch_s = time.perf_counter() - t0
-
-            snapped = RefineTool(source, name)
-            snapped.enable_snapshots(interval=0)
-            _ = snapped.profile
-            t0 = time.perf_counter()
-            for seed in seeds:
-                snapped.inject(seed)
-            snapshot_s = time.perf_counter() - t0
-
-            stats = snapped.snapshots.stats
-            per_workload[name] = {
-                "samples": SNAP_SAMPLES,
-                "scratch_s": round(scratch_s, 4),
-                "snapshot_s": round(snapshot_s, 4),
-                "speedup": round(scratch_s / snapshot_s, 3),
-                **stats.as_dict(),
-            }
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    speedups = sorted(
-        (row["speedup"], name) for name, row in per_workload.items()
-    )
-    ge2 = [name for speedup, name in speedups if speedup >= 2.0]
-    payload = {
-        "samples_per_workload": SNAP_SAMPLES,
-        "tool": "REFINE",
-        "workloads": per_workload,
-        "workloads_ge_2x": len(ge2),
-        "min_speedup": speedups[0][0],
-        "max_speedup": speedups[-1][0],
-    }
-    emit_artifact("BENCH_snapshot.json", json.dumps(payload, indent=2))
-    assert len(ge2) >= 3, (
-        f"snapshot fast path reached 2x on only {len(ge2)}/"
-        f"{len(per_workload)} workloads: {speedups}"
-    )
-
-
-def test_engine_campaign_speedup(benchmark):
-    """Steady-state campaign throughput: fast engine vs the PR 4 baseline.
-
-    The PR 4 baseline is the snapshot fast path driven by the reference
-    interpreter loop; the fast engine keeps that prefix machinery and
-    replaces tail execution with free-run block superinstructions.  Both
-    sides run the identical REFINE campaign (same seeds, snapshots on);
-    the first injection — which pays the one-time golden recording and
-    block translation — is warmed outside the clock on both sides, since a
-    real campaign amortizes it over its 1068 samples, not over the bench's
-    {ENGINE_SAMPLES}.  Emits ``BENCH_engine.json``.
-    """
-    per_workload: dict[str, dict] = {}
-
-    def sweep():
-        for name, source in workload_sources().items():
-            seeds = [
-                derive_seed(DEFAULT_SEED, name, "REFINE", i)
-                for i in range(ENGINE_SAMPLES)
-            ]
-            times = {}
-            for engine in ("reference", "fast"):
-                tool = RefineTool(source, name, engine=engine)
-                tool.enable_snapshots(interval=0)
-                _ = tool.profile
-                tool.inject(seeds[0])  # golden recording + warm-up
-                t0 = time.perf_counter()
-                for seed in seeds[1:]:
-                    tool.inject(seed)
-                times[engine] = time.perf_counter() - t0
-            per_workload[name] = {
-                "samples": ENGINE_SAMPLES - 1,
-                "reference_s": round(times["reference"], 4),
-                "fast_s": round(times["fast"], 4),
-                "speedup": round(times["reference"] / times["fast"], 3),
-            }
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    speedups = [row["speedup"] for row in per_workload.values()]
-    geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    payload = {
-        "samples_per_workload": ENGINE_SAMPLES - 1,
-        "tool": "REFINE",
-        "baseline": "reference engine + snapshot fast path (PR 4)",
-        "candidate": "fast free-run engine + snapshot fast path",
-        "workloads": per_workload,
-        "geomean_speedup": round(geomean, 3),
-        "min_speedup": min(speedups),
-        "max_speedup": max(speedups),
-    }
-    emit_artifact("BENCH_engine.json", json.dumps(payload, indent=2))
-    assert geomean >= 3.0, (
-        f"fast engine geomean speedup {geomean:.2f}x < 3x target: "
-        f"{sorted((r['speedup'], n) for n, r in per_workload.items())}"
-    )
-
-
-def test_scheduler_campaign_speedup(benchmark):
-    """Steady-state campaign throughput: trigger schedule vs the PR 5
-    baseline (fast engine + snapshot fast path, index order).
-
-    Both sides run the identical REFINE campaign.  One-time costs are
-    excluded on both sides, following the convention BENCH_engine.json
-    set: the baseline warms its golden recording and block translation
-    via an unclocked first inject, the trigger side subtracts its
-    measured ``translate_s + prefix_s + fork_s`` one-time phases (a real
-    campaign amortizes both over its 1068 samples).  What remains is the
-    steady-state cost of serving one experiment: a fork-restored tail vs
-    a warm snapshot inject.  Emits ``BENCH_scheduler.json`` with the
-    per-phase breakdown.
-    """
-    from repro.campaign.schedule import TriggerScheduler
-
-    per_workload: dict[str, dict] = {}
-
-    def sweep():
-        for name, source in workload_sources().items():
-            seeds = [
-                derive_seed(DEFAULT_SEED, name, "REFINE", i)
-                for i in range(SCHED_SAMPLES)
-            ]
-            baseline = RefineTool(source, name)
-            baseline.enable_snapshots(interval=0)
-            _ = baseline.profile
-            baseline.inject(seeds[0])  # golden recording + warm-up
-            t0 = time.perf_counter()
-            for seed in seeds[1:]:
-                baseline.inject(seed)
-            index_s = time.perf_counter() - t0
-
-            tool = RefineTool(source, name)
-            tool.enable_snapshots(interval=0, coarse=True)
-            _ = tool.profile
-            sched = TriggerScheduler(tool)
-            t0 = time.perf_counter()
-            for _rec in sched.run_batch(
-                DEFAULT_SEED, list(range(SCHED_SAMPLES))
-            ):
-                pass
-            batch_s = time.perf_counter() - t0
-            phases = sched.phases.as_dict()
-            one_time = (
-                phases["translate_s"] + phases["prefix_s"] + phases["fork_s"]
-            )
-            steady_s = max(batch_s - one_time, 1e-9)
-            index_per = index_s / (SCHED_SAMPLES - 1)
-            trigger_per = steady_s / SCHED_SAMPLES
-            per_workload[name] = {
-                "samples": SCHED_SAMPLES,
-                "index_per_exp_s": round(index_per, 6),
-                "trigger_per_exp_s": round(trigger_per, 6),
-                "batch_s": round(batch_s, 4),
-                "speedup": round(index_per / trigger_per, 3),
-                "phases": phases,
-                "scheduler": sched.stats.as_dict(),
-            }
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
-
-    speedups = [row["speedup"] for row in per_workload.values()]
-    geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-    payload = {
-        "samples_per_workload": SCHED_SAMPLES,
-        "tool": "REFINE",
-        "baseline": "index order, fast engine + snapshot fast path (PR 5)",
-        "candidate": "trigger order, shared-prefix cursor + COW forks",
-        "workloads": per_workload,
-        "geomean_speedup": round(geomean, 3),
-        "min_speedup": min(speedups),
-        "max_speedup": max(speedups),
-    }
-    emit_artifact("BENCH_scheduler.json", json.dumps(payload, indent=2))
-    assert geomean >= 1.5, (
-        f"trigger scheduler geomean speedup {geomean:.2f}x < 1.5x target: "
-        f"{sorted((r['speedup'], n) for n, r in per_workload.items())}"
-    )

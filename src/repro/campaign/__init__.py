@@ -38,12 +38,10 @@ from repro.campaign.runner import (
     run_matrix,
 )
 from repro.campaign.schedule import (
-    SCHEDULES,
     PhaseTimes,
     SchedulerStats,
     TriggerScheduler,
     resolve_trigger_order,
-    validate_schedule,
 )
 
 __all__ = [
@@ -80,10 +78,8 @@ __all__ = [
     "run_campaign",
     "run_experiment",
     "run_matrix",
-    "SCHEDULES",
     "PhaseTimes",
     "SchedulerStats",
     "TriggerScheduler",
     "resolve_trigger_order",
-    "validate_schedule",
 ]

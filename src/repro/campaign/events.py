@@ -23,8 +23,9 @@ event                     extra fields
 ``experiment``            ``workload``, ``tool``, ``index``, ``seed``,
                           ``outcome``, ``cycles``, ``steps``, ``trap``,
                           ``exit_code``, ``engine`` (execution engine name),
-                          ``snapshot_hit`` (``true``/``false`` when the
-                          snapshot fast path was on, else ``null``) and
+                          ``snapshot_hit`` (``true``: the tail ran from a
+                          fork of the golden run; ``false``/``null``: the
+                          run started at instruction 0) and
                           ``fault`` (the full fault-site record: ``func``,
                           ``pc``, ``instr_text``, ``operand_index``,
                           ``operand_desc``, ``bit`` (``null`` for faults
@@ -47,29 +48,19 @@ event                     extra fields
                           stream is self-contained: a results store can
                           rebuild the full ``CampaignResult`` from the log
                           alone); ``fault_model``,
-                          ``schedule`` (``index``/``trigger``) and
-                          ``phases`` (wall-clock breakdown:
+                          ``schedule`` (always ``trigger``; logs written
+                          before that was the only order may say
+                          ``index``), ``phases`` (wall-clock breakdown:
                           ``translate_s``, ``prefix_s``, ``fork_s``,
-                          ``tail_s``, ``classify_s``); with the trigger
-                          schedule also ``scheduler`` (final
-                          ``scheduler_stats`` counters); the sequential
-                          runner adds ``wall_s``, ``experiments_per_sec``
-``snapshot_golden``       ``workload``, ``tool``, ``interval``, ``snapshots``,
-                          ``pages``, ``reused`` (loaded from the shared
-                          store instead of recorded), ``wall_s`` — one per
-                          golden snapshot run (see :mod:`repro.snapshot`)
-``snapshot_stats``        ``workload``, ``tool``, ``hits``, ``misses``,
-                          ``hit_rate``, ``instructions_skipped``,
-                          ``instructions_executed``, ``snapshots``,
-                          ``pages_stored``, ``golden_reused``,
-                          ``golden_wall_s``, ``interval``; cumulative per
-                          campaign from the sequential runner, per-chunk
-                          (with a ``chunk`` field) from parallel workers
+                          ``tail_s``, ``classify_s``) and ``scheduler``
+                          (final ``scheduler_stats`` counters); the
+                          sequential runner adds ``wall_s``,
+                          ``experiments_per_sec``
 ``scheduler_stats``       ``workload``, ``tool``, ``experiments``, ``forks``,
                           ``fork_hits``, ``scratch``, ``rejoins``,
                           ``sync_states``, ``cursor_steps``,
                           ``prefix_steps_saved``, ``tail_steps_saved`` —
-                          trigger-schedule counters (see
+                          the scheduler's counters (see
                           :mod:`repro.campaign.schedule`); cumulative from
                           the sequential runner (emitted after the cursor
                           and again after the last tail), per-chunk
@@ -103,8 +94,7 @@ event                     extra fields
                           ``total_candidates``, ``golden_output``,
                           ``schedule``, ``fault_model``,
                           ``phases`` (worker-side breakdown
-                          summed over tasks) and, with the trigger
-                          schedule, ``scheduler``
+                          summed over tasks) and ``scheduler``
 ``dist_finish``           ``cells``, ``total``, ``wall_s``,
                           ``experiments_per_sec``
 ========================  =====================================================
@@ -202,10 +192,6 @@ class CampaignStats:
             self.counts.update(counts)
         #: per-worker completed-experiment counts (distributed campaigns)
         self.workers: dict[str, int] = {}
-        #: snapshot fast-path counters (from ``snapshot_stats`` events)
-        self.snap_hits = 0
-        self.snap_misses = 0
-        self.snap_skipped = 0
         #: trigger-scheduler counters (from ``scheduler_stats`` events)
         self.sched_forks = 0
         self.sched_rejoins = 0
@@ -222,22 +208,6 @@ class CampaignStats:
         for outcome, k in counts.items():
             self.counts[outcome] = self.counts.get(outcome, 0) + k
             self.done += k
-
-    def note_snapshots(self, fields: dict, accumulate: bool = False) -> None:
-        """Fold one ``snapshot_stats`` event in.  Sequential-runner events
-        are cumulative (replace); parallel per-chunk events are deltas
-        (``accumulate=True``)."""
-        hits = int(fields.get("hits", 0))
-        misses = int(fields.get("misses", 0))
-        skipped = int(fields.get("instructions_skipped", 0))
-        if accumulate:
-            self.snap_hits += hits
-            self.snap_misses += misses
-            self.snap_skipped += skipped
-        else:
-            self.snap_hits = hits
-            self.snap_misses = misses
-            self.snap_skipped = skipped
 
     def note_scheduler(self, fields: dict, accumulate: bool = False) -> None:
         """Fold one ``scheduler_stats`` event in.  Sequential-runner events
@@ -308,12 +278,6 @@ class CampaignStats:
                 f"{w}:{rates[w]:.1f}/s" for w in sorted(self.workers)
             )
             line += f" | {len(self.workers)}w[{per_worker}]"
-        served = self.snap_hits + self.snap_misses
-        if served:
-            line += (
-                f" | snap {100.0 * self.snap_hits / served:.0f}% hit, "
-                f"{self.snap_skipped:,} skipped"
-            )
         if self.sched_forks:
             line += (
                 f" | sched {self.sched_forks} forks, "

@@ -133,8 +133,8 @@ def experiment_event_fields(record: ExperimentRecord) -> dict:
 
 #: Optional statistic blocks piggy-backed on a partial result by the slice
 #: runners (plain JSON dicts), forwarded so the distributed coordinator can
-#: aggregate worker-side snapshot/scheduler telemetry.
-_RESULT_STATS_ATTRS = ("snapshot_stats", "phase_times", "scheduler_stats")
+#: aggregate worker-side phase/scheduler telemetry.
+_RESULT_STATS_ATTRS = ("phase_times", "scheduler_stats")
 
 
 def result_to_dict(result: CampaignResult) -> dict:

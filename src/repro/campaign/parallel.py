@@ -41,13 +41,13 @@ from repro.campaign.checkpoint import (
 from repro.campaign.events import EventLog
 from repro.campaign.io import experiment_event_fields, merge_results
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import DEFAULT_SEED, _fresh_result, run_experiment
+from repro.campaign.runner import DEFAULT_SEED, _fresh_result
 from repro.campaign.schedule import (
+    SCHEDULE,
     PhaseTimes,
     SchedulerStats,
     TriggerScheduler,
     resolve_trigger_order,
-    validate_schedule,
 )
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
@@ -65,12 +65,6 @@ CHUNKS_PER_WORKER = 4
 #: lease of an older one: three contexts catch every such reuse, while a
 #: worker that lives through thousands of campaigns stays bounded.
 CONTEXT_CAPACITY = 3
-
-#: The :class:`~repro.snapshot.engine.SnapshotStats` fields that count per
-#: experiment (the rest describe the tool's golden chain).
-_SNAPSHOT_COUNTERS = (
-    "hits", "misses", "instructions_skipped", "instructions_executed",
-)
 
 
 @dataclass(frozen=True)
@@ -94,15 +88,6 @@ class SliceTask:
     keep_records: bool
     opcode_faults: float
     chunk: int
-    #: snapshot fast path: ``None`` = off, ``0`` = auto interval.  The dir
-    #: points at the shared on-disk store so concurrent workers reuse one
-    #: golden run per binary (see :mod:`repro.snapshot`).
-    snapshot_interval: int | None = None
-    snapshot_dir: str | None = None
-    #: execution engine name (``None`` = environment/default)
-    engine: str | None = None
-    #: experiment visiting order within the slice (``index`` or ``trigger``)
-    schedule: str = "index"
     #: canonical fault-model spec (repro.fi.models); the single-bit default
     #: keeps pickled/JSON tasks from older coordinators valid.
     fault_model: str = "single-bit"
@@ -115,32 +100,20 @@ class SliceTask:
         return (
             self.tool_name, self.source, self.workload, self.opt_level,
             self.fi_enabled, self.fi_funcs, self.fi_instrs,
-            self.opcode_faults, self.snapshot_interval, self.snapshot_dir,
-            self.engine, self.schedule, self.fault_model,
+            self.opcode_faults, self.fault_model,
         )
 
 
-def make_slice_context(
-    task: SliceTask,
-) -> tuple[FITool, TriggerScheduler | None]:
-    """Build the tool ``task`` runs on and, for the trigger schedule, the
-    scheduler that sweeps it (raises :class:`CampaignError` if the
-    tool/engine combination cannot be trigger-scheduled)."""
+def make_slice_context(task: SliceTask) -> tuple[FITool, TriggerScheduler]:
+    """Build the tool ``task`` runs on and the scheduler that sweeps it."""
     config = FIConfig(
         enabled=task.fi_enabled, funcs=task.fi_funcs, instrs=task.fi_instrs
     )
     tool = TOOL_CLASSES[task.tool_name](
         task.source, task.workload, config=config, opt_level=task.opt_level,
-        opcode_faults=task.opcode_faults, engine=task.engine,
-        fault_model=task.fault_model,
+        opcode_faults=task.opcode_faults, fault_model=task.fault_model,
     )
-    if task.snapshot_interval is not None:
-        tool.enable_snapshots(
-            interval=task.snapshot_interval, store_dir=task.snapshot_dir,
-            coarse=task.schedule == "trigger",
-        )
-    scheduler = TriggerScheduler(tool) if task.schedule == "trigger" else None
-    return tool, scheduler
+    return tool, TriggerScheduler(tool)
 
 
 class SliceContexts:
@@ -157,7 +130,7 @@ class SliceContexts:
     def __len__(self) -> int:
         return len(self._contexts)
 
-    def get(self, task: SliceTask) -> tuple[FITool, TriggerScheduler | None]:
+    def get(self, task: SliceTask) -> tuple[FITool, TriggerScheduler]:
         key = task.context_key()
         context = self._contexts.get(key)
         if context is None:
@@ -180,8 +153,8 @@ def run_slice(
     """Run one slice of a campaign.
 
     ``contexts`` is the calling executor's context cache; a slice whose
-    tool is already there skips compile and profile, and under the trigger
-    schedule replays only its own window of the retained golden timeline.
+    tool is already there skips compile and profile, and replays only its
+    own window of the retained golden timeline.
     The default is the process's own cache — what a pool process's chunks
     share; an executor that is one of several threads passes its own.
 
@@ -189,32 +162,19 @@ def run_slice(
     them to emit ``experiment`` telemetry events and feed write-through
     result sinks (:mod:`repro.resultsdb`) — and are stripped by the parent
     after emission when the campaign did not ask for ``keep_records``.
-    The phase/scheduler/snapshot breakdowns riding back on the result are
-    this slice's own (deltas of a reused context), so the parent sums them.
+    The phase/scheduler breakdowns riding back on the result are this
+    slice's own (deltas of a reused context), so the parent sums them.
     """
     if contexts is None:
         contexts = _process_contexts
     tool, sched = contexts.get(task)
     result = _fresh_result(tool, len(task.indices))
-    snaps = tool.snapshots
-    before = None if snaps is None else replace(snaps.stats)
-    if sched is not None:
-        # The slice is a contiguous trigger range: fork it along the
-        # scheduler's golden timeline.
-        for rec in sched.run_batch(task.base_seed, task.indices):
-            result.add(rec, keep_record=True)
-        result.phase_times = sched.phases.as_dict()
-        result.scheduler_stats = sched.stats.as_dict()
-    else:
-        for i in task.indices:
-            result.add(
-                run_experiment(tool, task.base_seed, i), keep_record=True
-            )
-    if snaps is not None:
-        result.snapshot_stats = replace(snaps.stats, **{
-            name: getattr(snaps.stats, name) - getattr(before, name)
-            for name in _SNAPSHOT_COUNTERS
-        }).as_dict()
+    # The slice is a contiguous trigger range: fork it along the
+    # scheduler's golden timeline.
+    for rec in sched.run_batch(task.base_seed, task.indices):
+        result.add(rec, keep_record=True)
+    result.phase_times = sched.phases.as_dict()
+    result.scheduler_stats = sched.stats.as_dict()
     return result
 
 
@@ -225,13 +185,12 @@ def merge_slice_parts(
     ``-j N``): results merged, per-slice breakdowns summed."""
     merged = merge_results(parts, indices=slices)
     merged.n = sum(len(sub) for sub in slices)
-    if any(hasattr(part, "scheduler_stats") for part in parts):
-        phases, totals = PhaseTimes(), SchedulerStats()
-        for part in parts:
-            phases.accumulate(part.phase_times)
-            totals.accumulate(part.scheduler_stats)
-        merged.phase_times = phases.as_dict()
-        merged.scheduler_stats = totals.as_dict()
+    phases, totals = PhaseTimes(), SchedulerStats()
+    for part in parts:
+        phases.accumulate(part.phase_times)
+        totals.accumulate(part.scheduler_stats)
+    merged.phase_times = phases.as_dict()
+    merged.scheduler_stats = totals.as_dict()
     return merged
 
 
@@ -251,10 +210,6 @@ def run_campaign_parallel(
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
     chunk_size: int | None = None,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
-    engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
 ) -> CampaignResult:
     """Run ``n`` experiments across ``workers`` processes.
@@ -270,21 +225,13 @@ def run_campaign_parallel(
     and an existing checkpoint is resumed by excluding its completed
     indices from the new chunks.
 
-    ``snapshot_interval`` (``None`` = off, ``0`` = auto) turns on the
-    golden-run snapshot fast path inside every worker; ``snapshot_dir``
-    (default: a ``snapshots`` directory next to the checkpoint) is the
-    store the workers share, so the golden run is recorded once per binary
-    no matter the worker count.
-
-    ``schedule="trigger"`` re-shards the campaign from index ranges to
-    **contiguous trigger ranges**: the parent pre-resolves every remaining
-    experiment's trigger (a pure function of its seed), sorts by
+    Chunks are **contiguous trigger ranges**: the parent pre-resolves every
+    remaining experiment's trigger (a pure function of its seed), sorts by
     ``(trigger, index)``, and cuts chunks along that order, so each worker's
     golden cursor sweeps one compact window of the timeline.  Results stay
     keyed by global experiment index and the merge accepts out-of-order
-    parts, so the outcome is bit-identical to the index schedule.
+    parts.
     """
-    validate_schedule(schedule)
     if n <= 0:
         raise CampaignError("campaign needs n >= 1 experiments")
     if workers <= 0:
@@ -308,12 +255,6 @@ def run_campaign_parallel(
     model = resolve_fault_model(fault_model)
     model.check_tool(cls)
     config = config or FIConfig()
-    if (
-        snapshot_interval is not None
-        and snapshot_dir is None
-        and checkpoint_path is not None
-    ):
-        snapshot_dir = Path(checkpoint_path).parent / "snapshots"
 
     phases = PhaseTimes()
     scheduler_totals: dict[str, int] = {}
@@ -381,13 +322,10 @@ def run_campaign_parallel(
                 total_steps=result.total_steps,
                 total_candidates=result.total_candidates,
                 golden_output=list(result.golden_output),
-                schedule=schedule,
+                schedule=SCHEDULE,
                 fault_model=model.spec,
                 phases=phases.as_dict(),
-                **(
-                    {"scheduler": dict(scheduler_totals)}
-                    if scheduler_totals else {}
-                ),
+                scheduler=dict(scheduler_totals),
             )
         return result
 
@@ -412,29 +350,21 @@ def run_campaign_parallel(
         keep_records=keep_records,
         opcode_faults=opcode_faults,
         chunk=0,
-        snapshot_interval=snapshot_interval,
-        snapshot_dir=None if snapshot_dir is None else str(snapshot_dir),
-        engine=engine,
-        schedule=schedule,
         fault_model=model.spec,
     )
     # the parent's own context: trigger resolution and a single in-process
     # chunk share one compile
     contexts = SliceContexts()
-    if schedule == "trigger":
-        # Pre-resolve every remaining experiment's trigger in the parent and
-        # re-order the work list along the golden timeline; contiguous
-        # chunks of this list are trigger ranges, so each worker's cursor
-        # covers one compact window instead of the whole run.  Building the
-        # context is also the fail-fast check that the tool/engine
-        # combination supports trigger scheduling (raises here, not as a
-        # pickled worker traceback).
-        t0 = time.perf_counter()
-        order_tool, _ = contexts.get(whole)
-        remaining = [
-            i for _, i in resolve_trigger_order(order_tool, base_seed, remaining)
-        ]
-        phases.translate_s += time.perf_counter() - t0
+    # Pre-resolve every remaining experiment's trigger in the parent and
+    # re-order the work list along the golden timeline; contiguous chunks of
+    # this list are trigger ranges, so each worker's cursor covers one
+    # compact window instead of the whole run.
+    t0 = time.perf_counter()
+    order_tool, _ = contexts.get(whole)
+    remaining = [
+        i for _, i in resolve_trigger_order(order_tool, base_seed, remaining)
+    ]
+    phases.translate_s += time.perf_counter() - t0
 
     workers = min(workers, len(remaining))
     if chunk_size is None:
@@ -461,13 +391,10 @@ def run_campaign_parallel(
         before the part can reach a checkpoint, so resumed partials match
         the requested ``keep_records``."""
         nonlocal since_checkpoint
-        pt = getattr(part, "phase_times", None)
-        if pt is not None:
-            phases.accumulate(pt)
-        sched_stats = getattr(part, "scheduler_stats", None)
-        if sched_stats is not None:
-            for key, val in sched_stats.items():
-                scheduler_totals[key] = scheduler_totals.get(key, 0) + val
+        phases.accumulate(part.phase_times)
+        sched_stats = part.scheduler_stats
+        for key, val in sched_stats.items():
+            scheduler_totals[key] = scheduler_totals.get(key, 0) + val
         if events is not None:
             for rec in part.records:
                 events.emit(
@@ -485,17 +412,10 @@ def run_campaign_parallel(
                 completed=len(completed), n=n,
                 counts={o.value: part.frequency(o) for o in Outcome},
             )
-            stats = getattr(part, "snapshot_stats", None)
-            if stats is not None:
-                events.emit(
-                    "snapshot_stats", workload=workload, tool=tool_name,
-                    chunk=task.chunk, **stats,
-                )
-            if sched_stats is not None:
-                events.emit(
-                    "scheduler_stats", workload=workload, tool=tool_name,
-                    chunk=task.chunk, **sched_stats,
-                )
+            events.emit(
+                "scheduler_stats", workload=workload, tool=tool_name,
+                chunk=task.chunk, **sched_stats,
+            )
         if checkpoint_path is not None and since_checkpoint >= checkpoint_every:
             _save()
             since_checkpoint = 0

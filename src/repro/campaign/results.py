@@ -27,8 +27,8 @@ class ExperimentRecord:
     #: execution engine that ran the experiment (``None`` when unknown,
     #: e.g. records loaded from an older file).
     engine: str | None = None
-    #: whether the run was served from a golden-run snapshot (``None`` when
-    #: the snapshot fast path was off or the record predates the field).
+    #: whether the tail ran from a fork of the golden run (``None`` for a
+    #: single from-scratch experiment or a record that predates the field).
     snapshot_hit: bool | None = None
 
 

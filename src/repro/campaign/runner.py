@@ -9,6 +9,10 @@ That purity is also what makes campaigns *resumable*: a checkpoint is just
 the partial result plus the set of completed global indices, and resuming
 skips those indices — the final counts are bit-identical to an
 uninterrupted run (see :mod:`repro.campaign.checkpoint`).
+
+Experiments are visited in trigger order along one golden run, each faulty
+tail forked off it (see :mod:`repro.campaign.schedule`); the index only
+names an experiment, it is not when it runs.
 """
 
 from __future__ import annotations
@@ -28,11 +32,7 @@ from repro.campaign.classify import Outcome, classify
 from repro.campaign.events import EventLog
 from repro.campaign.io import experiment_event_fields
 from repro.campaign.results import CampaignResult, ExperimentRecord
-from repro.campaign.schedule import (
-    PhaseTimes,
-    TriggerScheduler,
-    validate_schedule,
-)
+from repro.campaign.schedule import SCHEDULE, PhaseTimes, TriggerScheduler
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
 from repro.fi.tools import FITool, TOOL_CLASSES
@@ -52,37 +52,20 @@ def make_tool(
     config: FIConfig | None = None,
     opt_level: str = "O2",
     opcode_faults: float = 0.0,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
-    events: EventLog | None = None,
-    engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
 ) -> FITool:
-    """Build a configured tool; ``snapshot_interval`` (``None`` = off,
-    ``0`` = auto) attaches the snapshot fast path, with ``snapshot_dir``
-    as the shared on-disk golden-run store.  ``engine`` selects the
-    execution engine (``None`` = environment/default).  ``schedule`` only
-    retunes the auto snapshot interval: trigger-ordered campaigns serve
-    tails from in-memory forks, so the persistent store keeps coarse
-    resume points only.  ``fault_model`` is a :mod:`repro.fi.models` spec
-    (``None`` = the paper's single-bit default)."""
+    """Build a configured tool.  ``fault_model`` is a :mod:`repro.fi.models`
+    spec (``None`` = the paper's single-bit default)."""
     try:
         cls = TOOL_CLASSES[tool_name]
     except KeyError:
         raise CampaignError(
             f"unknown tool {tool_name!r}; choose from {sorted(TOOL_CLASSES)}"
         ) from None
-    tool = cls(
+    return cls(
         source, workload, config=config, opt_level=opt_level,
-        opcode_faults=opcode_faults, engine=engine, fault_model=fault_model,
+        opcode_faults=opcode_faults, fault_model=fault_model,
     )
-    if snapshot_interval is not None:
-        tool.enable_snapshots(
-            interval=snapshot_interval, store_dir=snapshot_dir, events=events,
-            coarse=schedule == "trigger",
-        )
-    return tool
 
 
 def run_experiment(
@@ -91,16 +74,15 @@ def run_experiment(
     index: int,
     phases: PhaseTimes | None = None,
 ) -> ExperimentRecord:
-    """Run the single experiment at global ``index`` and record it.
+    """Run the single experiment at global ``index`` from instruction 0 and
+    record it.
 
-    The one place (shared by the sequential and parallel runners) where an
-    experiment's seed is derived and its outcome classified — so every
-    execution mode agrees bit-for-bit.  ``phases`` accumulates the
-    per-phase wall-clock breakdown (injection run vs. classification).
+    The record equals the one a campaign produces for ``index`` in every
+    field but the provenance flag ``snapshot_hit`` (``None`` here: nothing
+    was forked).  ``phases`` accumulates the wall-clock breakdown
+    (injection run vs. classification).
     """
     seed = derive_seed(base_seed, tool.workload, tool.name, index)
-    snaps = tool.snapshots
-    hits_before = snaps.stats.hits if snaps is not None else 0
     t0 = time.perf_counter()
     run = tool.inject(seed)
     t1 = time.perf_counter()
@@ -118,19 +100,6 @@ def run_experiment(
         fault=run.result.fault,
         index=index,
         engine=tool.engine.name,
-        snapshot_hit=None if snaps is None else snaps.stats.hits > hits_before,
-    )
-
-
-def _emit_snapshot_stats(tool: FITool, events: EventLog | None) -> None:
-    """Publish the tool's snapshot-engine counters as one telemetry event."""
-    if events is None or tool.snapshots is None:
-        return
-    events.emit(
-        "snapshot_stats",
-        workload=tool.workload,
-        tool=tool.name,
-        **tool.snapshots.stats.as_dict(),
     )
 
 
@@ -156,7 +125,6 @@ def run_campaign(
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
-    schedule: str = "index",
 ) -> CampaignResult:
     """Run ``n`` single-fault experiments with the given tool.
 
@@ -167,16 +135,14 @@ def run_campaign(
     ``events`` receives the JSONL telemetry stream (see
     :mod:`repro.campaign.events`).
 
-    ``schedule="trigger"`` visits experiments sorted by injection trigger
-    along one golden cursor (see :mod:`repro.campaign.schedule`) instead
-    of in index order; the aggregate result is bit-identical (checkpoints
-    track the completed-index *set*, so resume works under reordering).
+    Experiments complete in trigger order (see
+    :mod:`repro.campaign.schedule`); checkpoints track the completed-index
+    *set*, and kept records are returned sorted by index.
     """
     if n <= 0:
         raise CampaignError("campaign needs n >= 1 experiments")
     if checkpoint_every <= 0:
         raise CampaignError("checkpoint_every must be positive")
-    validate_schedule(schedule)
     profile = tool.profile
 
     completed: set[int] = set()
@@ -228,23 +194,14 @@ def run_campaign(
                 "checkpoint", path=str(checkpoint_path),
                 completed=len(completed), n=n,
             )
-        _emit_snapshot_stats(tool, events)
 
-    remaining = [i for i in range(n) if i not in completed]
-    phases = PhaseTimes()
-    scheduler: TriggerScheduler | None = None
-    if schedule == "trigger":
-        scheduler = TriggerScheduler(tool, events=events)
-        records = scheduler.run_batch(base_seed, remaining)
-    else:
-        records = (
-            run_experiment(tool, base_seed, i, phases=phases)
-            for i in remaining
-        )
+    scheduler = TriggerScheduler(tool, events=events)
+    records = scheduler.run_batch(
+        base_seed, [i for i in range(n) if i not in completed]
+    )
 
     started = time.monotonic()
     since_checkpoint = 0
-    records = iter(records)
     try:
         while True:
             t0 = time.monotonic()
@@ -278,18 +235,12 @@ def run_campaign(
     if checkpoint_path is not None and since_checkpoint:
         _save()
     if keep_records:
-        # Trigger order (and index-set resume) can complete experiments out
-        # of index order; the persisted log is canonical in global order.
+        # Experiments complete in trigger order; the persisted log is
+        # canonical in global order.
         result.records.sort(key=lambda r: r.index)
 
     wall = time.monotonic() - started
-    _emit_snapshot_stats(tool, events)
     if events is not None:
-        extra = {}
-        if scheduler is not None:
-            # the batch's own figures, valid once its generator has run
-            phases = scheduler.phases
-            extra["scheduler"] = scheduler.stats.as_dict()
         events.emit(
             "campaign_finish", workload=tool.workload, tool=tool.name,
             counts={o.value: result.frequency(o) for o in Outcome},
@@ -298,8 +249,9 @@ def run_campaign(
             golden_output=list(result.golden_output),
             wall_s=wall,
             experiments_per_sec=(len(completed) / wall) if wall > 0 else 0.0,
-            schedule=schedule, phases=phases.as_dict(),
-            fault_model=tool.fault_model.spec, **extra,
+            schedule=SCHEDULE, phases=scheduler.phases.as_dict(),
+            fault_model=tool.fault_model.spec,
+            scheduler=scheduler.stats.as_dict(),
         )
     return result
 
@@ -328,10 +280,6 @@ def run_matrix(
     checkpoint_dir: str | Path | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
-    snapshot_interval: int | None = None,
-    snapshot_dir: str | Path | None = None,
-    engine: str | None = None,
-    schedule: str = "index",
     fault_model: str | None = None,
 ) -> dict[tuple[str, str], CampaignResult]:
     """Run the full (workload x tool) campaign matrix, like the paper's
@@ -342,19 +290,8 @@ def run_matrix(
     persist them).  ``checkpoint_dir`` gives every cell its own checkpoint
     file; re-running the same matrix resumes unfinished cells and skips
     finished ones.  ``workers > 1`` runs each cell with the multi-process
-    runner (identical results, any worker count).  ``snapshot_interval``
-    (``None`` = off, ``0`` = auto) enables the golden-run snapshot fast
-    path; the store defaults to ``<checkpoint_dir>/snapshots`` so every
-    worker shares one golden run per binary.  ``schedule="trigger"`` runs
-    every cell trigger-ordered (see :mod:`repro.campaign.schedule`).
+    runner (identical results, any worker count).
     """
-    validate_schedule(schedule)
-    if (
-        snapshot_interval is not None
-        and snapshot_dir is None
-        and checkpoint_dir is not None
-    ):
-        snapshot_dir = Path(checkpoint_dir) / "snapshots"
     results: dict[tuple[str, str], CampaignResult] = {}
     for workload, source in sources.items():
         for tool_name in tool_names:
@@ -373,22 +310,17 @@ def run_matrix(
                     keep_records=keep_records, progress=cb,
                     checkpoint_path=ckpt_path,
                     checkpoint_every=checkpoint_every, events=events,
-                    snapshot_interval=snapshot_interval,
-                    snapshot_dir=snapshot_dir, engine=engine,
-                    schedule=schedule, fault_model=fault_model,
+                    fault_model=fault_model,
                 )
             else:
                 tool = make_tool(
                     tool_name, source, workload, config, opt_level,
-                    snapshot_interval=snapshot_interval,
-                    snapshot_dir=snapshot_dir, events=events, engine=engine,
-                    schedule=schedule, fault_model=fault_model,
+                    fault_model=fault_model,
                 )
                 results[(workload, tool_name)] = run_campaign(
                     tool, n, base_seed, keep_records=keep_records,
                     progress=cb, checkpoint_path=ckpt_path,
                     checkpoint_every=checkpoint_every, events=events,
-                    schedule=schedule,
                 )
     return results
 

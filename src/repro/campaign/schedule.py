@@ -1,14 +1,10 @@
-"""Trigger-ordered campaign scheduling with shared-prefix forking.
+"""How a campaign executes: trigger order, one golden run, forked tails.
 
-The snapshot fast path (PR 4) and the free-run engine (PR 5) made each
-experiment cheap, but campaigns still visit experiments in *index* order:
-triggers arrive in random positions along the golden timeline, so every
-injection independently replays the golden prefix from its nearest
-snapshot — the same instructions, thousands of times per cell.
-
-Relyzer sorts its fault list by dynamic position; ZOFI forks the original
-process at the injection point.  This module combines both ideas on top of
-the existing machinery:
+A campaign is n single-fault runs of one binary, and every one of them is
+the fault-free run up to its injection point.  Re-executing that prefix n
+times is the whole cost of a naive campaign (ZOFI forks the original
+process at the injection point for the same reason; Relyzer sorts its
+fault list by dynamic position).  So nothing here runs it twice:
 
 1. **Resolve** every experiment's trigger counter up front (a fault plan is
    a pure function of its seed) and sort the batch by ``(trigger, index)``.
@@ -40,9 +36,10 @@ the existing machinery:
    window; its tails rejoin and splice against the retained timeline.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
-field except ``snapshot_hit`` (a fast-path provenance flag) matches the
-index-ordered schedule exactly; ``total_cycles`` matches to float
-summation order (same bar as the parallel runner).
+field except the provenance pair ``engine``/``snapshot_hit`` matches the
+oracle — the interpreter loop, index order, every run from instruction 0
+(:func:`repro.testing.reference_campaign`) — exactly; ``total_cycles``
+matches to float summation order.
 """
 
 from __future__ import annotations
@@ -56,9 +53,8 @@ from functools import partial
 from repro.campaign.classify import classify
 from repro.campaign.results import ExperimentRecord
 from repro.errors import CampaignError
-from repro.fi.tools import TIMEOUT_FACTOR, FITool
+from repro.fi.tools import GOLDEN_BUDGET, TIMEOUT_FACTOR, FITool
 from repro.machine.cpu import ExecutionResult
-from repro.snapshot.engine import GOLDEN_BUDGET, resolve_interval
 from repro.snapshot.state import (
     PAGE_SIZE,
     CpuSnapshot,
@@ -68,8 +64,15 @@ from repro.snapshot.state import (
 )
 from repro.utils.rng import derive_seed
 
-#: Valid ``--schedule`` values (index = historical order, trigger = sorted).
-SCHEDULES = ("index", "trigger")
+#: What ``campaign_finish.schedule`` and the results database's
+#: ``campaigns.schedule`` column say (logs and rows written before this was
+#: the only order may say ``index``).
+SCHEDULE = "trigger"
+
+#: One sync state roughly every 1/128th of the golden run, floored so tiny
+#: workloads don't drown in captures.
+SYNC_DENSITY = 128
+MIN_SYNC_INTERVAL = 256
 
 #: Rejoin-check thinning: check the first few sync points after the fork
 #: densely (most convergent runs re-join within one interval), then back
@@ -152,13 +155,6 @@ class SchedulerStats:
                 setattr(self, key, getattr(self, key) + val)
 
 
-def validate_schedule(schedule: str) -> None:
-    if schedule not in SCHEDULES:
-        raise CampaignError(
-            f"unknown schedule {schedule!r}; choose from {SCHEDULES}"
-        )
-
-
 def resolve_trigger_order(
     tool: FITool, base_seed: int, indices
 ) -> list[tuple[int, int]]:
@@ -195,6 +191,11 @@ class GoldenTimeline:
     counts: list[int] = field(default_factory=list)
     exit_code: int = 0
 
+    @staticmethod
+    def auto_interval(golden_steps: int) -> int:
+        """The sync-state spacing for a golden run of ``golden_steps``."""
+        return max(MIN_SYNC_INTERVAL, golden_steps // SYNC_DENSITY)
+
     def start_below(self, trigger: int) -> CpuSnapshot:
         """The latest sync state from which a cursor forks ``trigger``
         exactly where a pass from the program entry would."""
@@ -218,10 +219,8 @@ class TriggerScheduler:
     ``stats`` and ``phases`` describe the most recent batch alone, so
     per-batch figures can be summed by whoever merges the batches.
 
-    Requires the fast engine (the cursor's fork stops and the tails'
-    exact-step sync pauses are fast-engine features) and a tool with a
-    snapshot trigger counter.  Not thread-safe: one executor owns a
-    scheduler at a time.
+    Requires a tool with a trigger counter.  Not thread-safe: one executor
+    owns a scheduler at a time.
     """
 
     def __init__(self, tool: FITool, events=None) -> None:
@@ -230,11 +229,6 @@ class TriggerScheduler:
             raise CampaignError(
                 f"{tool.name} does not define a snapshot trigger counter; "
                 "the trigger schedule cannot pre-resolve its injection points"
-            )
-        if not hasattr(tool.engine, "run_cursor"):
-            raise CampaignError(
-                f"--schedule trigger requires the fast engine "
-                f"(tool is running on {tool.engine.name!r})"
             )
         self.tool = tool
         self.events = events
@@ -315,7 +309,9 @@ class TriggerScheduler:
         tool = self.tool
         profile = tool.profile
         self._base = base_pages(tool.program)
-        timeline = GoldenTimeline(interval=resolve_interval(0, profile.steps))
+        timeline = GoldenTimeline(
+            interval=GoldenTimeline.auto_interval(profile.steps)
+        )
         # the entry, reported unasked, is sync state 0
         syncs = list(range(timeline.interval, profile.steps, timeline.interval))
         cpu = self._cpu = tool._make_cpu(None)
@@ -498,7 +494,7 @@ class TriggerScheduler:
         if fork is None:
             # Safety net: the cursor ended without covering this trigger
             # (should not happen for triggers within the candidate count);
-            # fall back to the ordinary injection path.
+            # run this one experiment from instruction 0.
             self.stats.scratch += 1
             run = tool.inject(seed)
             result = run.result

@@ -36,7 +36,6 @@ from repro.campaign import (
     run_matrix,
     save_matrix,
 )
-from repro.engine import ENGINE_NAMES
 from repro.errors import CampaignError, DistError, ReproError
 from repro.fi import FIConfig, TOOL_ORDER, llfi_instrument, refine_instrument
 from repro.reporting import (
@@ -123,17 +122,6 @@ class _LiveTelemetry(EventLog):
             counts = {Outcome(k): v for k, v in fields.get("counts", {}).items()}
             self._stats.note_batch(counts)
             self._render()
-        elif event == "snapshot_golden":
-            src = "reused" if fields.get("reused") else "recorded"
-            print(
-                f"# {fields['workload']}/{fields['tool']}: {src} golden run "
-                f"({fields['snapshots']} snapshots every "
-                f"{fields['interval']} instrs, {fields['pages']} pages, "
-                f"{fields['wall_s']:.2f}s)",
-                file=self._out,
-            )
-        elif event == "snapshot_stats" and self._stats is not None:
-            self._stats.note_snapshots(fields, accumulate="chunk" in fields)
         elif event == "scheduler_stats" and self._stats is not None:
             # Sequential-runner events are cumulative for the campaign;
             # per-chunk (parallel) and per-task (dist) events are each
@@ -201,10 +189,7 @@ class _LiveTelemetry(EventLog):
                 "translate_s", "prefix_s", "fork_s", "tail_s", "classify_s"
             )
         )
-        print(
-            f"# {label} [{fields.get('schedule', 'index')}] phases: {bits}",
-            file=self._out,
-        )
+        print(f"# {label} phases: {bits}", file=self._out)
 
     def _render(self, final: bool = False) -> None:
         line = f"# {self._label}: {self._stats.render()}"
@@ -327,28 +312,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--checkpoint-every", type=int,
                         default=DEFAULT_CHECKPOINT_EVERY,
                         help="experiments between checkpoint writes")
-    parser.add_argument("--snapshot-interval", type=int, default=0,
-                        metavar="N",
-                        help="record a golden-run snapshot every N dynamic "
-                        "instructions so fault runs skip the fault-free "
-                        "prefix (0 = auto-tune per workload; results are "
-                        "bit-identical either way)")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="disable the snapshot fast path and run every "
-                        "experiment from instruction 0")
-    parser.add_argument("--engine", default=None,
-                        choices=list(ENGINE_NAMES),
-                        help="execution engine: 'fast' (free-run block "
-                        "translation, the default) or 'reference' (the "
-                        "original interpreter loop); results are "
-                        "bit-identical either way")
-    parser.add_argument("--schedule", default="index",
-                        choices=["index", "trigger"],
-                        help="experiment visiting order: 'index' (historical "
-                        "order) or 'trigger' (sort by pre-resolved injection "
-                        "point and fork each faulty tail off one shared "
-                        "golden cursor; results are bit-identical either "
-                        "way)")
     parser.add_argument("--fault-model", default="single-bit",
                         metavar="NAME[:PARAMS]",
                         help="fault model to inject (see refine-db/docs): "
@@ -380,14 +343,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
             return 2
         sources = {w: sources[w] for w in wanted}
     tools = list(TOOL_ORDER) if args.tools == "all" else args.tools.split(",")
-
-    if args.snapshot_interval < 0:
-        print("refine-campaign: error: --snapshot-interval must be >= 0 "
-              "(0 = auto)", file=sys.stderr)
-        return 2
-    args.snapshot_interval = (
-        None if args.no_snapshot else args.snapshot_interval
-    )
 
     from repro.fi.models import parse_fault_model
 
@@ -433,9 +388,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every=args.checkpoint_every,
                 events=telemetry,
-                snapshot_interval=args.snapshot_interval,
-                engine=args.engine,
-                schedule=args.schedule,
                 fault_model=args.fault_model,
             )
         if db is not None:
@@ -474,9 +426,6 @@ def _serve_distributed(args, sources, tools, telemetry):
             n=args.samples, base_seed=args.seed,
             keep_records=args.keep_records,
             fi_funcs=args.fi_funcs, fi_instrs=args.fi_instrs,
-            snapshot_interval=args.snapshot_interval,
-            engine=args.engine,
-            schedule=args.schedule,
             fault_model=args.fault_model,
         )
         for workload, source in sources.items()
@@ -522,11 +471,8 @@ def _submit_to_service(args, sources, tools) -> int:
         "workloads": list(sources), "tools": tools, "n": args.samples,
         "base_seed": args.seed, "keep_records": args.keep_records,
         "fi_funcs": args.fi_funcs, "fi_instrs": args.fi_instrs,
-        "snapshot_interval": args.snapshot_interval,
-        "schedule": args.schedule, "fault_model": args.fault_model,
+        "fault_model": args.fault_model,
     }
-    if args.engine is not None:
-        request["engine"] = args.engine
     client = ServiceClient(host, port)
     try:
         cid = client.submit(
@@ -614,13 +560,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--name", default=None,
                         help="worker name for logs (default: assigned by "
                         "the coordinator)")
-    parser.add_argument("--snapshot-dir", default=None,
-                        help="local directory for shared golden-run "
-                        "snapshots (when the coordinator's campaign has "
-                        "snapshots enabled); default: in-memory per tool")
-    parser.add_argument("--no-snapshot", action="store_true",
-                        help="ignore the campaign's snapshot settings and "
-                        "run every experiment from instruction 0")
     parser.add_argument("--reconnect-window", type=float, default=300.0,
                         metavar="SECONDS",
                         help="keep redialing an unreachable coordinator "
@@ -647,8 +586,6 @@ def worker_main(argv: list[str] | None = None) -> int:
     try:
         stats = Worker(
             host, port, procs=args.procs, name=args.name,
-            snapshot_dir=args.snapshot_dir,
-            use_snapshots=not args.no_snapshot,
             reconnect_window=args.reconnect_window,
         ).run()
     except (DistError, ReproError) as exc:
@@ -1048,9 +985,8 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     from repro.testing import GenConfig, ORACLES, run_fuzz
     from repro.testing.fuzz import DEFAULT_ARTIFACTS_DIR
     from repro.testing.oracles import (
-        check_workload_engine_equivalence,
+        check_workload_equivalence,
         check_workload_fault_model_equivalence,
-        check_workload_scheduler_equivalence,
         check_workload_zero_interference,
     )
     from repro.workloads import workload_names
@@ -1082,34 +1018,21 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-reduce", action="store_true",
                         help="skip delta-debugging failing modules")
     parser.add_argument("--check-workloads", action="store_true",
-                        help="also run the zero-interference oracle on "
-                        "every registered MiniC workload")
-    parser.add_argument("--snapshot-interval", type=int, default=None,
-                        metavar="N",
-                        help="with --check-workloads/--check-engines, also "
-                        "cross-check the snapshot fast path "
-                        "(N = snapshot interval, 0 = auto)")
-    parser.add_argument("--check-engines", action="store_true",
-                        help="also check fast-engine vs reference-engine "
-                        "equivalence on every registered MiniC workload")
-    parser.add_argument("--check-schedules", action="store_true",
-                        help="also check that trigger-ordered campaigns are "
-                        "bit-identical to index-ordered ones on every "
-                        "registered MiniC workload (all tools)")
+                        help="also run, on every registered MiniC workload, "
+                        "the zero-interference oracle and a campaign "
+                        "against the reference campaign (interpreter loop, "
+                        "index order, every run from instruction 0), "
+                        "record for record, all tools")
     parser.add_argument("--check-fault-models", action="store_true",
-                        help="also check engine- and schedule-equivalence "
-                        "under every registered fault model on every "
-                        "registered MiniC workload")
+                        help="also check campaigns against the reference "
+                        "campaign under every registered fault model on "
+                        "every registered MiniC workload")
     parser.add_argument("--fault-models", default=None,
                         metavar="SPEC[,SPEC...]",
                         help="restrict the fault-model pass to these specs "
                         "(implies --check-fault-models)")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
-    if args.snapshot_interval is not None and args.snapshot_interval < 0:
-        print("refine-fuzz: error: --snapshot-interval must be >= 0",
-              file=sys.stderr)
-        return 2
     if args.count < 0 or args.start < 0:
         print("refine-fuzz: error: --count/--start must be >= 0",
               file=sys.stderr)
@@ -1126,44 +1049,26 @@ def fuzz_main(argv: list[str] | None = None) -> int:
     )
 
     failed = False
+
+    def report(label: str, name: str, divergence) -> None:
+        nonlocal failed
+        if divergence is None:
+            if not args.quiet:
+                print(f"# {label} {name}: OK", file=sys.stderr)
+        else:
+            failed = True
+            print(f"refine-fuzz: {label} FAILED for {name}:", file=sys.stderr)
+            print(divergence.describe(), file=sys.stderr)
+
     if args.check_workloads:
         for name in workload_names():
-            divergence = check_workload_zero_interference(
-                name, snapshot_interval=args.snapshot_interval
+            report(
+                "zero-interference", name,
+                check_workload_zero_interference(name),
             )
-            if divergence is None:
-                if not args.quiet:
-                    print(f"# zero-interference {name}: OK", file=sys.stderr)
-            else:
-                failed = True
-                print(f"refine-fuzz: zero-interference FAILED for {name}:",
-                      file=sys.stderr)
-                print(divergence.describe(), file=sys.stderr)
-    if args.check_engines:
-        for name in workload_names():
-            divergence = check_workload_engine_equivalence(
-                name, snapshot_interval=args.snapshot_interval
+            report(
+                "campaign-equivalence", name, check_workload_equivalence(name)
             )
-            if divergence is None:
-                if not args.quiet:
-                    print(f"# engine-equivalence {name}: OK", file=sys.stderr)
-            else:
-                failed = True
-                print(f"refine-fuzz: engine-equivalence FAILED for {name}:",
-                      file=sys.stderr)
-                print(divergence.describe(), file=sys.stderr)
-    if args.check_schedules:
-        for name in workload_names():
-            divergence = check_workload_scheduler_equivalence(name)
-            if divergence is None:
-                if not args.quiet:
-                    print(f"# schedule-equivalence {name}: OK",
-                          file=sys.stderr)
-            else:
-                failed = True
-                print(f"refine-fuzz: schedule-equivalence FAILED for {name}:",
-                      file=sys.stderr)
-                print(divergence.describe(), file=sys.stderr)
     if args.check_fault_models or args.fault_models is not None:
         from repro.fi.models import parse_fault_model
 
@@ -1178,20 +1083,10 @@ def fuzz_main(argv: list[str] | None = None) -> int:
                 print(f"refine-fuzz: error: {exc}", file=sys.stderr)
                 return 2
         for name in workload_names():
-            divergence = check_workload_fault_model_equivalence(
-                name, models=models
+            report(
+                "fault-model-equivalence", name,
+                check_workload_fault_model_equivalence(name, models=models),
             )
-            if divergence is None:
-                if not args.quiet:
-                    print(f"# fault-model-equivalence {name}: OK",
-                          file=sys.stderr)
-            else:
-                failed = True
-                print(
-                    f"refine-fuzz: fault-model-equivalence FAILED for "
-                    f"{name}:", file=sys.stderr,
-                )
-                print(divergence.describe(), file=sys.stderr)
 
     def progress(i, stats):
         if not args.quiet and (i + 1 - args.start) % 50 == 0:

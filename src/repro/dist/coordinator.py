@@ -59,7 +59,11 @@ from repro.campaign.io import (
 from repro.campaign.results import CampaignResult
 from repro.campaign.parallel import make_slice_context
 from repro.campaign.runner import matrix_checkpoint_path
-from repro.campaign.schedule import PhaseTimes, resolve_trigger_order
+from repro.campaign.schedule import (
+    SCHEDULE,
+    PhaseTimes,
+    resolve_trigger_order,
+)
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     CampaignSpec,
@@ -114,9 +118,8 @@ def trigger_order_indices(
     triggers are pure functions of the seeds) so that contiguous shards of
     the returned list are **contiguous trigger ranges**: each leased task
     hands its worker one compact window of the golden run to sweep with a
-    single cursor.  Also the fail-fast check that the spec's tool/engine
-    combination supports trigger scheduling — raising here beats a pickled
-    worker traceback after the first lease.
+    single cursor.  A spec whose tool cannot be built or profiled fails
+    here, not as a worker traceback after the first lease.
     """
     tool, _ = make_slice_context(spec.slice_task(()))
     return [
@@ -553,7 +556,7 @@ class Coordinator:
             cell.prior = ckpt.partial
             cell.prior_indices = tuple(sorted(cell.completed))
         remaining = [i for i in range(spec.n) if i not in cell.completed]
-        if spec.schedule == "trigger" and remaining:
+        if remaining:
             remaining = trigger_order_indices(spec, remaining)
         return cell, remaining
 
@@ -1039,7 +1042,7 @@ class Coordinator:
             total_steps=cell.result.total_steps,
             total_candidates=cell.result.total_candidates,
             golden_output=list(cell.result.golden_output),
-            schedule=spec.schedule,
+            schedule=SCHEDULE,
             fault_model=spec.fault_model,
             phases=cell.phases.as_dict(),
             **(

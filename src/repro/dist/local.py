@@ -56,9 +56,7 @@ class LocalCluster:
         checkpoint_dir=None,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         events: EventLog | None = None,
-        snapshot_dir=None,
     ) -> None:
-        self._snapshot_dir = None if snapshot_dir is None else str(snapshot_dir)
         self.coordinator = Coordinator(
             specs, host="127.0.0.1", port=0,
             chunk_size=chunk_size, lease_timeout=lease_timeout,
@@ -83,12 +81,10 @@ class LocalCluster:
         procs: int = 1,
         name: str | None = None,
         die_after: int | None = None,
-        snapshot_dir: str | None = None,
     ) -> Worker:
         """Spawn one worker thread against this cluster's coordinator."""
         worker = Worker(
             self.host, self.port, procs=procs, name=name, die_after=die_after,
-            snapshot_dir=snapshot_dir or self._snapshot_dir,
         )
         slot = len(self._stats)
         self._stats.append(None)

@@ -72,7 +72,6 @@ from dataclasses import dataclass, fields
 
 from repro.campaign.parallel import SliceTask
 from repro.campaign.runner import DEFAULT_SEED
-from repro.campaign.schedule import SCHEDULES
 from repro.errors import DistConnectionError, DistError
 from repro.fi.config import INSTR_CLASSES
 from repro.fi.tools import TOOL_CLASSES
@@ -191,17 +190,6 @@ class CampaignSpec:
     fi_funcs: str = "*"
     fi_instrs: str = "all"
     opcode_faults: float = 0.0
-    #: snapshot fast path on the workers: ``None`` = off, ``0`` = auto
-    #: interval, ``N`` = every N dynamic instructions.  The store location
-    #: is worker-local (each host passes its own ``--snapshot-dir``).
-    snapshot_interval: int | None = None
-    #: execution engine the workers run on (``None`` = worker default)
-    engine: str | None = None
-    #: experiment visiting order: ``index`` (historical) or ``trigger``
-    #: (tasks are contiguous trigger ranges; see
-    #: :mod:`repro.campaign.schedule`).  Absent in messages from older
-    #: coordinators, defaulting to ``index``.
-    schedule: str = "index"
     #: canonical fault-model spec (:mod:`repro.fi.models`); absent in
     #: messages from older coordinators, defaulting to the paper's model.
     fault_model: str = "single-bit"
@@ -209,20 +197,6 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise DistError("campaign spec needs n >= 1 experiments")
-        if self.schedule not in SCHEDULES:
-            raise DistError(
-                f"unknown schedule {self.schedule!r}; choose from {SCHEDULES}"
-            )
-        if self.snapshot_interval is not None and self.snapshot_interval < 0:
-            raise DistError("snapshot_interval must be >= 0 (0 = auto)")
-        if self.engine is not None:
-            from repro.engine import ENGINE_NAMES
-
-            if self.engine not in ENGINE_NAMES:
-                raise DistError(
-                    f"unknown engine {self.engine!r}; "
-                    f"choose from {ENGINE_NAMES}"
-                )
         if self.tool_name not in TOOL_CLASSES:
             raise DistError(
                 f"unknown tool {self.tool_name!r}; "
@@ -254,7 +228,10 @@ class CampaignSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "CampaignSpec":
         # Defaulted fields may be absent (older coordinators), but the
-        # required ones must be present.
+        # required ones must be present.  Keys that are no field are dropped
+        # unread: specs written while the execution path was still a choice
+        # name an engine, a schedule and a snapshot interval, and a queue
+        # that holds them must outlive the upgrade.
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         try:
             return cls(**kwargs)
@@ -265,7 +242,6 @@ class CampaignSpec:
         self,
         indices: tuple[int, ...],
         chunk: int = 0,
-        snapshot_dir: str | None = None,
     ) -> SliceTask:
         """The :class:`SliceTask` that runs ``indices`` of this campaign
         through the shared slice machinery."""
@@ -282,9 +258,5 @@ class CampaignSpec:
             keep_records=self.keep_records,
             opcode_faults=self.opcode_faults,
             chunk=chunk,
-            snapshot_interval=self.snapshot_interval,
-            snapshot_dir=snapshot_dir,
-            engine=self.engine,
-            schedule=self.schedule,
             fault_model=self.fault_model,
         )

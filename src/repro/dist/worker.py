@@ -80,8 +80,6 @@ class Worker:
         procs: int = 1,
         name: str | None = None,
         die_after: int | None = None,
-        snapshot_dir: str | None = None,
-        use_snapshots: bool = True,
         reconnect_window: float = 0.0,
         reconnect_base: float = 0.5,
         reconnect_cap: float = 15.0,
@@ -94,12 +92,6 @@ class Worker:
         self._reconnect_window = reconnect_window
         self._reconnect_base = reconnect_base
         self._reconnect_cap = reconnect_cap
-        #: where golden-run snapshots live on *this* host (specs carry only
-        #: the interval; the store path is a per-worker concern).  ``None``
-        #: keeps snapshots in-memory per tool; ``use_snapshots=False``
-        #: ignores the spec's snapshot request entirely.
-        self._snapshot_dir = snapshot_dir
-        self._use_snapshots = use_snapshots
         #: this worker's compiled tools and golden timelines (the slice
         #: runs on one thread at a time, so nothing else touches them)
         self._contexts = SliceContexts()
@@ -254,9 +246,7 @@ class Worker:
     def _run_task(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
-        task = spec.slice_task(indices, snapshot_dir=self._snapshot_dir)
-        if not self._use_snapshots:
-            task = replace(task, snapshot_interval=None)
+        task = spec.slice_task(indices)
         if self._procs > 1 and len(indices) > 1:
             return self._run_task_pooled(task)
         return run_slice(task, self._contexts)

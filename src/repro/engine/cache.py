@@ -5,23 +5,13 @@ the compiled ``make_blocks`` factory plus per-block metadata.  Building it
 costs one pass over the code plus a ``compile()`` of the generated source,
 so it must happen once per binary per *process*, not once per run — the
 in-process LRU below guarantees that, keyed by a content fingerprint of
-everything that feeds code generation.
-
-When a cache directory is configured (the snapshot store's ``decoded/``
-subdirectory, see ``FITool.enable_snapshots``), the compiled code object is
-also persisted via :mod:`marshal` next to the generated ``.py`` source
-(kept for debuggability), so subsequent processes skip the Python
-compilation too.  Disk entries are keyed by fingerprint *and* the
-interpreter's ``cache_tag``, and the fingerprint includes
-:data:`~repro.engine.blocks.TRANSLATION_VERSION`, so any change to the
-generator, the program, or the interpreter invalidates them automatically.
+everything that feeds code generation (the program, the interpreter's
+``cache_tag`` and :data:`~repro.engine.blocks.TRANSLATION_VERSION`).
 """
 
 from __future__ import annotations
 
 import hashlib
-import marshal
-import os
 import sys
 from collections import OrderedDict
 
@@ -35,8 +25,13 @@ from repro.engine.blocks import (
 )
 from repro.machine.loader import LoadedProgram
 
-#: In-process LRU capacity (distinct binaries per worker process).
-CACHE_CAPACITY = 64
+#: In-process LRU capacity (distinct binaries).  A translation keeps its
+#: program alive (~0.65 MiB each), so this bounds what a process that walks
+#: through many binaries — a matrix run, a long-lived worker — retains; the
+#: translations of live tools are also held by their CPUs, and a slice
+#: executor keeps only three tools (``CONTEXT_CAPACITY``), so a handful of
+#: entries is all that is ever hit again.
+CACHE_CAPACITY = 8
 
 
 def translation_fingerprint(program: LoadedProgram) -> str:
@@ -55,12 +50,7 @@ def translation_fingerprint(program: LoadedProgram) -> str:
 class Translation:
     """One program's translated blocks plus the trampoline's metadata."""
 
-    def __init__(
-        self,
-        program: LoadedProgram,
-        fingerprint: str,
-        code_obj=None,
-    ) -> None:
+    def __init__(self, program: LoadedProgram, fingerprint: str) -> None:
         self.program = program
         self.fingerprint = fingerprint
         leaders, end_of = discover_blocks(program)
@@ -74,13 +64,9 @@ class Translation:
         self.llfis: dict[int, int] = {}
         for start in leaders:
             self._register_meta(start, end_of[start])
-        self.source: str | None = None
-        if code_obj is None:
-            self.source = gen_source(program, leaders, end_of)
-            code_obj = compile(self.source, f"<blocks:{fingerprint[:12]}>", "exec")
-        self.code = code_obj
+        source = gen_source(program, leaders, end_of)
         ns = exec_namespace()
-        exec(self.code, ns)
+        exec(compile(source, f"<blocks:{fingerprint[:12]}>", "exec"), ns)
         self._factory = ns["make_blocks"]
         self._suffix_factories: dict[int, object] = {}
 
@@ -119,10 +105,9 @@ class Translation:
 
 
 class TranslationCache:
-    """Process-wide LRU of translations, with optional disk persistence."""
+    """Process-wide LRU of translations."""
 
-    def __init__(self, cache_dir: str | None = None) -> None:
-        self.cache_dir = cache_dir
+    def __init__(self) -> None:
         self._mem: OrderedDict[str, Translation] = OrderedDict()
 
     def translation_for(self, program: LoadedProgram) -> Translation:
@@ -134,43 +119,11 @@ class TranslationCache:
         if trans is not None:
             self._mem.move_to_end(fp)
             return trans
-        trans = self._load_disk(program, fp) or Translation(program, fp)
-        self._persist_disk(trans)
-        self._mem[fp] = trans
+        trans = self._mem[fp] = Translation(program, fp)
         while len(self._mem) > CACHE_CAPACITY:
             self._mem.popitem(last=False)
         return trans
 
-    def _marshal_path(self, fp: str) -> str:
-        return os.path.join(self.cache_dir, f"{fp}.marshal")
 
-    def _load_disk(self, program: LoadedProgram, fp: str) -> Translation | None:
-        if self.cache_dir is None:
-            return None
-        try:
-            with open(self._marshal_path(fp), "rb") as fh:
-                code_obj = marshal.load(fh)
-            return Translation(program, fp, code_obj=code_obj)
-        except (OSError, ValueError, EOFError, TypeError):
-            return None
-
-    def _persist_disk(self, trans: Translation) -> None:
-        if self.cache_dir is None or trans.source is None:
-            return
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            mpath = self._marshal_path(trans.fingerprint)
-            tmp = f"{mpath}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as fh:
-                marshal.dump(trans.code, fh)
-            os.replace(tmp, mpath)
-            spath = os.path.join(self.cache_dir, f"{trans.fingerprint}.py")
-            with open(f"{spath}.tmp.{os.getpid()}", "w") as fh:
-                fh.write(trans.source)
-            os.replace(f"{spath}.tmp.{os.getpid()}", spath)
-        except OSError:
-            pass  # persistence is best-effort; in-memory cache still works
-
-
-#: Default process-wide cache (no disk persistence until configured).
+#: The process's cache: every :class:`~repro.engine.fast.FastEngine` shares it.
 GLOBAL_CACHE = TranslationCache()

@@ -11,9 +11,9 @@ pays for instrumentation where an event can actually occur:
   reference loop with a small watcher window and exits back to free-run as
   soon as the fault has been applied (the ZOFI insight: the binary runs
   uninstrumented outside a bounded window around the injection point);
-* **golden recording** — runs with an armed snapshot hook are executed
-  entirely by the reference loop (they happen once per binary/tool and the
-  snapshot store amortizes them).
+* **armed snapshot hooks** — a CPU carrying a
+  :meth:`~repro.machine.cpu.CPU.record_snapshots` hook is executed entirely
+  by the reference loop, so the hook fires at exactly the reference steps.
 
 Everything observable — steps, per-pc counts, trigger counters, traps,
 flags, output — is bit-identical to the reference interpreter: free-run
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from repro.engine.cache import GLOBAL_CACHE, TranslationCache
+from repro.engine.cache import GLOBAL_CACHE
 from repro.errors import MachineTrap
 from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine import opcodes as O
@@ -70,13 +70,10 @@ class FastEngine:
 
     name = "fast"
 
-    def __init__(self, cache_dir: str | None = None) -> None:
-        if cache_dir is None:
-            self.cache = GLOBAL_CACHE
-        else:
-            self.cache = TranslationCache(cache_dir)
+    #: translations are shared process-wide, once per binary
+    cache = GLOBAL_CACHE
 
-    # -- ExecutionEngine interface ------------------------------------------
+    # -- whole runs ---------------------------------------------------------
 
     def run(self, cpu: CPU, budget: int | None = None) -> ExecutionResult:
         return self._drive(cpu, cpu.prepare_entry(), budget)
@@ -175,7 +172,7 @@ class FastEngine:
         if budget is not None:
             cpu.budget = budget
         if cpu._snap_every:
-            # Golden recording: full instrumentation, reference loop.
+            # An armed snapshot hook: full instrumentation, reference loop.
             return cpu._execute(pc, None)
 
         trans = self.cache.translation_for(cpu.program)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.backend.compiler import CompileOptions, compile_minic
 from repro.backend.binary import Binary
-from repro.engine import ExecutionEngine, get_engine
+from repro.engine import FastEngine
 from repro.errors import CampaignError
 from repro.fi.config import FIConfig
 from repro.fi.llfi import llfi_instrument
@@ -44,6 +44,9 @@ PIN_ATTACH_COST = 5_000.0
 
 #: Timeout rule from the paper: 10x the profiled execution length.
 TIMEOUT_FACTOR = 10
+
+#: Step budget of a fault-free run (the profile, the golden cursor).
+GOLDEN_BUDGET = 200_000_000
 
 
 @dataclass
@@ -76,8 +79,8 @@ class FITool:
     supports_opcode_faults = True
 
     #: CpuSnapshot counter a fault trigger is compared against (the dynamic
-    #: candidate count the tool's ``target_index`` indexes into); ``None``
-    #: means the tool cannot use the snapshot fast path.
+    #: candidate count the tool's ``target_index`` indexes into); the
+    #: trigger scheduler forks on it, so every concrete tool names one.
     _SNAPSHOT_COUNTER: str | None = None
 
     def __init__(
@@ -87,17 +90,14 @@ class FITool:
         config: FIConfig | None = None,
         opt_level: str = "O2",
         opcode_faults: float = 0.0,
-        engine: str | None = None,
         fault_model: FaultModel | str | None = None,
     ) -> None:
         self.source = source
         self.workload = workload
         self.config = config or FIConfig()
         self.opt_level = opt_level
-        #: engine name (``None`` = REPRO_ENGINE env var, then the default)
-        self.engine_spec = engine
-        self._engine: ExecutionEngine | None = None
-        self._engine_cache_dir: str | None = None
+        #: what executes this tool's runs
+        self.engine = FastEngine()
         if not 0.0 <= opcode_faults <= 1.0:
             raise CampaignError("opcode_faults must be a probability")
         if opcode_faults and not self.supports_opcode_faults:
@@ -112,7 +112,6 @@ class FITool:
         #: None (single-bit default).  Validated against the tool's level.
         self.fault_model = resolve_fault_model(fault_model)
         self.fault_model.check_tool(self)
-        self._snapshot_engine = None
 
     # -- compilation (tool-specific) -----------------------------------------
 
@@ -128,19 +127,6 @@ class FITool:
         return load_binary(self.binary)
 
     # -- execution ----------------------------------------------------------
-
-    @property
-    def engine(self) -> ExecutionEngine:
-        """The :class:`~repro.engine.ExecutionEngine` this tool runs on.
-
-        Resolved lazily so :meth:`enable_snapshots` can point the fast
-        engine's decoded-translation cache at the snapshot store first.
-        """
-        if self._engine is None:
-            self._engine = get_engine(
-                self.engine_spec, cache_dir=self._engine_cache_dir
-            )
-        return self._engine
 
     def _make_cpu(self, plan: FaultPlan | None) -> CPU:
         raise NotImplementedError
@@ -161,7 +147,7 @@ class FITool:
         """Profiling run: no injection, count candidates, capture golden
         output (Figure 3a).  Must terminate cleanly."""
         cpu = self._make_cpu(plan=None)
-        result = self.engine.run(cpu, budget=200_000_000)
+        result = self.engine.run(cpu, budget=GOLDEN_BUDGET)
         if result.trap is not None or result.exit_status != 0:
             raise CampaignError(
                 f"{self.name}: profiling run of {self.workload!r} failed "
@@ -188,17 +174,12 @@ class FITool:
         return self.fault_model.plan_from_seed(self, seed)
 
     def inject(self, seed: int) -> InjectionRun:
-        """Run one experiment with a single bit flip drawn from ``seed``.
-
-        Routes through the snapshot fast path when one is enabled (see
-        :meth:`enable_snapshots`); results are bit-identical either way.
-        """
-        if self._snapshot_engine is not None:
-            return self._snapshot_engine.inject(seed)
-        return self._inject_from_scratch(self.plan_from_seed(seed))
-
-    def _inject_from_scratch(self, plan: FaultPlan) -> InjectionRun:
-        """Reference path: execute the whole program from instruction 0."""
+        """Run one experiment, from instruction 0, with the fault drawn from
+        ``seed``.  Campaigns do not come through here — they fork their
+        tails off one golden run (:mod:`repro.campaign.schedule`) — but a
+        single experiment (replay, the scheduler's safety net) has no
+        prefix to share."""
+        plan = self.plan_from_seed(seed)
         cpu = self._make_cpu(plan)
         budget = self.profile.steps * TIMEOUT_FACTOR
         result = self.engine.run(cpu, budget=budget)
@@ -207,50 +188,6 @@ class FITool:
             cycles=self._cycles(cpu, result),
             target_index=plan.target_index,
         )
-
-    # -- snapshot fast path --------------------------------------------------
-
-    @property
-    def snapshots(self):
-        """The attached :class:`repro.snapshot.SnapshotEngine`, if any."""
-        return self._snapshot_engine
-
-    def enable_snapshots(
-        self, interval: int = 0, store_dir=None, events=None,
-        coarse: bool = False,
-    ):
-        """Attach a snapshot engine so ``inject`` resumes from golden-run
-        checkpoints instead of re-executing the fault-free prefix.
-
-        ``interval`` is in dynamic instructions (0 = auto-tune to the
-        workload length); ``store_dir`` enables the shared on-disk
-        :class:`repro.snapshot.SnapshotStore` so parallel processes and
-        dist workers reuse one golden run per binary.  ``coarse`` widens
-        the auto interval for trigger-ordered campaigns, where the
-        scheduler's in-memory forks make dense checkpoints redundant.
-        """
-        # Imported lazily: repro.snapshot imports this module.
-        import os
-
-        from repro.snapshot import SnapshotEngine, SnapshotStore
-
-        store = SnapshotStore(store_dir) if store_dir is not None else None
-        if store_dir is not None:
-            # Persist decoded translations next to the snapshots so other
-            # processes skip block translation for this binary too.
-            self._engine_cache_dir = os.path.join(
-                str(store_dir), "decoded"
-            )
-            self._engine = None  # re-resolve with the cache directory
-        self._snapshot_engine = SnapshotEngine(
-            self, interval=interval, store=store, events=events,
-            coarse=coarse,
-        )
-        return self._snapshot_engine
-
-    def disable_snapshots(self) -> None:
-        """Detach the snapshot engine; ``inject`` reverts to from-scratch."""
-        self._snapshot_engine = None
 
 
 class RefineTool(FITool):

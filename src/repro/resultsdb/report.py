@@ -257,7 +257,7 @@ def _campaign_page(db: ResultsDB, info: CampaignInfo) -> str:
         (info.id,),
     ).fetchall()
     engine_bits = ", ".join(
-        f"{eng or 'unknown'}: {k} runs ({hits} snapshot hits)"
+        f"{eng or 'unknown'}: {k} runs ({hits} fork hits)"
         for eng, k, hits in engines
     )
     phase_line = ""

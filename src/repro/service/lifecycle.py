@@ -32,11 +32,13 @@ from repro.dist.protocol import CampaignSpec
 from repro.errors import DistError, ServiceError, WorkloadError
 from repro.workloads import workload_sources
 
-#: Request keys copied verbatim onto every populated CampaignSpec.
+#: Request keys copied verbatim onto every populated CampaignSpec.  Any
+#: other key is ignored, never an error: queue rows written while the
+#: execution path was still a choice name an engine, a schedule and a
+#: snapshot interval, and must run after the upgrade.
 _SPEC_KEYS = (
     "keep_records", "opt_level", "fi_enabled", "fi_funcs", "fi_instrs",
-    "opcode_faults", "snapshot_interval", "engine", "schedule",
-    "fault_model",
+    "opcode_faults", "fault_model",
 )
 
 

@@ -1,24 +1,14 @@
-"""Snapshot execution engine (golden-run checkpointing).
+"""CPU state snapshots: capture, restore and digest.
 
-One fault-free *golden run* per (workload, tool, binary) records a
-:class:`CpuSnapshot` every K dynamic instructions; each fault run then
-restores the nearest snapshot strictly below its injection trigger and
-executes only the remainder — O(interval + tail) instead of O(program) —
-while staying bit-identical to the from-scratch path.  Chains persist in a
-:class:`SnapshotStore` keyed by binary fingerprint so parallel runner
-processes and distributed workers share a single golden run.
-
-Enable per tool with :meth:`repro.fi.tools.FITool.enable_snapshots`, or
-campaign-wide with ``--snapshot-interval`` on the CLI.
+A :class:`CpuSnapshot` freezes one execution context — registers, flags,
+memory as copy-on-write page deltas, the I/O cursor and every tool
+counter — so that a restored CPU continues bit-identically to the run it
+was captured from.  The trigger scheduler
+(:mod:`repro.campaign.schedule`) builds on it: the forks its golden cursor
+captures ahead of each injection point and the sync states of its
+:class:`~repro.campaign.schedule.GoldenTimeline` are all snapshots.
 """
 
-from repro.snapshot.engine import (
-    AUTO_SNAPSHOT_DENSITY,
-    MIN_AUTO_INTERVAL,
-    SnapshotEngine,
-    SnapshotStats,
-    resolve_interval,
-)
 from repro.snapshot.state import (
     PAGE_SIZE,
     CpuSnapshot,
@@ -27,25 +17,12 @@ from repro.snapshot.state import (
     cpu_state_digest,
     restore_snapshot,
 )
-from repro.snapshot.store import (
-    STORE_FORMAT_VERSION,
-    SnapshotStore,
-    program_fingerprint,
-)
 
 __all__ = [
-    "AUTO_SNAPSHOT_DENSITY",
-    "MIN_AUTO_INTERVAL",
     "PAGE_SIZE",
-    "STORE_FORMAT_VERSION",
     "CpuSnapshot",
-    "SnapshotEngine",
-    "SnapshotStats",
-    "SnapshotStore",
     "base_pages",
     "capture_snapshot",
     "cpu_state_digest",
-    "program_fingerprint",
-    "resolve_interval",
     "restore_snapshot",
 ]

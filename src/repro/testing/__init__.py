@@ -10,8 +10,12 @@ claim that backend instrumentation does not perturb code generation
 * :mod:`repro.testing.generator` — a seeded random generator of well-typed
   IR programs (loops, branches, memory traffic, int/float arithmetic);
 * :mod:`repro.testing.oracles` — differential oracles: interpreter vs
-  compiled binary, O0 vs the full pass pipeline, and the zero-interference
-  oracle (instrumented-but-no-fault must be bit-identical to golden);
+  compiled binary, O0 vs the full pass pipeline, the zero-interference
+  oracle (instrumented-but-no-fault must be bit-identical to golden), the
+  fast engine and the scheduler's primitives vs the interpreter loop;
+* :mod:`repro.testing.reference` — the reference campaign (interpreter
+  loop, index order, every run from instruction 0) that
+  :func:`check_workload_equivalence` holds production campaigns to;
 * :mod:`repro.testing.reduce` — a delta-debugging reducer that shrinks any
   diverging module to a minimal repro;
 * :mod:`repro.testing.fuzz` — the campaign driver behind ``refine-fuzz``.
@@ -30,14 +34,14 @@ from repro.testing.oracles import (
     RunOutcome,
     SchedulerOracle,
     ZeroInterferenceOracle,
-    check_workload_engine_equivalence,
+    check_workload_equivalence,
     check_workload_fault_model_equivalence,
-    check_workload_scheduler_equivalence,
     check_workload_zero_interference,
     compiled_outcome,
     interp_outcome,
 )
 from repro.testing.reduce import count_instructions, reduce_ir
+from repro.testing.reference import ReferenceEngine, reference_campaign
 
 __all__ = [
     "FuzzFailure",
@@ -55,13 +59,14 @@ __all__ = [
     "PipelineOracle",
     "SchedulerOracle",
     "ZeroInterferenceOracle",
-    "check_workload_engine_equivalence",
+    "check_workload_equivalence",
     "check_workload_fault_model_equivalence",
-    "check_workload_scheduler_equivalence",
     "check_workload_zero_interference",
     "compiled_outcome",
     "interp_outcome",
     "RunOutcome",
     "count_instructions",
     "reduce_ir",
+    "ReferenceEngine",
+    "reference_campaign",
 ]

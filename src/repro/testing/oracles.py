@@ -12,6 +12,13 @@ executing this program agree?":
   (paper Section 3): a binary instrumented with ``fi_check`` hooks but with
   *no fault armed* must produce output **and** a dynamic-instruction trace
   identical to the uninstrumented golden run, modulo the hooks themselves.
+* :class:`EngineOracle` / :class:`SchedulerOracle` — the fast engine and
+  the cursor/fork/sync primitives of the trigger scheduler vs the
+  interpreter loop, on the program alone (no fault).
+
+One level up, :func:`check_workload_equivalence` holds a whole production
+campaign on a registered workload to the reference campaign
+(:mod:`repro.testing.reference`), record for record.
 
 Modules are cloned before every compile because :func:`compile_ir` mutates
 its input (pass pipeline + pre-isel lowering).
@@ -298,14 +305,14 @@ class EngineOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
-        from repro.engine import get_engine
+        from repro.engine import FastEngine
 
         binary = compile_ir(
             clone_module(module), CompileOptions(opt_level=self.opt_level)
         )
         program = load_binary(binary)
         ref = CPU(program).run(budget=self.budget)
-        fast = get_engine("fast").run(CPU(program), budget=self.budget)
+        fast = FastEngine().run(CPU(program), budget=self.budget)
         expected = RunOutcome(
             engine="reference",
             exit_code=ref.exit_code,
@@ -368,7 +375,7 @@ class SchedulerOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
-        from repro.engine import get_engine
+        from repro.engine import FastEngine
         from repro.snapshot.state import (
             base_pages,
             capture_snapshot,
@@ -384,7 +391,7 @@ class SchedulerOracle(Oracle):
             CompileOptions(opt_level=self.opt_level, mir_pass=instrument),
         )
         program = load_binary(binary)
-        engine = get_engine("fast")
+        engine = FastEngine()
         plain_cpu = CPU(program)
         plain = engine.run(plain_cpu, budget=self.budget)
         total = plain_cpu._refine_count
@@ -550,24 +557,14 @@ ORACLES: dict[str, Oracle] = {
 }
 
 
-def check_workload_zero_interference(
-    name: str, snapshot_interval: int | None = None
-) -> Divergence | None:
-    """Run the zero-interference oracle on one registered MiniC workload.
-
-    With ``snapshot_interval`` (``0`` = auto), additionally cross-check the
-    snapshot fast path: injections served from golden-run snapshots must be
-    bit-identical to from-scratch runs — the same claim, one layer up.
-    """
+def check_workload_zero_interference(name: str) -> Divergence | None:
+    """Run the zero-interference oracle on one registered MiniC workload."""
     from repro.frontend import compile_source
 
     spec = get_workload(name)
     module = compile_source(spec.source)
     module.name = spec.name
-    divergence = ZeroInterferenceOracle().check(module)
-    if divergence is not None or snapshot_interval is None:
-        return divergence
-    return check_workload_snapshot_equivalence(name, snapshot_interval)
+    return ZeroInterferenceOracle().check(module)
 
 
 def _tool_supports_model(tool_cls, fault_model: str | None) -> bool:
@@ -585,266 +582,134 @@ def _tool_supports_model(tool_cls, fault_model: str | None) -> bool:
     return True
 
 
-def check_workload_snapshot_equivalence(
-    name: str,
-    snapshot_interval: int = 0,
-    seeds: range = range(4),
-    fault_model: str | None = None,
-) -> Divergence | None:
-    """Snapshot fast path vs from-scratch injection on one workload.
+#: How many trigger-contiguous shards the sharded production run is cut
+#: into; they are served last shard first, so every shard but one replays a
+#: window of the retained timeline that lies *below* windows already served.
+EQUIVALENCE_SHARDS = 3
 
-    For every tool, runs the same seeds through a snapshot-enabled tool and
-    a plain one and demands identical ``ExecutionResult`` observables
-    (outcome behaviour, output, dynamic trace, step and cycle counts).
-    ``fault_model`` (a :mod:`repro.fi.models` spec) runs the comparison
-    under that model; tools that cannot host it are skipped.
-    """
-    from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
 
-    spec = get_workload(name)
-    for tool_name in TOOL_ORDER:
-        if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
-            continue
-        scratch = TOOL_CLASSES[tool_name](
-            spec.source, workload=spec.name, fault_model=fault_model
-        )
-        snapped = TOOL_CLASSES[tool_name](
-            spec.source, workload=spec.name, fault_model=fault_model
-        )
-        snapped.enable_snapshots(interval=snapshot_interval)
-        for seed in seeds:
-            a = scratch.inject(seed)
-            b = snapped.inject(seed)
-            expected = RunOutcome(
-                engine=f"{tool_name}-scratch",
-                exit_code=a.result.exit_code,
-                trap=a.result.trap,
-                output=tuple(a.result.output),
-                trace=tuple(a.result.counts),
-            )
-            actual = RunOutcome(
-                engine=f"{tool_name}-snapshot",
-                exit_code=b.result.exit_code,
-                trap=b.result.trap,
-                output=tuple(b.result.output),
-                trace=tuple(b.result.counts),
-            )
-            if (
-                expected.behaviour() != actual.behaviour()
-                or expected.trace != actual.trace
-                or a.result.steps != b.result.steps
-                or abs(a.cycles - b.cycles) > 1e-9
-            ):
-                return Divergence(
-                    oracle="snapshot",
-                    detail=(
-                        f"snapshot-served injection diverged from the "
-                        f"from-scratch run ({name}/{tool_name}"
-                        f"{'/' + fault_model if fault_model else ''}, "
-                        f"steps {a.result.steps} vs {b.result.steps}, "
-                        f"cycles {a.cycles} vs {b.cycles})"
-                    ),
-                    expected=expected,
-                    actual=actual,
-                    seed=seed,
-                )
+def _first_mismatch(production, oracle) -> tuple[int, str] | None:
+    """``(index, field)`` of the first record of ``production`` (sorted by
+    index) that differs from the oracle's, or ``None``.  Every field is
+    exact except ``cycles`` (float dot product; summation order) and the
+    provenance pair ``engine``/``snapshot_hit``."""
+    if len(production.records) != len(oracle.records):
+        return -1, "record count"
+    for want, got in zip(oracle.records, production.records):
+        for field in (
+            "index", "seed", "outcome", "steps", "trap", "exit_code", "fault",
+        ):
+            if getattr(want, field) != getattr(got, field):
+                return want.index, field
+        if abs(want.cycles - got.cycles) > 1e-9 * max(1.0, abs(want.cycles)):
+            return want.index, "cycles"
     return None
 
 
-def check_workload_engine_equivalence(
-    name: str,
-    snapshot_interval: int | None = None,
-    seeds: range = range(4),
-    fault_model: str | None = None,
-) -> Divergence | None:
-    """Fast execution engine vs the reference engine on one workload.
-
-    For every tool, builds one reference-engine tool and one fast-engine
-    tool and demands identical golden profiles and identical injection
-    results for the same seeds — the fault-campaign-level statement of the
-    :class:`EngineOracle` property.  With ``snapshot_interval`` (``0`` =
-    auto) the comparison is repeated with the snapshot fast path enabled on
-    both sides, so the engine is also exercised through golden-run
-    recording and mid-run :meth:`~repro.machine.cpu.CPU.resume`.
-    """
-    from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
-
-    spec = get_workload(name)
-    intervals: list[int | None] = [None]
-    if snapshot_interval is not None:
-        intervals.append(snapshot_interval)
-    for tool_name in TOOL_ORDER:
-        if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
-            continue
-        for interval in intervals:
-            ref = TOOL_CLASSES[tool_name](
-                spec.source, workload=spec.name, engine="reference",
-                fault_model=fault_model,
-            )
-            fast = TOOL_CLASSES[tool_name](
-                spec.source, workload=spec.name, engine="fast",
-                fault_model=fault_model,
-            )
-            if interval is not None:
-                ref.enable_snapshots(interval=interval)
-                fast.enable_snapshots(interval=interval)
-            mode = "scratch" if interval is None else "snapshot"
-            rp, fp = ref.profile, fast.profile
-            if (
-                rp.golden_output != fp.golden_output
-                or rp.steps != fp.steps
-                or rp.total_candidates != fp.total_candidates
-            ):
-                return Divergence(
-                    oracle="engine",
-                    detail=(
-                        f"golden profiles diverge ({name}/{tool_name}, "
-                        f"steps {rp.steps} vs {fp.steps}, candidates "
-                        f"{rp.total_candidates} vs {fp.total_candidates})"
-                    ),
-                )
-            for seed in seeds:
-                a = ref.inject(seed)
-                b = fast.inject(seed)
-                expected = RunOutcome(
-                    engine=f"{tool_name}-reference-{mode}",
-                    exit_code=a.result.exit_code,
-                    trap=a.result.trap,
-                    output=tuple(a.result.output),
-                    trace=tuple(a.result.counts),
-                )
-                actual = RunOutcome(
-                    engine=f"{tool_name}-fast-{mode}",
-                    exit_code=b.result.exit_code,
-                    trap=b.result.trap,
-                    output=tuple(b.result.output),
-                    trace=tuple(b.result.counts),
-                )
-                if (
-                    expected.behaviour() != actual.behaviour()
-                    or expected.trace != actual.trace
-                    or a.result.steps != b.result.steps
-                    or a.result.trap_pc != b.result.trap_pc
-                    or abs(a.cycles - b.cycles) > 1e-9
-                ):
-                    return Divergence(
-                        oracle="engine",
-                        detail=(
-                            f"fast engine diverged from the reference "
-                            f"engine ({name}/{tool_name}/{mode}"
-                            f"{'/' + fault_model if fault_model else ''}, "
-                            f"steps {a.result.steps} vs {b.result.steps})"
-                        ),
-                        expected=expected,
-                        actual=actual,
-                        seed=seed,
-                    )
-    return None
-
-
-def check_workload_scheduler_equivalence(
+def check_workload_equivalence(
     name: str, n: int = 12, fault_model: str | None = None
 ) -> Divergence | None:
-    """Trigger-ordered campaign vs index-ordered campaign on one workload.
+    """Production campaign vs the reference campaign on one workload.
 
-    For every tool, runs the same ``n``-experiment campaign once per
-    schedule and demands record-for-record equality on every
-    :class:`~repro.campaign.results.ExperimentRecord` field except
-    ``snapshot_hit`` (a fast-path provenance flag), with ``cycles`` held to
-    float-summation tolerance — the campaign-level statement of the
-    :class:`SchedulerOracle` property, fault injection included.
+    For every tool that can host ``fault_model`` (a :mod:`repro.fi.models`
+    spec; ``None`` = the paper's single-bit), runs the same
+    ``n``-experiment campaign through
+    :func:`repro.testing.reference.reference_campaign` and through
+    production, and demands the same profile and the same records, field
+    for field.  Production is driven both ways campaigns reach it: whole,
+    by :func:`repro.campaign.run_campaign` (one cursor pass, every tail
+    forked off it), and as leases are — trigger-contiguous shards through
+    :func:`repro.campaign.parallel.run_slice` on one retained timeline,
+    later shards replaying only their window.  The divergence names the
+    cell, the experiment index and the field.
     """
+    from repro.campaign.io import merge_results
+    from repro.campaign.parallel import SliceContexts, run_slice
     from repro.campaign.runner import make_tool, run_campaign
-    from repro.fi.tools import TOOL_CLASSES
+    from repro.campaign.schedule import resolve_trigger_order
+    from repro.dist.protocol import CampaignSpec
+    from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
+    from repro.testing.reference import reference_campaign
 
     spec = get_workload(name)
-    for tool_name in ("LLFI", "REFINE", "PINFI"):
+    model_tag = f"/{fault_model}" if fault_model else ""
+    for tool_name in TOOL_ORDER:
         if not _tool_supports_model(TOOL_CLASSES[tool_name], fault_model):
             continue
-        by_index = run_campaign(
-            make_tool(
-                tool_name, spec.source, spec.name, snapshot_interval=0,
-                fault_model=fault_model,
-            ),
-            n, keep_records=True,
+        cell = f"{name}/{tool_name}{model_tag}"
+        oracle = reference_campaign(
+            tool_name, spec.source, spec.name, n, fault_model=fault_model
         )
-        by_trigger = run_campaign(
-            make_tool(
-                tool_name, spec.source, spec.name, snapshot_interval=0,
-                schedule="trigger", fault_model=fault_model,
-            ),
-            n, keep_records=True, schedule="trigger",
+        tool = make_tool(
+            tool_name, spec.source, spec.name, fault_model=fault_model
         )
-        for a, b in zip(by_index.records, by_trigger.records):
-            identity = (
-                ("seed", a.seed, b.seed),
-                ("outcome", a.outcome, b.outcome),
-                ("steps", a.steps, b.steps),
-                ("trap", a.trap, b.trap),
-                ("exit_code", a.exit_code, b.exit_code),
-                ("fault", a.fault, b.fault),
-                ("index", a.index, b.index),
-            )
-            mismatch = next(
-                (field for field, x, y in identity if x != y), None
-            )
-            if mismatch is None and abs(a.cycles - b.cycles) > 1e-9 * max(
-                1.0, abs(a.cycles)
+        whole = run_campaign(tool, n, keep_records=True)
+
+        lease = CampaignSpec(
+            workload=spec.name, source=spec.source, tool_name=tool_name, n=n,
+            keep_records=True, fault_model=tool.fault_model.spec,
+        )
+        order = [
+            i for _, i in resolve_trigger_order(tool, lease.base_seed, range(n))
+        ]
+        size = -(-n // EQUIVALENCE_SHARDS)
+        contexts = SliceContexts()
+        sharded = merge_results([
+            run_slice(lease.slice_task(order[lo:lo + size]), contexts)
+            for lo in reversed(range(0, n, size))
+        ])
+        sharded.records.sort(key=lambda rec: rec.index)
+
+        for how, production in (("whole", whole), ("sharded", sharded)):
+            if (
+                production.golden_output != oracle.golden_output
+                or production.total_candidates != oracle.total_candidates
             ):
-                mismatch = "cycles"
-            if mismatch is not None:
                 return Divergence(
-                    oracle="scheduler",
+                    oracle="campaign",
                     detail=(
-                        f"trigger-ordered campaign diverged from the "
-                        f"index-ordered one ({name}/{tool_name}"
-                        f"{'/' + fault_model if fault_model else ''}, "
-                        f"experiment {a.index}, field {mismatch!r})"
+                        f"{cell}: golden profile diverged from the reference "
+                        f"campaign ({how}; candidates "
+                        f"{oracle.total_candidates} vs "
+                        f"{production.total_candidates})"
                     ),
-                    seed=a.seed,
                 )
-        if by_index.counts != by_trigger.counts:
-            return Divergence(
-                oracle="scheduler",
-                detail=(
-                    f"trigger-ordered campaign outcome counts diverged "
-                    f"({name}/{tool_name}"
-                    f"{'/' + fault_model if fault_model else ''})"
-                ),
-            )
+            mismatch = _first_mismatch(production, oracle)
+            if mismatch is not None:
+                index, field = mismatch
+                return Divergence(
+                    oracle="campaign",
+                    detail=(
+                        f"{cell}: production campaign ({how}) diverged from "
+                        f"the reference campaign at experiment {index}, "
+                        f"field {field!r}"
+                    ),
+                    seed=None if index < 0 else oracle.records[index].seed,
+                )
+            if production.counts != oracle.counts:
+                return Divergence(
+                    oracle="campaign",
+                    detail=f"{cell}: outcome counts diverged ({how})",
+                )
     return None
 
 
 def check_workload_fault_model_equivalence(
     name: str,
     models: tuple[str, ...] | None = None,
-    seeds: range = range(3),
     n: int = 8,
 ) -> Divergence | None:
-    """Same seed + same fault model ⇒ identical outcomes everywhere.
-
-    For each fault model (default: one of each registered kind), demands on
-    one workload that (a) the fast and reference engines agree on every
-    injection, and (b) a trigger-ordered campaign is record-for-record
-    identical to an index-ordered one — i.e. the engine- and
-    scheduler-equivalence properties hold under every model, not just the
-    paper's single-bit default.  Tools that cannot host a model (LLFI has
-    no instruction fetch to corrupt) are skipped for that model only.
-    """
+    """:func:`check_workload_equivalence` under every fault model (default:
+    one of each registered kind), not just the paper's single-bit.  Tools
+    that cannot host a model (LLFI has no instruction fetch to corrupt) are
+    skipped for that model only."""
     if models is None:
         from repro.fi.models import MODEL_ORDER
 
         models = MODEL_ORDER
     for model in models:
-        divergence = check_workload_engine_equivalence(
-            name, seeds=seeds, fault_model=model
-        )
-        if divergence is None:
-            divergence = check_workload_scheduler_equivalence(
-                name, n=n, fault_model=model
-            )
+        divergence = check_workload_equivalence(name, n=n, fault_model=model)
         if divergence is not None:
             divergence.oracle = "fault-model"
-            divergence.detail = f"[{model}] {divergence.detail}"
             return divergence
     return None

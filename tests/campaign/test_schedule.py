@@ -1,11 +1,13 @@
 """Trigger-ordered scheduler tests.
 
-The acceptance bar everywhere is *bit-identical to index order*: the
-trigger schedule is purely an execution-order optimization, so every
-record a campaign produces — seed, outcome, cycles, steps, trap, fault
-coordinates — must match the sequential index-ordered run exactly.
+The acceptance bar everywhere is *bit-identical to the oracle*: trigger
+order, forked tails and golden rejoin only change how a campaign is
+executed, so every record it produces — seed, outcome, cycles, steps, trap,
+fault coordinates — must match the reference campaign (interpreter loop,
+index order, every run from instruction 0) exactly.
 """
 
+import functools
 import random
 from dataclasses import replace
 
@@ -18,16 +20,13 @@ from repro.campaign import (
     resolve_trigger_order,
     run_campaign,
     run_campaign_parallel,
-    validate_schedule,
 )
 from repro.campaign.io import experiment_event_fields, result_to_dict
 from repro.campaign.parallel import SliceContexts, SliceTask, run_slice
-from repro.campaign.runner import run_experiment
 from repro.campaign.schedule import TriggerScheduler
-from repro.errors import CampaignError
 from repro.fi.models import MODEL_ORDER
 from repro.fi.tools import TOOL_CLASSES
-from repro.testing.oracles import check_workload_scheduler_equivalence
+from repro.testing import check_workload_equivalence, reference_campaign
 from repro.workloads.registry import workload_sources
 
 from tests.conftest import DEMO_SOURCE
@@ -36,16 +35,25 @@ N = 24
 SEED = 0xC0FFEE
 
 
+@functools.lru_cache(maxsize=None)
+def _oracle(tool_name="REFINE", model=None):
+    """The demo cell's reference campaign (read-only: shared by tests)."""
+    return reference_campaign(
+        tool_name, DEMO_SOURCE, "demo", N, SEED, fault_model=model
+    )
+
+
 def _assert_equivalent(result, baseline):
-    """Bit-identity bar for reordered campaigns: every serialized field
-    exact, except ``snapshot_hit`` (trigger tails are served from forks,
-    index injects from the persistent snapshot store) and
+    """Bit-identity bar against the oracle: every serialized field exact,
+    except the provenance pair ``engine``/``snapshot_hit`` (forked tails on
+    the fast engine vs from-scratch runs on the interpreter loop) and
     ``total_cycles`` (accumulated in completion order, so reordering
     shifts the float summation — same bar as the parallel runner)."""
     a, b = result_to_dict(result), result_to_dict(baseline)
     for data in (a, b):
         for rec in data.get("records", ()):
             rec.pop("snapshot_hit", None)
+            rec.pop("engine", None)
     assert a.pop("total_cycles") == pytest.approx(b.pop("total_cycles"))
     assert a == b
 
@@ -58,19 +66,6 @@ def _records_key(result):
           r.fault.value_before, r.fault.value_after))
         for r in result.records
     ]
-
-
-class TestValidation:
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(CampaignError, match="schedule"):
-            validate_schedule("random")
-        validate_schedule("index")
-        validate_schedule("trigger")
-
-    def test_run_campaign_rejects_unknown_schedule(self):
-        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
-        with pytest.raises(CampaignError, match="schedule"):
-            run_campaign(tool, 4, schedule="alphabetical")
 
 
 class TestTriggerOrder:
@@ -96,22 +91,19 @@ class TestTriggerOrder:
 class TestSequentialEquivalence:
     @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
     def test_demo_bit_identical(self, tool_name):
-        index = run_campaign(
+        oracle = _oracle(tool_name)
+        production = run_campaign(
             make_tool(tool_name, DEMO_SOURCE, "demo"), N, SEED,
             keep_records=True,
         )
-        trigger = run_campaign(
-            make_tool(tool_name, DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-        )
-        assert _records_key(trigger) == _records_key(index)
-        _assert_equivalent(trigger, index)
+        assert _records_key(production) == _records_key(oracle)
+        _assert_equivalent(production, oracle)
 
     # The tier-1 smoke slice of the equivalence matrix: two real
-    # workloads, every tool, trigger vs index bit-identical.
+    # workloads, every tool, production vs oracle record for record.
     @pytest.mark.parametrize("workload", ["EP", "CG"])
     def test_workload_smoke(self, workload):
-        divergence = check_workload_scheduler_equivalence(workload, n=6)
+        divergence = check_workload_equivalence(workload, n=6)
         assert divergence is None, divergence.describe()
 
 
@@ -133,23 +125,16 @@ class TestTimelineReuse:
     def test_shards_in_any_order_equal_one_batch(self, tool_name, model):
         if model == "opcode" and not TOOL_CLASSES[tool_name].supports_opcode_faults:
             pytest.skip("IR-level tools cannot corrupt instruction encodings")
-        tool = make_tool(
-            tool_name, DEMO_SOURCE, "demo", schedule="trigger",
-            fault_model=model,
-        )
+        tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=model)
         whole = {
             rec.index: experiment_event_fields(rec)
             for rec in TriggerScheduler(tool).run_batch(SEED, range(N))
         }
         assert sorted(whole) == list(range(N))
-        # ... which is index order on the reference engine, field for field
-        oracle = make_tool(
-            tool_name, DEMO_SOURCE, "demo", engine="reference",
-            fault_model=model,
-        )
-        for index in range(N):
-            expected = experiment_event_fields(run_experiment(oracle, SEED, index))
-            got = dict(whole[index])
+        # ... which is the reference campaign, field for field
+        for want in _oracle(tool_name, model).records:
+            expected = experiment_event_fields(want)
+            got = dict(whole[want.index])
             for fields in (expected, got):
                 fields.pop("engine")
                 fields.pop("snapshot_hit")
@@ -177,7 +162,7 @@ class TestTimelineReuse:
             tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
             opt_level="O2", fi_enabled=True, fi_funcs="*", fi_instrs="all",
             base_seed=SEED, indices=tuple(range(N)), keep_records=True,
-            opcode_faults=0.0, chunk=0, schedule="trigger",
+            opcode_faults=0.0, chunk=0,
         )
         single = run_slice(task)
         contexts = SliceContexts()
@@ -208,11 +193,12 @@ class TestTimelineReuse:
 
 @pytest.mark.slow
 class TestFullEquivalenceMatrix:
-    """The paper-scale 14-workload x 3-tool matrix (CI runs it nightly)."""
+    """The paper-scale 14-workload x 3-tool matrix, production vs oracle
+    (CI's one equivalence step)."""
 
     @pytest.mark.parametrize("workload", sorted(dict(workload_sources())))
     def test_workload(self, workload):
-        divergence = check_workload_scheduler_equivalence(workload, n=12)
+        divergence = check_workload_equivalence(workload, n=12)
         assert divergence is None, divergence.describe()
 
 
@@ -220,8 +206,8 @@ class TestTelemetry:
     def test_finish_event_carries_schedule_phases_and_stats(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
         log = EventLog(log_path)
-        tool = make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger")
-        run_campaign(tool, N, SEED, schedule="trigger", events=log)
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        run_campaign(tool, N, SEED, events=log)
         log.close()
         events = read_events(log_path)
         finish = [e for e in events if e["event"] == "campaign_finish"]
@@ -242,20 +228,6 @@ class TestTelemetry:
             stats[-1][k] == scheduler[k] for k in scheduler
         )
 
-    def test_index_schedule_reports_phases_too(self, tmp_path):
-        log_path = tmp_path / "events.jsonl"
-        log = EventLog(log_path)
-        run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), 6, SEED, events=log
-        )
-        log.close()
-        finish = [
-            e for e in read_events(log_path) if e["event"] == "campaign_finish"
-        ][0]
-        assert finish["schedule"] == "index"
-        assert finish["phases"]["tail_s"] > 0.0
-        assert "scheduler" not in finish
-
 
 class _Kill(Exception):
     """Injected 'job killed' signal raised from a progress callback."""
@@ -263,76 +235,84 @@ class _Kill(Exception):
 
 class TestCheckpointResume:
     def test_kill_and_resume_trigger_order(self, tmp_path):
-        """A trigger-ordered campaign killed mid-flight resumes from the
-        completed-index set and finishes bit-identical to both an
-        uninterrupted trigger run and the index-ordered ground truth."""
+        """A campaign killed mid-flight resumes from the completed-index
+        set — experiments complete in trigger order, so that set is no
+        index prefix — and finishes bit-identical to the oracle."""
         path = tmp_path / "c.json"
-        baseline = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-            keep_records=True,
-        )
-
         killed_after = N // 3
+        done_at_kill = []
 
         def _bomb(done, total):
             if done >= killed_after:
+                done_at_kill.append(done)
                 raise _Kill
 
         with pytest.raises(_Kill):
             run_campaign(
-                make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-                N, SEED, keep_records=True, schedule="trigger",
+                make_tool("REFINE", DEMO_SOURCE, "demo"),
+                N, SEED, keep_records=True,
                 checkpoint_path=path, checkpoint_every=4, progress=_bomb,
             )
         assert path.exists()
 
-        resumed = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-            checkpoint_path=path,
-        )
-        assert _records_key(resumed) == _records_key(baseline)
-        _assert_equivalent(resumed, baseline)
+        log_path = tmp_path / "events.jsonl"
+        with EventLog(log_path) as log:
+            resumed = run_campaign(
+                make_tool("REFINE", DEMO_SOURCE, "demo"),
+                N, SEED, keep_records=True, checkpoint_path=path, events=log,
+            )
+        start = [
+            e for e in read_events(log_path) if e["event"] == "campaign_start"
+        ]
+        assert start[0]["resumed"] == done_at_kill[0]
+        assert _records_key(resumed) == _records_key(_oracle())
+        _assert_equivalent(resumed, _oracle())
 
     def test_resume_across_schedules(self, tmp_path):
-        """Checkpoints carry the completed-index *set*, so a campaign can
-        even be killed under one schedule and resumed under the other."""
+        """A checkpoint left by a version that ran in index order — its
+        completed set an index prefix, its records from-scratch ones — is
+        finished in trigger order and still adds up to the oracle."""
+        from repro.campaign import CampaignCheckpoint, save_checkpoint
+        from repro.campaign.runner import _fresh_result
+
         path = tmp_path / "c.json"
-        baseline = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-            keep_records=True,
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        partial = _fresh_result(tool, N)
+        for record in _oracle().records[:N // 2]:
+            partial.add(record, keep_record=True)
+        save_checkpoint(
+            CampaignCheckpoint(
+                workload="demo", tool="REFINE", n=N, base_seed=SEED,
+                keep_records=True, completed=set(range(N // 2)),
+                partial=partial, fault_model="single-bit",
+            ),
+            path,
         )
-
-        def _bomb(done, total):
-            if done >= N // 2:
-                raise _Kill
-
-        with pytest.raises(_Kill):
-            run_campaign(
-                make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
-                keep_records=True, checkpoint_path=path,
-                checkpoint_every=4, progress=_bomb,
-            )
         resumed = run_campaign(
-            make_tool("REFINE", DEMO_SOURCE, "demo", schedule="trigger"),
-            N, SEED, keep_records=True, schedule="trigger",
-            checkpoint_path=path,
+            tool, N, SEED, keep_records=True, checkpoint_path=path
         )
-        _assert_equivalent(resumed, baseline)
+        assert [r.engine for r in resumed.records] == (
+            ["reference"] * (N // 2) + ["fast"] * (N // 2)
+        )
+        assert _records_key(resumed) == _records_key(_oracle())
+        _assert_equivalent(resumed, _oracle())
 
 
 class TestParallelEquivalence:
     def test_parallel_trigger_bit_identical(self):
-        baseline = run_campaign(
+        sequential = run_campaign(
             make_tool("REFINE", DEMO_SOURCE, "demo"), N, SEED,
             keep_records=True,
         )
         parallel = run_campaign_parallel(
             "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            keep_records=True, schedule="trigger",
+            keep_records=True,
         )
-        assert _records_key(parallel) == _records_key(baseline)
-        _assert_equivalent(parallel, baseline)
+        assert _records_key(parallel) == _records_key(sequential)
+        assert result_to_dict(parallel)["records"] == (
+            result_to_dict(sequential)["records"]
+        )
+        _assert_equivalent(parallel, _oracle())
 
     def test_parallel_compiles_once_per_process(self, tmp_path, monkeypatch):
         """Chunks of one campaign share their process's compiled tool (and
@@ -357,7 +337,7 @@ class TestParallelEquivalence:
         with EventLog(events) as sink:
             run_campaign_parallel(
                 "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-                schedule="trigger", chunk_size=2, events=sink,
+                chunk_size=2, events=sink,
             )
         pids = log.read_text().split()
         assert len(pids) == len(set(pids)) <= 3  # parent + two pool processes
@@ -375,7 +355,7 @@ class TestParallelEquivalence:
         log = EventLog(log_path)
         run_campaign_parallel(
             "REFINE", DEMO_SOURCE, "demo", N, workers=2, base_seed=SEED,
-            schedule="trigger", events=log,
+            events=log,
         )
         log.close()
         events = read_events(log_path)

@@ -49,8 +49,12 @@ def sequential():
 
 
 def _assert_identical(result, sequential):
-    """Bit-identical: counts, totals, golden output and every fault record."""
-    assert result_to_dict(result) == result_to_dict(sequential)
+    """Bit-identical: counts, totals, golden output and every fault record
+    (``total_cycles`` to float summation order: leases sum their own
+    experiments before the cell sums the leases)."""
+    a, b = result_to_dict(result), result_to_dict(sequential)
+    assert a.pop("total_cycles") == pytest.approx(b.pop("total_cycles"))
+    assert a == b
 
 
 def _events_named(path, name):
@@ -327,24 +331,15 @@ class TestWorkerBehaviour:
 
 
 class TestTriggerSchedule:
-    """Trigger-ordered distributed campaigns: leases become contiguous
-    trigger ranges, results stay bit-identical to sequential index order
-    (``snapshot_hit`` and float summation order excepted, as everywhere
-    a campaign is reordered)."""
+    """Leases are contiguous trigger ranges of one golden timeline; results
+    stay bit-identical to the sequential campaign."""
 
-    @staticmethod
-    def _assert_equivalent(result, baseline):
-        a, b = result_to_dict(result), result_to_dict(baseline)
-        for data in (a, b):
-            for rec in data.get("records", ()):
-                rec.pop("snapshot_hit", None)
-        assert a.pop("total_cycles") == pytest.approx(b.pop("total_cycles"))
-        assert a == b
+    _assert_equivalent = staticmethod(_assert_identical)
 
     def test_leases_are_contiguous_trigger_ranges(self):
         from repro.dist.coordinator import Coordinator, trigger_order_indices
 
-        spec = _spec(schedule="trigger")
+        spec = _spec()
         expected = trigger_order_indices(spec, list(range(N)))
         coord = Coordinator(spec, chunk_size=5)
         sharded = [
@@ -358,7 +353,7 @@ class TestTriggerSchedule:
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
             with LocalCluster(
-                _spec(schedule="trigger"), workers=2, chunk_size=3,
+                _spec(), workers=2, chunk_size=3,
                 events=events,
             ) as cluster:
                 results = cluster.results(timeout=120)
@@ -379,7 +374,7 @@ class TestTriggerSchedule:
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
             with LocalCluster(
-                _spec(schedule="trigger"), workers=0, chunk_size=2,
+                _spec(), workers=0, chunk_size=2,
                 lease_timeout=10.0, backoff_base=0.01, events=events,
             ) as cluster:
                 cluster.start_worker(die_after=1, name="doomed")
@@ -393,7 +388,7 @@ class TestTriggerSchedule:
 
     def test_trigger_worker_process_pool(self, sequential):
         with LocalCluster(
-            _spec(schedule="trigger"), workers=1, worker_procs=2,
+            _spec(), workers=1, worker_procs=2,
             chunk_size=8,
         ) as cluster:
             results = cluster.results(timeout=120)
@@ -402,14 +397,16 @@ class TestTriggerSchedule:
     def test_leases_replay_windows_not_the_golden_run(self, tmp_path):
         """32 leases of one cell cost one golden pass per worker plus each
         lease's own trigger window — not 32 golden runs."""
-        from repro.campaign.schedule import resolve_trigger_order
-        from repro.snapshot.engine import resolve_interval
+        from repro.campaign.schedule import (
+            GoldenTimeline,
+            resolve_trigger_order,
+        )
         from repro.workloads import workload_sources
 
         n, leases = 64, 32
         spec = CampaignSpec(
             workload="EP", source=workload_sources()["EP"],
-            tool_name="REFINE", n=n, schedule="trigger",
+            tool_name="REFINE", n=n,
         )
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
@@ -446,7 +443,7 @@ class TestTriggerSchedule:
         per_task = _events_named(log, "scheduler_stats")
         assert len(per_task) == leases
         steps = tool.profile.steps
-        interval = resolve_interval(0, steps)
+        interval = GoldenTimeline.auto_interval(steps)
         full = [e for e in per_task if e["cursor_steps"] == steps]
         assert 1 <= len(full) <= 2  # each worker's first lease of the cell
         windows = 0
@@ -475,7 +472,7 @@ class TestTriggerSchedule:
         sys.setswitchinterval(1e-5)
         try:
             with LocalCluster(
-                _spec(schedule="trigger"), workers=5, chunk_size=1
+                _spec(), workers=5, chunk_size=1
             ) as cluster:
                 results = cluster.results(timeout=120)
                 stats = cluster.worker_stats()

@@ -11,11 +11,13 @@ from repro.dist import (
     Coordinator,
     PROTOCOL_VERSION,
     backoff_delay,
+    decode_indices,
     parse_address,
     recv_message,
     send_message,
     shard_indices,
 )
+from repro.dist.coordinator import trigger_order_indices
 from repro.errors import DistError
 
 from tests.conftest import DEMO_SOURCE
@@ -144,7 +146,9 @@ class TestProtocolConversation:
         assert lease["attempt"] == 0
         spec = CampaignSpec.from_dict(lease["spec"])
         assert spec.key == ("demo", "REFINE")
-        assert lease["indices"] == [[0, 4]]
+        # the first lease is the head of the cell's trigger order
+        order = trigger_order_indices(spec, list(range(spec.n)))
+        assert list(decode_indices(lease["indices"])) == order[:4]
 
     def test_result_for_unknown_task_is_an_error(self, conn):
         send_message(conn, {"type": "hello", "name": None, "procs": 1})

@@ -10,7 +10,6 @@ from tests.conftest import DEMO_SOURCE
 def _spec(**overrides):
     kwargs = dict(
         workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=8,
-        schedule="trigger",
     )
     kwargs.update(overrides)
     return CampaignSpec(**kwargs)

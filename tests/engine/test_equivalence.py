@@ -1,34 +1,40 @@
-"""Fast-engine vs reference-engine equivalence on the paper's workloads.
+"""Fast engine vs the interpreter loop, one experiment at a time.
 
-The acceptance bar for the free-run engine: bit-identical injection
-results across the full workload matrix, for all three tools, with the
-snapshot fast path both off and on.  The tier-1 smoke below covers one
-workload; the full matrix runs under ``-m slow`` (CI's equivalence step
-and the nightly fuzz job).
+Campaigns fork their tails off a golden cursor and are held to the oracle
+by ``check_workload_equivalence`` (``tests/campaign/test_schedule.py``).
+A *single* experiment — replay, the scheduler's safety net — has no prefix
+to share and runs ``tool.inject`` from instruction 0 on the fast engine;
+that path must match the reference campaign's record for the same index
+just the same.
 """
 
 import pytest
 
-from repro.testing.oracles import check_workload_engine_equivalence
-from repro.workloads import workload_names
+from repro.campaign import make_tool, run_experiment
+from repro.campaign.io import experiment_event_fields
+from repro.campaign.runner import DEFAULT_SEED
+from repro.fi.tools import TOOL_ORDER
+from repro.testing import reference_campaign
+from repro.workloads import get_workload
 
 SMOKE_WORKLOAD = "EP"
 
 
+def _fields(record):
+    fields = experiment_event_fields(record)
+    fields.pop("engine")
+    return fields
+
+
 def test_engine_equivalence_smoke():
-    divergence = check_workload_engine_equivalence(
-        SMOKE_WORKLOAD, snapshot_interval=0, seeds=range(2)
-    )
-    assert divergence is None, divergence.describe()
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("name", workload_names())
-def test_engine_equivalence_full_matrix(name):
-    divergence = check_workload_engine_equivalence(
-        name, snapshot_interval=0, seeds=range(4)
-    )
-    assert divergence is None, divergence.describe()
+    source = get_workload(SMOKE_WORKLOAD).source
+    for tool_name in TOOL_ORDER:
+        oracle = reference_campaign(tool_name, source, SMOKE_WORKLOAD, 4)
+        tool = make_tool(tool_name, source, SMOKE_WORKLOAD)
+        for want in oracle.records:
+            got = run_experiment(tool, DEFAULT_SEED, want.index)
+            assert got.engine == "fast" and want.engine == "reference"
+            assert _fields(got) == _fields(want), (tool_name, want.index)
 
 
 @pytest.mark.slow

@@ -9,12 +9,13 @@ to the reference interpreter loop.
 import pytest
 
 from repro.backend import compile_minic
-from repro.engine import DEFAULT_ENGINE, ENGINE_NAMES, ReferenceEngine, get_engine
+from repro.campaign import make_tool
+from repro.engine import FastEngine
 from repro.engine.blocks import discover_blocks
 from repro.engine.cache import TranslationCache, translation_fingerprint
-from repro.engine.fast import FastEngine
 from repro.machine import CPU, load_binary
 from repro.machine import opcodes as O
+from repro.testing import ReferenceEngine
 
 from tests.conftest import DEMO_SOURCE
 
@@ -35,28 +36,17 @@ def assert_same_result(a, b):
 
 class TestSelection:
     def test_default_is_fast(self):
-        assert DEFAULT_ENGINE == "fast"
-        assert get_engine().name == "fast"
+        assert make_tool("REFINE", DEMO_SOURCE, "demo").engine.name == "fast"
 
-    def test_explicit_names(self):
-        assert get_engine("reference").name == "reference"
-        assert get_engine("fast").name == "fast"
-        assert set(ENGINE_NAMES) == {"fast", "reference"}
-
-    def test_env_override(self, monkeypatch):
+    def test_environment_is_ignored(self, monkeypatch):
+        # REPRO_ENGINE used to pick the engine; it is no longer read.
         monkeypatch.setenv("REPRO_ENGINE", "reference")
-        assert get_engine().name == "reference"
-        # An explicit spec always beats the environment.
-        assert get_engine("fast").name == "fast"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            get_engine("warp")
+        assert make_tool("REFINE", DEMO_SOURCE, "demo").engine.name == "fast"
 
 
 class TestRunEquivalence:
     def test_full_run(self, program):
-        ref = ReferenceEngine().run(CPU(program))
+        ref = CPU(program).run()
         fast = FastEngine().run(CPU(program))
         assert_same_result(ref, fast)
 
@@ -64,7 +54,7 @@ class TestRunEquivalence:
     def test_timeout_at_any_budget(self, program, budget):
         # 711 is the demo program's exact step count: the halt-vs-timeout
         # boundary must agree with the reference loop on both sides of it.
-        ref = ReferenceEngine().run(CPU(program), budget=budget)
+        ref = CPU(program).run(budget=budget)
         fast = FastEngine().run(CPU(program), budget=budget)
         assert_same_result(ref, fast)
 
@@ -77,7 +67,7 @@ class TestRunEquivalence:
         int main() { int a = 7; return a / zero; }
         """
         prog = load_binary(compile_minic(src, "trap"))
-        ref = ReferenceEngine().run(CPU(prog))
+        ref = CPU(prog).run()
         fast = FastEngine().run(CPU(prog))
         assert ref.trap == "divide-by-zero"
         assert_same_result(ref, fast)
@@ -85,7 +75,7 @@ class TestRunEquivalence:
     def test_stack_overflow_trap(self):
         src = "int f(int n) { return f(n + 1); } int main() { return f(0); }"
         prog = load_binary(compile_minic(src, "so"))
-        ref = ReferenceEngine().run(CPU(prog), budget=50_000_000)
+        ref = CPU(prog).run(budget=50_000_000)
         fast = FastEngine().run(CPU(prog), budget=50_000_000)
         assert ref.trap == "stack-overflow"
         assert_same_result(ref, fast)
@@ -106,7 +96,7 @@ class TestRunEquivalence:
             ref_cpu, fast_cpu = CPU(program), CPU(program)
             restore_snapshot(ref_cpu, snap)
             restore_snapshot(fast_cpu, snap)
-            ref = ReferenceEngine().resume(ref_cpu, snap.pc)
+            ref = ref_cpu.resume(snap.pc)
             fast = FastEngine().resume(fast_cpu, snap.pc)
             assert_same_result(ref, fast)
             assert fast.steps == full.steps
@@ -118,19 +108,21 @@ class TestRunEquivalence:
         ref_cpu, fast_cpu = CPU(program), CPU(program)
         ref_cpu.record_snapshots(100, lambda c, pc: ref_calls.append((c.steps, pc)))
         fast_cpu.record_snapshots(100, lambda c, pc: fast_calls.append((c.steps, pc)))
-        ref = ReferenceEngine().run(ref_cpu)
+        ref = ref_cpu.run()
         fast = FastEngine().run(fast_cpu)
         assert_same_result(ref, fast)
         assert ref_calls == fast_calls
 
-    @pytest.mark.parametrize("engine_name", list(ENGINE_NAMES))
-    def test_budget_on_snapshot_boundary(self, program, engine_name):
+    @pytest.mark.parametrize(
+        "engine", [FastEngine(), ReferenceEngine()], ids=lambda e: e.name
+    )
+    def test_budget_on_snapshot_boundary(self, program, engine):
         # Budget landing exactly on a snapshot boundary: the timeout wins
         # and the hook is not called — on every engine.
         calls = []
         cpu = CPU(program)
         cpu.record_snapshots(500, lambda c, pc: calls.append(c.steps))
-        result = get_engine(engine_name).run(cpu, budget=500)
+        result = engine.run(cpu, budget=500)
         assert result.trap == "timeout"
         assert result.steps == 500
         assert calls == []
@@ -139,14 +131,10 @@ class TestRunEquivalence:
 class TestToolEquivalence:
     @pytest.mark.parametrize("tool_name", ["REFINE", "LLFI", "PINFI"])
     def test_injection_matches_reference(self, tool_name):
-        from repro.fi.tools import TOOL_CLASSES
-
-        ref_tool = TOOL_CLASSES[tool_name](
-            DEMO_SOURCE, workload="demo", engine="reference"
-        )
-        fast_tool = TOOL_CLASSES[tool_name](
-            DEMO_SOURCE, workload="demo", engine="fast"
-        )
+        # the reference campaign's tool: same build, interpreter loop
+        ref_tool = make_tool(tool_name, DEMO_SOURCE, "demo")
+        ref_tool.engine = ReferenceEngine()
+        fast_tool = make_tool(tool_name, DEMO_SOURCE, "demo")
         assert ref_tool.profile.golden_output == fast_tool.profile.golden_output
         assert ref_tool.profile.steps == fast_tool.profile.steps
         assert (
@@ -169,30 +157,6 @@ class TestTranslationCache:
     def test_in_memory_reuse(self, program):
         cache = TranslationCache()
         assert cache.translation_for(program) is cache.translation_for(program)
-
-    def test_disk_persistence_round_trip(self, program, tmp_path):
-        warm = TranslationCache(str(tmp_path))
-        warm.translation_for(program)
-        fp = program._translation_fp
-        assert (tmp_path / f"{fp}.marshal").exists()
-        assert (tmp_path / f"{fp}.py").exists()
-
-        cold = TranslationCache(str(tmp_path))
-        trans = cold.translation_for(program)
-        # Loaded from the marshalled code object, so no source regeneration.
-        assert trans.source is None
-        fast = FastEngine(cache_dir=str(tmp_path))
-        result = fast.run(CPU(program))
-        assert_same_result(ReferenceEngine().run(CPU(program)), result)
-
-    def test_corrupt_disk_entry_falls_back(self, program, tmp_path):
-        warm = TranslationCache(str(tmp_path))
-        warm.translation_for(program)
-        fp = program._translation_fp
-        (tmp_path / f"{fp}.marshal").write_bytes(b"not marshal data")
-        cold = TranslationCache(str(tmp_path))
-        trans = cold.translation_for(program)  # silently re-translates
-        assert trans.source is not None
 
 
 class TestBlockDiscovery:

@@ -178,6 +178,45 @@ class TestExitCodes:
         ) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prog, flag", [
+        ("refine-campaign", "--engine reference"),
+        ("refine-campaign", "--schedule index"),
+        ("refine-campaign", "--snapshot-interval 0"),
+        ("refine-campaign", "--no-snapshot"),
+        ("refine-worker", "--snapshot-dir snaps"),
+        ("refine-worker", "--no-snapshot"),
+        ("refine-fuzz", "--snapshot-interval 0"),
+        ("refine-fuzz", "--check-engines"),
+        ("refine-fuzz", "--check-schedules"),
+    ])
+    def test_removed_flags_are_usage_errors(self, prog, flag, capsys):
+        """How a campaign executes stopped being a choice; the flags that
+        chose are gone without replacement, and say so the argparse way."""
+        from repro.cli import fuzz_main, worker_main
+
+        main, positional = {
+            "refine-campaign": (campaign_main, []),
+            "refine-worker": (worker_main, ["127.0.0.1:9100"]),
+            "refine-fuzz": (fuzz_main, []),
+        }[prog]
+        with pytest.raises(SystemExit) as exit_info:
+            main(positional + flag.split())
+        assert exit_info.value.code == 2
+        assert (
+            f"{prog}: error: unrecognized arguments: {flag}"
+            in capsys.readouterr().err
+        )
+
+    def test_repro_engine_in_the_environment_changes_nothing(
+        self, monkeypatch, capsys
+    ):
+        argv = ["-n", "6", "-w", "DC", "-t", "REFINE", "-q"]
+        assert campaign_main(argv) == 0
+        plain = capsys.readouterr().out
+        monkeypatch.setenv("REPRO_ENGINE", "reference")
+        assert campaign_main(argv) == 0
+        assert capsys.readouterr().out == plain
+
     def test_worker_bad_address_is_usage_error(self, capsys):
         from repro.cli import worker_main
 

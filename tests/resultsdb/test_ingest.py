@@ -289,10 +289,8 @@ class TestSchedulePhases:
 
         log_path = tmp_path / "events.jsonl"
         with EventLog(log_path) as log:
-            tool = make_tool(
-                "REFINE", DEMO_SOURCE, "demo", schedule="trigger"
-            )
-            run_campaign(tool, 8, schedule="trigger", events=log)
+            tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+            run_campaign(tool, 8, events=log)
         with ResultsDB() as db:
             ingest_events(db, log_path)
             info = list_campaigns(db)[0]
@@ -301,16 +299,47 @@ class TestSchedulePhases:
             "translate_s", "prefix_s", "fork_s", "tail_s", "classify_s"
         }
 
-    def test_old_logs_leave_schedule_null(self, ground_truth):
+    def test_old_logs_leave_schedule_null(self, ground_truth, tmp_path):
+        """A log written before trigger order was the only order — an
+        ``index`` schedule on its finish events (or none at all), plus the
+        snapshot engine's ``snapshot_golden``/``snapshot_stats`` lines —
+        still ingests, and says what it said."""
+        from repro.campaign.events import read_events
         from repro.resultsdb.queries import list_campaigns
 
+        old = tmp_path / "old.jsonl"
+        with EventLog(old) as log:
+            for record in read_events(ground_truth.log):
+                fields = {
+                    k: v for k, v in record.items()
+                    if k not in ("seq", "ts", "event")
+                }
+                if record["event"] == "campaign_start":
+                    log.emit(
+                        "snapshot_golden", workload="demo",
+                        tool=fields["tool"], interval=256, snapshots=2,
+                        pages=3, reused=False, wall_s=0.01,
+                    )
+                if record["event"] == "campaign_finish":
+                    log.emit(
+                        "snapshot_stats", workload="demo",
+                        tool=fields["tool"], hits=3, misses=1, hit_rate=0.75,
+                    )
+                    if fields["tool"] == "REFINE":
+                        fields["schedule"] = "index"
+                    else:
+                        del fields["schedule"]
+                    del fields["scheduler"]
+                log.emit(record["event"], **fields)
         with ResultsDB() as db:
-            ingest_events(db, ground_truth.log)
-            for info in list_campaigns(db):
-                # The shared fixture runs index-ordered campaigns; they
-                # still carry a schedule + phase breakdown.
-                assert info.schedule == "index"
-                assert info.phases is not None
+            ingest_events(db, old)
+            by_tool = {info.tool: info for info in list_campaigns(db)}
+            assert by_tool["REFINE"].schedule == "index"
+            assert by_tool["PINFI"].schedule is None
+            assert all(info.phases is not None for info in by_tool.values())
+            _assert_identical(
+                matrix_from_db(db)[KEY], ground_truth.results["REFINE"]
+            )
 
     def test_pre_column_store_migrates_in_place(self, tmp_path):
         import sqlite3

@@ -64,22 +64,21 @@ def test_idle_service_stops_promptly(tmp_path):
 
 def test_admitted_campaign_that_cannot_install_fails(tmp_path):
     """``campaign_admitted`` says the campaign got its slot, ahead of its
-    cells' own events; when installing them then fails (here: a trigger
-    schedule on an engine without a golden cursor), ``campaign_failed``
-    follows and the queue row says why."""
+    cells' own events; when installing them then fails (here: a program
+    whose fault-free run exits non-zero, so it cannot be profiled),
+    ``campaign_failed`` follows and the queue row says why."""
     log = tmp_path / "events.jsonl"
     with EventLog(log) as events:
         with LocalService(
             workers=0, queue_path=tmp_path / "queue.sqlite", events=events
         ) as svc:
             cid = svc.client.submit({
-                "workloads": ["demo"], "tools": ["REFINE"], "n": N,
-                "sources": {"demo": DEMO_SOURCE},
-                "schedule": "trigger", "engine": "reference",
+                "workloads": ["broken"], "tools": ["REFINE"], "n": N,
+                "sources": {"broken": "int main() { return 1; }"},
             })
             final = svc.client.watch(cid, timeout=60.0)
     assert final["info"]["state"] == "failed"
-    assert "fast engine" in final["info"]["error"]
+    assert "profiling run" in final["info"]["error"]
     ours = [
         e["event"] for e in read_events(log) if e.get("campaign") == cid
     ]

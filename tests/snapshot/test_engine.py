@@ -1,113 +1,81 @@
-"""SnapshotEngine unit behaviour: golden chain, hits/misses, telemetry."""
+"""What the golden timeline inherited from the snapshot engine it replaced:
+the auto rule for how far apart its sync states sit, the per-tool trigger
+counter its forks are keyed on, and the hit / miss split — a tail served
+from a fork skips the golden prefix, one without a fork runs from scratch
+and computes the same thing."""
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
-from repro.campaign.events import EventLog
-from repro.errors import CampaignError
-from repro.fi.tools import TOOL_CLASSES, RefineTool
-from repro.snapshot import SnapshotStats, resolve_interval
-from repro.snapshot.engine import AUTO_SNAPSHOT_DENSITY, MIN_AUTO_INTERVAL
+from repro.campaign.io import experiment_event_fields
+from repro.campaign.runner import make_tool
+from repro.campaign.schedule import (
+    MIN_SYNC_INTERVAL,
+    SYNC_DENSITY,
+    GoldenTimeline,
+    TriggerScheduler,
+)
+from repro.fi.tools import TOOL_CLASSES
 from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
-def ep_source():
-    return get_workload("EP").source
+def ep_tool():
+    return make_tool("REFINE", get_workload("EP").source, "EP")
 
 
 class TestIntervalResolution:
-    def test_explicit_interval_wins(self):
-        assert resolve_interval(5000, 1_000_000) == 5000
-
     def test_auto_scales_with_golden_steps(self):
         steps = 1_000_000
-        assert resolve_interval(0, steps) == steps // AUTO_SNAPSHOT_DENSITY
+        assert GoldenTimeline.auto_interval(steps) == steps // SYNC_DENSITY
 
     def test_auto_floor_for_tiny_workloads(self):
-        assert resolve_interval(0, 100) == MIN_AUTO_INTERVAL
+        assert GoldenTimeline.auto_interval(100) == MIN_SYNC_INTERVAL
 
-    def test_negative_interval_rejected(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        with pytest.raises(CampaignError):
-            tool.enable_snapshots(interval=-1)
-
-
-class TestStats:
-    def test_hit_rate(self):
-        stats = SnapshotStats(hits=3, misses=1)
-        assert stats.hit_rate == 0.75
-        assert SnapshotStats().hit_rate == 0.0
-
-    def test_as_dict_round_trips_fields(self):
-        stats = SnapshotStats(hits=2, misses=1, instructions_skipped=100)
-        d = stats.as_dict()
-        assert d["hits"] == 2 and d["hit_rate"] == round(2 / 3, 4)
-        assert d["instructions_skipped"] == 100
+    def test_recorded_timeline_uses_the_auto_rule(self, ep_tool):
+        tool = ep_tool
+        sched = TriggerScheduler(tool)
+        list(sched.run_batch(1, range(4)))
+        timeline = sched._timeline
+        steps = tool.profile.steps
+        assert timeline.interval == GoldenTimeline.auto_interval(steps)
+        assert sorted(timeline.sync_states) == list(
+            range(0, steps, timeline.interval)
+        )
 
 
 class TestEngine:
-    def test_enable_disable(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        assert tool.snapshots is None
-        engine = tool.enable_snapshots(interval=5000)
-        assert tool.snapshots is engine
-        tool.disable_snapshots()
-        assert tool.snapshots is None
+    def test_hits_skip_golden_prefix(self, ep_tool):
+        sched = TriggerScheduler(ep_tool)
+        records = list(sched.run_batch(1, range(4)))
+        assert all(rec.snapshot_hit for rec in records)
+        assert sched.stats.fork_hits == 4 and sched.stats.scratch == 0
+        assert sched.stats.prefix_steps_saved > 0
 
-    def test_all_misses_when_interval_exceeds_program(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        scratch = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=10**9)
-        runs = [tool.inject(s) for s in range(3)]
-        stats = tool.snapshots.stats
-        assert stats.misses == 3 and stats.hits == 0
-        assert stats.snapshots == 0
-        for s, run in enumerate(runs):
-            ref = scratch.inject(s)
-            assert run.result.output == ref.result.output
-            assert run.result.steps == ref.result.steps
+    def test_missing_fork_falls_back_to_scratch(self, ep_tool, monkeypatch):
+        """The scheduler's safety net: a trigger the cursor never forked is
+        run from instruction 0 instead — slower, same record."""
+        forked = {
+            rec.index: experiment_event_fields(rec)
+            for rec in TriggerScheduler(ep_tool).run_batch(1, range(4))
+        }
+        sched = TriggerScheduler(ep_tool)
+        advance = sched._advance_cursor
 
-    def test_hits_skip_golden_prefix(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=2000)
-        for s in range(4):
-            tool.inject(s)
-        stats = tool.snapshots.stats
-        assert stats.hits > 0
-        assert stats.instructions_skipped > 0
-        assert stats.interval == 2000
+        def lose_the_forks():
+            advance()
+            sched._forks.clear()
 
-    def test_golden_recorded_once_per_engine(self, ep_source):
-        tool = RefineTool(ep_source, workload="EP")
-        engine = tool.enable_snapshots(interval=5000)
-        assert engine.golden() is engine.golden()
-
-    def test_store_shared_between_engines(self, ep_source, tmp_path):
-        first = RefineTool(ep_source, workload="EP")
-        first.enable_snapshots(interval=5000, store_dir=tmp_path)
-        first.inject(0)
-        assert first.snapshots.stats.golden_reused is False
-
-        second = RefineTool(ep_source, workload="EP")
-        second.enable_snapshots(interval=5000, store_dir=tmp_path)
-        second.inject(0)
-        assert second.snapshots.stats.golden_reused is True
-
-    def test_events_emitted(self, ep_source):
-        stream = io.StringIO()
-        events = EventLog(stream=stream)
-        tool = RefineTool(ep_source, workload="EP")
-        tool.enable_snapshots(interval=5000, events=events)
-        tool.inject(0)
-        names = [
-            line.split('"event": "')[1].split('"')[0]
-            for line in stream.getvalue().splitlines()
-        ]
-        assert "snapshot_golden" in names
+        monkeypatch.setattr(sched, "_advance_cursor", lose_the_forks)
+        scratch = {
+            rec.index: experiment_event_fields(rec)
+            for rec in sched.run_batch(1, range(4))
+        }
+        assert sched.stats.scratch == 4 and sched.stats.fork_hits == 0
+        assert all(fields.pop("snapshot_hit") for fields in forked.values())
+        assert not any(fields.pop("snapshot_hit") for fields in scratch.values())
+        assert scratch == forked
 
     @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
     def test_every_tool_has_a_counter(self, tool_name):

@@ -1,23 +1,24 @@
-"""Equivalence sweep: snapshot campaigns are bit-identical to from-scratch.
+"""Tails forked off golden-run snapshots are bit-identical to from-scratch.
 
-The correctness bar of the subsystem (and the property the paper's speed
-numbers silently assume): enabling ``--snapshot-interval`` may change *how
-fast* a campaign runs, never *what* it computes.  Tier-1 covers two
-workloads cell by cell, record by record; ``-m slow`` runs the full matrix
-and a LocalCluster with concurrent workers sharing one store.
+Every experiment of a production campaign resumes from a
+:class:`~repro.snapshot.CpuSnapshot` of the golden run instead of
+re-executing the fault-free prefix.  That may change *how fast* a campaign
+runs, never *what* it computes: cell by cell, record by record, the result
+equals the reference campaign's, whose every run starts at instruction 0
+(on the interpreter loop, in index order).  The full workload matrix runs
+under ``-m slow`` in ``tests/campaign/test_schedule.py``.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.campaign import run_campaign, run_matrix
+from repro.campaign import run_campaign
 from repro.campaign.parallel import run_campaign_parallel
 from repro.campaign.runner import make_tool
 from repro.fi.tools import TOOL_ORDER
-from repro.workloads import get_workload, workload_names
+from repro.testing import reference_campaign
+from repro.workloads import get_workload
 
 WORKLOADS = ("EP", "DC")
 N = 8
@@ -48,80 +49,22 @@ def assert_records_identical(a, b, context=""):
 @pytest.mark.parametrize("tool_name", TOOL_ORDER)
 def test_sequential_snapshot_equals_scratch(workload, tool_name):
     source = _source(workload)
-    scratch = make_tool(tool_name, source, workload)
-    snapped = make_tool(tool_name, source, workload, snapshot_interval=0)
-    ref = run_campaign(scratch, N, keep_records=True)
-    out = run_campaign(snapped, N, keep_records=True)
+    ref = reference_campaign(tool_name, source, workload, N)
+    out = run_campaign(
+        make_tool(tool_name, source, workload), N, keep_records=True
+    )
     assert_records_identical(ref, out, f"{workload}/{tool_name}")
-    stats = snapped.snapshots.stats
-    assert stats.hits + stats.misses == N
-    assert stats.hits > 0  # auto interval must actually serve runs
+    # every tail was served from a fork, none re-ran the prefix
+    assert all(rec.snapshot_hit for rec in out.records)
+    assert not any(rec.snapshot_hit for rec in ref.records)
 
 
-def test_parallel_snapshot_equals_scratch(tmp_path):
+def test_parallel_snapshot_equals_scratch():
     workload, tool_name = "EP", "REFINE"
     source = _source(workload)
-    ref = run_campaign(make_tool(tool_name, source, workload), N,
-                       keep_records=True)
+    ref = reference_campaign(tool_name, source, workload, N)
     out = run_campaign_parallel(
         tool_name, source, workload, N, workers=2, keep_records=True,
-        snapshot_interval=0, snapshot_dir=tmp_path / "snaps",
         chunk_size=2,
     )
     assert_records_identical(ref, out, "parallel EP/REFINE")
-    assert (tmp_path / "snaps").is_dir()
-
-
-def test_matrix_snapshot_dir_defaults_under_checkpoints(tmp_path):
-    source = _source("EP")
-    ref = run_matrix({"EP": source}, ["REFINE"], N, keep_records=True)
-    out = run_matrix(
-        {"EP": source}, ["REFINE"], N, keep_records=True,
-        snapshot_interval=0, checkpoint_dir=tmp_path,
-    )
-    assert_records_identical(
-        ref[("EP", "REFINE")], out[("EP", "REFINE")], "matrix EP/REFINE"
-    )
-    assert (tmp_path / "snapshots").is_dir()
-
-
-@pytest.mark.slow
-def test_full_matrix_snapshot_equals_scratch():
-    sources = {w: _source(w) for w in workload_names()}
-    ref = run_matrix(sources, TOOL_ORDER, 24, keep_records=True)
-    out = run_matrix(sources, TOOL_ORDER, 24, keep_records=True,
-                     snapshot_interval=0)
-    for key in ref:
-        assert_records_identical(ref[key], out[key], str(key))
-
-
-@pytest.mark.slow
-def test_local_cluster_shares_one_golden_run(tmp_path):
-    """Concurrent dist workers race on the store; the campaign result must
-    match a local run and the store must hold exactly one chain per cell
-    with no lock or temp debris."""
-    from repro.dist import CampaignSpec
-    from repro.dist.local import LocalCluster
-
-    source = _source("EP")
-    ref = run_matrix({"EP": source}, ["REFINE", "PINFI"], 16)
-    snap_dir = tmp_path / "snaps"
-    specs = [
-        CampaignSpec(workload="EP", source=source, tool_name=t, n=16,
-                     snapshot_interval=0)
-        for t in ("REFINE", "PINFI")
-    ]
-    with LocalCluster(specs, workers=3, chunk_size=3,
-                      snapshot_dir=snap_dir) as cluster:
-        results = cluster.results(timeout=300)
-    for key, res in results.items():
-        assert res.counts == ref[key].counts, key
-        assert res.total_steps == ref[key].total_steps, key
-    # The fast engine keeps its decoded-translation cache alongside the
-    # snapshot cells; only fingerprint directories count as cells.
-    cells = [c for c in os.listdir(snap_dir) if c != "decoded"]
-    assert len(cells) == 2  # one fingerprint per (binary, tool)
-    for cell in cells:
-        names = os.listdir(snap_dir / cell)
-        assert not [n for n in names if n.endswith(".lock") or ".tmp." in n]
-        assert sum(1 for n in names if n.endswith(".snap")) == 1

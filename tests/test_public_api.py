@@ -5,7 +5,9 @@ Guards against refactors silently breaking the documented public surface
 (docs/api.md).
 """
 
+import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -19,6 +21,11 @@ PACKAGES = [
     "repro.fi",
     "repro.campaign",
     "repro.snapshot",
+    "repro.engine",
+    "repro.testing",
+    "repro.dist",
+    "repro.service",
+    "repro.resultsdb",
     "repro.stats",
     "repro.reporting",
     "repro.workloads",
@@ -81,3 +88,84 @@ def test_public_modules_have_docstrings_on_public_functions():
         stats.compare_tools,
     ):
         assert obj.__doc__ and obj.__doc__.strip(), obj
+
+
+#: Every name that used to select how a campaign executes.  The path is no
+#: longer a choice, so none may survive as a parameter or field of anything
+#: public ...
+REMOVED_KNOBS = {
+    "engine", "schedule", "snapshot_interval", "snapshot_dir", "store_dir",
+    "coarse", "use_snapshots", "cache_dir",
+}
+#: ... except where one labels what a stored record or row came from (the
+#: persisted formats keep their shape), which nothing can set to choose a path.
+PROVENANCE_FIELDS = {
+    ("ExperimentRecord", "engine"), ("RunOutcome", "engine"),
+    ("CampaignInfo", "schedule"),
+}
+REMOVED_FLAGS = (
+    "--engine", "--schedule", "--snapshot-interval", "--no-snapshot",
+    "--snapshot-dir", "--check-engines", "--check-schedules",
+)
+REMOVED_NAMES = (
+    "SnapshotEngine", "SnapshotStore", "SnapshotStats", "ReferenceEngine",
+    "get_engine", "ENGINE_NAMES", "SCHEDULES", "validate_schedule",
+    "resolve_interval", "check_workload_snapshot_equivalence",
+    "check_workload_engine_equivalence",
+    "check_workload_scheduler_equivalence",
+)
+
+
+def _parameters(obj):
+    try:
+        return set(inspect.signature(obj).parameters)
+    except (TypeError, ValueError):
+        return set()
+
+
+def _knobs_of(name, obj):
+    """``(owner, parameter-or-field)`` pairs of one public object."""
+    found = {(name, p) for p in _parameters(obj)}
+    if inspect.isclass(obj):
+        if dataclasses.is_dataclass(obj):
+            found |= {(name, f.name) for f in dataclasses.fields(obj)}
+        for attr, member in vars(obj).items():
+            if not attr.startswith("_") and callable(member):
+                found |= {(f"{name}.{attr}", p) for p in _parameters(member)}
+    return found
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_no_execution_path_knob_survives(package):
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        survivors = {
+            pair for pair in _knobs_of(name, getattr(module, name))
+            if pair[1] in REMOVED_KNOBS and pair not in PROVENANCE_FIELDS
+        }
+        assert not survivors, f"{package}: {sorted(survivors)}"
+    if package != "repro.testing":  # the oracle is reachable only there
+        assert not set(REMOVED_NAMES) & set(module.__all__)
+
+
+def test_slice_task_and_worker_lost_their_knobs():
+    from repro.campaign.parallel import SliceTask
+    from repro.dist import LocalCluster, Worker
+
+    for name, obj in (
+        ("SliceTask", SliceTask), ("Worker", Worker),
+        ("LocalCluster", LocalCluster),
+    ):
+        survivors = {p for _, p in _knobs_of(name, obj)} & REMOVED_KNOBS
+        assert not survivors, f"{name}: {sorted(survivors)}"
+
+
+def test_no_cli_offers_a_removed_flag(capsys):
+    from repro import cli
+
+    for main in (cli.campaign_main, cli.worker_main, cli.fuzz_main,
+                 cli.report_main):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        text = capsys.readouterr().out
+        assert not [flag for flag in REMOVED_FLAGS if flag in text]

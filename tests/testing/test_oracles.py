@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.fi.config import FIConfig
@@ -12,6 +14,7 @@ from repro.testing.oracles import (
     InterpOracle,
     PipelineOracle,
     ZeroInterferenceOracle,
+    check_workload_equivalence,
     check_workload_zero_interference,
     compiled_outcome,
     interp_outcome,
@@ -126,6 +129,78 @@ class TestDivergenceDetection:
         divergence = ZeroInterferenceOracle().check(module)
         assert divergence is not None
         assert divergence.oracle == "zero"
+
+
+class TestCampaignDivergenceDetection:
+    """``check_workload_equivalence`` is the one referee between production
+    campaigns and the oracle, so it must be shown to bite: a fault planted
+    in each production-only mechanism yields a divergence that names the
+    cell, the experiment and the field.  (That an unplanted tree passes the
+    same check is ``tests/campaign/test_schedule.py``'s business.)"""
+
+    CELL = re.compile(
+        r"EP/(LLFI|REFINE|PINFI): production campaign \((whole|sharded)\) "
+        r"diverged from the reference campaign at experiment \d+, "
+        r"field '(\w+)'"
+    )
+
+    def _caught(self, field, how=None):
+        divergence = check_workload_equivalence("EP", n=12)
+        assert divergence is not None
+        assert divergence.oracle == "campaign"
+        match = self.CELL.search(divergence.detail)
+        assert match, divergence.detail
+        assert match[3] == field
+        assert how is None or match[2] == how
+        assert divergence.seed is not None
+
+    def test_splice_dropping_a_golden_line_is_caught(self, monkeypatch):
+        from repro.campaign.schedule import TriggerScheduler
+
+        real = TriggerScheduler._splice
+
+        def lossy(self, cpu, ref):
+            result = real(self, cpu, ref)
+            if len(result.output) > len(cpu.output):
+                result.output.pop()
+            return result
+
+        monkeypatch.setattr(TriggerScheduler, "_splice", lossy)
+        self._caught("outcome")
+
+    def test_window_starting_one_state_late_is_caught(self, monkeypatch):
+        from bisect import bisect_left
+
+        from repro.campaign.schedule import GoldenTimeline
+
+        def late(self, trigger):
+            i = min(bisect_left(self.reaches, trigger), len(self.reaches) - 1)
+            return self.sync_states[i * self.interval]
+
+        monkeypatch.setattr(GoldenTimeline, "start_below", late)
+        # only a lease replaying a window asks where to start
+        self._caught("outcome", how="sharded")
+
+    def test_block_emitter_skewing_a_flag_is_caught(self, monkeypatch):
+        from collections import OrderedDict
+
+        import repro.engine.blocks as blocks
+        from repro.engine.cache import GLOBAL_CACHE
+
+        real = blocks.emit_instr
+
+        def never_overflows(lines, pc, t, program):
+            start = len(lines)
+            real(lines, pc, t, program)
+            lines[start:] = [
+                "    pass" if line == "    fl |= 2048" else line
+                for line in lines[start:]
+            ]
+
+        monkeypatch.setattr(blocks, "emit_instr", never_overflows)
+        # translate afresh, and leave no skewed translation behind
+        monkeypatch.setattr(GLOBAL_CACHE, "_mem", OrderedDict())
+        self._caught("steps")
 
 
 class TestZeroInterference:
