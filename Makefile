@@ -3,7 +3,7 @@
 PY ?= python3
 SAMPLES ?= 60
 
-.PHONY: install test test-fast bench bench-paper campaign results-tables examples clean
+.PHONY: install test test-fast bench bench-paper campaign results-tables examples loc clean
 
 install:
 	pip install -e .
@@ -32,6 +32,10 @@ examples:
 	@for f in examples/*.py; do \
 	  echo "== $$f"; REPRO_SAMPLES=50 $(PY) $$f || exit 1; \
 	done
+
+# Line counts per package (src/repro, tests, perfbench): what CHANGES.md quotes.
+loc:
+	$(PY) scripts/loc.py
 
 # results/bench_artifacts/ holds the tracked paper tables: not build debris.
 clean:

@@ -9,6 +9,12 @@ from repro.campaign.analysis import (
     by_operand_kind,
     render_sensitivity,
 )
+from repro.campaign.cell import (
+    DEFAULT_SEED,
+    CampaignCell,
+    CampaignSpec,
+    make_tool,
+)
 from repro.campaign.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
     CampaignCheckpoint,
@@ -25,15 +31,19 @@ from repro.campaign.io import (
     result_to_dict,
     save_matrix,
 )
-from repro.campaign.parallel import run_campaign_parallel
+from repro.campaign.parallel import (
+    run_campaign_parallel,
+    run_cell_parallel,
+    run_slice,
+)
 from repro.campaign.results import CampaignResult, ExperimentRecord
 from repro.campaign.runner import (
-    DEFAULT_SEED,
     PAPER_SAMPLES,
-    make_tool,
     matrix_checkpoint_path,
     replay,
     run_campaign,
+    run_cell,
+    run_cells,
     run_experiment,
     run_matrix,
 )
@@ -51,6 +61,8 @@ __all__ = [
     "by_function",
     "by_operand_kind",
     "render_sensitivity",
+    "CampaignCell",
+    "CampaignSpec",
     "DEFAULT_CHECKPOINT_EVERY",
     "CampaignCheckpoint",
     "load_checkpoint",
@@ -65,6 +77,8 @@ __all__ = [
     "result_to_dict",
     "save_matrix",
     "run_campaign_parallel",
+    "run_cell_parallel",
+    "run_slice",
     "OUTCOME_ORDER",
     "Outcome",
     "classify",
@@ -76,6 +90,8 @@ __all__ = [
     "matrix_checkpoint_path",
     "replay",
     "run_campaign",
+    "run_cell",
+    "run_cells",
     "run_experiment",
     "run_matrix",
     "PhaseTimes",

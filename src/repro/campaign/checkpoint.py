@@ -19,7 +19,12 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.campaign.io import result_from_dict, result_to_dict
+from repro.campaign.io import (
+    decode_indices,
+    encode_indices,
+    result_from_dict,
+    result_to_dict,
+)
 from repro.campaign.results import CampaignResult
 from repro.errors import CampaignError
 
@@ -43,6 +48,11 @@ class CampaignCheckpoint:
     #: fault-model spec the campaign runs under; pre-model checkpoints
     #: deserialize to the single-bit default.
     fault_model: str = "single-bit"
+    #: the cell ledger's exact running sum behind ``partial.total_cycles``
+    #: (non-overlapping floats that add up to it without rounding), so a
+    #: resumed cell keeps summing exactly; ``None`` in files written before
+    #: the ledger, which resume from the rounded total.
+    cycle_partials: list[float] | None = None
 
     @property
     def remaining(self) -> list[int]:
@@ -69,37 +79,21 @@ class CampaignCheckpoint:
                 )
 
 
-def _encode_indices(indices: set[int]) -> list[list[int]]:
-    """Run-length encode a sparse index set as ``[start, stop)`` ranges —
-    a 1068-experiment checkpoint stays a few bytes, not a few kilobytes."""
-    ranges: list[list[int]] = []
-    for i in sorted(indices):
-        if ranges and ranges[-1][1] == i:
-            ranges[-1][1] = i + 1
-        else:
-            ranges.append([i, i + 1])
-    return ranges
-
-
-def _decode_indices(ranges: list[list[int]]) -> set[int]:
-    out: set[int] = set()
-    for start, stop in ranges:
-        out.update(range(start, stop))
-    return out
-
-
 def checkpoint_to_dict(ckpt: CampaignCheckpoint) -> dict:
-    return {
+    data = {
         "version": CHECKPOINT_VERSION,
         "workload": ckpt.workload,
         "tool": ckpt.tool,
         "n": ckpt.n,
         "base_seed": ckpt.base_seed,
         "keep_records": ckpt.keep_records,
-        "completed": _encode_indices(ckpt.completed),
+        "completed": encode_indices(sorted(ckpt.completed)),
         "partial": None if ckpt.partial is None else result_to_dict(ckpt.partial),
         "fault_model": ckpt.fault_model,
     }
+    if ckpt.cycle_partials is not None:
+        data["cycle_partials"] = ckpt.cycle_partials
+    return data
 
 
 def checkpoint_from_dict(data: dict) -> CampaignCheckpoint:
@@ -109,15 +103,19 @@ def checkpoint_from_dict(data: dict) -> CampaignCheckpoint:
         )
     try:
         partial = data["partial"]
+        cycles = data.get("cycle_partials")
         return CampaignCheckpoint(
             workload=data["workload"],
             tool=data["tool"],
             n=data["n"],
             base_seed=data["base_seed"],
             keep_records=data["keep_records"],
-            completed=_decode_indices(data["completed"]),
+            completed=set(decode_indices(data["completed"], data["n"])),
             partial=None if partial is None else result_from_dict(partial),
             fault_model=data.get("fault_model", "single-bit"),
+            cycle_partials=(
+                None if cycles is None else [float(c) for c in cycles]
+            ),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CampaignError(f"malformed checkpoint: {exc}") from exc

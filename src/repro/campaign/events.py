@@ -34,7 +34,7 @@ event                     extra fields
                           plus the fault-model fields ``model``, ``bits``,
                           ``address`` and ``dwell``).
                           The sequential runner adds ``wall_s``; the
-                          parallel runner re-emits these per chunk (tagged
+                          parallel runner emits these per chunk (tagged
                           ``chunk``), the distributed coordinator per task
                           (tagged ``task``, ``worker``) — consumers counting
                           experiments must pick one family.  This is the

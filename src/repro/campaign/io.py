@@ -110,12 +110,44 @@ def _fault_from_dict(data: dict | None) -> FaultRecord | None:
     )
 
 
+def encode_indices(indices: Iterable[int]) -> list[list[int]]:
+    """Run-length encode experiment indices, in the order given, as
+    ``[start, stop)`` ranges.  The one index code of checkpoint files and
+    lease frames: a thousand contiguous experiments are a few bytes."""
+    ranges: list[list[int]] = []
+    for i in indices:
+        if ranges and ranges[-1][1] == i:
+            ranges[-1][1] = i + 1
+        else:
+            ranges.append([i, i + 1])
+    return ranges
+
+
+def decode_indices(ranges: list[list[int]], n: int) -> tuple[int, ...]:
+    """Inverse of :func:`encode_indices` for a cell of ``n`` experiments.
+
+    The ranges come from a file or a peer, so each is checked *before* it
+    is materialised: one that runs backwards, leaves ``[0, n)`` or takes
+    the total past ``n`` raises :class:`ValueError`, which the caller
+    reports as its own malformed-input error.
+    """
+    out: list[int] = []
+    for start, stop in ranges:
+        if not 0 <= start <= stop <= n or len(out) + stop - start > n:
+            raise ValueError(
+                f"index range [{start}, {stop}) does not fit a cell of "
+                f"{n} experiments"
+            )
+        out.extend(range(start, stop))
+    return tuple(out)
+
+
 def experiment_event_fields(record: ExperimentRecord) -> dict:
     """The ``experiment`` telemetry event's per-record payload.
 
-    One definition shared by the sequential runner, the parallel runner and
-    the distributed coordinator, so every execution mode writes the same
-    event schema and :mod:`repro.resultsdb` can ingest any stream.
+    One definition, emitted from one place (the cell ledger,
+    :mod:`repro.campaign.cell`), so every executor writes the same event
+    schema and :mod:`repro.resultsdb` can ingest any stream.
     """
     return {
         "index": record.index,

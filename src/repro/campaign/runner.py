@@ -19,53 +19,23 @@ from __future__ import annotations
 
 import re
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from repro.campaign.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    CampaignCheckpoint,
-    save_checkpoint,
-    try_load_checkpoint,
-)
-from repro.campaign.classify import Outcome, classify
+from repro.campaign.cell import DEFAULT_SEED, CampaignCell, CampaignSpec
+from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
+from repro.campaign.classify import classify
 from repro.campaign.events import EventLog
-from repro.campaign.io import experiment_event_fields
+from repro.campaign.parallel import run_cell_parallel
 from repro.campaign.results import CampaignResult, ExperimentRecord
-from repro.campaign.schedule import SCHEDULE, PhaseTimes, TriggerScheduler
-from repro.errors import CampaignError
+from repro.campaign.schedule import PhaseTimes, TriggerScheduler
 from repro.fi.config import FIConfig
-from repro.fi.tools import FITool, TOOL_CLASSES
+from repro.fi.tools import FITool
 from repro.utils.rng import derive_seed
 
 #: The paper's sample count (Leveugle et al.: <=3% error at 95% confidence).
 PAPER_SAMPLES = 1068
-
-#: Default base seed for campaigns.
-DEFAULT_SEED = 0x5EED0EF1
-
-
-def make_tool(
-    tool_name: str,
-    source: str,
-    workload: str,
-    config: FIConfig | None = None,
-    opt_level: str = "O2",
-    opcode_faults: float = 0.0,
-    fault_model: str | None = None,
-) -> FITool:
-    """Build a configured tool.  ``fault_model`` is a :mod:`repro.fi.models`
-    spec (``None`` = the paper's single-bit default)."""
-    try:
-        cls = TOOL_CLASSES[tool_name]
-    except KeyError:
-        raise CampaignError(
-            f"unknown tool {tool_name!r}; choose from {sorted(TOOL_CLASSES)}"
-        ) from None
-    return cls(
-        source, workload, config=config, opt_level=opt_level,
-        opcode_faults=opcode_faults, fault_model=fault_model,
-    )
 
 
 def run_experiment(
@@ -103,19 +73,6 @@ def run_experiment(
     )
 
 
-def _fresh_result(tool: FITool, n: int) -> CampaignResult:
-    profile = tool.profile  # compiles + profiles on first access
-    return CampaignResult(
-        workload=tool.workload,
-        tool=tool.name,
-        n=n,
-        counts={o: 0 for o in Outcome},
-        golden_output=profile.golden_output,
-        total_candidates=profile.total_candidates,
-        fault_model=tool.fault_model.spec,
-    )
-
-
 def run_campaign(
     tool: FITool,
     n: int,
@@ -139,121 +96,54 @@ def run_campaign(
     :mod:`repro.campaign.schedule`); checkpoints track the completed-index
     *set*, and kept records are returned sorted by index.
     """
-    if n <= 0:
-        raise CampaignError("campaign needs n >= 1 experiments")
-    if checkpoint_every <= 0:
-        raise CampaignError("checkpoint_every must be positive")
-    profile = tool.profile
-
-    completed: set[int] = set()
-    result = _fresh_result(tool, n)
-    ckpt = try_load_checkpoint(checkpoint_path)
-    if ckpt is not None:
-        ckpt.matches(
-            tool.workload, tool.name, n, base_seed, keep_records,
-            fault_model=tool.fault_model.spec,
-        )
-        completed = set(ckpt.completed)
-        if ckpt.partial is not None:
-            if ckpt.partial.golden_output != profile.golden_output:
-                raise CampaignError(
-                    "checkpoint golden output differs from the current "
-                    "program — was the workload source changed?"
-                )
-            if ckpt.partial.total_candidates != profile.total_candidates:
-                raise CampaignError(
-                    "checkpoint total_candidates differ from the current "
-                    "program — was the FIConfig changed?"
-                )
-            result = ckpt.partial
-
-    if events is not None:
-        events.emit(
-            "campaign_start", workload=tool.workload, tool=tool.name, n=n,
-            base_seed=base_seed, resumed=len(completed),
-            resumed_counts={o.value: k for o, k in result.counts.items()},
-            fault_model=tool.fault_model.spec,
-        )
-
-    def _save() -> None:
-        save_checkpoint(
-            CampaignCheckpoint(
-                workload=tool.workload,
-                tool=tool.name,
-                n=n,
-                base_seed=base_seed,
-                keep_records=keep_records,
-                completed=set(completed),
-                partial=result,
-                fault_model=tool.fault_model.spec,
-            ),
-            checkpoint_path,
-        )
-        if events is not None:
-            events.emit(
-                "checkpoint", path=str(checkpoint_path),
-                completed=len(completed), n=n,
-            )
-
-    scheduler = TriggerScheduler(tool, events=events)
-    records = scheduler.run_batch(
-        base_seed, [i for i in range(n) if i not in completed]
+    return run_cell(
+        CampaignSpec.for_tool(tool, n, base_seed, keep_records), tool,
+        progress=progress, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every, events=events,
     )
 
-    started = time.monotonic()
-    since_checkpoint = 0
+
+def run_cell(
+    spec: CampaignSpec,
+    tool: FITool | None = None,
+    *,
+    progress: Callable[[int, int], None] | None = None,
+    checkpoint_path: str | Path | None = None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    events: EventLog | None = None,
+) -> CampaignResult:
+    """The inline executor: run what is left of one cell in this process,
+    streaming the scheduler's records into the cell ledger
+    (:class:`~repro.campaign.cell.CampaignCell`, which owns resume,
+    telemetry and checkpoints).  ``tool`` is the spec's tool if the caller
+    has already built it."""
+    cell = CampaignCell(
+        spec, tool, checkpoint_path=checkpoint_path,
+        checkpoint_every=checkpoint_every,
+        emit=None if events is None else events.emit,
+    )
+    cell.start()
+    scheduler = TriggerScheduler(cell.tool, events=events)
+    started = t0 = time.monotonic()
     try:
-        while True:
-            t0 = time.monotonic()
-            try:
-                record = next(records)
-            except StopIteration:
-                break
-            result.add(record, keep_records)
-            completed.add(record.index)
-            since_checkpoint += 1
-            if events is not None:
-                events.emit(
-                    "experiment", workload=tool.workload, tool=tool.name,
-                    wall_s=time.monotonic() - t0,
-                    **experiment_event_fields(record),
-                )
-            if (
-                checkpoint_path is not None
-                and since_checkpoint >= checkpoint_every
-            ):
-                _save()
-                since_checkpoint = 0
+        for record in scheduler.run_batch(spec.base_seed, cell.remaining):
+            cell.add(record, wall_s=time.monotonic() - t0)
+            cell.save_if_due()
             if progress is not None:
-                progress(len(completed), n)
+                progress(len(cell.completed), spec.n)
+            t0 = time.monotonic()
     except BaseException:
         # Interrupted (e.g. SIGINT): persist what we have so the campaign
         # resumes without losing a single completed experiment.
-        if checkpoint_path is not None:
-            _save()
+        cell.save()
         raise
-    if checkpoint_path is not None and since_checkpoint:
-        _save()
-    if keep_records:
-        # Experiments complete in trigger order; the persisted log is
-        # canonical in global order.
-        result.records.sort(key=lambda r: r.index)
-
+    cell.phases.accumulate(scheduler.phases.as_dict())
+    cell.scheduler.accumulate(scheduler.stats.as_dict())
     wall = time.monotonic() - started
-    if events is not None:
-        events.emit(
-            "campaign_finish", workload=tool.workload, tool=tool.name,
-            counts={o.value: result.frequency(o) for o in Outcome},
-            total_cycles=result.total_cycles, total_steps=result.total_steps,
-            total_candidates=result.total_candidates,
-            golden_output=list(result.golden_output),
-            wall_s=wall,
-            experiments_per_sec=(len(completed) / wall) if wall > 0 else 0.0,
-            schedule=SCHEDULE, phases=scheduler.phases.as_dict(),
-            fault_model=tool.fault_model.spec,
-            scheduler=scheduler.stats.as_dict(),
-        )
-    return result
+    return cell.finish(
+        wall_s=wall,
+        experiments_per_sec=(len(cell.completed) / wall) if wall > 0 else 0.0,
+    )
 
 
 def _slug(name: str) -> str:
@@ -292,36 +182,52 @@ def run_matrix(
     finished ones.  ``workers > 1`` runs each cell with the multi-process
     runner (identical results, any worker count).
     """
-    results: dict[tuple[str, str], CampaignResult] = {}
-    for workload, source in sources.items():
-        for tool_name in tool_names:
-            cb = None
-            if progress is not None:
-                cb = lambda i, total, w=workload, t=tool_name: progress(w, t, i, total)
-            ckpt_path = None
-            if checkpoint_dir is not None:
-                ckpt_path = matrix_checkpoint_path(checkpoint_dir, workload, tool_name)
-            if workers > 1:
-                from repro.campaign.parallel import run_campaign_parallel
+    config = config or FIConfig()
+    return run_cells(
+        [
+            CampaignSpec(
+                workload=workload, source=source, tool_name=tool_name, n=n,
+                base_seed=base_seed, keep_records=keep_records,
+                opt_level=opt_level, fi_enabled=config.enabled,
+                fi_funcs=config.funcs, fi_instrs=config.instrs,
+                fault_model=fault_model,
+            )
+            for workload, source in sources.items()
+            for tool_name in tool_names
+        ],
+        workers, progress=progress, checkpoint_dir=checkpoint_dir,
+        checkpoint_every=checkpoint_every, events=events,
+    )
 
-                results[(workload, tool_name)] = run_campaign_parallel(
-                    tool_name, source, workload, n, workers=workers,
-                    base_seed=base_seed, config=config, opt_level=opt_level,
-                    keep_records=keep_records, progress=cb,
-                    checkpoint_path=ckpt_path,
-                    checkpoint_every=checkpoint_every, events=events,
-                    fault_model=fault_model,
-                )
-            else:
-                tool = make_tool(
-                    tool_name, source, workload, config, opt_level,
-                    fault_model=fault_model,
-                )
-                results[(workload, tool_name)] = run_campaign(
-                    tool, n, base_seed, keep_records=keep_records,
-                    progress=cb, checkpoint_path=ckpt_path,
-                    checkpoint_every=checkpoint_every, events=events,
-                )
+
+def run_cells(
+    specs: Iterable[CampaignSpec],
+    workers: int = 1,
+    *,
+    progress: Callable[[str, str, int, int], None] | None = None,
+    checkpoint_dir: str | Path | None = None,
+    checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
+    events: EventLog | None = None,
+) -> dict[tuple[str, str], CampaignResult]:
+    """Run each spec's cell in turn — inline, or over a ``workers``-process
+    pool when ``workers > 1`` — and return the result matrix.  What
+    :func:`run_matrix` does once it has its specs."""
+    results: dict[tuple[str, str], CampaignResult] = {}
+    for spec in specs:
+        cb = ckpt_path = None
+        if progress is not None:
+            cb = lambda i, total, s=spec: progress(
+                s.workload, s.tool_name, i, total
+            )
+        if checkpoint_dir is not None:
+            ckpt_path = matrix_checkpoint_path(
+                checkpoint_dir, spec.workload, spec.tool_name
+            )
+        run = partial(run_cell_parallel, workers=workers) if workers > 1 else run_cell
+        results[spec.key] = run(
+            spec, progress=cb, checkpoint_path=ckpt_path,
+            checkpoint_every=checkpoint_every, events=events,
+        )
     return results
 
 

@@ -160,8 +160,9 @@ def resolve_trigger_order(
 ) -> list[tuple[int, int]]:
     """``(trigger, index)`` pairs for a batch, sorted by ``(trigger, index)``.
 
-    Shared by the scheduler, the parallel runner's chunker and the dist
-    coordinator's sharder, so every layer agrees on the timeline order.
+    Shared by the scheduler and the cell ledger's sharder
+    (:meth:`repro.campaign.cell.CampaignCell.shards`: pool chunks, leases),
+    so every layer agrees on the timeline order.
     """
     pairs = []
     for index in indices:

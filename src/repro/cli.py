@@ -30,9 +30,11 @@ from repro.backend import compile_minic, format_function
 from repro.backend.compiler import CompileOptions
 from repro.campaign import (
     DEFAULT_CHECKPOINT_EVERY,
+    CampaignSpec,
     CampaignStats,
     EventLog,
     Outcome,
+    run_cells,
     run_matrix,
     save_matrix,
 )
@@ -354,8 +356,17 @@ def campaign_main(argv: list[str] | None = None) -> int:
         print(f"refine-campaign: error: {exc}", file=sys.stderr)
         return 2
 
+    # The campaign, said once: what every cell's spec — and a submitted
+    # request, which names its workloads instead of carrying them — shares.
+    campaign = {
+        "n": args.samples, "base_seed": args.seed,
+        "keep_records": args.keep_records, "fi_funcs": args.fi_funcs,
+        "fi_instrs": args.fi_instrs, "fault_model": args.fault_model,
+    }
     if args.submit is not None:
-        return _submit_to_service(args, sources, tools)
+        return _submit_to_service(
+            args, {"workloads": list(sources), "tools": tools, **campaign}
+        )
 
     try:
         moe = margin_of_error(args.samples)
@@ -377,18 +388,22 @@ def campaign_main(argv: list[str] | None = None) -> int:
         sink = DatabaseSink(db, source="refine-campaign")
     telemetry = _LiveTelemetry(path=args.events, quiet=args.quiet, sink=sink)
     try:
+        specs = [
+            CampaignSpec(
+                workload=workload, source=source, tool_name=tool_name,
+                **campaign,
+            )
+            for workload, source in sources.items()
+            for tool_name in tools
+        ]
         if args.dist is not None:
-            matrix = _serve_distributed(args, sources, tools, telemetry)
+            matrix = _serve_distributed(args, specs, telemetry)
         else:
-            matrix = run_matrix(
-                sources, tools, args.samples, args.seed,
-                config=_config_from_args(args),
-                keep_records=args.keep_records,
-                workers=args.workers,
+            matrix = run_cells(
+                specs, args.workers,
                 checkpoint_dir=args.checkpoint_dir,
                 checkpoint_every=args.checkpoint_every,
                 events=telemetry,
-                fault_model=args.fault_model,
             )
         if db is not None:
             # The sink streamed every experiment; fill in the metadata the
@@ -415,22 +430,11 @@ def campaign_main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _serve_distributed(args, sources, tools, telemetry):
+def _serve_distributed(args, specs, telemetry):
     """Coordinator mode for ``refine-campaign --dist HOST:PORT``."""
-    from repro.dist import CampaignSpec, Coordinator, parse_address
+    from repro.dist import Coordinator, parse_address
 
     host, port = parse_address(args.dist)
-    specs = [
-        CampaignSpec(
-            workload=workload, source=source, tool_name=tool_name,
-            n=args.samples, base_seed=args.seed,
-            keep_records=args.keep_records,
-            fi_funcs=args.fi_funcs, fi_instrs=args.fi_instrs,
-            fault_model=args.fault_model,
-        )
-        for workload, source in sources.items()
-        for tool_name in tools
-    ]
     coordinator = Coordinator(
         specs, host=host, port=port,
         lease_timeout=args.lease_timeout,
@@ -454,7 +458,7 @@ def _serve_distributed(args, sources, tools, telemetry):
         coordinator.stop()
 
 
-def _submit_to_service(args, sources, tools) -> int:
+def _submit_to_service(args, request: dict) -> int:
     """``refine-campaign --submit HOST:PORT [--watch]``: enqueue the
     campaign on a running refine-service instead of executing it here."""
     from repro.campaign.io import result_from_dict
@@ -467,12 +471,6 @@ def _submit_to_service(args, sources, tools) -> int:
     except DistError as exc:
         print(f"refine-campaign: error: {exc}", file=sys.stderr)
         return 2
-    request = {
-        "workloads": list(sources), "tools": tools, "n": args.samples,
-        "base_seed": args.seed, "keep_records": args.keep_records,
-        "fi_funcs": args.fi_funcs, "fi_instrs": args.fi_instrs,
-        "fault_model": args.fault_model,
-    }
     client = ServiceClient(host, port)
     try:
         cid = client.submit(

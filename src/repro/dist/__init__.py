@@ -14,13 +14,13 @@ See ``docs/api.md`` for the lifecycle and wire-protocol reference, and
 :class:`LocalCluster` for an in-process harness.
 """
 
+from repro.campaign.cell import shard_indices
 from repro.dist.client import CoordinatorClient, parse_address
 from repro.dist.coordinator import (
     DEFAULT_LEASE_TIMEOUT,
     DEFAULT_MAX_ATTEMPTS,
     Coordinator,
     backoff_delay,
-    shard_indices,
 )
 from repro.dist.local import LocalCluster
 from repro.dist.protocol import (

@@ -21,14 +21,20 @@ the :mod:`repro.dist.protocol` wire format.  The delivery model:
 * **At-least-once + exact dedup = exactly-once results.**  A slow worker
   whose lease expired may still finish and submit; because every
   experiment's seed is a pure function of its global index, that duplicate
-  part is provably bit-identical to the accepted one and is dropped by
-  index-set deduplication.  The merged campaign therefore equals a
-  sequential run exactly, regardless of how chaotically tasks were
-  re-leased.
-* **Durability.** Completed ranges flow into the PR-1 checkpoint layer
-  (:mod:`repro.campaign.checkpoint`): a killed coordinator restarted with
-  the same ``checkpoint_dir`` re-shards only the indices that never
-  completed.
+  part is provably bit-identical to the accepted one and is dropped.  The
+  campaign therefore equals a sequential run exactly, regardless of how
+  chaotically tasks were re-leased.
+* **The books are the cell's.**  Everything per-cell that is not delivery
+  — resume, part validation, the running result, ``experiment`` events,
+  checkpoints, the finish event — is one
+  :class:`~repro.campaign.cell.CampaignCell` per cell, the ledger the
+  inline and pool runners keep too; this module is the lease table and
+  the transport around it.
+* **Durability.** Each accepted part is folded into its cell's running
+  result, which the cell checkpoints every ``checkpoint_every``
+  experiments, once more when it finishes if anything is unsaved, and on
+  ``stop``: a killed coordinator restarted with the same
+  ``checkpoint_dir`` re-shards only the indices that never completed.
 * **Observability.** Worker joins, leases, requeues and completions are
   emitted through :mod:`repro.campaign.events`, so the JSONL log (and the
   CLI's live progress line) shows per-worker throughput.
@@ -40,37 +46,17 @@ import heapq
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    CampaignCheckpoint,
-    save_checkpoint,
-    try_load_checkpoint,
-)
+from repro.campaign.cell import CampaignCell, CampaignSpec
+from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.campaign.classify import Outcome
 from repro.campaign.events import EventLog
-from repro.campaign.io import (
-    experiment_event_fields,
-    merge_results,
-    result_from_dict,
-)
+from repro.campaign.io import encode_indices, result_from_dict
 from repro.campaign.results import CampaignResult
-from repro.campaign.parallel import make_slice_context
 from repro.campaign.runner import matrix_checkpoint_path
-from repro.campaign.schedule import (
-    SCHEDULE,
-    PhaseTimes,
-    resolve_trigger_order,
-)
-from repro.dist.protocol import (
-    PROTOCOL_VERSION,
-    CampaignSpec,
-    encode_indices,
-    recv_message,
-    send_message,
-)
+from repro.dist.protocol import PROTOCOL_VERSION, recv_message, send_message
 from repro.errors import CampaignError, DistConnectionError, DistError
 
 #: Lease lifetime without a heartbeat before a task is requeued.
@@ -97,36 +83,6 @@ def backoff_delay(attempt: int, base: float = 0.5, cap: float = 30.0) -> float:
     return min(cap, base * (2.0 ** (attempt - 1)))
 
 
-def shard_indices(
-    remaining: list[int], chunk_size: int
-) -> list[tuple[int, ...]]:
-    """Partition outstanding experiment indices into index-range tasks."""
-    if chunk_size <= 0:
-        raise DistError("chunk_size must be positive")
-    return [
-        tuple(remaining[lo:lo + chunk_size])
-        for lo in range(0, len(remaining), chunk_size)
-    ]
-
-
-def trigger_order_indices(
-    spec: CampaignSpec, remaining: list[int]
-) -> list[int]:
-    """Re-order a cell's outstanding indices along the golden timeline.
-
-    Builds the cell's tool once in the coordinator (compile + profile —
-    triggers are pure functions of the seeds) so that contiguous shards of
-    the returned list are **contiguous trigger ranges**: each leased task
-    hands its worker one compact window of the golden run to sweep with a
-    single cursor.  A spec whose tool cannot be built or profiled fails
-    here, not as a worker traceback after the first lease.
-    """
-    tool, _ = make_slice_context(spec.slice_task(()))
-    return [
-        i for _, i in resolve_trigger_order(tool, spec.base_seed, remaining)
-    ]
-
-
 @dataclass
 class _Task:
     """One leasable unit of work: an index range of one campaign cell."""
@@ -139,22 +95,6 @@ class _Task:
     state: str = "pending"  # pending | leased | done
     worker: str | None = None
     deadline: float = 0.0
-
-
-@dataclass
-class _Cell:
-    """Mutable per-(workload, tool) campaign state."""
-
-    spec: CampaignSpec
-    ckpt_path: Path | None
-    completed: set[int] = field(default_factory=set)
-    prior: CampaignResult | None = None
-    prior_indices: tuple[int, ...] = ()
-    parts: dict[int, CampaignResult] = field(default_factory=dict)
-    since_checkpoint: int = 0
-    result: CampaignResult | None = None
-    phases: PhaseTimes = field(default_factory=PhaseTimes)
-    scheduler_totals: dict[str, int] = field(default_factory=dict)
 
 
 class Coordinator:
@@ -189,13 +129,8 @@ class Coordinator:
         events: EventLog | None = None,
         allow_empty: bool = False,
     ) -> None:
-        if isinstance(specs, CampaignSpec):
-            specs = [specs]
         if not specs and not allow_empty:
             raise DistError("coordinator needs at least one campaign spec")
-        keys = [spec.key for spec in specs]
-        if len(set(keys)) != len(keys):
-            raise DistError("duplicate (workload, tool) campaign specs")
         if lease_timeout <= 0:
             raise DistError("lease_timeout must be positive")
         if checkpoint_every <= 0:
@@ -216,13 +151,16 @@ class Coordinator:
         self._backoff_cap = backoff_cap
         self._checkpoint_every = checkpoint_every
         self._events = events
+        #: what must be durable before any cell's checkpoint is published
+        #: (the cell's ``before_save`` seam; the service fills it)
+        self._before_save = None
 
         self._lock = threading.Lock()
         #: notified whenever what a blocked thread waits for may have
         #: changed: work became leasable (held ``request``s), the run
         #: finished, failed or is shutting down (``wait``, held requests)
         self._changed = threading.Condition(self._lock)
-        self._cells: dict[tuple[str, str], _Cell] = {}
+        self._cells: dict[tuple[str, str], CampaignCell] = {}
         self._tasks: dict[int, _Task] = {}
         self._pending: list[tuple[float, int]] = []  # (not_before, task_id)
         self._workers: dict[str, dict] = {}
@@ -245,10 +183,7 @@ class Coordinator:
         self._accept_thread: threading.Thread | None = None
         self._conns: set[socket.socket] = set()
 
-        for spec in specs:
-            cell, remaining = self._prepare_cell(spec, checkpoint_dir)
-            with self._lock:
-                self._install_cell(cell, remaining)
+        self.add_cells(specs, checkpoint_dir)
 
     # ------------------------------------------------------------------ API
 
@@ -274,24 +209,7 @@ class Coordinator:
                 lease_timeout_s=self._lease_timeout,
             )
             for cell in self._cells.values():
-                spec = cell.spec
-                self._emit(
-                    "cell_start", workload=spec.workload, tool=spec.tool_name,
-                    n=spec.n, base_seed=spec.base_seed,
-                    fault_model=spec.fault_model,
-                    resumed=len(cell.completed),
-                    resumed_counts={} if cell.prior is None else {
-                        o.value: k for o, k in cell.prior.counts.items()
-                    },
-                )
-                if len(cell.completed) == spec.n:
-                    # Resumed an already-finished cell: nothing to serve.
-                    if cell.prior is None:
-                        raise CampaignError(
-                            "checkpoint claims completion but holds no "
-                            "partial result"
-                        )
-                    self._finish_cell(cell)
+                self._announce(cell)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="refine-coordinator", daemon=True
         )
@@ -338,22 +256,26 @@ class Coordinator:
     def stop(self, drain_timeout: float = 5.0) -> None:
         """Shut the server down, persisting every unfinished cell's
         checkpoint so a restarted coordinator resumes where this one died."""
-        # After a clean finish, give connected workers a moment to collect
-        # their final ``done`` before the sockets vanish; an abort (error or
-        # unfinished campaign) cuts them off immediately instead.
+        # After a clean finish, or a drain that left nothing leased, every
+        # peer has its answer coming — workers their final ``done``, the
+        # client that asked for the drain its ``ok`` — so give them a moment
+        # to collect it and hang up before the sockets vanish; an abort
+        # (error, unfinished campaign, leases still out) cuts them off
+        # immediately instead.
         with self._lock:
-            finished = (
+            idle = (
                 self._error is None
-                and len(self._results) == len(self._cells)
                 and not self._stopped
+                and (self._drained or len(self._results) == len(self._cells))
+                and not any(t.state == "leased" for t in self._tasks.values())
             )
-            if finished:
+            if idle:
                 # Nothing is in flight: from here on idle workers (held or
                 # polling) are answered ``done``, whether or not this
                 # coordinator ever considers its campaign finished.
                 self._draining = True
                 self._changed.notify_all()
-        if finished:
+        if idle:
             deadline = time.monotonic() + drain_timeout
             while time.monotonic() < deadline:
                 with self._lock:
@@ -365,8 +287,7 @@ class Coordinator:
                 return
             self._stopped = True
             for cell in self._cells.values():
-                if cell.result is None and cell.ckpt_path is not None:
-                    self._save_cell(cell)
+                cell.save()
             self._changed.notify_all()
             conns = list(self._conns)
         for conn in conns:
@@ -419,48 +340,59 @@ class Coordinator:
         specs: CampaignSpec | list[CampaignSpec],
         checkpoint_dir: str | Path | None = None,
     ) -> list[tuple[str, str]]:
-        """Admit new campaign cells into a live coordinator (service mode).
+        """Admit campaign cells — at construction, or into a live
+        coordinator (service mode).
 
-        Cells resume from ``checkpoint_dir`` exactly like construction-time
-        cells; checkpoint loading and trigger-order resolution (which
-        compiles the cell's tool) happen *before* the coordinator lock is
-        taken so admission never stalls the worker data plane.  Raises
-        :class:`DistError` if any key is already being served.
+        Each cell is opened from its checkpoint in ``checkpoint_dir`` (a
+        checkpoint of another campaign or another program raises
+        :class:`CampaignError` here, before anything is leased) and what is
+        left of it is cut into trigger-ordered tasks.  Opening and ordering
+        compile the cell's tool, so both happen *before* the coordinator
+        lock is taken: admission never stalls the worker data plane.
+        Raises :class:`DistError` if any key is already being served.
         """
         if isinstance(specs, CampaignSpec):
             specs = [specs]
         keys = [spec.key for spec in specs]
         if len(set(keys)) != len(keys):
             raise DistError("duplicate (workload, tool) campaign specs")
-        with self._lock:
-            taken = [k for k in keys if k in self._cells]
-            if taken:
-                raise DistError(f"cells already being served: {taken}")
-        prepared = [
-            self._prepare_cell(spec, checkpoint_dir) for spec in specs
-        ]
+        opened = []
+        for spec in specs:
+            cell = CampaignCell(
+                spec,
+                checkpoint_path=None if checkpoint_dir is None
+                else matrix_checkpoint_path(
+                    checkpoint_dir, spec.workload, spec.tool_name
+                ),
+                checkpoint_every=self._checkpoint_every,
+                emit=self._emit, event_names=("cell_start", "cell_finish"),
+                before_save=self._before_save,
+            )
+            size = self._chunk_size or max(
+                1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
+            )
+            opened.append((cell, cell.shards(size)))
         with self._lock:
             if self._stopped or self._draining:
                 raise DistError("coordinator is shutting down")
-            for cell, remaining in prepared:
-                self._install_cell(cell, remaining)
-                spec = cell.spec
-                self._emit(
-                    "cell_start", workload=spec.workload, tool=spec.tool_name,
-                    n=spec.n, base_seed=spec.base_seed,
-                    fault_model=spec.fault_model,
-                    resumed=len(cell.completed),
-                    resumed_counts={} if cell.prior is None else {
-                        o.value: k for o, k in cell.prior.counts.items()
-                    },
-                )
-                if len(cell.completed) == spec.n:
-                    if cell.prior is None:
-                        raise CampaignError(
-                            "checkpoint claims completion but holds no "
-                            "partial result"
-                        )
-                    self._finish_cell(cell)
+            taken = [k for k in keys if k in self._cells]
+            if taken:
+                raise DistError(f"cells already being served: {taken}")
+            for cell, shards in opened:
+                self._cells[cell.spec.key] = cell
+                self._total += cell.spec.n
+                for indices in shards:
+                    self._tasks[self._next_task] = _Task(
+                        task_id=self._next_task, key=cell.spec.key,
+                        indices=indices,
+                    )
+                    heapq.heappush(self._pending, (0.0, self._next_task))
+                    self._next_task += 1
+                if self._sock is not None:
+                    # Serving already; ``start`` announces the cells it
+                    # finds, after its own ``dist_start``.
+                    self._announce(cell)
+            self._changed.notify_all()
         return keys
 
     def retire_cells(
@@ -477,26 +409,16 @@ class Coordinator:
         """
         out: dict[tuple[str, str], CampaignResult | None] = {}
         with self._lock:
-            for key in keys:
-                cell = self._cells.get(tuple(key))
+            for key in map(tuple, keys):
+                cell = self._cells.pop(key, None)
                 if cell is None:
                     continue
-                if (
-                    cell.result is None
-                    and cell.ckpt_path is not None
-                    and cell.completed
-                ):
-                    self._save_cell(cell)
-                out[cell.spec.key] = (
-                    cell.result if cell.result is not None
-                    else self._merged(cell)
-                )
-                # Only after merging: _merged orders parts via their tasks.
-                del self._cells[cell.spec.key]
-                self._results.pop(cell.spec.key, None)
+                cell.save()
+                out[key] = cell.result if cell.completed else None
+                self._results.pop(key, None)
                 self._total -= cell.spec.n
                 for task_id, task in list(self._tasks.items()):
-                    if task.key == cell.spec.key:
+                    if task.key == key:
                         self._release(task)
                         del self._tasks[task_id]
                         self._retired.add(task_id)
@@ -535,49 +457,18 @@ class Coordinator:
 
     # ----------------------------------------------------------- internals
 
-    def _prepare_cell(
-        self, spec: CampaignSpec, checkpoint_dir: str | Path | None
-    ) -> tuple[_Cell, list[int]]:
-        """Build a cell (checkpoint resume + work-order resolution) without
-        touching shared state — safe outside the lock."""
-        ckpt_path = None
-        if checkpoint_dir is not None:
-            ckpt_path = matrix_checkpoint_path(
-                checkpoint_dir, spec.workload, spec.tool_name
-            )
-        cell = _Cell(spec=spec, ckpt_path=ckpt_path)
-        ckpt = try_load_checkpoint(ckpt_path)
-        if ckpt is not None:
-            ckpt.matches(
-                spec.workload, spec.tool_name, spec.n, spec.base_seed,
-                spec.keep_records, fault_model=spec.fault_model,
-            )
-            cell.completed = set(ckpt.completed)
-            cell.prior = ckpt.partial
-            cell.prior_indices = tuple(sorted(cell.completed))
-        remaining = [i for i in range(spec.n) if i not in cell.completed]
-        if remaining:
-            remaining = trigger_order_indices(spec, remaining)
-        return cell, remaining
+    def _announce(self, cell: CampaignCell) -> None:
+        """Emit a cell's start event (lock held); one resumed already
+        complete finishes on the spot, with nothing to serve."""
+        cell.start()
+        if cell.done:
+            self._finish(cell)
 
-    def _install_cell(self, cell: _Cell, remaining: list[int]) -> None:
-        """Register a prepared cell and shard its tasks (lock held)."""
-        spec = cell.spec
-        if spec.key in self._cells:
-            raise DistError(f"cell {spec.key} already being served")
-        self._cells[spec.key] = cell
-        self._total += spec.n
-        size = self._chunk_size or max(
-            1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
-        )
-        for indices in shard_indices(remaining, size):
-            task = _Task(
-                task_id=self._next_task, key=spec.key, indices=indices
-            )
-            self._tasks[self._next_task] = task
-            heapq.heappush(self._pending, (0.0, self._next_task))
-            self._next_task += 1
-        self._changed.notify_all()
+    def _finish(self, cell: CampaignCell) -> None:
+        """A cell's last part is in (lock held): close its books."""
+        self._results[cell.spec.key] = cell.finish()
+        self._on_cell_complete(cell)
+        self._maybe_finish_all()
 
     def _drain_loop(self, grace_s: float) -> None:
         deadline = time.monotonic() + grace_s
@@ -814,78 +705,64 @@ class Coordinator:
                 return {"type": "ok", "duplicate": True}
             return {"type": "error", "message": "result for unknown task"}
         cell = self._cells[task.key]
-        self._release(task)
-        if task.state == "done":
+        spec = cell.spec
+        fresh = False
+        if task.state != "done":
+            try:
+                part = result_from_dict(message["part"])
+            except (CampaignError, KeyError, TypeError, ValueError) as exc:
+                problem = f"malformed part: {exc}"
+                if task.worker == worker:
+                    # The error reply drops this connection; hand the task
+                    # on now rather than when the lease times out.
+                    self._workers[worker]["failures"] += 1
+                    self._requeue(task, reason="failed", detail=problem[:500])
+                return {"type": "error", "message": problem}
+            try:
+                fresh = cell.fold(
+                    task.indices, part, task=task.task_id, worker=worker
+                )
+            except CampaignError as exc:
+                self._fatal(exc)
+                return {"type": "error", "message": str(exc)}
+            self._release(task)
+            task.state = "done"
+        if not fresh:
             # A slow worker finished a task someone else already completed.
             # The duplicate is bit-identical by construction (seeds are pure
             # functions of the global index) — acknowledge and drop it.
             self._emit(
                 "task_done", task=task.task_id, worker=worker,
-                workload=cell.spec.workload, tool=cell.spec.tool_name,
+                workload=spec.workload, tool=spec.tool_name,
                 size=len(task.indices), duplicate=True,
-                completed=len(cell.completed), n=cell.spec.n,
+                completed=len(cell.completed), n=spec.n,
             )
             return {"type": "ok", "duplicate": True}
-        try:
-            part = result_from_dict(message["part"])
-        except (CampaignError, KeyError, TypeError, ValueError) as exc:
-            return {"type": "error", "message": f"malformed part: {exc}"}
-        problem = self._validate_part(cell, task, part, worker)
-        if problem is not None:
-            self._fatal(CampaignError(problem))
-            return {"type": "error", "message": problem}
-        task.state = "done"
-        # One experiment event per accepted record (duplicates never reach
-        # this point, so downstream sinks see each global index once per
-        # stream); strip the records afterwards unless the campaign keeps
-        # them, so checkpoints and merged results honour keep_records.
-        for rec in part.records:
-            self._emit(
-                "experiment", workload=cell.spec.workload,
-                tool=cell.spec.tool_name, task=task.task_id, worker=worker,
-                **experiment_event_fields(rec),
-            )
-        if not cell.spec.keep_records:
-            part.records = []
-        pt = getattr(part, "phase_times", None)
-        if pt is not None:
-            cell.phases.accumulate(pt)
         sched_stats = getattr(part, "scheduler_stats", None)
         if sched_stats is not None:
-            for key, val in sched_stats.items():
-                cell.scheduler_totals[key] = (
-                    cell.scheduler_totals.get(key, 0) + val
-                )
             self._emit(
-                "scheduler_stats", workload=cell.spec.workload,
-                tool=cell.spec.tool_name, task=task.task_id, worker=worker,
+                "scheduler_stats", workload=spec.workload,
+                tool=spec.tool_name, task=task.task_id, worker=worker,
                 **sched_stats,
             )
-        cell.parts[task.task_id] = part
-        cell.completed.update(task.indices)
-        cell.since_checkpoint += len(task.indices)
         info = self._workers.get(worker)
         if info is not None:
             info["experiments"] += len(task.indices)
             info["tasks_done"] += 1
         self._emit(
             "task_done", task=task.task_id, worker=worker,
-            workload=cell.spec.workload, tool=cell.spec.tool_name,
+            workload=spec.workload, tool=spec.tool_name,
             size=len(task.indices), duplicate=False, attempt=task.attempt,
-            completed=len(cell.completed), n=cell.spec.n,
+            completed=len(cell.completed), n=spec.n,
             completed_total=sum(
                 len(c.completed) for c in self._cells.values()
             ),
             total=self._total,
             counts={o.value: part.frequency(o) for o in Outcome},
         )
-        if (
-            cell.ckpt_path is not None
-            and cell.since_checkpoint >= self._checkpoint_every
-        ):
-            self._save_cell(cell)
-        if len(cell.completed) == cell.spec.n:
-            self._finish_cell(cell)
+        cell.save_if_due()
+        if cell.done:
+            self._finish(cell)
         return {"type": "ok", "duplicate": False}
 
     def _handle_failed(self, worker: str, message: dict) -> dict:
@@ -904,42 +781,6 @@ class Coordinator:
                 detail=str(message.get("error", ""))[:500],
             )
         return {"type": "ok"}
-
-    def _validate_part(
-        self, cell: _Cell, task: _Task, part: CampaignResult, worker: str
-    ) -> str | None:
-        """Sanity-check a submitted part; returns a problem description
-        (fatal: a worker disagreeing about the program is corruption)."""
-        spec = cell.spec
-        if (part.workload, part.tool) != (spec.workload, spec.tool_name):
-            return (
-                f"part for {(part.workload, part.tool)} submitted against "
-                f"cell {spec.key}"
-            )
-        if sum(part.counts.values()) != len(task.indices):
-            return (
-                f"part tallies {sum(part.counts.values())} experiments for "
-                f"a {len(task.indices)}-experiment task"
-            )
-        reference = cell.prior or next(iter(cell.parts.values()), None)
-        if reference is not None:
-            if part.golden_output != reference.golden_output:
-                return (
-                    f"worker {worker!r} disagrees about the golden "
-                    f"output of {spec.workload} — non-deterministic build?"
-                )
-            if part.total_candidates != reference.total_candidates:
-                return (
-                    f"worker {worker!r} sees {part.total_candidates} "
-                    f"fault candidates, coordinator has "
-                    f"{reference.total_candidates} — mismatched FIConfig?"
-                )
-        if part.fault_model != spec.fault_model:
-            return (
-                f"worker {worker!r} ran fault model {part.fault_model!r} "
-                f"against a {spec.fault_model!r} cell"
-            )
-        return None
 
     def _release(self, task: _Task) -> None:
         """Drop a task's lease bookkeeping (if any)."""
@@ -990,70 +831,7 @@ class Coordinator:
             if task is not None and task.state == "leased":
                 self._requeue(task, reason="disconnect")
 
-    def _merged(self, cell: _Cell) -> CampaignResult | None:
-        ordered: list[CampaignResult] = []
-        index_sets: list[tuple[int, ...]] = []
-        if cell.prior is not None:
-            ordered.append(cell.prior)
-            index_sets.append(cell.prior_indices)
-        for task_id in sorted(
-            cell.parts, key=lambda t: self._tasks[t].indices[0]
-        ):
-            ordered.append(cell.parts[task_id])
-            index_sets.append(self._tasks[task_id].indices)
-        if not ordered:
-            return None
-        merged = merge_results(ordered, indices=index_sets)
-        merged.n = cell.spec.n  # campaign size, not just what has finished
-        merged.records.sort(key=lambda rec: rec.index)
-        return merged
-
-    def _save_cell(self, cell: _Cell) -> None:
-        spec = cell.spec
-        save_checkpoint(
-            CampaignCheckpoint(
-                workload=spec.workload,
-                tool=spec.tool_name,
-                n=spec.n,
-                base_seed=spec.base_seed,
-                keep_records=spec.keep_records,
-                fault_model=spec.fault_model,
-                completed=set(cell.completed),
-                partial=self._merged(cell),
-            ),
-            cell.ckpt_path,
-        )
-        cell.since_checkpoint = 0
-        self._emit(
-            "checkpoint", path=str(cell.ckpt_path),
-            completed=len(cell.completed), n=spec.n,
-        )
-
-    def _finish_cell(self, cell: _Cell) -> None:
-        spec = cell.spec
-        cell.result = self._merged(cell)
-        self._results[spec.key] = cell.result
-        if cell.ckpt_path is not None:
-            self._save_cell(cell)
-        self._emit(
-            "cell_finish", workload=spec.workload, tool=spec.tool_name,
-            counts={o.value: cell.result.frequency(o) for o in Outcome},
-            total_cycles=cell.result.total_cycles,
-            total_steps=cell.result.total_steps,
-            total_candidates=cell.result.total_candidates,
-            golden_output=list(cell.result.golden_output),
-            schedule=SCHEDULE,
-            fault_model=spec.fault_model,
-            phases=cell.phases.as_dict(),
-            **(
-                {"scheduler": dict(cell.scheduler_totals)}
-                if cell.scheduler_totals else {}
-            ),
-        )
-        self._on_cell_complete(cell)
-        self._maybe_finish_all()
-
-    def _on_cell_complete(self, cell: _Cell) -> None:
+    def _on_cell_complete(self, cell: CampaignCell) -> None:
         """Hook: one cell just produced its final merged result (lock
         held).  The service coordinator uses this to advance its queue."""
 

@@ -58,9 +58,12 @@ client → service
 Control replies are ``ok`` messages carrying the verb's payload
 (``campaign``, ``info``, ``campaigns``, ``result``...) or ``error``.
 
-Experiment indices travel as run-length ``[start, stop)`` ranges (the same
-encoding :mod:`repro.campaign.checkpoint` uses on disk), so a lease for ten
-thousand contiguous experiments is a few bytes, not a few kilobytes.
+Experiment indices travel as run-length ``[start, stop)`` ranges
+(:func:`repro.campaign.io.encode_indices`, the code checkpoints use on
+disk), so a lease for ten thousand contiguous experiments is a few bytes,
+not a few kilobytes; the receiver decodes them against the spec's ``n``.
+The ``spec`` is a :class:`repro.campaign.cell.CampaignSpec`, re-exported
+here with the index code because this is where peers look for the wire.
 """
 
 from __future__ import annotations
@@ -68,13 +71,15 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass, fields
 
-from repro.campaign.parallel import SliceTask
-from repro.campaign.runner import DEFAULT_SEED
+from repro.campaign.cell import CampaignSpec
+from repro.campaign.io import decode_indices, encode_indices
 from repro.errors import DistConnectionError, DistError
-from repro.fi.config import INSTR_CLASSES
-from repro.fi.tools import TOOL_CLASSES
+
+__all__ = [
+    "CONTROL_TYPES", "MAX_MESSAGE_BYTES", "PROTOCOL_VERSION", "CampaignSpec",
+    "decode_indices", "encode_indices", "recv_message", "send_message",
+]
 
 #: Version 2 added the service control plane (``submit``/``status``/
 #: ``list``/``cancel``/``drain``/``fetch``).  The worker-facing data plane
@@ -148,115 +153,3 @@ def recv_message(sock: socket.socket) -> dict | None:
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise DistError("message must be a JSON object with a 'type' string")
     return message
-
-
-def encode_indices(indices: tuple[int, ...] | list[int]) -> list[list[int]]:
-    """Run-length encode sorted indices as ``[start, stop)`` ranges."""
-    ranges: list[list[int]] = []
-    for i in indices:
-        if ranges and ranges[-1][1] == i:
-            ranges[-1][1] = i + 1
-        else:
-            ranges.append([i, i + 1])
-    return ranges
-
-
-def decode_indices(ranges: list[list[int]]) -> tuple[int, ...]:
-    out: list[int] = []
-    for start, stop in ranges:
-        out.extend(range(start, stop))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """One campaign cell's full parameter set — everything a worker needs to
-    reproduce the coordinator's campaign bit-for-bit.
-
-    Identical in content to the sequential/parallel runner's configuration:
-    an experiment is a pure function of ``(base_seed, workload, tool_name,
-    index)``, so any worker handed a spec plus an index range computes
-    exactly what a local run would.
-    """
-
-    workload: str
-    source: str
-    tool_name: str
-    n: int
-    base_seed: int = DEFAULT_SEED
-    keep_records: bool = False
-    opt_level: str = "O2"
-    fi_enabled: bool = True
-    fi_funcs: str = "*"
-    fi_instrs: str = "all"
-    opcode_faults: float = 0.0
-    #: canonical fault-model spec (:mod:`repro.fi.models`); absent in
-    #: messages from older coordinators, defaulting to the paper's model.
-    fault_model: str = "single-bit"
-
-    def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise DistError("campaign spec needs n >= 1 experiments")
-        if self.tool_name not in TOOL_CLASSES:
-            raise DistError(
-                f"unknown tool {self.tool_name!r}; "
-                f"choose from {sorted(TOOL_CLASSES)}"
-            )
-        if self.fi_instrs not in INSTR_CLASSES:
-            raise DistError(
-                f"fi_instrs must be one of {INSTR_CLASSES}, "
-                f"got {self.fi_instrs!r}"
-            )
-        if not 0.0 <= self.opcode_faults <= 1.0:
-            raise DistError("opcode_faults must be a probability")
-        from repro.errors import CampaignError
-        from repro.fi.models import parse_fault_model
-
-        try:
-            parse_fault_model(self.fault_model)
-        except CampaignError as exc:
-            raise DistError(str(exc)) from exc
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """The matrix cell this spec fills."""
-        return (self.workload, self.tool_name)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CampaignSpec":
-        # Defaulted fields may be absent (older coordinators), but the
-        # required ones must be present.  Keys that are no field are dropped
-        # unread: specs written while the execution path was still a choice
-        # name an engine, a schedule and a snapshot interval, and a queue
-        # that holds them must outlive the upgrade.
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        try:
-            return cls(**kwargs)
-        except (KeyError, TypeError) as exc:
-            raise DistError(f"malformed campaign spec: {exc}") from exc
-
-    def slice_task(
-        self,
-        indices: tuple[int, ...],
-        chunk: int = 0,
-    ) -> SliceTask:
-        """The :class:`SliceTask` that runs ``indices`` of this campaign
-        through the shared slice machinery."""
-        return SliceTask(
-            tool_name=self.tool_name,
-            source=self.source,
-            workload=self.workload,
-            opt_level=self.opt_level,
-            fi_enabled=self.fi_enabled,
-            fi_funcs=self.fi_funcs,
-            fi_instrs=self.fi_instrs,
-            base_seed=self.base_seed,
-            indices=tuple(indices),
-            keep_records=self.keep_records,
-            opcode_faults=self.opcode_faults,
-            chunk=chunk,
-            fault_model=self.fault_model,
-        )

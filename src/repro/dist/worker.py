@@ -26,17 +26,17 @@ from concurrent.futures import (
     TimeoutError as FutureTimeout,
     wait as futures_wait,
 )
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
+from repro.campaign.cell import CampaignSpec, shard_indices
+from repro.campaign.io import decode_indices
 from repro.campaign.parallel import (
     SliceContexts,
-    SliceTask,
     merge_slice_parts,
     run_slice,
 )
 from repro.campaign.results import CampaignResult
 from repro.dist.client import CoordinatorClient
-from repro.dist.protocol import CampaignSpec, decode_indices
 from repro.errors import DistConnectionError, DistError
 
 
@@ -172,7 +172,10 @@ class Worker:
                 self._client.close()
                 return True
             spec = CampaignSpec.from_dict(message["spec"])
-            indices = decode_indices(message["indices"])
+            try:
+                indices = decode_indices(message["indices"], spec.n)
+            except (TypeError, ValueError) as exc:
+                raise DistError(f"malformed lease: {exc}") from exc
             future = runner.submit(self._run_task, spec, indices)
             try:
                 part = self._await_heartbeating(future, message["task_id"])
@@ -246,24 +249,18 @@ class Worker:
     def _run_task(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
-        task = spec.slice_task(indices)
         if self._procs > 1 and len(indices) > 1:
-            return self._run_task_pooled(task)
-        return run_slice(task, self._contexts)
+            return self._run_task_pooled(spec, indices)
+        return run_slice(spec, indices, self._contexts)
 
-    def _run_task_pooled(self, task: SliceTask) -> CampaignResult:
+    def _run_task_pooled(
+        self, spec: CampaignSpec, indices: tuple[int, ...]
+    ) -> CampaignResult:
         """Split one task across the local process pool (``-j N``)."""
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self._procs)
-        indices = task.indices
-        step = max(1, -(-len(indices) // self._procs))
-        slices = [
-            indices[lo:lo + step] for lo in range(0, len(indices), step)
-        ]
-        futures = [
-            self._pool.submit(run_slice, replace(task, indices=sub, chunk=ci))
-            for ci, sub in enumerate(slices)
-        ]
+        slices = shard_indices(indices, -(-len(indices) // self._procs))
+        futures = [self._pool.submit(run_slice, spec, sub) for sub in slices]
         futures_wait(futures, return_when=FIRST_EXCEPTION)
         parts = [f.result() for f in futures]  # re-raises the first failure
         return merge_slice_parts(parts, slices)

@@ -85,6 +85,12 @@ class ServiceError(DistError):
     distributed layer — callers catching the dist family catch this too."""
 
 
+class CampaignSpecError(DistError, CampaignError):
+    """An invalid :class:`~repro.campaign.cell.CampaignSpec`.  The spec is
+    at once a local runner's configuration and the distributed wire type,
+    so its one validation is catchable as either family."""
+
+
 class StatsError(ReproError):
     """Invalid statistical computation request."""
 

@@ -24,9 +24,9 @@ directories record progress, and the results database records outcomes —
 all keyed by the experiment's global index.  A service killed with
 ``kill -9`` and restarted recovers the queue (live states fall back to
 ``queued``), re-admits, and resumes each campaign from its checkpoints;
-because the sink is flushed *before* every checkpoint write, the database
-is always at least as current as the checkpoint and re-run indices
-deduplicate to exactly-once rows.
+because the sink is flushed *before* every checkpoint write (the cells'
+``before_save`` seam), the database is always at least as current as the
+checkpoint and re-run indices deduplicate to exactly-once rows.
 
 Control plane: ``submit`` / ``status`` / ``list`` / ``cancel`` /
 ``drain`` / ``fetch`` messages (no hello handshake needed) ride the same
@@ -135,6 +135,7 @@ class ServiceCoordinator(Coordinator):
             else DatabaseSink(self._db, source="service")
         )
         self._sink_error: Exception | None = None
+        self._before_save = self._flush_sink
         self._ckpt_root = (
             None if checkpoint_root is None else Path(checkpoint_root)
         )
@@ -251,18 +252,18 @@ class ServiceCoordinator(Coordinator):
         # Wake the pump promptly: the cell's campaign may be finished.
         self._kick.set()
 
-    def _save_cell(self, cell) -> None:
-        # Flush experiment rows to the database *before* the checkpoint
-        # hits disk, so on-disk checkpoints never run ahead of the DB.  A
-        # crash then loses at most work that will be re-run on resume, and
-        # re-run rows dedup by global index — exactly-once either way.
+    def _flush_sink(self) -> None:
+        """Every cell's ``before_save``: flush experiment rows to the
+        database *before* a checkpoint hits disk, so on-disk checkpoints
+        never run ahead of the DB.  A crash then loses at most work that
+        will be re-run on resume, and re-run rows dedup by global index —
+        exactly-once either way."""
         if self._sink is not None and self._sink_error is None:
             try:
                 self._sink.flush()
                 self._db.commit()
             except ResultsDBError as exc:
                 self._note_sink_error(exc)
-        super()._save_cell(cell)
 
     def _emit(self, event: str, **fields) -> None:
         super()._emit(event, **fields)
@@ -491,19 +492,14 @@ class ServiceCoordinator(Coordinator):
         reply = {"type": "ok", "info": info}
         entry = self._active.get(cid)
         if entry is not None:
-            progress = {}
-            for key in entry["keys"]:
-                cell = self._cells.get(key)
-                if cell is not None:
-                    progress["{}/{}".format(*key)] = {
-                        "completed": len(cell.completed), "n": cell.spec.n,
-                    }
-                elif key in self._results:
-                    n = self._results[key].n
-                    progress["{}/{}".format(*key)] = {
-                        "completed": n, "n": n,
-                    }
-            reply["progress"] = progress
+            # a finished cell stays (complete) until its campaign is retired
+            reply["progress"] = {
+                "{}/{}".format(*key): {
+                    "completed": len(self._cells[key].completed),
+                    "n": self._cells[key].spec.n,
+                }
+                for key in entry["keys"] if key in self._cells
+            }
         if cid in self._finished:
             reply["validation"] = self._finished[cid]["validation"]
         return reply

@@ -26,20 +26,10 @@ import json
 import time
 from pathlib import Path
 
+from repro.campaign.cell import DEFAULT_SEED, CampaignSpec
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import DEFAULT_SEED
-from repro.dist.protocol import CampaignSpec
 from repro.errors import DistError, ServiceError, WorkloadError
 from repro.workloads import workload_sources
-
-#: Request keys copied verbatim onto every populated CampaignSpec.  Any
-#: other key is ignored, never an error: queue rows written while the
-#: execution path was still a choice name an engine, a schedule and a
-#: snapshot interval, and must run after the upgrade.
-_SPEC_KEYS = (
-    "keep_records", "opt_level", "fi_enabled", "fi_funcs", "fi_instrs",
-    "opcode_faults", "fault_model",
-)
 
 
 class WorkloadLifecycle:
@@ -132,22 +122,18 @@ class WorkloadLifecycle:
         """
         self.describe(request)
         sources = self.sources_for(request)
-        extras = {
-            key: request[key] for key in _SPEC_KEYS if key in request
-        }
         specs = []
         for workload in request["workloads"]:
             for tool in request["tools"]:
                 try:
-                    specs.append(CampaignSpec(
-                        workload=workload,
-                        source=sources[workload],
-                        tool_name=tool,
-                        n=request["n"],
-                        base_seed=request.get("base_seed", DEFAULT_SEED),
-                        **extras,
-                    ))
-                except (DistError, TypeError) as exc:
+                    # The request spells the spec's own fields; any other
+                    # key is ignored, never an error (``from_dict``: queue
+                    # rows that name an engine or a schedule must still run).
+                    specs.append(CampaignSpec.from_dict({
+                        **request, "workload": workload,
+                        "source": sources[workload], "tool_name": tool,
+                    }))
+                except DistError as exc:
                     raise ServiceError(
                         f"cannot populate {workload}/{tool}: {exc}"
                     ) from exc

@@ -623,11 +623,10 @@ def check_workload_equivalence(
     later shards replaying only their window.  The divergence names the
     cell, the experiment index and the field.
     """
+    from repro.campaign.cell import CampaignCell, CampaignSpec
     from repro.campaign.io import merge_results
     from repro.campaign.parallel import SliceContexts, run_slice
-    from repro.campaign.runner import make_tool, run_campaign
-    from repro.campaign.schedule import resolve_trigger_order
-    from repro.dist.protocol import CampaignSpec
+    from repro.campaign.runner import run_campaign
     from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
     from repro.testing.reference import reference_campaign
 
@@ -640,23 +639,17 @@ def check_workload_equivalence(
         oracle = reference_campaign(
             tool_name, spec.source, spec.name, n, fault_model=fault_model
         )
-        tool = make_tool(
-            tool_name, spec.source, spec.name, fault_model=fault_model
-        )
-        whole = run_campaign(tool, n, keep_records=True)
-
         lease = CampaignSpec(
             workload=spec.name, source=spec.source, tool_name=tool_name, n=n,
-            keep_records=True, fault_model=tool.fault_model.spec,
+            keep_records=True, fault_model=fault_model,
         )
-        order = [
-            i for _, i in resolve_trigger_order(tool, lease.base_seed, range(n))
-        ]
-        size = -(-n // EQUIVALENCE_SHARDS)
+        tool = lease.make_tool()
+        whole = run_campaign(tool, n, keep_records=True)
+
+        shards = CampaignCell(lease, tool).shards(-(-n // EQUIVALENCE_SHARDS))
         contexts = SliceContexts()
         sharded = merge_results([
-            run_slice(lease.slice_task(order[lo:lo + size]), contexts)
-            for lo in reversed(range(0, n, size))
+            run_slice(lease, shard, contexts) for shard in reversed(shards)
         ])
         sharded.records.sort(key=lambda rec: rec.index)
 

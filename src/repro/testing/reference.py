@@ -11,13 +11,9 @@ golden cursor, no forks, no rejoin.  It is n times slower than
 
 from __future__ import annotations
 
+from repro.campaign.cell import DEFAULT_SEED, _fresh_result, make_tool
 from repro.campaign.results import CampaignResult
-from repro.campaign.runner import (
-    DEFAULT_SEED,
-    _fresh_result,
-    make_tool,
-    run_experiment,
-)
+from repro.campaign.runner import run_experiment
 from repro.machine.cpu import CPU, ExecutionResult
 
 

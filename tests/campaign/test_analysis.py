@@ -11,7 +11,7 @@ from repro.campaign import (
     render_sensitivity,
     run_campaign,
 )
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 from repro.errors import CampaignError
 
 from tests.conftest import DEMO_SOURCE

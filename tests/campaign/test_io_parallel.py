@@ -190,7 +190,7 @@ class TestParallelRunner:
             "REFINE", DEMO_SOURCE, "demo", n=16, workers=3, base_seed=99
         )
         assert parallel.counts == sequential.counts
-        assert parallel.total_cycles == pytest.approx(sequential.total_cycles)
+        assert parallel.total_cycles == sequential.total_cycles
         assert parallel.n == 16
 
     def test_single_worker_path(self):
@@ -310,21 +310,13 @@ class TestMergeDistributedParts:
         )
 
     def test_out_of_order_chunks_equal_sequential(self):
-        from repro.campaign.parallel import SliceTask, run_slice
-        from repro.campaign.runner import DEFAULT_SEED
+        from repro.campaign import CampaignSpec, run_slice
 
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
         seq = run_campaign(tool, n=12, keep_records=True)
         chunks = [tuple(range(8, 12)), tuple(range(0, 4)), tuple(range(4, 8))]
-        parts = [
-            run_slice(SliceTask(
-                tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
-                opt_level="O2", fi_enabled=True, fi_funcs="*",
-                fi_instrs="all", base_seed=DEFAULT_SEED, indices=chunk,
-                keep_records=True, opcode_faults=0.0, chunk=ci,
-            ))
-            for ci, chunk in enumerate(chunks)
-        ]
+        spec = CampaignSpec.for_tool(tool, n=12, keep_records=True)
+        parts = [run_slice(spec, chunk) for chunk in chunks]
         merged = merge_results(parts, indices=chunks)
         merged.records.sort(key=lambda rec: rec.index)
         assert result_to_dict(merged) == result_to_dict(seq)

@@ -9,8 +9,6 @@ index order, every run from instruction 0) exactly.
 
 import functools
 import random
-from dataclasses import replace
-
 import pytest
 
 from repro.campaign import (
@@ -22,7 +20,8 @@ from repro.campaign import (
     run_campaign_parallel,
 )
 from repro.campaign.io import experiment_event_fields, result_to_dict
-from repro.campaign.parallel import SliceContexts, SliceTask, run_slice
+from repro.campaign.cell import CampaignSpec
+from repro.campaign.parallel import SliceContexts, run_slice
 from repro.campaign.schedule import TriggerScheduler
 from repro.fi.models import MODEL_ORDER
 from repro.fi.tools import TOOL_CLASSES
@@ -158,19 +157,14 @@ class TestTimelineReuse:
             assert full_passes == 1, "only the first batch sweeps the whole run"
 
     def test_batch_stats_are_deltas_that_sum_to_the_single_batch(self):
-        task = SliceTask(
-            tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
-            opt_level="O2", fi_enabled=True, fi_funcs="*", fi_instrs="all",
-            base_seed=SEED, indices=tuple(range(N)), keep_records=True,
-            opcode_faults=0.0, chunk=0,
+        spec = CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=N,
+            base_seed=SEED, keep_records=True,
         )
-        single = run_slice(task)
+        single = run_slice(spec, range(N))
         contexts = SliceContexts()
-        tool, _ = contexts.get(task)
-        parts = [
-            run_slice(replace(task, indices=tuple(shard), chunk=ci), contexts)
-            for ci, shard in enumerate(_shards(tool, 5))
-        ]
+        tool, _ = contexts.get(spec)
+        parts = [run_slice(spec, shard, contexts) for shard in _shards(tool, 5)]
         assert len(contexts) == 1
         for key in ("experiments", "fork_hits", "rejoins", "tail_steps_saved",
                     "prefix_steps_saved", "scratch"):
@@ -273,7 +267,7 @@ class TestCheckpointResume:
         completed set an index prefix, its records from-scratch ones — is
         finished in trigger order and still adds up to the oracle."""
         from repro.campaign import CampaignCheckpoint, save_checkpoint
-        from repro.campaign.runner import _fresh_result
+        from repro.campaign.cell import _fresh_result
 
         path = tmp_path / "c.json"
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")

@@ -17,7 +17,7 @@ from repro.dist import (
     send_message,
     shard_indices,
 )
-from repro.dist.coordinator import trigger_order_indices
+from repro.campaign import CampaignCell
 from repro.errors import DistError
 
 from tests.conftest import DEMO_SOURCE
@@ -147,8 +147,8 @@ class TestProtocolConversation:
         spec = CampaignSpec.from_dict(lease["spec"])
         assert spec.key == ("demo", "REFINE")
         # the first lease is the head of the cell's trigger order
-        order = trigger_order_indices(spec, list(range(spec.n)))
-        assert list(decode_indices(lease["indices"])) == order[:4]
+        (order,) = CampaignCell(spec).shards(spec.n)
+        assert decode_indices(lease["indices"], spec.n) == order[:4]
 
     def test_result_for_unknown_task_is_an_error(self, conn):
         send_message(conn, {"type": "hello", "name": None, "procs": 1})

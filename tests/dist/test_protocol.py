@@ -99,11 +99,27 @@ class TestIndexEncoding:
 
     def test_empty(self):
         assert encode_indices(()) == []
-        assert decode_indices([]) == ()
+        assert decode_indices([], 0) == ()
 
     def test_round_trip(self):
         indices = (0, 1, 2, 10, 11, 40)
-        assert decode_indices(encode_indices(indices)) == indices
+        assert decode_indices(encode_indices(indices), 41) == indices
+
+    def test_order_is_kept(self):
+        # leases are trigger-ordered, not sorted
+        assert encode_indices((5, 6, 2, 3, 4)) == [[5, 7], [2, 5]]
+        assert decode_indices([[5, 7], [2, 5]], 8) == (5, 6, 2, 3, 4)
+
+    @pytest.mark.parametrize("ranges", [
+        [[0, 10**12]],        # would be materialised element by element
+        [[5, 3]],             # runs backwards
+        [[-1, 2]],            # starts before the cell
+        [[0, 9]],             # ends past it
+        [[0, 6], [0, 6]],     # more indices than the cell has experiments
+    ])
+    def test_decode_rejects_what_does_not_fit_the_cell(self, ranges):
+        with pytest.raises(ValueError, match="does not fit a cell of 8"):
+            decode_indices(ranges, 8)
 
 
 class TestCampaignSpec:
@@ -127,14 +143,19 @@ class TestCampaignSpec:
         assert self._spec().key == ("demo", "REFINE")
 
     def test_slice_task_carries_all_parameters(self):
-        spec = self._spec(keep_records=True)
-        task = spec.slice_task((2, 3, 4), chunk=1)
-        assert task.indices == (2, 3, 4)
-        assert task.chunk == 1
-        assert task.tool_name == "REFINE"
-        assert task.workload == "demo"
-        assert task.base_seed == spec.base_seed
-        assert task.keep_records is True
+        # A slice is (spec, indices): the part comes back for exactly those
+        # experiments of exactly that campaign.
+        from repro.campaign import run_slice
+        from repro.utils.rng import derive_seed
+
+        spec = self._spec(keep_records=True, base_seed=99)
+        part = run_slice(spec, (2, 3, 4))
+        assert sorted(rec.index for rec in part.records) == [2, 3, 4]
+        assert (part.workload, part.tool) == ("demo", "REFINE")
+        assert {rec.seed for rec in part.records} == {
+            derive_seed(spec.base_seed, "demo", "REFINE", i) for i in (2, 3, 4)
+        }
+        assert spec.make_tool().name == "REFINE"
 
     @pytest.mark.parametrize(
         "overrides",
@@ -148,6 +169,29 @@ class TestCampaignSpec:
     def test_invalid_spec_raises(self, overrides):
         with pytest.raises(DistError):
             self._spec(**overrides)
+
+    def test_invalid_spec_is_catchable_as_either_family(self):
+        # the spec configures local runners and travels the wire
+        from repro.errors import CampaignError
+
+        for family in (CampaignError, DistError):
+            with pytest.raises(family, match="unknown tool"):
+                self._spec(tool_name="NOPE")
+
+    def test_valid_means_the_tool_can_be_built(self):
+        # what used to surface only when a worker built the tool
+        with pytest.raises(DistError, match="instruction encoding"):
+            self._spec(tool_name="LLFI", opcode_faults=0.1)
+        with pytest.raises(DistError, match="unknown fault model"):
+            self._spec(fault_model="cosmic-ray")
+
+    def test_fault_model_is_held_canonical(self):
+        # workers report the canonical spelling; a spec that kept the
+        # user's would see its own parts as another model's
+        spec = self._spec(fault_model="stuck-at:value=1,dwell=5")
+        assert spec.fault_model == "stuck-at:dwell=5"
+        assert spec.fault_model == spec.make_tool().fault_model.spec
+        assert CampaignSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_missing_field_raises(self):
         data = self._spec().to_dict()

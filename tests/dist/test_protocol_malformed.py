@@ -11,10 +11,12 @@ afterwards.  Framing-layer unit tests (socketpair, no server) live in
 import json
 import socket
 import struct
+import time
 
 import pytest
 
-from repro.dist import CampaignSpec, Coordinator
+from repro.campaign import EventLog, read_events
+from repro.dist import CampaignSpec, Coordinator, LocalCluster
 from repro.dist.protocol import (
     MAX_MESSAGE_BYTES,
     recv_message,
@@ -163,6 +165,47 @@ class TestMalformedMessages:
             reply = recv_message(sock)
         assert reply["type"] == "error"
         _assert_alive(coordinator)
+
+
+class TestMalformedPartRequeue:
+    def test_malformed_part_requeues_its_task_at_once(self, tmp_path):
+        """The error reply drops the sender's connection, so its task must
+        be handed on then — not when the 30 s lease runs out."""
+        spec = CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=4
+        )
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events:
+            with LocalCluster(
+                spec, workers=0, chunk_size=4, lease_timeout=30.0,
+                backoff_base=0.01, events=events,
+            ) as cluster:
+                with _connect(cluster.address) as sock:
+                    send_message(
+                        sock, {"type": "hello", "name": "sloppy", "procs": 1}
+                    )
+                    recv_message(sock)
+                    send_message(sock, {"type": "request"})
+                    lease = recv_message(sock)
+                    assert lease["type"] == "lease"
+                    send_message(sock, {
+                        "type": "result", "task_id": lease["task_id"],
+                        "part": {"n": "not-a-result"},
+                    })
+                    reply = recv_message(sock)
+                    assert reply["type"] == "error"
+                    assert "malformed part" in reply["message"]
+                started = time.monotonic()
+                cluster.start_worker(name="healthy")
+                results = cluster.results(timeout=20.0)
+                assert time.monotonic() - started < 10.0
+        assert sum(results[("demo", "REFINE")].counts.values()) == 4
+        requeues = [
+            (e["task"], e["worker"], e["reason"], e["attempt"])
+            for e in read_events(log) if e["event"] == "task_requeue"
+        ]
+        # once, by the result handler; the disconnect finds nothing leased
+        assert requeues == [(lease["task_id"], "sloppy", "failed", 1)]
 
 
 class TestMalformedControl:

@@ -1,8 +1,11 @@
 """The worker's bounded context cache (tier-1: no coordinator needed —
 ``Worker._run_task`` is driven directly)."""
 
+import pytest
+
 from repro.campaign.parallel import CONTEXT_CAPACITY
-from repro.dist import CampaignSpec, Worker
+from repro.dist import CampaignSpec, Worker, WorkerStats
+from repro.errors import DistError
 
 from tests.conftest import DEMO_SOURCE
 
@@ -20,12 +23,12 @@ class TestContextCache:
         worker = Worker("127.0.0.1", 1)
         first = _spec()
         worker._run_task(first, (0, 1))
-        tool, scheduler = worker._contexts.get(first.slice_task(()))
+        tool, scheduler = worker._contexts.get(first)
         # another campaign size, another seed: same binary, same timeline
         other = _spec(n=200, base_seed=1234)
         part = worker._run_task(other, (5, 150))
         assert len(worker._contexts) == 1
-        assert worker._contexts.get(other.slice_task(())) == (tool, scheduler)
+        assert worker._contexts.get(other) == (tool, scheduler)
         assert part.scheduler_stats["cursor_steps"] < tool.profile.steps
         # what determines the binary or its fault plans does not
         worker._run_task(_spec(fault_model="multi-bit"), (0,))
@@ -43,3 +46,16 @@ class TestContextCache:
         newest = _spec(workload=f"demo{CONTEXT_CAPACITY + 2}")
         part = worker._run_task(newest, (2, 3))
         assert part.scheduler_stats["sync_states"] == 0
+
+
+def test_lease_with_indices_outside_the_cell_is_malformed():
+    """A lease is input from a peer: ``[[0, 10**12]]`` is refused against
+    the spec's ``n`` before a single index is materialised."""
+    worker = Worker("127.0.0.1", 1)
+    lease = {
+        "type": "lease", "task_id": 0, "attempt": 0,
+        "spec": _spec().to_dict(), "indices": [[0, 10**12]],
+    }
+    worker._client.request_task = lambda: lease
+    with pytest.raises(DistError, match="malformed lease.*does not fit"):
+        worker._serve(WorkerStats(name="w"), runner=None)

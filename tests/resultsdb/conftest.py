@@ -9,7 +9,7 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.events import EventLog
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 
 from tests.conftest import DEMO_SOURCE
 

@@ -14,7 +14,8 @@ from repro.campaign.classify import Outcome
 from repro.campaign.io import merge_results, result_to_dict, save_matrix
 from repro.campaign.parallel import run_campaign_parallel
 from repro.campaign.events import EventLog
-from repro.campaign.runner import DEFAULT_SEED, make_tool
+from repro.campaign import make_tool
+from repro.campaign.runner import DEFAULT_SEED
 from repro.errors import ResultsDBError
 from repro.resultsdb import (
     DatabaseSink,
@@ -174,20 +175,16 @@ class TestResultImport:
         # The backfill contract: importing the parts of a sliced campaign
         # tallies exactly what merge_results computes from the same parts
         # — including dropping a duplicate (requeued) part.
-        from repro.campaign.parallel import SliceTask, run_slice
+        from repro.campaign import CampaignSpec, run_slice
 
         n = 12
         slices = [tuple(range(0, 6)), tuple(range(6, n)),
                   tuple(range(6, n))]  # the last is a duplicate delivery
-        parts = [
-            run_slice(SliceTask(
-                tool_name="REFINE", source=DEMO_SOURCE, workload="demo",
-                opt_level="O2", fi_enabled=True, fi_funcs="*", fi_instrs="all",
-                base_seed=DEFAULT_SEED, indices=ix, keep_records=True,
-                opcode_faults=0.0, chunk=i,
-            ))
-            for i, ix in enumerate(slices)
-        ]
+        spec = CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=n,
+            keep_records=True,
+        )
+        parts = [run_slice(spec, ix) for ix in slices]
         merged = merge_results(parts, indices=slices)
         with ResultsDB() as db:
             # Each part lands on the same campaign row (same identity) and

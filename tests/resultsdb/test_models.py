@@ -9,7 +9,7 @@ import sqlite3
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 from repro.errors import ResultsDBError
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.ingest import ingest_result

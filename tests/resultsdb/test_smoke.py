@@ -19,7 +19,7 @@ from repro.campaign import run_campaign
 from repro.campaign.events import EventLog
 from repro.campaign.io import load_matrix, result_to_dict
 from repro.campaign.parallel import run_slice
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 from repro.cli import campaign_main
 from repro.dist import (
     CampaignSpec,
@@ -111,10 +111,9 @@ class TestDistributedWriteThrough:
                     slow = CoordinatorClient(*cluster.address, name="slow")
                     slow.connect()
                     lease = slow.request_task()
+                    leased = CampaignSpec.from_dict(lease["spec"])
                     part = run_slice(
-                        CampaignSpec.from_dict(lease["spec"]).slice_task(
-                            decode_indices(lease["indices"])
-                        )
+                        leased, decode_indices(lease["indices"], leased.n)
                     )
                     cluster.start_worker(name="healthy")
                     results = cluster.results(timeout=120)

@@ -36,7 +36,7 @@ def test_old_spec_dict_loads_and_runs_like_a_fresh_one():
     old = CampaignSpec.from_dict({**fresh.to_dict(), **OLD_KNOBS})
     assert old == fresh
     assert not set(OLD_KNOBS) & set(old.to_dict())
-    part = run_slice(old.slice_task(tuple(range(N))))
+    part = run_slice(old, range(N))
     assert sorted(rec.index for rec in part.records) == list(range(N))
     assert {rec.engine for rec in part.records} == {"fast"}
 

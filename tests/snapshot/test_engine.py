@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.io import experiment_event_fields
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 from repro.campaign.schedule import (
     MIN_SYNC_INTERVAL,
     SYNC_DENSITY,

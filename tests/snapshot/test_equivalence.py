@@ -15,7 +15,7 @@ import pytest
 
 from repro.campaign import run_campaign
 from repro.campaign.parallel import run_campaign_parallel
-from repro.campaign.runner import make_tool
+from repro.campaign import make_tool
 from repro.fi.tools import TOOL_ORDER
 from repro.testing import reference_campaign
 from repro.workloads import get_workload

@@ -149,12 +149,13 @@ def test_no_execution_path_knob_survives(package):
 
 
 def test_slice_task_and_worker_lost_their_knobs():
-    from repro.campaign.parallel import SliceTask
+    # what a slice is made of today: the spec, and the function it goes to
+    from repro.campaign import CampaignSpec, run_slice
     from repro.dist import LocalCluster, Worker
 
     for name, obj in (
-        ("SliceTask", SliceTask), ("Worker", Worker),
-        ("LocalCluster", LocalCluster),
+        ("CampaignSpec", CampaignSpec), ("run_slice", run_slice),
+        ("Worker", Worker), ("LocalCluster", LocalCluster),
     ):
         survivors = {p for _, p in _knobs_of(name, obj)} & REMOVED_KNOBS
         assert not survivors, f"{name}: {sorted(survivors)}"
@@ -169,3 +170,56 @@ def test_no_cli_offers_a_removed_flag(capsys):
             main(["--help"])
         text = capsys.readouterr().out
         assert not [flag for flag in REMOVED_FLAGS if flag in text]
+
+
+def test_cell_bookkeeping_has_one_copy():
+    """Open / fold / checkpoint / finish of a campaign cell are written
+    once, in the ledger (``repro.campaign.cell``); the runners and the
+    coordinator call it.  A second call site of any of these names is a
+    second copy of the bookkeeping growing back."""
+    import re
+    from pathlib import Path
+
+    import repro
+    import repro.campaign.parallel
+
+    root = Path(repro.__file__).parent
+    sites: dict[str, dict[str, int]] = {}
+    patterns = {
+        name: re.compile(rf"(?<!def )\b{name}\(")
+        for name in (
+            "save_checkpoint", "CampaignCheckpoint", "try_load_checkpoint",
+            "experiment_event_fields", "merge_results",
+        )
+    }
+    # the start/finish pair is named by the executor, emitted by the cell
+    patterns["start/finish emit"] = re.compile(
+        r'emit\(\s*"(?:campaign|cell)_(?:start|finish)"'
+    )
+    for path in root.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for name, pattern in patterns.items():
+            calls = len(pattern.findall(text))
+            if calls:
+                where = path.relative_to(root).as_posix()
+                sites.setdefault(name, {})[where] = calls
+
+    ledger = {"campaign/checkpoint.py", "campaign/cell.py"}
+    for name in ("save_checkpoint", "CampaignCheckpoint",
+                 "try_load_checkpoint"):
+        assert set(sites[name]) <= ledger, (name, sites[name])
+    assert sites["experiment_event_fields"] == {"campaign/cell.py": 1}
+    assert "start/finish emit" not in sites, sites["start/finish emit"]
+    # merge_results stays public (batch aggregation); inside the package
+    # only a worker's -j N sub-slices and the oracle merge parts
+    assert set(sites["merge_results"]) == {
+        "campaign/parallel.py", "testing/oracles.py"
+    }
+    for gone in ("SliceTask", "make_slice_context"):
+        assert not hasattr(repro.campaign.parallel, gone)
+    from repro.service import ServiceCoordinator
+
+    assert not [
+        name for name in vars(ServiceCoordinator) if "checkpoint" in name
+        or name in ("_save_cell", "_finish_cell")
+    ]
