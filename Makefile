@@ -3,7 +3,7 @@
 PY ?= python3
 SAMPLES ?= 60
 
-.PHONY: install test test-fast bench bench-paper campaign results-tables examples loc clean
+.PHONY: install test test-fast bench bench-paper campaign results-tables examples loc profile clean
 
 install:
 	pip install -e .
@@ -36,6 +36,11 @@ examples:
 # Line counts per package (src/repro, tests, perfbench): what CHANGES.md quotes.
 loc:
 	$(PY) scripts/loc.py
+
+# One cold cell (compile -> load -> profile -> run_cell) under cProfile:
+# top functions and every builtins.compile call by caller.
+profile:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py lulesh REFINE -n 24
 
 # results/bench_artifacts/ holds the tracked paper tables: not build debris.
 clean:

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Profile one cold campaign cell: where does a small campaign's time go?
+
+    python scripts/profile_cell.py lulesh REFINE            # n = 24
+    python scripts/profile_cell.py EP PINFI -n 8 --top 15
+    python scripts/profile_cell.py EP REFINE --fault-model stuck-at:dwell=64
+
+Builds the cell from nothing — compile, load, profile run, then
+``run_cell`` — under ``cProfile`` and prints the top functions by self time
+and by cumulative time, plus every ``builtins.compile`` call by caller (the
+engine byte-compiles once per binary, at translation; a second call from
+``repro/engine`` is a regression).  Spans around public calls (perfbench's
+traced lap) cannot see inside ``run_batch``; this can.
+
+``cProfile`` taxes every Python call and no native work, so the proportions
+lean towards call-heavy code: find candidates here, measure them with
+``python3 -m perfbench``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import os
+import pstats
+
+from repro.campaign import CampaignSpec, run_cell
+from repro.fi import TOOL_ORDER
+from repro.workloads import workload_sources
+
+_COMPILE = ("~", 0, "<built-in method builtins.compile>")
+_ENGINE = os.path.join("repro", "engine") + os.sep
+
+
+def cold_cell(program: str, tool_name: str, n: int, fault_model: str):
+    """Everything a cold cell pays for, in the order it pays for it."""
+    spec = CampaignSpec(
+        workload=program, source=workload_sources()[program],
+        tool_name=tool_name, n=n, fault_model=fault_model,
+    )
+    tool = spec.make_tool()
+    tool.binary    # frontend -> irpasses -> backend -> instrumentation
+    tool.program   # load
+    tool.profile   # translation + the fault-free profiling run
+    return run_cell(spec, tool)
+
+
+def compile_callers(stats: pstats.Stats) -> dict[str, int]:
+    """``builtins.compile`` call counts by calling function."""
+    entry = stats.stats.get(_COMPILE)
+    if entry is None:
+        return {}
+    return {
+        f"{path}:{line}({name})": calls
+        for (path, line, name), (calls, *_) in entry[4].items()
+    }
+
+
+def main() -> int:
+    sources = workload_sources()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("program", choices=sorted(sources))
+    parser.add_argument("tool", choices=TOOL_ORDER)
+    parser.add_argument("-n", type=int, default=24,
+                        help="experiments in the cell (default 24)")
+    parser.add_argument("--fault-model", default="single-bit")
+    parser.add_argument("--top", type=int, default=25,
+                        help="rows per table (default 25)")
+    args = parser.parse_args()
+
+    profiler = cProfile.Profile()
+    result = profiler.runcall(
+        cold_cell, args.program, args.tool, args.n, args.fault_model
+    )
+    stats = pstats.Stats(profiler)
+    callers = compile_callers(stats)  # while the paths are still whole
+    print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
+          f"{stats.total_tt:.2f} s under cProfile, "
+          f"{sum(result.counts.values())} experiments")
+    stats.strip_dirs()
+    for key in ("tottime", "cumulative"):
+        stats.sort_stats(key).print_stats(args.top)
+
+    engine = sum(c for where, c in callers.items() if _ENGINE in where)
+    print(f"builtins.compile calls: {sum(callers.values())} "
+          f"(from repro.engine: {engine})")
+    for where, calls in sorted(callers.items(), key=lambda kv: -kv[1]):
+        print(f"  {calls:6d}  {where}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

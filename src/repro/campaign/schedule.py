@@ -90,7 +90,7 @@ REJOIN_MAX_MEM_MISSES = 2
 class PhaseTimes:
     """Wall-clock breakdown of one campaign's execution phases."""
 
-    translate_s: float = 0.0  #: compile/profile + trigger resolution
+    translate_s: float = 0.0  #: trigger resolution (every plan of the batch)
     prefix_s: float = 0.0     #: golden cursor execution (minus fork capture)
     fork_s: float = 0.0       #: fork + sync-state snapshot capture
     tail_s: float = 0.0       #: faulty tail execution (fork to completion)
@@ -420,13 +420,12 @@ class TriggerScheduler:
             return False
         if _pack_fregs(cpu.fregs) != _pack_fregs(ref.fregs):
             return False
-        # bytes-vs-bytes slice compares hit CPython's memcmp fast path
-        # (memoryview comparison is a per-element loop — far slower).
-        mem = bytes(cpu.mem)
+        # in place, page by page: ``startswith`` is a memcmp at an offset
+        # (no copy of the address space, as in ``capture_snapshot``)
+        mem = cpu.mem
         pages = ref.pages
         for i, clean in enumerate(self._base):
-            off = i * PAGE_SIZE
-            if mem[off:off + PAGE_SIZE] != pages.get(i, clean):
+            if not mem.startswith(pages.get(i, clean), i * PAGE_SIZE):
                 self._mem_misses += 1
                 return False
         self._rejoin_ref = ref

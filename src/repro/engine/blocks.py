@@ -37,7 +37,7 @@ from repro.machine.registers import RSP_IDX
 from repro.utils.bits import MASK64, to_signed64
 
 #: Bump whenever generated code or block layout changes shape; part of the
-#: translation fingerprint, so stale disk caches self-invalidate.
+#: translation fingerprint (:func:`repro.engine.cache.translation_fingerprint`).
 TRANSLATION_VERSION = 1
 
 _INT64_MIN = -(1 << 63)
@@ -74,7 +74,8 @@ def discover_blocks(program: LoadedProgram) -> tuple[list[int], list[int]]:
 
     Returns ``(leaders, end_of)`` where ``leaders`` is the sorted list of
     block entry pcs and ``end_of[pc]`` is the first pc past the block
-    containing ``pc`` (used for lazily translated mid-block suffixes).
+    containing ``pc`` (how far the interpreter runs to finish a block entered
+    mid-way, see :mod:`repro.engine.fast`).
     """
     code = program.code
     n = len(code)
@@ -440,23 +441,6 @@ def gen_source(program: LoadedProgram, leaders: list[int], end_of: list[int]) ->
             out.append("        " + line)
     table = ", ".join(f"{s}: b{s}" for s in leaders)
     out.append("    return {%s}" % table)
-    out.append("")
-    return "\n".join(out)
-
-
-def gen_suffix_source(program: LoadedProgram, start: int, end: int) -> str:
-    """Generate a single-block factory for a mid-block entry pc."""
-    out = [
-        "# Generated by repro.engine.blocks (suffix) -- do not edit.",
-        "def make_block(cpu, FL):",
-        "    I = cpu.iregs",
-        "    F = cpu.fregs",
-        "    M = cpu.mem",
-        "    def b():",
-    ]
-    for line in gen_block_body(program, start, end):
-        out.append("        " + line)
-    out.append("    return b")
     out.append("")
     return "\n".join(out)
 

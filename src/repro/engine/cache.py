@@ -2,11 +2,12 @@
 
 A :class:`Translation` is the product of translating one loaded program:
 the compiled ``make_blocks`` factory plus per-block metadata.  Building it
-costs one pass over the code plus a ``compile()`` of the generated source,
-so it must happen once per binary per *process*, not once per run — the
-in-process LRU below guarantees that, keyed by a content fingerprint of
-everything that feeds code generation (the program, the interpreter's
-``cache_tag`` and :data:`~repro.engine.blocks.TRANSLATION_VERSION`).
+costs one pass over the code plus byte-compiling the generated source — the
+only Python compilation the engine ever does — so it must happen once per
+binary per *process*, not once per run: the in-process LRU below guarantees
+that, keyed by a content fingerprint of everything that feeds code
+generation (the program, the interpreter's ``cache_tag`` and
+:data:`~repro.engine.blocks.TRANSLATION_VERSION`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.engine.blocks import (
     discover_blocks,
     exec_namespace,
     gen_source,
-    gen_suffix_source,
 )
 from repro.machine.loader import LoadedProgram
 
@@ -56,7 +56,8 @@ class Translation:
         leaders, end_of = discover_blocks(program)
         self.end_of = end_of
         #: entry pc -> block end / length / FI_CHECK sites / candidates /
-        #: LLFI inject-intrinsic visits
+        #: LLFI inject-intrinsic visits; block leaders up front, any other
+        #: pc execution enters at on demand (:meth:`cover`)
         self.ends: dict[int, int] = {}
         self.lens: dict[int, int] = {}
         self.sites: dict[int, int] = {}
@@ -68,7 +69,6 @@ class Translation:
         ns = exec_namespace()
         exec(compile(source, f"<blocks:{fingerprint[:12]}>", "exec"), ns)
         self._factory = ns["make_blocks"]
-        self._suffix_factories: dict[int, object] = {}
 
     def _register_meta(self, start: int, end: int) -> None:
         meta = block_meta(self.program, start, end)
@@ -82,26 +82,18 @@ class Translation:
         """Bind the translated blocks to one CPU's register/memory objects."""
         return self._factory(cpu, FL)
 
-    def add_suffix(self, pc: int, cpu, FL, blocks: dict):
-        """Lazily translate the mid-block suffix starting at ``pc``.
+    def cover(self, pc: int) -> None:
+        """Make the per-entry tables answer for a pc that is not a block
+        leader: the straight-line run from ``pc`` to the end of its block.
 
-        Needed when execution enters a block interior: snapshot resume
-        points and (post-fault) computed return addresses land on arbitrary
-        pcs, not just block leaders.
+        Static facts only — no code is generated for a mid-block entry; the
+        trampoline interprets that run (see :mod:`repro.engine.fast`).
         """
-        factory = self._suffix_factories.get(pc)
-        if factory is None:
-            end = self.end_of[pc]
-            self._register_meta(pc, end)
-            src = gen_suffix_source(self.program, pc, end)
-            code = compile(src, f"<suffix:{pc}>", "exec")
-            ns = exec_namespace()
-            exec(code, ns)
-            factory = ns["make_block"]
-            self._suffix_factories[pc] = factory
-        fn = factory(cpu, FL)
-        blocks[pc] = fn
-        return fn
+        # keyed on the table ``_register_meta`` fills last: translations are
+        # shared by the threads of a process, and none may find ``pc`` half
+        # registered (two registering it at once write the same values)
+        if pc not in self.llfis:
+            self._register_meta(pc, self.end_of[pc])
 
 
 class TranslationCache:

@@ -1,19 +1,35 @@
 """The free-run fast engine (ZOFI-style execution core).
 
 Executes translated basic-block superinstructions at full speed and only
-pays for instrumentation where an event can actually occur:
+pays for instrumentation where an event can actually occur.  Every such
+event is served by the reference ``CPU._loop`` itself, so its semantics are
+reference-exact by construction:
 
 * **budget tails** — when the next block could cross the step budget, the
-  remainder of the run is delegated to the reference ``CPU._loop``, so the
-  timeout-vs-snapshot-vs-halt ordering is reference-exact by construction;
-* **trigger windows** — when an armed REFINE/PINFI plan's counter would
-  cross its target inside the next block, the engine drops into the
-  reference loop with a small watcher window and exits back to free-run as
-  soon as the fault has been applied (the ZOFI insight: the binary runs
-  uninstrumented outside a bounded window around the injection point);
+  remainder of the run is delegated to the reference loop (the
+  timeout-vs-snapshot-vs-halt ordering lives there);
+* **exact strides** — a sync point inside the next block, an armed
+  REFINE/PINFI plan whose counter would cross its target inside it, or a pc
+  that is not a translated block entry (a sync state, the instruction after
+  a fire point, a corrupted return address) all take the one slow path:
+  flush the batch, run the reference loop for exactly k instructions — to
+  the sync step, through the fire point, to the end of the enclosing block —
+  and free-run again from wherever that stops (the ZOFI insight: the binary
+  runs uninstrumented outside a bounded window around the injection point).
+  While a dwell window is open every site is a fire point, and the
+  reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows;
 * **armed snapshot hooks** — a CPU carrying a
   :meth:`~repro.machine.cpu.CPU.record_snapshots` hook is executed entirely
   by the reference loop, so the hook fires at exactly the reference steps.
+
+**Translation is the only code generation.**  A mid-block entry is
+interpreted to the end of its block, never compiled: every sync point and
+every fire point lands mid-block and is usually entered there once.  A
+Python function generated per entry cost ≈ 1.1 ms per distinct pc (lulesh /
+REFINE: 144 of them at n = 24, 490 at n = 1068, 932 interior pcs in all);
+interpreting instead costs ≈ 0.13 ms per experiment (≈ 2.7 more ≈ 50 µs
+strides per tail), which compiling wins back only past ≈ 4–8 k experiments
+per cell — 4–8 × the paper's n = 1068, and then by a percent or two.
 
 Everything observable — steps, per-pc counts, trigger counters, traps,
 flags, output — is bit-identical to the reference interpreter: free-run
@@ -32,9 +48,10 @@ from repro.errors import MachineTrap
 from repro.machine.cpu import CPU, ExecutionResult
 from repro.machine import opcodes as O
 
-#: Careful-window granularity: once an armed plan is about to fire, the
-#: reference loop runs with a watcher every this many instructions; the
-#: engine returns to free-run at the first watcher tick after injection.
+#: Careful-window granularity: while an armed plan's next fire point is not
+#: one static instruction (its dwell window is open), the reference loop
+#: runs with a watcher every this many instructions; the engine returns to
+#: the trampoline at the first watcher tick that finds a fault applied.
 CAREFUL_WINDOW = 256
 
 #: Sentinel step count larger than any budget ("no sync point pending").
@@ -117,26 +134,23 @@ class FastEngine:
         enough — campaign schedulers reuse a single CPU across tails.
         """
         ctx = cpu._fast_ctx
-        if ctx is not None and ctx[0] is trans:
-            FL = ctx[1]
-            FL[0] = cpu.flags
-            return FL, ctx[2]
-        FL = [cpu.flags]
-        blocks = trans.instantiate(cpu, FL)
-        cpu._fast_ctx = (trans, FL, blocks)
-        return FL, blocks
+        if ctx is None or ctx[0] is not trans:
+            FL = [cpu.flags]
+            ctx = cpu._fast_ctx = (trans, FL, trans.instantiate(cpu, FL))
+        return ctx[1], ctx[2]
 
     @staticmethod
     def _fire_offset(
         program, pc, end, r_armed, need_r, p_armed, need_p
     ) -> int | None:
-        """Slow-loop steps from block entry ``pc`` through the instruction
-        where an armed trigger reaches its target.
+        """Slow-loop steps from entry ``pc`` through the instruction where
+        an armed trigger reaches its target.
 
         A basic block is straight-line, so the ``need``-th FI_CHECK (or
         PINFI candidate) after ``pc`` is statically determined.  ``None``
-        when neither armed counter's crossing is locatable in the block
-        (the caller falls back to the watcher window).
+        when neither armed counter's crossing is locatable in the block —
+        the counter is already at or past its target, i.e. a dwell window
+        is open (the caller falls back to the watcher window).
         """
         k = None
         if r_armed:
@@ -161,6 +175,60 @@ class FastEngine:
                         break
         return k
 
+    @staticmethod
+    def _reload(cpu: CPU, FL, syncs):
+        """The trampoline's locals, read off a synced CPU: ``(steps, rc,
+        pin, attached, r_plan, p_plan, sync_v)``.
+
+        A plan stays armed only until its fault has fired and its dwell
+        window has closed (single-shot plans: ``last_index ==
+        target_index``); ``sync_v`` is the first sync point still ahead —
+        any the reference loop overshot are dropped (sync observation is
+        opportunistic).
+        """
+        steps = cpu.steps
+        FL[0] = cpu.flags
+        rc = cpu._refine_count
+        pin = cpu._pin_count
+        r_plan = cpu._refine_plan
+        p_plan = cpu._pin_plan
+        if cpu.fault is not None:
+            if r_plan is not None and rc >= r_plan.last_index:
+                r_plan = None
+            if p_plan is not None and pin >= p_plan.last_index:
+                p_plan = None
+        sync_v = _NO_SYNC
+        if syncs:
+            sync_i = bisect_right(syncs, steps)
+            if sync_i < len(syncs):
+                sync_v = syncs[sync_i]
+        return steps, rc, pin, cpu._attached, r_plan, p_plan, sync_v
+
+    def _interpret(self, cpu, FL, execs, trans, steps, rc, pin, pc, k, syncs):
+        """The one slow path: flush the batch, run the reference loop from
+        ``pc`` for exactly ``k`` instructions (``None``: the watcher
+        window), and reload the trampoline's locals.
+
+        Returns ``(pc, *_reload())`` with ``pc`` the instruction to
+        free-run from, ``None`` if the program halted first.  Machine traps
+        propagate.  Armed plans, dwell windows, LLFI intrinsics and the
+        PINFI detach inside the stride are the reference loop's business.
+        """
+        self._flush(cpu, FL, execs, trans, steps, rc, pin)
+        if k is None:
+            cpu._snap_every, cpu._snap_hook = CAREFUL_WINDOW, _fault_watcher
+        else:
+            cpu._snap_every, cpu._snap_hook = k, _step_stop
+        try:
+            cpu._loop(pc)
+            pc = None  # a halt on the k-th instruction never reaches the hook
+        except _ExitFast as exc:
+            pc = exc.pc
+        finally:
+            cpu._snap_every = 0
+            cpu._snap_hook = None
+        return (pc, *self._reload(cpu, FL, syncs))
+
     def _drive(
         self,
         cpu: CPU,
@@ -182,143 +250,87 @@ class FastEngine:
         cands = trans.cands
         execs: dict[int, int] = {}
 
-        steps = cpu.steps
-        rc = cpu._refine_count
-        pin = cpu._pin_count
-        attached = cpu._attached
         budget_v = cpu.budget
-        r_plan = cpu._refine_plan
+        # (a fault that fired before the resume point may already have
+        # closed a plan's window: _reload disarms it)
+        steps, rc, pin, attached, r_plan, p_plan, sync_v = self._reload(
+            cpu, FL, syncs
+        )
         r_target = r_plan.target_index if r_plan is not None else 0
-        p_plan = cpu._pin_plan
         p_target = p_plan.target_index if p_plan is not None else 0
-        if cpu.fault is not None:
-            # A fault already fired (e.g. before the resume point).  A plan
-            # stays armed only while its dwell window is still open —
-            # single-shot plans (last_index == target_index) disarm here
-            # exactly as before.
-            if r_plan is not None and rc >= r_plan.last_index:
-                r_plan = None
-            if p_plan is not None and pin >= p_plan.last_index:
-                p_plan = None
-
-        if syncs:
-            sync_i = bisect_right(syncs, steps)
-            sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
-        else:
-            sync_v = _NO_SYNC
 
         blocks_get = blocks.get
 
-        while True:
-            fn = blocks_get(pc)
-            if fn is None:
-                fn = trans.add_suffix(pc, cpu, FL, blocks)
-            n = lens[pc]
+        try:
+            while True:
+                fn = blocks_get(pc)
+                if fn is None:
+                    trans.cover(pc)  # not a block entry: static facts only
+                n = lens[pc]
 
-            if steps + n >= budget_v and budget_v <= sync_v:
-                # The budget could expire inside this block: hand the whole
-                # tail to the reference loop (plans included), preserving
-                # the exact timeout/halt ordering at the boundary.  (On a
-                # budget/sync tie the timeout wins, matching the reference
-                # loop's check order, so the sync point is moot.)
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                try:
+                if steps + n >= budget_v and budget_v <= sync_v:
+                    # The budget could expire inside this block: hand the
+                    # whole tail to the reference loop (plans included),
+                    # preserving the exact timeout/halt ordering at the
+                    # boundary.  (On a budget/sync tie the timeout wins,
+                    # matching the reference loop's check order, so the
+                    # sync point is moot.)
+                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
                     cpu._loop(pc)
-                except MachineTrap as trap:
-                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-                return cpu.build_result()
+                    return cpu.build_result()
 
-            if steps + n >= sync_v:
-                # A sync point lands inside this block: run the reference
-                # loop for exactly the remaining stride, then observe.
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                try:
-                    stop_pc = self._step_to(cpu, pc, sync_v - steps)
-                except MachineTrap as trap:
-                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-                if stop_pc is None:
-                    return cpu.build_result()  # halted at/inside the stride
-                pc = stop_pc
-                steps = cpu.steps
-                FL[0] = cpu.flags
-                rc = cpu._refine_count
-                pin = cpu._pin_count
-                attached = cpu._attached
-                if cpu.fault is not None:
-                    if r_plan is not None and rc >= r_plan.last_index:
-                        r_plan = None
-                    if p_plan is not None and pin >= p_plan.last_index:
-                        p_plan = None
-                if on_sync is not None and on_sync(cpu, pc):
-                    return None
-                sync_i = bisect_right(syncs, steps)
-                sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
-                continue
-
-            r_armed = r_plan is not None and rc + sites[pc] >= r_target
-            p_armed = (
-                p_plan is not None and attached and pin + cands[pc] >= p_target
-            )
-            if r_armed or p_armed:
-                # The armed trigger fires inside this block: run the
-                # reference loop until just after injection, then resume
-                # free-run.  The fire point is static within the block, so
-                # slow-step exactly through it instead of waiting for the
-                # next watcher tick; the watcher window remains as the
-                # fallback if the prediction somehow missed.
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                k = self._fire_offset(
-                    cpu.program, pc, trans.ends[pc],
-                    r_armed, r_target - rc, p_armed, p_target - pin,
+                at_sync = steps + n >= sync_v
+                r_armed = r_plan is not None and rc + sites[pc] >= r_target
+                p_armed = (
+                    p_plan is not None and attached and pin + cands[pc] >= p_target
                 )
-                try:
-                    if k is not None:
-                        exit_pc = self._step_to(cpu, pc, k)
+                if at_sync or r_armed or p_armed or fn is None:
+                    if at_sync:
+                        # A sync point lands inside this block: stop at
+                        # exactly that step, then observe.
+                        k = sync_v - steps
+                    elif r_armed or p_armed:
+                        # The armed trigger fires inside this block, at a
+                        # statically known instruction: slow-step exactly
+                        # through it.  (Not locatable: watcher window.)
+                        k = self._fire_offset(
+                            cpu.program, pc, trans.ends[pc],
+                            r_armed, r_target - rc, p_armed, p_target - pin,
+                        )
                     else:
-                        exit_pc = self._careful(cpu, pc)
-                    if exit_pc is not None and cpu.fault is None:
-                        exit_pc = self._careful(cpu, exit_pc)
+                        # Entered mid-block: finish the block.
+                        k = n
+                    (pc, steps, rc, pin, attached, r_plan, p_plan,
+                     sync_v) = self._interpret(
+                        cpu, FL, execs, trans, steps, rc, pin, pc, k, syncs
+                    )
+                    if pc is None:
+                        return cpu.build_result()  # halted inside the stride
+                    if at_sync and on_sync is not None and on_sync(cpu, pc):
+                        return None
+                    continue
+
+                try:
+                    next_pc = fn()
                 except MachineTrap as trap:
-                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-                if exit_pc is None:
-                    return cpu.build_result()  # halted inside the window
-                pc = exit_pc
-                steps = cpu.steps
-                FL[0] = cpu.flags
-                rc = cpu._refine_count
-                pin = cpu._pin_count
-                attached = cpu._attached
-                if cpu.fault is not None:
-                    if r_plan is not None and rc >= r_plan.last_index:
-                        r_plan = None
-                    if p_plan is not None and pin >= p_plan.last_index:
-                        p_plan = None
-                if steps >= sync_v:
-                    # The careful window overshot one or more sync points;
-                    # drop them (sync observation is opportunistic).
-                    sync_i = bisect_right(syncs, steps)
-                    sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
-                continue
+                    self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
+                                      attached, pc, trap.pc)
+                    raise
 
-            try:
-                next_pc = fn()
-            except MachineTrap as trap:
-                self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
-                                  attached, pc, trap.pc)
-                return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-
-            if pc in execs:
-                execs[pc] += 1
-            else:
-                execs[pc] = 1
-            steps += n
-            rc += sites[pc]
-            if attached:
-                pin += cands[pc]
-            if next_pc < 0:
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                return cpu.build_result()
-            pc = next_pc
+                if pc in execs:
+                    execs[pc] += 1
+                else:
+                    execs[pc] = 1
+                steps += n
+                rc += sites[pc]
+                if attached:
+                    pin += cands[pc]
+                if next_pc < 0:
+                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                    return cpu.build_result()
+                pc = next_pc
+        except MachineTrap as trap:
+            return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
 
     # -- golden cursor ------------------------------------------------------
 
@@ -351,12 +363,13 @@ class FastEngine:
         check deliberately precedes the sync check so a partial-block
         stride can never cross a pending trigger unforked.  The hook is
         called as ``sync_hook(cpu, pc, reach)`` with ``reach`` the counter
-        value once the block starting at ``pc`` has run: a trigger
-        ``<= reach`` forks before the block containing the sync point is
-        left, so only triggers beyond ``reach`` see the same fork points
-        from this state as from the program entry.  The entry itself is
-        reported first, as the sync state at step 0 (``reach`` 0: every
-        trigger lies beyond it).
+        value once the block ``pc`` sits in has run (a static count of the
+        trigger sites in ``[pc, block end)``): a trigger ``<= reach`` forks
+        before the block containing the sync point is left, so only
+        triggers beyond ``reach`` see the same fork points from this state
+        as from the program entry.  The entry itself is reported first, as
+        the sync state at step 0 (``reach`` 0: every trigger lies beyond
+        it).
 
         ``start_pc`` replays a *window* of a golden run whose timeline is
         already known: the CPU has been restored to a sync state recorded
@@ -367,152 +380,90 @@ class FastEngine:
         """
         if budget is not None:
             cpu.budget = budget
-        table_name = CURSOR_TABLES[counter]
+        cnt_attr = "_" + counter
 
         trans = self.cache.translation_for(cpu.program)
         FL, blocks = self._block_ctx(cpu, trans)
         lens = trans.lens
         sites = trans.sites
         cands = trans.cands
-        table = getattr(trans, table_name)
+        table = getattr(trans, CURSOR_TABLES[counter])
         execs: dict[int, int] = {}
 
         pc = cpu.prepare_entry() if start_pc is None else start_pc
-        steps = cpu.steps
-        rc = cpu._refine_count
-        pin = cpu._pin_count
-        attached = cpu._attached
         budget_v = cpu.budget
+        steps, rc, pin, attached, _, _, sync_v = self._reload(cpu, FL, syncs)
         live = counter == "llfi_count"  # intrinsics maintain it natively
-        if counter == "refine_count":
-            cnt = rc
-        elif counter == "pin_count":
-            cnt = pin
-        else:
-            cnt = cpu._llfi_count
+        cnt = getattr(cpu, cnt_attr)
         stop = first_stop
         if sync_hook is not None and start_pc is None:
             sync_hook(cpu, pc, cnt)
 
-        if syncs:
-            sync_i = bisect_right(syncs, steps)
-            sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
-        else:
-            sync_v = _NO_SYNC
-
         blocks_get = blocks.get
 
-        while True:
-            fn = blocks_get(pc)
-            if fn is None:
-                fn = trans.add_suffix(pc, cpu, FL, blocks)
-            n = lens[pc]
+        try:
+            while True:
+                fn = blocks_get(pc)
+                if fn is None:
+                    trans.cover(pc)  # not a block entry: static facts only
+                n = lens[pc]
 
-            if steps + n >= budget_v and budget_v <= sync_v:
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                try:
-                    cpu._loop(pc)
-                except MachineTrap as trap:
-                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-                return cpu.build_result()
-
-            if stop is not None:
-                if live:
-                    cnt = cpu._llfi_count
-                upto = cnt + table[pc]
-                if upto >= stop:
-                    # A pending trigger fires inside this block: fork at
-                    # the block entry, before any stride can cross it.
+                if steps + n >= budget_v and budget_v <= sync_v:
                     self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                    stop = fork_hook(cpu, pc, upto)
-                    if stop is None and start_pc is not None:
-                        return None
-
-            if steps + n >= sync_v:
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                try:
-                    stop_pc = self._step_to(cpu, pc, sync_v - steps)
-                except MachineTrap as trap:
-                    return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-                if stop_pc is None:
+                    cpu._loop(pc)
                     return cpu.build_result()
-                pc = stop_pc
-                steps = cpu.steps
-                FL[0] = cpu.flags
-                rc = cpu._refine_count
-                pin = cpu._pin_count
-                attached = cpu._attached
-                if live:
-                    cnt = cpu._llfi_count
+
+                if stop is not None:
+                    if live:
+                        cnt = cpu._llfi_count
+                    upto = cnt + table[pc]
+                    if upto >= stop:
+                        # A pending trigger fires inside this block: fork at
+                        # the block entry, before any stride can cross it.
+                        self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                        stop = fork_hook(cpu, pc, upto)
+                        if stop is None and start_pc is not None:
+                            return None
+
+                at_sync = steps + n >= sync_v
+                if at_sync or fn is None:
+                    # Stop at exactly the sync step and report the state
+                    # there, or (entered mid-block) finish the block.
+                    pc, steps, rc, pin, attached, _, _, sync_v = self._interpret(
+                        cpu, FL, execs, trans, steps, rc, pin, pc,
+                        sync_v - steps if at_sync else n, syncs,
+                    )
+                    if pc is None:
+                        return cpu.build_result()
+                    cnt = getattr(cpu, cnt_attr)
+                    if at_sync and sync_hook is not None:
+                        trans.cover(pc)
+                        sync_hook(cpu, pc, cnt + table[pc])
+                    continue
+
+                try:
+                    next_pc = fn()
+                except MachineTrap as trap:
+                    self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
+                                      attached, pc, trap.pc)
+                    raise
+
+                if pc in execs:
+                    execs[pc] += 1
                 else:
+                    execs[pc] = 1
+                steps += n
+                rc += sites[pc]
+                if attached:
+                    pin += cands[pc]
+                if not live:
                     cnt = rc if counter == "refine_count" else pin
-                if sync_hook is not None:
-                    if blocks_get(pc) is None:
-                        trans.add_suffix(pc, cpu, FL, blocks)
-                    sync_hook(cpu, pc, cnt + table[pc])
-                sync_i = bisect_right(syncs, steps)
-                sync_v = syncs[sync_i] if sync_i < len(syncs) else _NO_SYNC
-                continue
-
-            try:
-                next_pc = fn()
-            except MachineTrap as trap:
-                self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
-                                  attached, pc, trap.pc)
-                return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-
-            if pc in execs:
-                execs[pc] += 1
-            else:
-                execs[pc] = 1
-            steps += n
-            rc += sites[pc]
-            if attached:
-                pin += cands[pc]
-            if not live:
-                cnt = rc if counter == "refine_count" else pin
-            if next_pc < 0:
-                self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                return cpu.build_result()
-            pc = next_pc
-
-    # -- careful paths ------------------------------------------------------
-
-    def _step_to(self, cpu: CPU, pc: int, k: int) -> int | None:
-        """Run the reference loop for exactly ``k`` instructions.
-
-        Returns the pc of the first instruction *after* the stride, or
-        ``None`` if the program halted first (a halt on the k-th
-        instruction breaks out of the loop before the pause hook runs,
-        exactly as a snapshot hook would behave).  Machine traps propagate.
-        """
-        cpu._snap_every = k
-        cpu._snap_hook = _step_stop
-        try:
-            cpu._loop(pc)
-        except _ExitFast as exc:
-            return exc.pc
-        finally:
-            cpu._snap_every = 0
-            cpu._snap_hook = None
-        return None
-
-    def _careful(self, cpu: CPU, pc: int) -> int | None:
-        """Reference-loop window around an armed trigger.
-
-        Returns the pc to continue free-running from, or ``None`` if the
-        program halted inside the window.  Machine traps propagate.
-        """
-        cpu._snap_every = CAREFUL_WINDOW
-        cpu._snap_hook = _fault_watcher
-        try:
-            cpu._loop(pc)
-        except _ExitFast as exc:
-            return exc.pc
-        finally:
-            cpu._snap_every = 0
-            cpu._snap_hook = None
-        return None
+                if next_pc < 0:
+                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                    return cpu.build_result()
+                pc = next_pc
+        except MachineTrap as trap:
+            return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
 
     # -- batched accounting -------------------------------------------------
 

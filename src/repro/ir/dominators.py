@@ -21,6 +21,11 @@ class DominatorTree:
         self.function = fn
         self.rpo = self._reverse_postorder(fn)
         self._index = {b: i for i, b in enumerate(self.rpo)}
+        all_preds = fn.predecessor_map()
+        #: reachable block -> its reachable predecessors, in function order
+        self.preds: dict[BasicBlock, list[BasicBlock]] = {
+            b: [p for p in all_preds[b] if p in self._index] for b in self.rpo
+        }
         self.idom: dict[BasicBlock, BasicBlock | None] = {}
         self._compute_idoms()
         self.frontiers = self._compute_frontiers()
@@ -68,7 +73,7 @@ class DominatorTree:
                     b = idom[b]  # type: ignore[assignment]
             return a
 
-        preds = {b: [p for p in b.predecessors() if p in index] for b in self.rpo}
+        preds = self.preds
         changed = True
         while changed:
             changed = False
@@ -87,7 +92,7 @@ class DominatorTree:
     def _compute_frontiers(self) -> dict[BasicBlock, set[BasicBlock]]:
         frontiers: dict[BasicBlock, set[BasicBlock]] = {b: set() for b in self.rpo}
         for block in self.rpo:
-            preds = [p for p in block.predecessors() if p in self._index]
+            preds = self.preds[block]
             if len(preds) < 2:
                 continue
             for pred in preds:

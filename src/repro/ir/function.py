@@ -85,6 +85,21 @@ class Function(Value):
                 return block
         raise IRError(f"@{self.name} has no block named {name}")
 
+    def predecessor_map(self) -> dict[BasicBlock, list[BasicBlock]]:
+        """Every block's predecessors, from one pass over the function.
+
+        ``predecessor_map()[b] == b.predecessors()`` for each block, order
+        included, at one ``successors()`` call per block in total — an
+        analysis that asks for every block's predecessors should ask here.
+        A snapshot: CFG edits after the call are not reflected.
+        """
+        preds: dict[BasicBlock, list[BasicBlock]] = {b: [] for b in self.blocks}
+        for block in self.blocks:
+            # (both arms of a conditional branch may name the same target)
+            for succ in dict.fromkeys(block.successors()):
+                preds.setdefault(succ, []).append(block)
+        return preds
+
     def instructions(self) -> Iterator:
         """Iterate every instruction in block order."""
         for block in self.blocks:

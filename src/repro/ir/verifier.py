@@ -72,8 +72,9 @@ def _check_blocks(fn: Function) -> None:
 
 
 def _check_phis(fn: Function) -> None:
+    all_preds = fn.predecessor_map()
     for block in fn.blocks:
-        preds = block.predecessors()
+        preds = all_preds[block]
         pred_ids = {id(p) for p in preds}
         seen_non_phi = False
         for instr in block.instructions:

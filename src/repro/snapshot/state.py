@@ -7,7 +7,8 @@ resume mid-program and remain bit-identical to an uninterrupted run:
 * the call stack and all of data memory, stored as **page deltas** — only
   pages that differ from the freshly loaded image are kept, and pages
   unchanged since the previous snapshot share the same ``bytes`` object,
-  so a snapshot costs O(dirty pages), not O(address space);
+  so a snapshot holds (and a capture copies) O(dirty pages); finding them
+  is one in-place memcmp per page of the address space;
 * the I/O cursor (everything printed so far);
 * the dynamic accounting the fault-injection tools trigger on: ``steps``,
   per-pc execution ``counts``, and the PINFI/REFINE/LLFI candidate
@@ -107,16 +108,15 @@ def capture_snapshot(
     """
     if base is None:
         base = base_pages(cpu.program)
-    # One bulk copy, then bytes-vs-bytes slice compares: memoryview's
-    # rich comparison is a per-element loop in CPython, ~20x slower than
-    # the memcmp fast path bytes objects get.
-    mem = bytes(cpu.mem)
+    # Compare in place: ``startswith(page, off)`` is a memcmp against the
+    # live image (no copy of the address space, no slice per page), and
+    # only a page that differs is materialised.
+    mem = cpu.mem
     pages: dict[int, bytes] = {} if prev is None else dict(prev.pages)
     for idx, clean in enumerate(base):
         off = idx * PAGE_SIZE
-        current = mem[off : off + PAGE_SIZE]
-        if current != pages.get(idx, clean):
-            pages[idx] = current
+        if not mem.startswith(pages.get(idx, clean), off):
+            pages[idx] = bytes(mem[off : off + PAGE_SIZE])
     ca = cpu.counts_attached
     alias = ca is cpu.counts
     return CpuSnapshot(

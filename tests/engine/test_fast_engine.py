@@ -1,21 +1,29 @@
 """Unit tests for the fast block-compiled execution engine.
 
 Every test here states the same invariant from a different angle: whatever
-the fast engine does internally (batched accounting, lazy suffixes,
-careful windows), its observable :class:`ExecutionResult` is bit-identical
-to the reference interpreter loop.
+the fast engine does internally (batched accounting, mid-block entries
+finished by the interpreter, careful windows), its observable
+:class:`ExecutionResult` is bit-identical to the reference interpreter loop.
 """
+
+import builtins
 
 import pytest
 
 from repro.backend import compile_minic
-from repro.campaign import make_tool
+from repro.campaign import CampaignSpec, make_tool, run_cell
 from repro.engine import FastEngine
+from repro.engine import cache as cache_module
+from repro.engine import fast as fast_module
 from repro.engine.blocks import discover_blocks
 from repro.engine.cache import TranslationCache, translation_fingerprint
+from repro.fi.tools import TIMEOUT_FACTOR
 from repro.machine import CPU, load_binary
 from repro.machine import opcodes as O
+from repro.machine.registers import RSP_IDX
+from repro.snapshot import base_pages, capture_snapshot, restore_snapshot
 from repro.testing import ReferenceEngine
+from repro.workloads import workload_sources
 
 from tests.conftest import DEMO_SOURCE
 
@@ -32,6 +40,24 @@ def assert_same_result(a, b):
     assert a.trap_pc == b.trap_pc
     assert a.steps == b.steps
     assert list(a.counts) == list(b.counts)
+    # PINFI's attached-phase accounting (what its cycle model reads)
+    assert a.attached_candidates == b.attached_candidates
+    assert (a.counts_attached is None) == (b.counts_attached is None)
+    assert list(a.counts_attached or ()) == list(b.counts_attached or ())
+
+
+def golden_states(cpu):
+    """The state after every instruction of ``cpu``'s run on the reference
+    loop (index ``k - 1`` holds step ``k``), and the run's result."""
+    base = base_pages(cpu.program)
+    snaps = []
+
+    def hook(c, pc):
+        snaps.append(capture_snapshot(
+            c, pc, prev=snaps[-1] if snaps else None, base=base))
+
+    cpu.record_snapshots(1, hook)
+    return snaps, cpu.run()
 
 
 class TestSelection:
@@ -81,17 +107,14 @@ class TestRunEquivalence:
         assert_same_result(ref, fast)
 
     def test_mid_block_resume(self, program):
-        # Drive the reference loop to an arbitrary step count (not a block
-        # leader), then continue with the fast engine vs the reference:
-        # exercises the lazy suffix-translation path.
-        from repro.snapshot import capture_snapshot, restore_snapshot
-
-        snaps = []
-        cpu = CPU(program)
-        cpu.record_snapshots(97, lambda c, pc: snaps.append(
-            capture_snapshot(c, pc)))
-        full = cpu.run()
-        assert len(snaps) >= 2
+        # Continue from the state after EVERY instruction of the golden run
+        # (most are block interiors, which have no translated entry: the
+        # engine finishes the block on the interpreter loop), fast engine
+        # vs reference loop.
+        snaps, full = golden_states(CPU(program))
+        assert len(snaps) == full.steps - 1 == 710
+        leaders = set(discover_blocks(program)[0])
+        assert sum(s.pc not in leaders for s in snaps) > len(snaps) // 2
         for snap in snaps:
             ref_cpu, fast_cpu = CPU(program), CPU(program)
             restore_snapshot(ref_cpu, snap)
@@ -126,6 +149,194 @@ class TestRunEquivalence:
         assert result.trap == "timeout"
         assert result.steps == 500
         assert calls == []
+
+
+def mid_block_states(tool):
+    """``(snap, end)`` for every golden state of ``tool`` that sits in a
+    block interior; ``end`` is the first pc past that block."""
+    snaps, _ = golden_states(tool._make_cpu(None))
+    leaders, end_of = discover_blocks(tool.program)
+    leaders = set(leaders)
+    return [(s, end_of[s.pc]) for s in snaps if s.pc not in leaders]
+
+
+def resume_pair(tool, snap, plan_of=lambda: None, budget=None, poke=None):
+    """Resume ``snap`` on the reference loop and on the fast engine, each
+    on its own CPU armed with its own ``plan_of()`` (and ``poke``d, if the
+    restored state is to be tampered with); returns both results after
+    asserting they (and the fault logs) agree.  A faulty run gets the
+    campaign's timeout unless ``budget`` says otherwise."""
+    if budget is None:
+        budget = tool.profile.steps * TIMEOUT_FACTOR
+    results = []
+    for resume in (lambda c: c.resume(snap.pc, budget),
+                   lambda c: FastEngine().resume(c, snap.pc, budget)):
+        cpu = tool._make_cpu(plan_of())
+        restore_snapshot(cpu, snap)
+        if poke is not None:
+            poke(cpu)
+        results.append(resume(cpu))
+    assert_same_result(*results)
+    assert results[0].fault == results[1].fault
+    return results
+
+
+class TestMidBlockEntry:
+    """A pc that is not a block entry is interpreted to the end of its
+    block.  Everything that can happen inside that finishing stride —
+    trigger, dwell window, timeout, sync point, a wild ``ret`` landing in
+    one — against ``CPU.resume`` from the same state."""
+
+    @staticmethod
+    def retargeted(tool, seed, target, dwell=1):
+        plan = tool.plan_from_seed(seed)
+        plan.target_index = target
+        plan.last_index = target + dwell - 1
+        return plan
+
+    @staticmethod
+    def sites_in(tool, snap, end):
+        """Trigger sites of ``tool`` in the finishing stride of ``snap``."""
+        program = tool.program
+        if tool.name == "REFINE":
+            return sum(program.code[p][0] == O.FI_CHECK
+                       for p in range(snap.pc, end))
+        return sum(program.is_candidate[p] for p in range(snap.pc, end))
+
+    @pytest.mark.parametrize("tool_name", ["REFINE", "PINFI"])
+    def test_trigger_inside_the_stride(self, tool_name):
+        tool = make_tool(tool_name, DEMO_SOURCE, "demo")
+        counter = type(tool)._SNAPSHOT_COUNTER
+        fired = 0
+        for i, (snap, end) in enumerate(mid_block_states(tool)[::2]):
+            sites = self.sites_in(tool, snap, end)
+            # the first and the last site of the stride, if it has any
+            for nth in {min(1, sites), sites} - {0}:
+                target = snap.counter(counter) + nth
+                ref, _ = resume_pair(
+                    tool, snap,
+                    lambda: self.retargeted(tool, seed=i, target=target))
+                assert ref.fault is not None
+                assert ref.fault.dynamic_index == target
+                assert snap.pc <= ref.fault.pc < end
+                fired += 1
+        assert fired > 100
+
+    @pytest.mark.parametrize("tool_name", ["REFINE", "PINFI", "LLFI"])
+    def test_dwell_window_spans_the_stride(self, tool_name, monkeypatch):
+        # A short watcher window makes the engine leave the reference loop
+        # mid-block again and again while the stuck-at window is still
+        # open: each exit is a finishing stride inside the window.
+        monkeypatch.setattr(fast_module, "CAREFUL_WINDOW", 5)
+        tool = make_tool(tool_name, DEMO_SOURCE, "demo",
+                         fault_model="stuck-at:dwell=24")
+        counter = type(tool)._SNAPSHOT_COUNTER
+        states = mid_block_states(tool)
+        total = tool.profile.total_candidates
+        for i, (snap, _) in enumerate(states[::9]):
+            target = min(snap.counter(counter) + 1 + i % 3, total)
+            resume_pair(
+                tool, snap,
+                lambda: self.retargeted(tool, seed=i, target=target, dwell=24))
+
+    def test_budget_inside_the_stride(self):
+        tool = make_tool("PINFI", DEMO_SOURCE, "demo")  # the clean binary
+        total = tool.profile.steps
+        snaps, _ = golden_states(tool._make_cpu(None))
+        end_of = discover_blocks(tool.program)[1]
+        timeouts = 0
+        for snap, end in mid_block_states(tool):
+            stride_end = snap.steps + end - snap.pc
+            budgets = {snap.steps + 1, stride_end - 1, stride_end,
+                       stride_end + 1}
+            if stride_end >= total:  # the halting block: timeout vs halt
+                budgets |= {total - 1, total, total + 1}
+            else:  # ... and the far boundary of the block after the stride
+                after = snaps[stride_end - 1].pc
+                budgets.add(stride_end + end_of[after] - after)
+            for budget in sorted(b for b in budgets if b > snap.steps):
+                ref, _ = resume_pair(tool, snap, budget=budget)
+                timeouts += ref.trap == "timeout"
+        assert timeouts > 500
+
+    def test_sync_points_inside_the_stride(self):
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        snaps, full = golden_states(tool._make_cpu(None))
+        base = base_pages(tool.program)
+        for snap, end in mid_block_states(tool)[::5]:
+            stride = end - snap.pc
+            # two in the entry block, the block boundary, one far beyond
+            syncs = sorted({snap.steps + 1, snap.steps + max(1, stride - 1),
+                            snap.steps + stride, snap.steps + stride + 40})
+            syncs = [s for s in syncs if s < full.steps]
+            seen = []
+
+            def on_sync(cpu, pc):
+                assert capture_snapshot(cpu, pc, base=base) == snaps[cpu.steps - 1]
+                seen.append(cpu.steps)
+                return False
+
+            cpu = tool._make_cpu(None)
+            restore_snapshot(cpu, snap)
+            fast = FastEngine().resume_synced(
+                cpu, snap.pc, None, syncs, on_sync)
+            assert seen == syncs
+            assert_same_result(full, fast)
+
+            # a truthy return hands the run back at exactly that state
+            cpu = tool._make_cpu(None)
+            restore_snapshot(cpu, snap)
+            assert FastEngine().resume_synced(
+                cpu, snap.pc, None, syncs, lambda c, pc: True) is None
+            assert cpu.steps == syncs[0]
+
+    def test_ret_into_a_block_interior(self):
+        # A corrupted return address makes ``ret`` land on a pc no
+        # translated block starts at.
+        tool = make_tool("PINFI", DEMO_SOURCE, "demo")  # the clean binary
+        program = tool.program
+        snaps, full = golden_states(tool._make_cpu(None))
+        leaders = set(discover_blocks(program)[0])
+        interiors = [pc for pc in range(len(program.code))
+                     if pc not in leaders]
+        at_ret = [s for s in snaps if program.code[s.pc][0] == O.RET
+                  and s.steps < full.steps - 1]
+        assert at_ret and interiors
+        outcomes = set()
+        for snap in at_ret[:3]:
+            for target in interiors[::5]:
+                def smash_return_address(cpu):
+                    sp = cpu.iregs[RSP_IDX]
+                    cpu.mem[sp:sp + 8] = target.to_bytes(8, "little")
+
+                ref, _ = resume_pair(tool, snap, budget=4000,
+                                     poke=smash_return_address)
+                outcomes.add(ref.trap)
+        assert len(outcomes) > 1  # some crash, some run on
+
+
+class TestOneCompilePerBinary:
+    """Translation is the engine's only code generation: a whole cell —
+    profile run, cursor, every fork, fire point and rejoin check — byte-
+    compiles one code object per binary."""
+
+    @pytest.mark.parametrize("tool_name", ["REFINE", "PINFI", "LLFI"])
+    def test_cell_compiles_once(self, tool_name, monkeypatch):
+        compiled = []
+
+        def counting_compile(source, filename, mode, *args, **kwargs):
+            compiled.append(filename)
+            return builtins.compile(source, filename, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "compile", counting_compile,
+                            raising=False)
+        # a cache nothing has warmed: this binary is translated here
+        monkeypatch.setattr(FastEngine, "cache", TranslationCache())
+        spec = CampaignSpec(workload="EP", source=workload_sources()["EP"],
+                            tool_name=tool_name, n=24)
+        result = run_cell(spec)
+        assert sum(result.counts.values()) == 24
+        assert len(compiled) == 1, compiled
 
 
 class TestToolEquivalence:

@@ -4,6 +4,9 @@ the verifier."""
 import pytest
 
 from repro.errors import IRError, VerifierError
+from repro.frontend import compile_source
+from repro.irpasses import optimize_module
+from repro.workloads import get_workload, workload_names
 from repro.ir import (
     Branch,
     ConstantInt,
@@ -169,6 +172,56 @@ class TestDominators:
         dead.append(Branch(fn.get_block("exit")))
         dt = DominatorTree(fn)
         assert not dt.reachable(dead)
+
+
+class TestPredecessorMap:
+    """One pass over a function must answer what ``predecessors()``
+    answers block by block — same blocks, same order — or the dominator
+    tree, and with it the compiled binaries, would change."""
+
+    def check(self, fn):
+        dt = DominatorTree(fn)
+        all_preds = fn.predecessor_map()
+        assert list(all_preds) == fn.blocks
+        for block in fn.blocks:
+            scanned = block.predecessors()
+            assert all_preds[block] == scanned
+            if dt.reachable(block):
+                assert dt.preds[block] == [
+                    p for p in scanned if dt.reachable(p)
+                ]
+        assert set(dt.preds) == set(dt.rpo)
+
+    def test_duplicate_edge_counts_once(self):
+        m = Module()
+        fn = m.add_function("f", FunctionType(I64, [I64]))
+        entry, target = fn.add_block("entry"), fn.add_block("target")
+        b = IRBuilder(entry)
+        b.cond_br(b.icmp("eq", fn.args[0], ConstantInt(0)), target, target)
+        b.set_block(target)
+        b.ret(ConstantInt(0))
+        assert fn.predecessor_map() == {entry: [], target: [entry]}
+        self.check(fn)
+
+    def test_unreachable_predecessor_is_filtered(self):
+        m, fn = build_loop_function()
+        dead = fn.add_block("dead")
+        dead.append(Branch(fn.get_block("exit")))
+        self.check(fn)
+        exit_ = fn.get_block("exit")
+        assert dead in fn.predecessor_map()[exit_]
+        assert dead not in DominatorTree(fn).preds[exit_]
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_every_function_of_every_workload(self, name):
+        module = compile_source(get_workload(name).source, name)
+        for optimized in (False, True):
+            if optimized:
+                optimize_module(module, "O2")
+            functions = module.defined_functions()
+            assert functions
+            for fn in functions:
+                self.check(fn)
 
 
 class TestVerifier:

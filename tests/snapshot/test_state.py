@@ -105,6 +105,77 @@ class TestPageDeltas:
         assert with_base.pages == without.pages
 
 
+def copy_and_slice_scan(cpu, prev, base):
+    """The page scan ``capture_snapshot`` used to do (one copy of the whole
+    image, one slice per page): the reference for the in-place scan."""
+    mem = bytes(cpu.mem)
+    pages = {} if prev is None else dict(prev.pages)
+    for idx, clean in enumerate(base):
+        current = mem[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE]
+        if current != pages.get(idx, clean):
+            pages[idx] = current
+    return pages
+
+
+class TestInPlaceScan:
+    """``capture_snapshot`` compares pages against the live image without
+    copying it; what it finds must be what the copying scan found."""
+
+    def check_chain(self, program, writes_per_capture):
+        base = base_pages(program)
+        cpu = CPU(program)
+        prev = None
+        for writes in writes_per_capture:
+            for addr, data in writes:
+                cpu.mem[addr:addr + len(data)] = data
+            expected = copy_and_slice_scan(cpu, prev, base)
+            snap = capture_snapshot(cpu, 0, prev=prev, base=base)
+            assert snap.pages == expected
+            assert all(type(p) is bytes for p in snap.pages.values())
+            if prev is not None:
+                for idx, page in prev.pages.items():
+                    same = page == expected[idx]
+                    assert (snap.pages[idx] is page) == same
+            fresh = CPU(program)
+            restore_snapshot(fresh, snap)
+            assert fresh.mem == cpu.mem
+            prev = snap
+        return prev
+
+    def test_first_and_last_page(self, program):
+        size = program.mem_size
+        last = self.check_chain(program, [
+            [(0, b"\x01")],
+            [(size - 1, b"\x02")],
+            [(PAGE_SIZE - 1, b"\x03\x04")],  # straddles pages 0 and 1
+        ])
+        assert set(last.pages) == {0, 1, (size - 1) // PAGE_SIZE}
+
+    def test_page_dirtied_then_restored_to_the_base_image(self, program):
+        addr = 7 * PAGE_SIZE + 123
+        clean = bytes(program.fresh_memory()[addr:addr + 8])
+        last = self.check_chain(program, [
+            [(addr, b"\xff" * 8)],
+            [(addr, clean)],   # equal to the base image again ...
+            [],                # ... and unchanged since
+        ])
+        # it stays in the chain, holding the clean bytes (as it always has)
+        assert last.pages[7] == base_pages(program)[7]
+
+    def test_random_dirty_patterns(self, program):
+        import random
+
+        rng = random.Random(0xD1A7)
+        size = program.mem_size
+        for _ in range(5):
+            chain = [
+                [(rng.randrange(size - 16), rng.randbytes(rng.randint(1, 16)))
+                 for _ in range(rng.randint(0, 6))]
+                for _ in range(6)
+            ]
+            self.check_chain(program, chain)
+
+
 class TestToolCounters:
     def test_refine_counter_recorded(self):
         spec = get_workload("EP")

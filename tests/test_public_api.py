@@ -223,3 +223,21 @@ def test_cell_bookkeeping_has_one_copy():
         name for name in vars(ServiceCoordinator) if "checkpoint" in name
         or name in ("_save_cell", "_finish_cell")
     ]
+
+
+def test_engine_generates_code_in_one_place():
+    """Translating a binary is the engine's only code generation: one
+    ``compile(`` call site (``engine/cache.py``), none for mid-block
+    entries — those are interpreted to the end of their block.  The guard
+    that counts the calls at run time is
+    ``tests/engine/test_fast_engine.py::TestOneCompilePerBinary``."""
+    from pathlib import Path
+
+    import repro.engine
+
+    root = Path(repro.engine.__file__).parent
+    sites = {
+        path.name: path.read_text(encoding="utf-8").count("compile(")
+        for path in root.glob("*.py")
+    }
+    assert {name: n for name, n in sites.items() if n} == {"cache.py": 1}
