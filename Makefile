@@ -3,7 +3,7 @@
 PY ?= python3
 SAMPLES ?= 60
 
-.PHONY: install test test-fast bench bench-paper campaign results-tables examples loc profile clean
+.PHONY: install test test-fast bench bench-paper campaign results-tables examples loc profile profile-hangs clean
 
 install:
 	pip install -e .
@@ -37,10 +37,16 @@ examples:
 loc:
 	$(PY) scripts/loc.py
 
-# One cold cell (compile -> load -> profile -> run_cell) under cProfile:
-# top functions and every builtins.compile call by caller.
+# One cold cell (compile -> load -> profile -> run_batch) under cProfile:
+# the tails by how they ended, top functions and every builtins.compile
+# call by caller.
 profile:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py lulesh REFINE -n 24
+
+# The cell where hangs repeat: its census reads "timeout 125 -> 48 executed,
+# 77 reused" (a hang is executed once per distinct state, not per experiment).
+profile-hangs:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py EP REFINE --fault-model cache-line -n 320
 
 # results/bench_artifacts/ holds the tracked paper tables: not build debris.
 clean:

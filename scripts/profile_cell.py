@@ -4,11 +4,17 @@
     python scripts/profile_cell.py lulesh REFINE            # n = 24
     python scripts/profile_cell.py EP PINFI -n 8 --top 15
     python scripts/profile_cell.py EP REFINE --fault-model stuck-at:dwell=64
+    python scripts/profile_cell.py EP REFINE --fault-model cache-line -n 320
 
-Builds the cell from nothing — compile, load, profile run, then
-``run_cell`` — under ``cProfile`` and prints the top functions by self time
-and by cumulative time, plus every ``builtins.compile`` call by caller (the
-engine byte-compiles once per binary, at translation; a second call from
+Builds the cell from nothing — compile, load, profile run, then the
+scheduler's ``run_batch`` — under ``cProfile`` and prints, first, a census of
+the tails by how they ended (rejoined the golden run / reused a recorded
+ending / ran to their end / trapped / timed out) with the steps each class
+executed — on a small data segment under a memory fault model the timeouts
+are where the steps go, and how many of them were reused rather than run is
+the line to read — then the top functions by self time and by cumulative
+time, plus every ``builtins.compile`` call by caller (the engine
+byte-compiles once per binary, at translation; a second call from
 ``repro/engine`` is a regression).  Spans around public calls (perfbench's
 traced lap) cannot see inside ``run_batch``; this can.
 
@@ -21,15 +27,66 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import dataclasses
 import os
 import pstats
 
-from repro.campaign import CampaignSpec, run_cell
+from repro.campaign import CampaignSpec, TriggerScheduler
+from repro.campaign.schedule import SchedulerStats
 from repro.fi import TOOL_ORDER
 from repro.workloads import workload_sources
 
 _COMPILE = ("~", 0, "<built-in method builtins.compile>")
 _ENGINE = os.path.join("repro", "engine") + os.sep
+
+
+class TailCensus:
+    """Tails by how they ended, from the records and the scheduler's own
+    counters (each record's share of them is the counters' change since
+    the record before)."""
+
+    CLASSES = ("rejoined", "ending reused", "ran to end", "trapped", "timeout")
+
+    def __init__(self) -> None:
+        #: class -> [tails, steps executed]
+        self.rows = {name: [0, 0] for name in self.CLASSES}
+        #: reused endings that were themselves timeouts
+        self.timeouts_reused = 0
+        self._seen = SchedulerStats()
+
+    def note(self, record, stats: SchedulerStats) -> None:
+        seen = self._seen
+        if stats.rejoins > seen.rejoins:
+            kind = "rejoined"
+        elif stats.ending_hits > seen.ending_hits:
+            kind = "ending reused"
+            self.timeouts_reused += record.trap == "timeout"
+        elif record.trap == "timeout":
+            kind = "timeout"
+        else:
+            kind = "ran to end" if record.trap is None else "trapped"
+        row = self.rows[kind]
+        row[0] += 1
+        row[1] += (
+            record.steps
+            - (stats.prefix_steps_saved - seen.prefix_steps_saved)
+            - (stats.tail_steps_saved - seen.tail_steps_saved)
+        )
+        self._seen = dataclasses.replace(stats)
+
+    def render(self) -> str:
+        total = sum(steps for _, steps in self.rows.values()) or 1
+        lines = [f"{'tails':<15}{'count':>7}{'steps executed':>17}{'share':>8}"]
+        lines += [
+            f"{name:<15}{count:>7}{steps:>17,}{steps / total:>8.1%}"
+            for name, (count, steps) in self.rows.items()
+        ]
+        ran = self.rows["timeout"][0]
+        lines.append(
+            f"timeout {ran + self.timeouts_reused} -> {ran} executed, "
+            f"{self.timeouts_reused} reused"
+        )
+        return "\n".join(lines)
 
 
 def cold_cell(program: str, tool_name: str, n: int, fault_model: str):
@@ -42,7 +99,11 @@ def cold_cell(program: str, tool_name: str, n: int, fault_model: str):
     tool.binary    # frontend -> irpasses -> backend -> instrumentation
     tool.program   # load
     tool.profile   # translation + the fault-free profiling run
-    return run_cell(spec, tool)
+    scheduler = TriggerScheduler(tool)
+    census = TailCensus()
+    for record in scheduler.run_batch(spec.base_seed, range(n)):
+        census.note(record, scheduler.stats)
+    return census
 
 
 def compile_callers(stats: pstats.Stats) -> dict[str, int]:
@@ -69,14 +130,14 @@ def main() -> int:
     args = parser.parse_args()
 
     profiler = cProfile.Profile()
-    result = profiler.runcall(
+    census = profiler.runcall(
         cold_cell, args.program, args.tool, args.n, args.fault_model
     )
     stats = pstats.Stats(profiler)
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
-          f"{stats.total_tt:.2f} s under cProfile, "
-          f"{sum(result.counts.values())} experiments")
+          f"{stats.total_tt:.2f} s under cProfile")
+    print(census.render())
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):
         stats.sort_stats(key).print_stats(args.top)

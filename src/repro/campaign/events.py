@@ -57,9 +57,13 @@ event                     extra fields
                           sequential runner adds ``wall_s``,
                           ``experiments_per_sec``
 ``scheduler_stats``       ``workload``, ``tool``, ``experiments``, ``forks``,
-                          ``fork_hits``, ``scratch``, ``rejoins``,
-                          ``sync_states``, ``cursor_steps``,
-                          ``prefix_steps_saved``, ``tail_steps_saved`` —
+                          ``fork_hits``, ``scratch``, ``rejoins`` (tails
+                          spliced onto the golden ending), ``endings`` /
+                          ``ending_hits`` (overrun endings recorded /
+                          tails spliced onto one), ``sync_states``,
+                          ``cursor_steps``, ``prefix_steps_saved``,
+                          ``tail_steps_saved`` (steps either kind of
+                          splice skipped) —
                           the scheduler's counters (see
                           :mod:`repro.campaign.schedule`); cumulative from
                           the sequential runner (emitted after the cursor
@@ -195,6 +199,7 @@ class CampaignStats:
         #: trigger-scheduler counters (from ``scheduler_stats`` events)
         self.sched_forks = 0
         self.sched_rejoins = 0
+        self.sched_ending_hits = 0
         self.sched_steps_saved = 0
         self._restored = done  # restored from a checkpoint, not run here
         self._clock = clock
@@ -215,16 +220,19 @@ class CampaignStats:
         per-task events are one batch's own figures (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
+        ending_hits = int(fields.get("ending_hits", 0))
         saved = int(fields.get("prefix_steps_saved", 0)) + int(
             fields.get("tail_steps_saved", 0)
         )
         if accumulate:
             self.sched_forks += forks
             self.sched_rejoins += rejoins
+            self.sched_ending_hits += ending_hits
             self.sched_steps_saved += saved
         else:
             self.sched_forks = forks
             self.sched_rejoins = rejoins
+            self.sched_ending_hits = ending_hits
             self.sched_steps_saved = saved
 
     def note_worker(self, worker: str, k: int) -> None:
@@ -282,6 +290,7 @@ class CampaignStats:
             line += (
                 f" | sched {self.sched_forks} forks, "
                 f"{self.sched_rejoins} rejoins, "
+                f"{self.sched_ending_hits} endings reused, "
                 f"{self.sched_steps_saved:,} steps saved"
             )
         return line

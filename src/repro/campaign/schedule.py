@@ -34,6 +34,19 @@ fault list by dynamic position).  So nothing here runs it twice:
    order).  A later batch restores the nearest retained sync state below
    its first trigger and replays the cursor only across its own trigger
    window; its tails rejoin and splice against the retained timeline.
+6. **Overrun → known ending.**  The golden ending is only the ending known
+   in advance.  Every tail's last sync point is step G, the golden length:
+   a tail still running there has overrun — on a small data segment
+   typically a hang that will burn the whole 10x budget — and its state
+   (step 4's comparison) is looked up among the states earlier tails of
+   this scheduler overran in.  A match splices that tail's recorded
+   :class:`Ending`, exact for the reason step 4 is: equal state at an equal
+   step under an equal budget has one future.  A miss runs on, and its
+   ending is kept only if it ran at least one more golden length.  Faults
+   repeat — n draws from a (cell, bit) space that on a small data segment
+   is not much larger than n — so a hang is executed once per distinct
+   state, not once per experiment.  The table stays with the scheduler,
+   like the timeline, and holds :data:`ENDINGS_KEPT` entries, oldest out.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except the provenance pair ``engine``/``snapshot_hit`` matches the
@@ -46,14 +59,16 @@ from __future__ import annotations
 
 import struct
 import time
+from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro.campaign.classify import classify
 from repro.campaign.results import ExperimentRecord
 from repro.errors import CampaignError
-from repro.fi.tools import GOLDEN_BUDGET, TIMEOUT_FACTOR, FITool
+from repro.fi.tools import GOLDEN_BUDGET, FITool
 from repro.machine.cpu import ExecutionResult
 from repro.snapshot.state import (
     PAGE_SIZE,
@@ -84,6 +99,10 @@ REJOIN_MAX_CHECKS = 8
 #: Stop attempting full-memory comparisons for a tail after this many
 #: expensive near-misses (registers matched, memory did not).
 REJOIN_MAX_MEM_MISSES = 2
+
+#: Recorded endings one scheduler keeps, oldest out (each holds a reference
+#: state's dirty pages and two per-pc count vectors).
+ENDINGS_KEPT = 64
 
 
 @dataclass
@@ -126,12 +145,19 @@ class SchedulerStats:
     scratch: int = 0
     #: tails spliced onto the golden suffix after provable re-convergence
     rejoins: int = 0
+    #: endings recorded from tails that overran the golden length / tails
+    #: spliced onto one (a hit needs an earlier tail *of this scheduler*, so
+    #: unlike the rest this does not sum to the same total however a cell is
+    #: split across executors)
+    endings: int = 0
+    ending_hits: int = 0
     #: full-state reference snapshots recorded along the cursor
     sync_states: int = 0
     cursor_steps: int = 0
     #: golden-prefix instructions not re-executed thanks to forks
     prefix_steps_saved: int = 0
-    #: tail instructions not re-executed thanks to golden rejoin
+    #: tail instructions not re-executed thanks to a spliced ending (the
+    #: golden one or a recorded one)
     tail_steps_saved: int = 0
 
     def as_dict(self) -> dict:
@@ -141,6 +167,8 @@ class SchedulerStats:
             "fork_hits": self.fork_hits,
             "scratch": self.scratch,
             "rejoins": self.rejoins,
+            "endings": self.endings,
+            "ending_hits": self.ending_hits,
             "sync_states": self.sync_states,
             "cursor_steps": self.cursor_steps,
             "prefix_steps_saved": self.prefix_steps_saved,
@@ -173,6 +201,30 @@ def resolve_trigger_order(
     return pairs
 
 
+@dataclass(frozen=True)
+class Ending:
+    """How a run ended: what a tail takes over when it is spliced onto a
+    state that run passed through (:meth:`TriggerScheduler._splice`)."""
+
+    trap: str | None
+    trap_pc: int
+    exit_code: int
+    steps: int
+    #: per-static-instruction execution counts at the end (packed ``q``: a
+    #: scheduler may hold :data:`ENDINGS_KEPT` of these)
+    counts: array
+    #: every line printed by the end
+    output: tuple[str, ...]
+
+    @classmethod
+    def of(cls, result: ExecutionResult) -> Ending:
+        """A copy: the pooled CPU whose run this was goes on to run tails."""
+        return cls(
+            result.trap, result.trap_pc, result.exit_code, result.steps,
+            array("q", result.counts), tuple(result.output),
+        )
+
+
 @dataclass
 class GoldenTimeline:
     """What one full cursor pass learned about a tool's golden run."""
@@ -187,10 +239,13 @@ class GoldenTimeline:
     #: entry).  A window may start from a state only if its first trigger
     #: lies beyond that.
     reaches: list[int] = field(default_factory=list)
-    #: golden totals, set when the pass that recorded them has finished
-    steps: int = 0
-    counts: list[int] = field(default_factory=list)
-    exit_code: int = 0
+    #: how the golden run ends, set when the pass has finished
+    ending: Ending | None = None
+
+    @property
+    def steps(self) -> int:
+        """The golden length G."""
+        return self.ending.steps
 
     @staticmethod
     def auto_interval(golden_steps: int) -> int:
@@ -250,6 +305,11 @@ class TriggerScheduler:
         self._mem_template: bytes | None = None
         #: plan of the tail currently resuming (rejoin gates on its window)
         self._tail_plan = None
+        #: (state at step G, how the tail that was in it ended): see
+        #: :meth:`_on_overrun`
+        self._endings: deque[tuple[CpuSnapshot, Ending]] = deque(
+            maxlen=ENDINGS_KEPT
+        )
 
     # -- cursor -------------------------------------------------------------
 
@@ -347,10 +407,7 @@ class TriggerScheduler:
                 f"{len(timeline.reaches)} of {1 + len(syncs)} sync states"
             )
         self.stats.cursor_steps = result.steps
-        timeline.steps = result.steps
-        # a copy: the pooled CPU goes on to run tails
-        timeline.counts = list(result.counts)
-        timeline.exit_code = result.exit_code
+        timeline.ending = Ending.of(result)
         return timeline
 
     def _replay_window(self, timeline: GoldenTimeline) -> None:
@@ -370,18 +427,21 @@ class TriggerScheduler:
         )
         self.stats.cursor_steps = cpu.steps - start.steps
 
-    # -- golden rejoin ------------------------------------------------------
+    # -- known endings: the golden one, and recorded ones -------------------
 
     def _tail_syncs(self, fork_steps: int) -> list[int]:
-        """Thinned schedule of rejoin checkpoints for a tail forked at
-        ``fork_steps``: the first :data:`REJOIN_DENSE` interval multiples
-        after the fork, then geometrically growing strides."""
+        """Where a tail forked at ``fork_steps`` pauses: a thinned schedule
+        of golden rejoin checkpoints — the first :data:`REJOIN_DENSE`
+        interval multiples after the fork, then geometrically growing
+        strides — and last the golden length itself, where a tail still
+        running has overrun (:meth:`_on_overrun`)."""
         interval = self._timeline.interval
+        golden_steps = self._timeline.steps
         k = fork_steps // interval + 1
         out: list[int] = []
         dense = REJOIN_DENSE
         stride = 1
-        while k * interval < self._timeline.steps and len(out) < REJOIN_MAX_CHECKS:
+        while k * interval < golden_steps and len(out) < REJOIN_MAX_CHECKS:
             out.append(k * interval)
             if dense > 0:
                 dense -= 1
@@ -389,31 +449,68 @@ class TriggerScheduler:
             else:
                 stride *= REJOIN_GROWTH
                 k += stride
+        out.append(golden_steps)
         return out
 
     def _on_sync(self, cpu, pc: int) -> bool:
-        """Rejoin test at one sync point of a faulty tail.
+        """Splice test at one sync point of a faulty tail.
 
         Returns True (stop; splice) only when the tail's full architectural
-        state equals the golden state at the same absolute step count.
+        state equals a state whose ending is known, at the same absolute
+        step count: the golden state there, or — at the golden length — a
+        state an earlier tail overran in.
         Before the fault has fired the tail *is* the golden run, so a match
         is vacuous and splicing would skip the injection — never stop then.
         Likewise while a dwell window is still open (stuck-at models): the
-        fault keeps re-applying, so the tail may not rejoin — and PINFI may
-        not be treated as detached — until the window closes.
+        fault keeps re-applying, so the tail may not be spliced — and PINFI
+        may not be treated as detached — until the window closes.  A tail
+        PINFI is still attached to is never spliced: its counts still
+        accumulate into the attach-time accounting a splice leaves alone.
         """
-        if cpu.fault is None:
+        if cpu.fault is None or cpu._attached:
             return False
         plan = self._tail_plan
         if plan is not None and plan.last_index > plan.target_index:
             count = getattr(cpu, "_" + self.counter)
             if count < plan.last_index:
                 return False
+        timeline = self._timeline
+        if cpu.steps == timeline.steps:
+            return self._on_overrun(cpu, pc)
         if self._mem_misses >= REJOIN_MAX_MEM_MISSES:
             return False
-        ref = self._timeline.sync_states.get(cpu.steps)
-        if ref is None:
+        ref = timeline.sync_states.get(cpu.steps)
+        if ref is None or not self._same_state(cpu, pc, ref):
             return False
+        self._spliced = ref, timeline.ending
+        self.stats.rejoins += 1
+        return True
+
+    def _on_overrun(self, cpu, pc: int) -> bool:
+        """A tail is still running at the golden length G: splice the
+        ending of an earlier tail that was in exactly this state at G, or
+        remember the state so this tail's own ending can be recorded.
+
+        Why a match is exact: same state, same step, same budget (one
+        scheduler serves one tool, hence one
+        :attr:`~repro.fi.tools.FITool.timeout_budget`) — a deterministic
+        machine has one future from there, the timeout step included.
+        Which tail, of which batch, recorded the ending cannot matter.
+        """
+        for ref, ending in self._endings:
+            if self._same_state(cpu, pc, ref):
+                self._spliced = ref, ending
+                self.stats.ending_hits += 1
+                return True
+        self._overran = capture_snapshot(cpu, pc, base=self._base)
+        return False
+
+    def _same_state(self, cpu, pc: int, ref: CpuSnapshot) -> bool:
+        """Is the CPU, paused before ``pc``, bit for bit in state ``ref``?
+        Registers first (floats bitwise: NaN payloads, signed zeros), then
+        every page of memory — the comparison itself, not a digest.  Getting
+        as far as memory and missing there is the expensive kind of miss:
+        ``_mem_misses`` tallies it for the golden rejoin's gate."""
         if pc != ref.pc or cpu.flags != ref.flags:
             return False
         if tuple(cpu.iregs) != ref.iregs:
@@ -428,38 +525,35 @@ class TriggerScheduler:
             if not mem.startswith(pages.get(i, clean), i * PAGE_SIZE):
                 self._mem_misses += 1
                 return False
-        self._rejoin_ref = ref
         return True
 
-    def _splice(self, cpu, ref: CpuSnapshot) -> ExecutionResult:
-        """Complete a re-converged tail from the golden suffix.
+    def _splice(self, cpu, at: CpuSnapshot, ending: Ending) -> ExecutionResult:
+        """Complete a tail from the ending of a run that passed through the
+        state it is in.
 
-        The tail's state at step ``S = ref.steps`` is bitwise equal to the
-        golden run's, so its remaining execution is the golden remainder:
-        counts gain the golden per-pc deltas past ``S``, output gains the
-        golden lines past ``S``, and the run ends at the golden step count
-        with the golden exit code and no trap.  PINFI's frozen attach-time
+        The tail's state at step ``S = at.steps`` is bitwise equal to
+        ``at``, so its remaining execution is that run's remainder: counts
+        gain the run's per-pc deltas past ``S``, output gains its lines
+        past ``S``, and the tail ends at the run's step count the way the
+        run did (the golden run: cleanly, with the golden exit code; an
+        overrun tail: usually on the timeout).  PINFI's frozen attach-time
         accounting (``counts_attached``, ``attached_candidates``) is
         untouched — the fault always fires (and PINFI detaches) before a
-        rejoin is admissible.
+        splice is admissible.
         """
-        golden_output = self.tool.profile.golden_output
-        timeline = self._timeline
         result = ExecutionResult()
-        result.trap = None
-        result.trap_pc = -1
-        result.exit_code = timeline.exit_code
-        result.output = list(cpu.output) + list(golden_output[len(ref.output):])
-        result.steps = timeline.steps
+        result.trap = ending.trap
+        result.trap_pc = ending.trap_pc
+        result.exit_code = ending.exit_code
+        result.output = list(cpu.output) + list(ending.output[len(at.output):])
+        result.steps = ending.steps
         result.fault = cpu.fault
-        g_counts = timeline.counts
-        ref_counts = ref.counts
         result.counts = [
-            c + g_counts[i] - ref_counts[i] for i, c in enumerate(cpu.counts)
+            c + e - a for c, e, a in zip(cpu.counts, ending.counts, at.counts)
         ]
         result.counts_attached = cpu.counts_attached
         result.attached_candidates = cpu.attached_candidates
-        self.stats.tail_steps_saved += timeline.steps - ref.steps
+        self.stats.tail_steps_saved += ending.steps - at.steps
         return result
 
     # -- tails --------------------------------------------------------------
@@ -506,14 +600,20 @@ class TriggerScheduler:
             cpu = self._cpu_for(plan)
             restore_snapshot(cpu, fork)
             self._mem_misses = 0
-            self._rejoin_ref = None
+            self._overran = None
             result = tool.engine.resume_synced(
-                cpu, fork.pc, tool.profile.steps * TIMEOUT_FACTOR,
+                cpu, fork.pc, tool.timeout_budget,
                 self._tail_syncs(fork.steps), self._on_sync,
             )
             if result is None:
-                result = self._splice(cpu, self._rejoin_ref)
-                self.stats.rejoins += 1
+                result = self._splice(cpu, *self._spliced)
+            elif (
+                self._overran is not None
+                and result.steps >= 2 * self._timeline.steps
+            ):
+                # ran at least one more golden length: worth remembering
+                self._endings.append((self._overran, Ending.of(result)))
+                self.stats.endings += 1
             cycles = tool._cycles(cpu, result)
             self.stats.fork_hits += 1
             self.stats.prefix_steps_saved += fork.steps

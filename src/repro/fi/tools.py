@@ -166,6 +166,14 @@ class FITool:
             exit_code=result.exit_code,
         )
 
+    @property
+    def timeout_budget(self) -> int:
+        """Steps a faulty run gets before it is classified a timeout (the
+        paper's rule, Section 4.3.2).  One number per tool, so every faulty
+        run of a tool — from instruction 0 or forked mid-way — ends under
+        the same budget."""
+        return self.profile.steps * TIMEOUT_FACTOR
+
     def plan_from_seed(self, seed: int) -> FaultPlan:
         """Draw the full fault plan from ``seed`` under the tool's fault
         model.  The default single-bit model reproduces the paper's uniform
@@ -181,8 +189,7 @@ class FITool:
         prefix to share."""
         plan = self.plan_from_seed(seed)
         cpu = self._make_cpu(plan)
-        budget = self.profile.steps * TIMEOUT_FACTOR
-        result = self.engine.run(cpu, budget=budget)
+        result = self.engine.run(cpu, budget=self.timeout_budget)
         return InjectionRun(
             result=result,
             cycles=self._cycles(cpu, result),

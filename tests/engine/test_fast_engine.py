@@ -17,7 +17,6 @@ from repro.engine import cache as cache_module
 from repro.engine import fast as fast_module
 from repro.engine.blocks import discover_blocks
 from repro.engine.cache import TranslationCache, translation_fingerprint
-from repro.fi.tools import TIMEOUT_FACTOR
 from repro.machine import CPU, load_binary
 from repro.machine import opcodes as O
 from repro.machine.registers import RSP_IDX
@@ -167,7 +166,7 @@ def resume_pair(tool, snap, plan_of=lambda: None, budget=None, poke=None):
     asserting they (and the fault logs) agree.  A faulty run gets the
     campaign's timeout unless ``budget`` says otherwise."""
     if budget is None:
-        budget = tool.profile.steps * TIMEOUT_FACTOR
+        budget = tool.timeout_budget
     results = []
     for resume in (lambda c: c.resume(snap.pc, budget),
                    lambda c: FastEngine().resume(c, snap.pc, budget)):

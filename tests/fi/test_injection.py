@@ -78,9 +78,9 @@ class TestInjection:
         assert fault.dynamic_index >= 1
 
     def test_timeout_budget_is_10x_profile(self, tool):
-        budget = tool.profile.steps * TIMEOUT_FACTOR
+        assert tool.timeout_budget == tool.profile.steps * TIMEOUT_FACTOR
         run = tool.inject(3)
-        assert run.result.steps <= budget
+        assert run.result.steps <= tool.timeout_budget
 
 
 class TestToolSpecificBehaviour:

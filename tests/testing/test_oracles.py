@@ -159,8 +159,8 @@ class TestCampaignDivergenceDetection:
 
         real = TriggerScheduler._splice
 
-        def lossy(self, cpu, ref):
-            result = real(self, cpu, ref)
+        def lossy(self, cpu, at, ending):
+            result = real(self, cpu, at, ending)
             if len(result.output) > len(cpu.output):
                 result.output.pop()
             return result
