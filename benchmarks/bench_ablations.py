@@ -32,7 +32,7 @@ from benchmarks.conftest import emit_artifact
 SPEC = get_workload("miniFE")
 
 
-def test_ablation_pinfi_detach(benchmark, campaign_matrix):
+def test_ablation_pinfi_detach(benchmark):
     """Campaign time with vs without PINFI's detach optimization."""
     tool = PinfiTool(SPEC.source, SPEC.name)
     _ = tool.profile

@@ -1,26 +1,11 @@
-"""Shared infrastructure for the benchmark harness.
-
-Every table and figure of the paper has a bench module that regenerates it.
-The campaign matrix is computed once per session (sample count from
-``REPRO_SAMPLES``, default 60 — the paper's 1068 is available by exporting
-``REPRO_SAMPLES=1068``) and rendered artifacts are written to
-``results/bench_artifacts/`` as well as printed.
-"""
+"""Shared by the regenerators of the paper's listings, Table 3, sampling
+appendix and ablations — none runs a campaign (Table 4/5/6 and Figure 4/5
+are ``refine-db report`` over a results store, ``make paper``).  Rendered
+artifacts are written to ``results/bench_artifacts/`` and printed."""
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-
-import pytest
-
-from repro.campaign import run_matrix
-from repro.fi import TOOL_ORDER
-from repro.stats import margin_of_error
-from repro.workloads import workload_names, workload_sources
-
-#: Samples per (workload, tool); the paper uses 1068.
-SAMPLES = int(os.environ.get("REPRO_SAMPLES", "60"))
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "results" / "bench_artifacts"
 
@@ -32,24 +17,3 @@ def emit_artifact(name: str, text: str) -> None:
     path.write_text(text + "\n")
     print(f"\n[artifact -> {path}]")
     print(text)
-
-
-@pytest.fixture(scope="session")
-def workloads():
-    return workload_names()
-
-
-@pytest.fixture(scope="session")
-def tools():
-    return list(TOOL_ORDER)
-
-
-@pytest.fixture(scope="session")
-def campaign_matrix():
-    """The full (workload x tool) campaign matrix at SAMPLES per cell."""
-    print(
-        f"\n[campaign: n={SAMPLES} per (workload, tool), margin of error "
-        f"{margin_of_error(SAMPLES) * 100:.1f}% at 95% — export "
-        f"REPRO_SAMPLES=1068 for the paper's setting]"
-    )
-    return run_matrix(workload_sources(), TOOL_ORDER, n=SAMPLES)

@@ -6,6 +6,9 @@
 3. chi-squared-test each tool against the PINFI baseline (Table 5);
 4. compare campaign times (Figure 5).
 
+Steps 2-4 are the repository's one renderer (``refine-db report``) over an
+in-memory results store holding the campaign.
+
 Sample count via REPRO_SAMPLES (default 150; the paper uses 1068).
 
 The campaign is **checkpointed**: pass a directory via REPRO_CHECKPOINT_DIR
@@ -19,8 +22,14 @@ resuming just skips the completed indices).
 import os
 
 from repro.campaign import run_matrix
-from repro.reporting import render_figure5, render_outcome_panel
-from repro.stats import ContingencyTable, margin_of_error
+from repro.resultsdb import (
+    ResultsDB,
+    generated_blocks,
+    ingest_result,
+    render_markdown,
+    report_data,
+)
+from repro.stats import margin_of_error
 from repro.workloads import get_workload
 
 N = int(os.environ.get("REPRO_SAMPLES", "150"))
@@ -45,23 +54,13 @@ def main() -> None:
         checkpoint_dir=CHECKPOINT_DIR, checkpoint_every=25,
     )
 
-    # Figure 4 panel.
-    per_tool = {t: matrix[(WORKLOAD, t)] for t in TOOLS}
-    print(render_outcome_panel(per_tool, WORKLOAD))
-
-    # Table 5 rows.
-    print("\nchi-squared vs PINFI (alpha = 0.05):")
-    for tool in ("LLFI", "REFINE"):
-        table = ContingencyTable.from_results(
-            matrix[(WORKLOAD, tool)], matrix[(WORKLOAD, "PINFI")]
-        )
-        test = table.test()
-        verdict = "SIGNIFICANTLY DIFFERENT" if test.significant else "similar"
-        print(f"  {tool:7s} p = {test.p_value:8.4f}  -> {verdict}")
-
-    # Figure 5 panel.
-    print()
-    print(render_figure5(matrix, [WORKLOAD]))
+    with ResultsDB() as db:  # :memory:
+        for result in matrix.values():
+            ingest_result(db, result)
+        blocks = generated_blocks(render_markdown(report_data(db)))
+    for artifact in ("figure4", "table5", "figure5"):
+        print(f"-- {artifact} --")
+        print(blocks[artifact])
 
     print(
         "\nExpected shape (paper): LLFI differs from PINFI and runs a "

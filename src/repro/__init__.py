@@ -14,9 +14,9 @@ The package is a full vertical stack:
   state (registers, FLAGS, memory, traps);
 * :mod:`repro.fi` — the REFINE backend pass plus the LLFI (IR-level) and
   PINFI (binary-level) comparison tools;
-* :mod:`repro.campaign`, :mod:`repro.stats`, :mod:`repro.reporting` —
-  experiment orchestration, Leveugle sampling / chi-squared analysis and
-  the paper's figures/tables;
+* :mod:`repro.campaign`, :mod:`repro.stats`, :mod:`repro.resultsdb` —
+  experiment orchestration, Leveugle sampling / chi-squared analysis, the
+  results store and the paper's figures/tables over it;
 * :mod:`repro.workloads` — the 14 HPC benchmark programs of Table 3.
 
 Quick start::

@@ -36,7 +36,7 @@ from repro.campaign.parallel import (
     run_cell_parallel,
     run_slice,
 )
-from repro.campaign.results import CampaignResult, ExperimentRecord
+from repro.campaign.results import CampaignResult, ExperimentRecord, matrix_to_csv
 from repro.campaign.runner import (
     PAPER_SAMPLES,
     matrix_checkpoint_path,
@@ -84,6 +84,7 @@ __all__ = [
     "classify",
     "CampaignResult",
     "ExperimentRecord",
+    "matrix_to_csv",
     "DEFAULT_SEED",
     "PAPER_SAMPLES",
     "make_tool",

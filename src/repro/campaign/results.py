@@ -74,3 +74,15 @@ class CampaignResult:
             f"{o.value}={self.proportion(o) * 100:.1f}%" for o in OUTCOME_ORDER
         )
         return f"{self.workload}/{self.tool} (n={self.n}): {parts}"
+
+
+def matrix_to_csv(matrix: dict[tuple[str, str], CampaignResult]) -> str:
+    """The CSV ``refine-campaign`` and ``refine-db query --csv`` print."""
+    lines = ["workload,tool,n,crash,soc,benign,total_cycles,total_candidates"]
+    for (workload, tool), res in matrix.items():
+        crash, soc, benign = res.frequencies()
+        lines.append(
+            f"{workload},{tool},{res.n},{crash},{soc},{benign},"
+            f"{res.total_cycles:.0f},{res.total_candidates}"
+        )
+    return "\n".join(lines)

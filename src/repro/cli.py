@@ -12,7 +12,6 @@
 * ``refine-service`` — run the persistent campaign service (durable queue,
   per-tenant quotas, auto-validation, ``--soak`` divergence mining), plus
   ``status``/``list``/``cancel``/``drain`` control verbs against one.
-* ``refine-report`` — render the paper's figures/tables from a campaign.
 * ``refine-fuzz`` — differential fuzzing of the compiler and the
   zero-interference property (see :mod:`repro.testing`).
 
@@ -34,20 +33,12 @@ from repro.campaign import (
     CampaignStats,
     EventLog,
     Outcome,
+    matrix_to_csv,
     run_cells,
-    run_matrix,
     save_matrix,
 )
 from repro.errors import CampaignError, DistError, ReproError
 from repro.fi import FIConfig, TOOL_ORDER, llfi_instrument, refine_instrument
-from repro.reporting import (
-    matrix_to_csv,
-    render_figure4,
-    render_figure5,
-    render_table4,
-    render_table5,
-    render_table6,
-)
 from repro.stats import margin_of_error
 from repro.workloads import workload_sources
 
@@ -405,16 +396,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
                 checkpoint_every=args.checkpoint_every,
                 events=telemetry,
             )
-        if db is not None:
-            # The sink streamed every experiment; fill in the metadata the
-            # event stream does not carry (golden output, candidate counts).
-            from repro.resultsdb import ingest_result
-
-            sink.close()
-            for result in matrix.values():
-                ingest_result(
-                    db, result, base_seed=args.seed, source="refine-campaign"
-                )
     except (CampaignError, DistError) as exc:
         print(f"refine-campaign: error: {exc}", file=sys.stderr)
         return 1
@@ -867,78 +848,6 @@ def service_main(argv: list[str] | None = None) -> int:
         # detach stdout so the interpreter's shutdown flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-
-
-def report_main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="refine-report",
-        description="Run a campaign and render the paper's figures/tables.",
-    )
-    _add_version(parser)
-    parser.add_argument("-n", "--samples", type=int, default=120)
-    parser.add_argument("-w", "--workloads", default="all")
-    parser.add_argument("--seed", type=int, default=0x5EED0EF1)
-    parser.add_argument(
-        "--artifact", default="all",
-        choices=["figure4", "figure5", "table4", "table5", "table6", "all"],
-    )
-    parser.add_argument("--fault-models", default=None,
-                        metavar="SPEC[,SPEC...]",
-                        help="instead of the paper artifacts, render a "
-                        "Figure-4-style outcome comparison per fault model "
-                        "(tools that cannot host a model are skipped)")
-    args = parser.parse_args(argv)
-
-    sources = workload_sources()
-    if args.workloads != "all":
-        sources = {w: sources[w] for w in args.workloads.split(",")}
-    names = list(sources)
-    tools = list(TOOL_ORDER)
-
-    if args.fault_models is not None:
-        from repro.fi.models import parse_fault_model, resolve_fault_model
-        from repro.fi.tools import TOOL_CLASSES
-        from repro.reporting import render_model_comparison
-
-        try:
-            models = [
-                parse_fault_model(s).spec
-                for s in args.fault_models.split(",")
-            ]
-        except CampaignError as exc:
-            print(f"refine-report: error: {exc}", file=sys.stderr)
-            return 2
-        matrices = {}
-        for model in models:
-            resolved = resolve_fault_model(model)
-            supported = []
-            for t in tools:
-                try:
-                    resolved.check_tool(TOOL_CLASSES[t])
-                except CampaignError:
-                    continue
-                supported.append(t)
-            matrices[model] = run_matrix(
-                sources, supported, args.samples, args.seed,
-                fault_model=model,
-            )
-        print(render_model_comparison(matrices, names, tools))
-        return 0
-
-    matrix = run_matrix(sources, tools, args.samples, args.seed)
-    out: list[str] = []
-    if args.artifact in ("figure4", "all"):
-        out.append(render_figure4(matrix, names, tools))
-    if args.artifact in ("figure5", "all"):
-        out.append(render_figure5(matrix, names))
-    if args.artifact in ("table4", "all") and "AMG2013" in names:
-        out.append(render_table4(matrix))
-    if args.artifact in ("table5", "all"):
-        out.append(render_table5(matrix, names))
-    if args.artifact in ("table6", "all"):
-        out.append(render_table6(matrix, names, tools))
-    print("\n\n".join(out))
-    return 0
 
 
 def opt_main(argv: list[str] | None = None) -> int:

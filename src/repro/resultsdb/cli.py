@@ -8,8 +8,11 @@ Verbs::
     refine-db report   DB OUT_DIR [--title T]
     refine-db vacuum   DB
 
-``ingest --report`` builds the HTML report in the same invocation, so a
-full matrix round-trips file -> store -> report in one command.
+``report`` writes Table 4/5/6 and Figure 4/5 over the store as
+``index.html`` (+ per-campaign drill-downs), ``report.md`` (what ``query``
+without a selector prints) and ``report.json`` (what
+``results/full_campaign*.json`` are); ``ingest --report`` builds it in the
+same invocation, so a matrix round-trips file -> store -> report at once.
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ import sys
 from repro import __version__
 from repro.campaign.analysis import render_sensitivity
 from repro.campaign.classify import OUTCOME_ORDER
+from repro.campaign.results import matrix_to_csv
 from repro.errors import ReproError
-from repro.reporting.tables import matrix_to_csv
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.ingest import ingest_events, ingest_results_file
 from repro.resultsdb.queries import (
     DIMENSIONS,
     breakdown,
     find_campaign,
-    list_campaigns,
     matrix_from_db,
     rank_sites,
 )
-from repro.resultsdb.report import build_report
+from repro.resultsdb.report import (
+    DEFAULT_TITLE, build_report, fmt_pct, render_markdown, report_data,
+)
 
 
 def _cmd_ingest(args) -> int:
@@ -71,15 +75,10 @@ def _cmd_query(args) -> int:
                 return 2
             cid = find_campaign(db, args.workload, args.tool)
             if args.rank:
-                print(f"{'site':24s} {'n':>6s} {'crash':>6s} "
-                      f"{'rate':>7s}  wilson-95%")
+                print(f"{'site':24s} {'n':>6s} {'crash':>6s}  rate [wilson-95%]")
                 for s in rank_sites(db, cid, by=args.by, limit=args.top):
-                    print(
-                        f"{s.key:24s} {s.total:>6d} {s.hits:>6d} "
-                        f"{s.rate * 100:6.1f}%  "
-                        f"[{s.interval.low * 100:.1f}, "
-                        f"{s.interval.high * 100:.1f}]"
-                    )
+                    share = fmt_pct(s.hits, s.total, [s.interval.low, s.interval.high])
+                    print(f"{s.key:24s} {s.total:>6d} {s.hits:>6d}  {share}")
             else:
                 kwargs = {"bit_buckets": 8} if args.by == "bit" else {}
                 groups = breakdown(db, cid, by=args.by, **kwargs)
@@ -87,35 +86,8 @@ def _cmd_query(args) -> int:
                     groups, f"{args.workload}/{args.tool} by {args.by}"
                 ))
             return 0
-        infos = list_campaigns(db)
-        header = (
-            f"{'workload':14s} {'tool':8s} {'n':>6s} {'runs':>6s} "
-            + " ".join(f"{o.value:>7s}" for o in OUTCOME_ORDER)
-        )
-        print(header)
-        for info in infos:
-            counts = " ".join(
-                f"{info.counts.get(o, 0):>7d}" for o in OUTCOME_ORDER
-            )
-            print(
-                f"{info.workload:14s} {info.tool:8s} {info.n:>6d} "
-                f"{info.runs:>6d} {counts}"
-            )
-            if info.fault_model and info.fault_model != "single-bit":
-                print(f"  .. fault model: {info.fault_model}")
-            if info.validation is not None:
-                p = (
-                    "" if info.validation_p is None
-                    else f" (p={info.validation_p:.4g})"
-                )
-                print(f"  .. validation: {info.validation}{p}")
-            if info.phases and any(info.phases.values()):
-                bits = " ".join(
-                    f"{k.removesuffix('_s')} {info.phases.get(k, 0.0):.2f}s"
-                    for k in ("translate_s", "prefix_s", "fork_s",
-                              "tail_s", "classify_s")
-                )
-                print(f"  .. [{info.schedule or 'index'}] phases: {bits}")
+        # no selector: the report itself, on the terminal only
+        print(render_markdown(report_data(db)), end="")
     return 0
 
 
@@ -180,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="refine-db",
         description="Campaign results store: ingest event logs and result "
         "files into SQLite, query outcome/sensitivity breakdowns, and "
-        "build static HTML reports.",
+        "render the paper's tables and figures (HTML, Markdown, JSON).",
     )
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -198,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
                    help="also build the HTML report here")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("query", help="print campaigns or breakdowns")
+    p = sub.add_parser("query", help="print the report, or a breakdown")
     p.add_argument("db")
     p.add_argument("--workload", default=None)
     p.add_argument("--tool", default=None)
@@ -225,10 +197,13 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--tool", default=None)
     p.set_defaults(func=_cmd_baseline)
 
-    p = sub.add_parser("report", help="build the static HTML report")
+    p = sub.add_parser(
+        "report",
+        help="Table 4/5/6 + Figure 4/5 as index.html, report.md, report.json",
+    )
     p.add_argument("db")
     p.add_argument("out_dir")
-    p.add_argument("--title", default="Fault-injection campaign report")
+    p.add_argument("--title", default=DEFAULT_TITLE)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("vacuum", help="compact the store")

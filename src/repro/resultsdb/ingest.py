@@ -14,8 +14,9 @@ Three paths feed the store, all converging on the same rows:
   sink, so an offline backfill is bit-identical to having run live.
 * :func:`ingest_result` / :func:`ingest_results_file` — import persisted
   :class:`CampaignResult` JSON: both the full ``save_matrix`` format
-  (records included when kept) and the summary format of
-  ``results/full_campaign*.json`` (counts only).
+  (records included when kept) and the summary format ``refine-db
+  report`` writes (``report.json`` = ``results/full_campaign*.json``:
+  counts and totals only, keyed on the file's ``base_seed``).
 """
 
 from __future__ import annotations
@@ -354,9 +355,10 @@ def ingest_results_file(db: ResultsDB, path: str | Path) -> dict:
 
     * ``save_matrix`` files (``{"version": .., "cells": [..]}``) import
       every cell with records when present.
-    * Summary files (``{"n": .., "results": {"workload/tool": {..}}}``,
-      the ``results/full_campaign*.json`` shape) import counts and totals
-      only — no per-experiment rows.
+    * Summary files (``{"n": .., "base_seed": .., "results":
+      {"workload/tool": {..}}}``, what ``refine-db report`` writes and
+      ``results/full_campaign*.json`` are) import counts and totals only —
+      no per-experiment rows.
 
     Returns ``{"campaigns": <count>, "experiments": <record rows seen>}``.
     """
@@ -391,7 +393,11 @@ def ingest_results_file(db: ResultsDB, path: str | Path) -> dict:
                 raise ResultsDBError(
                     f"{path}: result key {key!r} is not 'workload/tool'"
                 )
-            cid = db.campaign_id(workload, tool, n=n, source=source)
+            cid = db.campaign_id(
+                workload, tool, n=n, source=source,
+                base_seed=payload.get("base_seed", -1),  # legacy file: unknown
+                fault_model=payload.get("fault_model"),
+            )
             db.execute(
                 "UPDATE campaigns SET total_candidates=?, total_cycles=?"
                 " WHERE id=?",

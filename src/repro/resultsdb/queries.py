@@ -11,9 +11,8 @@ Two kinds of consumers, two guarantees:
   proportion, so a DB-backed breakdown is bit-identical to the
   in-memory one.
 * **Round-trip** — :func:`to_campaign_result` / :func:`matrix_from_db`
-  reconstruct full :class:`CampaignResult` objects, so every existing
-  renderer (``reporting.tables``, ``reporting.figures``,
-  ``campaign.analysis``) consumes DB data unchanged.
+  reconstruct full :class:`CampaignResult` objects, so
+  ``campaign.analysis`` and ``matrix_to_csv`` consume DB data unchanged.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import json
 from dataclasses import dataclass
 
 from repro.campaign.analysis import GroupSensitivity
-from repro.campaign.classify import Outcome
+from repro.campaign.classify import OUTCOME_ORDER, Outcome
 from repro.campaign.results import CampaignResult, ExperimentRecord
 from repro.errors import ResultsDBError
 from repro.machine.cpu import FaultRecord
@@ -217,10 +216,9 @@ def to_campaign_result(db: ResultsDB, campaign_id: int) -> CampaignResult:
 def matrix_from_db(
     db: ResultsDB, base_seed: int | None = None
 ) -> dict[tuple[str, str], CampaignResult]:
-    """The whole store as a campaign matrix, ready for every existing
-    renderer (``render_table4/5/6``, ``render_figure4/5``,
-    ``matrix_to_csv``).  Raises when a (workload, tool) cell is ambiguous
-    and ``base_seed`` does not disambiguate."""
+    """The whole store as a campaign matrix (what ``matrix_to_csv``
+    prints).  Raises when a (workload, tool) cell is ambiguous and
+    ``base_seed`` does not disambiguate."""
     sql = "SELECT id, workload, tool FROM campaigns"
     params: tuple = ()
     if base_seed is not None:
@@ -364,17 +362,11 @@ def contingency(
 ) -> ContingencyTable:
     """Cross-tool contingency table for one workload, feeding
     :meth:`ContingencyTable.test` (the paper's Table 4/5 instrument)."""
-
-    def _counts_result(tool: str) -> CampaignResult:
-        cid = find_campaign(db, workload, tool, base_seed)
-        row = db.execute(
-            "SELECT n FROM campaigns WHERE id=?", (cid,)
-        ).fetchone()
-        return CampaignResult(
-            workload=workload, tool=tool, n=row[0],
-            counts=outcome_counts(db, cid),
+    rows = [
+        tuple(
+            outcome_counts(db, find_campaign(db, workload, tool, base_seed))[o]
+            for o in OUTCOME_ORDER
         )
-
-    return ContingencyTable.from_results(
-        _counts_result(tool_a), _counts_result(tool_b)
-    )
+        for tool in (tool_a, tool_b)
+    ]
+    return ContingencyTable(workload, tool_a, tool_b, *rows)

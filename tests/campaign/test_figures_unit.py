@@ -1,6 +1,6 @@
-"""Unit tests for ASCII figure building blocks."""
+"""Unit tests for the text bar behind the Markdown Figure 4's PMF column."""
 
-from repro.reporting.figures import _bar
+from repro.resultsdb.report import _bar
 
 
 class TestBar:

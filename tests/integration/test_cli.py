@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import campaign_main, compile_main, report_main
+from repro.cli import campaign_main, compile_main
+from repro.resultsdb.cli import main as db_main
 
 
 @pytest.fixture
@@ -75,19 +76,28 @@ class TestCampaignMain:
 
 
 class TestReportMain:
-    def test_table5_report(self, capsys):
-        rc = report_main(
-            ["-n", "8", "-w", "DC", "--artifact", "table5"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Chi-squared test results" in out
+    """``refine-campaign --db``, then ``refine-db``: ``query`` shows the
+    tables on the terminal, ``report`` writes all three serialisations."""
 
-    def test_figure5_report(self, capsys):
-        rc = report_main(["-n", "8", "-w", "DC", "--artifact", "figure5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "normalized to PINFI" in out
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("report") / "run.sqlite")
+        assert campaign_main(["-n", "8", "-w", "DC", "-q", "--db", path]) == 0
+        return path
+
+    def test_table5_report(self, store, tmp_path, capsys):
+        capsys.readouterr()
+        assert db_main(["query", store]) == 0
+        printed = capsys.readouterr().out
+        assert "Chi-squared test results" in printed
+        assert db_main(["report", store, str(tmp_path)]) == 0
+        assert printed == (tmp_path / "report.md").read_text()
+
+    def test_figure5_report(self, store, tmp_path):
+        assert db_main(["report", store, str(tmp_path)]) == 0
+        for name in ("report.md", "index.html"):
+            assert "normalized to PINFI" in (tmp_path / name).read_text()
+        assert (tmp_path / "report.json").exists()
 
 
 class TestOptMain:
@@ -130,7 +140,7 @@ class TestVersionFlag:
         [
             (campaign_main, "refine-campaign"),
             (compile_main, "refine-compile"),
-            (report_main, "refine-report"),
+            (db_main, "refine-db"),
         ],
     )
     def test_version_exits_zero_and_prints(self, main, prog, capsys):

@@ -9,14 +9,13 @@ import os
 
 import pytest
 
-from repro.campaign import Outcome, run_matrix
-from repro.reporting import (
-    matrix_to_csv,
-    render_figure4,
-    render_figure5,
-    render_table4,
-    render_table5,
-    render_table6,
+from repro.campaign import Outcome, matrix_to_csv, run_matrix
+from repro.resultsdb import (
+    ResultsDB,
+    generated_blocks,
+    ingest_result,
+    render_markdown,
+    report_data,
 )
 from repro.stats import ContingencyTable
 from repro.workloads import get_workload
@@ -88,30 +87,39 @@ class TestSpeedClaims:
 
 
 class TestReporting:
-    def test_figure4_renders(self, matrix):
-        text = render_figure4(matrix, PICK, TOOLS)
+    """The one renderer over the live matrix, through a ``:memory:`` store."""
+
+    @pytest.fixture(scope="class")
+    def blocks(self, matrix):
+        with ResultsDB() as db:
+            for res in matrix.values():
+                ingest_result(db, res)
+            return generated_blocks(render_markdown(report_data(db)))
+
+    def test_figure4_renders(self, blocks):
+        text = blocks["figure4"]
         for workload in PICK:
             assert workload in text
         assert "crash" in text and "benign" in text
         assert "PMF" in text
 
-    def test_figure5_renders(self, matrix):
-        text = render_figure5(matrix, PICK)
+    def test_figure5_renders(self, blocks):
+        text = blocks["figure5"]
         assert "Total" in text
         assert "LLFI" in text and "REFINE" in text
 
-    def test_table4_style_contingency(self, matrix):
-        text = render_table4(matrix, workload="HPCCG-1.0")
+    def test_table4_style_contingency(self, blocks):
+        text = blocks["table4"]
         assert "LLFI" in text and "PINFI" in text
         assert "Total" in text
 
-    def test_table5_renders(self, matrix):
-        text = render_table5(matrix, PICK)
+    def test_table5_renders(self, blocks):
+        text = blocks["table5"]
         assert "LLFI vs PINFI" in text
         assert "REFINE vs PINFI" in text
 
-    def test_table6_renders(self, matrix):
-        text = render_table6(matrix, PICK, TOOLS)
+    def test_table6_renders(self, blocks):
+        text = blocks["table6"]
         for workload in PICK:
             assert workload in text
 

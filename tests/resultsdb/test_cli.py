@@ -3,7 +3,7 @@
 import pytest
 
 from repro.campaign.io import save_matrix
-from repro.reporting.tables import matrix_to_csv
+from repro.campaign import matrix_to_csv
 from repro.resultsdb.cli import main
 
 

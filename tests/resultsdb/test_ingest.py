@@ -233,20 +233,23 @@ class TestResultImport:
 
     def test_repo_artifact_imports(self, repo_root=None):
         # The committed full-campaign artifact (the paper's 44,856-run
-        # matrix at n=1068) must import as 42 summary campaigns.
+        # matrix at n=1068) must import as 42 summary campaigns, on the
+        # base seed the file names.
         from pathlib import Path
 
         artifact = (
             Path(__file__).resolve().parents[2]
             / "results" / "full_campaign.json"
         )
+        reference = json.loads(artifact.read_text())
+        ref = reference["results"]["AMG2013/LLFI"]
         with ResultsDB() as db:
             summary = ingest_results_file(db, artifact)
             assert summary["campaigns"] == 42
-            cid = db.campaign_id("AMG2013", "LLFI", n=1068)
+            cid = db.campaign_id(
+                "AMG2013", "LLFI", n=1068, base_seed=reference["base_seed"]
+            )
             counts = to_campaign_result(db, cid).counts
-            reference = json.loads(artifact.read_text())
-            ref = reference["results"]["AMG2013/LLFI"]
         assert counts == {
             Outcome.CRASH: ref["crash"], Outcome.SOC: ref["soc"],
             Outcome.BENIGN: ref["benign"],

@@ -346,7 +346,7 @@ class TestValidation:
             ]
             assert rows and rows[0].validation == "failed"
             index = build_report(db, tmp_path / "report")
-        assert "badge-failed" in index.read_text()
+        assert "<td class=\"failed\">failed p=" in index.read_text()
 
     def test_matching_baseline_passes(self, tmp_path, sequential):
         paths = _paths(tmp_path)

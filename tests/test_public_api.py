@@ -27,7 +27,6 @@ PACKAGES = [
     "repro.service",
     "repro.resultsdb",
     "repro.stats",
-    "repro.reporting",
     "repro.workloads",
     "repro.utils",
 ]
@@ -65,9 +64,10 @@ def test_version_string():
 
 
 def test_cli_entry_points_importable():
-    from repro.cli import campaign_main, compile_main, opt_main, report_main
+    from repro.cli import campaign_main, compile_main, opt_main
+    from repro.resultsdb.cli import main as db_main
 
-    for fn in (campaign_main, compile_main, opt_main, report_main):
+    for fn in (campaign_main, compile_main, opt_main, db_main):
         assert callable(fn)
 
 
@@ -164,8 +164,7 @@ def test_slice_task_and_worker_lost_their_knobs():
 def test_no_cli_offers_a_removed_flag(capsys):
     from repro import cli
 
-    for main in (cli.campaign_main, cli.worker_main, cli.fuzz_main,
-                 cli.report_main):
+    for main in (cli.campaign_main, cli.worker_main, cli.fuzz_main):
         with pytest.raises(SystemExit):
             main(["--help"])
         text = capsys.readouterr().out
@@ -241,3 +240,36 @@ def test_engine_generates_code_in_one_place():
         for path in root.glob("*.py")
     }
     assert {name: n for name, n in sites.items() if n} == {"cache.py": 1}
+
+
+def test_the_paper_tables_have_one_renderer():
+    """Table 4/5/6 and Figure 4/5 are ``repro.resultsdb.report`` over a
+    results store.  The second renderers PR 21 deleted — an ASCII one over
+    a live matrix, a Markdown one over the summary JSON, a campaign-running
+    command and script — stay deleted, and the p-value format and the
+    PINFI normalisation stay written once."""
+    import importlib.util
+    from pathlib import Path
+
+    import repro
+    import repro.cli
+
+    assert importlib.util.find_spec("repro.reporting") is None
+    assert not hasattr(repro.cli, "report_main")
+    src = Path(repro.__file__).parent
+    repo = src.parent.parent
+    for gone in ("scripts/render_results.py", "scripts/run_full_campaign.py"):
+        assert not (repo / gone).exists(), gone
+    pyproject = repo / "pyproject.toml"
+    if pyproject.exists():
+        assert "refine-report" not in pyproject.read_text()
+    texts = {
+        path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
+        for path in src.rglob("*.py")
+    }
+    for name in ("render_table5", "render_figure5"):
+        assert not [where for where, text in texts.items() if name in text], name
+    for phrase in ("normalized to", "~0.00"):
+        assert [where for where, text in texts.items() if phrase in text] == [
+            "resultsdb/report.py"
+        ], phrase
