@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test test-fast bench paper experiments-md examples loc profile profile-hangs clean
+.PHONY: install test test-fast bench paper experiments-md examples loc profile profile-hangs profile-cold clean
 
 install:
 	pip install -e .
@@ -53,6 +53,13 @@ profile:
 # 77 reused" (a hang is executed once per distinct state, not per experiment).
 profile-hangs:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py EP REFINE --fault-model cache-line -n 320
+
+# One cold_small lap (14 programs x 3 tools x n = 24, each cell built from
+# nothing) under one profiler: the census and cursor cost summed over the 42
+# cells, then the top 40 by self time and by cumulative time — where the next
+# cold-path change should look before anyone guesses.
+profile-cold:
+	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py all all -n 24 --top 40
 
 # results/ holds the tracked paper data and listings: not build debris.
 clean:

@@ -5,14 +5,17 @@
     python scripts/profile_cell.py EP PINFI -n 8 --top 15
     python scripts/profile_cell.py EP REFINE --fault-model stuck-at:dwell=64
     python scripts/profile_cell.py EP REFINE --fault-model cache-line -n 320
+    python scripts/profile_cell.py all all --top 40         # a cold_small lap
 
 Builds the cell from nothing — compile, load, profile run, then the
 scheduler's ``run_batch`` — under ``cProfile`` and prints, first, a census of
 the tails by how they ended (rejoined the golden run / reused a recorded
-ending / ran to their end / trapped / timed out) with the steps each class
-executed — on a small data segment under a memory fault model the timeouts
-are where the steps go, and how many of them were reused rather than run is
-the line to read — then the top functions by self time and by cumulative
+ending / ran to their end with the golden output or another / trapped /
+timed out) with the steps each class executed — on a small data segment
+under a memory fault model the timeouts are where the steps go, and how many
+of them were reused rather than run is the line to read — and what the golden
+cursor cost (sync states and forks captured, interpreter strides, seconds in
+captures), then the top functions by self time and by cumulative
 time, plus every ``builtins.compile`` call by caller (the engine
 byte-compiles once per binary, at translation; a second call from
 ``repro/engine`` is a regression).  Spans around public calls (perfbench's
@@ -31,7 +34,7 @@ import dataclasses
 import os
 import pstats
 
-from repro.campaign import CampaignSpec, TriggerScheduler
+from repro.campaign import CampaignSpec, Outcome, TriggerScheduler
 from repro.campaign.schedule import SchedulerStats
 from repro.fi import TOOL_ORDER
 from repro.workloads import workload_sources
@@ -45,13 +48,16 @@ class TailCensus:
     counters (each record's share of them is the counters' change since
     the record before)."""
 
-    CLASSES = ("rejoined", "ending reused", "ran to end", "trapped", "timeout")
+    CLASSES = ("rejoined", "ending reused", "ran to end, benign",
+               "ran to end, SOC", "trapped", "timeout")
 
     def __init__(self) -> None:
         #: class -> [tails, steps executed]
         self.rows = {name: [0, 0] for name in self.CLASSES}
         #: reused endings that were themselves timeouts
         self.timeouts_reused = 0
+        #: the cursor passes: [sync states, forks, seconds in captures]
+        self.cursor = [0, 0, 0.0]
         self._seen = SchedulerStats()
 
     def note(self, record, stats: SchedulerStats) -> None:
@@ -63,8 +69,12 @@ class TailCensus:
             self.timeouts_reused += record.trap == "timeout"
         elif record.trap == "timeout":
             kind = "timeout"
+        elif record.trap is not None:
+            kind = "trapped"
+        elif record.outcome is Outcome.BENIGN:
+            kind = "ran to end, benign"
         else:
-            kind = "ran to end" if record.trap is None else "trapped"
+            kind = "ran to end, SOC"
         row = self.rows[kind]
         row[0] += 1
         row[1] += (
@@ -74,13 +84,26 @@ class TailCensus:
         )
         self._seen = dataclasses.replace(stats)
 
-    def render(self) -> str:
+    def end_cell(self, scheduler: TriggerScheduler) -> None:
+        """Fold one finished cell's cursor pass; the next cell's scheduler
+        counts from zero again."""
+        self.cursor[0] += scheduler.stats.sync_states
+        self.cursor[1] += scheduler.stats.forks
+        self.cursor[2] += scheduler.phases.fork_s
+        self._seen = SchedulerStats()
+
+    def render(self, strides: int) -> str:
         total = sum(steps for _, steps in self.rows.values()) or 1
-        lines = [f"{'tails':<15}{'count':>7}{'steps executed':>17}{'share':>8}"]
+        lines = [f"{'tails':<19}{'count':>7}{'steps executed':>17}{'share':>8}"]
         lines += [
-            f"{name:<15}{count:>7}{steps:>17,}{steps / total:>8.1%}"
+            f"{name:<19}{count:>7}{steps:>17,}{steps / total:>8.1%}"
             for name, (count, steps) in self.rows.items()
         ]
+        sync_states, forks, capture_s = self.cursor
+        lines.append(
+            f"cursor: {sync_states} sync states + {forks} forks captured in "
+            f"{capture_s:.3f} s, {strides} interpreter strides"
+        )
         ran = self.rows["timeout"][0]
         lines.append(
             f"timeout {ran + self.timeouts_reused} -> {ran} executed, "
@@ -89,7 +112,8 @@ class TailCensus:
         return "\n".join(lines)
 
 
-def cold_cell(program: str, tool_name: str, n: int, fault_model: str):
+def cold_cell(program: str, tool_name: str, n: int, fault_model: str,
+              census: TailCensus) -> None:
     """Everything a cold cell pays for, in the order it pays for it."""
     spec = CampaignSpec(
         workload=program, source=workload_sources()[program],
@@ -99,11 +123,10 @@ def cold_cell(program: str, tool_name: str, n: int, fault_model: str):
     tool.binary    # frontend -> irpasses -> backend -> instrumentation
     tool.program   # load
     tool.profile   # translation + the fault-free profiling run
-    scheduler = TriggerScheduler(tool)
-    census = TailCensus()
+    scheduler = TriggerScheduler(tool, n)
     for record in scheduler.run_batch(spec.base_seed, range(n)):
         census.note(record, scheduler.stats)
-    return census
+    census.end_cell(scheduler)
 
 
 def compile_callers(stats: pstats.Stats) -> dict[str, int]:
@@ -117,11 +140,23 @@ def compile_callers(stats: pstats.Stats) -> dict[str, int]:
     }
 
 
+def cursor_strides(stats: pstats.Stats) -> int:
+    """Reference-loop strides the golden cursor took (one per sync state,
+    plus one per mid-block entry): ``_interpret`` calls from ``run_cursor``."""
+    return sum(
+        calls
+        for (path, _, name), entry in stats.stats.items()
+        if name == "_interpret" and _ENGINE in path
+        for (_, _, caller), (calls, *_) in entry[4].items()
+        if caller == "run_cursor"
+    )
+
+
 def main() -> int:
     sources = workload_sources()
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("program", choices=sorted(sources))
-    parser.add_argument("tool", choices=TOOL_ORDER)
+    parser.add_argument("program", choices=[*sorted(sources), "all"])
+    parser.add_argument("tool", choices=[*TOOL_ORDER, "all"])
     parser.add_argument("-n", type=int, default=24,
                         help="experiments in the cell (default 24)")
     parser.add_argument("--fault-model", default="single-bit")
@@ -129,15 +164,21 @@ def main() -> int:
                         help="rows per table (default 25)")
     args = parser.parse_args()
 
+    # "all all": perfbench's cold_small lap (program-major, its tool order)
+    programs = list(sources) if args.program == "all" else [args.program]
+    tools = ("REFINE", "PINFI", "LLFI") if args.tool == "all" else [args.tool]
     profiler = cProfile.Profile()
-    census = profiler.runcall(
-        cold_cell, args.program, args.tool, args.n, args.fault_model
-    )
+    census = TailCensus()
+    for program in programs:
+        for tool in tools:
+            profiler.runcall(
+                cold_cell, program, tool, args.n, args.fault_model, census
+            )
     stats = pstats.Stats(profiler)
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
           f"{stats.total_tt:.2f} s under cProfile")
-    print(census.render())
+    print(census.render(cursor_strides(stats)))
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):
         stats.sort_stats(key).print_stats(args.top)

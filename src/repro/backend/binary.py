@@ -8,7 +8,8 @@ instrument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from copy import copy
+from dataclasses import dataclass, field, replace
 
 from repro.errors import LinkError
 from repro.backend.mir import MachineFunction
@@ -59,6 +60,17 @@ class Binary:
             kind = "double" if value_type.is_float() else "int"
             values = [init if init is not None else 0]
         self.globals[name] = GlobalDef(name, kind, count, values)
+
+    def clone(self) -> Binary:
+        """An independent copy, for a fraction of the backend run that made
+        this one: REFINE instruments its own copy of the clean binary."""
+        return Binary(
+            self.name,
+            {name: mf.clone() for name, mf in self.functions.items()},
+            {name: replace(g, init=list(g.init)) for name, g in self.globals.items()},
+            set(self.intrinsics), self.entry,
+            {key: copy(value) for key, value in self.meta.items()},
+        )
 
     def validate(self) -> None:
         """Check that every call target resolves."""

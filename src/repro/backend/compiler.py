@@ -15,6 +15,7 @@ injection-agnostic, like upstream LLVM.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.backend.binary import Binary
@@ -24,6 +25,7 @@ from repro.backend.peephole import run_peephole
 from repro.backend.prepare import prepare_module
 from repro.backend.regalloc import allocate, rewrite
 from repro.frontend import compile_source
+from repro.ir.clone import clone_module
 from repro.ir.module import Module
 from repro.ir.verifier import verify_module
 from repro.irpasses.base import optimize_module
@@ -55,11 +57,15 @@ class CompileStats:
 
 
 def compile_ir(module: Module, options: CompileOptions | None = None) -> Binary:
-    """Compile an IR module to a Binary."""
+    """Compile an IR module (which this consumes) to a Binary."""
     options = options or CompileOptions()
-    stats = CompileStats()
-
     optimize_module(module, options.opt_level)
+    return _finish(_lower(module, options), options)
+
+
+def _lower(module: Module, options: CompileOptions) -> Binary:
+    """Optimised IR -> machine code: the IR-level hook, then the backend."""
+    stats = CompileStats()
     if options.ir_pass is not None:
         options.ir_pass(module)
         if options.verify:
@@ -72,7 +78,7 @@ def compile_ir(module: Module, options: CompileOptions | None = None) -> Binary:
     if options.verify:
         verify_module(module)
 
-    binary = Binary(module.name, meta=dict(options.meta))
+    binary = Binary(module.name, meta={"stats": stats})
     for gv in module.globals.values():
         binary.add_global(gv.name, gv.value_type, gv.initializer)
     for fn in module.functions.values():
@@ -87,7 +93,13 @@ def compile_ir(module: Module, options: CompileOptions | None = None) -> Binary:
         stats.spilled_vregs += result.num_spilled
         stats.intervals += result.num_intervals
         binary.add_function(mf)
+    return binary
 
+
+def _finish(binary: Binary, options: CompileOptions) -> Binary:
+    """The machine-level hook (REFINE), on a binary the caller owns."""
+    stats = binary.meta["stats"]
+    binary.meta = dict(options.meta)
     if options.mir_pass is not None:
         options.mir_pass(binary)
     stats.machine_instructions = binary.total_instructions()
@@ -96,11 +108,39 @@ def compile_ir(module: Module, options: CompileOptions | None = None) -> Binary:
     return binary
 
 
+@lru_cache(maxsize=2)
+def _front_half(source: str, name: str, opt_level: str, verify: bool) -> Module:
+    """A program's verified, optimised module: the half of a compile its tools
+    share (a matrix builds them back to back).  Lower a copy, never this."""
+    module = compile_source(source, name)
+    if verify:
+        verify_module(module)
+    optimize_module(module, opt_level)
+    return module
+
+
+@lru_cache(maxsize=2)
+def _clean_binary(source: str, name: str, opt_level: str, verify: bool) -> Binary:
+    """The program's uninstrumented binary.  Hand out copies, never this."""
+    module = clone_module(_front_half(source, name, opt_level, verify))
+    return _lower(module, CompileOptions(opt_level, verify))
+
+
 def compile_minic(
     source: str, name: str = "program", options: CompileOptions | None = None
 ) -> Binary:
-    """Compile MiniC source text all the way to a Binary."""
-    module = compile_source(source, name)
-    if options is None or options.verify:
-        verify_module(module)
-    return compile_ir(module, options)
+    """Compile MiniC source text all the way to a Binary.
+
+    Frontend, verifier and optimiser run once per program, not once per tool:
+    LLFI instruments and lowers its own copy of the optimised module, PINFI's
+    binary is a copy of the clean binary, and REFINE — which instruments after
+    every optimisation and changes no application instruction (paper Section
+    4.2.2) — is ``mir_pass`` on another.
+    """
+    options = options or CompileOptions()
+    program = (source, name, options.opt_level, options.verify)
+    if options.ir_pass is not None:
+        binary = _lower(clone_module(_front_half(*program)), options)
+    else:
+        binary = _clean_binary(*program).clone()
+    return _finish(binary, options)

@@ -362,6 +362,22 @@ class MachineFunction:
         except KeyError:
             raise BackendError(f"@{self.name} has no machine block {name!r}") from None
 
+    def clone(self) -> "MachineFunction":
+        """An independent copy, down to the instructions (operands are
+        immutable, and shared): REFINE's splices in it, or a caller's edits,
+        do not show in the original."""
+        new = MachineFunction(self.name)
+        new._next_vreg = self._next_vreg
+        frame = self.frame
+        new.frame = FrameInfo(list(frame.slot_sizes), list(frame.slot_offsets),
+                              list(frame.saved_regs), frame.frame_size)
+        for block in self.blocks:
+            copy = new.add_block(block.name)
+            copy.successors = list(block.successors)
+            for i in block.instructions:
+                copy.append(MachineInstr(i.opcode, i.operands, i.cc)).fi_meta = i.fi_meta
+        return new
+
     def instructions(self) -> Iterator[MachineInstr]:
         for block in self.blocks:
             yield from block.instructions

@@ -20,8 +20,10 @@ from repro.ir.module import Module
 def split_critical_edges(fn: Function) -> bool:
     """Insert a forwarding block on every critical edge into a phi block."""
     changed = False
+    # (one snapshot: a split leaves every other block's predecessors alone)
+    all_preds = fn.predecessor_map()
     for block in list(fn.blocks):
-        preds = block.predecessors()
+        preds = all_preds[block]
         if len(preds) < 2 or not block.phis():
             continue
         for pred in preds:

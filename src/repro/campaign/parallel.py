@@ -77,15 +77,17 @@ class SliceContexts:
     def get(self, spec: CampaignSpec) -> tuple[FITool, TriggerScheduler]:
         """The tool ``spec`` runs on and the scheduler that sweeps it."""
         key = spec.context_key()
-        context = self._contexts.get(key)
-        if context is None:
+        tool, scheduler = self._contexts.pop(key, (None, None))
+        if tool is None:
             tool = spec.make_tool()
-            context = self._contexts[key] = (tool, TriggerScheduler(tool))
-            while len(self._contexts) > CONTEXT_CAPACITY:
-                self._contexts.popitem(last=False)
-        else:
-            self._contexts.move_to_end(key)
-        return context
+        if scheduler is None or scheduler.n != spec.n:
+            # (another campaign size over the same binary: same tool, a
+            # timeline sized to that cell like every other executor's)
+            scheduler = TriggerScheduler(tool, spec.n)
+        self._contexts[key] = tool, scheduler  # most recently used last
+        while len(self._contexts) > CONTEXT_CAPACITY:
+            self._contexts.popitem(last=False)
+        return tool, scheduler
 
 
 #: The process's own contexts: what lets a pool process's chunks share one

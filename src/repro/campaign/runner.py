@@ -123,7 +123,7 @@ def run_cell(
         emit=None if events is None else events.emit,
     )
     cell.start()
-    scheduler = TriggerScheduler(cell.tool, events=events)
+    scheduler = TriggerScheduler(cell.tool, spec.n, events=events)
     started = t0 = time.monotonic()
     try:
         for record in scheduler.run_batch(spec.base_seed, cell.remaining):

@@ -27,6 +27,13 @@ fault list by dynamic position).  So nothing here runs it twice:
    behaviour, and the tool counters are behaviourally inert once the
    single-shot fault has fired.  Outputs, counts, steps and exit code of a
    spliced result are bit-identical to running the tail out natively.
+   **How many** sync states is sized to the cell: S of them cost the cursor
+   S captures and exact strides (c = 160 us each, 1.5 % of a mean golden run
+   of G steps), while each of the r n tails that rejoin (r = 0.3-0.5) runs
+   about 1.5 G/S steps past where it re-converged, so S c + 1.5 r n G / S is
+   least at S proportional to sqrt(n).  ``4 * isqrt(n)`` puts the paper's
+   n = 1068 at the 128 it has always had (the cap) and n = 24 at 16; n is the
+   cell's, never a batch's, so every executor records the same timeline.
 5. **Keep the timeline.**  Everything the first pass learned about the
    golden run — the sync states, the step/count/exit totals — is a
    :class:`GoldenTimeline` the scheduler retains, so one scheduler serves
@@ -64,6 +71,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
+from math import isqrt
 
 from repro.campaign.classify import classify
 from repro.campaign.results import ExperimentRecord
@@ -84,8 +92,8 @@ from repro.utils.rng import derive_seed
 #: the only order may say ``index``).
 SCHEDULE = "trigger"
 
-#: One sync state roughly every 1/128th of the golden run, floored so tiny
-#: workloads don't drown in captures.
+#: At most this many sync states along the golden run (what a cell of the
+#: paper's n = 1068 gets), floored so tiny workloads don't drown in captures.
 SYNC_DENSITY = 128
 MIN_SYNC_INTERVAL = 256
 
@@ -248,9 +256,11 @@ class GoldenTimeline:
         return self.ending.steps
 
     @staticmethod
-    def auto_interval(golden_steps: int) -> int:
-        """The sync-state spacing for a golden run of ``golden_steps``."""
-        return max(MIN_SYNC_INTERVAL, golden_steps // SYNC_DENSITY)
+    def auto_interval(golden_steps: int, n: int) -> int:
+        """The sync-state spacing for a cell of ``n`` experiments over a
+        golden run of ``golden_steps`` (module docstring, step 4)."""
+        states = min(SYNC_DENSITY, 4 * isqrt(n))
+        return max(MIN_SYNC_INTERVAL, golden_steps // states)
 
     def start_below(self, trigger: int) -> CpuSnapshot:
         """The latest sync state from which a cursor forks ``trigger``
@@ -269,7 +279,8 @@ class TriggerScheduler:
 
     One instance serves one tool and any number of :meth:`run_batch` calls
     (one campaign, or the shards of a cell in whatever order they arrive);
-    each call yields :class:`ExperimentRecord` objects in trigger order.
+    ``n`` is the *cell's* size (``CampaignSpec.n``), which sizes the timeline.
+    Each call yields :class:`ExperimentRecord` objects in trigger order.
     The first call's cursor pass records the :class:`GoldenTimeline`; later
     calls replay only their own trigger window from a retained sync state.
     ``stats`` and ``phases`` describe the most recent batch alone, so
@@ -279,7 +290,7 @@ class TriggerScheduler:
     owns a scheduler at a time.
     """
 
-    def __init__(self, tool: FITool, events=None) -> None:
+    def __init__(self, tool: FITool, n: int, events=None) -> None:
         counter = getattr(type(tool), "_SNAPSHOT_COUNTER", None)
         if counter is None:
             raise CampaignError(
@@ -287,6 +298,7 @@ class TriggerScheduler:
                 "the trigger schedule cannot pre-resolve its injection points"
             )
         self.tool = tool
+        self.n = n
         self.events = events
         self.counter = counter
         self.stats = SchedulerStats()
@@ -371,7 +383,7 @@ class TriggerScheduler:
         profile = tool.profile
         self._base = base_pages(tool.program)
         timeline = GoldenTimeline(
-            interval=GoldenTimeline.auto_interval(profile.steps)
+            interval=GoldenTimeline.auto_interval(profile.steps, self.n)
         )
         # the entry, reported unasked, is sync state 0
         syncs = list(range(timeline.interval, profile.steps, timeline.interval))

@@ -72,6 +72,7 @@ class CommonSubexprElim(FunctionPass):
 
     def run(self, fn: Function) -> bool:
         dt = DominatorTree(fn)
+        all_preds = fn.predecessor_map()  # (CSE never touches a terminator)
         changed = False
 
         # Scoped tables: chained dicts along the dominator tree.
@@ -120,7 +121,7 @@ class CommonSubexprElim(FunctionPass):
                 # so only expression values (pure, path-insensitive) flow
                 # down; load availability flows only to sole-successor
                 # children whose unique predecessor is this block.
-                preds = child.predecessors()
+                preds = all_preds[child]
                 if len(preds) == 1 and preds[0] is block:
                     child_loads = loads
                 else:

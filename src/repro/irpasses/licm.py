@@ -62,9 +62,7 @@ def find_loops(fn: Function, dt: DominatorTree | None = None) -> list[NaturalLoo
                     if id(b) in loop.blocks:
                         continue
                     loop.blocks.add(id(b))
-                    for pred in b.predecessors():
-                        if dt.reachable(pred):
-                            work.append(pred)
+                    work.extend(dt.preds[b])
     return list(loops.values())
 
 
@@ -79,10 +77,13 @@ class LoopInvariantCodeMotion(FunctionPass):
         if not loops:
             return False
         changed = False
+        all_preds = fn.predecessor_map()
         for loop in loops:
-            preheader = self._get_or_create_preheader(fn, loop)
+            preheader = self._get_or_create_preheader(fn, loop, all_preds[loop.header])
             if preheader is None:
                 continue
+            if preheader not in all_preds:  # a new block: the snapshot is stale
+                all_preds = fn.predecessor_map()
             if self._hoist(fn, loop, preheader):
                 changed = True
         return changed
@@ -90,11 +91,11 @@ class LoopInvariantCodeMotion(FunctionPass):
     # -- preheader ----------------------------------------------------------
 
     @staticmethod
-    def _get_or_create_preheader(fn: Function, loop: NaturalLoop) -> BasicBlock | None:
+    def _get_or_create_preheader(
+        fn: Function, loop: NaturalLoop, header_preds: list[BasicBlock]
+    ) -> BasicBlock | None:
         header = loop.header
-        outside_preds = [
-            p for p in header.predecessors() if id(p) not in loop.blocks
-        ]
+        outside_preds = [p for p in header_preds if id(p) not in loop.blocks]
         if not outside_preds:
             return None
         if len(outside_preds) == 1:

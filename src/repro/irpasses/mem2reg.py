@@ -64,16 +64,17 @@ class PromoteMemToReg(FunctionPass):
         if not allocas:
             return False
         dt = DominatorTree(fn)
+        all_preds = fn.predecessor_map()  # (promotion leaves the CFG alone)
         changed = False
         for alloca in allocas:
             try:
-                self._promote(fn, dt, alloca)
+                self._promote(fn, dt, all_preds, alloca)
                 changed = True
             except _Unpromotable:
                 continue
         return changed
 
-    def _promote(self, fn: Function, dt: DominatorTree, alloca: Alloca) -> None:
+    def _promote(self, fn: Function, dt: DominatorTree, all_preds: dict, alloca: Alloca) -> None:
         loads = [u for u in alloca.users if isinstance(u, Load)]
         stores = [u for u in alloca.users if isinstance(u, Store)]
 
@@ -151,9 +152,8 @@ class PromoteMemToReg(FunctionPass):
         # edges if a predecessor is unreachable; the verifier requires exact
         # correspondence, so fill any gaps with the default value.
         for block, phi in phis.items():
-            preds = block.predecessors()
             have = {id(b) for b in phi.incoming_blocks}
-            for pred in preds:
+            for pred in all_preds[block]:
                 if id(pred) not in have:
                     phi.add_incoming(default, pred)
 

@@ -106,10 +106,11 @@ class SimplifyCFG(FunctionPass):
     @staticmethod
     def _merge_into_predecessor(fn: Function) -> bool:
         changed = False
+        all_preds = fn.predecessor_map()
         for block in list(fn.blocks):
             if block is fn.entry:
                 continue
-            preds = block.predecessors()
+            preds = all_preds[block]
             if len(preds) != 1:
                 continue
             pred = preds[0]
@@ -137,6 +138,7 @@ class SimplifyCFG(FunctionPass):
                         if b is block:
                             phi.incoming_blocks[i] = pred
             fn.remove_block(block)
+            all_preds = fn.predecessor_map()  # the CFG just changed
             changed = True
         return changed
 
@@ -144,6 +146,7 @@ class SimplifyCFG(FunctionPass):
     def _forward_empty_blocks(fn: Function) -> bool:
         """Rewrite jumps through blocks containing only ``br label %next``."""
         changed = False
+        all_preds = fn.predecessor_map()
         for block in list(fn.blocks):
             if block is fn.entry or len(block.instructions) != 1:
                 continue
@@ -158,9 +161,10 @@ class SimplifyCFG(FunctionPass):
             # is only easy when the target has no phis involving `block`.
             if any(block in phi.incoming_blocks for phi in target.phis()):
                 continue
-            preds = block.predecessors()
+            preds = all_preds[block]
             if not preds:
                 continue
+            retargeted = False
             for pred in preds:
                 pterm = pred.terminator
                 assert pterm is not None
@@ -170,14 +174,15 @@ class SimplifyCFG(FunctionPass):
                     if target in pterm.successors:
                         continue
                     pterm.replace_successor(block, target)
-                    for phi in target.phis():
-                        # target had no phi edges from block (checked above);
-                        # nothing to fix.
-                        pass
-                    changed = True
-            if not block.predecessors():
+                    # (target had no phi edges from block, checked above:
+                    # nothing to fix there)
+                    retargeted = changed = True
+            if not retargeted:
+                continue
+            all_preds = fn.predecessor_map()  # the CFG just changed
+            if not all_preds[block]:
                 term.drop_operands()
                 block.remove(term)
                 fn.remove_block(block)
-                changed = True
+                all_preds = fn.predecessor_map()
         return changed

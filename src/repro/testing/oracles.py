@@ -26,7 +26,8 @@ its input (pass pipeline + pre-isel lowering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import astuple, dataclass
 
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
@@ -588,6 +589,14 @@ def _tool_supports_model(tool_cls, fault_model: str | None) -> bool:
 EQUIVALENCE_SHARDS = 3
 
 
+def _fault_bits(fault) -> tuple | None:
+    """A fault record with its float values as bit patterns: a flip that
+    makes a NaN is the same flip on both sides, though ``nan != nan``."""
+    return fault and tuple(
+        struct.pack("<d", v) if isinstance(v, float) else v for v in astuple(fault)
+    )
+
+
 def _first_mismatch(production, oracle) -> tuple[int, str] | None:
     """``(index, field)`` of the first record of ``production`` (sorted by
     index) that differs from the oracle's, or ``None``.  Every field is
@@ -596,11 +605,11 @@ def _first_mismatch(production, oracle) -> tuple[int, str] | None:
     if len(production.records) != len(oracle.records):
         return -1, "record count"
     for want, got in zip(oracle.records, production.records):
-        for field in (
-            "index", "seed", "outcome", "steps", "trap", "exit_code", "fault",
-        ):
+        for field in ("index", "seed", "outcome", "steps", "trap", "exit_code"):
             if getattr(want, field) != getattr(got, field):
                 return want.index, field
+        if _fault_bits(want.fault) != _fault_bits(got.fault):
+            return want.index, "fault"
         if abs(want.cycles - got.cycles) > 1e-9 * max(1.0, abs(want.cycles)):
             return want.index, "cycles"
     return None

@@ -89,7 +89,7 @@ class TestProductionVsOracle:
     def test_records_equal_the_oracle_and_endings_are_reused(
         self, tool_name, model
     ):
-        sched = TriggerScheduler(_tool(tool_name, model))
+        sched = TriggerScheduler(_tool(tool_name, model), N)
         assert _run(sched) == _oracle(tool_name, model)
         # the comparison above is not vacuous: endings were spliced
         assert sched.stats.ending_hits > 0 and sched.stats.endings > 0
@@ -109,7 +109,7 @@ class TestProductionVsOracle:
             return result
 
         monkeypatch.setattr(tool.engine, "resume_synced", counting)
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, N)
         got = _run(sched)
         stats = sched.stats
         assert stats.ending_hits > 0
@@ -130,7 +130,7 @@ class TestProductionVsOracle:
         random.Random(7).shuffle(shuffled)
         hits = []
         for arrival in (shards, shards[::-1], shuffled):
-            sched = TriggerScheduler(tool)
+            sched = TriggerScheduler(tool, N)
             got, reused = {}, 0
             for shard in arrival:
                 got.update(_run(sched, shard))
@@ -139,7 +139,7 @@ class TestProductionVsOracle:
             hits.append(reused)
         got, reused = {}, 0
         for shard in shards:  # each on a scheduler that has seen nothing
-            sched = TriggerScheduler(tool)
+            sched = TriggerScheduler(tool, N)
             got.update(_run(sched, shard))
             reused += sched.stats.ending_hits
         assert got == want
@@ -162,7 +162,7 @@ class TestTelemetry:
 def cell():
     """A REFINE x memory-cell scheduler with endings on record, one of
     them, and a fault record to mark a restored CPU as "fault fired"."""
-    sched = TriggerScheduler(_tool("REFINE", "memory-cell"))
+    sched = TriggerScheduler(_tool("REFINE", "memory-cell"), N)
     fault = list(sched.run_batch(SEED, range(N)))[0].fault
     ref, ending = sched._endings[0]
     assert ref.steps == sched.tool.profile.steps < ending.steps
@@ -281,7 +281,7 @@ class TestNearMisses:
 
     def test_a_tail_that_halts_exactly_at_the_golden_length_never_pauses(self):
         tool = _tool("REFINE", "memory-cell")
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, N)
         paused = []
         _spy(sched, "_on_overrun", lambda cpu: paused.append(cpu.steps))
         steps = [rec["steps"] for rec in _run(sched).values()]
@@ -298,7 +298,7 @@ class TestNearMisses:
         open: nothing is recorded, nothing reused, every record exact."""
         model = "stuck-at:dwell=100000"
         tool = _tool(tool_name, model)
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, N)
         golden = tool.profile.steps
         at_golden = []
         _spy(sched, "_on_sync", lambda cpu: at_golden.append(cpu.steps == golden))
@@ -313,7 +313,7 @@ class TestPlantedFaults:
     """The oracle comparison above bites: break the mechanism, see it."""
 
     def _diverges(self):
-        got = _run(TriggerScheduler(_tool("REFINE", "cache-line")))
+        got = _run(TriggerScheduler(_tool("REFINE", "cache-line"), N))
         want = _oracle("REFINE", "cache-line")
         return {
             field
@@ -347,13 +347,13 @@ class TestPlantedFaults:
 class TestBound:
     def test_oldest_out_and_records_unchanged(self, monkeypatch):
         tool = _tool("PINFI", "cache-line")
-        production = TriggerScheduler(tool)
+        production = TriggerScheduler(tool, N)
         _run(production)  # held to the oracle above: it overflows, too
         assert production.stats.endings > schedule.ENDINGS_KEPT
         assert len(production._endings) == schedule.ENDINGS_KEPT
 
         monkeypatch.setattr(schedule, "ENDINGS_KEPT", 3)
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, N)
         got, recorded = {}, []
         for rec in sched.run_batch(SEED, range(N)):
             got[rec.index] = _fields(rec)

@@ -12,19 +12,25 @@ import random
 import pytest
 
 from repro.campaign import (
+    DEFAULT_SEED,
     EventLog,
     make_tool,
     read_events,
     resolve_trigger_order,
     run_campaign,
     run_campaign_parallel,
+    run_cell,
 )
 from repro.campaign.io import experiment_event_fields, result_to_dict
 from repro.campaign.cell import CampaignSpec
 from repro.campaign.parallel import SliceContexts, run_slice
-from repro.campaign.schedule import TriggerScheduler
+from repro.campaign.schedule import (
+    MIN_SYNC_INTERVAL,
+    GoldenTimeline,
+    TriggerScheduler,
+)
 from repro.fi.models import MODEL_ORDER
-from repro.fi.tools import TOOL_CLASSES
+from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
 from repro.testing import check_workload_equivalence, reference_campaign
 from repro.workloads.registry import workload_sources
 
@@ -78,7 +84,7 @@ class TestTriggerOrder:
 
     def test_cursor_never_rewinds(self):
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, N)
         seen = []
         for rec in sched.run_batch(SEED, list(range(N))):
             assert rec.fault is None or seen == sorted(seen)
@@ -127,7 +133,7 @@ class TestTimelineReuse:
         tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=model)
         whole = {
             rec.index: experiment_event_fields(rec)
-            for rec in TriggerScheduler(tool).run_batch(SEED, range(N))
+            for rec in TriggerScheduler(tool, N).run_batch(SEED, range(N))
         }
         assert sorted(whole) == list(range(N))
         # ... which is the reference campaign, field for field
@@ -145,7 +151,7 @@ class TestTimelineReuse:
         # a requeued lease lands behind windows already served
         requeued = shards[2:] + shards[:2]
         for order in (shards, shards[::-1], shuffled, requeued):
-            sched = TriggerScheduler(tool)
+            sched = TriggerScheduler(tool, N)
             got = {}
             full_passes = 0
             for shard in order:
@@ -183,6 +189,108 @@ class TestTimelineReuse:
         assert sorted(
             (r.index, r.seed, r.outcome, r.steps) for p in parts for r in p.records
         ) == sorted((r.index, r.seed, r.outcome, r.steps) for r in single.records)
+
+
+class TestTimelineSizedToTheCell:
+    """Sync states are spaced for ``4 * isqrt(n)`` of them, n the *cell's*:
+    the paper's n keeps the 128 it always had, a small campaign pays for a
+    small timeline, and every executor of a cell records the same one."""
+
+    def test_the_papers_n_is_untouched_on_every_cell(self):
+        for program, source in workload_sources().items():
+            for tool_name in TOOL_ORDER:
+                steps = make_tool(tool_name, source, program).profile.steps
+                assert GoldenTimeline.auto_interval(steps, 1068) == max(
+                    MIN_SYNC_INTERVAL, steps // 128
+                ), (program, tool_name)
+
+    @pytest.mark.parametrize("tool_name", TOOL_ORDER)
+    def test_a_small_cell_records_a_small_timeline(self, tool_name):
+        tool = make_tool(tool_name, workload_sources()["lulesh"], "lulesh")
+        sched = TriggerScheduler(tool, 24)
+        assert sum(1 for _ in sched.run_batch(SEED, range(24))) == 24
+        assert sched.stats.sync_states == len(sched._timeline.sync_states)
+        assert 10 <= sched.stats.sync_states <= 17  # the entry + 4 * isqrt(24)
+
+    @staticmethod
+    def _intervals_of_two_executors(spec):
+        """One cell, two executors that never see the same lease size or
+        order: the spacing each one's timeline was recorded at."""
+        tool = spec.make_tool()
+        order = [
+            i for _, i in
+            resolve_trigger_order(tool, spec.base_seed, range(spec.n))
+        ]
+        mine, theirs = SliceContexts(), SliceContexts()
+        for lo in (60, 20, 40):  # leases of four, out of order
+            run_slice(spec, order[lo:lo + 4], mine)
+        run_slice(spec, order[100:171], theirs)  # one lease of 71
+        run_slice(spec, order[:3], theirs)
+        return [
+            contexts.get(spec)[1]._timeline.interval
+            for contexts in (mine, theirs)
+        ], tool.profile.steps
+
+    def test_every_executor_of_a_cell_agrees_on_the_interval(self, tmp_path):
+        spec = CampaignSpec(
+            workload="EP", source=workload_sources()["EP"],
+            tool_name="REFINE", n=320,
+        )
+        (mine, theirs), steps = self._intervals_of_two_executors(spec)
+        assert mine == theirs == GoldenTimeline.auto_interval(steps, 320)
+        assert mine > GoldenTimeline.auto_interval(steps, 1068)
+        # ... and so does the inline executor, which sees the cell whole
+        log_path = tmp_path / "events.jsonl"
+        with EventLog(log_path) as log:
+            run_cell(spec, events=log)
+        (finish,) = [
+            e for e in read_events(log_path) if e["event"] == "campaign_finish"
+        ]
+        assert finish["scheduler"]["sync_states"] == len(range(0, steps, mine))
+
+    def test_planted_interval_from_the_batch_size_is_caught(self, monkeypatch):
+        """The fault this class exists for: a scheduler that sizes its
+        timeline to whatever batch it happens to be handed first."""
+        real = TriggerScheduler._record_timeline
+
+        def sized_to_the_batch(self):
+            cell_n, self.n = self.n, self.stats.experiments
+            try:
+                return real(self)
+            finally:
+                self.n = cell_n
+
+        monkeypatch.setattr(
+            TriggerScheduler, "_record_timeline", sized_to_the_batch
+        )
+        spec = CampaignSpec(
+            workload="EP", source=workload_sources()["EP"],
+            tool_name="REFINE", n=320,
+        )
+        (mine, theirs), _ = self._intervals_of_two_executors(spec)
+        assert mine != theirs
+
+    # Coarser timelines change where tails rejoin, never what they compute:
+    # production (whole and sharded) vs the oracle, record for record, at
+    # perfbench's cold n — with rejoins actually happening.
+    @pytest.mark.parametrize("workload", ["EP", "DC", "lulesh"])
+    def test_small_cells_equal_the_oracle(self, workload):
+        self._equal_the_oracle_with_rejoins(workload, 24)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("workload", ["EP", "DC", "lulesh"])
+    def test_mid_sized_cells_equal_the_oracle(self, workload):
+        self._equal_the_oracle_with_rejoins(workload, 320)
+
+    @staticmethod
+    def _equal_the_oracle_with_rejoins(workload, n):
+        divergence = check_workload_equivalence(workload, n=n)
+        assert divergence is None, divergence.describe()
+        source = workload_sources()[workload]
+        for tool_name in TOOL_ORDER:
+            sched = TriggerScheduler(make_tool(tool_name, source, workload), n)
+            assert sum(1 for _ in sched.run_batch(DEFAULT_SEED, range(n))) == n
+            assert sched.stats.rejoins > 0, tool_name
 
 
 @pytest.mark.slow

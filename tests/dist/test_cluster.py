@@ -440,7 +440,7 @@ class TestTriggerSchedule:
         per_task = _events_named(log, "scheduler_stats")
         assert len(per_task) == leases
         steps = tool.profile.steps
-        interval = GoldenTimeline.auto_interval(steps)
+        interval = GoldenTimeline.auto_interval(steps, n)
         full = [e for e in per_task if e["cursor_steps"] == steps]
         assert 1 <= len(full) <= 2  # each worker's first lease of the cell
         windows = 0

@@ -24,12 +24,20 @@ class TestContextCache:
         first = _spec()
         worker._run_task(first, (0, 1))
         tool, scheduler = worker._contexts.get(first)
-        # another campaign size, another seed: same binary, same timeline
-        other = _spec(n=200, base_seed=1234)
-        part = worker._run_task(other, (5, 150))
+        # another seed: same binary, same timeline
+        other = _spec(base_seed=1234)
+        part = worker._run_task(other, (5, 7))
         assert len(worker._contexts) == 1
         assert worker._contexts.get(other) == (tool, scheduler)
         assert part.scheduler_stats["cursor_steps"] < tool.profile.steps
+        # another campaign size: same binary, a timeline sized to that cell
+        # (every executor of a cell spaces its sync states by the cell's n)
+        larger = _spec(n=200)
+        worker._run_task(larger, (5, 150))
+        assert len(worker._contexts) == 1
+        same_tool, resized = worker._contexts.get(larger)
+        assert same_tool is tool and resized is not scheduler
+        assert resized.n == 200
         # what determines the binary or its fault plans does not
         worker._run_task(_spec(fault_model="multi-bit"), (0,))
         worker._run_task(_spec(opt_level="O0"), (0,))

@@ -18,6 +18,7 @@ from repro.ir import (
     Module,
     Ret,
     VOID,
+    clone_module,
     format_function,
     format_module,
     verify_function,
@@ -222,6 +223,63 @@ class TestPredecessorMap:
             assert functions
             for fn in functions:
                 self.check(fn)
+
+
+class TestCloneModule:
+    """A structural copy: prints the same, shares no mutable object, keeps
+    every use list in order — what is compiled from it is what would have
+    been compiled from the original."""
+
+    @pytest.mark.parametrize("name", workload_names())
+    def test_copy_of_every_workload(self, name):
+        module = compile_source(get_workload(name).source, name)
+        for optimized in (False, True):
+            if optimized:
+                optimize_module(module, "O2")
+            text = format_module(module)
+            clone = clone_module(module)
+            verify_module(clone)
+            assert clone.name == module.name
+            assert format_module(clone) == text
+            self.check_wiring(module, clone)
+            # the copy is the copy's to wreck
+            optimize_module(clone, "O2")
+            for fn in clone.defined_functions():
+                del fn.blocks[1:]
+            clone.globals.clear()
+            assert format_module(module) == text
+            verify_module(module)
+
+    @staticmethod
+    def check_wiring(module, clone):
+        theirs = {
+            id(v) for fn in module.functions.values()
+            for v in [fn, *fn.args, *fn.blocks, *fn.instructions()]
+        } | {id(g) for g in module.globals.values()}
+        for fn, new_fn in zip(module.functions.values(), clone.functions.values()):
+            assert new_fn.module is clone and id(new_fn) not in theirs
+            assert new_fn._name_counter == fn._name_counter
+            for block, new_block in zip(fn.blocks, new_fn.blocks):
+                assert new_block.parent is new_fn
+                for old, new in zip(block.instructions, new_block.instructions):
+                    assert type(new) is type(old) and new.parent is new_block
+                    assert [u.name for u in new.users] == [u.name for u in old.users]
+                    for value in (new, *new.operands, *new.users,
+                                  *getattr(new, "successors", ()),
+                                  *getattr(new, "incoming_blocks", ())):
+                        assert id(value) not in theirs
+                    for op in new.operands:
+                        assert new in op.users
+                    if new.opcode == "call":
+                        assert new.callee is clone.functions[old.callee.name]
+
+    def test_foreign_operand_is_refused(self):
+        m, fn = build_loop_function()
+        other, other_fn = build_loop_function()
+        stray = other_fn.get_block("loop").instructions[0]
+        fn.get_block("exit").instructions[-1].operands[0] = stray
+        with pytest.raises(IRError, match="not defined in it"):
+            clone_module(m)
 
 
 class TestVerifier:

@@ -26,20 +26,31 @@ def ep_tool():
 
 
 class TestIntervalResolution:
+    """``4 * isqrt(n)`` sync states, at most ``SYNC_DENSITY`` of them, at
+    least ``MIN_SYNC_INTERVAL`` steps apart."""
+
     def test_auto_scales_with_golden_steps(self):
         steps = 1_000_000
-        assert GoldenTimeline.auto_interval(steps) == steps // SYNC_DENSITY
+        assert GoldenTimeline.auto_interval(steps, 24) == steps // 16
+        assert GoldenTimeline.auto_interval(steps, 320) == steps // 68
+        assert GoldenTimeline.auto_interval(steps, 1) == steps // 4
+
+    def test_the_papers_n_keeps_the_densest_spacing(self):
+        steps = 1_000_000
+        for n in (1024, 1068, 1088, 5000, 10**6):
+            assert GoldenTimeline.auto_interval(steps, n) == steps // SYNC_DENSITY
 
     def test_auto_floor_for_tiny_workloads(self):
-        assert GoldenTimeline.auto_interval(100) == MIN_SYNC_INTERVAL
+        assert GoldenTimeline.auto_interval(100, 1068) == MIN_SYNC_INTERVAL
+        assert GoldenTimeline.auto_interval(100, 1) == MIN_SYNC_INTERVAL
 
     def test_recorded_timeline_uses_the_auto_rule(self, ep_tool):
         tool = ep_tool
-        sched = TriggerScheduler(tool)
+        sched = TriggerScheduler(tool, 4)
         list(sched.run_batch(1, range(4)))
         timeline = sched._timeline
         steps = tool.profile.steps
-        assert timeline.interval == GoldenTimeline.auto_interval(steps)
+        assert timeline.interval == GoldenTimeline.auto_interval(steps, 4)
         assert sorted(timeline.sync_states) == list(
             range(0, steps, timeline.interval)
         )
@@ -47,7 +58,7 @@ class TestIntervalResolution:
 
 class TestEngine:
     def test_hits_skip_golden_prefix(self, ep_tool):
-        sched = TriggerScheduler(ep_tool)
+        sched = TriggerScheduler(ep_tool, 4)
         records = list(sched.run_batch(1, range(4)))
         assert all(rec.snapshot_hit for rec in records)
         assert sched.stats.fork_hits == 4 and sched.stats.scratch == 0
@@ -58,9 +69,9 @@ class TestEngine:
         run from instruction 0 instead — slower, same record."""
         forked = {
             rec.index: experiment_event_fields(rec)
-            for rec in TriggerScheduler(ep_tool).run_batch(1, range(4))
+            for rec in TriggerScheduler(ep_tool, 4).run_batch(1, range(4))
         }
-        sched = TriggerScheduler(ep_tool)
+        sched = TriggerScheduler(ep_tool, 4)
         advance = sched._advance_cursor
 
         def lose_the_forks():

@@ -70,6 +70,6 @@ class TestRepeatedHangsEquivalence:
         source = get_workload("EP").source
         for tool_name in TOOL_ORDER:
             tool = make_tool(tool_name, source, "EP", fault_model="cache-line")
-            sched = TriggerScheduler(tool)
+            sched = TriggerScheduler(tool, n)
             assert sum(1 for _ in sched.run_batch(DEFAULT_SEED, range(n))) == n
             assert sched.stats.ending_hits > 0, tool_name

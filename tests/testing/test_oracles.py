@@ -203,6 +203,37 @@ class TestCampaignDivergenceDetection:
         self._caught("steps")
 
 
+    def test_a_flip_that_makes_a_nan_is_not_a_divergence(self):
+        """Found at n = 320 on lulesh: bit 62 of 1.4 is a NaN, and two
+        records that agree on it compared unequal (``nan != nan``)."""
+        import dataclasses
+        import struct
+        from types import SimpleNamespace
+
+        from repro.campaign import make_tool, run_campaign
+        from repro.testing.oracles import _first_mismatch
+        from tests.conftest import DEMO_SOURCE
+
+        result = run_campaign(
+            make_tool("REFINE", DEMO_SOURCE, "demo"), 4, keep_records=True
+        )
+
+        def with_value_after(bits):
+            (value,) = struct.unpack("<d", struct.pack("<Q", bits))
+            records = [dataclasses.replace(r) for r in result.records]
+            records[2].fault = dataclasses.replace(
+                records[2].fault, value_after=value
+            )
+            return SimpleNamespace(records=records)
+
+        quiet, other = 0x7FF8000000000000, 0x7FF8000000000001
+        assert _first_mismatch(with_value_after(quiet), with_value_after(quiet)) is None
+        # ... and the comparison is still of the bits, not of "some NaN"
+        assert _first_mismatch(with_value_after(quiet), with_value_after(other)) == (
+            result.records[2].index, "fault"
+        )
+
+
 class TestZeroInterference:
     def test_real_instrumentation_is_invisible(self):
         module = parse_module(PRINTING_MODULE)
