@@ -5,11 +5,11 @@ The paper's unit of work is a (program, tool) cell of n single-fault runs,
 run "in batches on a cluster" (Appendix A.4).  Every executor — inline
 (:func:`repro.campaign.runner.run_cell`), process pool
 (:func:`repro.campaign.parallel.run_cell_parallel`), leases
-(:class:`repro.dist.Coordinator`) — takes the same spec and keeps the same
-books, so the books are kept here, once: **open** (resume from a checkpoint
-that must be this campaign's, on this program) → **shards** (what is left,
-in trigger order) → **add / fold** (tally, ``experiment`` events, part
-validation, duplicates) → **save** (the one place a checkpoint is
+(:class:`repro.service.ServiceCoordinator`) — takes the same spec and keeps
+the same books, so the books are kept here, once: **open** (resume from a
+checkpoint that must be this campaign's, on this program) → **shards** (what
+is left, in trigger order) → **add / fold** (tally, ``experiment`` events,
+part validation, duplicates) → **save** (the one place a checkpoint is
 published) → **finish**.
 
 The ledger accumulates into one running :class:`CampaignResult` and is the

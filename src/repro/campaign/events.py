@@ -35,8 +35,9 @@ event                     extra fields
                           ``address`` and ``dwell``).
                           The sequential runner adds ``wall_s``; the
                           parallel runner emits these per chunk (tagged
-                          ``chunk``), the distributed coordinator per task
-                          (tagged ``task``, ``worker``) — consumers counting
+                          ``chunk``), the service per task (tagged
+                          ``task``, ``worker``) — two producers, the
+                          runners and the service: consumers counting
                           experiments must pick one family.  This is the
                           stream :mod:`repro.resultsdb` ingests.
 ``checkpoint``            ``path``, ``completed``, ``n``
@@ -69,17 +70,17 @@ event                     extra fields
                           the sequential runner (emitted after the cursor
                           and again after the last tail), per-chunk
                           (``chunk``) from parallel workers, per-task
-                          (``task``, ``worker``) from the coordinator
+                          (``task``, ``worker``) from the service
 ========================  =====================================================
 
-The distributed coordinator (:mod:`repro.dist`) emits its own family on
-top — one stream records the whole cluster campaign:
+The service (:class:`repro.service.ServiceCoordinator`) emits its own
+family per cell, worker and lease, under the ``campaign_admitted`` /
+``campaign_done`` / ``campaign_failed`` / ``campaign_cancelled`` events of
+the queue's state machine — one stream records every campaign it serves:
 
 ========================  =====================================================
 event                     extra fields
 ========================  =====================================================
-``dist_start``            ``cells``, ``total``, ``resumed``,
-                          ``lease_timeout_s``
 ``cell_start``            ``workload``, ``tool``, ``n``, ``base_seed``,
                           ``fault_model``, ``resumed``, ``resumed_counts``
 ``worker_join``           ``worker``, ``procs``
@@ -87,8 +88,7 @@ event                     extra fields
                           ``size``, ``attempt``
 ``task_done``             ``task``, ``worker``, ``workload``, ``tool``,
                           ``size``, ``duplicate``; when not a duplicate also
-                          ``attempt``, ``completed``, ``n``,
-                          ``completed_total``, ``total``, ``counts``
+                          ``attempt``, ``completed``, ``n``, ``counts``
 ``task_requeue``          ``task``, ``worker``, ``reason``
                           (``timeout``/``disconnect``/``failed``),
                           ``attempt``, ``delay_s``
@@ -99,8 +99,6 @@ event                     extra fields
                           ``schedule``, ``fault_model``,
                           ``phases`` (worker-side breakdown
                           summed over tasks) and ``scheduler``
-``dist_finish``           ``cells``, ``total``, ``wall_s``,
-                          ``experiments_per_sec``
 ========================  =====================================================
 """
 
@@ -194,8 +192,6 @@ class CampaignStats:
         self.counts: dict[Outcome, int] = {o: 0 for o in Outcome}
         if counts:
             self.counts.update(counts)
-        #: per-worker completed-experiment counts (distributed campaigns)
-        self.workers: dict[str, int] = {}
         #: trigger-scheduler counters (from ``scheduler_stats`` events)
         self.sched_forks = 0
         self.sched_rejoins = 0
@@ -216,8 +212,8 @@ class CampaignStats:
 
     def note_scheduler(self, fields: dict, accumulate: bool = False) -> None:
         """Fold one ``scheduler_stats`` event in.  Sequential-runner events
-        are cumulative (replace); parallel per-chunk and distributed
-        per-task events are one batch's own figures (``accumulate=True``)."""
+        are cumulative (replace); parallel per-chunk events are one batch's
+        own figures (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
         ending_hits = int(fields.get("ending_hits", 0))
@@ -234,17 +230,6 @@ class CampaignStats:
             self.sched_rejoins = rejoins
             self.sched_ending_hits = ending_hits
             self.sched_steps_saved = saved
-
-    def note_worker(self, worker: str, k: int) -> None:
-        """Attribute ``k`` completed experiments to a distributed worker."""
-        self.workers[worker] = self.workers.get(worker, 0) + k
-
-    def worker_rates(self) -> dict[str, float]:
-        """Per-worker experiments/sec since this aggregator started."""
-        elapsed = self.elapsed
-        if elapsed <= 0:
-            return {w: 0.0 for w in self.workers}
-        return {w: k / elapsed for w, k in self.workers.items()}
 
     @property
     def elapsed(self) -> float:
@@ -280,12 +265,6 @@ class CampaignStats:
             f"{self.done}/{self.total} ({pct:5.1f}%) | {outcome_bits} | "
             f"{self.rate():6.1f} exp/s | {eta_text}"
         )
-        if self.workers:
-            rates = self.worker_rates()
-            per_worker = " ".join(
-                f"{w}:{rates[w]:.1f}/s" for w in sorted(self.workers)
-            )
-            line += f" | {len(self.workers)}w[{per_worker}]"
         if self.sched_forks:
             line += (
                 f" | sched {self.sched_forks} forks, "

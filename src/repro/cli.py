@@ -4,11 +4,10 @@
   instrumentation) and print the assembly, like invoking the paper's
   modified Clang driver with ``-mllvm -fi=true ...``.
 * ``refine-campaign`` — run a fault-injection campaign matrix and dump CSV;
-  ``--dist HOST:PORT`` serves it to ``refine-worker`` processes instead of
-  running locally.
-* ``refine-worker`` — connect to a ``--dist`` coordinator (or a
-  ``refine-service``) and run leased campaign slices; ``--reconnect-window``
-  rides out coordinator restarts.
+  ``--submit HOST:PORT`` hands it to a running ``refine-service`` (and its
+  ``refine-worker`` processes) instead of running locally.
+* ``refine-worker`` — connect to a ``refine-service`` and run leased
+  campaign slices; ``--reconnect-window`` rides out service restarts.
 * ``refine-service`` — run the persistent campaign service (durable queue,
   per-tenant quotas, auto-validation, ``--soak`` divergence mining), plus
   ``status``/``list``/``cancel``/``drain`` control verbs against one.
@@ -59,8 +58,7 @@ class _LiveTelemetry(EventLog):
 
     Consumes the campaign event stream (see :mod:`repro.campaign.events`):
     per-experiment events from the sequential runner, per-chunk events from
-    the parallel runner, per-task events (with per-worker throughput) from
-    the distributed coordinator.  On a TTY the progress line updates in
+    the parallel runner.  On a TTY the progress line updates in
     place; otherwise a summary line is printed periodically and at
     completion.
     """
@@ -104,11 +102,11 @@ class _LiveTelemetry(EventLog):
                     file=self._out,
                 )
         elif event == "experiment" and self._stats is not None:
-            # Parallel chunks and distributed tasks re-emit per-experiment
-            # events (tagged with ``chunk``/``task``) for result sinks; the
-            # progress counter already folds those in via chunk_done /
-            # task_done, so only count the sequential runner's events here.
-            if "chunk" not in fields and "task" not in fields:
+            # Parallel chunks re-emit per-experiment events (tagged with
+            # ``chunk``) for result sinks; the progress counter already
+            # folds those in via chunk_done, so only count the sequential
+            # runner's events here.
+            if "chunk" not in fields:
                 self._stats.note(Outcome(fields["outcome"]))
                 self._render()
         elif event == "chunk_done" and self._stats is not None:
@@ -117,61 +115,17 @@ class _LiveTelemetry(EventLog):
             self._render()
         elif event == "scheduler_stats" and self._stats is not None:
             # Sequential-runner events are cumulative for the campaign;
-            # per-chunk (parallel) and per-task (dist) events are each
-            # batch's own figures and accumulate.
-            self._stats.note_scheduler(
-                fields, accumulate="chunk" in fields or "task" in fields
-            )
+            # per-chunk (parallel) events are each batch's own figures and
+            # accumulate.
+            self._stats.note_scheduler(fields, accumulate="chunk" in fields)
         elif event == "campaign_finish" and self._stats is not None:
             self._render(final=True)
             self._print_phases(fields)
             self._stats = None
-        elif event == "cell_finish":
-            self._print_phases(fields)
-        elif event == "dist_start":
-            self._label = "cluster"
-            self._stats = CampaignStats(
-                fields["total"], done=fields.get("resumed", 0)
-            )
-            self._printed = 0
-            if fields.get("resumed"):
-                print(
-                    f"# cluster: resumed {fields['resumed']}/"
-                    f"{fields['total']} experiments from checkpoints",
-                    file=self._out,
-                )
-        elif event == "worker_join":
-            print(
-                f"# worker {fields['worker']} joined "
-                f"({fields.get('procs', 1)} proc(s))",
-                file=self._out,
-            )
-        elif event == "task_requeue":
-            print(
-                f"# task {fields['task']} requeued "
-                f"({fields.get('reason', '?')} on {fields.get('worker')}, "
-                f"attempt {fields.get('attempt', '?')})",
-                file=self._out,
-            )
-        elif event == "task_done" and self._stats is not None:
-            if not fields.get("duplicate"):
-                counts = {
-                    Outcome(k): v
-                    for k, v in fields.get("counts", {}).items()
-                }
-                self._stats.note_batch(counts)
-                if fields.get("worker"):
-                    self._stats.note_worker(
-                        fields["worker"], fields.get("size", 0)
-                    )
-                self._render()
-        elif event == "dist_finish" and self._stats is not None:
-            self._render(final=True)
-            self._stats = None
 
     def _print_phases(self, fields: dict) -> None:
-        """One per-phase wall-clock line at campaign/cell completion (the
-        satellite breakdown behind the ``phases`` event field)."""
+        """One per-phase wall-clock line at campaign completion (the
+        breakdown behind the ``phases`` event field)."""
         phases = fields.get("phases")
         if not phases or not any(phases.values()):
             return
@@ -194,7 +148,7 @@ class _LiveTelemetry(EventLog):
             print(line, file=self._out, flush=True)
 
 
-def _install_drain_handler(coordinator, grace_s: float, label: str) -> None:
+def _install_drain_handler(coordinator, grace_s: float) -> None:
     """SIGTERM/SIGINT -> graceful drain: refuse new leases, let in-flight
     tasks finish (up to ``grace_s``), checkpoint, then stop.  A second
     signal falls through to the default handler (immediate death)."""
@@ -202,8 +156,8 @@ def _install_drain_handler(coordinator, grace_s: float, label: str) -> None:
 
     def handler(signum, frame):
         print(
-            f"# {label}: caught {signal.Signals(signum).name}, draining "
-            f"(grace {grace_s:.0f}s; checkpoints will be saved) — "
+            f"# refine-service: caught {signal.Signals(signum).name}, "
+            f"draining (grace {grace_s:.0f}s; checkpoints will be saved) — "
             f"signal again to abort",
             file=sys.stderr,
         )
@@ -258,9 +212,9 @@ def campaign_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="refine-campaign",
         description="Run a fault-injection campaign over the paper's "
-        "workloads and tools; prints CSV results.  With --dist the "
-        "campaign is served to refine-worker processes over TCP instead "
-        "of running locally.",
+        "workloads and tools; prints CSV results.  With --submit the "
+        "campaign is handed to a running refine-service (and its "
+        "refine-worker processes) instead of running locally.",
     )
     _add_version(parser)
     parser.add_argument("-n", "--samples", type=int, default=120,
@@ -277,13 +231,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
     parser.add_argument("-j", "--workers", type=int, default=1,
                         help="worker processes per campaign cell "
                         "(1 = sequential; results are identical)")
-    parser.add_argument("--dist", metavar="HOST:PORT", default=None,
-                        help="coordinator mode: listen here and serve the "
-                        "campaign to refine-worker processes (results are "
-                        "identical to a local run)")
-    parser.add_argument("--lease-timeout", type=float, default=60.0,
-                        help="seconds without a heartbeat before a "
-                        "distributed task is requeued (--dist only)")
     parser.add_argument("--submit", metavar="HOST:PORT", default=None,
                         help="submit this campaign to a running "
                         "refine-service instead of executing it; prints the "
@@ -387,16 +334,13 @@ def campaign_main(argv: list[str] | None = None) -> int:
             for workload, source in sources.items()
             for tool_name in tools
         ]
-        if args.dist is not None:
-            matrix = _serve_distributed(args, specs, telemetry)
-        else:
-            matrix = run_cells(
-                specs, args.workers,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
-                events=telemetry,
-            )
-    except (CampaignError, DistError) as exc:
+        matrix = run_cells(
+            specs, args.workers,
+            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
+            events=telemetry,
+        )
+    except CampaignError as exc:
         print(f"refine-campaign: error: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -409,34 +353,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         save_matrix(matrix, args.save)
     print(matrix_to_csv(matrix))
     return 0
-
-
-def _serve_distributed(args, specs, telemetry):
-    """Coordinator mode for ``refine-campaign --dist HOST:PORT``."""
-    from repro.dist import Coordinator, parse_address
-
-    host, port = parse_address(args.dist)
-    coordinator = Coordinator(
-        specs, host=host, port=port,
-        lease_timeout=args.lease_timeout,
-        checkpoint_dir=args.checkpoint_dir,
-        checkpoint_every=args.checkpoint_every,
-        events=telemetry,
-    )
-    bound_host, bound_port = coordinator.start()
-    if not args.quiet:
-        print(
-            f"# coordinator listening on {bound_host}:{bound_port} — "
-            f"start workers with: refine-worker {bound_host}:{bound_port}",
-            file=sys.stderr,
-        )
-    _install_drain_handler(
-        coordinator, grace_s=30.0, label="refine-campaign"
-    )
-    try:
-        return coordinator.wait()
-    finally:
-        coordinator.stop()
 
 
 def _submit_to_service(args, request: dict) -> int:
@@ -525,14 +441,13 @@ def _submit_to_service(args, request: dict) -> int:
 def worker_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="refine-worker",
-        description="Join a refine-campaign --dist coordinator, lease "
-        "campaign slices and stream results back until the campaign "
-        "completes.",
+        description="Join a refine-service, lease campaign slices and "
+        "stream results back until the service drains.",
     )
     _add_version(parser)
     parser.add_argument("address", metavar="HOST:PORT",
-                        help="coordinator address (from refine-campaign "
-                        "--dist)")
+                        help="service address (from refine-service "
+                        "serve)")
     parser.add_argument("-j", "--procs", type=int, default=1,
                         help="local worker processes; each leased task is "
                         "split across them")
@@ -583,7 +498,7 @@ def worker_main(argv: list[str] | None = None) -> int:
 class _ServiceTelemetry(EventLog):
     """Operator-facing event rendering for ``refine-service serve``.
 
-    The one-shot progress model of :class:`_LiveTelemetry` does not fit a
+    The progress model of :class:`_LiveTelemetry` does not fit a
     service (there is no fixed total), so this prints one line per
     campaign/worker lifecycle event and stays silent about the
     per-experiment stream (which still lands in ``--events`` and the
@@ -686,14 +601,9 @@ def _cmd_service_serve(args) -> int:
             f"{bound_host}:{bound_port} ...",
             file=sys.stderr,
         )
-    _install_drain_handler(
-        coordinator, grace_s=args.grace, label="refine-service"
-    )
+    _install_drain_handler(coordinator, grace_s=args.grace)
     try:
         coordinator.serve_until_stopped()
-    except ReproError as exc:
-        print(f"refine-service: error: {exc}", file=sys.stderr)
-        return 1
     finally:
         coordinator.stop()
         telemetry.close()

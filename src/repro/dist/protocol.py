@@ -31,13 +31,16 @@ coordinator → worker
 ``wait``            ``delay_s`` — nothing leasable right now, ask again (the
                     coordinator holds an idle ``request`` open for up to a
                     second before it says so)
-``done``            campaign complete, worker may exit
+``done``            the service is draining (or stopping with nothing in
+                    flight): no more leases, worker may exit
 ``ok``              acknowledgement; for ``result`` carries ``duplicate``
-``error``           ``message`` — fatal; the worker should abort
+``error``           ``message`` — the peer's message was rejected (a
+                    malformed frame, a part of another build); the
+                    connection is dropped and the worker should abort
 ==================  =========================================================
 
-A persistent :class:`~repro.service.ServiceCoordinator` additionally speaks
-a **control plane** on the same port.  Control messages need no ``hello``
+The coordinator (:class:`~repro.service.ServiceCoordinator`) additionally
+speaks a **control plane** on the same port.  Control messages need no ``hello``
 handshake — a control client connects, sends one request, reads one reply
 and hangs up (:func:`repro.service.client.control_call`):
 
@@ -87,8 +90,8 @@ __all__ = [
 #: coordinators.
 PROTOCOL_VERSION = 2
 
-#: Control-plane verbs a persistent service accepts without a ``hello``
-#: handshake.  The one-shot coordinator rejects all of these.
+#: Control-plane verbs the coordinator accepts without a ``hello``
+#: handshake.
 CONTROL_TYPES = ("submit", "status", "list", "cancel", "drain", "fetch")
 
 #: Upper bound on one frame; a keep-records part for a huge slice is a few

@@ -98,7 +98,7 @@ class Worker:
         self._pool: ProcessPoolExecutor | None = None
 
     def run(self) -> WorkerStats:
-        """Work until the coordinator reports the campaign done.
+        """Work until the coordinator says ``done`` (it is draining).
 
         Raises :class:`DistError` if the coordinator becomes unreachable or
         rejects the worker (campaigns surviving *worker* loss is the
@@ -153,7 +153,8 @@ class Worker:
 
     def _serve(self, stats: WorkerStats, runner: ThreadPoolExecutor) -> bool:
         """Drive one connection's lease/run/submit loop.  Returns ``True``
-        when the coordinator says the campaign is done (worker may exit);
+        when the coordinator says ``done`` — the service is draining, the
+        worker may exit (campaigns end in the service's queue, not here);
         raises :class:`DistError` when the connection is lost."""
         while True:
             message = self._client.request_task()

@@ -1,17 +1,18 @@
-"""Persistent multi-tenant campaign service (queue, lifecycle, validation).
+"""Persistent multi-tenant campaign service (coordinator, queue, lifecycle,
+validation).
 
-The long-lived face of the distributed layer: a
-:class:`~repro.service.coordinator.ServiceCoordinator` owns a durable
-:class:`~repro.service.queue.CampaignQueue` and feeds campaigns through
+The serving side of the distributed layer: the one coordinator,
+:class:`~repro.service.coordinator.ServiceCoordinator`, owns a durable
+:class:`~repro.service.queue.CampaignQueue`, feeds campaigns through
 their :class:`~repro.service.lifecycle.WorkloadLifecycle`
-(``describe -> populate -> run -> validate``) to the unchanged worker
-pool, writing outcomes and chi-squared validation verdicts to the
-results database.  See ``docs/api.md`` ("Campaign service") for the wire
+(``describe -> populate -> run -> validate``) and leases their cells to
+the :mod:`repro.dist` worker pool, writing outcomes and chi-squared
+validation verdicts to the results database.  See ``docs/api.md`` ("Campaign service") for the wire
 protocol and the operational model.
 """
 
 from repro.service.client import ServiceClient, control_call
-from repro.service.coordinator import ServiceCoordinator
+from repro.service.coordinator import ServiceCoordinator, backoff_delay
 from repro.service.lifecycle import (
     SoakLifecycle,
     StandardLifecycle,
@@ -40,6 +41,7 @@ __all__ = [
     "SoakLifecycle",
     "StandardLifecycle",
     "WorkloadLifecycle",
+    "backoff_delay",
     "control_call",
     "soak_request",
     "validate_cell",

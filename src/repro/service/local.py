@@ -1,21 +1,27 @@
 """In-process service harness: ServiceCoordinator plus threaded workers.
 
-The service-mode sibling of :class:`repro.dist.local.LocalCluster`: a
-real :class:`~repro.service.coordinator.ServiceCoordinator` on a loopback
-port with N real workers in daemon threads, plus a
-:class:`~repro.service.client.ServiceClient` bound to it.  Because the
-queue, checkpoint root and results database live at caller-supplied
-paths, :meth:`restart` can tear the whole service down — gracefully or
-with :meth:`~repro.service.coordinator.ServiceCoordinator.kill` (the
-``kill -9`` failpoint) — and bring up a fresh coordinator on the same
-durable state, which is exactly what the crash-recovery tests exercise.
+A real :class:`~repro.service.coordinator.ServiceCoordinator` on a loopback
+port with N real :class:`~repro.dist.worker.Worker` instances in daemon
+threads — the full TCP protocol, leases, heartbeats and retry machinery,
+with none of the process management — plus a
+:class:`~repro.service.client.ServiceClient` bound to it.  It exists for
+deterministic end-to-end tests (including kill-a-worker-mid-campaign, via
+the worker ``die_after`` failpoint or a hand-driven
+:class:`~repro.dist.client.CoordinatorClient` that leases and goes silent)
+and single-host runs where process isolation per worker is not needed (each
+worker can still run ``procs > 1`` process pools).  Because the queue,
+checkpoint root and results database live at caller-supplied paths,
+:meth:`restart` can tear the whole service down — gracefully or with
+:meth:`~repro.service.coordinator.ServiceCoordinator.kill` (the ``kill -9``
+failpoint) — and bring up a fresh coordinator on the same durable state,
+which is exactly what the crash-recovery tests exercise.
 """
 
 from __future__ import annotations
 
 import threading
 
-from repro.dist.worker import Worker
+from repro.dist.worker import Worker, WorkerStats
 from repro.errors import DistError
 from repro.service.client import ServiceClient
 from repro.service.coordinator import ServiceCoordinator
@@ -32,7 +38,9 @@ class LocalService:
 
     Keyword arguments besides ``workers``, ``worker_procs`` and
     ``reconnect_window`` pass straight through to
-    :class:`ServiceCoordinator`.
+    :class:`ServiceCoordinator`.  Worker threads that die (failpoints,
+    service shutdown) never fail the harness directly — fault tolerance is
+    the coordinator's job, and the queue says how each campaign ended.
     """
 
     def __init__(
@@ -48,6 +56,7 @@ class LocalService:
         self._reconnect_window = reconnect_window
         self._coordinator_kwargs = dict(coordinator_kwargs)
         self._threads: list[threading.Thread] = []
+        self._stats: list[WorkerStats | None] = []
         self._worker_errors: list[Exception] = []
         self.coordinator: ServiceCoordinator | None = None
         self.client: ServiceClient | None = None
@@ -63,30 +72,41 @@ class LocalService:
             self.start_worker(procs=self._worker_procs)
 
     def start_worker(
-        self, *, procs: int = 1, name: str | None = None
+        self,
+        *,
+        procs: int = 1,
+        name: str | None = None,
+        die_after: int | None = None,
     ) -> Worker:
         """Spawn one worker thread against the current coordinator."""
         worker = Worker(
-            self.host, self.port, procs=procs, name=name,
+            self.host, self.port, procs=procs, name=name, die_after=die_after,
             reconnect_window=self._reconnect_window,
         )
+        slot = len(self._stats)
+        self._stats.append(None)
 
         def _run() -> None:
             try:
-                worker.run()
+                self._stats[slot] = worker.run()
             except (DistError, OSError) as exc:
-                # A worker dying (service stopped, window expired) is not a
-                # harness failure; the coordinator's lease machinery and the
-                # tests judge campaign health.
+                # A worker dying (failpoint, service stopped, window
+                # expired) is not a harness failure; the coordinator's
+                # lease machinery and the tests judge campaign health.
                 self._worker_errors.append(exc)
 
         thread = threading.Thread(
-            target=_run, name=f"local-service-worker-{len(self._threads)}",
-            daemon=True,
+            target=_run, name=f"local-service-worker-{slot}", daemon=True
         )
         thread.start()
         self._threads.append(thread)
         return worker
+
+    def worker_stats(self) -> list[WorkerStats | None]:
+        """Per-worker lifetime stats, in start order (``None`` for workers
+        still running — they leave when the service drains or stops idle —
+        or that died before finishing)."""
+        return list(self._stats)
 
     def restart(self, *, kill: bool = False, workers: int | None = None) -> None:
         """Bounce the service on the same durable state.

@@ -28,15 +28,11 @@ from repro.campaign import (
 )
 from repro.campaign.io import result_to_dict
 from repro.campaign.runner import matrix_checkpoint_path
-from repro.dist import (
-    Coordinator,
-    CoordinatorClient,
-    LocalCluster,
-    decode_indices,
-)
+from repro.dist import CoordinatorClient
 from repro.errors import CampaignError
+from repro.service import LocalService, ServiceCoordinator
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import DEMO_SOURCE, request_for, run_lease, serve
 
 N = 12
 SEED = 7
@@ -208,11 +204,11 @@ class TestCheckpoints:
         )
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                spec, workers=1, chunk_size=2, checkpoint_every=2,
-                checkpoint_dir=tmp_path / "ckpt", events=events,
-            ) as cluster:
-                cluster.results(timeout=60)
+            with LocalService(
+                workers=1, chunk_size=2, checkpoint_every=2,
+                checkpoint_root=tmp_path / "ckpt", events=events,
+            ) as svc:
+                serve(svc, request_for(spec), timeout=60)
         kinds = [e["event"] for e in read_events(log)]
         assert kinds.count("task_done") == 2
         assert kinds.count("checkpoint") == 2
@@ -241,22 +237,21 @@ def _run(executor, spec, path, *, kill_after=None, events=None):
             checkpoint_path=path, checkpoint_every=2, chunk_size=2,
             progress=progress, events=events,
         )
+    # leases: the cell goes in the way the queue's pump puts it there, and
+    # is leased by hand — to the end, or part-way and then stopped
     assert matrix_checkpoint_path(path.parent, *spec.key) == path
-    if kill_after is None:
-        with LocalCluster(
-            spec, workers=1, chunk_size=2, checkpoint_dir=path.parent,
-            events=events,
-        ) as cluster:
-            return cluster.results(timeout=60)[spec.key]
-    # part-way: lease by hand, then stop the coordinator
-    coordinator = Coordinator(spec, chunk_size=2, checkpoint_dir=path.parent)
-    coordinator.start()
+    coordinator = ServiceCoordinator(chunk_size=2, events=events)
     try:
+        coordinator.add_cells(spec, path.parent)
+        coordinator.start()
         with CoordinatorClient(*coordinator.address, name="hand") as client:
-            while coordinator.cell_progress()[spec.key][0] < kill_after:
+            while coordinator.cell_progress()[spec.key][0] < (
+                kill_after or spec.n
+            ):
                 lease = client.request_task()
-                indices = decode_indices(lease["indices"], spec.n)
-                client.complete(lease["task_id"], run_slice(spec, indices))
+                client.complete(lease["task_id"], run_lease(lease))
+        if kill_after is None:
+            return coordinator.retire_cells([spec.key])[spec.key]
     finally:
         coordinator.stop()
     raise _Kill

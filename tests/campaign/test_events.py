@@ -150,19 +150,6 @@ class TestCampaignStats:
         assert stats.eta_seconds() is None
         assert "ETA --:--" in stats.render()
 
-    def test_per_worker_throughput_in_render(self):
-        now = [0.0]
-        stats = CampaignStats(total=100, clock=lambda: now[0])
-        now[0] = 10.0
-        stats.note_batch({Outcome.BENIGN: 30})
-        stats.note_worker("alpha", 20)
-        stats.note_worker("beta", 10)
-        assert stats.worker_rates() == pytest.approx(
-            {"alpha": 2.0, "beta": 1.0}
-        )
-        line = stats.render()
-        assert "2w[alpha:2.0/s beta:1.0/s]" in line
-
     def test_render_without_workers_has_no_worker_block(self):
         stats = CampaignStats(total=10)
         assert "w[" not in stats.render()

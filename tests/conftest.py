@@ -86,3 +86,56 @@ def demo_program(demo_binary):
 @pytest.fixture(scope="session")
 def demo_result(demo_program):
     return execute(demo_program)
+
+
+def request_for(spec, tools=None) -> dict:
+    """The service request that populates to ``spec``'s cell (to one cell
+    per tool of ``tools``, alike in everything else): a request carries its
+    ``sources`` and spells any ``CampaignSpec`` field."""
+    fields = spec.to_dict()
+    workload, source = fields.pop("workload"), fields.pop("source")
+    tool = fields.pop("tool_name")
+    return {
+        "workloads": [workload], "tools": list(tools or [tool]),
+        "sources": {workload: source}, **fields,
+    }
+
+
+def collect(svc, cid: int, timeout: float = 120.0) -> dict:
+    """Watch campaign ``cid`` of a ``LocalService`` to ``done`` and fetch
+    it: ``{(workload, tool): CampaignResult}``."""
+    from repro.campaign.io import result_from_dict
+
+    final = svc.client.watch(cid, timeout=timeout)
+    assert final["info"]["state"] == "done", final["info"]
+    return {
+        tuple(key.split("/")): result_from_dict(cell)
+        for key, cell in svc.client.fetch(cid)["results"].items()
+    }
+
+
+def serve(svc, request, timeout: float = 120.0) -> dict:
+    """Submit ``request`` to a ``LocalService`` and :func:`collect` it."""
+    return collect(svc, svc.client.submit(request), timeout)
+
+
+def lease_task(client, timeout: float = 30.0) -> dict:
+    """A hand-driven ``CoordinatorClient`` asks until it holds a lease (the
+    pump admits a submitted campaign in its own time; until then the
+    service answers ``wait``)."""
+    deadline = time.monotonic() + timeout
+    while True:
+        reply = client.request_task()
+        if reply["type"] == "lease":
+            return reply
+        assert reply["type"] == "wait", reply
+        assert time.monotonic() < deadline, "never granted a lease"
+
+
+def run_lease(lease: dict):
+    """The part an honest worker computes for ``lease``."""
+    from repro.campaign import CampaignSpec, run_slice
+    from repro.dist import decode_indices
+
+    spec = CampaignSpec.from_dict(lease["spec"])
+    return run_slice(spec, decode_indices(lease["indices"], spec.n))

@@ -1,12 +1,15 @@
-"""End-to-end distributed campaign tests on an in-process cluster.
+"""End-to-end distributed campaign tests on an in-process service.
 
-Everything here runs real TCP, real leases and real experiments; the
-acceptance bar throughout is *bit-identical to sequential* — same outcome
-counts, same per-experiment fault records, same serialized form —
-whatever the worker count or failure history.
+Everything here runs real TCP, real leases and real experiments through the
+one coordinator (``LocalService``: a ``ServiceCoordinator`` plus worker
+threads); the acceptance bar throughout is *bit-identical to sequential* —
+same outcome counts, same per-experiment fault records, same serialized
+form — whatever the worker count or failure history.
 
 The CI "distributed smoke test" step runs this file with ``-k smoke``.
 """
+
+import time
 
 import pytest
 
@@ -14,19 +17,20 @@ pytestmark = pytest.mark.slow
 
 from repro.campaign import make_tool, read_events, run_campaign
 from repro.campaign.io import result_to_dict
-from repro.campaign.parallel import run_slice
 from repro.campaign.runner import matrix_checkpoint_path
-from repro.dist import (
-    CampaignSpec,
-    Coordinator,
-    CoordinatorClient,
-    LocalCluster,
-    decode_indices,
-)
+from repro.dist import CampaignSpec, CoordinatorClient
 from repro.campaign.events import EventLog
-from repro.errors import CampaignError, DistError
+from repro.errors import DistError
+from repro.service import LocalService, ServiceCoordinator
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import (
+    DEMO_SOURCE,
+    collect,
+    lease_task,
+    request_for,
+    run_lease,
+    serve,
+)
 
 N = 16
 KEY = ("demo", "REFINE")
@@ -63,32 +67,30 @@ class TestEquivalence:
     def test_smoke_two_workers_bit_identical(self, sequential):
         # The headline guarantee (and the CI smoke test): two workers
         # racing over small chunks produce exactly the sequential result.
-        with LocalCluster(_spec(), workers=2, chunk_size=3) as cluster:
-            results = cluster.results(timeout=120)
-            stats = cluster.worker_stats()
+        with LocalService(workers=2, chunk_size=3) as svc:
+            results = serve(svc, request_for(_spec()))
         _assert_identical(results[KEY], sequential)
-        assert not cluster._worker_errors
-        done = [s for s in stats if s is not None]
-        assert sum(s.experiments for s in done) >= N
+        assert not svc._worker_errors
+        # an idle stop sends both workers home with their tallies
+        stats = svc.worker_stats()
+        assert None not in stats
+        assert sum(s.experiments for s in stats) >= N
 
     def test_matrix_of_cells_served_together(self):
-        specs = [
-            _spec(n=8, keep_records=False),
-            _spec(n=8, keep_records=False, tool_name="PINFI"),
-        ]
-        with LocalCluster(specs, workers=2, chunk_size=2) as cluster:
-            results = cluster.results(timeout=120)
+        spec = _spec(n=8, keep_records=False)
+        with LocalService(workers=2, chunk_size=2) as svc:
+            results = serve(svc, request_for(spec, tools=["REFINE", "PINFI"]))
         assert set(results) == {("demo", "REFINE"), ("demo", "PINFI")}
-        for spec in specs:
-            tool = make_tool(spec.tool_name, DEMO_SOURCE, "demo")
-            _assert_identical(results[spec.key], run_campaign(tool, n=8))
+        for _, tool_name in results:
+            tool = make_tool(tool_name, DEMO_SOURCE, "demo")
+            _assert_identical(
+                results[("demo", tool_name)], run_campaign(tool, n=8)
+            )
 
     def test_worker_process_pool_bit_identical(self, sequential):
         # -j 2: each leased task fans out over a local process pool.
-        with LocalCluster(
-            _spec(), workers=1, worker_procs=2, chunk_size=8
-        ) as cluster:
-            results = cluster.results(timeout=120)
+        with LocalService(workers=1, worker_procs=2, chunk_size=8) as svc:
+            results = serve(svc, request_for(_spec()))
         _assert_identical(results[KEY], sequential)
 
 
@@ -98,13 +100,13 @@ class TestFaultTolerance:
         # lose its task or corrupt the result.
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=0, chunk_size=2, lease_timeout=10.0,
+            with LocalService(
+                workers=0, chunk_size=2, lease_timeout=10.0,
                 backoff_base=0.01, events=events,
-            ) as cluster:
-                cluster.start_worker(die_after=1, name="doomed")
-                cluster.start_worker(name="survivor")
-                results = cluster.results(timeout=120)
+            ) as svc:
+                svc.start_worker(die_after=1, name="doomed")
+                svc.start_worker(name="survivor")
+                results = serve(svc, request_for(_spec()))
         _assert_identical(results[KEY], sequential)
         requeues = _events_named(log, "task_requeue")
         assert any(e["reason"] == "disconnect" for e in requeues)
@@ -120,19 +122,19 @@ class TestFaultTolerance:
         # recover the task.
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=0, chunk_size=4, lease_timeout=0.75,
+            with LocalService(
+                workers=0, chunk_size=4, lease_timeout=0.75,
                 backoff_base=0.01, events=events,
-            ) as cluster:
+            ) as svc:
+                cid = svc.client.submit(request_for(_spec()))
                 zombie = CoordinatorClient(
-                    *cluster.address, name="zombie", procs=1
+                    svc.host, svc.port, name="zombie", procs=1
                 )
                 zombie.connect()
-                lease = zombie.request_task()
-                assert lease["type"] == "lease"
+                lease = lease_task(zombie)
                 # ... and now the zombie never heartbeats again.
-                cluster.start_worker(name="healthy")
-                results = cluster.results(timeout=120)
+                svc.start_worker(name="healthy")
+                results = collect(svc, cid)
                 zombie.close()
         _assert_identical(results[KEY], sequential)
         timeouts = [
@@ -147,47 +149,58 @@ class TestFaultTolerance:
     def test_late_duplicate_submission_is_dropped(self, sequential, tmp_path):
         # At-least-once delivery: a worker whose lease expired may still
         # finish and submit.  The duplicate must be acknowledged (so the
-        # slow worker can move on) but not double-counted.
+        # slow worker can move on) but not double-counted.  Two hand-driven
+        # clients, two tasks: the cell stays live (its other task is out)
+        # while the stale part lands.
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=0, chunk_size=4, lease_timeout=0.5,
+            with LocalService(
+                workers=0, chunk_size=N // 2, lease_timeout=0.5,
                 backoff_base=0.01, events=events,
-            ) as cluster:
-                slow = CoordinatorClient(*cluster.address, name="slow")
+            ) as svc:
+                cid = svc.client.submit(request_for(_spec()))
+                slow = CoordinatorClient(svc.host, svc.port, name="slow")
                 slow.connect()
-                lease = slow.request_task()
-                leased = CampaignSpec.from_dict(lease["spec"])
-                part = run_slice(
-                    leased, decode_indices(lease["indices"], leased.n)
-                )
-                # Lease expires, someone else redoes the task...
-                cluster.start_worker(name="healthy")
-                results = cluster.results(timeout=120)
-                # ...and only then does the original submission land.
-                ack = slow.complete(lease["task_id"], part)
-                slow.close()
+                lease = lease_task(slow)
+                part = run_lease(lease)
+                time.sleep(0.6)  # the lease expires ...
+                with CoordinatorClient(svc.host, svc.port, name="fast") as fast:
+                    other = lease_task(fast)
+                    again = lease_task(fast)  # ... someone else redoes it ...
+                    assert again["task_id"] == lease["task_id"]
+                    assert again["attempt"] == 1
+                    assert fast.complete(again["task_id"], run_lease(again)) == {
+                        "type": "ok", "duplicate": False
+                    }
+                    # ...and only then does the original submission land.
+                    ack = slow.complete(lease["task_id"], part)
+                    slow.close()
+                    fast.complete(other["task_id"], run_lease(other))
+                results = collect(svc, cid)
         assert ack == {"type": "ok", "duplicate": True}
         _assert_identical(results[KEY], sequential)
         dupes = [
             e for e in _events_named(log, "task_done") if e["duplicate"]
         ]
-        assert any(e["task"] == lease["task_id"] for e in dupes)
+        assert [(e["task"], e["worker"]) for e in dupes] == [
+            (lease["task_id"], "slow")
+        ]
 
     def test_failed_task_is_retried_elsewhere(self, sequential, tmp_path):
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=0, chunk_size=4, lease_timeout=10.0,
+            with LocalService(
+                workers=0, chunk_size=4, lease_timeout=10.0,
                 backoff_base=0.01, events=events,
-            ) as cluster:
-                flaky = CoordinatorClient(*cluster.address, name="flaky")
+            ) as svc:
+                cid = svc.client.submit(request_for(_spec()))
+                flaky = CoordinatorClient(svc.host, svc.port, name="flaky")
                 flaky.connect()
-                lease = flaky.request_task()
+                lease = lease_task(flaky)
                 flaky.fail(lease["task_id"], "ValueError: boom")
                 flaky.close()
-                cluster.start_worker(name="healthy")
-                results = cluster.results(timeout=120)
+                svc.start_worker(name="healthy")
+                results = collect(svc, cid)
         _assert_identical(results[KEY], sequential)
         requeues = _events_named(log, "task_requeue")
         assert any(
@@ -196,62 +209,55 @@ class TestFaultTolerance:
             for e in requeues
         )
 
-    def test_poison_task_fails_campaign_after_max_attempts(self):
-        coordinator = Coordinator(
-            _spec(n=4), port=0, chunk_size=4, max_attempts=1,
-            backoff_base=0.0, lease_timeout=10.0,
-        )
-        coordinator.start()
-        try:
-            client = CoordinatorClient(*coordinator.address, name="cursed")
-            client.connect()
-            for _ in range(2):  # max_attempts=1: the second failure is fatal
-                lease = client.request_task()
-                assert lease["type"] == "lease"
-                client.fail(lease["task_id"], "RuntimeError: poison")
-            with pytest.raises(CampaignError, match="failed 2 times"):
-                coordinator.wait(timeout=5.0)
-            client.close()
-        finally:
-            coordinator.stop()
+    # A task that fails ``max_attempts + 1`` times fails its campaign, not
+    # the service: tests/service/test_service.py::TestPoisonTask.
 
 
 class TestCheckpointResume:
     def test_restart_resumes_without_rerunning(self, sequential, tmp_path):
-        ckpt = tmp_path / "ckpt"
+        paths = {
+            "queue_path": tmp_path / "queue.sqlite",
+            "checkpoint_root": tmp_path / "ckpt",
+        }
         first_log = tmp_path / "first.jsonl"
         second_log = tmp_path / "second.jsonl"
 
-        # First coordinator: one worker completes exactly 3 tasks (6
-        # experiments) and dies; then the coordinator itself is stopped.
+        # First service: one worker completes exactly 3 tasks (6
+        # experiments) and dies; then the service itself is stopped.
         with EventLog(first_log) as events:
-            cluster = LocalCluster(
-                _spec(), workers=0, chunk_size=2, lease_timeout=10.0,
-                checkpoint_dir=ckpt, checkpoint_every=2, events=events,
+            svc = LocalService(
+                workers=0, chunk_size=2, lease_timeout=10.0,
+                checkpoint_every=2, events=events, **paths,
             )
-            cluster.start_worker(die_after=3)
-            cluster._threads[0].join(timeout=120)
-            cluster.stop()
+            cid = svc.client.submit(request_for(_spec()))
+            svc.start_worker(die_after=3)
+            svc._threads[0].join(timeout=120)
+            svc.stop()
 
-        assert matrix_checkpoint_path(ckpt, "demo", "REFINE").exists()
+        assert matrix_checkpoint_path(
+            paths["checkpoint_root"] / f"campaign-{cid}", "demo", "REFINE"
+        ).exists()
         finished = [
             e for e in _events_named(first_log, "task_done")
             if not e["duplicate"]
         ]
         assert len(finished) == 3
-        assert not _events_named(first_log, "dist_finish")
+        assert not _events_named(first_log, "campaign_done")
 
-        # Second coordinator, same checkpoint dir: resumes the 6 completed
-        # experiments and serves only the remaining 10.
+        # Second service, same queue and checkpoints: recovers the
+        # campaign, resumes the 6 completed experiments and serves only the
+        # remaining 10.
         with EventLog(second_log) as events:
-            with LocalCluster(
-                _spec(), workers=1, chunk_size=2, lease_timeout=10.0,
-                checkpoint_dir=ckpt, events=events,
-            ) as cluster:
-                results = cluster.results(timeout=120)
+            with LocalService(
+                workers=1, chunk_size=2, lease_timeout=10.0, events=events,
+                **paths,
+            ) as svc:
+                results = collect(svc, cid)
         _assert_identical(results[KEY], sequential)
 
-        assert _events_named(second_log, "dist_start")[0]["resumed"] == 6
+        assert _events_named(second_log, "service_recover")[0][
+            "campaigns"
+        ] == [cid]
         assert _events_named(second_log, "cell_start")[0]["resumed"] == 6
         rerun = sum(
             e["size"] for e in _events_named(second_log, "task_done")
@@ -264,18 +270,21 @@ class TestCheckpointResume:
                 assert _events_named(log, name)
 
     def test_resuming_finished_cell_serves_nothing(self, tmp_path):
-        ckpt = tmp_path / "ckpt"
+        root = tmp_path / "ckpt"
         spec = _spec(n=6)
-        with LocalCluster(
-            spec, workers=1, chunk_size=2, checkpoint_dir=ckpt
-        ) as cluster:
-            before = cluster.results(timeout=120)
-        # No workers at all: the resumed cell must complete from the
-        # checkpoint alone.
-        coordinator = Coordinator(spec, port=0, checkpoint_dir=ckpt)
-        coordinator.start()
+        with LocalService(
+            workers=1, chunk_size=2, checkpoint_root=root
+        ) as svc:
+            cid = svc.client.submit(request_for(spec))
+            before = collect(svc, cid)
+        # No workers at all, not even a socket: the resumed cell must
+        # complete from the checkpoint alone.
+        coordinator = ServiceCoordinator()
         try:
-            after = coordinator.wait(timeout=5.0)
+            coordinator.add_cells(spec, root / f"campaign-{cid}")
+            assert coordinator.cell_progress() == {KEY: (6, 6)}
+            assert not coordinator._tasks
+            after = coordinator.retire_cells([KEY])
         finally:
             coordinator.stop()
         assert (
@@ -286,14 +295,13 @@ class TestCheckpointResume:
 class TestWorkerBehaviour:
     def test_workers_share_the_load(self, tmp_path):
         # With more tasks than workers and per-worker throughput telemetry,
-        # every worker that joined shows up in the event log.
+        # every worker that joined shows up in the event log, and the
+        # workers' own tallies (theirs once the service sent them home) add
+        # up to the campaign.
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(keep_records=False), workers=2, chunk_size=2,
-                events=events,
-            ) as cluster:
-                cluster.results(timeout=120)
+            with LocalService(workers=2, chunk_size=2, events=events) as svc:
+                serve(svc, request_for(_spec(keep_records=False)))
         joined = {e["worker"] for e in _events_named(log, "worker_join")}
         assert len(joined) == 2
         finished = {
@@ -301,6 +309,10 @@ class TestWorkerBehaviour:
             if not e["duplicate"]
         }
         assert finished <= joined
+        stats = svc.worker_stats()
+        assert {s.name for s in stats} == joined
+        assert sum(s.experiments for s in stats) == N
+        assert sum(s.tasks for s in stats) == N // 2
 
     def test_worker_without_coordinator_raises(self):
         # Grab a port that is certainly closed.
@@ -316,15 +328,15 @@ class TestWorkerBehaviour:
             Worker("127.0.0.1", port).run()
 
     def test_worker_survives_until_done_message(self, sequential):
-        # A worker started *before* there is anything to do just polls
-        # (wait replies) and exits cleanly on done.
-        with LocalCluster(_spec(), workers=1, chunk_size=16) as cluster:
-            results = cluster.results(timeout=120)
-            stats = cluster.worker_stats()
+        # A worker started *before* there is anything to do just waits
+        # (held requests, wait replies) and exits cleanly on done.
+        with LocalService(workers=1, chunk_size=16) as svc:
+            results = serve(svc, request_for(_spec()))
         _assert_identical(results[KEY], sequential)
-        assert stats[0] is not None
-        assert stats[0].tasks == 1
-        assert stats[0].experiments == N
+        (stats,) = svc.worker_stats()
+        assert stats is not None
+        assert stats.tasks == 1
+        assert stats.experiments == N
 
 
 class TestTriggerSchedule:
@@ -338,10 +350,15 @@ class TestTriggerSchedule:
 
         spec = _spec()
         (expected,) = CampaignCell(spec).shards(N)
-        coord = Coordinator(spec, chunk_size=5)
-        sharded = [
-            list(coord._tasks[tid].indices) for tid in sorted(coord._tasks)
-        ]
+        coord = ServiceCoordinator(chunk_size=5)
+        try:
+            coord.add_cells(spec)
+            sharded = [
+                list(coord._tasks[tid].indices)
+                for tid in sorted(coord._tasks)
+            ]
+        finally:
+            coord.stop()
         # Every task is one contiguous slice of the trigger order, and
         # together they cover it exactly.
         assert [i for chunk in sharded for i in chunk] == list(expected)
@@ -349,11 +366,8 @@ class TestTriggerSchedule:
     def test_trigger_smoke_two_workers_bit_identical(self, sequential, tmp_path):
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=2, chunk_size=3,
-                events=events,
-            ) as cluster:
-                results = cluster.results(timeout=120)
+            with LocalService(workers=2, chunk_size=3, events=events) as svc:
+                results = serve(svc, request_for(_spec()))
         self._assert_equivalent(results[KEY], sequential)
         finish = _events_named(log, "cell_finish")[0]
         assert finish["schedule"] == "trigger"
@@ -364,32 +378,6 @@ class TestTriggerSchedule:
         # Per-task scheduler stats are independent and sum to the totals.
         per_task = _events_named(log, "scheduler_stats")
         assert sum(e["experiments"] for e in per_task) == N
-
-    def test_trigger_survives_dead_worker(self, sequential, tmp_path):
-        # Requeue/dedup machinery is schedule-agnostic: losing a worker
-        # mid-lease changes nothing about the final result.
-        log = tmp_path / "events.jsonl"
-        with EventLog(log) as events:
-            with LocalCluster(
-                _spec(), workers=0, chunk_size=2,
-                lease_timeout=10.0, backoff_base=0.01, events=events,
-            ) as cluster:
-                cluster.start_worker(die_after=1, name="doomed")
-                cluster.start_worker(name="survivor")
-                results = cluster.results(timeout=120)
-        self._assert_equivalent(results[KEY], sequential)
-        assert any(
-            e["reason"] == "disconnect"
-            for e in _events_named(log, "task_requeue")
-        )
-
-    def test_trigger_worker_process_pool(self, sequential):
-        with LocalCluster(
-            _spec(), workers=1, worker_procs=2,
-            chunk_size=8,
-        ) as cluster:
-            results = cluster.results(timeout=120)
-        self._assert_equivalent(results[KEY], sequential)
 
     def test_leases_replay_windows_not_the_golden_run(self, tmp_path):
         """32 leases of one cell cost one golden pass per worker plus each
@@ -407,10 +395,10 @@ class TestTriggerSchedule:
         )
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                spec, workers=2, chunk_size=n // leases, events=events
-            ) as cluster:
-                results = cluster.results(timeout=120)
+            with LocalService(
+                workers=2, chunk_size=n // leases, events=events
+            ) as svc:
+                results = serve(svc, request_for(spec))
         assert sum(results[("EP", "REFINE")].counts.values()) == n
 
         # Where along the golden run each trigger forks, from a cursor of
@@ -468,13 +456,12 @@ class TestTriggerSchedule:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with LocalCluster(
-                _spec(), workers=5, chunk_size=1
-            ) as cluster:
-                results = cluster.results(timeout=120)
-                stats = cluster.worker_stats()
+            with LocalService(workers=5, chunk_size=1) as svc:
+                results = serve(svc, request_for(_spec()))
         finally:
             sys.setswitchinterval(interval)
         self._assert_equivalent(results[KEY], sequential)
-        assert not cluster._worker_errors
-        assert sum(s.experiments for s in stats if s is not None) >= N
+        assert not svc._worker_errors
+        stats = svc.worker_stats()
+        assert None not in stats
+        assert sum(s.experiments for s in stats) == N

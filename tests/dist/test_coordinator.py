@@ -8,9 +8,7 @@ import pytest
 
 from repro.dist import (
     CampaignSpec,
-    Coordinator,
     PROTOCOL_VERSION,
-    backoff_delay,
     decode_indices,
     parse_address,
     recv_message,
@@ -19,6 +17,7 @@ from repro.dist import (
 )
 from repro.campaign import CampaignCell
 from repro.errors import DistError
+from repro.service import ServiceCoordinator, backoff_delay
 
 from tests.conftest import DEMO_SOURCE
 
@@ -72,37 +71,59 @@ class TestParseAddress:
             parse_address(bad)
 
 
-class TestCoordinatorValidation:
-    def test_needs_at_least_one_spec(self):
-        with pytest.raises(DistError, match="at least one"):
-            Coordinator([])
+@pytest.fixture
+def serving():
+    """Start a coordinator holding the demo cell (``add_cells``, the door
+    the queue's pump uses); stopped when the test ends."""
+    started = []
 
+    def start(**kwargs):
+        coord = ServiceCoordinator(**kwargs)
+        started.append(coord)
+        coord.add_cells(_spec())
+        coord.start()
+        return coord
+
+    yield start
+    for coord in started:
+        coord.stop()
+
+
+class TestCoordinatorValidation:
     def test_rejects_duplicate_cells(self):
-        with pytest.raises(DistError, match="duplicate"):
-            Coordinator([_spec(), _spec()])
+        coord = ServiceCoordinator()
+        try:
+            with pytest.raises(DistError, match="duplicate"):
+                coord.add_cells([_spec(), _spec()])
+            coord.add_cells(_spec())
+            with pytest.raises(DistError, match="already being served"):
+                coord.add_cells(_spec())
+        finally:
+            coord.stop()
 
     def test_rejects_bad_lease_timeout(self):
         with pytest.raises(DistError, match="lease_timeout"):
-            Coordinator(_spec(), lease_timeout=0.0)
+            ServiceCoordinator(lease_timeout=0.0)
 
     def test_rejects_bad_max_attempts(self):
         with pytest.raises(DistError, match="max_attempts"):
-            Coordinator(_spec(), max_attempts=0)
+            ServiceCoordinator(max_attempts=0)
 
     def test_address_requires_start(self):
-        with pytest.raises(DistError, match="not started"):
-            Coordinator(_spec()).address
+        coord = ServiceCoordinator()
+        try:
+            with pytest.raises(DistError, match="not started"):
+                coord.address
+        finally:
+            coord.stop()
 
 
 class TestProtocolConversation:
     """Drive a live coordinator with raw frames (no Worker helper)."""
 
     @pytest.fixture
-    def coordinator(self):
-        coord = Coordinator(_spec(), port=0, chunk_size=4)
-        coord.start()
-        yield coord
-        coord.stop()
+    def coordinator(self, serving):
+        return serving(chunk_size=4)
 
     @pytest.fixture
     def conn(self, coordinator):
@@ -156,27 +177,15 @@ class TestProtocolConversation:
         send_message(conn, {"type": "result", "task_id": 999, "part": {}})
         assert recv_message(conn)["type"] == "error"
 
-    def test_wait_timeout_raises(self, coordinator):
-        with pytest.raises(DistError, match="did not finish"):
-            coordinator.wait(timeout=0.1)
-
-    def test_wait_after_stop_reports_incomplete(self, coordinator):
-        coordinator.stop()
-        with pytest.raises(DistError, match="stopped before completion"):
-            coordinator.wait(timeout=1.0)
-
 
 class TestIdleRequests:
     """An idle worker's ``request`` is held until work exists (bounded by
     ``IDLE_HOLD_S``), in the same frames a polling worker already speaks."""
 
     @pytest.fixture
-    def coordinator(self):
+    def coordinator(self, serving):
         # one task, retried without backoff
-        coord = Coordinator(_spec(), port=0, chunk_size=8, backoff_base=0.0)
-        coord.start()
-        yield coord
-        coord.stop()
+        return serving(chunk_size=8, backoff_base=0.0)
 
     @staticmethod
     def _worker(coordinator, name):
@@ -212,7 +221,7 @@ class TestIdleRequests:
             idle.close()
 
     def test_held_request_expires_with_wait(self, coordinator, monkeypatch):
-        from repro.dist import coordinator as module
+        from repro.service import coordinator as module
 
         monkeypatch.setattr(module, "IDLE_HOLD_S", 0.2)
         busy = self._worker(coordinator, "busy")

@@ -16,32 +16,27 @@ import time
 import pytest
 
 from repro.campaign import EventLog, read_events
-from repro.dist import CampaignSpec, Coordinator, LocalCluster
+from repro.dist import CampaignSpec
 from repro.dist.protocol import (
     MAX_MESSAGE_BYTES,
     recv_message,
     send_message,
 )
 from repro.errors import DistError
-from repro.service import ServiceCoordinator
+from repro.service import LocalService, ServiceCoordinator
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import DEMO_SOURCE, collect, request_for
+
+SPEC = CampaignSpec(
+    workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=4
+)
 
 
 @pytest.fixture
 def coordinator():
-    spec = CampaignSpec(
-        workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=4
-    )
-    coord = Coordinator([spec], port=0, lease_timeout=30.0)
-    host, port = coord.start()
-    yield host, port
-    coord.stop()
-
-
-@pytest.fixture
-def service(tmp_path):
-    coord = ServiceCoordinator(port=0, queue_path=":memory:")
+    """The one coordinator, with a cell to lease from."""
+    coord = ServiceCoordinator(lease_timeout=30.0)
+    coord.add_cells(SPEC)
     host, port = coord.start()
     yield host, port
     coord.stop()
@@ -171,22 +166,22 @@ class TestMalformedPartRequeue:
     def test_malformed_part_requeues_its_task_at_once(self, tmp_path):
         """The error reply drops the sender's connection, so its task must
         be handed on then — not when the 30 s lease runs out."""
-        spec = CampaignSpec(
-            workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=4
-        )
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
-            with LocalCluster(
-                spec, workers=0, chunk_size=4, lease_timeout=30.0,
+            with LocalService(
+                workers=0, chunk_size=4, lease_timeout=30.0,
                 backoff_base=0.01, events=events,
-            ) as cluster:
-                with _connect(cluster.address) as sock:
+            ) as svc:
+                cid = svc.client.submit(request_for(SPEC))
+                with _connect((svc.host, svc.port)) as sock:
                     send_message(
                         sock, {"type": "hello", "name": "sloppy", "procs": 1}
                     )
                     recv_message(sock)
-                    send_message(sock, {"type": "request"})
-                    lease = recv_message(sock)
+                    lease = {"type": "wait"}  # until the pump has admitted
+                    while lease["type"] == "wait":
+                        send_message(sock, {"type": "request"})
+                        lease = recv_message(sock)
                     assert lease["type"] == "lease"
                     send_message(sock, {
                         "type": "result", "task_id": lease["task_id"],
@@ -196,8 +191,8 @@ class TestMalformedPartRequeue:
                     assert reply["type"] == "error"
                     assert "malformed part" in reply["message"]
                 started = time.monotonic()
-                cluster.start_worker(name="healthy")
-                results = cluster.results(timeout=20.0)
+                svc.start_worker(name="healthy")
+                results = collect(svc, cid, timeout=20.0)
                 assert time.monotonic() - started < 10.0
         assert sum(results[("demo", "REFINE")].counts.values()) == 4
         requeues = [
@@ -211,28 +206,28 @@ class TestMalformedPartRequeue:
 class TestMalformedControl:
     """The service's control verbs reject garbage without dying."""
 
-    def test_submit_without_request(self, service):
-        reply = _call(service, {"type": "submit"})
+    def test_submit_without_request(self, coordinator):
+        reply = _call(coordinator, {"type": "submit"})
         assert reply["type"] == "error"
         assert "request" in reply["message"]
-        _assert_alive(service)
+        _assert_alive(coordinator)
 
-    def test_submit_non_object_request(self, service):
-        reply = _call(service, {"type": "submit", "request": [1, 2]})
+    def test_submit_non_object_request(self, coordinator):
+        reply = _call(coordinator, {"type": "submit", "request": [1, 2]})
         assert reply["type"] == "error"
 
-    def test_submit_structurally_invalid_request(self, service):
+    def test_submit_structurally_invalid_request(self, coordinator):
         reply = _call(
-            service,
+            coordinator,
             {"type": "submit", "request": {"workloads": [], "tools": ["R"],
                                            "n": 4}},
         )
         assert reply["type"] == "error"
         assert "workloads" in reply["message"]
 
-    def test_submit_unknown_workload(self, service):
+    def test_submit_unknown_workload(self, coordinator):
         reply = _call(
-            service,
+            coordinator,
             {"type": "submit",
              "request": {"workloads": ["no-such-prog"], "tools": ["REFINE"],
                          "n": 2}},
@@ -240,9 +235,9 @@ class TestMalformedControl:
         assert reply["type"] == "error"
         assert "no-such-prog" in reply["message"]
 
-    def test_submit_unknown_lifecycle(self, service):
+    def test_submit_unknown_lifecycle(self, coordinator):
         reply = _call(
-            service,
+            coordinator,
             {"type": "submit", "lifecycle": "bogus",
              "request": {"workloads": ["demo"], "tools": ["REFINE"], "n": 2,
                          "sources": {"demo": "int main() { return 0; }"}}},
@@ -250,41 +245,41 @@ class TestMalformedControl:
         assert reply["type"] == "error"
         assert "bogus" in reply["message"]
 
-    def test_status_of_unknown_campaign(self, service):
-        reply = _call(service, {"type": "status", "campaign": 123})
+    def test_status_of_unknown_campaign(self, coordinator):
+        reply = _call(coordinator, {"type": "status", "campaign": 123})
         assert reply["type"] == "error"
         assert "123" in reply["message"]
 
-    def test_status_with_garbage_id(self, service):
-        reply = _call(service, {"type": "status", "campaign": "xyzzy"})
+    def test_status_with_garbage_id(self, coordinator):
+        reply = _call(coordinator, {"type": "status", "campaign": "xyzzy"})
         assert reply["type"] == "error"
         assert "malformed" in reply["message"]
 
-    def test_cancel_missing_id(self, service):
-        reply = _call(service, {"type": "cancel"})
+    def test_cancel_missing_id(self, coordinator):
+        reply = _call(coordinator, {"type": "cancel"})
         assert reply["type"] == "error"
         assert "malformed" in reply["message"]
 
-    def test_fetch_unknown_campaign(self, service):
-        reply = _call(service, {"type": "fetch", "campaign": 9})
+    def test_fetch_unknown_campaign(self, coordinator):
+        reply = _call(coordinator, {"type": "fetch", "campaign": 9})
         assert reply["type"] == "error"
         assert "no cached result" in reply["message"]
 
-    def test_list_with_garbage_tenant(self, service):
-        reply = _call(service, {"type": "list", "tenant": 17})
+    def test_list_with_garbage_tenant(self, coordinator):
+        reply = _call(coordinator, {"type": "list", "tenant": 17})
         assert reply["type"] == "error"
-        _assert_alive(service)
+        _assert_alive(coordinator)
 
-    def test_server_survives_a_barrage(self, service):
+    def test_server_survives_a_barrage(self, coordinator):
         for message in (
             {"type": "frobnicate"},
             {"type": "submit", "request": 3},
             {"type": "cancel", "campaign": []},
             {"type": "drain", "grace_s": "soon"},
         ):
-            reply = _call(service, message)
+            reply = _call(coordinator, message)
             assert reply["type"] == "error"
-        _assert_alive(service)
+        _assert_alive(coordinator)
         # And the control plane still works end to end.
-        reply = _call(service, {"type": "list"})
+        reply = _call(coordinator, {"type": "list"})
         assert reply["type"] == "ok"

@@ -193,6 +193,8 @@ class TestExitCodes:
         ("refine-campaign", "--schedule index"),
         ("refine-campaign", "--snapshot-interval 0"),
         ("refine-campaign", "--no-snapshot"),
+        ("refine-campaign", "--dist 127.0.0.1:0"),
+        ("refine-campaign", "--lease-timeout 60"),
         ("refine-worker", "--snapshot-dir snaps"),
         ("refine-worker", "--no-snapshot"),
         ("refine-fuzz", "--snapshot-interval 0"),
@@ -200,8 +202,10 @@ class TestExitCodes:
         ("refine-fuzz", "--check-schedules"),
     ])
     def test_removed_flags_are_usage_errors(self, prog, flag, capsys):
-        """How a campaign executes stopped being a choice; the flags that
-        chose are gone without replacement, and say so the argparse way."""
+        """How a campaign executes stopped being a choice, and so did who
+        coordinates a distributed one (``refine-service serve``); the flags
+        that chose are gone without replacement, and say so the argparse
+        way."""
         from repro.cli import fuzz_main, worker_main
 
         main, positional = {
@@ -256,8 +260,10 @@ class TestExitCodes:
 
 
 class TestDistCLI:
-    def test_coordinator_and_worker_processes(self, tmp_path):
-        """Two-process --dist run: the CSV matches what the docs promise."""
+    def test_coordinator_and_worker_processes(self, tmp_path, capsys):
+        """Serving a campaign to worker processes is four commands — serve,
+        worker, submit --watch, drain — and its CSV is the inline run's,
+        byte for byte."""
         import os
         import re
         import subprocess
@@ -265,37 +271,59 @@ class TestDistCLI:
 
         import repro
 
+        campaign = ["-w", "CG", "-t", "REFINE", "-n", "6", "-q"]
+        assert campaign_main(campaign) == 0
+        inline = capsys.readouterr().out
+        assert re.search(r"^CG,REFINE,6,", inline, re.MULTILINE)
+
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(repro.__file__).parents[1])
-        coord = subprocess.Popen(
-            [sys.executable, "-c",
-             "import sys; from repro.cli import campaign_main; "
-             "sys.exit(campaign_main(sys.argv[1:]))",
-             "-w", "CG", "-t", "REFINE", "-n", "6",
-             "--dist", "127.0.0.1:0"],
+
+        def command(main, *argv):
+            return [
+                sys.executable, "-c",
+                f"import sys; from repro.cli import {main}; "
+                f"sys.exit({main}(sys.argv[1:]))", *argv,
+            ]
+
+        service = subprocess.Popen(
+            command("service_main", "serve", "--listen", "127.0.0.1:0",
+                    "--queue", str(tmp_path / "queue.sqlite")),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, env=env,
         )
+        worker = None
         try:
-            port = None
-            for line in coord.stderr:
-                match = re.search(r"listening on 127\.0\.0\.1:(\d+)", line)
+            address = None
+            for line in service.stderr:
+                match = re.search(r"listening on (127\.0\.0\.1:\d+)", line)
                 if match:
-                    port = int(match.group(1))
+                    address = match.group(1)
                     break
-            assert port is not None, "coordinator never announced its port"
-            worker = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from repro.cli import worker_main; "
-                 "sys.exit(worker_main(sys.argv[1:]))",
-                 f"127.0.0.1:{port}"],
+            assert address is not None, "service never announced its port"
+            worker = subprocess.Popen(
+                command("worker_main", address),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env,
+            )
+            submit = subprocess.run(
+                command("campaign_main", *campaign, "--submit", address,
+                        "--watch"),
                 capture_output=True, text=True, env=env, timeout=300,
             )
-            out, _err = coord.communicate(timeout=60)
+            drain = subprocess.run(
+                command("service_main", "drain", address),
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            _, worker_err = worker.communicate(timeout=60)
+            service.communicate(timeout=60)
         finally:
-            coord.kill()
-        assert worker.returncode == 0, worker.stderr
-        assert "ran 6 experiments" in worker.stderr
-        assert coord.returncode == 0
-        assert "workload,tool" in out
-        assert re.search(r"^CG,REFINE,6,", out, re.MULTILINE)
+            service.kill()
+            if worker is not None:
+                worker.kill()
+        assert submit.returncode == 0, submit.stderr
+        assert submit.stdout == inline
+        assert drain.returncode == 0, drain.stderr
+        assert worker.returncode == 0, worker_err
+        assert "ran 6 experiments" in worker_err
+        assert service.returncode == 0

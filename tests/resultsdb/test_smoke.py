@@ -6,9 +6,9 @@ in-memory ``CampaignResult`` exactly:
 * CLI pass: a real 50-experiment ``refine-campaign --db`` run, then
   ``refine-db ingest --events --report`` over the same stream, with DB
   counts, records and analysis output compared against the saved matrix.
-* Distributed pass: a LocalCluster campaign written through a sink from
-  the coordinator's event stream, with a forced lease-expiry duplicate
-  submission — requeued/duplicate leases must not inflate counts.
+* Distributed pass: a LocalService campaign written through to its
+  results database, with a forced lease-expiry duplicate submission —
+  requeued/duplicate leases must not inflate counts.
 """
 
 import pytest
@@ -16,27 +16,26 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.campaign import run_campaign
-from repro.campaign.events import EventLog
 from repro.campaign.io import load_matrix, result_to_dict
-from repro.campaign.parallel import run_slice
 from repro.campaign import make_tool
 from repro.cli import campaign_main
-from repro.dist import (
-    CampaignSpec,
-    CoordinatorClient,
-    LocalCluster,
-    decode_indices,
-)
+from repro.dist import CampaignSpec, CoordinatorClient
 from repro.resultsdb import (
-    DatabaseSink,
     ResultsDB,
     find_campaign,
     matrix_from_db,
     to_campaign_result,
 )
 from repro.resultsdb.cli import main as db_main
+from repro.service import LocalService
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import (
+    DEMO_SOURCE,
+    collect,
+    lease_task,
+    request_for,
+    run_lease,
+)
 
 N = 50
 
@@ -77,17 +76,6 @@ class TestCliRoundTrip:
             assert db.run_count() == N
 
 
-class _Tee(EventLog):
-    """Event stream fanned out to a DatabaseSink (the --db wiring)."""
-
-    def __init__(self, sink):
-        super().__init__(stream=None)
-        self._sink = sink
-
-    def emit(self, event, **fields):
-        self._sink.emit(event, **fields)
-
-
 class TestDistributedWriteThrough:
     def test_duplicate_lease_does_not_inflate_counts(self, tmp_path):
         # A worker leases a task and stalls past its lease; a healthy
@@ -101,31 +89,27 @@ class TestDistributedWriteThrough:
             workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=16,
             keep_records=True,
         )
-        with ResultsDB(tmp_path / "dist.sqlite") as db:
-            sink = DatabaseSink(db)
-            with _Tee(sink) as events:
-                with LocalCluster(
-                    spec, workers=0, chunk_size=4, lease_timeout=0.5,
-                    backoff_base=0.01, events=events,
-                ) as cluster:
-                    slow = CoordinatorClient(*cluster.address, name="slow")
-                    slow.connect()
-                    lease = slow.request_task()
-                    leased = CampaignSpec.from_dict(lease["spec"])
-                    part = run_slice(
-                        leased, decode_indices(lease["indices"], leased.n)
-                    )
-                    cluster.start_worker(name="healthy")
-                    results = cluster.results(timeout=120)
-                    ack = slow.complete(lease["task_id"], part)
-                    slow.close()
-            sink.close()
-            assert ack == {"type": "ok", "duplicate": True}
-            assert result_to_dict(results[("demo", "REFINE")]) == (
-                result_to_dict(sequential)
-            )
+        db_path = tmp_path / "dist.sqlite"
+        with LocalService(
+            workers=0, chunk_size=4, lease_timeout=0.5, backoff_base=0.01,
+            db_path=db_path,
+        ) as svc:
+            cid = svc.client.submit(request_for(spec))
+            slow = CoordinatorClient(svc.host, svc.port, name="slow")
+            slow.connect()
+            lease = lease_task(slow)
+            part = run_lease(lease)
+            svc.start_worker(name="healthy")
+            results = collect(svc, cid)
+            ack = slow.complete(lease["task_id"], part)
+            slow.close()
+        assert ack == {"type": "ok", "duplicate": True}
+        assert result_to_dict(results[("demo", "REFINE")]) == (
+            result_to_dict(sequential)
+        )
 
-            cid = find_campaign(db, "demo", "REFINE")
-            assert db.run_count(cid) == 16
-            stored = to_campaign_result(db, cid)
+        with ResultsDB(db_path) as db:
+            stored_id = find_campaign(db, "demo", "REFINE")
+            assert db.run_count(stored_id) == 16
+            stored = to_campaign_result(db, stored_id)
             assert result_to_dict(stored) == result_to_dict(sequential)

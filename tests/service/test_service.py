@@ -9,11 +9,14 @@ the service's design:
   state with **no duplicated and no lost experiments** (checked against
   the results database's ``runs`` rows);
 * auto-validation flags a perturbed workload as ``failed`` end to end
-  (queue row, database, HTML report).
+  (queue row, database, HTML report);
+* a poison task, or a part from another build, fails **its campaign** —
+  never the service: the other tenants, the pump and the workers carry on.
 
-The CI "service smoke test" step runs this file with ``-k smoke``.
+The CI "service smoke test" step runs this file with a ``-k`` selection.
 """
 
+import re
 import threading
 import time
 
@@ -21,11 +24,13 @@ import pytest
 
 pytestmark = pytest.mark.slow
 
-from repro.campaign import make_tool, run_campaign
+from repro.campaign import make_tool, read_events, run_campaign
+from repro.campaign.events import EventLog
+from repro.dist import CoordinatorClient
 from repro.dist.worker import Worker
 from repro.campaign.classify import OUTCOME_ORDER
 from repro.campaign.io import result_to_dict
-from repro.errors import DistConnectionError, ServiceError
+from repro.errors import DistConnectionError, DistError, ServiceError
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.queries import list_campaigns
 from repro.resultsdb.report import build_report
@@ -37,7 +42,7 @@ from repro.service import (
     ServiceClient,
 )
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import DEMO_SOURCE, collect, lease_task, run_lease
 
 N = 16
 SEED = 20170817
@@ -179,6 +184,80 @@ class TestMultiTenant:
                     break
                 time.sleep(0.05)
             assert state == "cancelled"
+
+
+class TestPoisonTask:
+    """What cannot be retried into shape fails the campaign that owns the
+    cell — queue row ``failed`` with the reason, its cells retired — and
+    nothing else."""
+
+    @pytest.mark.parametrize("poison", ["task_failed", "foreign_part"])
+    def test_poison_fails_its_campaign_not_the_service(
+        self, tmp_path, poison
+    ):
+        n, max_attempts = 4, 1
+        request = _request(n=n)
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events, LocalService(
+            workers=0, max_active=1, max_attempts=max_attempts,
+            backoff_base=0.0, chunk_size=n, events=events,
+            queue_path=tmp_path / "queue.sqlite",
+        ) as svc:
+            a = svc.client.submit(request, tenant="a")
+            b = svc.client.submit(request, tenant="b")
+            cursed = CoordinatorClient(svc.host, svc.port, name="cursed")
+            cursed.connect()
+            if poison == "task_failed":
+                # A's only task fails until it is out of attempts
+                for attempt in range(max_attempts + 1):
+                    lease = lease_task(cursed)
+                    assert lease["attempt"] == attempt
+                    cursed.fail(lease["task_id"], "RuntimeError: poison")
+                reason = f"task {lease['task_id']} .*failed 2 times"
+            else:
+                # a part of another program: no retry can make A whole
+                lease = lease_task(cursed)
+                part = run_lease(lease)
+                part.golden_output = ("42",)
+                with pytest.raises(DistError, match="golden output"):
+                    cursed.complete(lease["task_id"], part)
+                cursed.close()  # the error reply hung up on it
+                cursed.connect()
+                reason = f"task {lease['task_id']}.* golden output"
+
+            failed = svc.client.watch(a, timeout=30.0)["info"]
+            assert failed["state"] == "failed"
+            assert re.search(reason, failed["error"])
+            # ... and that is all that failed: the pump lives, the same
+            # client is still served — B's task, or nothing yet
+            assert svc.coordinator._pump_thread.is_alive()
+            reply = cursed.request_task()
+            assert reply["type"] in ("lease", "wait")
+            if reply["type"] == "lease":
+                assert reply["task_id"] != lease["task_id"]
+            cursed.close()  # (what it may hold is requeued: B's 1 attempt)
+
+            svc.start_worker(name="honest")
+            tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+            expected = result_to_dict(
+                run_campaign(tool, n=n, base_seed=SEED, keep_records=True)
+            )
+            assert result_to_dict(collect(svc, b)[("demo", "REFINE")]) == (
+                expected
+            )
+            again = svc.client.submit(request, tenant="a")
+            assert result_to_dict(collect(svc, again)[("demo", "REFINE")]) == (
+                expected
+            )
+            listing = svc.client.list()
+            assert {row["id"]: row["state"] for row in listing["campaigns"]} == {
+                a: "failed", b: "done", again: "done"
+            }
+            assert "honest" in listing["workers"]
+        failures = [
+            e for e in read_events(log) if e["event"] == "campaign_failed"
+        ]
+        assert [e["campaign"] for e in failures] == [a]
 
 
 class TestRestartRecovery:

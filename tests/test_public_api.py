@@ -103,9 +103,13 @@ PROVENANCE_FIELDS = {
     ("ExperimentRecord", "engine"), ("RunOutcome", "engine"),
     ("CampaignInfo", "schedule"),
 }
+#: ``--dist`` / ``--lease-timeout`` were refine-campaign's one-shot
+#: coordinator; ``refine-service serve --lease-timeout`` is the one place
+#: that setting lives (service_main is not scanned below).
 REMOVED_FLAGS = (
     "--engine", "--schedule", "--snapshot-interval", "--no-snapshot",
     "--snapshot-dir", "--check-engines", "--check-schedules",
+    "--dist", "--lease-timeout",
 )
 REMOVED_NAMES = (
     "SnapshotEngine", "SnapshotStore", "SnapshotStats", "ReferenceEngine",
@@ -113,6 +117,7 @@ REMOVED_NAMES = (
     "resolve_interval", "check_workload_snapshot_equivalence",
     "check_workload_engine_equivalence",
     "check_workload_scheduler_equivalence",
+    "Coordinator", "LocalCluster",
 )
 
 
@@ -151,11 +156,12 @@ def test_no_execution_path_knob_survives(package):
 def test_slice_task_and_worker_lost_their_knobs():
     # what a slice is made of today: the spec, and the function it goes to
     from repro.campaign import CampaignSpec, run_slice
-    from repro.dist import LocalCluster, Worker
+    from repro.dist import Worker
+    from repro.service import LocalService
 
     for name, obj in (
         ("CampaignSpec", CampaignSpec), ("run_slice", run_slice),
-        ("Worker", Worker), ("LocalCluster", LocalCluster),
+        ("Worker", Worker), ("LocalService", LocalService),
     ):
         survivors = {p for _, p in _knobs_of(name, obj)} & REMOVED_KNOBS
         assert not survivors, f"{name}: {sorted(survivors)}"
@@ -222,6 +228,45 @@ def test_cell_bookkeeping_has_one_copy():
         name for name in vars(ServiceCoordinator) if "checkpoint" in name
         or name in ("_save_cell", "_finish_cell")
     ]
+
+
+def test_there_is_one_coordinator():
+    """A served campaign ends in the queue's state machine; nothing ends
+    "the run".  The one-shot coordinator's template-method hooks, its fatal
+    error, its ``wait`` and its start/finish events stay deleted, and no
+    second class grows back to be un-finished by a subclass."""
+    import ast
+    import importlib.util
+    from pathlib import Path
+
+    import repro
+    import repro.dist
+
+    assert importlib.util.find_spec("repro.dist.local") is None
+    assert importlib.util.find_spec("repro.dist.coordinator") is None
+    for name in ("Coordinator", "LocalCluster"):
+        assert not hasattr(repro.dist, name)
+
+    root = Path(repro.__file__).parent
+    coordinators, defs_on_a_coordinator = [], set()
+    for path in root.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        for literal in ('"dist_start"', '"dist_finish"'):
+            assert literal not in text, (path.name, literal)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef) and node.name.endswith(
+                "Coordinator"
+            ):
+                coordinators.append(node.name)
+                defs_on_a_coordinator |= {
+                    item.name for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                }
+    assert coordinators == ["ServiceCoordinator"]
+    assert not defs_on_a_coordinator & {
+        "_campaign_done", "_maybe_finish_all", "_on_cell_complete",
+        "_fatal", "wait", "run",
+    }
 
 
 def test_engine_generates_code_in_one_place():
