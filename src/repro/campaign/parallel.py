@@ -65,7 +65,8 @@ class SliceContexts:
 
     Owned by exactly one executor at a time — one per distributed
     :class:`~repro.dist.worker.Worker`, one per pool process: tools and
-    schedulers are not thread-safe, so threaded workers never share one.
+    schedulers are not thread-safe, so ``Worker``s that a caller runs on
+    threads of one process never share one.
     """
 
     def __init__(self) -> None:

@@ -489,7 +489,8 @@ def worker_main(argv: list[str] | None = None) -> int:
         print(
             f"# {stats.name}: ran {stats.experiments} experiments in "
             f"{stats.tasks} tasks ({stats.duplicates} duplicate(s), "
-            f"{stats.failures} failure(s))",
+            f"{stats.failures} failure(s)); pid {stats.pid}, "
+            f"{stats.cpu_s:.2f} s CPU, peak RSS {stats.peak_rss_mb:.0f} MiB",
             file=sys.stderr,
         )
     return 0

@@ -12,7 +12,8 @@ sequential run (experiments are pure functions of their global index).
 
 The serving side — lease table, queue, checkpoints — is the one
 coordinator, :class:`repro.service.ServiceCoordinator`
-(:class:`repro.service.LocalService` is its in-process harness).  See
+(:class:`repro.service.LocalService` is its single-host harness: the
+coordinator plus worker processes).  See
 ``docs/api.md`` for the lifecycle and wire-protocol reference.
 """
 

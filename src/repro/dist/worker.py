@@ -16,6 +16,7 @@ used: many nodes, each fully subscribed (Appendix A.4).
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import (
@@ -27,6 +28,11 @@ from concurrent.futures import (
     wait as futures_wait,
 )
 from dataclasses import dataclass
+
+try:  # POSIX only; without it ``WorkerStats.peak_rss_mb`` stays 0
+    import resource
+except ImportError:
+    resource = None
 
 from repro.campaign.cell import CampaignSpec, shard_indices
 from repro.campaign.io import decode_indices
@@ -54,6 +60,12 @@ class WorkerStats:
     experiments: int = 0
     duplicates: int = 0
     failures: int = 0
+    #: the process :meth:`Worker.run` ran in, and what it cost there: user +
+    #: system CPU spent during the run (``os.times()``; the ``procs > 1``
+    #: pool's children count once reaped) and the high-water resident set
+    pid: int = 0
+    cpu_s: float = 0.0
+    peak_rss_mb: float = 0.0
 
 
 class Worker:
@@ -107,7 +119,8 @@ class Worker:
         triggers backoff-and-retry until the window of continuous downtime
         is exhausted.
         """
-        stats = WorkerStats(name="")
+        stats = WorkerStats(name="", pid=os.getpid())
+        cpu0 = sum(os.times()[:4])
         runner: ThreadPoolExecutor | None = None
         down_since: float | None = None
         attempt = 0
@@ -147,9 +160,18 @@ class Worker:
             if runner is not None:
                 runner.shutdown(wait=False, cancel_futures=True)
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                # Waited for: its processes are reaped (their CPU is in the
+                # tally below), hold no copy of our connection once that is
+                # closed, and are not left to a process exit that may never
+                # hand them their sentinels.
+                self._pool.shutdown(wait=True, cancel_futures=True)
                 self._pool = None
             self._client.close()
+            stats.cpu_s = sum(os.times()[:4]) - cpu0
+            if resource is not None:  # ru_maxrss: KiB on Linux
+                stats.peak_rss_mb = resource.getrusage(
+                    resource.RUSAGE_SELF
+                ).ru_maxrss / 1024
 
     def _serve(self, stats: WorkerStats, runner: ThreadPoolExecutor) -> bool:
         """Drive one connection's lease/run/submit loop.  Returns ``True``

@@ -90,8 +90,9 @@ class Translation:
         trampoline interprets that run (see :mod:`repro.engine.fast`).
         """
         # keyed on the table ``_register_meta`` fills last: translations are
-        # shared by the threads of a process, and none may find ``pc`` half
-        # registered (two registering it at once write the same values)
+        # shared by the threads of a process (a caller's own — two ``Worker``s
+        # on threads, say), and none may find ``pc`` half registered (two
+        # registering it at once write the same values)
         if pc not in self.llfis:
             self._register_meta(pc, self.end_of[pc])
 

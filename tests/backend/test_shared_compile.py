@@ -120,7 +120,8 @@ class TestOneFrontHalfPerProgram:
 
 
 def test_threads_building_one_programs_tools_get_isolated_binaries():
-    """LocalService workers are threads, and each compiles its own tools."""
+    """A caller's own threads (two ``Worker``s in one process, say) may
+    build one program's tools at once; each gets binaries of its own."""
     source = workload_sources()["EP"]
     alone = {t: _facts(_isolated(t, source, "EP").binary) for t in TOOL_ORDER}
     _forget()

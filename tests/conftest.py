@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import time
 
 import pytest
@@ -61,6 +63,40 @@ def _wall_budget(request):
         )
 
 
+def descendants() -> set[int]:
+    """Pids of the live (not zombie) processes below this one, children of
+    children included, read from ``/proc``."""
+    parent_of = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                # pid (comm) state ppid ...
+                state, ppid = stat.read().rsplit(")", 1)[1].split()[:2]
+        except OSError:
+            continue  # gone since listdir
+        if state != "Z":
+            parent_of[int(entry)] = int(ppid)
+    found: set[int] = set()
+    frontier = {os.getpid()}
+    while frontier:
+        frontier = {p for p, pp in parent_of.items() if pp in frontier} - found
+        found |= frontier
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _no_process_outlives_the_session():
+    """Harnesses and pools own their processes: whatever a test started, it
+    reaped — none is left for the interpreter's exit to wait on or orphan."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes outlive the test session: {left}"
+    if os.path.isdir("/proc"):
+        assert not descendants()
+
+
 def run_minic(source: str, opt_level: str = "O2", budget: int | None = None):
     """Compile and execute MiniC; returns the ExecutionResult."""
     binary = compile_minic(source, "test", _options(opt_level))
@@ -117,6 +153,23 @@ def collect(svc, cid: int, timeout: float = 120.0) -> dict:
 def serve(svc, request, timeout: float = 120.0) -> dict:
     """Submit ``request`` to a ``LocalService`` and :func:`collect` it."""
     return collect(svc, svc.client.submit(request), timeout)
+
+
+def wait_progress(client, cid, at_least, deadline_s=120.0):
+    """Poll until at least ``at_least`` experiments of ``cid`` completed."""
+    deadline = time.monotonic() + deadline_s
+    while time.monotonic() < deadline:
+        status = client.status(cid)
+        done = sum(
+            c["completed"] for c in status.get("progress", {}).values()
+        )
+        state = status["info"]["state"]
+        if done >= at_least and state == "running":
+            return status
+        if state not in ("queued", "populating", "running"):
+            return status
+        time.sleep(0.05)
+    raise AssertionError(f"campaign {cid} never reached {at_least} done")
 
 
 def lease_task(client, timeout: float = 30.0) -> dict:

@@ -1,8 +1,8 @@
-"""End-to-end distributed campaign tests on an in-process service.
+"""End-to-end distributed campaign tests on a single-host service.
 
 Everything here runs real TCP, real leases and real experiments through the
 one coordinator (``LocalService``: a ``ServiceCoordinator`` plus worker
-threads); the acceptance bar throughout is *bit-identical to sequential* —
+processes); the acceptance bar throughout is *bit-identical to sequential* —
 same outcome counts, same per-experiment fault records, same serialized
 form — whatever the worker count or failure history.
 
@@ -231,7 +231,7 @@ class TestCheckpointResume:
             )
             cid = svc.client.submit(request_for(_spec()))
             svc.start_worker(die_after=3)
-            svc._threads[0].join(timeout=120)
+            assert svc.join_workers(120)
             svc.stop()
 
         assert matrix_checkpoint_path(
@@ -448,18 +448,12 @@ class TestTriggerSchedule:
         )
 
     def test_more_workers_than_cores_racing_for_single_leases(self, sequential):
-        """Held requests, wake-ups and per-worker contexts under contention:
-        five workers fight over one-experiment leases with the interpreter
-        switching threads as often as it can."""
-        import sys
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            with LocalService(workers=5, chunk_size=1) as svc:
-                results = serve(svc, request_for(_spec()))
-        finally:
-            sys.setswitchinterval(interval)
+        """Held requests and wake-ups under contention: five worker
+        processes on fewer cores fight over one-experiment leases, so the
+        coordinator's lock and its held ``request``s see every worker's
+        round trips at once, each through a serving thread of its own."""
+        with LocalService(workers=5, chunk_size=1) as svc:
+            results = serve(svc, request_for(_spec()))
         self._assert_equivalent(results[KEY], sequential)
         assert not svc._worker_errors
         stats = svc.worker_stats()

@@ -42,7 +42,14 @@ from repro.service import (
     ServiceClient,
 )
 
-from tests.conftest import DEMO_SOURCE, collect, lease_task, run_lease
+from tests.conftest import (
+    DEMO_SOURCE,
+    collect,
+    descendants,
+    lease_task,
+    run_lease,
+    wait_progress as _wait_progress,
+)
 
 N = 16
 SEED = 20170817
@@ -71,23 +78,6 @@ def _paths(tmp_path):
         "db_path": tmp_path / "results.sqlite",
         "checkpoint_root": tmp_path / "ckpt",
     }
-
-
-def _wait_progress(client, cid, at_least, deadline_s=120.0):
-    """Poll until at least ``at_least`` experiments of ``cid`` completed."""
-    deadline = time.monotonic() + deadline_s
-    while time.monotonic() < deadline:
-        status = client.status(cid)
-        done = sum(
-            c["completed"] for c in status.get("progress", {}).values()
-        )
-        state = status["info"]["state"]
-        if done >= at_least and state == "running":
-            return status
-        if state not in ("queued", "populating", "running"):
-            return status
-        time.sleep(0.05)
-    raise AssertionError(f"campaign {cid} never reached {at_least} done")
 
 
 class TestSmoke:
@@ -331,6 +321,39 @@ class TestRestartRecovery:
             ).fetchone()
         assert total == big_n
         assert distinct == big_n
+
+
+    def test_a_worker_that_will_not_leave_is_terminated_with_its_pool(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``-j 2`` worker with a reconnect window keeps redialling a
+        killed coordinator; ``restart`` waits out its deadline, terminates
+        it — the pool it opened goes with it — and says so."""
+        from repro.service import local
+
+        monkeypatch.setattr(local, "_LEAVE_S", 0.5)
+        before = descendants()
+        svc = LocalService(
+            workers=1, worker_procs=2, reconnect_window=3600.0,
+            chunk_size=4, checkpoint_every=4, **_paths(tmp_path),
+        )
+        try:
+            cid = svc.client.submit(_request(n=480))
+            _wait_progress(svc.client, cid, 8)
+            assert len(descendants() - before) == 4  # nursery, worker, pool
+            svc.restart(kill=True, workers=0)
+            assert len(descendants() - before) == 1  # the nursery
+            assert ["terminate()" in str(e) for e in svc._worker_errors] == [True]
+            svc.start_worker()
+            final = svc.client.watch(cid, timeout=300.0)
+            assert final["info"]["state"] == "done"
+        finally:
+            svc.stop()
+        assert not descendants() - before
+        with ResultsDB(tmp_path / "results.sqlite") as db:
+            assert db.execute(
+                "SELECT COUNT(*), COUNT(DISTINCT idx) FROM runs"
+            ).fetchone() == (480, 480)
 
 
 class TestWorkerReconnect:

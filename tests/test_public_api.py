@@ -269,6 +269,40 @@ def test_there_is_one_coordinator():
     }
 
 
+def test_local_service_has_one_way_to_start_a_worker():
+    """``LocalService`` workers are processes: the harness starts no thread
+    (so none can take a turn on the coordinator's interpreter lock, and
+    there is no second kind of worker to select) and creates processes at
+    one call site, with no parameter that picks how."""
+    import ast
+    import inspect
+
+    import repro.service.local as local
+
+    tree = ast.parse(inspect.getsource(local))
+    imported = {
+        alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    } | {
+        node.module.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+    }
+    assert not imported & {"threading", "concurrent", "_thread"}
+    called = [
+        getattr(node.func, "attr", getattr(node.func, "id", None))
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+    ]
+    assert called.count("Process") == 1 and "Thread" not in called
+    assert set(inspect.signature(local.LocalService).parameters) == {
+        "workers", "worker_procs", "reconnect_window", "coordinator_kwargs",
+    }
+    assert set(inspect.signature(
+        local.LocalService.start_worker
+    ).parameters) == {"self", "procs", "name", "die_after"}
+
+
 def test_engine_generates_code_in_one_place():
     """Translating a binary is the engine's only code generation: one
     ``compile(`` call site (``engine/cache.py``), none for mid-block
