@@ -55,9 +55,10 @@ profile-hangs:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py EP REFINE --fault-model cache-line -n 320
 
 # One cold_small lap (14 programs x 3 tools x n = 24, each cell built from
-# nothing) under one profiler: the census and cursor cost summed over the 42
-# cells, then the top 40 by self time and by cumulative time — where the next
-# cold-path change should look before anyone guesses.
+# nothing) under one profiler: the census, the cursor's and the tails'
+# interpreter strides summed over the 42 cells, then the top 40 by self time
+# and by cumulative time — where the next cold-path change should look before
+# anyone guesses.
 profile-cold:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py all all -n 24 --top 40
 

@@ -15,8 +15,10 @@ timed out) with the steps each class executed — on a small data segment
 under a memory fault model the timeouts are where the steps go, and how many
 of them were reused rather than run is the line to read — and what the golden
 cursor cost (sync states and forks captured, interpreter strides, seconds in
-captures), then the top functions by self time and by cumulative
-time, plus every ``builtins.compile`` call by caller (the engine
+captures) beside the tails' interpreter strides and their seconds — the
+block-vs-stride split that decides ``run_over_golden`` — then the top
+functions by self time and by cumulative time, plus every
+``builtins.compile`` call by caller (the engine
 byte-compiles once per binary, at translation; a second call from
 ``repro/engine`` is a regression).  Spans around public calls (perfbench's
 traced lap) cannot see inside ``run_batch``; this can.
@@ -92,7 +94,9 @@ class TailCensus:
         self.cursor[2] += scheduler.phases.fork_s
         self._seen = SchedulerStats()
 
-    def render(self, strides: int) -> str:
+    def render(self, cursor: tuple[int, float], tails: tuple[int, float]) -> str:
+        """``cursor`` / ``tails``: the interpreter strides each took, and
+        the seconds spent in them."""
         total = sum(steps for _, steps in self.rows.values()) or 1
         lines = [f"{'tails':<19}{'count':>7}{'steps executed':>17}{'share':>8}"]
         lines += [
@@ -102,7 +106,12 @@ class TailCensus:
         sync_states, forks, capture_s = self.cursor
         lines.append(
             f"cursor: {sync_states} sync states + {forks} forks captured in "
-            f"{capture_s:.3f} s, {strides} interpreter strides"
+            f"{capture_s:.3f} s, {cursor[0]} interpreter strides in "
+            f"{cursor[1]:.3f} s"
+        )
+        lines.append(
+            f"tails: {tails[0]} interpreter strides in {tails[1]:.3f} s "
+            f"(fire points, sync states, mid-block entries)"
         )
         ran = self.rows["timeout"][0]
         lines.append(
@@ -140,16 +149,19 @@ def compile_callers(stats: pstats.Stats) -> dict[str, int]:
     }
 
 
-def cursor_strides(stats: pstats.Stats) -> int:
-    """Reference-loop strides the golden cursor took (one per sync state,
-    plus one per mid-block entry): ``_interpret`` calls from ``run_cursor``."""
-    return sum(
-        calls
-        for (path, _, name), entry in stats.stats.items()
-        if name == "_interpret" and _ENGINE in path
-        for (_, _, caller), (calls, *_) in entry[4].items()
-        if caller == "run_cursor"
-    )
+def strides(stats: pstats.Stats, caller: str) -> tuple[int, float]:
+    """Reference-loop strides ``caller`` took — ``run_cursor``: one per sync
+    state plus one per mid-block entry; ``_drive`` (the tails): one per fire
+    point, sync point and mid-block entry — and the seconds spent in them:
+    ``_interpret`` calls from ``caller`` and their cumulative time."""
+    calls, seconds = 0, 0.0
+    for (path, _, name), entry in stats.stats.items():
+        if name == "_interpret" and _ENGINE in path:
+            for (_, _, who), (n, _, _, cumulative) in entry[4].items():
+                if who == caller:
+                    calls += n
+                    seconds += cumulative
+    return calls, seconds
 
 
 def main() -> int:
@@ -178,7 +190,7 @@ def main() -> int:
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
           f"{stats.total_tt:.2f} s under cProfile")
-    print(census.render(cursor_strides(stats)))
+    print(census.render(strides(stats, "run_cursor"), strides(stats, "_drive")))
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):
         stats.sort_stats(key).print_stats(args.top)

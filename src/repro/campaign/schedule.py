@@ -314,7 +314,6 @@ class TriggerScheduler:
         #: in-place, so the fast engine's instantiated blocks survive
         #: across experiments and batches)
         self._cpu = None
-        self._mem_template: bytes | None = None
         #: plan of the tail currently resuming (rejoin gates on its window)
         self._tail_plan = None
         #: (state at step G, how the tail that was in it ended): see
@@ -388,7 +387,6 @@ class TriggerScheduler:
         # the entry, reported unasked, is sync state 0
         syncs = list(range(timeline.interval, profile.steps, timeline.interval))
         cpu = self._cpu = tool._make_cpu(None)
-        self._mem_template = bytes(cpu.mem)
         result = tool.engine.run_cursor(
             cpu,
             budget=GOLDEN_BUDGET,
@@ -580,7 +578,16 @@ class TriggerScheduler:
         pages, no fired fault, and the previous tail's plan replaced.
         """
         cpu = self._cpu
-        cpu.mem[:] = self._mem_template
+        # page by page against the clean image: a compare reads one page of
+        # memory (nearly every clean page is the same zero page, hot in
+        # cache) where a copy reads a template and writes memory, and only
+        # the pages the last tail dirtied are copied back
+        mem = cpu.mem
+        off = 0
+        for clean in self._base:
+            if not mem.startswith(clean, off):
+                mem[off:off + PAGE_SIZE] = clean
+            off += PAGE_SIZE
         cpu.fault = None
         counter = self.counter
         if plan is None:

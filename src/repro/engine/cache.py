@@ -6,8 +6,12 @@ costs one pass over the code plus byte-compiling the generated source — the
 only Python compilation the engine ever does — so it must happen once per
 binary per *process*, not once per run: the in-process LRU below guarantees
 that, keyed by a content fingerprint of everything that feeds code
-generation (the program, the interpreter's ``cache_tag`` and
-:data:`~repro.engine.blocks.TRANSLATION_VERSION`).
+generation (the program, the interpreter's ``cache_tag``, the host's byte
+order — typed memory views are generated on little-endian hosts only — and
+:data:`~repro.engine.blocks.TRANSLATION_VERSION`).  Compiled factories are
+kept by their source: generated code names no pc, so a REFINE binary and
+the PINFI binary it instruments translate to one source and share one
+compile (:func:`~repro.engine.blocks.gen_source`).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ def translation_fingerprint(program: LoadedProgram) -> str:
     h = hashlib.sha256()
     h.update(
         f"trans:{TRANSLATION_VERSION};{sys.implementation.cache_tag};"
-        f"mem:{program.mem_size};stack:{program.stack_limit};".encode()
+        f"{sys.byteorder};mem:{program.mem_size};stack:{program.stack_limit};".encode()
     )
     h.update(repr(sorted(program.func_entry.items())).encode())
     h.update(repr(program.code).encode())
@@ -50,7 +54,8 @@ def translation_fingerprint(program: LoadedProgram) -> str:
 class Translation:
     """One program's translated blocks plus the trampoline's metadata."""
 
-    def __init__(self, program: LoadedProgram, fingerprint: str) -> None:
+    def __init__(self, program: LoadedProgram, fingerprint: str, compiled) -> None:
+        """``compiled(source)``: the ``make_blocks`` factory of a source."""
         self.program = program
         self.fingerprint = fingerprint
         leaders, end_of = discover_blocks(program)
@@ -65,10 +70,8 @@ class Translation:
         self.llfis: dict[int, int] = {}
         for start in leaders:
             self._register_meta(start, end_of[start])
-        source = gen_source(program, leaders, end_of)
-        ns = exec_namespace()
-        exec(compile(source, f"<blocks:{fingerprint[:12]}>", "exec"), ns)
-        self._factory = ns["make_blocks"]
+        source, self._pcs = gen_source(program, leaders, end_of)
+        self._factory = compiled(source)
 
     def _register_meta(self, start: int, end: int) -> None:
         meta = block_meta(self.program, start, end)
@@ -80,7 +83,7 @@ class Translation:
 
     def instantiate(self, cpu, FL) -> dict:
         """Bind the translated blocks to one CPU's register/memory objects."""
-        return self._factory(cpu, FL)
+        return self._factory(cpu, FL, self._pcs)
 
     def cover(self, pc: int) -> None:
         """Make the per-entry tables answer for a pc that is not a block
@@ -98,10 +101,12 @@ class Translation:
 
 
 class TranslationCache:
-    """Process-wide LRU of translations."""
+    """Process-wide LRU of translations, and of the compiled factories they
+    share."""
 
     def __init__(self) -> None:
         self._mem: OrderedDict[str, Translation] = OrderedDict()
+        self._factories: OrderedDict[str, object] = OrderedDict()
 
     def translation_for(self, program: LoadedProgram) -> Translation:
         fp = getattr(program, "_translation_fp", None)
@@ -112,10 +117,24 @@ class TranslationCache:
         if trans is not None:
             self._mem.move_to_end(fp)
             return trans
-        trans = self._mem[fp] = Translation(program, fp)
+        trans = self._mem[fp] = Translation(program, fp, self._compiled)
         while len(self._mem) > CACHE_CAPACITY:
             self._mem.popitem(last=False)
         return trans
+
+    def _compiled(self, source: str):
+        """The ``make_blocks`` factory ``source`` defines, compiled once."""
+        key = hashlib.sha256(source.encode()).hexdigest()
+        factory = self._factories.get(key)
+        if factory is not None:
+            self._factories.move_to_end(key)
+            return factory
+        ns = exec_namespace()
+        exec(compile(source, f"<blocks:{key[:12]}>", "exec"), ns)
+        factory = self._factories[key] = ns["make_blocks"]
+        while len(self._factories) > CACHE_CAPACITY:
+            self._factories.popitem(last=False)
+        return factory
 
 
 #: The process's cache: every :class:`~repro.engine.fast.FastEngine` shares it.

@@ -17,10 +17,11 @@ reference-exact by construction:
   and free-run again from wherever that stops (the ZOFI insight: the binary
   runs uninstrumented outside a bounded window around the injection point).
   While a dwell window is open every site is a fire point, and the
-  reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows;
-* **armed snapshot hooks** — a CPU carrying a
-  :meth:`~repro.machine.cpu.CPU.record_snapshots` hook is executed entirely
-  by the reference loop, so the hook fires at exactly the reference steps.
+  reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows.
+
+The strides use the CPU's snapshot-hook slot to stop; recording snapshots
+every k steps (:meth:`~repro.machine.cpu.CPU.record_snapshots`) is
+``CPU.run``'s business, not this engine's.
 
 **Translation is the only code generation.**  A mid-block entry is
 interpreted to the end of its block, never compiled: every sync point and
@@ -32,11 +33,13 @@ strides per tail), which compiling wins back only past ≈ 4–8 k experiments
 per cell — 4–8 × the paper's n = 1068, and then by a percent or two.
 
 Everything observable — steps, per-pc counts, trigger counters, traps,
-flags, output — is bit-identical to the reference interpreter: free-run
-accounting is batched per block (a block is a contiguous pc range, so its
-contribution is a static constant) and trap unwinding rewinds the batch to
-the executed prefix.  LLFI needs no arming at all: its injection fires
-inside intrinsic calls, which free-run blocks execute natively.
+output, and the full state wherever execution pauses — is bit-identical to
+the reference interpreter: free-run accounting is batched per block (a block
+is a contiguous pc range, so its contribution is a static constant), trap
+unwinding rewinds the batch to the executed prefix, and a block owes exact
+flags only where they are observed (:mod:`repro.engine.blocks`).  LLFI needs
+no arming at all: its injection fires inside intrinsic calls, which free-run
+blocks execute natively.
 """
 
 from __future__ import annotations
@@ -239,10 +242,6 @@ class FastEngine:
     ) -> ExecutionResult | None:
         if budget is not None:
             cpu.budget = budget
-        if cpu._snap_every:
-            # An armed snapshot hook: full instrumentation, reference loop.
-            return cpu._execute(pc, None)
-
         trans = self.cache.translation_for(cpu.program)
         FL, blocks = self._block_ctx(cpu, trans)
         lens = trans.lens

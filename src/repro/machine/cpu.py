@@ -513,6 +513,29 @@ class CPU:
         n_code = len(code)
         intr_impls = INTRINSIC_TABLE.impls
 
+        # Dispatch compares against locals (no global + attribute load per
+        # arm), in the order of the workloads' dynamic opcode mix: fi_check
+        # (44-47 % of a REFINE run) first, then mov, fmov, loads, add, ...
+        FI_CHECK, MOV_RR, MOV_RI, LOAD_RD, FLOAD_RD, ADD_RR = (
+            O.FI_CHECK, O.MOV_RR, O.MOV_RI, O.LOAD_RD, O.FLOAD_RD, O.ADD_RR)
+        ADD_RI, SUB_RR, SUB_RI, CMP_RR, CMP_RI, JCC = (
+            O.ADD_RI, O.SUB_RR, O.SUB_RI, O.CMP_RR, O.CMP_RI, O.JCC)
+        JMP, FADD, FMUL, FSUB, FDIV, STORE_RD = (
+            O.JMP, O.FADD, O.FMUL, O.FSUB, O.FDIV, O.STORE_RD)
+        FSTORE_RD, FMOV, FCONST, SHL_RI, SHL_RR, SAR_RI = (
+            O.FSTORE_RD, O.FMOV, O.FCONST, O.SHL_RI, O.SHL_RR, O.SAR_RI)
+        SAR_RR, IMUL_RR, IMUL_RI, AND_RR, AND_RI, OR_RR = (
+            O.SAR_RR, O.IMUL_RR, O.IMUL_RI, O.AND_RR, O.AND_RI, O.OR_RR)
+        OR_RI, XOR_RR, XOR_RI, NEG, IDIV_RR, IDIV_RI = (
+            O.OR_RI, O.XOR_RR, O.XOR_RI, O.NEG, O.IDIV_RR, O.IDIV_RI)
+        IREM_RR, IREM_RI, FCMP, SETCC, CMOV, LEA_RD = (
+            O.IREM_RR, O.IREM_RI, O.FCMP, O.SETCC, O.CMOV, O.LEA_RD)
+        LEA_ABS, LOAD_ABS, FLOAD_ABS, STORE_ABS, STORE_ABS_I, FSTORE_ABS = (
+            O.LEA_ABS, O.LOAD_ABS, O.FLOAD_ABS, O.STORE_ABS, O.STORE_ABS_I, O.FSTORE_ABS)
+        STORE_RD_I, PUSH, POP, CALL, INTR, RET = (
+            O.STORE_RD_I, O.PUSH, O.POP, O.CALL, O.INTR, O.RET)
+        CVTSI2SD, CVTTSD2SI = O.CVTSI2SD, O.CVTTSD2SI
+
         pc = entry_pc
         steps = self.steps
         budget = self.budget
@@ -533,29 +556,40 @@ class CPU:
                 t = code[cur]
                 op = t[0]
 
-                if op == O.MOV_RR:
+                if op == FI_CHECK:
+                    refine_count += 1
+                    if site_trace is not None:
+                        site_trace.append(cur)
+                    if (
+                        refine_plan is not None
+                        and refine_plan.target_index
+                        <= refine_count
+                        <= refine_plan.last_index
+                    ):
+                        # Inject into the guarded instruction's outputs
+                        # (flags are live here; sync before flipping).  A
+                        # dwell window re-applies at every in-window site.
+                        self.flags = flags
+                        self._apply_fault(
+                            refine_plan, cur, t[1], refine_count
+                        )
+                        flags = self.flags
+                    pc = cur + 1
+                elif op == MOV_RR:
                     iregs[t[1]] = iregs[t[2]]
                     pc = cur + 1
-                elif op == O.MOV_RI:
-                    iregs[t[1]] = t[2]
+                elif op == FMOV:
+                    fregs[t[1]] = fregs[t[2]]
                     pc = cur + 1
-                elif op == O.LOAD_RD:
-                    addr = iregs[t[2]] + t[3]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"load from {addr:#x}", cur)
-                    iregs[t[1]] = int.from_bytes(
-                        mem[addr : addr + 8], "little", signed=True
-                    )
-                    pc = cur + 1
-                elif op == O.FLOAD_RD:
+                elif op == FLOAD_RD:
                     addr = iregs[t[2]] + t[3]
                     if addr < NULL_GUARD or addr + 8 > mem_size:
                         raise SegmentationFault(f"fload from {addr:#x}", cur)
                     fregs[t[1]] = _PACK_D.unpack_from(mem, addr)[0]
                     pc = cur + 1
-                elif op == O.ADD_RR or op == O.ADD_RI:
+                elif op == ADD_RR or op == ADD_RI:
                     a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.ADD_RR else t[2]
+                    b = iregs[t[2]] if op == ADD_RR else t[2]
                     r = a + b
                     wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
                     iregs[t[1]] = wrapped
@@ -569,38 +603,41 @@ class CPU:
                     if (a & MASK64) + (b & MASK64) > MASK64:
                         flags |= _CF
                     pc = cur + 1
-                elif op == O.SUB_RR or op == O.SUB_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.SUB_RR else t[2]
-                    r = a - b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    iregs[t[1]] = wrapped
-                    flags = PARITY_TABLE[wrapped & 255]
-                    if wrapped == 0:
-                        flags |= _ZF
-                    elif wrapped < 0:
-                        flags |= _SF
-                    if r != wrapped:
-                        flags |= _OF
-                    if (a & MASK64) < (b & MASK64):
-                        flags |= _CF
+                elif op == LOAD_RD:
+                    addr = iregs[t[2]] + t[3]
+                    if addr < NULL_GUARD or addr + 8 > mem_size:
+                        raise SegmentationFault(f"load from {addr:#x}", cur)
+                    iregs[t[1]] = int.from_bytes(
+                        mem[addr : addr + 8], "little", signed=True
+                    )
                     pc = cur + 1
-                elif op == O.CMP_RR or op == O.CMP_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.CMP_RR else t[2]
-                    r = a - b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    flags = PARITY_TABLE[wrapped & 255]
-                    if wrapped == 0:
-                        flags |= _ZF
-                    elif wrapped < 0:
-                        flags |= _SF
-                    if r != wrapped:
-                        flags |= _OF
-                    if (a & MASK64) < (b & MASK64):
-                        flags |= _CF
+                elif op == SHL_RI or op == SHL_RR:
+                    count = (t[2] if op == SHL_RI else iregs[t[2]]) & 63
+                    r = to_signed64(iregs[t[1]] << count)
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
                     pc = cur + 1
-                elif op == O.JCC:
+                elif op == INTR:
+                    self._cur_pc = cur
+                    self.flags = flags
+                    intr_impls[t[1]](self)
+                    flags = self.flags
+                    pc = cur + 1
+                elif op == MOV_RI:
+                    iregs[t[1]] = t[2]
+                    pc = cur + 1
+                elif op == FSTORE_RD:
+                    addr = iregs[t[1]] + t[2]
+                    if addr < NULL_GUARD or addr + 8 > mem_size:
+                        raise SegmentationFault(f"fstore to {addr:#x}", cur)
+                    _PACK_D.pack_into(mem, addr, fregs[t[3]])
+                    pc = cur + 1
+                elif op == FMUL:
+                    fregs[t[1]] = fregs[t[1]] * fregs[t[2]]
+                    pc = cur + 1
+                elif op == JCC:
                     cc = t[1]
                     if cc == 1:  # ne
                         taken = not flags & _ZF
@@ -635,31 +672,30 @@ class CPU:
                     else:  # np
                         taken = not flags & _PF
                     pc = t[2] if taken else cur + 1
-                elif op == O.JMP:
+                elif op == CMP_RR or op == CMP_RI:
+                    a = iregs[t[1]]
+                    b = iregs[t[2]] if op == CMP_RR else t[2]
+                    r = a - b
+                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
+                    flags = PARITY_TABLE[wrapped & 255]
+                    if wrapped == 0:
+                        flags |= _ZF
+                    elif wrapped < 0:
+                        flags |= _SF
+                    if r != wrapped:
+                        flags |= _OF
+                    if (a & MASK64) < (b & MASK64):
+                        flags |= _CF
+                    pc = cur + 1
+                elif op == JMP:
                     pc = t[1]
-                elif op == O.FADD:
+                elif op == FADD:
                     fregs[t[1]] = fregs[t[1]] + fregs[t[2]]
                     pc = cur + 1
-                elif op == O.FMUL:
-                    fregs[t[1]] = fregs[t[1]] * fregs[t[2]]
+                elif op == FCONST:
+                    fregs[t[1]] = t[2]
                     pc = cur + 1
-                elif op == O.FSUB:
-                    fregs[t[1]] = fregs[t[1]] - fregs[t[2]]
-                    pc = cur + 1
-                elif op == O.FDIV:
-                    a = fregs[t[1]]
-                    b = fregs[t[2]]
-                    if b == 0.0:
-                        if a == 0.0 or a != a:
-                            fregs[t[1]] = math.nan
-                        else:
-                            fregs[t[1]] = math.copysign(
-                                math.inf, a
-                            ) * math.copysign(1.0, b)
-                    else:
-                        fregs[t[1]] = a / b
-                    pc = cur + 1
-                elif op == O.STORE_RD:
+                elif op == STORE_RD:
                     addr = iregs[t[1]] + t[2]
                     if addr < NULL_GUARD or addr + 8 > mem_size:
                         raise SegmentationFault(f"store to {addr:#x}", cur)
@@ -667,93 +703,18 @@ class CPU:
                         8, "little"
                     )
                     pc = cur + 1
-                elif op == O.FSTORE_RD:
-                    addr = iregs[t[1]] + t[2]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"fstore to {addr:#x}", cur)
-                    _PACK_D.pack_into(mem, addr, fregs[t[3]])
+                elif op == FSUB:
+                    fregs[t[1]] = fregs[t[1]] - fregs[t[2]]
                     pc = cur + 1
-                elif op == O.FMOV:
-                    fregs[t[1]] = fregs[t[2]]
+                elif op == LOAD_ABS:
+                    addr = t[2]
+                    iregs[t[1]] = int.from_bytes(
+                        mem[addr : addr + 8], "little", signed=True
+                    )
                     pc = cur + 1
-                elif op == O.FCONST:
-                    fregs[t[1]] = t[2]
-                    pc = cur + 1
-                elif op == O.SHL_RI or op == O.SHL_RR:
-                    count = (t[2] if op == O.SHL_RI else iregs[t[2]]) & 63
-                    r = to_signed64(iregs[t[1]] << count)
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.SAR_RI or op == O.SAR_RR:
-                    count = (t[2] if op == O.SAR_RI else iregs[t[2]]) & 63
-                    r = iregs[t[1]] >> count
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.IMUL_RR or op == O.IMUL_RI:
+                elif op == IREM_RR or op == IREM_RI:
                     a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.IMUL_RR else t[2]
-                    r = a * b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    iregs[t[1]] = wrapped
-                    flags = (
-                        _ZF if wrapped == 0 else (_SF if wrapped < 0 else 0)
-                    ) | PARITY_TABLE[wrapped & 255]
-                    if r != wrapped:
-                        flags |= _OF | _CF
-                    pc = cur + 1
-                elif op == O.AND_RR or op == O.AND_RI:
-                    b = iregs[t[2]] if op == O.AND_RR else t[2]
-                    r = iregs[t[1]] & b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.OR_RR or op == O.OR_RI:
-                    b = iregs[t[2]] if op == O.OR_RR else t[2]
-                    r = iregs[t[1]] | b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.XOR_RR or op == O.XOR_RI:
-                    b = iregs[t[2]] if op == O.XOR_RR else t[2]
-                    r = iregs[t[1]] ^ b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.NEG:
-                    r = to_signed64(-iregs[t[1]])
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == O.IDIV_RR or op == O.IDIV_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.IDIV_RR else t[2]
-                    if b == 0 or (a == _INT64_MIN and b == -1):
-                        raise DivideByZero(f"{a} idiv {b}", cur)
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    iregs[t[1]] = q
-                    flags = (
-                        _ZF if q == 0 else (_SF if q < 0 else 0)
-                    ) | PARITY_TABLE[q & 255]
-                    pc = cur + 1
-                elif op == O.IREM_RR or op == O.IREM_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == O.IREM_RR else t[2]
+                    b = iregs[t[2]] if op == IREM_RR else t[2]
                     if b == 0 or (a == _INT64_MIN and b == -1):
                         raise DivideByZero(f"{a} irem {b}", cur)
                     r = abs(a) % abs(b)
@@ -764,20 +725,23 @@ class CPU:
                         _ZF if r == 0 else (_SF if r < 0 else 0)
                     ) | PARITY_TABLE[r & 255]
                     pc = cur + 1
-                elif op == O.FCMP:
-                    a = fregs[t[1]]
-                    b = fregs[t[2]]
-                    # ucomisd semantics
-                    if a != a or b != b:  # unordered (NaN)
-                        flags = _ZF | _PF | _CF
-                    elif a == b:
-                        flags = _ZF
-                    elif a < b:
-                        flags = _CF
-                    else:
-                        flags = 0
+                elif op == SUB_RR or op == SUB_RI:
+                    a = iregs[t[1]]
+                    b = iregs[t[2]] if op == SUB_RR else t[2]
+                    r = a - b
+                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
+                    iregs[t[1]] = wrapped
+                    flags = PARITY_TABLE[wrapped & 255]
+                    if wrapped == 0:
+                        flags |= _ZF
+                    elif wrapped < 0:
+                        flags |= _SF
+                    if r != wrapped:
+                        flags |= _OF
+                    if (a & MASK64) < (b & MASK64):
+                        flags |= _CF
                     pc = cur + 1
-                elif op == O.SETCC:
+                elif op == SETCC:
                     cc = t[2]
                     if cc == 0:
                         v = bool(flags & _ZF)
@@ -813,46 +777,59 @@ class CPU:
                         v = not flags & _PF
                     iregs[t[1]] = 1 if v else 0
                     pc = cur + 1
-                elif op == O.CMOV:
-                    cc = t[3]
-                    if _cc_holds(cc, flags):
-                        iregs[t[1]] = iregs[t[2]]
+                elif op == FDIV:
+                    a = fregs[t[1]]
+                    b = fregs[t[2]]
+                    if b == 0.0:
+                        if a == 0.0 or a != a:
+                            fregs[t[1]] = math.nan
+                        else:
+                            fregs[t[1]] = math.copysign(
+                                math.inf, a
+                            ) * math.copysign(1.0, b)
+                    else:
+                        fregs[t[1]] = a / b
                     pc = cur + 1
-                elif op == O.LEA_RD:
-                    iregs[t[1]] = iregs[t[2]] + t[3]
+                elif op == FCMP:
+                    a = fregs[t[1]]
+                    b = fregs[t[2]]
+                    # ucomisd semantics
+                    if a != a or b != b:  # unordered (NaN)
+                        flags = _ZF | _PF | _CF
+                    elif a == b:
+                        flags = _ZF
+                    elif a < b:
+                        flags = _CF
+                    else:
+                        flags = 0
                     pc = cur + 1
-                elif op == O.LEA_ABS:
-                    iregs[t[1]] = t[2]
+                elif op == IMUL_RR or op == IMUL_RI:
+                    a = iregs[t[1]]
+                    b = iregs[t[2]] if op == IMUL_RR else t[2]
+                    r = a * b
+                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
+                    iregs[t[1]] = wrapped
+                    flags = (
+                        _ZF if wrapped == 0 else (_SF if wrapped < 0 else 0)
+                    ) | PARITY_TABLE[wrapped & 255]
+                    if r != wrapped:
+                        flags |= _OF | _CF
                     pc = cur + 1
-                elif op == O.LOAD_ABS:
-                    addr = t[2]
-                    iregs[t[1]] = int.from_bytes(
-                        mem[addr : addr + 8], "little", signed=True
-                    )
+                elif op == CVTSI2SD:
+                    fregs[t[1]] = float(iregs[t[2]])
                     pc = cur + 1
-                elif op == O.FLOAD_ABS:
+                elif op == FLOAD_ABS:
                     fregs[t[1]] = _PACK_D.unpack_from(mem, t[2])[0]
                     pc = cur + 1
-                elif op == O.STORE_ABS:
-                    addr = t[1]
-                    mem[addr : addr + 8] = (iregs[t[2]] & MASK64).to_bytes(
-                        8, "little"
-                    )
+                elif op == XOR_RR or op == XOR_RI:
+                    b = iregs[t[2]] if op == XOR_RR else t[2]
+                    r = iregs[t[1]] ^ b
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
                     pc = cur + 1
-                elif op == O.STORE_ABS_I:
-                    addr = t[1]
-                    mem[addr : addr + 8] = (t[2] & MASK64).to_bytes(8, "little")
-                    pc = cur + 1
-                elif op == O.FSTORE_ABS:
-                    _PACK_D.pack_into(mem, t[1], fregs[t[2]])
-                    pc = cur + 1
-                elif op == O.STORE_RD_I:
-                    addr = iregs[t[1]] + t[2]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"store to {addr:#x}", cur)
-                    mem[addr : addr + 8] = (t[3] & MASK64).to_bytes(8, "little")
-                    pc = cur + 1
-                elif op == O.PUSH:
+                elif op == PUSH:
                     sp = iregs[RSP_IDX] - 8
                     if sp < stack_limit:
                         raise StackOverflow(f"rsp={sp:#x}", cur)
@@ -861,7 +838,7 @@ class CPU:
                     iregs[RSP_IDX] = sp
                     mem[sp : sp + 8] = (iregs[t[1]] & MASK64).to_bytes(8, "little")
                     pc = cur + 1
-                elif op == O.POP:
+                elif op == POP:
                     sp = iregs[RSP_IDX]
                     if sp < NULL_GUARD or sp + 8 > mem_size:
                         raise SegmentationFault(f"pop from {sp:#x}", cur)
@@ -870,22 +847,7 @@ class CPU:
                     )
                     iregs[RSP_IDX] = sp + 8
                     pc = cur + 1
-                elif op == O.CALL:
-                    sp = iregs[RSP_IDX] - 8
-                    if sp < stack_limit:
-                        raise StackOverflow(f"rsp={sp:#x}", cur)
-                    if sp + 8 > mem_size:
-                        raise SegmentationFault(f"call push to {sp:#x}", cur)
-                    iregs[RSP_IDX] = sp
-                    mem[sp : sp + 8] = ((cur + 1) & MASK64).to_bytes(8, "little")
-                    pc = t[1]
-                elif op == O.INTR:
-                    self._cur_pc = cur
-                    self.flags = flags
-                    intr_impls[t[1]](self)
-                    flags = self.flags
-                    pc = cur + 1
-                elif op == O.RET:
+                elif op == RET:
                     sp = iregs[RSP_IDX]
                     if sp < NULL_GUARD or sp + 8 > mem_size:
                         raise SegmentationFault(f"ret pop from {sp:#x}", cur)
@@ -902,10 +864,56 @@ class CPU:
                             f"ret to {ret_pc:#x}", cur
                         )
                     pc = ret_pc
-                elif op == O.CVTSI2SD:
-                    fregs[t[1]] = float(iregs[t[2]])
+                elif op == CALL:
+                    sp = iregs[RSP_IDX] - 8
+                    if sp < stack_limit:
+                        raise StackOverflow(f"rsp={sp:#x}", cur)
+                    if sp + 8 > mem_size:
+                        raise SegmentationFault(f"call push to {sp:#x}", cur)
+                    iregs[RSP_IDX] = sp
+                    mem[sp : sp + 8] = ((cur + 1) & MASK64).to_bytes(8, "little")
+                    pc = t[1]
+                elif op == IDIV_RR or op == IDIV_RI:
+                    a = iregs[t[1]]
+                    b = iregs[t[2]] if op == IDIV_RR else t[2]
+                    if b == 0 or (a == _INT64_MIN and b == -1):
+                        raise DivideByZero(f"{a} idiv {b}", cur)
+                    q = abs(a) // abs(b)
+                    if (a < 0) != (b < 0):
+                        q = -q
+                    iregs[t[1]] = q
+                    flags = (
+                        _ZF if q == 0 else (_SF if q < 0 else 0)
+                    ) | PARITY_TABLE[q & 255]
                     pc = cur + 1
-                elif op == O.CVTTSD2SI:
+                elif op == AND_RR or op == AND_RI:
+                    b = iregs[t[2]] if op == AND_RR else t[2]
+                    r = iregs[t[1]] & b
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
+                    pc = cur + 1
+                elif op == OR_RR or op == OR_RI:
+                    b = iregs[t[2]] if op == OR_RR else t[2]
+                    r = iregs[t[1]] | b
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
+                    pc = cur + 1
+                elif op == SAR_RI or op == SAR_RR:
+                    count = (t[2] if op == SAR_RI else iregs[t[2]]) & 63
+                    r = iregs[t[1]] >> count
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
+                    pc = cur + 1
+                elif op == LEA_ABS:
+                    iregs[t[1]] = t[2]
+                    pc = cur + 1
+                elif op == CVTTSD2SI:
                     v = fregs[t[2]]
                     if v != v or v in (math.inf, -math.inf):
                         iregs[t[1]] = _INT64_MIN
@@ -916,24 +924,39 @@ class CPU:
                         else:
                             iregs[t[1]] = truncated
                     pc = cur + 1
-                elif op == O.FI_CHECK:
-                    refine_count += 1
-                    if site_trace is not None:
-                        site_trace.append(cur)
-                    if (
-                        refine_plan is not None
-                        and refine_plan.target_index
-                        <= refine_count
-                        <= refine_plan.last_index
-                    ):
-                        # Inject into the guarded instruction's outputs
-                        # (flags are live here; sync before flipping).  A
-                        # dwell window re-applies at every in-window site.
-                        self.flags = flags
-                        self._apply_fault(
-                            refine_plan, cur, t[1], refine_count
-                        )
-                        flags = self.flags
+                elif op == STORE_RD_I:
+                    addr = iregs[t[1]] + t[2]
+                    if addr < NULL_GUARD or addr + 8 > mem_size:
+                        raise SegmentationFault(f"store to {addr:#x}", cur)
+                    mem[addr : addr + 8] = (t[3] & MASK64).to_bytes(8, "little")
+                    pc = cur + 1
+                elif op == LEA_RD:
+                    iregs[t[1]] = iregs[t[2]] + t[3]
+                    pc = cur + 1
+                elif op == STORE_ABS:
+                    addr = t[1]
+                    mem[addr : addr + 8] = (iregs[t[2]] & MASK64).to_bytes(
+                        8, "little"
+                    )
+                    pc = cur + 1
+                elif op == STORE_ABS_I:
+                    addr = t[1]
+                    mem[addr : addr + 8] = (t[2] & MASK64).to_bytes(8, "little")
+                    pc = cur + 1
+                elif op == FSTORE_ABS:
+                    _PACK_D.pack_into(mem, t[1], fregs[t[2]])
+                    pc = cur + 1
+                elif op == NEG:
+                    r = to_signed64(-iregs[t[1]])
+                    iregs[t[1]] = r
+                    flags = (
+                        _ZF if r == 0 else (_SF if r < 0 else 0)
+                    ) | PARITY_TABLE[r & 255]
+                    pc = cur + 1
+                elif op == CMOV:
+                    cc = t[3]
+                    if _cc_holds(cc, flags):
+                        iregs[t[1]] = iregs[t[2]]
                     pc = cur + 1
                 else:
                     raise IllegalInstruction(f"opcode {op}", cur)

@@ -188,10 +188,13 @@ class TestCampaignDivergenceDetection:
         from repro.engine.cache import GLOBAL_CACHE
 
         real = blocks.emit_instr
+        skewed = []
 
-        def never_overflows(lines, pc, t, program):
+        def never_overflows(lines, pc, t, program, live):
             start = len(lines)
-            real(lines, pc, t, program)
+            real(lines, pc, t, program, live)
+            if "    fl |= 2048" in lines[start:]:
+                skewed.append(live)
             lines[start:] = [
                 "    pass" if line == "    fl |= 2048" else line
                 for line in lines[start:]
@@ -200,8 +203,11 @@ class TestCampaignDivergenceDetection:
         monkeypatch.setattr(blocks, "emit_instr", never_overflows)
         # translate afresh, and leave no skewed translation behind
         monkeypatch.setattr(GLOBAL_CACHE, "_mem", OrderedDict())
+        monkeypatch.setattr(GLOBAL_CACHE, "_factories", OrderedDict())
         self._caught("steps")
-
+        # only a live flag write emits an OF line: every skew landed where
+        # a reader or the block's exit observes it
+        assert skewed and all(skewed)
 
     def test_a_flip_that_makes_a_nan_is_not_a_divergence(self):
         """Found at n = 320 on lulesh: bit 62 of 1.4 is a NaN, and two
