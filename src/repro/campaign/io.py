@@ -18,14 +18,11 @@ from repro.machine.cpu import FaultRecord
 
 FORMAT_VERSION = 3
 
-#: Older formats we can still read.  Version 1 stored fault values as
-#: ``repr()`` strings (lossy: an int came back as the string "42"); loading
-#: it keeps the raw strings rather than guessing at types.  Version 2
-#: predates pluggable fault models: faults carried only a single ``bit``
+#: Older formats we can still read.  Version 2 predates pluggable fault models: faults carried only a single ``bit``
 #: and no model/mask/address/dwell fields; loading fills the single-bit
 #: defaults.  Version 3 adds those fields plus the campaign's
 #: ``fault_model`` spec.
-_READABLE_VERSIONS = (1, 2, FORMAT_VERSION)
+_READABLE_VERSIONS = (2, FORMAT_VERSION)
 
 
 def _value_to_dict(value: object) -> dict | None:
@@ -50,8 +47,6 @@ def _value_to_dict(value: object) -> dict | None:
 def _value_from_dict(data: object) -> object:
     if data is None:
         return None
-    if isinstance(data, str):  # legacy v1: repr() string, kept as-is
-        return data
     kind = data.get("kind")
     if kind == "int":
         return int(data["value"])

@@ -23,21 +23,13 @@ stack overflow, timeout, abnormal exit).
 
 from __future__ import annotations
 
-import math
-import struct
+import linecache
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    DivideByZero,
-    ExecutionTimeout,
-    IllegalInstruction,
-    MachineTrap,
-    SegmentationFault,
-    StackOverflow,
-)
+from repro.errors import ExecutionTimeout, IllegalInstruction, MachineTrap
 from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
-from repro.machine.loader import NULL_GUARD, LoadedProgram
+from repro.machine.loader import LoadedProgram
 from repro.machine.registers import (
     RAX_IDX,
     RBP_IDX,
@@ -45,28 +37,9 @@ from repro.machine.registers import (
     SPACE_FLOAT,
     SPACE_INT,
 )
+from repro.machine.semantics import CONDITIONS, HALT_PC, SEMANTICS, Context, namespace
 from repro.utils.bits import MASK64, to_signed64
 from repro.utils.ieee754 import flip_double_bit
-
-_PACK_D = struct.Struct("<d")
-
-#: x86 status-flag bit positions.
-_CF = 1
-_PF = 1 << 2
-_ZF = 1 << 6
-_SF = 1 << 7
-_OF = 1 << 11
-
-#: Sentinel return address that terminates the program.
-HALT_PC = -1
-
-_INT64_MIN = -(1 << 63)
-
-#: PF lookup: x86 parity is set when the low result byte has an even
-#: number of set bits.  Indexed by ``result & 255``; yields ``_PF`` or 0.
-PARITY_TABLE = tuple(
-    _PF if bin(i).count("1") % 2 == 0 else 0 for i in range(256)
-)
 
 
 @dataclass
@@ -418,28 +391,6 @@ class CPU:
     def pinfi_dynamic_count(self) -> int:
         return self._pin_count
 
-    # -- memory ---------------------------------------------------------------
-
-    def _read_i64(self, addr: int, pc: int) -> int:
-        if addr < NULL_GUARD or addr + 8 > self.program.mem_size:
-            raise SegmentationFault(f"load from {addr:#x}", pc)
-        return int.from_bytes(self.mem[addr : addr + 8], "little", signed=True)
-
-    def _write_i64(self, addr: int, value: int, pc: int) -> None:
-        if addr < NULL_GUARD or addr + 8 > self.program.mem_size:
-            raise SegmentationFault(f"store to {addr:#x}", pc)
-        self.mem[addr : addr + 8] = (value & MASK64).to_bytes(8, "little")
-
-    def _read_f64(self, addr: int, pc: int) -> float:
-        if addr < NULL_GUARD or addr + 8 > self.program.mem_size:
-            raise SegmentationFault(f"fload from {addr:#x}", pc)
-        return _PACK_D.unpack_from(self.mem, addr)[0]
-
-    def _write_f64(self, addr: int, value: float, pc: int) -> None:
-        if addr < NULL_GUARD or addr + 8 > self.program.mem_size:
-            raise SegmentationFault(f"fstore to {addr:#x}", pc)
-        _PACK_D.pack_into(self.mem, addr, value)
-
     # -- main loop ----------------------------------------------------------
 
     def prepare_entry(self) -> int:
@@ -451,10 +402,10 @@ class CPU:
         """
         prog = self.program
         # Initial stack: sentinel return address at the top.
-        self.iregs[RSP_IDX] = prog.stack_top
-        self.iregs[RBP_IDX] = prog.stack_top
-        self._write_i64(prog.stack_top, HALT_PC & MASK64, -1)
-        # (stored as unsigned; read back signed gives -1)
+        top = prog.stack_top
+        self.iregs[RSP_IDX] = top
+        self.iregs[RBP_IDX] = top
+        self.mem[top:top + 8] = (HALT_PC & MASK64).to_bytes(8, "little")
         return prog.func_entry[prog.binary.entry]
 
     def run(self, budget: int | None = None) -> ExecutionResult:
@@ -498,541 +449,188 @@ class CPU:
         result.attached_candidates = self.attached_candidates
         return result
 
-    def _loop(self, entry_pc: int) -> None:  # noqa: C901 - dispatch loop
-        prog = self.program
-        code = prog.code
-        costs = prog.cost
-        is_cand = prog.is_candidate
-        outputs = prog.outputs
-        iregs = self.iregs
-        fregs = self.fregs
-        mem = self.mem
-        mem_size = prog.mem_size
-        stack_limit = prog.stack_limit
-        counts = self.counts
-        n_code = len(code)
-        intr_impls = INTRINSIC_TABLE.impls
+    # ``_loop(entry_pc)``, the dispatch loop every engine's exact steps run
+    # on, is generated from the semantics table at import: see
+    # :func:`interpreter_loop`.
 
-        # Dispatch compares against locals (no global + attribute load per
-        # arm), in the order of the workloads' dynamic opcode mix: fi_check
-        # (44-47 % of a REFINE run) first, then mov, fmov, loads, add, ...
-        FI_CHECK, MOV_RR, MOV_RI, LOAD_RD, FLOAD_RD, ADD_RR = (
-            O.FI_CHECK, O.MOV_RR, O.MOV_RI, O.LOAD_RD, O.FLOAD_RD, O.ADD_RR)
-        ADD_RI, SUB_RR, SUB_RI, CMP_RR, CMP_RI, JCC = (
-            O.ADD_RI, O.SUB_RR, O.SUB_RI, O.CMP_RR, O.CMP_RI, O.JCC)
-        JMP, FADD, FMUL, FSUB, FDIV, STORE_RD = (
-            O.JMP, O.FADD, O.FMUL, O.FSUB, O.FDIV, O.STORE_RD)
-        FSTORE_RD, FMOV, FCONST, SHL_RI, SHL_RR, SAR_RI = (
-            O.FSTORE_RD, O.FMOV, O.FCONST, O.SHL_RI, O.SHL_RR, O.SAR_RI)
-        SAR_RR, IMUL_RR, IMUL_RI, AND_RR, AND_RI, OR_RR = (
-            O.SAR_RR, O.IMUL_RR, O.IMUL_RI, O.AND_RR, O.AND_RI, O.OR_RR)
-        OR_RI, XOR_RR, XOR_RI, NEG, IDIV_RR, IDIV_RI = (
-            O.OR_RI, O.XOR_RR, O.XOR_RI, O.NEG, O.IDIV_RR, O.IDIV_RI)
-        IREM_RR, IREM_RI, FCMP, SETCC, CMOV, LEA_RD = (
-            O.IREM_RR, O.IREM_RI, O.FCMP, O.SETCC, O.CMOV, O.LEA_RD)
-        LEA_ABS, LOAD_ABS, FLOAD_ABS, STORE_ABS, STORE_ABS_I, FSTORE_ABS = (
-            O.LEA_ABS, O.LOAD_ABS, O.FLOAD_ABS, O.STORE_ABS, O.STORE_ABS_I, O.FSTORE_ABS)
-        STORE_RD_I, PUSH, POP, CALL, INTR, RET = (
-            O.STORE_RD_I, O.PUSH, O.POP, O.CALL, O.INTR, O.RET)
-        CVTSI2SD, CVTTSD2SI = O.CVTSI2SD, O.CVTTSD2SI
 
-        pc = entry_pc
-        steps = self.steps
-        budget = self.budget
-        flags = self.flags
-        attached = self._attached
-        pin_count = self._pin_count
-        pin_plan = self._pin_plan
-        refine_count = self._refine_count
-        refine_plan = self._refine_plan
-        snap_every = self._snap_every
-        snap_hook = self._snap_hook
-        snap_at = steps + snap_every if snap_every else 1 << 62
-        site_trace = self._site_trace
+#: The dispatch chain's order after ``FI_CHECK`` (44-47 % of a REFINE run):
+#: the dynamic opcode mix of six workloads' golden runs, most frequent first.
+#: Opcodes not listed follow in table order.
+_DISPATCH_ORDER = (
+    O.MOV_RR, O.FMOV, O.FLOAD_RD, O.SHL_RI, O.ADD_RR, O.LOAD_RD, O.FSTORE_RD,
+    O.FMUL, O.ADD_RI, O.JCC, O.FCONST, O.JMP, O.FADD, O.CMP_RR, O.FSUB,
+    O.LOAD_ABS, O.FDIV, O.STORE_RD, O.FCMP, O.INTR, O.CVTSI2SD, O.CMP_RI,
+    O.SUB_RI, O.IREM_RI, O.IMUL_RI, O.IMUL_RR, O.XOR_RR, O.FLOAD_ABS,
+)
 
-        try:
-            while True:
-                cur = pc
-                t = code[cur]
-                op = t[0]
+#: What an interpreter operand reads, by kind (``%d``: its tuple slot).
+_OPERANDS = {"r": "I[t[%d]]", "f": "F[t[%d]]", "d": " + t[%d]"}
 
-                if op == FI_CHECK:
-                    refine_count += 1
-                    if site_trace is not None:
-                        site_trace.append(cur)
-                    if (
-                        refine_plan is not None
-                        and refine_plan.target_index
-                        <= refine_count
-                        <= refine_plan.last_index
-                    ):
-                        # Inject into the guarded instruction's outputs
-                        # (flags are live here; sync before flipping).  A
-                        # dwell window re-applies at every in-window site.
-                        self.flags = flags
-                        self._apply_fault(
-                            refine_plan, cur, t[1], refine_count
-                        )
-                        flags = self.flags
-                    pc = cur + 1
-                elif op == MOV_RR:
-                    iregs[t[1]] = iregs[t[2]]
-                    pc = cur + 1
-                elif op == FMOV:
-                    fregs[t[1]] = fregs[t[2]]
-                    pc = cur + 1
-                elif op == FLOAD_RD:
-                    addr = iregs[t[2]] + t[3]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"fload from {addr:#x}", cur)
-                    fregs[t[1]] = _PACK_D.unpack_from(mem, addr)[0]
-                    pc = cur + 1
-                elif op == ADD_RR or op == ADD_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == ADD_RR else t[2]
-                    r = a + b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    iregs[t[1]] = wrapped
-                    flags = PARITY_TABLE[wrapped & 255]
-                    if wrapped == 0:
-                        flags |= _ZF
-                    elif wrapped < 0:
-                        flags |= _SF
-                    if r != wrapped:
-                        flags |= _OF
-                    if (a & MASK64) + (b & MASK64) > MASK64:
-                        flags |= _CF
-                    pc = cur + 1
-                elif op == LOAD_RD:
-                    addr = iregs[t[2]] + t[3]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"load from {addr:#x}", cur)
-                    iregs[t[1]] = int.from_bytes(
-                        mem[addr : addr + 8], "little", signed=True
-                    )
-                    pc = cur + 1
-                elif op == SHL_RI or op == SHL_RR:
-                    count = (t[2] if op == SHL_RI else iregs[t[2]]) & 63
-                    r = to_signed64(iregs[t[1]] << count)
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == INTR:
-                    self._cur_pc = cur
+
+class _Interpreter(Context):
+    """The loop's rendering: one arm per opcode, reading the decoded tuple
+    ``t`` of the instruction at ``cur``; a condition code is decided by a
+    chain over ``cc`` into ``c``."""
+
+    JUMP = "pc = {}"
+    HALT = ("counts[cur] += 1", "steps += 1", "break")
+    NEXT = ("pc = cur + 1",)
+
+    def operand(self, kind, slot, t):
+        return "c" if kind == "k" else _OPERANDS.get(kind, "t[%d]") % slot
+
+    def fields(self, i):
+        return {"pc": "cur", "next": "cur + 1", "ncode": "n_code", "top": "top",
+                "stack_limit": "stack_limit", "cpu": "self", "flags": "flags"}
+
+    def set_flags(self, text, f, out):
+        f["fl"] = "flags"
+        out.append(text.format_map(f))
+
+    def conditions(self, sem):
+        """The chain that decides the entry's condition code, if it has one."""
+        if "k" not in sem.operands:
+            return []
+        lines = [f"cc = t[{sem.operands.index('k') + 1}]"]
+        last = len(CONDITIONS) - 1
+        for n, (cc, cond) in enumerate(CONDITIONS.items()):
+            lines.append("else:" if n == last else f"{'elif' if n else 'if'} cc == {cc}:")
+            lines.append("    c = " + cond.format(flags="flags"))
+        return lines
+
+
+#: The loop around the arms: REFINE's ``fi_check`` first, then the generated
+#: arms, then the post-step accounting (counts, budget, PINFI attach/detach,
+#: the snapshot hook).
+_LOOP = '''\
+def _loop(self, entry_pc):
+    prog = self.program
+    code = prog.code
+    is_cand = prog.is_candidate
+    outputs = prog.outputs
+    I = self.iregs
+    F = self.fregs
+    M = self.mem
+    top = prog.mem_size - 8
+    stack_limit = prog.stack_limit
+    counts = self.counts
+    n_code = len(code)
+    IN = INTRINSIC_TABLE.impls
+
+    pc = entry_pc
+    steps = self.steps
+    budget = self.budget
+    flags = self.flags
+    attached = self._attached
+    pin_count = self._pin_count
+    pin_plan = self._pin_plan
+    refine_count = self._refine_count
+    refine_plan = self._refine_plan
+    snap_every = self._snap_every
+    snap_hook = self._snap_hook
+    snap_at = steps + snap_every if snap_every else 1 << 62
+    site_trace = self._site_trace
+
+    try:
+        while True:
+            cur = pc
+            t = code[cur]
+            op = t[0]
+
+            if op == $FI_CHECK:
+                refine_count += 1
+                if site_trace is not None:
+                    site_trace.append(cur)
+                if (
+                    refine_plan is not None
+                    and refine_plan.target_index <= refine_count <= refine_plan.last_index
+                ):
+                    # Inject into the guarded instruction's outputs (flags
+                    # are live here; sync before flipping).  A dwell window
+                    # re-applies at every in-window site.
                     self.flags = flags
-                    intr_impls[t[1]](self)
+                    self._apply_fault(refine_plan, cur, t[1], refine_count)
                     flags = self.flags
-                    pc = cur + 1
-                elif op == MOV_RI:
-                    iregs[t[1]] = t[2]
-                    pc = cur + 1
-                elif op == FSTORE_RD:
-                    addr = iregs[t[1]] + t[2]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"fstore to {addr:#x}", cur)
-                    _PACK_D.pack_into(mem, addr, fregs[t[3]])
-                    pc = cur + 1
-                elif op == FMUL:
-                    fregs[t[1]] = fregs[t[1]] * fregs[t[2]]
-                    pc = cur + 1
-                elif op == JCC:
-                    cc = t[1]
-                    if cc == 1:  # ne
-                        taken = not flags & _ZF
-                    elif cc == 0:  # e
-                        taken = bool(flags & _ZF)
-                    elif cc == 2:  # l
-                        taken = bool(flags & _SF) != bool(flags & _OF)
-                    elif cc == 3:  # le
-                        taken = bool(flags & _ZF) or (
-                            bool(flags & _SF) != bool(flags & _OF)
-                        )
-                    elif cc == 4:  # g
-                        taken = not flags & _ZF and (
-                            bool(flags & _SF) == bool(flags & _OF)
-                        )
-                    elif cc == 5:  # ge
-                        taken = bool(flags & _SF) == bool(flags & _OF)
-                    elif cc == 6:  # b
-                        taken = bool(flags & _CF)
-                    elif cc == 7:  # be
-                        taken = bool(flags & (_CF | _ZF))
-                    elif cc == 8:  # a
-                        taken = not flags & (_CF | _ZF)
-                    elif cc == 9:  # ae
-                        taken = not flags & _CF
-                    elif cc == 10:  # s
-                        taken = bool(flags & _SF)
-                    elif cc == 11:  # ns
-                        taken = not flags & _SF
-                    elif cc == 12:  # p
-                        taken = bool(flags & _PF)
-                    else:  # np
-                        taken = not flags & _PF
-                    pc = t[2] if taken else cur + 1
-                elif op == CMP_RR or op == CMP_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == CMP_RR else t[2]
-                    r = a - b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    flags = PARITY_TABLE[wrapped & 255]
-                    if wrapped == 0:
-                        flags |= _ZF
-                    elif wrapped < 0:
-                        flags |= _SF
-                    if r != wrapped:
-                        flags |= _OF
-                    if (a & MASK64) < (b & MASK64):
-                        flags |= _CF
-                    pc = cur + 1
-                elif op == JMP:
-                    pc = t[1]
-                elif op == FADD:
-                    fregs[t[1]] = fregs[t[1]] + fregs[t[2]]
-                    pc = cur + 1
-                elif op == FCONST:
-                    fregs[t[1]] = t[2]
-                    pc = cur + 1
-                elif op == STORE_RD:
-                    addr = iregs[t[1]] + t[2]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"store to {addr:#x}", cur)
-                    mem[addr : addr + 8] = (iregs[t[3]] & MASK64).to_bytes(
-                        8, "little"
-                    )
-                    pc = cur + 1
-                elif op == FSUB:
-                    fregs[t[1]] = fregs[t[1]] - fregs[t[2]]
-                    pc = cur + 1
-                elif op == LOAD_ABS:
-                    addr = t[2]
-                    iregs[t[1]] = int.from_bytes(
-                        mem[addr : addr + 8], "little", signed=True
-                    )
-                    pc = cur + 1
-                elif op == IREM_RR or op == IREM_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == IREM_RR else t[2]
-                    if b == 0 or (a == _INT64_MIN and b == -1):
-                        raise DivideByZero(f"{a} irem {b}", cur)
-                    r = abs(a) % abs(b)
-                    if a < 0:
-                        r = -r
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == SUB_RR or op == SUB_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == SUB_RR else t[2]
-                    r = a - b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    iregs[t[1]] = wrapped
-                    flags = PARITY_TABLE[wrapped & 255]
-                    if wrapped == 0:
-                        flags |= _ZF
-                    elif wrapped < 0:
-                        flags |= _SF
-                    if r != wrapped:
-                        flags |= _OF
-                    if (a & MASK64) < (b & MASK64):
-                        flags |= _CF
-                    pc = cur + 1
-                elif op == SETCC:
-                    cc = t[2]
-                    if cc == 0:
-                        v = bool(flags & _ZF)
-                    elif cc == 1:
-                        v = not flags & _ZF
-                    elif cc == 2:
-                        v = bool(flags & _SF) != bool(flags & _OF)
-                    elif cc == 3:
-                        v = bool(flags & _ZF) or (
-                            bool(flags & _SF) != bool(flags & _OF)
-                        )
-                    elif cc == 4:
-                        v = not flags & _ZF and (
-                            bool(flags & _SF) == bool(flags & _OF)
-                        )
-                    elif cc == 5:
-                        v = bool(flags & _SF) == bool(flags & _OF)
-                    elif cc == 6:
-                        v = bool(flags & _CF)
-                    elif cc == 7:
-                        v = bool(flags & (_CF | _ZF))
-                    elif cc == 8:
-                        v = not flags & (_CF | _ZF)
-                    elif cc == 9:
-                        v = not flags & _CF
-                    elif cc == 10:
-                        v = bool(flags & _SF)
-                    elif cc == 11:
-                        v = not flags & _SF
-                    elif cc == 12:
-                        v = bool(flags & _PF)
-                    else:
-                        v = not flags & _PF
-                    iregs[t[1]] = 1 if v else 0
-                    pc = cur + 1
-                elif op == FDIV:
-                    a = fregs[t[1]]
-                    b = fregs[t[2]]
-                    if b == 0.0:
-                        if a == 0.0 or a != a:
-                            fregs[t[1]] = math.nan
-                        else:
-                            fregs[t[1]] = math.copysign(
-                                math.inf, a
-                            ) * math.copysign(1.0, b)
-                    else:
-                        fregs[t[1]] = a / b
-                    pc = cur + 1
-                elif op == FCMP:
-                    a = fregs[t[1]]
-                    b = fregs[t[2]]
-                    # ucomisd semantics
-                    if a != a or b != b:  # unordered (NaN)
-                        flags = _ZF | _PF | _CF
-                    elif a == b:
-                        flags = _ZF
-                    elif a < b:
-                        flags = _CF
-                    else:
-                        flags = 0
-                    pc = cur + 1
-                elif op == IMUL_RR or op == IMUL_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == IMUL_RR else t[2]
-                    r = a * b
-                    wrapped = r if _INT64_MIN <= r < -_INT64_MIN else to_signed64(r)
-                    iregs[t[1]] = wrapped
-                    flags = (
-                        _ZF if wrapped == 0 else (_SF if wrapped < 0 else 0)
-                    ) | PARITY_TABLE[wrapped & 255]
-                    if r != wrapped:
-                        flags |= _OF | _CF
-                    pc = cur + 1
-                elif op == CVTSI2SD:
-                    fregs[t[1]] = float(iregs[t[2]])
-                    pc = cur + 1
-                elif op == FLOAD_ABS:
-                    fregs[t[1]] = _PACK_D.unpack_from(mem, t[2])[0]
-                    pc = cur + 1
-                elif op == XOR_RR or op == XOR_RI:
-                    b = iregs[t[2]] if op == XOR_RR else t[2]
-                    r = iregs[t[1]] ^ b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == PUSH:
-                    sp = iregs[RSP_IDX] - 8
-                    if sp < stack_limit:
-                        raise StackOverflow(f"rsp={sp:#x}", cur)
-                    if sp + 8 > mem_size:
-                        raise SegmentationFault(f"push to {sp:#x}", cur)
-                    iregs[RSP_IDX] = sp
-                    mem[sp : sp + 8] = (iregs[t[1]] & MASK64).to_bytes(8, "little")
-                    pc = cur + 1
-                elif op == POP:
-                    sp = iregs[RSP_IDX]
-                    if sp < NULL_GUARD or sp + 8 > mem_size:
-                        raise SegmentationFault(f"pop from {sp:#x}", cur)
-                    iregs[t[1]] = int.from_bytes(
-                        mem[sp : sp + 8], "little", signed=True
-                    )
-                    iregs[RSP_IDX] = sp + 8
-                    pc = cur + 1
-                elif op == RET:
-                    sp = iregs[RSP_IDX]
-                    if sp < NULL_GUARD or sp + 8 > mem_size:
-                        raise SegmentationFault(f"ret pop from {sp:#x}", cur)
-                    ret_pc = int.from_bytes(
-                        mem[sp : sp + 8], "little", signed=True
-                    )
-                    iregs[RSP_IDX] = sp + 8
-                    if ret_pc == HALT_PC:
-                        counts[cur] += 1
-                        steps += 1
-                        break
-                    if not 0 <= ret_pc < n_code:
-                        raise IllegalInstruction(
-                            f"ret to {ret_pc:#x}", cur
-                        )
-                    pc = ret_pc
-                elif op == CALL:
-                    sp = iregs[RSP_IDX] - 8
-                    if sp < stack_limit:
-                        raise StackOverflow(f"rsp={sp:#x}", cur)
-                    if sp + 8 > mem_size:
-                        raise SegmentationFault(f"call push to {sp:#x}", cur)
-                    iregs[RSP_IDX] = sp
-                    mem[sp : sp + 8] = ((cur + 1) & MASK64).to_bytes(8, "little")
-                    pc = t[1]
-                elif op == IDIV_RR or op == IDIV_RI:
-                    a = iregs[t[1]]
-                    b = iregs[t[2]] if op == IDIV_RR else t[2]
-                    if b == 0 or (a == _INT64_MIN and b == -1):
-                        raise DivideByZero(f"{a} idiv {b}", cur)
-                    q = abs(a) // abs(b)
-                    if (a < 0) != (b < 0):
-                        q = -q
-                    iregs[t[1]] = q
-                    flags = (
-                        _ZF if q == 0 else (_SF if q < 0 else 0)
-                    ) | PARITY_TABLE[q & 255]
-                    pc = cur + 1
-                elif op == AND_RR or op == AND_RI:
-                    b = iregs[t[2]] if op == AND_RR else t[2]
-                    r = iregs[t[1]] & b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == OR_RR or op == OR_RI:
-                    b = iregs[t[2]] if op == OR_RR else t[2]
-                    r = iregs[t[1]] | b
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == SAR_RI or op == SAR_RR:
-                    count = (t[2] if op == SAR_RI else iregs[t[2]]) & 63
-                    r = iregs[t[1]] >> count
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == LEA_ABS:
-                    iregs[t[1]] = t[2]
-                    pc = cur + 1
-                elif op == CVTTSD2SI:
-                    v = fregs[t[2]]
-                    if v != v or v in (math.inf, -math.inf):
-                        iregs[t[1]] = _INT64_MIN
-                    else:
-                        truncated = math.trunc(v)
-                        if not _INT64_MIN <= truncated < -_INT64_MIN:
-                            iregs[t[1]] = _INT64_MIN
-                        else:
-                            iregs[t[1]] = truncated
-                    pc = cur + 1
-                elif op == STORE_RD_I:
-                    addr = iregs[t[1]] + t[2]
-                    if addr < NULL_GUARD or addr + 8 > mem_size:
-                        raise SegmentationFault(f"store to {addr:#x}", cur)
-                    mem[addr : addr + 8] = (t[3] & MASK64).to_bytes(8, "little")
-                    pc = cur + 1
-                elif op == LEA_RD:
-                    iregs[t[1]] = iregs[t[2]] + t[3]
-                    pc = cur + 1
-                elif op == STORE_ABS:
-                    addr = t[1]
-                    mem[addr : addr + 8] = (iregs[t[2]] & MASK64).to_bytes(
-                        8, "little"
-                    )
-                    pc = cur + 1
-                elif op == STORE_ABS_I:
-                    addr = t[1]
-                    mem[addr : addr + 8] = (t[2] & MASK64).to_bytes(8, "little")
-                    pc = cur + 1
-                elif op == FSTORE_ABS:
-                    _PACK_D.pack_into(mem, t[1], fregs[t[2]])
-                    pc = cur + 1
-                elif op == NEG:
-                    r = to_signed64(-iregs[t[1]])
-                    iregs[t[1]] = r
-                    flags = (
-                        _ZF if r == 0 else (_SF if r < 0 else 0)
-                    ) | PARITY_TABLE[r & 255]
-                    pc = cur + 1
-                elif op == CMOV:
-                    cc = t[3]
-                    if _cc_holds(cc, flags):
-                        iregs[t[1]] = iregs[t[2]]
-                    pc = cur + 1
-                else:
-                    raise IllegalInstruction(f"opcode {op}", cur)
+                pc = cur + 1
+$ARMS
+            else:
+                raise IllegalInstruction(f"opcode {op}", cur)
 
-                counts[cur] += 1
-                steps += 1
-                if steps >= budget:
-                    raise ExecutionTimeout(f"budget {budget} exhausted", cur)
-                if attached and is_cand[cur]:
-                    pin_count += 1
-                    if site_trace is not None:
-                        site_trace.append(cur)
-                    if (
-                        pin_plan is not None
-                        and pin_plan.target_index
-                        <= pin_count
-                        <= pin_plan.last_index
-                    ):
-                        self.flags = flags
-                        self._apply_fault(
-                            pin_plan, cur, outputs[cur], pin_count
-                        )
-                        flags = self.flags
-                        if pin_count >= pin_plan.last_index:
-                            # Detach: instrumentation overhead ends once the
-                            # fault's dwell window closes.
-                            attached = False
-                            self.attached_candidates = pin_count
-                            counts = [0] * n_code
-                            self.counts = counts
-                if steps >= snap_at:
-                    # Snapshot boundary: sync loop-local state onto the CPU
-                    # (after candidate accounting, so pin_count matches the
-                    # executed prefix) and hand a resumable view to the hook.
-                    self.steps = steps
+            counts[cur] += 1
+            steps += 1
+            if steps >= budget:
+                raise ExecutionTimeout(f"budget {budget} exhausted", cur)
+            if attached and is_cand[cur]:
+                pin_count += 1
+                if site_trace is not None:
+                    site_trace.append(cur)
+                if (
+                    pin_plan is not None
+                    and pin_plan.target_index <= pin_count <= pin_plan.last_index
+                ):
                     self.flags = flags
-                    self._pin_count = pin_count
-                    self._refine_count = refine_count
-                    self._attached = attached
-                    snap_hook(self, pc)
-                    snap_at = steps + snap_every
-        finally:
-            self.steps = steps
-            self.flags = flags
-            self._pin_count = pin_count
-            self._refine_count = refine_count
-            self._attached = attached
-            if attached:
-                self.attached_candidates = pin_count
-                # Never detached: all counts are attached counts.
-                if self.counts_attached is not self.counts:
-                    self.counts_attached = self.counts
+                    self._apply_fault(pin_plan, cur, outputs[cur], pin_count)
+                    flags = self.flags
+                    if pin_count >= pin_plan.last_index:
+                        # Detach: instrumentation overhead ends once the
+                        # fault's dwell window closes.
+                        attached = False
+                        self.attached_candidates = pin_count
+                        counts = [0] * n_code
+                        self.counts = counts
+            if steps >= snap_at:
+                # Snapshot boundary: sync loop-local state onto the CPU (after
+                # candidate accounting, so pin_count matches the executed
+                # prefix) and hand a resumable view to the hook.
+                self.steps = steps
+                self.flags = flags
+                self._pin_count = pin_count
+                self._refine_count = refine_count
+                self._attached = attached
+                snap_hook(self, pc)
+                snap_at = steps + snap_every
+    finally:
+        self.steps = steps
+        self.flags = flags
+        self._pin_count = pin_count
+        self._refine_count = refine_count
+        self._attached = attached
+        if attached:
+            self.attached_candidates = pin_count
+            # Never detached: all counts are attached counts.
+            if self.counts_attached is not self.counts:
+                self.counts_attached = self.counts
+'''
+
+#: Where tracebacks and profiles find the generated loop's lines.
+LOOP_FILENAME = "<generated CPU._loop>"
 
 
-def _cc_holds(cc: int, flags: int) -> bool:
-    """Out-of-line condition evaluation for rare opcodes (cmov)."""
-    zf = bool(flags & _ZF)
-    sf = bool(flags & _SF)
-    of = bool(flags & _OF)
-    cf = bool(flags & _CF)
-    return (
-        (cc == 0 and zf)
-        or (cc == 1 and not zf)
-        or (cc == 2 and sf != of)
-        or (cc == 3 and (zf or sf != of))
-        or (cc == 4 and not zf and sf == of)
-        or (cc == 5 and sf == of)
-        or (cc == 6 and cf)
-        or (cc == 7 and (cf or zf))
-        or (cc == 8 and not cf and not zf)
-        or (cc == 9 and not cf)
-        or (cc == 10 and sf)
-        or (cc == 11 and not sf)
-        or (cc == 12 and bool(flags & _PF))
-        or (cc == 13 and not flags & _PF)
-    )
+def interpreter_loop():
+    """``CPU._loop``, generated from :data:`~repro.machine.semantics.SEMANTICS`
+    as it is now: a chain of literal-opcode tests in dispatch order, each arm
+    an entry rendered by :class:`_Interpreter`.  Its source is registered
+    with :mod:`linecache` under :data:`LOOP_FILENAME`."""
+    ctx = _Interpreter()
+    order = [op for op in _DISPATCH_ORDER if op in SEMANTICS]
+    order += [op for op in SEMANTICS if op not in order and op != O.FI_CHECK]
+    arms = []
+    for op in order:
+        arms.append(f"            elif op == {op}:")
+        lines = ctx.conditions(SEMANTICS[op])
+        ctx.emit(op, None, lines)
+        arms.append("                " + "\n".join(lines).replace("\n", "\n                "))
+    source = _LOOP.replace("$FI_CHECK", str(O.FI_CHECK)).replace("$ARMS", "\n".join(arms))
+    ns = namespace()
+    ns.update(INTRINSIC_TABLE=INTRINSIC_TABLE, ExecutionTimeout=ExecutionTimeout)
+    exec(compile(source, LOOP_FILENAME, "exec"), ns)
+    linecache.cache[LOOP_FILENAME] = (len(source), None, source.splitlines(True), LOOP_FILENAME)
+    loop = ns["_loop"]
+    loop.__qualname__ = "CPU._loop"
+    return loop
+
+CPU._loop = interpreter_loop()
 
 
 def execute(

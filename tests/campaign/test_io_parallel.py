@@ -126,26 +126,16 @@ class TestSerialization:
             assert dataclasses.asdict(a.fault) == dataclasses.asdict(b.fault)
             assert a.index == b.index
 
-    def test_loads_legacy_version1_values_as_strings(self, tmp_path):
-        """v1 files stored repr() strings; they still load (as strings)."""
-        payload = result_to_dict(_synthetic_result(3, 7.0))
-        payload["records"][0]["fault"]["value_before"] = "3"
-        payload["records"][0]["fault"]["value_after"] = "7.0"
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps({"version": 1, "cells": [payload]}))
-        restored = load_matrix(path)[("demo", "REFINE")]
-        assert restored.records[0].fault.value_before == "3"
-        assert restored.records[0].fault.value_after == "7.0"
-
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(CampaignError):
             load_matrix(path)
 
-    def test_load_rejects_wrong_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_load_rejects_wrong_version(self, tmp_path, version):
         path = tmp_path / "old.json"
-        path.write_text('{"version": 99, "cells": []}')
+        path.write_text(json.dumps({"version": version, "cells": []}))
         with pytest.raises(CampaignError, match="version"):
             load_matrix(path)
 

@@ -10,6 +10,11 @@ compared on.  Intrinsics here print the flags they are handed and their pc
 first, so the exact flags a block owes at an intrinsic call are compared
 too.
 
+Both executions are rendered from one semantics table
+(:mod:`repro.machine.semantics`), so this checks the two rendering contexts
+and block flag liveness, not the table's entries: the frozen vectors of
+``test_isa_vectors.py`` do that.
+
 Random straight-line blocks mix flag writers with every flag reader
 (``SETCC``, ``CMOV``, ``JCC``, ``INTR``): the case a flag-liveness bug
 breaks.  States cover aligned and unaligned addresses, addresses outside
@@ -335,7 +340,7 @@ def test_setcc_missing_from_the_flag_readers_is_caught(monkeypatch):
     passes such a mutant on EP, CG and lulesh at n = 12 — so this property
     is what has to catch it."""
     monkeypatch.setattr(
-        blocks, "_FLAG_READERS", blocks._FLAG_READERS - {O.SETCC}
+        blocks, "FLAG_READERS", blocks.FLAG_READERS - {O.SETCC}
     )
     code, _ = find(
         block_cases(), block_diverges,

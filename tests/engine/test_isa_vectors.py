@@ -24,6 +24,7 @@ change, and say which in the commit:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
@@ -40,6 +41,7 @@ from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
 from repro.machine.loader import NULL_GUARD, STACK_GUARD, LoadedProgram
 from repro.machine.registers import RAX_IDX, RDI_IDX, RSI_IDX, RSP_IDX, XMM0_IDX, XMM1_IDX
+from repro.machine.semantics import SEMANTICS, Sem
 from repro.utils.bits import INT64_MAX, INT64_MIN, MASK64
 
 PATH = Path(__file__).parent / "data" / "isa_vectors.json"
@@ -202,7 +204,8 @@ def mismatches(engine: str, vectors: list[dict]) -> list[tuple[dict, dict]]:
 VECTORS = load_vectors() if PATH.exists() else {}
 
 
-def test_every_opcode_has_vectors():
+def test_every_opcode_has_semantics_and_vectors():
+    assert set(SEMANTICS) == set(OPCODES.values())
     assert set(VECTORS) == set(OPCODES) | {ILLEGAL}
 
 
@@ -210,6 +213,57 @@ def test_every_opcode_has_vectors():
 @pytest.mark.parametrize("engine", sorted(RUNNERS))
 def test_frozen_vectors_replay(engine, op):
     assert mismatches(engine, VECTORS[op]) == []
+
+
+#: ``-7 srem 2`` of values the optimiser cannot see: an ``irem`` at run time
+REMAINDER_MODULE = """
+@x = global [2 x i64] [-7, 2]
+declare void @print_int(i64 %x)
+
+define i64 @main() {
+entry:
+  %p = getelementptr [2 x i64]* @x, i64 0
+  %a = load i64, i64* %p
+  %q = getelementptr [2 x i64]* @x, i64 1
+  %b = load i64, i64* %q
+  %r = srem i64 %a, %b
+  call void @print_int(i64 %r)
+  ret i64 0
+}
+"""
+
+
+def _edited(op: int, old: str, new: str) -> Sem:
+    """``op``'s table entry with the code text ``old`` replaced by ``new``."""
+    sem = copy.copy(SEMANTICS[op])
+    sem.code = [item.replace(old, new) if isinstance(item, str) else item
+                for item in sem.code]
+    assert sem.code != SEMANTICS[op].code
+    return sem
+
+
+def test_a_fault_in_a_shared_entry_is_caught_by_the_vectors_only(monkeypatch):
+    """Why these vectors exist.  The interpreter loop and the blocks are two
+    renderings of one table entry, so a mistake in the entry — here ``irem``
+    taking the remainder's sign from the divisor — reaches both, and the
+    engine oracle, which compares them, passes a program whose output the
+    mistake changed.  The IR interpreter, which shares no code with the
+    table, sees the change; so do the frozen vectors, on both engines."""
+    from repro.engine import FastEngine
+    from repro.engine.cache import TranslationCache
+    from repro.ir import parse_module
+    from repro.machine.cpu import interpreter_loop
+    from repro.testing.oracles import EngineOracle, InterpOracle
+
+    for op in (O.IREM_RR, O.IREM_RI):
+        monkeypatch.setitem(SEMANTICS, op, _edited(op, "if a < 0:", "if b < 0:"))
+    monkeypatch.setattr(CPU, "_loop", interpreter_loop())
+    monkeypatch.setattr(FastEngine, "cache", TranslationCache())
+    module = parse_module(REMAINDER_MODULE)
+    assert EngineOracle().check(module) is None
+    assert InterpOracle().check(module) is not None
+    for engine in RUNNERS:
+        assert mismatches(engine, VECTORS["IREM_RR"])
 
 
 # -- writing the file -------------------------------------------------------------

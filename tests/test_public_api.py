@@ -306,19 +306,36 @@ def test_local_service_has_one_way_to_start_a_worker():
 def test_engine_generates_code_in_one_place():
     """Translating a binary is the engine's only code generation: one
     ``compile(`` call site (``engine/cache.py``), none for mid-block
-    entries — those are interpreted to the end of their block.  The guard
-    that counts the calls at run time is
+    entries — those are interpreted to the end of their block.  The only
+    other site is the interpreter loop, generated once at import
+    (``machine/cpu.py``).  The guard that counts the calls at run time is
     ``tests/engine/test_fast_engine.py::TestOneCompilePerBinary``."""
+    import re
     from pathlib import Path
 
-    import repro.engine
+    import repro
 
-    root = Path(repro.engine.__file__).parent
+    root = Path(repro.__file__).parent
+    call = re.compile(r"(?<![\w.])compile\(")
     sites = {
-        path.name: path.read_text(encoding="utf-8").count("compile(")
-        for path in root.glob("*.py")
+        f"{package}/{path.name}": len(call.findall(path.read_text(encoding="utf-8")))
+        for package in ("machine", "engine")
+        for path in (root / package).glob("*.py")
     }
-    assert {name: n for name, n in sites.items() if n} == {"cache.py": 1}
+    assert {name: n for name, n in sites.items() if n} == {
+        "machine/cpu.py": 1, "engine/cache.py": 1,
+    }
+
+
+def test_the_interpreter_loop_has_source_lines():
+    """Tracebacks through ``CPU._loop`` and profiles of it show its lines."""
+    import linecache
+
+    from repro.machine.cpu import CPU, LOOP_FILENAME
+
+    code = CPU._loop.__code__
+    assert code.co_filename == LOOP_FILENAME
+    assert linecache.getline(LOOP_FILENAME, code.co_firstlineno).startswith("def _loop(")
 
 
 def test_the_paper_tables_have_one_renderer():
