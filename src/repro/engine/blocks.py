@@ -43,6 +43,8 @@ mutated in place and never resized or replaced.
 
 from __future__ import annotations
 
+import math
+import struct
 import sys
 from dataclasses import dataclass
 
@@ -56,7 +58,6 @@ from repro.machine.semantics import (
     SEMANTICS,
     TERMINATORS,
     Context,
-    float_literal,
     namespace,
 )
 from repro.utils.bits import to_signed64
@@ -83,6 +84,7 @@ _LLFI_INJECT_IDS = frozenset(
     INTRINSIC_TABLE.index_of(name)
     for name in ("__fi_inject_i64", "__fi_inject_f64", "__fi_inject_i1")
 )
+
 
 @dataclass(frozen=True)
 class BlockMeta:
@@ -176,8 +178,15 @@ def flag_liveness(code: list[tuple], start: int, end: int) -> list[bool]:
 #: A condition code as generated code tests it.
 _CC = {cc: "(" + cond.format(flags="FL[0]") + ")" for cc, cond in CONDITIONS.items()}
 
-#: What a literal operand renders as, by kind (the rest: the value itself).
-_LITERAL = {"r": "I[{}]", "f": "F[{}]", "t": "P[{}]"}
+
+def _float(value: float) -> str:
+    """A float literal that round-trips, including non-finite values (a
+    NaN bit for bit: its payload and sign)."""
+    if math.isfinite(value):
+        return repr(value)
+    if math.isinf(value):
+        return "INF" if value > 0 else "-INF"
+    return f"PDU({struct.pack('<d', value)!r}, 0)[0]"
 
 
 class _Block(Context):
@@ -201,11 +210,15 @@ class _Block(Context):
         v = t[slot]
         if kind == "r":
             return f"I[{v}]"
+        if kind == "f":
+            return f"F[{v}]"
+        if kind == "t":
+            return f"P[{v}]"
         if kind == "k":
             return _CC[v]
         if kind == "d":
             return f" + {v}" if v else ""
-        return float_literal(v) if kind == "c" else _LITERAL.get(kind, "{}").format(v)
+        return _float(v) if kind == "c" else str(v)
 
     def fields(self, i):
         f = self.f

@@ -438,16 +438,6 @@ class Context:
             out.append(raise_)
 
 
-def float_literal(value: float) -> str:
-    """A float literal that round-trips, including non-finite values (a
-    NaN bit for bit: its payload and sign)."""
-    if math.isfinite(value):
-        return repr(value)
-    if math.isinf(value):
-        return "INF" if value > 0 else "-INF"
-    return f"PDU({_PACK_D.pack(value)!r}, 0)[0]"
-
-
 def namespace() -> dict:
     """The globals generated code runs against."""
     return {
