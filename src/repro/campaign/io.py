@@ -47,6 +47,8 @@ def _value_to_dict(value: object) -> dict | None:
 def _value_from_dict(data: object) -> object:
     if data is None:
         return None
+    if not isinstance(data, dict):
+        raise CampaignError(f"malformed fault value {data!r}")
     kind = data.get("kind")
     if kind == "int":
         return int(data["value"])
@@ -97,7 +99,7 @@ def _fault_from_dict(data: dict | None) -> FaultRecord | None:
         bit=data["bit"],
         value_before=_value_from_dict(data["value_before"]),
         value_after=_value_from_dict(data["value_after"]),
-        # v1/v2 logs predate fault models: single-bit defaults.
+        # v2 logs predate fault models: single-bit defaults.
         model=data.get("model", "single-bit"),
         bits=None if bits is None else tuple(bits),
         address=data.get("address"),
@@ -243,16 +245,22 @@ def save_matrix(
     Path(path).write_text(json.dumps(payload, indent=1))
 
 
+def check_version(payload: dict) -> None:
+    """Raise :class:`CampaignError` unless a :func:`save_matrix` payload is
+    in a version this module reads."""
+    if payload.get("version") not in _READABLE_VERSIONS:
+        raise CampaignError(
+            f"unsupported campaign file version {payload.get('version')!r}"
+        )
+
+
 def load_matrix(path: str | Path) -> dict[tuple[str, str], CampaignResult]:
     """Load a campaign matrix saved by :func:`save_matrix`."""
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CampaignError(f"cannot load campaign matrix: {exc}") from exc
-    if payload.get("version") not in _READABLE_VERSIONS:
-        raise CampaignError(
-            f"unsupported campaign file version {payload.get('version')!r}"
-        )
+    check_version(payload)
     matrix = {}
     for cell in payload["cells"]:
         result = result_from_dict(cell)

@@ -60,7 +60,7 @@ from repro.machine.semantics import (
     Context,
     namespace,
 )
-from repro.utils.bits import to_signed64
+from repro.utils.bits import MASK64, to_signed64
 
 #: Bump whenever generated code or block layout changes shape; part of the
 #: translation fingerprint (:func:`repro.engine.cache.translation_fingerprint`).
@@ -220,6 +220,11 @@ class _Block(Context):
             return f" + {v}" if v else ""
         return _float(v) if kind == "c" else str(v)
 
+    def unsigned(self, kind, slot, t, value):
+        if kind == "i":
+            return str(t[slot] & MASK64)
+        return super().unsigned(kind, slot, t, value)
+
     def fields(self, i):
         f = self.f
         f["pc"], f["next"] = f"P[{i}]", f"P[{i + 1}]"
@@ -254,8 +259,8 @@ class _Block(Context):
         word = self._word(addr)
         if word is None:
             super().store(width, addr, value, out)
-        elif width == "d":
-            out.append(f"DS{word} = {value}")
+        elif width == "d" or value.startswith("P["):  # (a pc fits in int64)
+            out.append(f"{'DS' if width == 'd' else 'QS'}{word} = {value}")
         elif value.lstrip("-").isdigit():
             out.append(f"QS{word} = {to_signed64(int(value))}")
         else:

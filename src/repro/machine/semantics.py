@@ -16,12 +16,12 @@ how that source names things; there are two:
   literals, the pc is ``P[i]``, flags are ``FL[0]``, memory goes through
   typed views on little-endian hosts, a flag write nobody observes is not
   emitted, and values known at translation time are specialised — a static
-  address is a fixed view index, an immediate divisor decides the divide
-  traps.
+  address is a fixed view index, an immediate's unsigned value a literal.
 
 **Templates.**  Code lines are :meth:`str.format` templates.  ``{1}`` ...
 ``{3}`` are the instruction's operands (its tuple slots), rendered by their
-kind (:attr:`Sem.operands`).  The context names the rest: ``{pc}`` and
+kind (:attr:`Sem.operands`), and ``{1u}`` ... ``{3u}`` the same operands'
+low 64 bits as an unsigned value.  The context names the rest: ``{pc}`` and
 ``{next}`` (this instruction's pc and the one after it), ``{ncode}`` (the
 code length), ``{top}`` (the last address a word can be read from),
 ``{stack_limit}``, ``{cpu}``, ``{flags}`` (the FLAGS register), and ``{fl}``
@@ -77,12 +77,12 @@ CONDITIONS = {
 # -- entries -------------------------------------------------------------------
 
 class Trap(NamedTuple):
-    """Raise ``exc`` at this instruction's pc when every condition holds
+    """Raise ``exc`` at this instruction's pc when ``cond`` holds
     (``message`` is the body of an f-string over the code's locals)."""
 
     exc: str
     message: str
-    conds: tuple[str, ...]
+    cond: str
 
 
 class Load(NamedTuple):
@@ -124,14 +124,14 @@ class Flags(NamedTuple):
 def _named(template):
     """``{1}`` -> ``{_1}``: operand fields as names ``str.format_map`` takes."""
     if isinstance(template, str):
-        return re.sub(r"\{(\d)\}", r"{_\1}", template)
+        return re.sub(r"\{(\du?)\}", r"{_\1}", template)
     return tuple(map(_named, template))
 
 
 class Sem:
     """One opcode's semantics; see the module docstring."""
 
-    __slots__ = ("operands", "code", "reads", "writes", "ends", "folds", "slots")
+    __slots__ = ("operands", "code", "reads", "writes", "ends", "slots", "unsigned")
 
     def __init__(self, operands: str, *code, reads: bool = False) -> None:
         #: one kind per tuple slot after the opcode: ``r`` / ``f`` an integer
@@ -154,11 +154,12 @@ class Sem:
         self.writes = any(isinstance(item, Flags) for item in code)
         #: a control transfer: ends a basic block
         self.ends = any(isinstance(item, Jump) for item in code)
-        #: an immediate may decide a trap (:meth:`Context._trap`)
-        self.folds = "i" in operands and any(isinstance(item, Trap) for item in code)
         #: the format fields of its operands, by slot
         self.slots = tuple((f"_{k}", kind, k) for k, kind in enumerate(operands, 1)
                            if kind != "-")
+        #: the slots whose unsigned value (``{1u}`` ...) the code reads
+        text = repr(self.code)
+        self.unsigned = tuple(s for s in self.slots if "{%su}" % s[0] in text)
 
 
 _RSP = f"I[{RSP_IDX}]"
@@ -188,8 +189,8 @@ def _arith(carry: str) -> Flags:
 # is ``(a - b) mod 2**64 + b >= 2**64`` (unsigned): both read only the
 # wrapped result and the second operand, so the flags can be computed before
 # the destination — which may be that operand — is written.
-_ADD_FLAGS = _arith("(w & MK) < ({2} & MK)")
-_SUB_FLAGS = _arith("(w & MK) + ({2} & MK) > MK")
+_ADD_FLAGS = _arith("(w & MK) < {2u}")
+_SUB_FLAGS = _arith("(w & MK) + {2u} > MK")
 
 
 def _address(base: int, what: str) -> tuple:
@@ -197,7 +198,7 @@ def _address(base: int, what: str) -> tuple:
     segfaulting outside memory."""
     return (
         "ad = {%d}{%d}" % (base, base + 1),
-        Trap("SegmentationFault", what + " {ad:#x}", ("not %d <= ad <= {top}" % NULL_GUARD,)),
+        Trap("SegmentationFault", what + " {ad:#x}", "not %d <= ad <= {top}" % NULL_GUARD),
     )
 
 
@@ -205,8 +206,8 @@ def _push(what: str) -> tuple:
     """``sp = `` rsp - 8, checked against the stack limit and memory."""
     return (
         f"sp = {_RSP} - 8",
-        Trap("StackOverflow", "rsp={sp:#x}", ("sp < {stack_limit}",)),
-        Trap("SegmentationFault", what + " {sp:#x}", ("sp > {top}",)),
+        Trap("StackOverflow", "rsp={sp:#x}", "sp < {stack_limit}"),
+        Trap("SegmentationFault", what + " {sp:#x}", "sp > {top}"),
         f"{_RSP} = sp",
     )
 
@@ -215,7 +216,7 @@ def _pop(what: str) -> tuple:
     """``sp = `` rsp, segfaulting outside memory."""
     return (
         f"sp = {_RSP}",
-        Trap("SegmentationFault", what + " {sp:#x}", ("not %d <= sp <= {top}" % NULL_GUARD,)),
+        Trap("SegmentationFault", what + " {sp:#x}", "not %d <= sp <= {top}" % NULL_GUARD),
     )
 
 
@@ -226,8 +227,7 @@ def _divide(name: str, *result: str) -> tuple:
     return (
         "a = {1}",
         "b = {2}",
-        Trap("DivideByZero", message, ("b == 0",)),
-        Trap("DivideByZero", message, ("b == -1", f"a == {INT64_MIN}")),
+        Trap("DivideByZero", message, f"b == 0 or b == -1 and a == {INT64_MIN}"),
         *result,
         "    r = -r",
         "{1} = r",
@@ -330,7 +330,7 @@ SEMANTICS: dict[int, Sem] = {
     O.RET: Sem(
         "", *_pop("ret pop from"), Load("q", "rp", "sp"), f"{_RSP} = sp + 8",
         Halt(f"rp == {HALT_PC}"),
-        Trap("IllegalInstruction", "ret to {rp:#x}", ("not 0 <= rp < {ncode}",)),
+        Trap("IllegalInstruction", "ret to {rp:#x}", "not 0 <= rp < {ncode}"),
         Jump("rp"),
     ),
     # stack (a push of rsp stores the decremented value)
@@ -351,24 +351,23 @@ TERMINATORS = frozenset(op for op, sem in SEMANTICS.items() if sem.ends)
 
 # -- rendering ---------------------------------------------------------------------
 
-#: ``name = <int literal>``: a local whose value is known when rendering
-_KNOWN = re.compile(r"^(\w+) = (-?\d+)$", re.M)
-_NAMES = re.compile(r"[A-Za-z_]\w*")
-
-
 class Context:
     """How :meth:`emit` names operands, the pc, the flags and memory.
 
-    This base renders memory through slices of ``M``.  A subclass renders an
-    operand (``operand(kind, slot, t)``), names the other fields
-    (``fields(i)``), renders a :class:`Flags` item (``set_flags``), and sets
-    :attr:`JUMP`, :attr:`HALT` and :attr:`NEXT`."""
+    This base renders memory through slices of ``M`` and an operand's
+    unsigned value as a mask.  A subclass renders an operand
+    (``operand(kind, slot, t)``), names the other fields (``fields(i)``),
+    renders a :class:`Flags` item (``set_flags``), and sets :attr:`JUMP`,
+    :attr:`HALT` and :attr:`NEXT`."""
 
     #: a jump to ``{}``; the end of the program; the step to the next
     #: instruction
     JUMP: str
     HALT: tuple[str, ...]
     NEXT: tuple[str, ...]
+
+    def unsigned(self, kind: str, slot: int, t: tuple | None, value: str) -> str:
+        return f"({value} & MK)"
 
     def load(self, width: str, addr: str) -> str:
         if width == "q":
@@ -392,19 +391,18 @@ class Context:
         f = self.fields(i)
         for name, kind, k in sem.slots:
             f[name] = self.operand(kind, k, t)
-        known: dict[str, int] = {}
+        for name, kind, k in sem.unsigned:
+            f[name + "u"] = self.unsigned(kind, k, t, f[name])
         for item in sem.code:
             kind = type(item)
             if kind is str:
-                text = item.format_map(f)
-                out.append(text)
-                if sem.folds:
-                    known.update((m[1], int(m[2])) for m in _KNOWN.finditer(text))
+                out.append(item.format_map(f))
             elif kind is Flags:
                 if live:
                     self.set_flags(item.text, f, out)
             elif kind is Trap:
-                self._trap(item, f, known, out)
+                out.append(f"if {item.cond.format_map(f)}:")
+                out.append(f"    raise {item.exc}(f'{item.message}', {f['pc']})")
             elif kind is Load:
                 out.append(f"{item.dst.format_map(f)} = "
                            f"{self.load(item.width, item.addr.format_map(f))}")
@@ -417,25 +415,6 @@ class Context:
                 out.extend("    " + line for line in self.HALT)
         if not sem.ends:
             out.extend(self.NEXT)
-
-    @staticmethod
-    def _trap(trap: Trap, f: dict, known: dict, out: list[str]) -> None:
-        """An ``if``/``raise``; a condition over locals known when rendering
-        is decided then (dropped when it holds, the trap when it cannot)."""
-        conds = []
-        for cond in trap.conds:
-            cond = cond.format_map(f)
-            if known and set(_NAMES.findall(cond)) <= known.keys():
-                if eval(cond, {"__builtins__": {}}, known):
-                    continue
-                return
-            conds.append(cond)
-        raise_ = f"raise {trap.exc}(f'{trap.message}', {f['pc']})"
-        if conds:
-            out.append(f"if {' and '.join(conds)}:")
-            out.append("    " + raise_)
-        else:
-            out.append(raise_)
 
 
 def namespace() -> dict:

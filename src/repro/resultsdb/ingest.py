@@ -33,6 +33,7 @@ from repro.campaign.events import read_events
 from repro.campaign.io import (
     _value_from_dict,
     _value_to_dict,
+    check_version,
     result_from_dict,
 )
 from repro.campaign.results import CampaignResult
@@ -371,6 +372,10 @@ def ingest_results_file(db: ResultsDB, path: str | Path) -> dict:
     source = str(path)
 
     if "cells" in payload:
+        try:
+            check_version(payload)
+        except CampaignError as exc:
+            raise ResultsDBError(f"{path}: {exc}") from exc
         campaigns = experiments = 0
         for cell in payload["cells"]:
             try:

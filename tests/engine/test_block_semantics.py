@@ -350,6 +350,18 @@ def test_setcc_missing_from_the_flag_readers_is_caught(monkeypatch):
     assert any(t[0] == O.SETCC for t in code)
 
 
+def test_a_flag_write_nothing_observes_is_no_code():
+    """Of ``cmp; cmp; jcc`` only the second ``cmp`` is rendered: the first
+    one's flags are overwritten before anything reads them, and a ``cmp``
+    has no other effect."""
+    code = [(O.CMP_RR, 0, 1), (O.CMP_RI, 2, 5), (O.JCC, 0, 0)]
+    body = blocks.gen_block_body(blocks._Block(_program(code)), code, 0, 3)
+    source = "\n".join(body)
+    assert "I[0]" not in source and "I[1]" not in source
+    assert "r = I[2] - 5" in source
+    assert source.count("FL[0] = ") == 1
+
+
 def _edge_state(iregs=(), fregs=(), flags=0):
     """The state at seed 0 with the given registers (index, value) set."""
     base = STACK_LIMIT + 0x400  # an aligned word of the stack

@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import linecache
 import math
 import random
 import struct
@@ -252,11 +253,13 @@ def test_a_fault_in_a_shared_entry_is_caught_by_the_vectors_only(monkeypatch):
     from repro.engine import FastEngine
     from repro.engine.cache import TranslationCache
     from repro.ir import parse_module
-    from repro.machine.cpu import interpreter_loop
+    from repro.machine.cpu import LOOP_FILENAME, interpreter_loop
     from repro.testing.oracles import EngineOracle, InterpOracle
 
     for op in (O.IREM_RR, O.IREM_RI):
         monkeypatch.setitem(SEMANTICS, op, _edited(op, "if a < 0:", "if b < 0:"))
+    # the mutant loop registers its source; the real loop's comes back after
+    monkeypatch.setitem(linecache.cache, LOOP_FILENAME, linecache.cache[LOOP_FILENAME])
     monkeypatch.setattr(CPU, "_loop", interpreter_loop())
     monkeypatch.setattr(FastEngine, "cache", TranslationCache())
     module = parse_module(REMAINDER_MODULE)

@@ -262,6 +262,27 @@ class TestResultImport:
             with pytest.raises(ResultsDBError, match="unrecognized"):
                 ingest_results_file(db, path)
 
+    @pytest.mark.parametrize("version", [1, 99, None])
+    def test_unreadable_matrix_version_raises(self, ground_truth, tmp_path, version):
+        # version 1 stored fault values as repr() strings; nothing reads it
+        cell = result_to_dict(ground_truth.results["REFINE"])
+        fault = next(r["fault"] for r in cell["records"] if r["fault"])
+        fault["value_before"], fault["value_after"] = "3", "7.0"
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({"version": version, "cells": [cell]}))
+        with ResultsDB() as db:
+            with pytest.raises(ResultsDBError, match="version"):
+                ingest_results_file(db, path)
+
+    def test_malformed_fault_value_raises(self, ground_truth, tmp_path):
+        cell = result_to_dict(ground_truth.results["REFINE"])
+        next(r["fault"] for r in cell["records"] if r["fault"])["value_after"] = "7.0"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"version": 3, "cells": [cell]}))
+        with ResultsDB() as db:
+            with pytest.raises(ResultsDBError, match="malformed fault value"):
+                ingest_results_file(db, path)
+
     def test_non_object_raises(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2, 3]")
