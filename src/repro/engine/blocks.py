@@ -10,23 +10,29 @@ tuple unpacking, no dynamic accounting.
 Dynamic accounting is recovered *in bulk* by the trampoline
 (:mod:`repro.engine.fast`): a block is a contiguous pc range, so its
 execution contributes a known constant to ``steps``, to every
-``counts[pc]`` in its extent, and to the REFINE/PINFI trigger counters
-(:attr:`BlockMeta.sites` / :attr:`BlockMeta.cands`).
+``counts[pc]`` in its extent, and to the REFINE, PINFI and LLFI trigger
+counters (:attr:`BlockMeta.sites` / :attr:`BlockMeta.cands` /
+:attr:`BlockMeta.llfis`).
 
 Traps keep exact reference semantics because every potentially-trapping
 instruction raises with its own pc; the trampoline rewinds the batched
 accounting to the executed prefix (``range(entry, trap.pc)``).
 
+**A trigger cannot fire inside a block.**  Fire points are interpreted, so
+a REFINE ``fi_check`` is no code at all and an LLFI visit — a call to an
+``__fi_inject_*`` stub — is its unfired effect: the value passes through
+(:attr:`~repro.machine.intrinsics.IntrinsicTable.unfired`).
+
 **A block computes only what is observed.**  It owes the interpreter's exact
 FLAGS at its exit (the next block, an interpreted stride, a sync state or a
-fork reads them there) and at an intrinsic call (the intrinsic is handed the
-CPU); a flag write that the block itself overwrites before either is never
-emitted (:func:`flag_liveness`), so a ``cmp`` whose flags nobody reads is no
-code at all.  At a trap it owes only what a trapped run is compared on —
-trap kind, trap pc, steps, counts, output: ``ExecutionResult`` carries no
-flags and no state is compared after a trap.  Faults never land inside a
-block (fire points are interpreted), so a block always starts from exact
-state.
+fork reads them there) and at an intrinsic call that is not an LLFI visit
+(the intrinsic is handed the CPU); a flag write that the block itself
+overwrites before either is never emitted (:func:`flag_liveness`), so a
+``cmp`` whose flags nobody reads is no code at all.  At a trap it owes only
+what a trapped run is compared on — trap kind, trap pc, steps, counts,
+output: ``ExecutionResult`` carries no flags and no state is compared after
+a trap.  Faults never land inside a block, so a block always starts from
+exact state.
 
 **8-byte memory traffic goes through typed views.**  ``make_blocks`` binds
 ``memoryview`` casts of ``cpu.mem`` once per instantiation: ``QS[k]`` /
@@ -46,7 +52,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
@@ -65,8 +71,9 @@ from repro.utils.bits import MASK64, to_signed64
 #: Bump whenever generated code or block layout changes shape; part of the
 #: translation fingerprint (:func:`repro.engine.cache.translation_fingerprint`).
 #: 2: dead flag writes dropped, memory words through typed views, no pc in
-#: the generated code.  3: rendered from the semantics table.
-TRANSLATION_VERSION = 3
+#: the generated code.  3: rendered from the semantics table.  4: an LLFI
+#: visit is its unfired effect.
+TRANSLATION_VERSION = 4
 
 #: Whether generated code indexes typed views of memory: they are native
 #: byte order, and the machine's memory is little-endian.
@@ -78,27 +85,23 @@ _TARGETS = {
     for op, sem in SEMANTICS.items()
 }
 
-#: Intrinsic indices that advance the LLFI visit counter (``llfi_count``):
-#: the ``__fi_inject_*`` calls the LLFI instrumentation pass emits.
-_LLFI_INJECT_IDS = frozenset(
-    INTRINSIC_TABLE.index_of(name)
-    for name in ("__fi_inject_i64", "__fi_inject_f64", "__fi_inject_i1")
-)
+def is_llfi_visit(t: tuple) -> bool:
+    """Whether instruction ``t`` calls an LLFI stub: a visit, which advances
+    ``llfi_count``."""
+    return t[0] == O.INTR and t[1] in INTRINSIC_TABLE.unfired
 
 
-@dataclass(frozen=True)
-class BlockMeta:
-    """Static facts about one block the trampoline batches on."""
+class BlockMeta(NamedTuple):
+    """Static facts about the straight-line run from an entry pc to the end
+    of its block (a contiguous pc range), which the trampoline batches on."""
 
-    #: first pc past the block (blocks are contiguous pc ranges)
-    end: int
-    #: number of instructions in the block
+    #: number of instructions
     length: int
     #: static FI_CHECK count (REFINE trigger increment per execution)
     sites: int
     #: static candidate count (PINFI trigger increment while attached)
     cands: int
-    #: static ``__fi_inject_*`` intrinsic count (LLFI trigger increment)
+    #: static LLFI visit count (LLFI trigger increment)
     llfis: int
 
 
@@ -144,12 +147,11 @@ def block_meta(program: LoadedProgram, start: int, end: int) -> BlockMeta:
         t = code[pc]
         if t[0] == O.FI_CHECK:
             sites += 1
-        elif t[0] == O.INTR and t[1] in _LLFI_INJECT_IDS:
+        elif is_llfi_visit(t):
             llfis += 1
         if is_cand[pc]:
             cands += 1
-    return BlockMeta(end=end, length=end - start, sites=sites, cands=cands,
-                     llfis=llfis)
+    return BlockMeta(end - start, sites, cands, llfis)
 
 
 def flag_liveness(code: list[tuple], start: int, end: int) -> list[bool]:
@@ -157,16 +159,17 @@ def flag_liveness(code: list[tuple], start: int, end: int) -> list[bool]:
     leaves behind observed?
 
     One backward pass: a write is live when a flag reader
-    (:data:`FLAG_READERS`) or the block's exit comes before the next full
-    flag write.  Only meaningful for flag writers; a trap observes nothing
-    (see the module docstring).
+    (:data:`FLAG_READERS`, but not an LLFI visit, which a block renders
+    without the CPU) or the block's exit comes before the next full flag
+    write.  Only meaningful for flag writers; a trap observes nothing (see
+    the module docstring).
     """
     live = [True] * (end - start)
     observed = True  # the block owes exact flags at its exit
     for pc in range(end - 1, start - 1, -1):
         live[pc - start] = observed
         op = code[pc][0]
-        if op in FLAG_READERS:
+        if op in FLAG_READERS and not is_llfi_visit(code[pc]):
             observed = True
         elif op in FLAG_WRITERS:
             observed = False
@@ -282,7 +285,11 @@ def gen_block_body(ctx: _Block, code: list[tuple], start: int, end: int) -> list
     lines: list[str] = []
     for i in range(start, end):
         op = code[i][0]
-        if op in SEMANTICS:
+        if is_llfi_visit(code[i]):
+            unfired = INTRINSIC_TABLE.unfired[code[i][1]]
+            if unfired:
+                lines.append(unfired)
+        elif op in SEMANTICS:
             ctx.emit(op, code[i], lines, i, live[i - start])
         else:
             lines.append(f"raise IllegalInstruction(f'opcode {op}', P[{i}])")

@@ -22,6 +22,7 @@ from collections import OrderedDict
 
 from repro.engine.blocks import (
     TRANSLATION_VERSION,
+    BlockMeta,
     block_meta,
     discover_blocks,
     exec_namespace,
@@ -60,44 +61,31 @@ class Translation:
         self.fingerprint = fingerprint
         leaders, end_of = discover_blocks(program)
         self.end_of = end_of
-        #: entry pc -> block end / length / FI_CHECK sites / candidates /
-        #: LLFI inject-intrinsic visits; block leaders up front, any other
+        #: entry pc -> the :class:`~repro.engine.blocks.BlockMeta` of the run
+        #: from it to the end of its block; block leaders up front, any other
         #: pc execution enters at on demand (:meth:`cover`)
-        self.ends: dict[int, int] = {}
-        self.lens: dict[int, int] = {}
-        self.sites: dict[int, int] = {}
-        self.cands: dict[int, int] = {}
-        self.llfis: dict[int, int] = {}
-        for start in leaders:
-            self._register_meta(start, end_of[start])
+        self.meta = {start: block_meta(program, start, end_of[start]) for start in leaders}
         source, self._pcs = gen_source(program, leaders, end_of)
         self._factory = compiled(source)
-
-    def _register_meta(self, start: int, end: int) -> None:
-        meta = block_meta(self.program, start, end)
-        self.ends[start] = meta.end
-        self.lens[start] = meta.length
-        self.sites[start] = meta.sites
-        self.cands[start] = meta.cands
-        self.llfis[start] = meta.llfis
 
     def instantiate(self, cpu, FL) -> dict:
         """Bind the translated blocks to one CPU's register/memory objects."""
         return self._factory(cpu, FL, self._pcs)
 
-    def cover(self, pc: int) -> None:
-        """Make the per-entry tables answer for a pc that is not a block
-        leader: the straight-line run from ``pc`` to the end of its block.
+    def cover(self, pc: int) -> BlockMeta:
+        """The meta of the straight-line run from ``pc`` to the end of its
+        block, for a pc that need not be a block leader.
 
         Static facts only — no code is generated for a mid-block entry; the
         trampoline interprets that run (see :mod:`repro.engine.fast`).
         """
-        # keyed on the table ``_register_meta`` fills last: translations are
-        # shared by the threads of a process (a caller's own — two ``Worker``s
-        # on threads, say), and none may find ``pc`` half registered (two
-        # registering it at once write the same values)
-        if pc not in self.llfis:
-            self._register_meta(pc, self.end_of[pc])
+        meta = self.meta.get(pc)
+        if meta is None:
+            # one assignment: the threads of a process share translations
+            # (a caller's own — two ``Worker``s on threads, say), and two
+            # covering ``pc`` at once store equal values
+            meta = self.meta[pc] = block_meta(self.program, pc, self.end_of[pc])
+        return meta
 
 
 class TranslationCache:

@@ -8,13 +8,13 @@ reference-exact by construction:
 * **budget tails** — when the next block could cross the step budget, the
   remainder of the run is delegated to the reference loop (the
   timeout-vs-snapshot-vs-halt ordering lives there);
-* **exact strides** — a sync point inside the next block, an armed
-  REFINE/PINFI plan whose counter would cross its target inside it, or a pc
-  that is not a translated block entry (a sync state, the instruction after
-  a fire point, a corrupted return address) all take the one slow path:
-  flush the batch, run the reference loop for exactly k instructions — to
-  the sync step, through the fire point, to the end of the enclosing block —
-  and free-run again from wherever that stops (the ZOFI insight: the binary
+* **exact strides** — a sync point inside the next block, an armed plan
+  whose trigger counter would cross its target inside it, or a pc that is
+  not a translated block entry (a sync state, the instruction after a fire
+  point, a corrupted return address) all take the one slow path: flush the
+  batch, run the reference loop for exactly k instructions — to the sync
+  step, through the fire point, to the end of the enclosing block — and
+  free-run again from wherever that stops (the ZOFI insight: the binary
   runs uninstrumented outside a bounded window around the injection point).
   While a dwell window is open every site is a fire point, and the
   reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows.
@@ -37,15 +37,33 @@ output, and the full state wherever execution pauses — is bit-identical to
 the reference interpreter: free-run accounting is batched per block (a block
 is a contiguous pc range, so its contribution is a static constant), trap
 unwinding rewinds the batch to the executed prefix, and a block owes exact
-flags only where they are observed (:mod:`repro.engine.blocks`).  LLFI needs
-no arming at all: its injection fires inside intrinsic calls, which free-run
-blocks execute natively.
+flags only where they are observed (:mod:`repro.engine.blocks`).
+
+**Three tools, one trigger mechanism.**  REFINE's ``fi_check``s, PINFI's
+candidates and LLFI's visits (calls to an ``__fi_inject_*`` stub) are all
+static per block, so the trampoline batches all three counters, and a block
+renders an LLFI visit as the stub's unfired effect, the value passing
+through.  The visit where an armed LLFI plan fires is interpreted like any
+other fire point; the stub itself then runs, on the reference loop.
+
+**One horizon test per block.**  Each counter advances by at most a
+block's length per block (its sites are the block's instructions), so a
+counter read at ``x`` at step ``steps`` cannot reach its target ``t`` inside
+any later block that ends before step ``steps + t - x``, whatever runs in
+between.  The trampoline keeps ``H``, the least of those, of the budget and
+of the next sync point, and a block whose end ``steps + n`` is below ``H``
+runs with no other test.  One that is not takes the slow path: each event
+is tested exactly there and, when none is due, ``H`` is taken afresh and
+the block runs.  Each time the horizon is met short of a target, the
+distance left has shrunk by the share of the steps run that the counter
+took, so a far target costs a few dozen slow tests, not one per block.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.engine.blocks import block_meta, is_llfi_visit
 from repro.engine.cache import GLOBAL_CACHE
 from repro.errors import MachineTrap
 from repro.machine.cpu import CPU, ExecutionResult
@@ -57,16 +75,16 @@ from repro.machine import opcodes as O
 #: the trampoline at the first watcher tick that finds a fault applied.
 CAREFUL_WINDOW = 256
 
-#: Sentinel step count larger than any budget ("no sync point pending").
-_NO_SYNC = 1 << 62
+#: A step count or a counter value no budget reaches: the target of a
+#: counter nothing waits for, and the sync point when none is pending.
+_NEVER = 1 << 62
 
-#: Trigger-counter name -> per-block static increment table on the
-#: translation (see :class:`repro.engine.blocks.BlockMeta`).
-CURSOR_TABLES = {
-    "refine_count": "sites",
-    "pin_count": "cands",
-    "llfi_count": "llfis",
-}
+#: The trigger counters, in the order of the block table's increments.
+COUNTERS = ("refine_count", "pin_count", "llfi_count")
+
+#: What the block table answers for a pc that is not a block entry: its
+#: length puts ``steps + n`` past any horizon, so the slow path sees it.
+_MISS = (None, _NEVER, 0, 0, 0)
 
 
 class _ExitFast(Exception):
@@ -125,9 +143,11 @@ class FastEngine:
 
     # -- trampoline ---------------------------------------------------------
 
-    @staticmethod
-    def _block_ctx(cpu: CPU, trans):
-        """Per-CPU instantiated-blocks cache.
+    def _block_ctx(self, cpu: CPU):
+        """``(translation, FL, table)`` for ``cpu``: the block table maps
+        each block entry to ``(fn, n, sites, cands, llfis)``, the block's
+        function bound to this CPU and its
+        :class:`~repro.engine.blocks.BlockMeta`.
 
         Instantiating a translation builds one closure per block, which
         costs more than a short fault tail executes.  The generated
@@ -135,89 +155,98 @@ class FastEngine:
         identity, and every state mutation (including snapshot restore)
         is in-place, so one instantiation per (CPU, translation) pair is
         enough — campaign schedulers reuse a single CPU across tails.
+
+        A CPU recording residency (``_site_trace``) is refused: blocks
+        count trigger sites in bulk and cannot list them one by one
+        (``CPU.run`` can).
         """
+        if cpu._site_trace is not None:
+            raise ValueError("a CPU recording its site trace runs on CPU.run")
+        trans = self.cache.translation_for(cpu.program)
         ctx = cpu._fast_ctx
         if ctx is None or ctx[0] is not trans:
             FL = [cpu.flags]
-            ctx = cpu._fast_ctx = (trans, FL, trans.instantiate(cpu, FL))
-        return ctx[1], ctx[2]
+            meta = trans.meta
+            table = {pc: (fn, *meta[pc]) for pc, fn in trans.instantiate(cpu, FL).items()}
+            ctx = cpu._fast_ctx = (trans, FL, table)
+        return ctx
 
     @staticmethod
-    def _fire_offset(
-        program, pc, end, r_armed, need_r, p_armed, need_p
-    ) -> int | None:
+    def _fire_offset(program, pc, end, need_r, need_p, need_l) -> int | None:
         """Slow-loop steps from entry ``pc`` through the instruction where
-        an armed trigger reaches its target.
+        an armed trigger reaches its target, ``need_*`` more of its sites
+        (REFINE ``fi_check``s, PINFI candidates, LLFI visits) on.
 
-        A basic block is straight-line, so the ``need``-th FI_CHECK (or
-        PINFI candidate) after ``pc`` is statically determined.  ``None``
-        when neither armed counter's crossing is locatable in the block —
-        the counter is already at or past its target, i.e. a dwell window
-        is open (the caller falls back to the watcher window).
+        A basic block is straight-line, so that instruction is statically
+        determined.  ``None`` when no counter's crossing is locatable in
+        the block — a counter is already at or past its target, i.e. a
+        dwell window is open (the caller falls back to the watcher window).
         """
-        k = None
-        if r_armed:
-            code = program.code
-            need = need_r
-            for p in range(pc, end):
-                if code[p][0] == O.FI_CHECK:
-                    need -= 1
-                    if not need:
-                        k = p - pc + 1
-                        break
-        if p_armed:
-            is_cand = program.is_candidate
-            need = need_p
-            for p in range(pc, end):
-                if is_cand[p]:
-                    need -= 1
-                    if not need:
-                        off = p - pc + 1
-                        if k is None or off < k:
-                            k = off
-                        break
-        return k
+        code = program.code
+        is_cand = program.is_candidate
+        for p in range(pc, end):
+            t = code[p]
+            if t[0] == O.FI_CHECK:
+                need_r -= 1
+                if not need_r:
+                    return p - pc + 1
+            elif is_llfi_visit(t):
+                need_l -= 1
+                if not need_l:
+                    return p - pc + 1
+            if is_cand[p]:
+                need_p -= 1
+                if not need_p:
+                    return p - pc + 1
+        return None
 
     @staticmethod
     def _reload(cpu: CPU, FL, syncs):
         """The trampoline's locals, read off a synced CPU: ``(steps, rc,
-        pin, attached, r_plan, p_plan, sync_v)``.
+        pin, lc, attached, r_target, p_target, l_target, sync_v)``.
 
-        A plan stays armed only until its fault has fired and its dwell
-        window has closed (single-shot plans: ``last_index ==
-        target_index``); ``sync_v`` is the first sync point still ahead —
-        any the reference loop overshot are dropped (sync observation is
+        A plan's target stays armed only until its fault has fired and its
+        dwell window has closed (single-shot plans: ``last_index ==
+        target_index``), and PINFI's only while attached; a disarmed target
+        is :data:`_NEVER`.  ``sync_v`` is the first sync point still ahead
+        — any the reference loop overshot are dropped (sync observation is
         opportunistic).
         """
         steps = cpu.steps
         FL[0] = cpu.flags
         rc = cpu._refine_count
         pin = cpu._pin_count
-        r_plan = cpu._refine_plan
-        p_plan = cpu._pin_plan
-        if cpu.fault is not None:
-            if r_plan is not None and rc >= r_plan.last_index:
-                r_plan = None
-            if p_plan is not None and pin >= p_plan.last_index:
-                p_plan = None
-        sync_v = _NO_SYNC
+        lc = cpu._llfi_count
+        attached = cpu._attached
+        fired = cpu.fault is not None
+        targets = []
+        for plan, count, armed in (
+            (cpu._refine_plan, rc, True),
+            (cpu._pin_plan, pin, attached),
+            (cpu._llfi_plan, lc, True),
+        ):
+            if plan is None or not armed or fired and count >= plan.last_index:
+                targets.append(_NEVER)
+            else:
+                targets.append(plan.target_index)
+        sync_v = _NEVER
         if syncs:
             sync_i = bisect_right(syncs, steps)
             if sync_i < len(syncs):
                 sync_v = syncs[sync_i]
-        return steps, rc, pin, cpu._attached, r_plan, p_plan, sync_v
+        return (steps, rc, pin, lc, attached, *targets, sync_v)
 
-    def _interpret(self, cpu, FL, execs, trans, steps, rc, pin, pc, k, syncs):
+    def _interpret(self, cpu, FL, execs, table, steps, rc, pin, lc, pc, k, syncs):
         """The one slow path: flush the batch, run the reference loop from
         ``pc`` for exactly ``k`` instructions (``None``: the watcher
         window), and reload the trampoline's locals.
 
         Returns ``(pc, *_reload())`` with ``pc`` the instruction to
         free-run from, ``None`` if the program halted first.  Machine traps
-        propagate.  Armed plans, dwell windows, LLFI intrinsics and the
-        PINFI detach inside the stride are the reference loop's business.
+        propagate.  Armed plans, dwell windows, LLFI stubs and the PINFI
+        detach inside the stride are the reference loop's business.
         """
-        self._flush(cpu, FL, execs, trans, steps, rc, pin)
+        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
         if k is None:
             cpu._snap_every, cpu._snap_hook = CAREFUL_WINDOW, _fault_watcher
         else:
@@ -242,78 +271,81 @@ class FastEngine:
     ) -> ExecutionResult | None:
         if budget is not None:
             cpu.budget = budget
-        trans = self.cache.translation_for(cpu.program)
-        FL, blocks = self._block_ctx(cpu, trans)
-        lens = trans.lens
-        sites = trans.sites
-        cands = trans.cands
+        trans, FL, table = self._block_ctx(cpu)
         execs: dict[int, int] = {}
 
         budget_v = cpu.budget
         # (a fault that fired before the resume point may already have
         # closed a plan's window: _reload disarms it)
-        steps, rc, pin, attached, r_plan, p_plan, sync_v = self._reload(
-            cpu, FL, syncs
+        steps, rc, pin, lc, attached, r_target, p_target, l_target, sync_v = (
+            self._reload(cpu, FL, syncs)
         )
-        r_target = r_plan.target_index if r_plan is not None else 0
-        p_target = p_plan.target_index if p_plan is not None else 0
+        horizon = 0  # the first block takes the slow path, which sets it
 
-        blocks_get = blocks.get
+        get = table.get
 
         try:
             while True:
-                fn = blocks_get(pc)
-                if fn is None:
-                    trans.cover(pc)  # not a block entry: static facts only
-                n = lens[pc]
+                fn, n, s, c, l = get(pc, _MISS)
 
-                if steps + n >= budget_v and budget_v <= sync_v:
-                    # The budget could expire inside this block: hand the
-                    # whole tail to the reference loop (plans included),
-                    # preserving the exact timeout/halt ordering at the
-                    # boundary.  (On a budget/sync tie the timeout wins,
-                    # matching the reference loop's check order, so the
-                    # sync point is moot.)
-                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                    cpu._loop(pc)
-                    return cpu.build_result()
+                if steps + n >= horizon:
+                    if fn is None:
+                        n, s, c, l = trans.cover(pc)  # static facts only
+                    if steps + n >= budget_v and budget_v <= sync_v:
+                        # The budget could expire inside this block: hand the
+                        # whole tail to the reference loop (plans included),
+                        # preserving the exact timeout/halt ordering at the
+                        # boundary.  (On a budget/sync tie the timeout wins,
+                        # matching the reference loop's check order, so the
+                        # sync point is moot.)
+                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        cpu._loop(pc)
+                        return cpu.build_result()
 
-                at_sync = steps + n >= sync_v
-                r_armed = r_plan is not None and rc + sites[pc] >= r_target
-                p_armed = (
-                    p_plan is not None and attached and pin + cands[pc] >= p_target
-                )
-                if at_sync or r_armed or p_armed or fn is None:
-                    if at_sync:
-                        # A sync point lands inside this block: stop at
-                        # exactly that step, then observe.
-                        k = sync_v - steps
-                    elif r_armed or p_armed:
-                        # The armed trigger fires inside this block, at a
-                        # statically known instruction: slow-step exactly
-                        # through it.  (Not locatable: watcher window.)
-                        k = self._fire_offset(
-                            cpu.program, pc, trans.ends[pc],
-                            r_armed, r_target - rc, p_armed, p_target - pin,
-                        )
-                    else:
-                        # Entered mid-block: finish the block.
-                        k = n
-                    (pc, steps, rc, pin, attached, r_plan, p_plan,
-                     sync_v) = self._interpret(
-                        cpu, FL, execs, trans, steps, rc, pin, pc, k, syncs
+                    at_sync = steps + n >= sync_v
+                    armed = (
+                        rc + s >= r_target or pin + c >= p_target
+                        or lc + l >= l_target
                     )
-                    if pc is None:
-                        return cpu.build_result()  # halted inside the stride
-                    if at_sync and on_sync is not None and on_sync(cpu, pc):
-                        return None
-                    continue
+                    event = at_sync or armed or fn is None
+                    if event:
+                        if at_sync:
+                            # A sync point lands inside this block: stop at
+                            # exactly that step, then observe.
+                            k = sync_v - steps
+                        elif armed:
+                            # The armed trigger fires inside this block, at
+                            # a statically known instruction: slow-step
+                            # exactly through it.  (Not locatable: watcher
+                            # window.)
+                            k = self._fire_offset(
+                                cpu.program, pc, pc + n,
+                                r_target - rc, p_target - pin, l_target - lc,
+                            )
+                        else:
+                            # Entered mid-block: finish the block.
+                            k = n
+                        (pc, steps, rc, pin, lc, attached, r_target, p_target,
+                         l_target, sync_v) = self._interpret(
+                            cpu, FL, execs, table, steps, rc, pin, lc, pc, k,
+                            syncs,
+                        )
+                        if pc is None:
+                            return cpu.build_result()  # halted inside the stride
+                        if at_sync and on_sync is not None and on_sync(cpu, pc):
+                            return None
+                    horizon = min(
+                        budget_v, sync_v, steps + r_target - rc,
+                        steps + p_target - pin, steps + l_target - lc,
+                    )
+                    if event:
+                        continue
 
                 try:
                     next_pc = fn()
                 except MachineTrap as trap:
-                    self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
-                                      attached, pc, trap.pc)
+                    self._unwind_trap(cpu, FL, execs, table, steps, rc, pin,
+                                      lc, attached, pc, trap.pc)
                     raise
 
                 if pc in execs:
@@ -321,11 +353,12 @@ class FastEngine:
                 else:
                     execs[pc] = 1
                 steps += n
-                rc += sites[pc]
+                rc += s
                 if attached:
-                    pin += cands[pc]
+                    pin += c
+                lc += l
                 if next_pc < 0:
-                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                    self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                     return cpu.build_result()
                 pc = next_pc
         except MachineTrap as trap:
@@ -349,13 +382,13 @@ class FastEngine:
 
         The trigger-ordered scheduler advances one cursor monotonically
         along the golden run.  ``counter`` names the tool's trigger counter
-        (``refine_count`` / ``pin_count`` / ``llfi_count``); whenever the
-        next block would carry that counter to ``first_stop`` or beyond,
-        the engine syncs the CPU at the block entry — counter still
-        strictly below every pending trigger — and calls
-        ``fork_hook(cpu, pc, upto)`` with ``upto`` the counter value after
-        the block.  The hook captures one snapshot covering every pending
-        trigger ``<= upto`` and returns the next stop (or ``None``).
+        (one of :data:`COUNTERS`); whenever the next block would carry that
+        counter to ``first_stop`` or beyond, the engine syncs the CPU at the
+        block entry — counter still strictly below every pending trigger —
+        and calls ``fork_hook(cpu, pc, upto)`` with ``upto`` the counter
+        value after the block.  The hook captures one snapshot covering
+        every pending trigger ``<= upto`` and returns the next stop (or
+        ``None``).
 
         ``syncs``/``sync_hook`` additionally pause at exact absolute step
         counts (reference states for golden-rejoin detection); the fork
@@ -379,72 +412,71 @@ class FastEngine:
         """
         if budget is not None:
             cpu.budget = budget
-        cnt_attr = "_" + counter
+        which = COUNTERS.index(counter)
 
-        trans = self.cache.translation_for(cpu.program)
-        FL, blocks = self._block_ctx(cpu, trans)
-        lens = trans.lens
-        sites = trans.sites
-        cands = trans.cands
-        table = getattr(trans, CURSOR_TABLES[counter])
+        trans, FL, table = self._block_ctx(cpu)
         execs: dict[int, int] = {}
 
         pc = cpu.prepare_entry() if start_pc is None else start_pc
         budget_v = cpu.budget
-        steps, rc, pin, attached, _, _, sync_v = self._reload(cpu, FL, syncs)
-        live = counter == "llfi_count"  # intrinsics maintain it natively
-        cnt = getattr(cpu, cnt_attr)
+        steps, rc, pin, lc, attached, _, _, _, sync_v = self._reload(cpu, FL, syncs)
         stop = first_stop
         if sync_hook is not None and start_pc is None:
-            sync_hook(cpu, pc, cnt)
+            sync_hook(cpu, pc, (rc, pin, lc)[which])
+        horizon = 0  # the first block takes the slow path, which sets it
 
-        blocks_get = blocks.get
+        get = table.get
 
         try:
             while True:
-                fn = blocks_get(pc)
-                if fn is None:
-                    trans.cover(pc)  # not a block entry: static facts only
-                n = lens[pc]
+                fn, n, s, c, l = get(pc, _MISS)
 
-                if steps + n >= budget_v and budget_v <= sync_v:
-                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                    cpu._loop(pc)
-                    return cpu.build_result()
-
-                if stop is not None:
-                    if live:
-                        cnt = cpu._llfi_count
-                    upto = cnt + table[pc]
-                    if upto >= stop:
-                        # A pending trigger fires inside this block: fork at
-                        # the block entry, before any stride can cross it.
-                        self._flush(cpu, FL, execs, trans, steps, rc, pin)
-                        stop = fork_hook(cpu, pc, upto)
-                        if stop is None and start_pc is not None:
-                            return None
-
-                at_sync = steps + n >= sync_v
-                if at_sync or fn is None:
-                    # Stop at exactly the sync step and report the state
-                    # there, or (entered mid-block) finish the block.
-                    pc, steps, rc, pin, attached, _, _, sync_v = self._interpret(
-                        cpu, FL, execs, trans, steps, rc, pin, pc,
-                        sync_v - steps if at_sync else n, syncs,
-                    )
-                    if pc is None:
+                if steps + n >= horizon:
+                    if fn is None:
+                        n, s, c, l = trans.cover(pc)  # static facts only
+                    if steps + n >= budget_v and budget_v <= sync_v:
+                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        cpu._loop(pc)
                         return cpu.build_result()
-                    cnt = getattr(cpu, cnt_attr)
-                    if at_sync and sync_hook is not None:
-                        trans.cover(pc)
-                        sync_hook(cpu, pc, cnt + table[pc])
-                    continue
+
+                    if stop is not None:
+                        upto = (rc, pin, lc)[which] + (s, c, l)[which]
+                        if upto >= stop:
+                            # A pending trigger fires inside this block: fork
+                            # at the block entry, before any stride can cross
+                            # it.
+                            self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                            stop = fork_hook(cpu, pc, upto)
+                            if stop is None and start_pc is not None:
+                                return None
+
+                    at_sync = steps + n >= sync_v
+                    event = at_sync or fn is None
+                    if event:
+                        # Stop at exactly the sync step and report the state
+                        # there, or (entered mid-block) finish the block.
+                        pc, steps, rc, pin, lc, attached, _, _, _, sync_v = (
+                            self._interpret(
+                                cpu, FL, execs, table, steps, rc, pin, lc, pc,
+                                sync_v - steps if at_sync else n, syncs,
+                            )
+                        )
+                        if pc is None:
+                            return cpu.build_result()
+                        if at_sync and sync_hook is not None:
+                            reach = (rc, pin, lc)[which] + trans.cover(pc)[1 + which]
+                            sync_hook(cpu, pc, reach)
+                    horizon = min(budget_v, sync_v)
+                    if stop is not None:
+                        horizon = min(horizon, steps + stop - (rc, pin, lc)[which])
+                    if event:
+                        continue
 
                 try:
                     next_pc = fn()
                 except MachineTrap as trap:
-                    self._unwind_trap(cpu, FL, execs, trans, steps, rc, pin,
-                                      attached, pc, trap.pc)
+                    self._unwind_trap(cpu, FL, execs, table, steps, rc, pin,
+                                      lc, attached, pc, trap.pc)
                     raise
 
                 if pc in execs:
@@ -452,13 +484,12 @@ class FastEngine:
                 else:
                     execs[pc] = 1
                 steps += n
-                rc += sites[pc]
+                rc += s
                 if attached:
-                    pin += cands[pc]
-                if not live:
-                    cnt = rc if counter == "refine_count" else pin
+                    pin += c
+                lc += l
                 if next_pc < 0:
-                    self._flush(cpu, FL, execs, trans, steps, rc, pin)
+                    self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                     return cpu.build_result()
                 pc = next_pc
         except MachineTrap as trap:
@@ -467,42 +498,36 @@ class FastEngine:
     # -- batched accounting -------------------------------------------------
 
     @staticmethod
-    def _flush(cpu, FL, execs, trans, steps, rc, pin) -> None:
+    def _flush(cpu, FL, execs, table, steps, rc, pin, lc) -> None:
         """Expand batched block accounting onto the CPU object."""
         counts = cpu.counts
-        ends = trans.ends
         for entry, k in execs.items():
-            for p in range(entry, ends[entry]):
+            for p in range(entry, entry + table[entry][1]):
                 counts[p] += k
         execs.clear()
         cpu.steps = steps
         cpu.flags = FL[0]
         cpu._refine_count = rc
         cpu._pin_count = pin
+        cpu._llfi_count = lc
         if cpu._attached:
             cpu.attached_candidates = pin
 
-    def _unwind_trap(self, cpu, FL, execs, trans, steps, rc, pin,
+    def _unwind_trap(self, cpu, FL, execs, table, steps, rc, pin, lc,
                      attached, entry, trap_pc) -> None:
         """Account the executed prefix of a block that trapped mid-way.
 
         Reference semantics: instructions before the trapping one are
         counted; the trapping instruction itself is not.
         """
-        self._flush(cpu, FL, execs, trans, steps, rc, pin)
+        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
         counts = cpu.counts
-        code = cpu.program.code
-        is_cand = cpu.program.is_candidate
-        extra_rc = 0
-        extra_pin = 0
         for p in range(entry, trap_pc):
             counts[p] += 1
-            if code[p][0] == O.FI_CHECK:
-                extra_rc += 1
-            if is_cand[p]:
-                extra_pin += 1
-        cpu.steps = steps + (trap_pc - entry)
-        cpu._refine_count = rc + extra_rc
+        prefix = block_meta(cpu.program, entry, trap_pc)
+        cpu.steps = steps + prefix.length
+        cpu._refine_count = rc + prefix.sites
+        cpu._llfi_count = lc + prefix.llfis
         if attached:
-            cpu._pin_count = pin + extra_pin
+            cpu._pin_count = pin + prefix.cands
             cpu.attached_candidates = cpu._pin_count

@@ -193,7 +193,8 @@ class CPU:
         self._cur_pc = 0
 
         #: when set to a list, the loop appends the pc of every dynamic
-        #: candidate it observes (residency recording, repro.fi.models)
+        #: candidate it observes (residency recording, repro.fi.models);
+        #: only ``CPU.run`` records it, the fast engine refuses such a CPU
         self._site_trace: list[int] | None = None
 
         # Snapshot recording (armed by repro.snapshot): every
@@ -203,7 +204,7 @@ class CPU:
         self._snap_every = 0
         self._snap_hook = None
 
-        # Fast-engine per-CPU context: (translation, FL, blocks).  Owned by
+        # Fast-engine per-CPU context: (translation, FL, block table).  Owned by
         # repro.engine.fast; lives here so one CPU reused across many runs
         # keeps its instantiated block closures.
         self._fast_ctx = None

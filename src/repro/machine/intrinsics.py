@@ -171,9 +171,18 @@ class IntrinsicTable:
         self.names: list[str] = []
         self.impls: list[Callable] = []
         self._index: dict[str, int] = {}
+        #: id -> what an LLFI visit does where its fault does not fire (see
+        #: :meth:`register`)
+        self.unfired: dict[int, str] = {}
 
-    def register(self, name: str, impl: Callable) -> None:
+    def register(self, name: str, impl: Callable, unfired: str | None = None) -> None:
+        """Add ``name``; an LLFI stub also gives ``unfired``, its effect
+        where its fault does not fire — the value passes through — as a line
+        over the register files ``I`` / ``F`` (empty: none).  A translated
+        block renders a visit as that line (:mod:`repro.engine.blocks`)."""
         self._index[name] = len(self.names)
+        if unfired is not None:
+            self.unfired[len(self.names)] = unfired
         self.names.append(name)
         self.impls.append(impl)
 
@@ -197,6 +206,8 @@ for _name in PURE_MATH:
         _name,
         _binary_math(_name) if _name in BINARY_MATH else _unary_math(_name),
     )
-INTRINSIC_TABLE.register("__fi_inject_i64", _llfi_inject_i64)
-INTRINSIC_TABLE.register("__fi_inject_f64", _llfi_inject_f64)
-INTRINSIC_TABLE.register("__fi_inject_i1", _llfi_inject_i1)
+INTRINSIC_TABLE.register("__fi_inject_i64", _llfi_inject_i64,
+                         unfired=f"I[{RAX_IDX}] = I[{RSI_IDX}]")
+INTRINSIC_TABLE.register("__fi_inject_f64", _llfi_inject_f64, unfired="")
+INTRINSIC_TABLE.register("__fi_inject_i1", _llfi_inject_i1,
+                         unfired=f"I[{RAX_IDX}] = I[{RSI_IDX}]")

@@ -14,7 +14,8 @@ executing this program agree?":
   identical to the uninstrumented golden run, modulo the hooks themselves.
 * :class:`EngineOracle` / :class:`SchedulerOracle` — the fast engine and
   the cursor/fork/sync primitives of the trigger scheduler vs the
-  interpreter loop, on the program alone (no fault).
+  interpreter loop: the program alone (no fault), and for the engine also
+  its LLFI build, unarmed and with one fault.
 
 One level up, :func:`check_workload_equivalence` holds a whole production
 campaign on a registered workload to the reference campaign
@@ -27,15 +28,18 @@ its input (pass pipeline + pre-isel lowering).
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import astuple, dataclass
 
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
+from repro.fi.llfi import llfi_instrument
 from repro.fi.refine import refine_instrument
 from repro.ir import Module, clone_module
-from repro.machine.cpu import CPU, ExecutionResult
+from repro.machine.cpu import CPU, ExecutionResult, FaultPlan
 from repro.machine.loader import LoadedProgram, load_binary
 from repro.testing.interp import interpret
+from repro.utils.rng import SplitMix64
 from repro.workloads import get_workload
 
 #: Step budgets for fuzzed programs.  Generated programs terminate in a few
@@ -294,6 +298,13 @@ class EngineOracle(Oracle):
     the **same** machine budget, so unlike the cross-representation oracles
     above there is no timeout leniency: a mutual timeout must truncate at
     exactly the same step.
+
+    Each program runs as its clean build and as its LLFI build, whose
+    visits blocks count in bulk: unarmed, where the visit counts must agree
+    too, and armed at one visit drawn from the program's code image, where
+    the fault record's dynamic index, pc and bit must agree, under the
+    paper's timeout (:data:`~repro.fi.tools.TIMEOUT_FACTOR` × the unarmed
+    steps).
     """
 
     name = "engine"
@@ -306,45 +317,82 @@ class EngineOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
+        from repro.fi.tools import TIMEOUT_FACTOR
+
+        clean = self._program(module, None)
+        problem, _, _ = self._compare(clean, "clean build", self.budget)
+        if problem is not None:
+            return problem
+        llfi = self._program(module, llfi_instrument)
+        problem, golden, visits = self._compare(llfi, "LLFI build", self.budget)
+        if problem is not None or not visits:
+            return problem
+        rng = SplitMix64(zlib.crc32(repr(llfi.code).encode()))
+        target = 1 + rng.randrange(visits)
+        bit_pick = rng.random()
+        problem, _, _ = self._compare(
+            llfi, f"LLFI build armed at visit {target}",
+            TIMEOUT_FACTOR * golden.steps,
+            lambda: FaultPlan(target, 0.0, bit_pick, "LLFI"),
+        )
+        return problem
+
+    def _program(self, module: Module, ir_pass) -> LoadedProgram:
+        return load_binary(compile_ir(
+            clone_module(module),
+            CompileOptions(opt_level=self.opt_level, ir_pass=ir_pass),
+        ))
+
+    def _compare(self, program, build: str, budget: int, plan_of=None):
+        """``(divergence or None, the reference result, its LLFI visits)``
+        of one build run on both engines, each CPU armed with its own
+        ``plan_of()`` if given."""
         from repro.engine import FastEngine
 
-        binary = compile_ir(
-            clone_module(module), CompileOptions(opt_level=self.opt_level)
-        )
-        program = load_binary(binary)
-        ref = CPU(program).run(budget=self.budget)
-        fast = FastEngine().run(CPU(program), budget=self.budget)
-        expected = RunOutcome(
-            engine="reference",
-            exit_code=ref.exit_code,
-            trap=ref.trap,
-            output=tuple(ref.output),
-            trace=tuple(ref.counts),
-        )
-        actual = RunOutcome(
-            engine="fast",
-            exit_code=fast.exit_code,
-            trap=fast.trap,
-            output=tuple(fast.output),
-            trace=tuple(fast.counts),
-        )
+        runs = []
+        for engine, run in (
+            ("reference", lambda cpu: cpu.run(budget=budget)),
+            ("fast", lambda cpu: FastEngine().run(cpu, budget=budget)),
+        ):
+            cpu = CPU(program)
+            if plan_of is not None:
+                cpu.arm_llfi(plan_of())
+            result = run(cpu)
+            fault = result.fault
+            runs.append((
+                RunOutcome(
+                    engine=f"{engine} ({build})",
+                    exit_code=result.exit_code,
+                    trap=result.trap,
+                    output=tuple(result.output),
+                    trace=tuple(result.counts),
+                ),
+                result,
+                cpu.llfi_dynamic_count,
+                fault and (fault.dynamic_index, fault.pc, fault.bit),
+            ))
+        (expected, ref, ref_visits, ref_fault), (actual, fast, fast_visits, fast_fault) = runs
         if (
             expected.behaviour() != actual.behaviour()
             or expected.trace != actual.trace
             or ref.steps != fast.steps
             or ref.trap_pc != fast.trap_pc
+            or ref_visits != fast_visits
+            or ref_fault != fast_fault
         ):
             return Divergence(
                 oracle=self.name,
                 detail=(
-                    "fast engine diverged from the reference loop "
-                    f"(steps {ref.steps} vs {fast.steps}, "
-                    f"trap_pc {ref.trap_pc} vs {fast.trap_pc})"
+                    f"fast engine diverged from the reference loop ({build}; "
+                    f"steps {ref.steps} vs {fast.steps}, trap_pc "
+                    f"{ref.trap_pc} vs {fast.trap_pc}, LLFI visits "
+                    f"{ref_visits} vs {fast_visits}, fault {ref_fault} vs "
+                    f"{fast_fault})"
                 ),
                 expected=expected,
                 actual=actual,
-            )
-        return None
+            ), ref, ref_visits
+        return None, ref, ref_visits
 
 
 class SchedulerOracle(Oracle):

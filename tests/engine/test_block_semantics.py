@@ -8,7 +8,11 @@ register (floats bit for bit), every memory word, the flags and the output;
 a block that traps, on the trap kind and pc only — all a trapped run is
 compared on.  Intrinsics here print the flags they are handed and their pc
 first, so the exact flags a block owes at an intrinsic call are compared
-too.
+too — all but the LLFI stubs, which a block does not call: it renders a
+visit as the stub's unfired effect, so there the value must pass through
+with the flags left alone, and the block's static visit count
+(``BlockMeta.llfis``, over the executed prefix when it traps) must equal
+what the interpreter's stubs added to ``_llfi_count``.
 
 Both executions are rendered from one semantics table
 (:mod:`repro.machine.semantics`), so this checks the two rendering contexts
@@ -34,7 +38,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import blocks
-from repro.engine.blocks import exec_namespace, gen_source
+from repro.engine.blocks import block_meta, exec_namespace, gen_source
 from repro.errors import MachineTrap
 from repro.machine import CPU
 from repro.machine import opcodes as O
@@ -132,6 +136,7 @@ OPERANDS = {
     O.FI_CHECK: (st.just(()),),
 }
 TERMINATORS = (O.JMP, O.JCC, O.CALL, O.RET)
+_INJECT_I64 = INTRINSIC_TABLE.index_of("__fi_inject_i64")
 FLAG_WRITERS = (*(op for pair in _ALU for op in pair), O.NEG, O.FCMP)
 FLAG_READERS = (O.SETCC, O.CMOV, O.INTR)
 
@@ -206,9 +211,9 @@ def _stop(cpu, pc):
 
 @contextmanager
 def _intrinsics_print_flags():
-    """Every intrinsic first prints the flags it was handed and the pc it
-    was called from (both the generated code and ``CPU._loop`` look the
-    table up when they start)."""
+    """Every intrinsic but an LLFI stub first prints the flags it was
+    handed and the pc it was called from (both the generated code and
+    ``CPU._loop`` look the table up when they start)."""
     real = INTRINSIC_TABLE.impls
 
     def printing(impl):
@@ -217,7 +222,10 @@ def _intrinsics_print_flags():
             impl(cpu)
         return call
 
-    INTRINSIC_TABLE.impls = [printing(impl) for impl in real]
+    INTRINSIC_TABLE.impls = [
+        impl if i in INTRINSIC_TABLE.unfired else printing(impl)
+        for i, impl in enumerate(real)
+    ]
     try:
         yield
     finally:
@@ -250,7 +258,7 @@ def _cpu(program, state) -> CPU:
     return cpu
 
 
-def _observed(cpu, exit_pc, state) -> dict:
+def _observed(cpu, exit_pc, state, llfis) -> dict:
     before = _memory(state)
     after = bytes(cpu.mem)
     return {
@@ -264,6 +272,7 @@ def _observed(cpu, exit_pc, state) -> dict:
             for a in range(0, MEM_SIZE, 8)
             if after[a:a + 8] != before[a:a + 8]
         },
+        "llfis": llfis,
     }
 
 
@@ -278,9 +287,10 @@ def _run_block(program, state) -> dict:
     try:
         exit_pc = block()
     except MachineTrap as trap:
-        return {"trap": trap.kind, "pc": trap.pc}
+        llfis = block_meta(program, 0, trap.pc).llfis
+        return {"trap": trap.kind, "pc": trap.pc, "llfis": llfis}
     cpu.flags = FL[0]
-    return _observed(cpu, exit_pc, state)
+    return _observed(cpu, exit_pc, state, block_meta(program, 0, n).llfis)
 
 
 def _run_interpreter(program, state) -> dict:
@@ -292,8 +302,8 @@ def _run_interpreter(program, state) -> dict:
     except _Stop as stop:
         exit_pc = stop.pc
     except MachineTrap as trap:
-        return {"trap": trap.kind, "pc": trap.pc}
-    return _observed(cpu, exit_pc, state)
+        return {"trap": trap.kind, "pc": trap.pc, "llfis": cpu._llfi_count}
+    return _observed(cpu, exit_pc, state, cpu._llfi_count)
 
 
 def outcomes(code, state) -> tuple[dict, dict]:
@@ -353,13 +363,18 @@ def test_setcc_missing_from_the_flag_readers_is_caught(monkeypatch):
 def test_a_flag_write_nothing_observes_is_no_code():
     """Of ``cmp; cmp; jcc`` only the second ``cmp`` is rendered: the first
     one's flags are overwritten before anything reads them, and a ``cmp``
-    has no other effect."""
-    code = [(O.CMP_RR, 0, 1), (O.CMP_RI, 2, 5), (O.JCC, 0, 0)]
-    body = blocks.gen_block_body(blocks._Block(_program(code)), code, 0, 3)
-    source = "\n".join(body)
-    assert "I[0]" not in source and "I[1]" not in source
-    assert "r = I[2] - 5" in source
-    assert source.count("FL[0] = ") == 1
+    has no other effect.  An LLFI visit between the two reads no flags: a
+    block renders it as its value passing through, without the CPU."""
+    for visit in [], [(O.INTR, _INJECT_I64)]:
+        code = [(O.CMP_RR, 7, 8), *visit, (O.CMP_RI, 9, 5), (O.JCC, 0, 0)]
+        body = blocks.gen_block_body(blocks._Block(_program(code)), code, 0, len(code))
+        source = "\n".join(body)
+        assert "I[7]" not in source and "I[8]" not in source
+        assert "r = I[9] - 5" in source
+        assert source.count("FL[0] = ") == 1
+        if visit:
+            assert INTRINSIC_TABLE.unfired[_INJECT_I64] in source
+            assert "cpu" not in source
 
 
 def _edge_state(iregs=(), fregs=(), flags=0):

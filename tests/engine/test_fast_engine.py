@@ -15,7 +15,7 @@ from repro.campaign import CampaignSpec, make_tool, run_cell
 from repro.engine import FastEngine
 from repro.engine import cache as cache_module
 from repro.engine import fast as fast_module
-from repro.engine.blocks import discover_blocks
+from repro.engine.blocks import discover_blocks, is_llfi_visit
 from repro.engine.cache import TranslationCache, translation_fingerprint
 from repro.machine import CPU, load_binary
 from repro.machine import opcodes as O
@@ -134,6 +134,15 @@ class TestRunEquivalence:
         fast = FastEngine().run(CPU(program))
         assert_same_result(ref, fast)
         assert [steps for steps, _ in calls] == list(range(100, ref.steps, 100))
+
+    def test_a_cpu_recording_its_site_trace_is_refused(self, program):
+        # blocks count trigger sites in bulk: residency is recorded on
+        # CPU.run, one site at a time
+        for run in (lambda e, c: e.run(c), lambda e, c: e.run_cursor(c)):
+            cpu = CPU(program)
+            cpu._site_trace = []
+            with pytest.raises(ValueError, match="site trace"):
+                run(FastEngine(), cpu)
 
     @pytest.mark.parametrize(
         "engine", [FastEngine(), ReferenceEngine()], ids=lambda e: e.name
@@ -312,6 +321,61 @@ class TestMidBlockEntry:
                                      poke=smash_return_address)
                 outcomes.add(ref.trap)
         assert len(outcomes) > 1  # some crash, some run on
+
+
+class TestLLFIVisits:
+    """An LLFI visit is counted like a ``fi_check``: a block renders it as
+    its value passing through and the trampoline adds the block's visits in
+    bulk, so the visit a plan fires at is found statically and
+    interpreted."""
+
+    def test_trap_after_a_visit(self):
+        src = """
+        int zero = 0;
+        int main() { int a = zero + 7; return a / zero; }
+        """
+        program = make_tool("LLFI", src, "trap").program
+        ref_cpu, fast_cpu = CPU(program), CPU(program)
+        ref = ref_cpu.run()
+        fast = FastEngine().run(fast_cpu)
+        assert ref.trap == "divide-by-zero"
+        leaders = discover_blocks(program)[0]
+        entry = max(p for p in leaders if p <= ref.trap_pc)
+        assert any(is_llfi_visit(program.code[p])
+                   for p in range(entry, ref.trap_pc))
+        assert_same_result(ref, fast)
+        assert fast_cpu._llfi_count == ref_cpu._llfi_count > 0
+
+    def test_fault_at_a_blocks_first_and_last_visit(self):
+        # from the program entry, so the blocks before the one that fires
+        # run free under the horizon
+        tool = make_tool("LLFI", DEMO_SOURCE, "demo")
+        program = tool.program
+        leaders, end_of = discover_blocks(program)
+        leaders = set(leaders)
+        snaps, _ = golden_states(tool._make_cpu(None))
+        before = {}  # block entry -> visits before its first execution
+        for snap in snaps:
+            if snap.pc in leaders:
+                before.setdefault(snap.pc, snap.counter("llfi_count"))
+        fired = set()
+        for i, (entry, count) in enumerate(sorted(before.items())):
+            visits = [p for p in range(entry, end_of[entry])
+                      if is_llfi_visit(program.code[p])]
+            for nth in {min(1, len(visits)), len(visits)} - {0}:
+                target = count + nth
+                results = []
+                for run in (lambda c: c.run(tool.timeout_budget),
+                            lambda c: FastEngine().run(c, tool.timeout_budget)):
+                    plan = TestMidBlockEntry.retargeted(tool, seed=i, target=target)
+                    results.append(run(tool._make_cpu(plan)))
+                ref, fast = results
+                assert_same_result(ref, fast)
+                assert ref.fault == fast.fault
+                assert ref.fault.dynamic_index == target
+                assert ref.fault.pc == visits[nth - 1]
+                fired.add(nth > 1)
+        assert fired == {False, True}  # a first visit, and a last one after it
 
 
 class TestOneCompilePerBinary:
