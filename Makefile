@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: install test test-fast bench paper experiments-md examples loc profile profile-hangs profile-cold clean
+.PHONY: install test test-fast paper experiments-md examples loc profile profile-hangs profile-cold clean
 
 install:
 	pip install -e .
@@ -13,23 +13,20 @@ test:
 test-fast:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -m pytest tests/ -x -q -p no:warnings
 
-# Listings, Table 3, sampling appendix, ablations (none runs a campaign).
-bench:
-	$(PY) -m pytest benchmarks/ --benchmark-only
-
 # The paper's 14 x 3 x 1068 matrix at both published seeds, the way a user
 # runs it: refine-campaign --submit to a service (2 workers, queue, results
 # DB) -> refine-db report -> compare report.json with
-# results/full_campaign*.json outside `provenance`.  Measured: 2 x 3.2 min on
-# a 2-core box (~235 exps/s through the service; inline, one core, 2 x 2.8 min).
+# results/full_campaign*.json outside `provenance`.  Measured: 57 s + 62 s on
+# a 2-core box (720-780 exps/s through the service), about 2 min in all.
 # A number that moved on purpose: copy the report.json the failure names
 # over the published file, `make experiments-md`, say why in CHANGES.md.
 paper:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -m pytest -x -q -m slow tests/test_paper.py
 
 # Refill EXPERIMENTS.md's <!-- generated:NAME --> blocks with what
-# `refine-db report` renders over results/full_campaign*.json (tier-1 holds
-# the document to it: tests/test_published.py).
+# `refine-db report` renders over results/full_campaign*.json and what
+# repro.resultsdb.report.paper_tables() renders from the compiler and the
+# workloads (tier-1 holds the document to both: tests/test_published.py).
 experiments-md:
 	PYTHONPATH=src:.$${PYTHONPATH:+:$$PYTHONPATH} $(PY) -c "import tests.test_published as t; t.EXPERIMENTS.write_text(t.spliced_experiments(), encoding='utf-8')"
 
@@ -38,7 +35,7 @@ examples:
 	  echo "== $$f"; REPRO_SAMPLES=50 $(PY) $$f || exit 1; \
 	done
 
-# Line counts per package (src/repro, benchmarks, scripts, tests, perfbench):
+# Line counts per package (src/repro, scripts, tests, perfbench):
 # what CHANGES.md quotes.
 loc:
 	$(PY) scripts/loc.py
@@ -62,7 +59,7 @@ profile-hangs:
 profile-cold:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PY) scripts/profile_cell.py all all -n 24 --top 40
 
-# results/ holds the tracked paper data and listings: not build debris.
+# results/ holds the tracked paper data: not build debris.
 clean:
-	rm -rf .pytest_cache .hypothesis .benchmarks
+	rm -rf .pytest_cache .hypothesis
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -32,7 +32,7 @@ def rows(root: Path) -> list[tuple[str, int, int]]:
         if package.is_dir() and package.name != "__pycache__"
     ]
     table.append(("src/repro/*.py", *count(src.glob("*.py"))))
-    for name in ("src", "benchmarks", "scripts", "tests", "perfbench"):
+    for name in ("src", "scripts", "tests", "perfbench"):
         table.append((name, *count((root / name).rglob("*.py"))))
     return table
 

@@ -140,7 +140,8 @@ def decode_indices(ranges: list[list[int]], n: int) -> tuple[int, ...]:
 
 
 def experiment_event_fields(record: ExperimentRecord) -> dict:
-    """The ``experiment`` telemetry event's per-record payload.
+    """The ``experiment`` telemetry event's per-record payload, and a
+    record as :func:`result_to_dict` saves it.
 
     One definition, emitted from one place (the cell ledger,
     :mod:`repro.campaign.cell`), so every executor writes the same event
@@ -178,21 +179,7 @@ def result_to_dict(result: CampaignResult) -> dict:
         "golden_output": list(result.golden_output),
         "total_candidates": result.total_candidates,
         "fault_model": result.fault_model,
-        "records": [
-            {
-                "index": rec.index,
-                "seed": rec.seed,
-                "outcome": rec.outcome.value,
-                "cycles": rec.cycles,
-                "steps": rec.steps,
-                "trap": rec.trap,
-                "exit_code": rec.exit_code,
-                "engine": rec.engine,
-                "snapshot_hit": rec.snapshot_hit,
-                "fault": _fault_to_dict(rec.fault),
-            }
-            for rec in result.records
-        ],
+        "records": [experiment_event_fields(rec) for rec in result.records],
     }
     for extra in _RESULT_STATS_ATTRS:
         value = getattr(result, extra, None)

@@ -32,8 +32,8 @@ from repro.campaign.events import read_events
 # repro.campaign.io is deliberately shared rather than duplicated.
 from repro.campaign.io import (
     _value_from_dict,
-    _value_to_dict,
     check_version,
+    experiment_event_fields,
     result_from_dict,
 )
 from repro.campaign.results import CampaignResult
@@ -165,7 +165,7 @@ class DatabaseSink:
                     fault_model=fields.get("fault_model"),
                 )
             elif event == "experiment":
-                self._note_experiment(fields)
+                self._note_experiment(self._campaign_for(fields), fields)
             elif event in ("campaign_finish", "cell_finish"):
                 self._finish(fields)
 
@@ -179,8 +179,9 @@ class DatabaseSink:
                 "campaign_start/cell_start — is the event stream truncated?"
             ) from None
 
-    def _note_experiment(self, fields: dict) -> None:
-        cid = self._campaign_for(fields)
+    def _note_experiment(self, cid: int, fields: dict) -> None:
+        """Buffer one run row (+ fault row) of campaign ``cid`` from an
+        ``experiment`` payload (:func:`repro.campaign.io.experiment_event_fields`)."""
         index = fields["index"]
         snapshot_hit = fields.get("snapshot_hit")
         self._runs.append((
@@ -323,31 +324,11 @@ def ingest_result(
     _write_tallies(
         db, cid, {o.value: k for o, k in result.counts.items()}
     )
-    runs, faults = [], []
+    # the live sink's row builders, fed the records' event payloads
+    sink = DatabaseSink(db)
     for rec in result.records:
-        runs.append((
-            cid, rec.index, seed_to_db(rec.seed),
-            db.outcome_ids[rec.outcome.value],
-            rec.cycles, rec.steps, rec.trap, rec.exit_code, rec.engine,
-            None if rec.snapshot_hit is None else int(rec.snapshot_hit),
-        ))
-        if rec.fault is not None:
-            f = rec.fault
-            faults.append((
-                cid, rec.index, f.tool, f.dynamic_index, f.pc, f.func,
-                f.block, f.instr_text, fault_opcode(f.instr_text),
-                f.operand_index, f.operand_desc, operand_kind(f.operand_desc),
-                -1 if f.bit is None else f.bit,
-                _encode_value(_value_to_dict(f.value_before)),
-                _encode_value(_value_to_dict(f.value_after)),
-                f.model,
-                None if f.bits is None else json.dumps(list(f.bits)),
-                f.address, f.dwell,
-            ))
-    with db.transaction() as conn:
-        conn.executemany(_INSERT_RUN, runs)
-        conn.executemany(_INSERT_FAULT, faults)
-    db.commit()
+        sink._note_experiment(cid, experiment_event_fields(rec))
+    sink.close()
     return cid
 
 

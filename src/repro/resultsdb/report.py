@@ -14,6 +14,10 @@ populations.  What the repository publishes is a print of that structure:
   ``<!-- generated:NAME -->`` markers (:func:`generated_blocks`);
 * ``index.html`` — HTML/CSS, no JavaScript, no external assets, plus a
   ``campaign-<id>.html`` drill-down per campaign with stored rows.
+
+The rest of EXPERIMENTS.md — Listings 1–2, Tables 2–3, Appendix A, the
+ablations — needs no store: :func:`paper_tables` renders it from the
+compiler and the workloads, through the same Markdown printer.
 """
 
 from __future__ import annotations
@@ -23,13 +27,25 @@ import json
 import math
 import re
 import subprocess
+from dataclasses import replace
 from html import escape
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.campaign.classify import OUTCOME_ORDER
+from repro.campaign.runner import run_campaign
 from repro.errors import StatsError
-from repro.fi.tools import TOOL_ORDER
+from repro.fi.config import INSTR_CLASSES, FIConfig
+from repro.fi.tools import (
+    TIMEOUT_FACTOR,
+    TOOL_CLASSES,
+    TOOL_ORDER,
+    LLFITool,
+    PinfiTool,
+    RefineTool,
+)
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.queries import (
     CampaignInfo,
@@ -39,8 +55,8 @@ from repro.resultsdb.queries import (
 )
 from repro.stats.chisq import chi2_contingency
 from repro.stats.intervals import wilson_interval
-from repro.stats.samples import margin_of_error
-from repro.workloads import workload_names
+from repro.stats.samples import leveugle_sample_size, margin_of_error
+from repro.workloads import all_workloads, workload_names
 
 DEFAULT_TITLE = "Fault-injection campaign report"
 #: The tool every other one is compared against (the paper's choice).
@@ -388,12 +404,157 @@ def _counts_line(matrices: list[dict]) -> str:
     )
 
 
+#: Listing 1's program and function (the paper's is HPCCG's ``ddot``).
+_LISTING = ("HPCCG-1.0", "ddot")
+#: The ablations' program, and the PINFI runs the detach ablation sums.
+_ABLATION = "miniFE"
+_DETACH_RUNS = 40
+#: "Beyond the paper": one program's cells under a dwell-window model.
+_STUCK_AT = ("EP", "stuck-at:dwell=32", 60)
+
+
+def paper_tables() -> list[_Table]:
+    """Listings 1–2, Tables 2–3, Appendix A, the PINFI-detach and
+    optimisation-level ablations and the stuck-at cells: what EXPERIMENTS.md
+    shows beside the campaign tables, from the compiler and the workloads."""
+    specs = all_workloads()
+    llfi = {name: LLFITool(spec.source, name) for name, spec in specs.items()}
+    pinfi = {name: PinfiTool(spec.source, name) for name, spec in specs.items()}
+    tables = []
+
+    program, function = _LISTING
+    stats = pinfi[program].binary.meta["stats"]
+    opcodes = [i.opcode for i in pinfi[program].binary.functions[function].instructions()]
+    tables.append(_Table(
+        "listing1", f"Machine instructions the IR does not have ({program})",
+        [program, "count"],
+        [
+            ["IR instructions (O2)", str(stats.ir_instructions)],
+            ["machine instructions", str(stats.machine_instructions)],
+            *([f"{op} in @{function}", str(opcodes.count(op))] for op in ("push", "pop")),
+            ["spilled virtual registers", str(stats.spilled_vregs)],
+        ],
+        "The IR has no `push` / `pop` (no `stack` class) and no spill code.",
+    ))
+
+    rows, growth = [], []
+    for name in specs:
+        clean, instrumented = pinfi[name], llfi[name]
+        a, b = clean.binary.meta["stats"], instrumented.binary.meta["stats"]
+        growth.append(instrumented.profile.steps / clean.profile.steps)
+        rows.append([
+            name, f"{a.machine_instructions} → {b.machine_instructions}",
+            f"{a.spilled_vregs} → {b.spilled_vregs}",
+            f"{clean.profile.steps} → {instrumented.profile.steps}",
+            f"{growth[-1]:.2f}×",
+        ])
+    tables.append(_Table(
+        "listing2", "Clean binary → LLFI-instrumented binary",
+        ["app", "machine instructions", "spilled vregs", "dynamic instructions",
+         "dynamic growth"],
+        rows, f"Dynamic growth: {min(growth):.2f}×–{max(growth):.2f}×.",
+    ))
+
+    spec = specs[_ABLATION]
+    population = {
+        instrs: RefineTool(
+            spec.source, spec.name, config=FIConfig(instrs=instrs)
+        ).profile.total_candidates
+        for instrs in INSTR_CLASSES
+    }
+    tables.append(_Table(
+        "table2", f"REFINE's dynamic candidates per -fi-instrs class ({_ABLATION})",
+        ["-fi-instrs", "candidates"],
+        [[instrs, str(k)] for instrs, k in population.items()],
+        "stack + mem + arithm = "
+        f"{population['stack'] + population['mem'] + population['arithm']}.",
+    ))
+
+    tables.append(_Table(
+        "table3", "Benchmark programs and their inputs",
+        ["program", "paper input", "our input"],
+        [[name, f"`{s.paper_input}`", s.input_desc] for name, s in specs.items()],
+    ))
+
+    n = leveugle_sample_size()
+    tables.append(_Table(
+        "appendix-a", "Statistical sizing", ["quantity", "value"],
+        [
+            ["samples per cell for a margin of error ≤ 3% at 95% confidence", str(n)],
+            [f"experiments, {len(specs)} programs × {len(TOOL_ORDER)} tools",
+             str(n * len(specs) * len(TOOL_ORDER))],
+            [f"margin of error at n = {n}", f"{margin_of_error(n) * 100:.3f}%"],
+            ["timeout, in profiled execution lengths", str(TIMEOUT_FACTOR)],
+        ],
+    ))
+
+    tool = pinfi[_ABLATION]
+    candidate = np.asarray(tool.program.is_candidate)
+    detached = attached = 0.0
+    for seed in range(_DETACH_RUNS):
+        run = tool.inject(seed)
+        counts = np.asarray(run.result.counts_attached)
+        if run.result.counts is not run.result.counts_attached:
+            counts = counts + run.result.counts
+        detached += run.cycles
+        # the same run, costed by PINFI's model as if PIN never detached
+        attached += tool._cycles(None, replace(
+            run.result, counts=counts, counts_attached=counts,
+            attached_candidates=int(counts @ candidate),
+        ))
+    tables.append(_Table(
+        "ablation-detach", f"PINFI's detach-after-injection ({_ABLATION})",
+        ["PINFI", "simulated cycles"],
+        [["detaches after injecting", f"{detached:.0f}"],
+         ["stays attached", f"{attached:.0f}"]],
+        f"Detaching is {attached / detached:.2f}× faster over {_DETACH_RUNS} "
+        f"experiments (seeds 0–{_DETACH_RUNS - 1}).",
+    ))
+
+    levels = {"O0": PinfiTool(spec.source, spec.name, opt_level="O0"), "O2": tool}
+    tables.append(_Table(
+        "ablation-opt", f"Optimisation level and the candidate population ({_ABLATION})",
+        ["opt level", "machine instructions", "dynamic instructions",
+         "PINFI candidates"],
+        [
+            [level, str(t.binary.meta["stats"].machine_instructions),
+             str(t.profile.steps), str(t.profile.total_candidates)]
+            for level, t in levels.items()
+        ],
+    ))
+
+    program, model, size = _STUCK_AT
+    rows = []
+    for name in TOOL_ORDER:
+        result = run_campaign(
+            TOOL_CLASSES[name](specs[program].source, program, fault_model=model), size
+        )
+        rows.append([name, *(
+            f"{result.frequency(o)} ({100 * result.frequency(o) / size:.0f}%)"
+            for o in OUTCOME_ORDER
+        )])
+    tables.append(_Table(
+        "stuck-at", f"{program} under `{model}`, n = {size} per cell",
+        ["tool", *_OUTCOMES], rows,
+    ))
+    return tables
+
+
 # --------------------------------------------------------------- markdown
 
 _BLOCK = re.compile(
     r"<!-- generated:(?P<name>\S+) -->\n(?P<body>.*?)<!-- /generated -->\n",
     re.DOTALL,
 )
+
+
+def markdown_table(table: _Table) -> str:
+    """A table as Markdown: the body of its generated block."""
+    out = ["| " + " | ".join(table.header) + " |", "|" + "---|" * len(table.header)]
+    out += ["| " + " | ".join(row) + " |" for row in table.rows]
+    if table.note:
+        out += ["", table.note]
+    return "\n".join(out) + "\n"
 
 
 def render_markdown(matrices: list[dict], title: str = DEFAULT_TITLE) -> str:
@@ -412,13 +573,10 @@ def render_markdown(matrices: list[dict], title: str = DEFAULT_TITLE) -> str:
         ]
         for table in (_figure4_table(matrix), *_tables(matrix)):
             name = table.name + ("" if k == 0 else f"#{k + 1}")
-            out += ["", f"### {table.title}", "", f"<!-- generated:{name} -->"]
-            out.append("| " + " | ".join(table.header) + " |")
-            out.append("|" + "---|" * len(table.header))
-            out += ["| " + " | ".join(row) + " |" for row in table.rows]
-            if table.note:
-                out += ["", table.note]
-            out.append("<!-- /generated -->")
+            out += [
+                "", f"### {table.title}", "", f"<!-- generated:{name} -->",
+                markdown_table(table) + "<!-- /generated -->",
+            ]
     return "\n".join(out) + "\n"
 
 

@@ -7,9 +7,12 @@ job (``tests/test_paper.py``).  Here: every binary fact and the first
 pure function of (seed, program, tool, i), so an n = ``PREFIX`` campaign
 *is* the published prefix — the paper's claims are asserted on the
 published files themselves, and EXPERIMENTS.md's generated blocks are the
-renderer's output over them.  No chi-squared at small n: it has no power.
+renderer's output over them — the rest of its tables (listings, Tables 2–3,
+Appendix A, ablations) rendered from today's compiler and workloads.  No
+chi-squared at small n: it has no power.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -29,7 +32,7 @@ from repro.resultsdb import (
     report_data,
     splice_blocks,
 )
-from repro.resultsdb.report import PREFIX
+from repro.resultsdb.report import PREFIX, markdown_table, paper_tables
 from repro.workloads import workload_names
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -170,18 +173,54 @@ class TestTwoSeedsOneStore:
         assert (info.base_seed, info.fault_model) == (-1, None)
 
 
-def spliced_experiments() -> str:
-    """EXPERIMENTS.md with its generated blocks refilled from the published
-    files (``make experiments-md`` writes this back)."""
+@functools.cache
+def paper() -> dict:
+    """``NAME -> table`` of :func:`paper_tables`, rendered once per test run."""
+    return {table.name: table for table in paper_tables()}
+
+
+def rendered_blocks() -> dict[str, str]:
+    """Every generated block EXPERIMENTS.md holds: the report over the
+    published files, and the tables of the compiler and the workloads."""
     with ResultsDB() as db:
         for path in FILES.values():
             ingest_results_file(db, path)
         blocks = generated_blocks(render_markdown(report_data(db)))
-    return splice_blocks(EXPERIMENTS.read_text(encoding="utf-8"), blocks)
+    return blocks | {name: markdown_table(table) for name, table in paper().items()}
+
+
+def spliced_experiments() -> str:
+    """EXPERIMENTS.md with its generated blocks refilled
+    (``make experiments-md`` writes this back)."""
+    return splice_blocks(EXPERIMENTS.read_text(encoding="utf-8"), rendered_blocks())
+
+
+class TestPaperTables:
+    """The paper's claims on the rendered tables, not on copies of them."""
+
+    def test_listing1_machine_code_has_what_the_ir_lacks(self):
+        rows = dict(paper()["listing1"].rows)
+        assert int(rows["machine instructions"]) > int(rows["IR instructions (O2)"])
+        assert int(rows["push in @ddot"]) > 0 and int(rows["pop in @ddot"]) > 0
+
+    def test_table2_classes_partition_the_candidates(self):
+        rows = {instrs: int(k) for instrs, k in paper()["table2"].rows}
+        assert rows["stack"] + rows["mem"] + rows["arithm"] == rows["all"]
+
+    def test_table3_lists_every_program(self):
+        assert [row[0] for row in paper()["table3"].rows] == workload_names()
+
+    def test_detaching_makes_pinfi_faster(self):
+        (_, detached), (_, attached) = paper()["ablation-detach"].rows
+        assert int(attached) > int(detached)
+
+    def test_o0_has_more_candidates_than_o2(self):
+        rows = {row[0]: int(row[-1]) for row in paper()["ablation-opt"].rows}
+        assert rows["O0"] > rows["O2"]
 
 
 def test_experiments_md_embeds_the_renderers_output():
     text = EXPERIMENTS.read_text(encoding="utf-8")
-    embedded = set(generated_blocks(text))
-    assert {"table4", "table5", "table6", "figure5", "candidates"} <= embedded
-    assert spliced_experiments() == text, "run `make experiments-md`"
+    blocks = rendered_blocks()
+    assert set(generated_blocks(text)) == set(blocks)
+    assert splice_blocks(text, blocks) == text, "run `make experiments-md`"
