@@ -33,7 +33,6 @@ from repro.campaign.io import (
 )
 from repro.campaign.parallel import (
     run_campaign_parallel,
-    run_cell_parallel,
     run_slice,
 )
 from repro.campaign.results import CampaignResult, ExperimentRecord, matrix_to_csv
@@ -77,7 +76,6 @@ __all__ = [
     "result_to_dict",
     "save_matrix",
     "run_campaign_parallel",
-    "run_cell_parallel",
     "run_slice",
     "OUTCOME_ORDER",
     "Outcome",

@@ -2,11 +2,10 @@
 what has been done of it (:class:`CampaignCell`).
 
 The paper's unit of work is a (program, tool) cell of n single-fault runs,
-run "in batches on a cluster" (Appendix A.4).  Every executor — inline
-(:func:`repro.campaign.runner.run_cell`), process pool
-(:func:`repro.campaign.parallel.run_cell_parallel`), leases
-(:class:`repro.service.ServiceCoordinator`) — takes the same spec and keeps
-the same books, so the books are kept here, once: **open** (resume from a
+run "in batches on a cluster" (Appendix A.4).  Both executors — inline
+(:func:`repro.campaign.runner.run_cell`) and leases to service workers
+(:class:`repro.service.ServiceCoordinator`, which ``-j N`` runs too) — take
+the same spec and keep the same books, so the books are kept here, once: **open** (resume from a
 checkpoint that must be this campaign's, on this program) → **shards** (what
 is left, in trigger order) → **add / fold** (tally, ``experiment`` events,
 part validation, duplicates) → **save** (the one place a checkpoint is
@@ -303,13 +302,12 @@ class CampaignCell:
         """Indices still to run, ascending."""
         return [i for i in range(self.spec.n) if i not in self.completed]
 
-    def start(self, **extra) -> None:
+    def start(self) -> None:
         """Announce the cell: the start event, with what was resumed."""
         spec = self.spec
         self._send(
             self._start_event, workload=spec.workload, tool=spec.tool_name,
             n=spec.n, base_seed=spec.base_seed, resumed=len(self.completed),
-            **extra,
             resumed_counts={o.value: k for o, k in self.result.counts.items()},
             fault_model=spec.fault_model,
         )
@@ -327,8 +325,7 @@ class CampaignCell:
 
     def add(self, record: ExperimentRecord, **tags) -> None:
         """Tally one finished experiment and emit its ``experiment`` event;
-        ``tags`` say who ran it (``wall_s``, ``chunk``, ``task`` +
-        ``worker``).  The record itself is kept only if the spec asks, so
+        ``tags`` say who ran it (``wall_s``, or ``task`` + ``worker``).  The record itself is kept only if the spec asks, so
         none can reach a checkpoint of a campaign that did not."""
         spec = self.spec
         self.result.add(record, spec.keep_records)

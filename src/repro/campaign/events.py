@@ -33,16 +33,12 @@ event                     extra fields
                           tag-encoded ``value_before``/``value_after``,
                           plus the fault-model fields ``model``, ``bits``,
                           ``address`` and ``dwell``).
-                          The sequential runner adds ``wall_s``; the
-                          parallel runner emits these per chunk (tagged
-                          ``chunk``), the service per task (tagged
-                          ``task``, ``worker``) — two producers, the
-                          runners and the service: consumers counting
-                          experiments must pick one family.  This is the
-                          stream :mod:`repro.resultsdb` ingests.
+                          The inline runner adds ``wall_s``; the service
+                          (``-j N`` and leases alike) tags them ``task``,
+                          ``worker``.  One event per experiment either
+                          way.  This is the stream :mod:`repro.resultsdb`
+                          ingests.
 ``checkpoint``            ``path``, ``completed``, ``n``
-``worker_start``          ``chunk``, ``size`` (parallel runner)
-``chunk_done``            ``chunk``, ``size``, ``completed``, ``n``
 ``campaign_finish``       ``workload``, ``tool``, ``counts``,
                           ``total_cycles``, ``total_steps``,
                           ``total_candidates``, ``golden_output`` (the
@@ -67,23 +63,24 @@ event                     extra fields
                           splice skipped) —
                           the scheduler's counters (see
                           :mod:`repro.campaign.schedule`); cumulative from
-                          the sequential runner (emitted after the cursor
-                          and again after the last tail), per-chunk
-                          (``chunk``) from parallel workers, per-task
-                          (``task``, ``worker``) from the service
+                          the inline runner (emitted after the cursor and
+                          again after the last tail), per-task (``task``,
+                          ``worker``: each task's own) from the service
 ========================  =====================================================
 
 The service (:class:`repro.service.ServiceCoordinator`) emits its own
 family per cell, worker and lease, under the ``campaign_admitted`` /
 ``campaign_done`` / ``campaign_failed`` / ``campaign_cancelled`` events of
-the queue's state machine — one stream records every campaign it serves:
+the queue's state machine — one stream records every campaign it serves.
+``refine-campaign -j N`` runs its cells on a service, so its stream is this
+family too (with no queue events):
 
 ========================  =====================================================
 event                     extra fields
 ========================  =====================================================
 ``cell_start``            ``workload``, ``tool``, ``n``, ``base_seed``,
                           ``fault_model``, ``resumed``, ``resumed_counts``
-``worker_join``           ``worker``, ``procs``
+``worker_join``           ``worker``
 ``lease``                 ``task``, ``worker``, ``workload``, ``tool``,
                           ``size``, ``attempt``
 ``task_done``             ``task``, ``worker``, ``workload``, ``tool``,
@@ -174,8 +171,7 @@ def read_events(path: str | Path) -> list[dict]:
 class CampaignStats:
     """Running statistics over a campaign's experiment stream.
 
-    Feed it one :meth:`note` per finished experiment (or a bulk
-    :meth:`note_batch` from a parallel chunk) and it tracks outcome
+    Feed it one :meth:`note` per finished experiment and it tracks outcome
     frequencies, throughput and an ETA.  ``clock`` defaults to
     :func:`time.monotonic`; inject a fake for deterministic tests.
     """
@@ -205,15 +201,10 @@ class CampaignStats:
         self.counts[outcome] = self.counts.get(outcome, 0) + 1
         self.done += 1
 
-    def note_batch(self, counts: dict[Outcome, int]) -> None:
-        for outcome, k in counts.items():
-            self.counts[outcome] = self.counts.get(outcome, 0) + k
-            self.done += k
-
     def note_scheduler(self, fields: dict, accumulate: bool = False) -> None:
-        """Fold one ``scheduler_stats`` event in.  Sequential-runner events
-        are cumulative (replace); parallel per-chunk events are one batch's
-        own figures (``accumulate=True``)."""
+        """Fold one ``scheduler_stats`` event in.  Inline-runner events are
+        cumulative (replace); a service task's are that task's own figures
+        (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
         ending_hits = int(fields.get("ending_hits", 0))

@@ -13,12 +13,19 @@ uninterrupted run (see :mod:`repro.campaign.checkpoint`).
 Experiments are visited in trigger order along one golden run, each faulty
 tail forked off it (see :mod:`repro.campaign.schedule`); the index only
 names an experiment, it is not when it runs.
+
+A cell runs inline (:func:`run_cell`, one core) or on N campaign-service
+workers (``run_cells(specs, workers=N)``: a
+:class:`~repro.service.LocalService` on this host); both keep the same
+ledger, so either resumes what the other left.
 """
 
 from __future__ import annotations
 
+import queue
 import re
 import time
+from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
@@ -27,9 +34,9 @@ from repro.campaign.cell import DEFAULT_SEED, CampaignCell, CampaignSpec
 from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.campaign.classify import classify
 from repro.campaign.events import EventLog
-from repro.campaign.parallel import run_cell_parallel
 from repro.campaign.results import CampaignResult, ExperimentRecord
 from repro.campaign.schedule import PhaseTimes, TriggerScheduler
+from repro.errors import CampaignError
 from repro.fi.config import FIConfig
 from repro.fi.tools import FITool
 from repro.utils.rng import derive_seed
@@ -179,8 +186,8 @@ def run_matrix(
     fault logs in every cell (so :func:`repro.campaign.save_matrix` can
     persist them).  ``checkpoint_dir`` gives every cell its own checkpoint
     file; re-running the same matrix resumes unfinished cells and skips
-    finished ones.  ``workers > 1`` runs each cell with the multi-process
-    runner (identical results, any worker count).
+    finished ones.  ``workers > 1`` runs each cell on that many service
+    worker processes (identical results, any worker count).
     """
     config = config or FIConfig()
     return run_cells(
@@ -209,26 +216,110 @@ def run_cells(
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
     events: EventLog | None = None,
 ) -> dict[tuple[str, str], CampaignResult]:
-    """Run each spec's cell in turn — inline, or over a ``workers``-process
-    pool when ``workers > 1`` — and return the result matrix.  What
-    :func:`run_matrix` does once it has its specs."""
+    """Run each spec's cell in turn — inline, or on ``workers`` service
+    worker processes when ``workers > 1`` — and return the result matrix.
+    What :func:`run_matrix` does once it has its specs."""
+    return _run_cells(
+        [
+            (spec, None if checkpoint_dir is None
+             else matrix_checkpoint_path(checkpoint_dir, *spec.key))
+            for spec in specs
+        ],
+        workers, progress=progress, checkpoint_every=checkpoint_every,
+        events=events,
+    )
+
+
+def _run_cells(
+    cells: list[tuple[CampaignSpec, str | Path | None]],
+    workers: int,
+    *,
+    progress: Callable[[str, str, int, int], None] | None,
+    checkpoint_every: int,
+    events: EventLog | None,
+    chunk_size: int | None = None,
+) -> dict[tuple[str, str], CampaignResult]:
+    """:func:`run_cells` over ``(spec, checkpoint path)`` pairs — the form
+    :func:`~repro.campaign.parallel.run_campaign_parallel`, which names its
+    one file, calls too.  ``chunk_size`` is the workers' task size."""
+    if workers < 1:
+        raise CampaignError("workers must be positive")
+    if chunk_size is not None and chunk_size < 1:
+        raise CampaignError("chunk_size must be positive")
     results: dict[tuple[str, str], CampaignResult] = {}
-    for spec in specs:
-        cb = ckpt_path = None
-        if progress is not None:
-            cb = lambda i, total, s=spec: progress(
-                s.workload, s.tool_name, i, total
-            )
-        if checkpoint_dir is not None:
-            ckpt_path = matrix_checkpoint_path(
-                checkpoint_dir, spec.workload, spec.tool_name
-            )
-        run = partial(run_cell_parallel, workers=workers) if workers > 1 else run_cell
-        results[spec.key] = run(
-            spec, progress=cb, checkpoint_path=ckpt_path,
-            checkpoint_every=checkpoint_every, events=events,
+    with ExitStack() as stack:
+        run = partial(
+            run_cell, checkpoint_every=checkpoint_every, events=events
         )
+        if workers > 1 and cells:
+            fleet = _Workers(
+                min(workers, max(spec.n for spec, _ in cells)), events,
+                chunk_size=chunk_size, checkpoint_every=checkpoint_every,
+            )
+            stack.callback(fleet.service.stop)
+            run = fleet.run
+        for spec, path in cells:
+            results[spec.key] = run(
+                spec, checkpoint_path=path,
+                progress=None if progress is None
+                else partial(progress, spec.workload, spec.tool_name),
+            )
     return results
+
+
+class _Workers:
+    """``-j N``: a :class:`~repro.service.LocalService` with N worker
+    processes, fed one cell at a time through its coordinator's
+    ``add_cells`` (the inline runner's ledger and checkpoint file) and
+    collected with ``retire_cells``.
+
+    It is the coordinator's event sink: every event goes on to ``events``,
+    and what the caller's thread waits for — a task folded in, the cell
+    finished, a task out of attempts — into its inbox.  A cell that is
+    interrupted (its progress callback raised, Ctrl-C) is retired the way a
+    cancelled campaign is: what was folded is checkpointed, and a later
+    part is dropped as a duplicate.
+    """
+
+    def __init__(self, workers: int, events: EventLog | None, **kwargs):
+        from repro.service import LocalService  # (it builds on this package)
+
+        self._events, self._inbox = events, queue.SimpleQueue()
+        self.service = LocalService(workers=workers, events=self, **kwargs)
+
+    def emit(self, event: str, **fields) -> None:
+        if self._events is not None:
+            self._events.emit(event, **fields)
+        if event in ("task_done", "cell_finish", "service_error") and (
+            not fields.get("duplicate")
+        ):
+            self._inbox.put((event, fields))
+
+    def run(
+        self, spec: CampaignSpec, *, checkpoint_path: str | Path | None,
+        progress: Callable[[int, int], None] | None,
+    ) -> CampaignResult:
+        """Run one cell to the end, calling ``progress(done, n)`` here once
+        per task folded in."""
+        coordinator = self.service.coordinator
+        coordinator.add_cells(spec, checkpoint_path=checkpoint_path)
+        try:
+            while True:
+                try:
+                    event, fields = self._inbox.get(timeout=1.0)
+                except queue.Empty:
+                    if self.service.join_workers(0.0):
+                        raise CampaignError("every worker has exited") from None
+                    continue
+                if event == "service_error":  # a task ran out of attempts
+                    raise CampaignError(fields["error"])
+                if event == "cell_finish":
+                    return coordinator.retire_cells([spec.key])[spec.key]
+                if progress is not None:
+                    progress(fields["completed"], fields["n"])
+        except BaseException:
+            coordinator.retire_cells([spec.key])
+            raise
 
 
 def replay(tool: FITool, seed: int):

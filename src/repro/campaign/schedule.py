@@ -133,7 +133,7 @@ class PhaseTimes:
         }
 
     def accumulate(self, fields: dict) -> None:
-        """Fold another breakdown (e.g. a parallel chunk's) into this one."""
+        """Fold another breakdown (e.g. a worker's task's) into this one."""
         self.translate_s += fields.get("translate_s", 0.0)
         self.prefix_s += fields.get("prefix_s", 0.0)
         self.fork_s += fields.get("fork_s", 0.0)
@@ -184,8 +184,8 @@ class SchedulerStats:
         }
 
     def accumulate(self, fields: dict) -> None:
-        """Fold another scheduler's counters (e.g. a parallel chunk's or a
-        dist worker's) into this one."""
+        """Fold another scheduler's counters (e.g. a worker's task's) into
+        this one."""
         for key, val in fields.items():
             if hasattr(self, key):
                 setattr(self, key, getattr(self, key) + val)
@@ -197,7 +197,7 @@ def resolve_trigger_order(
     """``(trigger, index)`` pairs for a batch, sorted by ``(trigger, index)``.
 
     Shared by the scheduler and the cell ledger's sharder
-    (:meth:`repro.campaign.cell.CampaignCell.shards`: pool chunks, leases),
+    (:meth:`repro.campaign.cell.CampaignCell.shards`: leases),
     so every layer agrees on the timeline order.
     """
     pairs = []

@@ -56,11 +56,11 @@ def _add_version(parser: argparse.ArgumentParser) -> None:
 class _LiveTelemetry(EventLog):
     """Event sink that optionally persists JSONL *and* renders live progress.
 
-    Consumes the campaign event stream (see :mod:`repro.campaign.events`):
-    per-experiment events from the sequential runner, per-chunk events from
-    the parallel runner.  On a TTY the progress line updates in
-    place; otherwise a summary line is printed periodically and at
-    completion.
+    Consumes the campaign event stream (see :mod:`repro.campaign.events`),
+    inline (``campaign_*``) or from the service workers of ``-j N``
+    (``cell_*``): one ``experiment`` event per experiment, whoever ran it.
+    On a TTY the progress line updates in place; otherwise a summary line
+    is printed periodically and at completion.
     """
 
     #: non-TTY fallback: print one line every this many experiments.
@@ -84,7 +84,7 @@ class _LiveTelemetry(EventLog):
             self._sink.emit(event, **fields)
         if self._quiet:
             return
-        if event == "campaign_start":
+        if event in ("campaign_start", "cell_start"):
             self._label = f"{fields['workload']}/{fields['tool']}"
             self._stats = CampaignStats(
                 fields["n"],
@@ -102,23 +102,16 @@ class _LiveTelemetry(EventLog):
                     file=self._out,
                 )
         elif event == "experiment" and self._stats is not None:
-            # Parallel chunks re-emit per-experiment events (tagged with
-            # ``chunk``) for result sinks; the progress counter already
-            # folds those in via chunk_done, so only count the sequential
-            # runner's events here.
-            if "chunk" not in fields:
-                self._stats.note(Outcome(fields["outcome"]))
-                self._render()
-        elif event == "chunk_done" and self._stats is not None:
-            counts = {Outcome(k): v for k, v in fields.get("counts", {}).items()}
-            self._stats.note_batch(counts)
+            self._stats.note(Outcome(fields["outcome"]))
             self._render()
         elif event == "scheduler_stats" and self._stats is not None:
-            # Sequential-runner events are cumulative for the campaign;
-            # per-chunk (parallel) events are each batch's own figures and
-            # accumulate.
-            self._stats.note_scheduler(fields, accumulate="chunk" in fields)
-        elif event == "campaign_finish" and self._stats is not None:
+            # The inline runner's events are cumulative for the campaign;
+            # a worker's (tagged ``task``) are its task's own and accumulate.
+            self._stats.note_scheduler(fields, accumulate="task" in fields)
+        elif (
+            event in ("campaign_finish", "cell_finish")
+            and self._stats is not None
+        ):
             self._render(final=True)
             self._print_phases(fields)
             self._stats = None
@@ -229,8 +222,9 @@ def campaign_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--fi-instrs", default="all",
                         choices=["stack", "arithm", "mem", "all"])
     parser.add_argument("-j", "--workers", type=int, default=1,
-                        help="worker processes per campaign cell "
-                        "(1 = sequential; results are identical)")
+                        metavar="K",
+                        help="run each cell on K service workers on this "
+                        "host (1 = inline; results are identical)")
     parser.add_argument("--submit", metavar="HOST:PORT", default=None,
                         help="submit this campaign to a running "
                         "refine-service instead of executing it; prints the "
@@ -268,6 +262,9 @@ def campaign_main(argv: list[str] | None = None) -> int:
                         "(created if missing; see refine-db)")
     parser.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print("refine-campaign: error: -j must be >= 1", file=sys.stderr)
+        return 2
 
     sources = workload_sources()
     if args.workloads != "all":
@@ -442,15 +439,13 @@ def worker_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="refine-worker",
         description="Join a refine-service, lease campaign slices and "
-        "stream results back until the service drains.",
+        "stream results back until the service drains.  A worker uses one "
+        "core: start one per core.",
     )
     _add_version(parser)
     parser.add_argument("address", metavar="HOST:PORT",
                         help="service address (from refine-service "
                         "serve)")
-    parser.add_argument("-j", "--procs", type=int, default=1,
-                        help="local worker processes; each leased task is "
-                        "split across them")
     parser.add_argument("--name", default=None,
                         help="worker name for logs (default: assigned by "
                         "the coordinator)")
@@ -470,16 +465,13 @@ def worker_main(argv: list[str] | None = None) -> int:
     except DistError as exc:
         print(f"refine-worker: error: {exc}", file=sys.stderr)
         return 2
-    if args.procs < 1:
-        print("refine-worker: error: -j must be >= 1", file=sys.stderr)
-        return 2
     if args.reconnect_window < 0:
         print("refine-worker: error: --reconnect-window must be >= 0",
               file=sys.stderr)
         return 2
     try:
         stats = Worker(
-            host, port, procs=args.procs, name=args.name,
+            host, port, name=args.name,
             reconnect_window=args.reconnect_window,
         ).run()
     except (DistError, ReproError) as exc:
@@ -538,10 +530,7 @@ class _ServiceTelemetry(EventLog):
                 f"{'/'.join(fields['tools'])} (campaign {fields['campaign']})"
             )
         elif event == "worker_join":
-            line = (
-                f"worker {fields['worker']} joined "
-                f"({fields.get('procs', 1)} proc(s))"
-            )
+            line = f"worker {fields['worker']} joined"
         elif event == "worker_leave":
             line = f"worker {fields['worker']} left"
         elif event == "service_recover":

@@ -38,13 +38,11 @@ class CoordinatorClient:
         port: int,
         *,
         name: str | None = None,
-        procs: int = 1,
         connect_timeout: float = 10.0,
     ) -> None:
         self._host = host
         self._port = port
         self._requested_name = name
-        self._procs = procs
         self._connect_timeout = connect_timeout
         self._sock: socket.socket | None = None
         #: coordinator-assigned worker name (after :meth:`connect`)
@@ -65,10 +63,7 @@ class CoordinatorClient:
                 f"cannot reach coordinator at "
                 f"{self._host}:{self._port}: {exc}"
             ) from exc
-        welcome = self._call({
-            "type": "hello", "name": self._requested_name,
-            "procs": self._procs,
-        })
+        welcome = self._call({"type": "hello", "name": self._requested_name})
         if welcome["type"] != "welcome":
             raise DistError(f"expected welcome, got {welcome['type']!r}")
         self.name = welcome["worker"]

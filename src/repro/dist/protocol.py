@@ -12,7 +12,8 @@ worker.  Message types (``type`` field):
 ==================  =========================================================
 worker → coordinator
 ==================  =========================================================
-``hello``           ``name`` (requested worker name or ``None``), ``procs``
+``hello``           ``name`` (requested worker name or ``None``); a
+                    ``procs`` field from an older worker is ignored
 ``request``         ask for a task lease
 ``heartbeat``       keep this worker's leases alive
 ``result``          ``task_id``, ``part`` (a serialized

@@ -7,11 +7,11 @@ recompilation and replay only their own trigger window), and can be
 killed at any moment without corrupting the campaign: the coordinator's
 lease timeout requeues whatever it was holding.
 
-Slices execute through the one slice executor the single-host runners use
+Slices execute through the one slice executor
 (:func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
-bit-identical to a sequential one.  With ``procs > 1`` a worker fans each
-leased task out over a local process pool — the cluster topology the paper
-used: many nodes, each fully subscribed (Appendix A.4).
+bit-identical to a sequential one.  A worker is one process on one core; a
+node is fully subscribed (the paper's cluster, Appendix A.4) by running one
+worker per core.
 """
 
 from __future__ import annotations
@@ -20,12 +20,9 @@ import os
 import random
 import time
 from concurrent.futures import (
-    FIRST_EXCEPTION,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
     TimeoutError as FutureTimeout,
-    wait as futures_wait,
 )
 from dataclasses import dataclass
 
@@ -34,13 +31,9 @@ try:  # POSIX only; without it ``WorkerStats.peak_rss_mb`` stays 0
 except ImportError:
     resource = None
 
-from repro.campaign.cell import CampaignSpec, shard_indices
+from repro.campaign.cell import CampaignSpec
 from repro.campaign.io import decode_indices
-from repro.campaign.parallel import (
-    SliceContexts,
-    merge_slice_parts,
-    run_slice,
-)
+from repro.campaign.parallel import SliceContexts, run_slice
 from repro.campaign.results import CampaignResult
 from repro.dist.client import CoordinatorClient
 from repro.errors import DistConnectionError, DistError
@@ -61,8 +54,8 @@ class WorkerStats:
     duplicates: int = 0
     failures: int = 0
     #: the process :meth:`Worker.run` ran in, and what it cost there: user +
-    #: system CPU spent during the run (``os.times()``; the ``procs > 1``
-    #: pool's children count once reaped) and the high-water resident set
+    #: system CPU spent during the run (``os.times()``) and the high-water
+    #: resident set
     pid: int = 0
     cpu_s: float = 0.0
     peak_rss_mb: float = 0.0
@@ -71,7 +64,6 @@ class WorkerStats:
 class Worker:
     """Connect to a coordinator and run leased campaign slices until done.
 
-    ``procs > 1`` splits every leased task across a local process pool.
     ``die_after=k`` is a test failpoint: the worker abruptly drops its
     connection while holding its ``k+1``-th lease, simulating a crash.
 
@@ -89,17 +81,13 @@ class Worker:
         host: str,
         port: int,
         *,
-        procs: int = 1,
         name: str | None = None,
         die_after: int | None = None,
         reconnect_window: float = 0.0,
         reconnect_base: float = 0.5,
         reconnect_cap: float = 15.0,
     ) -> None:
-        if procs < 1:
-            raise DistError("procs must be >= 1")
-        self._client = CoordinatorClient(host, port, name=name, procs=procs)
-        self._procs = procs
+        self._client = CoordinatorClient(host, port, name=name)
         self._die_after = die_after
         self._reconnect_window = reconnect_window
         self._reconnect_base = reconnect_base
@@ -107,7 +95,6 @@ class Worker:
         #: this worker's compiled tools and golden timelines (the slice
         #: runs on one thread at a time, so nothing else touches them)
         self._contexts = SliceContexts()
-        self._pool: ProcessPoolExecutor | None = None
 
     def run(self) -> WorkerStats:
         """Work until the coordinator says ``done`` (it is draining).
@@ -159,13 +146,6 @@ class Worker:
         finally:
             if runner is not None:
                 runner.shutdown(wait=False, cancel_futures=True)
-            if self._pool is not None:
-                # Waited for: its processes are reaped (their CPU is in the
-                # tally below), hold no copy of our connection once that is
-                # closed, and are not left to a process exit that may never
-                # hand them their sentinels.
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
             self._client.close()
             stats.cpu_s = sum(os.times()[:4]) - cpu0
             if resource is not None:  # ru_maxrss: KiB on Linux
@@ -272,18 +252,4 @@ class Worker:
     def _run_task(
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
-        if self._procs > 1 and len(indices) > 1:
-            return self._run_task_pooled(spec, indices)
         return run_slice(spec, indices, self._contexts)
-
-    def _run_task_pooled(
-        self, spec: CampaignSpec, indices: tuple[int, ...]
-    ) -> CampaignResult:
-        """Split one task across the local process pool (``-j N``)."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self._procs)
-        slices = shard_indices(indices, -(-len(indices) // self._procs))
-        futures = [self._pool.submit(run_slice, spec, sub) for sub in slices]
-        futures_wait(futures, return_when=FIRST_EXCEPTION)
-        parts = [f.result() for f in futures]  # re-raises the first failure
-        return merge_slice_parts(parts, slices)

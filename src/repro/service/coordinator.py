@@ -36,7 +36,7 @@ lives until it is drained.  The delivery model:
   — resume, part validation, the running result, ``experiment`` events,
   checkpoints, the finish event — is one
   :class:`~repro.campaign.cell.CampaignCell` per cell, the ledger the
-  inline and pool runners keep too; this module is the lease table, the
+  inline runner keeps too; this module is the lease table, the
   transport and the queue's pump around it.
 * **Observability.** Worker joins, leases, requeues and completions are
   emitted through :mod:`repro.campaign.events`, so the JSONL log shows
@@ -406,6 +406,10 @@ class ServiceCoordinator:
             except OSError:
                 pass
         if self._sock is not None:
+            try:  # wakes the accept thread now, not at its next timeout
+                self._sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._sock.close()
         self._kick.set()
         for thread in (self._accept_thread, self._pump_thread):
@@ -447,28 +451,36 @@ class ServiceCoordinator:
         self,
         specs: CampaignSpec | list[CampaignSpec],
         checkpoint_dir: str | Path | None = None,
+        *,
+        checkpoint_path: str | Path | None = None,
     ) -> list[tuple[str, str]]:
         """Admit campaign cells into the lease table (the pump does, through
-        :meth:`~repro.service.lifecycle.WorkloadLifecycle.run`).
+        :meth:`~repro.service.lifecycle.WorkloadLifecycle.run`, and so does
+        ``run_cells(specs, workers=N)``, one cell at a time).
 
-        Each cell is opened from its checkpoint in ``checkpoint_dir`` (a
-        checkpoint of another campaign or another program raises
-        :class:`CampaignError` here, before anything is leased) and what is
-        left of it is cut into trigger-ordered tasks.  Opening and ordering
-        compile the cell's tool, so both happen *before* the coordinator
-        lock is taken: admission never stalls the worker data plane.
-        Raises :class:`DistError` if any key is already being served.
+        Each cell is opened from its checkpoint in ``checkpoint_dir`` — or,
+        for one spec, the file ``checkpoint_path`` — (a checkpoint of
+        another campaign or another program raises :class:`CampaignError`
+        here, before anything is leased) and what is left of it is cut into
+        trigger-ordered tasks.  Opening and ordering compile the cell's
+        tool, so both happen *before* the coordinator lock is taken:
+        admission never stalls the worker data plane.  Raises
+        :class:`DistError` if any key is already being served.
         """
         if isinstance(specs, CampaignSpec):
             specs = [specs]
         keys = [spec.key for spec in specs]
         if len(set(keys)) != len(keys):
             raise DistError("duplicate (workload, tool) campaign specs")
+        if checkpoint_path is not None and (
+            checkpoint_dir is not None or len(specs) != 1
+        ):
+            raise DistError("checkpoint_path names the file of one cell")
         opened = []
         for spec in specs:
             cell = CampaignCell(
                 spec,
-                checkpoint_path=None if checkpoint_dir is None
+                checkpoint_path=checkpoint_path if checkpoint_dir is None
                 else matrix_checkpoint_path(
                     checkpoint_dir, spec.workload, spec.tool_name
                 ),
@@ -542,7 +554,6 @@ class ServiceCoordinator:
         now = time.monotonic()
         return {
             name: {
-                "procs": info["procs"],
                 "leased": len(info["tasks"]),
                 "experiments": info["experiments"],
                 "tasks_done": info["tasks_done"],
@@ -683,7 +694,7 @@ class ServiceCoordinator:
                         )
                     except (KeyError, TypeError, ValueError) as exc:
                         # A structurally valid frame with garbage fields
-                        # (procs: {}, task_id: [1], missing keys...) is the
+                        # (name: [1], task_id: [1], missing keys...) is the
                         # *peer's* bug: reply with a bounded protocol error
                         # and drop the connection instead of letting the
                         # handler thread die silently.
@@ -739,17 +750,16 @@ class ServiceCoordinator:
         requested = message.get("name")
         if requested is not None and not isinstance(requested, str):
             raise TypeError("worker name must be a string")
-        procs = int(message.get("procs", 1))
         self._worker_seq += 1
         name = requested or f"worker-{self._worker_seq}"
         if name in self._workers:
             name = f"{name}-{self._worker_seq}"
         now = time.monotonic()
         self._workers[name] = {
-            "procs": procs, "tasks": set(), "joined": now, "last_seen": now,
+            "tasks": set(), "joined": now, "last_seen": now,
             "experiments": 0, "tasks_done": 0, "failures": 0,
         }
-        self._emit("worker_join", worker=name, procs=procs)
+        self._emit("worker_join", worker=name)
         return name, {
             "type": "welcome",
             "version": PROTOCOL_VERSION,

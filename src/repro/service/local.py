@@ -30,7 +30,6 @@ and the nursery takes the fleet with it.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import signal
 import time
 from multiprocessing import util
@@ -62,28 +61,11 @@ def _spawn(target, *args, name: str):
 def _work(report, kwargs: dict) -> None:
     """A worker process.  Its one message home is how it ended: its
     :class:`WorkerStats`, or the error that stopped it."""
-    if hasattr(os, "setpgid"):
-        os.setpgid(0, 0)  # a ``procs > 1`` pool is signalled with its worker
     try:
         ended = Worker(**kwargs).run()
     except (DistError, OSError) as exc:
         ended = exc
     report.send(ended)
-
-
-def _signal(process, rung: str) -> None:
-    """``terminate`` or ``kill`` a worker and, where it leads a process
-    group, the pool it may have opened."""
-    if hasattr(os, "killpg"):
-        try:
-            os.killpg(
-                process.pid,
-                signal.SIGTERM if rung == "terminate" else signal.SIGKILL,
-            )
-            return
-        except ProcessLookupError:  # not a group leader yet
-            pass
-    getattr(process, rung)()
 
 
 def _reap_fleet(fleet: dict, timeout: float, force: bool) -> tuple[bool, list]:
@@ -104,7 +86,7 @@ def _reap_fleet(fleet: dict, timeout: float, force: bool) -> tuple[bool, list]:
         if not alive:
             break
         for slot in alive:
-            _signal(fleet[slot][0], rung)
+            getattr(fleet[slot][0], rung)()
             rungs[slot] = rung
         alive = wait(_RUNG_S)
     ended = []
@@ -167,8 +149,8 @@ class LocalService:
             cid = svc.client.submit({"workloads": [...], "tools": [...], "n": 8})
             svc.client.watch(cid)
 
-    Keyword arguments besides ``workers``, ``worker_procs`` and
-    ``reconnect_window`` pass straight through to
+    Keyword arguments besides ``workers`` and ``reconnect_window`` pass
+    straight through to
     :class:`ServiceCoordinator`.  Workers that die (failpoints, service
     shutdown) never fail the harness directly — fault tolerance is the
     coordinator's job, and the queue says how each campaign ended.  The
@@ -181,12 +163,10 @@ class LocalService:
         self,
         *,
         workers: int = 2,
-        worker_procs: int = 1,
         reconnect_window: float = 0.0,
         **coordinator_kwargs,
     ) -> None:
         self._worker_count = workers
-        self._worker_procs = worker_procs
         self._reconnect_window = reconnect_window
         self._coordinator_kwargs = dict(coordinator_kwargs)
         self._stats: list[WorkerStats | None] = []
@@ -217,18 +197,17 @@ class LocalService:
         self.host, self.port = self.coordinator.start()
         self.client = ServiceClient(self.host, self.port)
         for _ in range(self._worker_count):
-            self.start_worker(procs=self._worker_procs)
+            self.start_worker()
 
     def start_worker(
         self,
         *,
-        procs: int = 1,
         name: str | None = None,
         die_after: int | None = None,
     ) -> None:
         """Start one worker process against the current coordinator."""
         self._control.send(("start", len(self._stats), dict(
-            host=self.host, port=self.port, procs=procs, name=name,
+            host=self.host, port=self.port, name=name,
             die_after=die_after, reconnect_window=self._reconnect_window,
         )))
         self._stats.append(None)

@@ -128,12 +128,6 @@ class TestCampaignStats:
         assert stats.done == 51
         assert "crash=11" in stats.render()
 
-    def test_batch_updates(self):
-        stats = CampaignStats(total=20)
-        stats.note_batch({Outcome.CRASH: 2, Outcome.SOC: 3})
-        assert stats.done == 5
-        assert stats.counts[Outcome.CRASH] == 2
-
     def test_render_contains_progress_and_outcomes(self):
         now = [0.0]
         stats = CampaignStats(total=8, clock=lambda: now[0])

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -255,6 +256,25 @@ class TestParallelRunner:
         )
         assert sorted(seen) == [(2, 8), (4, 8), (6, 8), (8, 8)]
 
+    def test_more_workers_than_cores_report_each_task_once(self):
+        """The coordinator folds on its threads and the caller hears of each
+        task on its own: under contention no report is lost or doubled."""
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo")
+        sequential = run_campaign(tool, n=24, base_seed=5)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            parallel = run_campaign_parallel(
+                "REFINE", DEMO_SOURCE, "demo", n=24, workers=4, base_seed=5,
+                chunk_size=1, progress=lambda done, n: seen.append(done),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == list(range(1, 25))
+        assert parallel.counts == sequential.counts
+        assert parallel.total_cycles == sequential.total_cycles
+
 
 class TestMatrixRecords:
     def test_run_matrix_keeps_records_when_asked(self):
@@ -277,6 +297,13 @@ class TestMatrixRecords:
     def test_run_matrix_default_drops_records(self):
         matrix = run_matrix({"demo": DEMO_SOURCE}, ("REFINE",), n=4)
         assert matrix[("demo", "REFINE")].records == []
+
+    def test_run_matrix_rejects_workers_below_one(self):
+        for workers in (0, -3):
+            with pytest.raises(CampaignError, match="workers must be positive"):
+                run_matrix(
+                    {"demo": DEMO_SOURCE}, ("REFINE",), n=4, workers=workers
+                )
 
     def test_run_matrix_parallel_workers_match_sequential(self):
         seq = run_matrix({"demo": DEMO_SOURCE}, ("REFINE",), n=10, base_seed=2)

@@ -417,15 +417,15 @@ class TestParallelEquivalence:
         _assert_equivalent(parallel, _oracle())
 
     def test_parallel_compiles_once_per_process(self, tmp_path, monkeypatch):
-        """Chunks of one campaign share their process's compiled tool (and
-        golden timeline) instead of building a fresh one each."""
+        """The tasks a worker leases of one campaign share its compiled tool
+        (and golden timeline) instead of building a fresh one each."""
         import multiprocessing
         import os
 
         import repro.fi.tools as tools
 
         if multiprocessing.get_start_method() != "fork":
-            pytest.skip("the counting patch reaches pool processes by fork")
+            pytest.skip("the counting patch reaches worker processes by fork")
         log = tmp_path / "compiles.log"
         real = tools.compile_minic
 
@@ -442,15 +442,15 @@ class TestParallelEquivalence:
                 chunk_size=2, events=sink,
             )
         pids = log.read_text().split()
-        assert len(pids) == len(set(pids)) <= 3  # parent + two pool processes
-        chunks = [
+        assert len(pids) == len(set(pids)) <= 3  # parent + two workers
+        tasks = [
             e for e in read_events(events)
-            if e["event"] == "scheduler_stats" and "chunk" in e
+            if e["event"] == "scheduler_stats" and "task" in e
         ]
-        assert len(chunks) == N // 2
+        assert len(tasks) == N // 2
         steps = make_tool("REFINE", DEMO_SOURCE, "demo").profile.steps
-        # one full golden pass per pool process, windows for the rest
-        assert sum(e["cursor_steps"] == steps for e in chunks) <= 2
+        # one full golden pass per worker, windows for the rest
+        assert sum(e["cursor_steps"] == steps for e in tasks) <= 2
 
     def test_parallel_trigger_finish_event_aggregates(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
@@ -461,12 +461,12 @@ class TestParallelEquivalence:
         )
         log.close()
         events = read_events(log_path)
-        finish = [e for e in events if e["event"] == "campaign_finish"][0]
+        finish = [e for e in events if e["event"] == "cell_finish"][0]
         assert finish["schedule"] == "trigger"
         assert finish["scheduler"]["experiments"] == N
-        chunk_stats = [
+        task_stats = [
             e for e in events
-            if e["event"] == "scheduler_stats" and "chunk" in e
+            if e["event"] == "scheduler_stats" and "task" in e
         ]
-        # Per-chunk stats are each batch's own; they sum to the totals.
-        assert sum(e["experiments"] for e in chunk_stats) == N
+        # Per-task stats are each task's own; they sum to the totals.
+        assert sum(e["experiments"] for e in task_stats) == N

@@ -87,12 +87,6 @@ class TestEquivalence:
                 results[("demo", tool_name)], run_campaign(tool, n=8)
             )
 
-    def test_worker_process_pool_bit_identical(self, sequential):
-        # -j 2: each leased task fans out over a local process pool.
-        with LocalService(workers=1, worker_procs=2, chunk_size=8) as svc:
-            results = serve(svc, request_for(_spec()))
-        _assert_identical(results[KEY], sequential)
-
 
 class TestFaultTolerance:
     def test_dead_worker_disconnect_requeue(self, sequential, tmp_path):
@@ -127,9 +121,7 @@ class TestFaultTolerance:
                 backoff_base=0.01, events=events,
             ) as svc:
                 cid = svc.client.submit(request_for(_spec()))
-                zombie = CoordinatorClient(
-                    svc.host, svc.port, name="zombie", procs=1
-                )
+                zombie = CoordinatorClient(svc.host, svc.port, name="zombie")
                 zombie.connect()
                 lease = lease_task(zombie)
                 # ... and now the zombie never heartbeats again.

@@ -75,6 +75,47 @@ class TestCampaignMain:
             assert int(fields[3]) + int(fields[4]) + int(fields[5]) == 8
 
 
+    def test_workers_store_what_inline_stores(self, tmp_path, capsys):
+        """``-j 2`` runs each cell on two service workers: its CSV and its
+        results-store rows are ``-j 1``'s, and the live progress line counts
+        every experiment once."""
+        import sqlite3
+
+        tables = {
+            "campaigns": "workload, tool, n, base_seed, total_candidates, "
+            "golden_output, total_cycles, total_steps, source, schedule, "
+            "fault_model",
+            "runs": "*", "faults": "*", "tallies": "*",
+        }
+        seen = {}
+        for j in ("1", "2"):
+            db = tmp_path / f"j{j}.sqlite"
+            assert campaign_main([
+                "-w", "EP", "-t", "REFINE,PINFI", "-n", "8", "-j", j,
+                "--events", str(tmp_path / f"j{j}.jsonl"), "--db", str(db),
+            ]) == 0
+            out, err = capsys.readouterr()
+            progress = [line for line in err.splitlines() if "/8 (" in line]
+            assert [line.split(" (")[0] for line in progress] == [
+                "# EP/REFINE: 8/8", "# EP/PINFI: 8/8",
+            ]
+            with sqlite3.connect(db) as conn:
+                rows = {
+                    table: sorted(conn.execute(
+                        f"SELECT {columns} FROM {table}"
+                    ))
+                    for table, columns in tables.items()
+                }
+            assert len(rows["runs"]) == 16
+            seen[j] = out, rows
+        assert seen["2"] == seen["1"]
+
+    def test_workers_below_one_is_usage_error(self, capsys):
+        for j in ("0", "-3"):
+            assert campaign_main(["-n", "2", "-w", "EP", "-j", j]) == 2
+            assert "-j must be >= 1" in capsys.readouterr().err
+
+
 class TestReportMain:
     """``refine-campaign --db``, then ``refine-db``: ``query`` shows the
     tables on the terminal, ``report`` writes all three serialisations."""
@@ -238,9 +279,13 @@ class TestExitCodes:
         assert "HOST:PORT" in capsys.readouterr().err
 
     def test_worker_bad_procs_is_usage_error(self, capsys):
+        """A worker is one process: ``-j`` is no option of it any more."""
         from repro.cli import worker_main
 
-        assert worker_main(["127.0.0.1:9100", "-j", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            worker_main(["127.0.0.1:9100", "-j", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: -j" in capsys.readouterr().err
 
     def test_worker_unreachable_coordinator_fails(self, capsys):
         import socket

@@ -323,24 +323,24 @@ class TestRestartRecovery:
         assert distinct == big_n
 
 
-    def test_a_worker_that_will_not_leave_is_terminated_with_its_pool(
+    def test_a_worker_that_will_not_leave_is_terminated(
         self, tmp_path, monkeypatch
     ):
-        """A ``-j 2`` worker with a reconnect window keeps redialling a
-        killed coordinator; ``restart`` waits out its deadline, terminates
-        it — the pool it opened goes with it — and says so."""
+        """A worker with a reconnect window keeps redialling a killed
+        coordinator; ``restart`` waits out its deadline, terminates it and
+        says so."""
         from repro.service import local
 
         monkeypatch.setattr(local, "_LEAVE_S", 0.5)
         before = descendants()
         svc = LocalService(
-            workers=1, worker_procs=2, reconnect_window=3600.0,
+            workers=1, reconnect_window=3600.0,
             chunk_size=4, checkpoint_every=4, **_paths(tmp_path),
         )
         try:
             cid = svc.client.submit(_request(n=480))
             _wait_progress(svc.client, cid, 8)
-            assert len(descendants() - before) == 4  # nursery, worker, pool
+            assert len(descendants() - before) == 2  # the nursery, a worker
             svc.restart(kill=True, workers=0)
             assert len(descendants() - before) == 1  # the nursery
             assert ["terminate()" in str(e) for e in svc._worker_errors] == [True]

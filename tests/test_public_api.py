@@ -96,6 +96,8 @@ def test_public_modules_have_docstrings_on_public_functions():
 REMOVED_KNOBS = {
     "engine", "schedule", "snapshot_interval", "snapshot_dir", "store_dir",
     "coarse", "use_snapshots", "cache_dir",
+    # a worker's own process pool: one worker is one process on one core
+    "procs", "worker_procs",
 }
 #: ... except where one labels what a stored record or row came from (the
 #: persisted formats keep their shape), which nothing can set to choose a path.
@@ -109,7 +111,7 @@ PROVENANCE_FIELDS = {
 REMOVED_FLAGS = (
     "--engine", "--schedule", "--snapshot-interval", "--no-snapshot",
     "--snapshot-dir", "--check-engines", "--check-schedules",
-    "--dist", "--lease-timeout",
+    "--dist", "--lease-timeout", "--procs",
 )
 REMOVED_NAMES = (
     "SnapshotEngine", "SnapshotStore", "SnapshotStats", "ReferenceEngine",
@@ -118,6 +120,8 @@ REMOVED_NAMES = (
     "check_workload_engine_equivalence",
     "check_workload_scheduler_equivalence",
     "Coordinator", "LocalCluster",
+    # the process-pool executor: ``-j N`` is N service workers
+    "run_cell_parallel", "merge_slice_parts",
 )
 
 
@@ -220,11 +224,9 @@ def test_cell_bookkeeping_has_one_copy():
     }
     assert "start/finish emit" not in sites, sites["start/finish emit"]
     # merge_results stays public (batch aggregation); inside the package
-    # only a worker's -j N sub-slices and the oracle merge parts
-    assert set(sites["merge_results"]) == {
-        "campaign/parallel.py", "testing/oracles.py"
-    }
-    for gone in ("SliceTask", "make_slice_context"):
+    # only the oracle merges parts
+    assert set(sites["merge_results"]) == {"testing/oracles.py"}
+    for gone in ("SliceTask", "make_slice_context", "CHUNKS_PER_WORKER"):
         assert not hasattr(repro.campaign.parallel, gone)
     from repro.service import ServiceCoordinator
 
@@ -300,11 +302,29 @@ def test_local_service_has_one_way_to_start_a_worker():
     ]
     assert called.count("Process") == 1 and "Thread" not in called
     assert set(inspect.signature(local.LocalService).parameters) == {
-        "workers", "worker_procs", "reconnect_window", "coordinator_kwargs",
+        "workers", "reconnect_window", "coordinator_kwargs",
     }
     assert set(inspect.signature(
         local.LocalService.start_worker
-    ).parameters) == {"self", "procs", "name", "die_after"}
+    ).parameters) == {"self", "name", "die_after"}
+
+
+def test_one_way_onto_many_cores():
+    """``-j N`` is N service workers.  No process pool grows back in the
+    package, and a worker, having no children, leads no process group of
+    its own for the harness to signal."""
+    from pathlib import Path
+
+    import repro
+    import repro.service.local as local
+
+    root = Path(repro.__file__).parent
+    assert not [
+        path.relative_to(root).as_posix() for path in root.rglob("*.py")
+        if "ProcessPoolExecutor" in path.read_text(encoding="utf-8")
+    ]
+    source = Path(local.__file__).read_text(encoding="utf-8")
+    assert "setpgid" not in source and "killpg" not in source
 
 
 def test_engine_generates_code_in_one_place():
