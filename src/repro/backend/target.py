@@ -82,10 +82,6 @@ CALLER_SAVED_GPR = tuple(r for r in GPR_ALLOC if r not in CALLEE_SAVED_GPR)
 CALLER_SAVED_FPR = tuple(FPR_ALLOC)
 
 
-def is_callee_saved(reg: str) -> bool:
-    return reg in CALLEE_SAVED_GPR or reg in CALLEE_SAVED_FPR
-
-
 # -- flags bits (x86 layout) ------------------------------------------------
 
 CF_BIT = 0

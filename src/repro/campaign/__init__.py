@@ -13,7 +13,9 @@ from repro.campaign.cell import (
     DEFAULT_SEED,
     CampaignCell,
     CampaignSpec,
+    Program,
     make_tool,
+    trigger_order,
 )
 from repro.campaign.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -33,6 +35,7 @@ from repro.campaign.io import (
 )
 from repro.campaign.parallel import (
     run_campaign_parallel,
+    run_plan,
     run_slice,
 )
 from repro.campaign.results import CampaignResult, ExperimentRecord, matrix_to_csv
@@ -62,6 +65,8 @@ __all__ = [
     "render_sensitivity",
     "CampaignCell",
     "CampaignSpec",
+    "Program",
+    "trigger_order",
     "DEFAULT_CHECKPOINT_EVERY",
     "CampaignCheckpoint",
     "load_checkpoint",
@@ -76,6 +81,7 @@ __all__ = [
     "result_to_dict",
     "save_matrix",
     "run_campaign_parallel",
+    "run_plan",
     "run_slice",
     "OUTCOME_ORDER",
     "Outcome",

@@ -5,11 +5,14 @@ The paper's unit of work is a (program, tool) cell of n single-fault runs,
 run "in batches on a cluster" (Appendix A.4).  Both executors — inline
 (:func:`repro.campaign.runner.run_cell`) and leases to service workers
 (:class:`repro.service.ServiceCoordinator`, which ``-j N`` runs too) — take
-the same spec and keep the same books, so the books are kept here, once: **open** (resume from a
-checkpoint that must be this campaign's, on this program) → **shards** (what
-is left, in trigger order) → **add / fold** (tally, ``experiment`` events,
-part validation, duplicates) → **save** (the one place a checkpoint is
-published) → **finish**.
+the same spec and keep the same books, so the books are kept here, once: **open**
+(resume from a checkpoint that must be this campaign's; nothing is built) →
+**bind** (to the :class:`Program` a build of the spec profiled — the inline
+runner's own tool, or the plan a service worker returns — which a resumed
+checkpoint must match) → **add / fold** (tally, ``experiment`` events, part
+validation, duplicates) → **save** (the one place a checkpoint is published)
+→ **finish**.  What is left runs in trigger order (:func:`trigger_order`),
+cut into shards for workers by :func:`shard_indices`.
 
 The ledger accumulates into one running :class:`CampaignResult` and is the
 one place ``total_cycles`` is summed, *exactly*: the sum is held as
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.campaign.checkpoint import (
     DEFAULT_CHECKPOINT_EVERY,
@@ -72,17 +75,48 @@ def make_tool(
     )
 
 
+class Program(NamedTuple):
+    """What a cell is bound to: the fault-free output, fault-injection
+    candidate count and fault model of the build its spec names.  Every
+    part folded into the cell must carry the same three."""
+
+    golden_output: tuple[str, ...]
+    total_candidates: int
+    fault_model: str
+
+    @classmethod
+    def of(cls, tool: FITool) -> "Program":
+        """``tool``'s program (it compiles and profiles on first access)."""
+        profile = tool.profile
+        return cls(
+            profile.golden_output, profile.total_candidates,
+            tool.fault_model.spec,
+        )
+
+    def fresh_result(self, workload: str, tool: str, n: int) -> CampaignResult:
+        """An empty result of ``n`` experiments on this program."""
+        return CampaignResult(
+            workload=workload, tool=tool, n=n,
+            counts={o: 0 for o in Outcome},
+            golden_output=self.golden_output,
+            total_candidates=self.total_candidates,
+            fault_model=self.fault_model,
+        )
+
+
 def _fresh_result(tool: FITool, n: int) -> CampaignResult:
-    profile = tool.profile  # compiles + profiles on first access
-    return CampaignResult(
-        workload=tool.workload,
-        tool=tool.name,
-        n=n,
-        counts={o: 0 for o in Outcome},
-        golden_output=profile.golden_output,
-        total_candidates=profile.total_candidates,
-        fault_model=tool.fault_model.spec,
-    )
+    return Program.of(tool).fresh_result(tool.workload, tool.name, n)
+
+
+def trigger_order(
+    tool: FITool, base_seed: int, indices: Iterable[int]
+) -> list[int]:
+    """``indices`` ordered along the golden timeline: the order a cell's
+    shards are cut in, each a **contiguous trigger range** — one compact
+    window of the golden run for its executor's cursor."""
+    return [
+        index for _, index in resolve_trigger_order(tool, base_seed, indices)
+    ]
 
 
 def shard_indices(
@@ -217,9 +251,9 @@ class CampaignCell:
     """The ledger of one cell: everything per-cell that is not execution.
 
     Constructing a cell *opens* it: an existing checkpoint is loaded and
-    must match the spec and — while anything is left to run — the built
-    ``tool`` (default: the spec's own) on golden output and candidate
-    count; a fully completed cell compiles nothing.  ``emit(event,
+    must match the spec — nothing is compiled.  While anything is left to
+    run, the cell is then bound (:meth:`bind`) to the program a build of the
+    spec profiled; ``tool`` binds it to that tool's right away.  ``emit(event,
     **fields)`` receives the cell's telemetry, the start/finish pair under
     the executor's ``event_names``.  ``before_save()`` runs ahead of every
     checkpoint publication: the seam for what must be durable first (the
@@ -242,7 +276,6 @@ class CampaignCell:
         if checkpoint_every <= 0:
             raise CampaignError("checkpoint_every must be positive")
         self.spec = spec
-        self.tool = spec.make_tool() if tool is None else tool
         self.checkpoint_path = checkpoint_path
         self._checkpoint_every = checkpoint_every
         self._emit = emit
@@ -254,7 +287,11 @@ class CampaignCell:
         #: global indices folded in so far, and how many since the last save
         self.completed: set[int] = set()
         self._unsaved = 0
-        partial, self._cycles = None, []
+        self._cycles: list[float] = []
+        #: the one running result (records in arrival order until
+        #: :meth:`finish` sorts them): the checkpoint's partial, or a fresh
+        #: one once the cell is bound; ``None`` until either exists
+        self.result: CampaignResult | None = None
 
         ckpt = try_load_checkpoint(checkpoint_path)
         if ckpt is not None:
@@ -267,30 +304,40 @@ class CampaignCell:
                     "checkpoint lists completed experiments but holds no "
                     "partial result"
                 )
-            self.completed, partial = ckpt.completed, ckpt.partial
-            if partial is not None:
+            self.completed, self.result = ckpt.completed, ckpt.partial
+            if self.result is not None:
                 # files from before the ledger carry only the rounded total
-                self._cycles = ckpt.cycle_partials or [partial.total_cycles]
-        if not self.done:
-            # The check rides on the compile + profile that running (or
-            # ordering) what is left needs anyway.
-            profile = self.tool.profile
-            if partial is None:
-                partial = _fresh_result(self.tool, spec.n)
-            elif partial.golden_output != profile.golden_output:
-                raise CampaignError(
-                    "checkpoint golden output differs from the current "
-                    "program — was the workload source changed?"
-                )
-            elif partial.total_candidates != profile.total_candidates:
-                raise CampaignError(
-                    "checkpoint total_candidates differ from the current "
-                    "program — was the FIConfig changed?"
-                )
-        #: the one running result (records in arrival order until
-        #: :meth:`finish` sorts them)
-        self.result: CampaignResult = partial
-        self.result.n = spec.n  # the campaign's size, not what has finished
+                self._cycles = ckpt.cycle_partials or [self.result.total_cycles]
+                self.result.n = spec.n  # the campaign's size
+        if tool is not None and not self.done:
+            self.bind(Program.of(tool))
+
+    def bind(self, program: Program) -> None:
+        """Bind the cell to the program its spec built into: a resumed
+        checkpoint must have been left by the same program, a fresh cell
+        starts its result from it.  Raises :class:`CampaignError` (and
+        changes nothing) for a program that is not the cell's."""
+        spec, partial = self.spec, self.result
+        if program.fault_model != spec.fault_model:
+            raise CampaignError(
+                f"a build of cell {spec.key} reports fault model "
+                f"{program.fault_model!r}, the spec {spec.fault_model!r} — "
+                "another build?"
+            )
+        if partial is None:
+            self.result = program.fresh_result(
+                spec.workload, spec.tool_name, spec.n
+            )
+        elif partial.golden_output != program.golden_output:
+            raise CampaignError(
+                "checkpoint golden output differs from the current "
+                "program — was the workload source changed?"
+            )
+        elif partial.total_candidates != program.total_candidates:
+            raise CampaignError(
+                "checkpoint total_candidates differ from the current "
+                "program — was the FIConfig changed?"
+            )
 
     @property
     def done(self) -> bool:
@@ -305,23 +352,16 @@ class CampaignCell:
     def start(self) -> None:
         """Announce the cell: the start event, with what was resumed."""
         spec = self.spec
+        counts = (
+            {o: 0 for o in Outcome} if self.result is None
+            else self.result.counts
+        )
         self._send(
             self._start_event, workload=spec.workload, tool=spec.tool_name,
             n=spec.n, base_seed=spec.base_seed, resumed=len(self.completed),
-            resumed_counts={o.value: k for o, k in self.result.counts.items()},
+            resumed_counts={o.value: k for o, k in counts.items()},
             fault_model=spec.fault_model,
         )
-
-    def shards(self, size: int) -> list[tuple[int, ...]]:
-        """What is left, ordered along the golden timeline and cut into
-        shards of ``size``: each a **contiguous trigger range**, one compact
-        window of the golden run for its executor's cursor.  (Resolving
-        triggers builds the tool, so a spec that cannot be compiled or
-        profiled fails here, not as a worker traceback.)"""
-        order = resolve_trigger_order(
-            self.tool, self.spec.base_seed, self.remaining
-        )
-        return shard_indices([index for _, index in order], size)
 
     def add(self, record: ExperimentRecord, **tags) -> None:
         """Tally one finished experiment and emit its ``experiment`` event;
@@ -352,6 +392,10 @@ class CampaignCell:
         folded in only partially, and for one that is not this cell's: a
         peer that disagrees about the program is corruption, not noise.
         """
+        if self.result is None:
+            raise CampaignError(
+                f"cell {self.spec.key} is not bound to a program yet"
+            )
         indices = sorted(indices)
         spec, mine = self.spec, self.result
         for what, theirs, ours in (

@@ -81,8 +81,17 @@ event                     extra fields
 ``cell_start``            ``workload``, ``tool``, ``n``, ``base_seed``,
                           ``fault_model``, ``resumed``, ``resumed_counts``
 ``worker_join``           ``worker``
+``plan_lease``            ``task``, ``worker``, ``workload``, ``tool``,
+                          ``size``, ``attempt`` — a cell's plan (build it,
+                          order what is left) granted; ``campaign`` when a
+                          queued campaign owns the cell
+``plan_done``             ``task``, ``worker``, ``workload``, ``tool``,
+                          ``size``, ``duplicate`` (another plan of the cell
+                          came first); when not a duplicate also
+                          ``attempt`` and ``slices`` (the leases it was cut
+                          into); ``campaign`` as above
 ``lease``                 ``task``, ``worker``, ``workload``, ``tool``,
-                          ``size``, ``attempt``
+                          ``size``, ``attempt`` — a slice of experiments
 ``task_done``             ``task``, ``worker``, ``workload``, ``tool``,
                           ``size``, ``duplicate``; when not a duplicate also
                           ``attempt``, ``completed``, ``n``, ``counts``

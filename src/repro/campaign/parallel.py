@@ -3,12 +3,15 @@
 The paper runs its 44,856 experiments on a cluster, fully subscribing each
 node (Appendix A.4).  There is one way onto many cores here, the campaign
 service's workers (:mod:`repro.service`, :mod:`repro.dist.worker`); on one
-host ``-j N`` is N of them (:func:`repro.campaign.run_cells`).  A worker
-leases a **slice** of a cell — a contiguous trigger range, see
-:meth:`repro.campaign.cell.CampaignCell.shards` — and runs it here, through
-:func:`run_slice`: it compiles and profiles its tool instance once and
-keeps it, with the trigger scheduler's golden timeline, across the slices
-it leases (:class:`SliceContexts`).  Slices complete in any order; the
+host ``-j N`` is N of them (:func:`repro.campaign.run_cells`).  A cell's
+first lease is its **plan** (:func:`run_plan`): the worker builds the cell
+— compile, profile — and returns the trigger order of what is left with the
+:class:`~repro.campaign.cell.Program` the ledger binds to; the coordinator
+cuts that order into **slices**, contiguous trigger ranges, which workers
+lease and run here, through :func:`run_slice`.  An executor compiles and
+profiles a tool instance once and keeps it, with the trigger scheduler's
+golden timeline, across the plans and slices it leases
+(:class:`SliceContexts`).  Slices complete in any order; the
 cell's ledger does not depend on it (``total_cycles`` included: it is
 summed exactly), so a campaign on workers equals the inline one field for
 field, whatever the worker count.
@@ -23,7 +26,9 @@ from typing import Callable, Iterable
 from repro.campaign.cell import (
     DEFAULT_SEED,
     CampaignSpec,
+    Program,
     _fresh_result,
+    trigger_order,
 )
 from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.campaign.events import EventLog
@@ -71,6 +76,19 @@ class SliceContexts:
             self._contexts.popitem(last=False)
         return tool, scheduler
 
+
+
+def run_plan(
+    spec: CampaignSpec,
+    indices: Iterable[int],
+    contexts: SliceContexts | None = None,
+) -> tuple[list[int], Program]:
+    """Plan ``spec``'s cell: build its context (kept in ``contexts`` for the
+    slices that follow) and return ``indices`` in trigger order, with the
+    program the cell's ledger binds to.  A spec that cannot be compiled or
+    profiled raises its :class:`~repro.errors.ReproError` here."""
+    tool, _ = (SliceContexts() if contexts is None else contexts).get(spec)
+    return trigger_order(tool, spec.base_seed, indices), Program.of(tool)
 
 
 def run_slice(

@@ -124,13 +124,14 @@ def run_cell(
     (:class:`~repro.campaign.cell.CampaignCell`, which owns resume,
     telemetry and checkpoints).  ``tool`` is the spec's tool if the caller
     has already built it."""
+    tool = spec.make_tool() if tool is None else tool
     cell = CampaignCell(
         spec, tool, checkpoint_path=checkpoint_path,
         checkpoint_every=checkpoint_every,
         emit=None if events is None else events.emit,
     )
     cell.start()
-    scheduler = TriggerScheduler(cell.tool, spec.n, events=events)
+    scheduler = TriggerScheduler(tool, spec.n, events=events)
     started = t0 = time.monotonic()
     try:
         for record in scheduler.run_batch(spec.base_seed, cell.remaining):

@@ -196,9 +196,9 @@ def resolve_trigger_order(
 ) -> list[tuple[int, int]]:
     """``(trigger, index)`` pairs for a batch, sorted by ``(trigger, index)``.
 
-    Shared by the scheduler and the cell ledger's sharder
-    (:meth:`repro.campaign.cell.CampaignCell.shards`: leases),
-    so every layer agrees on the timeline order.
+    Shared by the scheduler and a cell's plan
+    (:func:`repro.campaign.cell.trigger_order`: the order leases are cut
+    in), so every layer agrees on the timeline order.
     """
     pairs = []
     for index in indices:

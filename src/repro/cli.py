@@ -480,7 +480,8 @@ def worker_main(argv: list[str] | None = None) -> int:
     if not args.quiet:
         print(
             f"# {stats.name}: ran {stats.experiments} experiments in "
-            f"{stats.tasks} tasks ({stats.duplicates} duplicate(s), "
+            f"{stats.tasks} tasks and planned {stats.plans} cell(s) "
+            f"({stats.duplicates} duplicate(s), "
             f"{stats.failures} failure(s)); pid {stats.pid}, "
             f"{stats.cpu_s:.2f} s CPU, peak RSS {stats.peak_rss_mb:.0f} MiB",
             file=sys.stderr,

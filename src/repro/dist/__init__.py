@@ -1,9 +1,10 @@
 """Distributed campaign execution: the wire protocol and the worker side.
 
 The paper ran its 44,856-experiment evaluation as a cluster campaign; this
-package is what a node of ours speaks.  Campaigns are sharded into
-index-range tasks and served over a length-prefixed JSON protocol
-(:mod:`repro.dist.protocol`); :class:`Worker` processes (the
+package is what a node of ours speaks.  A cell's first task is its plan —
+a worker builds the cell and orders what is left of it — and the rest are
+index-range slices of that order, served over a length-prefixed JSON
+protocol (:mod:`repro.dist.protocol`); :class:`Worker` processes (the
 ``refine-worker`` CLI) lease tasks, run them through the shared slice
 machinery, and stream results back.  Leases + heartbeats +
 exponential-backoff requeue give at-least-once delivery; exact per-index

@@ -3,18 +3,19 @@
 :class:`CoordinatorClient` wraps one TCP connection and speaks the strict
 request/response protocol of :mod:`repro.dist.protocol`: ``hello`` once,
 then any sequence of ``request`` / ``heartbeat`` / ``result`` /
-``task_failed``.  :class:`repro.dist.worker.Worker` drives it for real
-work; tests drive it directly to impersonate slow, dead or duplicate
-workers deterministically.
+``plan_result`` / ``task_failed``.  :class:`repro.dist.worker.Worker`
+drives it for real work; tests drive it directly to impersonate slow, dead
+or duplicate workers deterministically.
 """
 
 from __future__ import annotations
 
 import socket
 
+from repro.campaign.cell import Program
 from repro.campaign.io import result_to_dict
 from repro.campaign.results import CampaignResult
-from repro.dist.protocol import recv_message, send_message
+from repro.dist.protocol import encode_plan, recv_message, send_message
 from repro.errors import DistConnectionError, DistError
 
 
@@ -72,9 +73,10 @@ class CoordinatorClient:
         return welcome
 
     def request_task(self) -> dict:
-        """Ask for work; returns a ``lease``, ``wait`` or ``done`` message."""
+        """Ask for work; returns a ``plan``, ``lease``, ``wait`` or ``done``
+        message."""
         reply = self._call({"type": "request"})
-        if reply["type"] not in ("lease", "wait", "done"):
+        if reply["type"] not in ("plan", "lease", "wait", "done"):
             raise DistError(f"unexpected reply {reply['type']!r} to request")
         return reply
 
@@ -88,6 +90,22 @@ class CoordinatorClient:
         return self._call({
             "type": "result", "task_id": task_id,
             "part": result_to_dict(part),
+        })
+
+    def complete_plan(self, task_id: int, order, program: Program) -> dict:
+        """Submit a plan: its indices in trigger ``order`` and the
+        ``program`` the build profiled; returns the ``ok`` acknowledgement
+        (``duplicate``: another plan of the cell arrived first)."""
+        return self._call({
+            "type": "plan_result", "task_id": task_id,
+            **encode_plan(order, program),
+        })
+
+    def fail_plan(self, task_id: int, error: str) -> dict:
+        """Report that building a planned cell raised ``error``: its spec
+        cannot run, and the coordinator fails its campaign."""
+        return self._call({
+            "type": "plan_result", "task_id": task_id, "error": error,
         })
 
     def fail(self, task_id: int, error: str) -> None:

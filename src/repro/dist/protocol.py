@@ -18,7 +18,14 @@ worker → coordinator
 ``heartbeat``       keep this worker's leases alive
 ``result``          ``task_id``, ``part`` (a serialized
                     :class:`~repro.campaign.results.CampaignResult`)
-``task_failed``     ``task_id``, ``error`` — the slice raised; requeue it
+``plan_result``     ``task_id`` of a ``plan``, and either ``order`` (its
+                    ``indices`` in trigger order), ``golden_output`` (list
+                    of lines), ``total_candidates`` and ``fault_model`` (the
+                    :class:`~repro.campaign.cell.Program` of the build), or
+                    ``error`` — building the cell raised, so its spec cannot
+                    run and its campaign fails
+``task_failed``     ``task_id``, ``error`` — the slice or plan raised
+                    something else; requeue it
 ==================  =========================================================
 
 ==================  =========================================================
@@ -26,17 +33,23 @@ coordinator → worker
 ==================  =========================================================
 ``welcome``         ``version``, ``worker`` (assigned name),
                     ``heartbeat_s``, ``lease_timeout_s``
-``lease``           ``task_id``, ``spec`` (campaign parameters),
-                    ``indices`` (run-length ``[start, stop)`` ranges),
-                    ``attempt``
+``plan``            a cell's first task: build it and order what is left
+                    of it — ``task_id``, ``spec``, ``indices`` (ascending),
+                    ``attempt``; answered by ``plan_result``
+``lease``           a slice of a planned cell: ``task_id``, ``spec``
+                    (campaign parameters), ``indices`` (run-length
+                    ``[start, stop)`` ranges, in trigger order),
+                    ``attempt``; answered by ``result``
 ``wait``            ``delay_s`` — nothing leasable right now, ask again (the
                     coordinator holds an idle ``request`` open for up to a
                     second before it says so)
 ``done``            the service is draining (or stopping with nothing in
                     flight): no more leases, worker may exit
-``ok``              acknowledgement; for ``result`` carries ``duplicate``
+``ok``              acknowledgement; for ``result`` and ``plan_result``
+                    carries ``duplicate`` (another worker's plan of the cell
+                    arrived first, or its part did)
 ``error``           ``message`` — the peer's message was rejected (a
-                    malformed frame, a part of another build); the
+                    malformed frame, a part or a plan of another build); the
                     connection is dropped and the worker should abort
 ==================  =========================================================
 
@@ -68,6 +81,9 @@ disk), so a lease for ten thousand contiguous experiments is a few bytes,
 not a few kilobytes; the receiver decodes them against the spec's ``n``.
 The ``spec`` is a :class:`repro.campaign.cell.CampaignSpec`, re-exported
 here with the index code because this is where peers look for the wire.
+A ``plan_result`` is input from the network like a part:
+:func:`decode_plan` checks it against the plan's indices before the
+coordinator's ledger sees it.
 """
 
 from __future__ import annotations
@@ -76,20 +92,21 @@ import json
 import socket
 import struct
 
-from repro.campaign.cell import CampaignSpec
+from repro.campaign.cell import CampaignSpec, Program
 from repro.campaign.io import decode_indices, encode_indices
 from repro.errors import DistConnectionError, DistError
 
 __all__ = [
     "CONTROL_TYPES", "MAX_MESSAGE_BYTES", "PROTOCOL_VERSION", "CampaignSpec",
-    "decode_indices", "encode_indices", "recv_message", "send_message",
+    "decode_indices", "decode_plan", "encode_indices", "encode_plan",
+    "recv_message", "send_message",
 ]
 
 #: Version 2 added the service control plane (``submit``/``status``/
-#: ``list``/``cancel``/``drain``/``fetch``).  The worker-facing data plane
-#: is unchanged, so version-1 workers interoperate with version-2
-#: coordinators.
-PROTOCOL_VERSION = 2
+#: ``list``/``cancel``/``drain``/``fetch``); version 3 the ``plan`` reply
+#: and its ``plan_result``, a cell's first task.  An older worker refuses a
+#: ``plan`` as an unexpected reply rather than misreading it as a lease.
+PROTOCOL_VERSION = 3
 
 #: Control-plane verbs the coordinator accepts without a ``hello``
 #: handshake.
@@ -157,3 +174,40 @@ def recv_message(sock: socket.socket) -> dict | None:
     if not isinstance(message, dict) or not isinstance(message.get("type"), str):
         raise DistError("message must be a JSON object with a 'type' string")
     return message
+
+
+def encode_plan(order, program: Program) -> dict:
+    """The fields of a ``plan_result`` that carries a plan."""
+    return {
+        "order": list(order),
+        "golden_output": list(program.golden_output),
+        "total_candidates": program.total_candidates,
+        "fault_model": program.fault_model,
+    }
+
+
+def decode_plan(
+    message: dict, leased: tuple[int, ...]
+) -> tuple[tuple[int, ...], Program] | str:
+    """A ``plan_result`` for a plan of the ascending indices ``leased``: its
+    ``error`` message, or its trigger order — a permutation of ``leased`` —
+    and program.  Raises :class:`KeyError`, :class:`TypeError` or
+    :class:`ValueError` for anything else."""
+    if "error" in message:
+        if not isinstance(message["error"], str):
+            raise TypeError("a plan's error must be a string")
+        return message["error"]
+    order, golden = message["order"], message["golden_output"]
+    if not isinstance(order, list) or any(type(i) is not int for i in order):
+        raise TypeError("a plan's order must be a list of integers")
+    if sorted(order) != list(leased):
+        raise ValueError("the order is not a permutation of the plan's indices")
+    if not isinstance(golden, list) or any(
+        not isinstance(line, str) for line in golden
+    ):
+        raise TypeError("a plan's golden_output must be a list of strings")
+    candidates, model = message["total_candidates"], message["fault_model"]
+    if type(candidates) is not int or not isinstance(model, str):
+        raise TypeError("a plan's total_candidates and fault_model must be "
+                        "an integer and a string")
+    return tuple(order), Program(tuple(golden), candidates, model)

@@ -7,7 +7,10 @@ recompilation and replay only their own trigger window), and can be
 killed at any moment without corrupting the campaign: the coordinator's
 lease timeout requeues whatever it was holding.
 
-Slices execute through the one slice executor
+A cell is built only where it runs: its first task is a **plan**
+(:func:`repro.campaign.parallel.run_plan`), which builds the cell into the
+worker's cache and returns the trigger order the coordinator cuts into
+slices.  Slices execute through the one slice executor
 (:func:`repro.campaign.parallel.run_slice`), so a distributed campaign is
 bit-identical to a sequential one.  A worker is one process on one core; a
 node is fully subscribed (the paper's cluster, Appendix A.4) by running one
@@ -33,10 +36,10 @@ except ImportError:
 
 from repro.campaign.cell import CampaignSpec
 from repro.campaign.io import decode_indices
-from repro.campaign.parallel import SliceContexts, run_slice
+from repro.campaign.parallel import SliceContexts, run_plan, run_slice
 from repro.campaign.results import CampaignResult
 from repro.dist.client import CoordinatorClient
-from repro.errors import DistConnectionError, DistError
+from repro.errors import DistConnectionError, DistError, ReproError
 
 
 #: Upper bound on one idle-poll sleep, whatever delay the coordinator
@@ -49,7 +52,9 @@ class WorkerStats:
     """What one worker did over its lifetime, for logs and tests."""
 
     name: str
+    #: slices run, and plans (a cell built and ordered)
     tasks: int = 0
+    plans: int = 0
     experiments: int = 0
     duplicates: int = 0
     failures: int = 0
@@ -65,7 +70,8 @@ class Worker:
     """Connect to a coordinator and run leased campaign slices until done.
 
     ``die_after=k`` is a test failpoint: the worker abruptly drops its
-    connection while holding its ``k+1``-th lease, simulating a crash.
+    connection while holding the first plan or slice it is granted after
+    ``k`` finished slices, simulating a crash.
 
     ``reconnect_window=W`` (seconds of *continuous* coordinator downtime
     tolerated) makes the worker survive coordinator bounces: on a refused
@@ -174,28 +180,38 @@ class Worker:
                 # Failpoint: vanish while holding the lease.
                 self._client.close()
                 return True
+            planning = message["type"] == "plan"
             spec = CampaignSpec.from_dict(message["spec"])
             try:
                 indices = decode_indices(message["indices"], spec.n)
             except (TypeError, ValueError) as exc:
-                raise DistError(f"malformed lease: {exc}") from exc
-            future = runner.submit(self._run_task, spec, indices)
+                raise DistError(f"malformed {message['type']}: {exc}") from exc
+            task_id = message["task_id"]
+            future = runner.submit(
+                self._run_plan if planning else self._run_task, spec, indices
+            )
             try:
-                part = self._await_heartbeating(future, message["task_id"])
+                done = self._await_heartbeating(future, task_id)
             except DistError:
-                # The slice keeps running in the single-slot runner; drain
+                # The task keeps running in the single-slot runner; drain
                 # it (discarding the result) before reconnecting so the
                 # next lease starts clean and the stale result is never
                 # submitted under a task id the coordinator may have
                 # reissued after a restart.
                 self._discard(future)
                 raise
-            if part is None:
+            if done is None:
                 stats.failures += 1
                 continue
-            ack = self._client.complete(message["task_id"], part)
-            stats.tasks += 1
-            stats.experiments += len(indices)
+            if not planning:
+                ack = self._client.complete(task_id, done)
+                stats.tasks += 1
+                stats.experiments += len(indices)
+            elif isinstance(done, ReproError):
+                ack = self._client.fail_plan(task_id, str(done))
+            else:
+                ack = self._client.complete_plan(task_id, *done)
+                stats.plans += 1
             if ack.get("duplicate"):
                 stats.duplicates += 1
 
@@ -232,11 +248,9 @@ class Worker:
         except Exception:
             pass
 
-    def _await_heartbeating(
-        self, future: Future, task_id: int
-    ) -> CampaignResult | None:
-        """Block on the running slice, heartbeating the coordinator at its
-        requested cadence; ``None`` means the slice failed (and was
+    def _await_heartbeating(self, future: Future, task_id: int):
+        """Block on the running task, heartbeating the coordinator at its
+        requested cadence; ``None`` means the task raised (and was
         reported via ``task_failed`` so the coordinator requeues it)."""
         while True:
             try:
@@ -253,3 +267,12 @@ class Worker:
         self, spec: CampaignSpec, indices: tuple[int, ...]
     ) -> CampaignResult:
         return run_slice(spec, indices, self._contexts)
+
+    def _run_plan(self, spec: CampaignSpec, indices: tuple[int, ...]):
+        """The plan, or the :class:`ReproError` building the cell raised:
+        that depends on the spec alone, so no retry can help — the
+        coordinator is told, and fails the cell's campaign."""
+        try:
+            return run_plan(spec, indices, self._contexts)
+        except ReproError as exc:
+            return exc

@@ -492,10 +492,6 @@ class StuckAtModel(FaultModel):
         if self.dwell < 1:
             raise CampaignError("stuck-at dwell must be >= 1")
 
-    @property
-    def dwell_window(self) -> int:
-        return self.dwell
-
     def _draw(self, tool, rng, target):
         return FaultPlan(
             target_index=target,

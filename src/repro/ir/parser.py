@@ -142,12 +142,6 @@ class ModuleParser:
             return line
         return None
 
-    def _peek_line(self) -> str | None:
-        saved = self.pos
-        line = self._next_line()
-        self.pos = saved
-        return line
-
     # -- top level ---------------------------------------------------------
 
     def parse(self) -> Module:

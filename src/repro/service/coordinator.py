@@ -4,12 +4,23 @@ fault-tolerant retry.
 
 :class:`ServiceCoordinator` owns a durable
 :class:`~repro.service.queue.CampaignQueue`, admits the next eligible
-campaign's cells, shards each cell's outstanding experiment indices into
-fixed index-range **tasks** and serves them to ``refine-worker`` processes
-over the :mod:`repro.dist.protocol` wire format.  It has no notion of "the
+campaign's cells and serves them to ``refine-worker`` processes over the
+:mod:`repro.dist.protocol` wire format.  The coordinator builds nothing: a
+cell's first task is its **plan**, which a worker answers by building the
+cell and ordering what is left of it along the golden run; the coordinator
+binds the cell's ledger to the plan's program and cuts that order into
+fixed-size **slices**, the tasks that run experiments.  It has no notion of "the
 run is over": a campaign ends in the queue's state machine, the service
 lives until it is drained.  The delivery model:
 
+* **Plans.** While a cell has no slices, a worker with nothing else to
+  lease is handed its plan even if another worker is planning it (never
+  twice to one worker): the first plan to arrive cuts the slices, later
+  ones are acknowledged as duplicates, and every planner keeps the cell it
+  built.  A worker is leased, in this order, a slice of a cell it has
+  built, a plan of a cell nobody is planning, any slice, then such a
+  duplicate plan.  A plan whose build raised fails its campaign at once; a
+  plan of another program than a resumed checkpoint's is refused.
 * **Leases.** A granted task is leased, not given away: it carries a
   deadline, and the worker must heartbeat to keep it.  A worker that dies,
   hangs or partitions simply stops heartbeating; after ``lease_timeout``
@@ -24,8 +35,9 @@ lives until it is drained.  The delivery model:
   ``max_attempts`` requeues **the campaign that owns the cell fails** —
   queue row ``failed`` with the message, its cells checkpointed and
   retired, ``campaign_failed`` logged — and nothing else does: the other
-  campaigns, the pump and the workers carry on.  A part the cell's ledger
-  rejects (another build, another program) fails its campaign the same way.
+  campaigns, the pump and the workers carry on.  A part or a plan the
+  cell's ledger rejects (another build, another program) fails its
+  campaign the same way.
 * **At-least-once + exact dedup = exactly-once results.**  A slow worker
   whose lease expired may still finish and submit; because every
   experiment's seed is a pure function of its global index, that duplicate
@@ -50,7 +62,9 @@ A background *pump* thread advances the queue state machine:
    (lifecycle ``validate``: chi-squared vs pinned baselines) and marked
    ``done``, their verdicts written to the results database;
 3. **admit** — while there is an open slot, the highest-priority queued
-   campaign is populated through its lifecycle and its cells added live
+   campaign is populated through its lifecycle and its cells opened from
+   their checkpoints and added live, each as one plan task — nothing is
+   compiled here, so admission takes no time from the fleet
    (``campaign_admitted`` is logged once it has the slot, ahead of its
    cells' events; if adding them fails, ``campaign_failed`` follows);
 4. **soak** — in soak mode, the queue is topped up with deterministic
@@ -76,7 +90,6 @@ port and wire format as the worker protocol — see
 
 from __future__ import annotations
 
-import heapq
 import socket
 import threading
 import time
@@ -84,7 +97,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.cell import CampaignCell, CampaignSpec
+from repro.campaign.cell import CampaignCell, CampaignSpec, shard_indices
 from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.campaign.classify import Outcome
 from repro.campaign.events import EventLog
@@ -94,6 +107,7 @@ from repro.campaign.runner import matrix_checkpoint_path
 from repro.dist.protocol import (
     CONTROL_TYPES,
     PROTOCOL_VERSION,
+    decode_plan,
     recv_message,
     send_message,
 )
@@ -123,9 +137,10 @@ DEFAULT_MAX_ATTEMPTS = 5
 #: handler thread can sit on a peer that silently went away.
 IDLE_HOLD_S = 1.0
 
-#: Default sharding granularity: aim for this many tasks per cell so a
-#: handful of workers still get several tasks each (stragglers re-lease
-#: cheaply) without per-task compile/profile overhead dominating.
+#: Default sharding granularity: aim for this many slices per cell so a
+#: handful of workers still get several each (stragglers re-lease cheaply)
+#: without the per-slice cost — a lease round trip and the slice's own
+#: trigger window of the golden run — dominating.
 DEFAULT_TASKS_PER_CAMPAIGN = 32
 
 #: Finished campaigns whose full results stay fetchable over the wire.
@@ -144,11 +159,13 @@ def backoff_delay(attempt: int, base: float = 0.5, cap: float = 30.0) -> float:
 
 @dataclass
 class _Task:
-    """One leasable unit of work: an index range of one campaign cell."""
+    """One leasable unit of work of one campaign cell: a slice of its
+    trigger order, or its plan (``kind``), over ``indices``."""
 
     task_id: int
     key: tuple[str, str]
     indices: tuple[int, ...]
+    kind: str = "slice"  # slice | plan
     attempt: int = 0
     not_before: float = 0.0
     state: str = "pending"  # pending | leased | done
@@ -233,7 +250,11 @@ class ServiceCoordinator:
         self._changed = threading.Condition(self._lock)
         self._cells: dict[tuple[str, str], CampaignCell] = {}
         self._tasks: dict[int, _Task] = {}
-        self._pending: list[tuple[float, int]] = []  # (not_before, task_id)
+        #: the tasks waiting to be leased, by id
+        self._pending: dict[int, _Task] = {}
+        #: cells whose slices are not cut yet -> their plan tasks (more than
+        #: one while duplicate plans are out)
+        self._plans: dict[tuple[str, str], list[_Task]] = {}
         self._workers: dict[str, dict] = {}
         self._worker_seq = 0
         self._next_task = 0
@@ -459,13 +480,13 @@ class ServiceCoordinator:
         ``run_cells(specs, workers=N)``, one cell at a time).
 
         Each cell is opened from its checkpoint in ``checkpoint_dir`` — or,
-        for one spec, the file ``checkpoint_path`` — (a checkpoint of
-        another campaign or another program raises :class:`CampaignError`
-        here, before anything is leased) and what is left of it is cut into
-        trigger-ordered tasks.  Opening and ordering compile the cell's
-        tool, so both happen *before* the coordinator lock is taken:
-        admission never stalls the worker data plane.  Raises
-        :class:`DistError` if any key is already being served.
+        for one spec, the file ``checkpoint_path`` — and what is left of it
+        becomes one plan task.  Nothing is compiled here: a checkpoint of
+        another campaign raises :class:`CampaignError` at once, one of
+        another program when the cell's first plan arrives, which fails the
+        campaign that owns the cell (``service_error`` for a cell no
+        campaign owns).  Raises :class:`DistError` if any key is already
+        being served.
         """
         if isinstance(specs, CampaignSpec):
             specs = [specs]
@@ -488,29 +509,24 @@ class ServiceCoordinator:
                 emit=self._emit, event_names=("cell_start", "cell_finish"),
                 before_save=self._flush_sink,
             )
-            size = self._chunk_size or max(
-                1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
-            )
-            opened.append((cell, cell.shards(size)))
+            opened.append(cell)
         with self._lock:
             if self._stopped or self._draining:
                 raise DistError("coordinator is shutting down")
             taken = [k for k in keys if k in self._cells]
             if taken:
                 raise DistError(f"cells already being served: {taken}")
-            for cell, shards in opened:
-                self._cells[cell.spec.key] = cell
-                for indices in shards:
-                    self._tasks[self._next_task] = _Task(
-                        task_id=self._next_task, key=cell.spec.key,
-                        indices=indices,
-                    )
-                    heapq.heappush(self._pending, (0.0, self._next_task))
-                    self._next_task += 1
+            for cell in opened:
+                key = cell.spec.key
+                self._cells[key] = cell
                 cell.start()
                 if cell.done:
                     # resumed already complete: nothing to serve
                     self._finish(cell)
+                else:
+                    self._plans[key] = [
+                        self._new_task(key, tuple(cell.remaining), "plan")
+                    ]
             self._changed.notify_all()
         return keys
 
@@ -549,6 +565,30 @@ class ServiceCoordinator:
 
     # ----------------------------------------------------------- internals
 
+    def _new_task(
+        self, key: tuple[str, str], indices: tuple[int, ...],
+        kind: str = "slice",
+    ) -> _Task:
+        """A new task, pending (lock held)."""
+        task = _Task(self._next_task, key, indices, kind)
+        self._tasks[task.task_id] = self._pending[task.task_id] = task
+        self._next_task += 1
+        return task
+
+    def _owner(self, key: tuple[str, str]) -> int | None:
+        """The queue id of the admitted campaign that owns cell ``key``
+        (lock held); ``None`` for a cell added by hand."""
+        return next(
+            (c for c, e in list(self._active.items()) if key in e["keys"]),
+            None,
+        )
+
+    def _with_owner(self, key: tuple[str, str], fields: dict) -> dict:
+        """A plan event's ``fields``, tagged with the ``campaign`` that owns
+        cell ``key`` if one does (lock held)."""
+        cid = self._owner(key)
+        return fields if cid is None else {**fields, "campaign": cid}
+
     def _worker_snapshot(self) -> dict[str, dict]:
         """Per-worker dict of :meth:`worker_health` (lock held)."""
         now = time.monotonic()
@@ -575,12 +615,16 @@ class ServiceCoordinator:
                 continue
             cell.save()
             out[key] = cell.result if cell.completed else None
+            self._plans.pop(key, None)
+            for info in self._workers.values():
+                info["cells"].discard(key)
             for task_id, task in list(self._tasks.items()):
                 if task.key == key:
                     self._release(task)
                     # a sweep that is walking the table must pass it by
                     task.state = "done"
                     del self._tasks[task_id]
+                    self._pending.pop(task_id, None)
                     self._retired.add(task_id)
         return out
 
@@ -592,14 +636,11 @@ class ServiceCoordinator:
 
     def _fail_owner(self, key: tuple[str, str], message: str) -> None:
         """Fail the campaign that owns cell ``key`` (lock held): a task of
-        it ran out of attempts, or its ledger rejected a part.  The
-        campaign's cells are checkpointed and retired on the spot — its
-        pending tasks are unleasable from here on — its queue row says why,
-        and every other campaign carries on."""
-        cid = next(
-            (c for c, e in list(self._active.items()) if key in e["keys"]),
-            None,
-        )
+        it ran out of attempts, its build raised, or its ledger rejected a
+        part or a plan.  The campaign's cells are checkpointed and retired
+        on the spot — its pending tasks are unleasable from here on — its
+        queue row says why, and every other campaign carries on."""
+        cid = self._owner(key)
         if cid is None:
             # a cell no queued campaign owns (``add_cells`` by hand)
             self._retire([key])
@@ -739,6 +780,8 @@ class ServiceCoordinator:
             return worker, self._handle_heartbeat(worker)
         if mtype == "result":
             return worker, self._handle_result(worker, message)
+        if mtype == "plan_result":
+            return worker, self._handle_plan(worker, message)
         if mtype == "task_failed":
             return worker, self._handle_failed(worker, message)
         return worker, {
@@ -756,7 +799,9 @@ class ServiceCoordinator:
             name = f"{name}-{self._worker_seq}"
         now = time.monotonic()
         self._workers[name] = {
-            "tasks": set(), "joined": now, "last_seen": now,
+            # ``cells``: those it has leased a plan or a slice of, so holds
+            # the build of (its leases prefer their slices)
+            "tasks": set(), "cells": set(), "joined": now, "last_seen": now,
             "experiments": 0, "tasks_done": 0, "failures": 0,
         }
         self._emit("worker_join", worker=name)
@@ -796,9 +841,7 @@ class ServiceCoordinator:
                 return {"type": "wait", "delay_s": 0.05}
             # Work can also appear by time alone: the earliest backoff
             # expiry or lease deadline.
-            horizons = [nb for nb, tid in self._pending
-                        if tid in self._tasks
-                        and self._tasks[tid].state == "pending"]
+            horizons = [t.not_before for t in self._pending.values()]
             horizons.extend(
                 t.deadline for t in self._tasks.values()
                 if t.state == "leased"
@@ -806,33 +849,70 @@ class ServiceCoordinator:
             self._changed.wait(max(0.0, min([give_up, *horizons]) - now))
 
     def _lease_next(self, worker: str, now: float) -> dict | None:
-        """Grant the earliest leasable pending task, if there is one."""
-        while self._pending:
-            not_before, task_id = self._pending[0]
-            task = self._tasks.get(task_id)
-            if task is None or task.state != "pending":
-                heapq.heappop(self._pending)  # stale entry (done/retired)
+        """Grant ``worker`` its next task, if there is one: a slice of a
+        cell it has built, a plan of a cell nobody is planning, any slice
+        — the earliest leasable of the first kind there is — or else a
+        duplicate plan of a cell still waiting on one."""
+        held = self._workers[worker]["cells"]
+        best, best_rank = None, None
+        for task in self._pending.values():
+            if task.not_before > now:
+                continue  # backing off
+            if task.kind == "slice":
+                rank = 0 if task.key in held else 2
+            elif self._planning(task.key, worker):
                 continue
-            if not_before > now:
-                return None  # earliest backoff not yet elapsed
-            heapq.heappop(self._pending)
-            task.state = "leased"
-            task.worker = worker
-            task.deadline = now + self._lease_timeout
-            self._workers[worker]["tasks"].add(task_id)
-            spec = self._cells[task.key].spec
-            self._emit(
-                "lease", task=task_id, worker=worker, workload=spec.workload,
-                tool=spec.tool_name, size=len(task.indices),
-                attempt=task.attempt,
-            )
-            return {
-                "type": "lease",
-                "task_id": task_id,
-                "spec": spec.to_dict(),
-                "indices": encode_indices(task.indices),
-                "attempt": task.attempt,
-            }
+            else:
+                rank = 1
+            if best is None or (rank, task.not_before, task.task_id) < (
+                best_rank, best.not_before, best.task_id
+            ):
+                best, best_rank = task, rank
+        if best is None:
+            best = self._duplicate_plan(worker)
+            if best is None:
+                return None
+        del self._pending[best.task_id]
+        best.state = "leased"
+        best.worker = worker
+        best.deadline = now + self._lease_timeout
+        self._workers[worker]["tasks"].add(best.task_id)
+        held.add(best.key)
+        spec = self._cells[best.key].spec
+        fields = dict(
+            task=best.task_id, worker=worker, workload=spec.workload,
+            tool=spec.tool_name, size=len(best.indices), attempt=best.attempt,
+        )
+        if best.kind == "plan":
+            self._emit("plan_lease", **self._with_owner(best.key, fields))
+        else:
+            self._emit("lease", **fields)
+        return {
+            "type": "lease" if best.kind == "slice" else "plan",
+            "task_id": best.task_id,
+            "spec": spec.to_dict(),
+            "indices": encode_indices(best.indices),
+            "attempt": best.attempt,
+        }
+
+    def _planning(self, key: tuple[str, str], worker: str) -> bool:
+        """Is ``worker`` holding a plan of cell ``key`` (lock held)?"""
+        return any(
+            t.worker == worker and t.state == "leased"
+            for t in self._plans.get(key, ())
+        )
+
+    def _duplicate_plan(self, worker: str) -> _Task | None:
+        """A new plan task of the first cell that waits on plans held by
+        other workers only (lock held): a worker with nothing else to do
+        builds it too, rather than idle until the first plan is in."""
+        for key, plans in self._plans.items():
+            if not any(t.state == "pending" for t in plans) and (
+                not self._planning(key, worker)
+            ):
+                task = self._new_task(key, plans[0].indices, "plan")
+                plans.append(task)
+                return task
         return None
 
     def _handle_heartbeat(self, worker: str) -> dict:
@@ -855,6 +935,8 @@ class ServiceCoordinator:
                 # part is dropped.
                 return {"type": "ok", "duplicate": True}
             return {"type": "error", "message": "result for unknown task"}
+        if task.kind != "slice":
+            return {"type": "error", "message": "result for a plan"}
         cell = self._cells[task.key]
         spec = cell.spec
         fresh = False
@@ -914,6 +996,66 @@ class ServiceCoordinator:
             self._finish(cell)
         return {"type": "ok", "duplicate": False}
 
+    def _handle_plan(self, worker: str, message: dict) -> dict:
+        """A worker's ``plan_result``: the first plan of a cell binds its
+        ledger and cuts its slices; a later one is a duplicate."""
+        task = self._tasks.get(message.get("task_id"))
+        if task is None:
+            if message.get("task_id") in self._retired:
+                return {"type": "ok", "duplicate": True}
+            return {"type": "error", "message": "plan for unknown task"}
+        if task.kind != "plan":
+            return {"type": "error", "message": "plan for a slice"}
+        cell = self._cells[task.key]
+        spec = cell.spec
+        fields = self._with_owner(task.key, dict(
+            task=task.task_id, worker=worker, workload=spec.workload,
+            tool=spec.tool_name, size=len(task.indices),
+        ))
+        if task.key not in self._plans:
+            # Another worker's plan of the cell arrived first (and cut the
+            # slices this one would have): bit-identical by construction.
+            self._emit("plan_done", **fields, duplicate=True)
+            return {"type": "ok", "duplicate": True}
+        try:
+            plan = decode_plan(message, task.indices)
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = f"malformed plan: {exc}"
+            if task.worker == worker:
+                # The error reply drops this connection; hand the plan on
+                # now rather than when the lease times out.
+                self._workers[worker]["failures"] += 1
+                self._requeue(task, reason="failed", detail=problem[:500])
+            return {"type": "error", "message": problem[:500]}
+        if isinstance(plan, str):
+            # The build raised: any worker's would (it depends on the spec
+            # alone), so no retry can run the cell.
+            self._fail_owner(task.key, plan[:500])
+            return {"type": "ok", "duplicate": False}
+        order, program = plan
+        try:
+            cell.bind(program)
+        except CampaignError as exc:
+            # another program than the checkpoint's, or another build
+            self._fail_owner(task.key, str(exc))
+            return {"type": "error", "message": str(exc)}
+        for other in self._plans.pop(task.key):
+            self._release(other)
+            other.state = "done"
+            self._pending.pop(other.task_id, None)
+        size = self._chunk_size or max(
+            1, -(-spec.n // DEFAULT_TASKS_PER_CAMPAIGN)
+        )
+        shards = shard_indices(order, size)
+        for indices in shards:
+            self._new_task(task.key, indices)
+        self._changed.notify_all()
+        self._emit(
+            "plan_done", **fields, duplicate=False, attempt=task.attempt,
+            slices=len(shards),
+        )
+        return {"type": "ok", "duplicate": False}
+
     def _handle_failed(self, worker: str, message: dict) -> dict:
         task = self._tasks.get(message.get("task_id"))
         if task is None:
@@ -942,8 +1084,9 @@ class ServiceCoordinator:
     def _requeue(self, task: _Task, reason: str, detail: str = "") -> None:
         task.attempt += 1
         if task.attempt > self._max_attempts:
+            what = "task" if task.kind == "slice" else "plan"
             self._fail_owner(task.key, (
-                f"task {task.task_id} ({task.key[0]}/{task.key[1]}, "
+                f"{what} {task.task_id} ({task.key[0]}/{task.key[1]}, "
                 f"{len(task.indices)} experiments) failed {task.attempt} "
                 f"times (last: {reason}{': ' + detail if detail else ''})"
             ))
@@ -955,7 +1098,7 @@ class ServiceCoordinator:
         )
         task.state = "pending"
         task.not_before = time.monotonic() + delay
-        heapq.heappush(self._pending, (task.not_before, task.task_id))
+        self._pending[task.task_id] = task
         self._changed.notify_all()
         self._emit(
             "task_requeue", task=task.task_id, worker=worker, reason=reason,

@@ -680,7 +680,7 @@ def check_workload_equivalence(
     later shards replaying only their window.  The divergence names the
     cell, the experiment index and the field.
     """
-    from repro.campaign.cell import CampaignCell, CampaignSpec
+    from repro.campaign.cell import CampaignSpec, shard_indices, trigger_order
     from repro.campaign.io import merge_results
     from repro.campaign.parallel import SliceContexts, run_slice
     from repro.campaign.runner import run_campaign
@@ -703,7 +703,10 @@ def check_workload_equivalence(
         tool = lease.make_tool()
         whole = run_campaign(tool, n, keep_records=True)
 
-        shards = CampaignCell(lease, tool).shards(-(-n // EQUIVALENCE_SHARDS))
+        shards = shard_indices(
+            trigger_order(tool, lease.base_seed, range(n)),
+            -(-n // EQUIVALENCE_SHARDS),
+        )
         contexts = SliceContexts()
         sharded = merge_results([
             run_slice(lease, shard, contexts) for shard in reversed(shards)

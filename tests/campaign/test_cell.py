@@ -26,13 +26,20 @@ from repro.campaign import (
     run_campaign_parallel,
     run_slice,
 )
+from repro.campaign.cell import shard_indices, trigger_order
 from repro.campaign.io import result_to_dict
 from repro.campaign.runner import matrix_checkpoint_path
 from repro.dist import CoordinatorClient
-from repro.errors import CampaignError
+from repro.errors import CampaignError, DistError
 from repro.service import LocalService, ServiceCoordinator
 
-from tests.conftest import DEMO_SOURCE, request_for, run_lease, serve
+from tests.conftest import (
+    DEMO_SOURCE,
+    lease_task,
+    request_for,
+    run_lease,
+    serve,
+)
 
 N = 12
 SEED = 7
@@ -55,11 +62,16 @@ def spec():
 
 
 @pytest.fixture(scope="module")
-def parts(spec):
+def tool(spec):
+    return spec.make_tool()
+
+
+@pytest.fixture(scope="module")
+def parts(spec, tool):
     """The cell cut four ways, each shard run: ``[(indices, part)]``."""
     return [
         (shard, run_slice(spec, shard))
-        for shard in CampaignCell(spec).shards(3)
+        for shard in shard_indices(trigger_order(tool, SEED, range(N)), 3)
     ]
 
 
@@ -87,22 +99,22 @@ class TestFoldValidation:
         ("fault model", lambda p: setattr(p, "fault_model", "multi-bit")),
     ])
     def test_fold_rejects_a_part_that_is_not_the_cells(
-        self, spec, parts, what, spoil
+        self, spec, tool, parts, what, spoil
     ):
         indices, part = copy.deepcopy(parts[0])
         spoil(part)
         events, emit = _recorder()
-        cell = CampaignCell(spec, emit=emit)
+        cell = CampaignCell(spec, tool, emit=emit)
         with pytest.raises(CampaignError, match=f"its {what} is"):
             cell.fold(indices, part, task=3, worker="w1")
         assert not cell.completed and not events
         assert sum(cell.result.counts.values()) == 0
 
-    def test_the_error_names_who_sent_the_part(self, spec, parts):
+    def test_the_error_names_who_sent_the_part(self, spec, tool, parts):
         indices, part = copy.deepcopy(parts[0])
         part.total_candidates += 1
         with pytest.raises(CampaignError, match="task 3, worker 'w1'"):
-            CampaignCell(spec).fold(indices, part, task=3, worker="w1")
+            CampaignCell(spec, tool).fold(indices, part, task=3, worker="w1")
 
 
 class TestArrivalOrder:
@@ -117,13 +129,13 @@ class TestArrivalOrder:
         return parts
 
     def test_any_arrival_order_gives_byte_identical_results(
-        self, spec, parts
+        self, spec, tool, parts
     ):
         parts = self._spiked(parts)
         orders = ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0])
         naive, finished = set(), []
         for order in orders:
-            cell = CampaignCell(spec)
+            cell = CampaignCell(spec, tool)
             for i in order:
                 assert cell.fold(*parts[i], chunk=i) is True
             naive.add(sum(
@@ -137,9 +149,11 @@ class TestArrivalOrder:
             assert [r.index for r in result.records] == list(range(N))
         assert len({json.dumps(result_to_dict(r)) for r in finished}) == 1
 
-    def test_exact_duplicate_is_dropped_without_an_event(self, spec, parts):
+    def test_exact_duplicate_is_dropped_without_an_event(
+        self, spec, tool, parts
+    ):
         events, emit = _recorder()
-        cell = CampaignCell(spec, emit=emit)
+        cell = CampaignCell(spec, tool, emit=emit)
         assert cell.fold(*parts[1], task=1, worker="a") is True
         before = (len(events), result_to_dict(cell.result))
         assert cell.fold(*parts[1], task=1, worker="b") is False
@@ -147,8 +161,8 @@ class TestArrivalOrder:
         assert [e for e, _ in events] == ["experiment"] * 3
         assert {f["worker"] for _, f in events} == {"a"}
 
-    def test_partial_overlap_raises(self, spec, parts):
-        cell = CampaignCell(spec)
+    def test_partial_overlap_raises(self, spec, tool, parts):
+        cell = CampaignCell(spec, tool)
         cell.fold(*parts[0], chunk=0)
         straddle = parts[0][0][1:] + parts[1][0][:1]
         with pytest.raises(CampaignError, match="partially overlap"):
@@ -158,11 +172,11 @@ class TestArrivalOrder:
 
 class TestCheckpoints:
     def test_unkept_records_never_reach_a_checkpoint(
-        self, spec, parts, tmp_path
+        self, spec, tool, parts, tmp_path
     ):
         path = tmp_path / "c.json"
         cell = CampaignCell(
-            replace(spec, keep_records=False), checkpoint_path=path,
+            replace(spec, keep_records=False), tool, checkpoint_path=path,
             checkpoint_every=1,
         )
         for i, (indices, part) in enumerate(parts):
@@ -174,7 +188,7 @@ class TestCheckpoints:
         assert cell.finish().records == []
 
     def test_before_save_runs_ahead_of_every_publication(
-        self, spec, parts, tmp_path
+        self, spec, tool, parts, tmp_path
     ):
         path = tmp_path / "c.json"
         on_disk = []
@@ -185,7 +199,7 @@ class TestCheckpoints:
             )
 
         cell = CampaignCell(
-            spec, checkpoint_path=path, checkpoint_every=6,
+            spec, tool, checkpoint_path=path, checkpoint_every=6,
             before_save=durable_first,
         )
         for i, (indices, part) in enumerate(parts):
@@ -238,7 +252,8 @@ def _run(executor, spec, path, *, kill_after=None, events=None):
             progress=progress, events=events,
         )
     # leases: the cell goes in the way the queue's pump puts it there, and
-    # is leased by hand — to the end, or part-way and then stopped
+    # is planned and leased by hand — to the end, or part-way and then
+    # stopped
     assert matrix_checkpoint_path(path.parent, *spec.key) == path
     coordinator = ServiceCoordinator(chunk_size=2, events=events)
     try:
@@ -248,7 +263,7 @@ def _run(executor, spec, path, *, kill_after=None, events=None):
             while coordinator.cell_progress()[spec.key][0] < (
                 kill_after or spec.n
             ):
-                lease = client.request_task()
+                lease = lease_task(client)
                 client.complete(lease["task_id"], run_lease(lease))
         if kill_after is None:
             return coordinator.retire_cells([spec.key])[spec.key]
@@ -290,12 +305,16 @@ class TestEveryDoor:
     def test_resume_against_a_changed_program_fails_at_open(
         self, spec, partway, tmp_path, resumer
     ):
+        """Inline, the cell is refused as it binds its own tool, right
+        after open; on workers, when the cell's first plan arrives — a
+        hand-driven lease executor reads it in the plan's error reply."""
         path = matrix_checkpoint_path(tmp_path, *spec.key)
         shutil.copy(partway["inline"], path)
         log = tmp_path / "events.jsonl"
         with EventLog(log) as events:
             with pytest.raises(
-                CampaignError, match="was the workload source changed"
+                DistError if resumer == "lease" else CampaignError,
+                match="was the workload source changed",
             ):
                 _run(
                     resumer, replace(spec, source=OTHER_SOURCE), path,

@@ -173,22 +173,44 @@ def wait_progress(client, cid, at_least, deadline_s=120.0):
 
 
 def lease_task(client, timeout: float = 30.0) -> dict:
-    """A hand-driven ``CoordinatorClient`` asks until it holds a lease (the
-    pump admits a submitted campaign in its own time; until then the
-    service answers ``wait``)."""
+    """A hand-driven ``CoordinatorClient`` asks until it holds a lease of a
+    slice, answering any plan it is handed on the way as an honest worker
+    would (the pump admits a submitted campaign in its own time; until then
+    the service answers ``wait``)."""
     deadline = time.monotonic() + timeout
     while True:
         reply = client.request_task()
         if reply["type"] == "lease":
             return reply
+        if reply["type"] == "plan":
+            client.complete_plan(reply["task_id"], *run_lease(reply))
+            continue
         assert reply["type"] == "wait", reply
         assert time.monotonic() < deadline, "never granted a lease"
 
 
+def plan_by_hand(sock) -> dict:
+    """On a greeted raw worker connection: ask for work, get a cell's plan
+    and answer it as an honest worker would.  Returns the plan."""
+    from repro.dist.protocol import encode_plan, recv_message, send_message
+
+    send_message(sock, {"type": "request"})
+    plan = recv_message(sock)
+    assert plan["type"] == "plan", plan
+    send_message(sock, {
+        "type": "plan_result", "task_id": plan["task_id"],
+        **encode_plan(*run_lease(plan)),
+    })
+    assert recv_message(sock) == {"type": "ok", "duplicate": False}
+    return plan
+
+
 def run_lease(lease: dict):
-    """The part an honest worker computes for ``lease``."""
-    from repro.campaign import CampaignSpec, run_slice
+    """What an honest worker computes for ``lease``: a slice's part, or a
+    plan's trigger order and program."""
+    from repro.campaign import CampaignSpec, run_plan, run_slice
     from repro.dist import decode_indices
 
     spec = CampaignSpec.from_dict(lease["spec"])
-    return run_slice(spec, decode_indices(lease["indices"], spec.n))
+    run = run_plan if lease["type"] == "plan" else run_slice
+    return run(spec, decode_indices(lease["indices"], spec.n))

@@ -6,7 +6,8 @@ processes); the acceptance bar throughout is *bit-identical to sequential* —
 same outcome counts, same per-experiment fault records, same serialized
 form — whatever the worker count or failure history.
 
-The CI "distributed smoke test" step runs this file with ``-k smoke``.
+The CI "distributed smoke test" step runs this file with ``-k "smoke or
+holding_a_plan"``.
 """
 
 import time
@@ -107,6 +108,30 @@ class TestFaultTolerance:
         assert any(
             e["worker"] == "doomed" for e in _events_named(log, "worker_leave")
         )
+
+    def test_worker_dead_holding_a_plan(self, sequential, tmp_path):
+        # A cell is built only by workers: one that vanishes while building
+        # it (holding the cell's plan) must hand the plan on, not stall it.
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events:
+            with LocalService(
+                workers=0, chunk_size=4, lease_timeout=10.0,
+                backoff_base=0.01, events=events,
+            ) as svc:
+                cid = svc.client.submit(request_for(_spec()))
+                svc.start_worker(die_after=0, name="doomed")
+                assert svc.join_workers(30)  # gone, with the plan
+                svc.start_worker(name="healthy")
+                results = collect(svc, cid)
+        _assert_identical(results[KEY], sequential)
+        (plan,) = _events_named(log, "plan_lease")[:1]
+        assert plan["worker"] == "doomed"
+        assert [
+            (e["task"], e["worker"], e["reason"])
+            for e in _events_named(log, "task_requeue")
+        ] == [(plan["task"], "doomed", "disconnect")]
+        (done,) = _events_named(log, "plan_done")
+        assert (done["task"], done["worker"]) == (plan["task"], "healthy")
 
     def test_hung_worker_requeued_after_heartbeat_timeout(
         self, sequential, tmp_path
@@ -338,16 +363,20 @@ class TestTriggerSchedule:
     _assert_equivalent = staticmethod(_assert_identical)
 
     def test_leases_are_contiguous_trigger_ranges(self):
-        from repro.campaign import CampaignCell
+        from repro.campaign import trigger_order
 
         spec = _spec()
-        (expected,) = CampaignCell(spec).shards(N)
+        expected = trigger_order(spec.make_tool(), spec.base_seed, range(N))
         coord = ServiceCoordinator(chunk_size=5)
         try:
             coord.add_cells(spec)
+            with CoordinatorClient(*coord.start(), name="planner") as client:
+                plan = client.request_task()
+                assert plan["type"] == "plan"
+                client.complete_plan(plan["task_id"], *run_lease(plan))
             sharded = [
-                list(coord._tasks[tid].indices)
-                for tid in sorted(coord._tasks)
+                list(task.indices) for tid, task in sorted(coord._tasks.items())
+                if task.kind == "slice"
             ]
         finally:
             coord.stop()

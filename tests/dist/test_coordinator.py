@@ -1,6 +1,8 @@
 """Unit tests for the coordinator: sharding, backoff, validation and the
 raw protocol conversation (no experiments run here)."""
 
+import io
+import json
 import socket
 import time
 
@@ -15,11 +17,12 @@ from repro.dist import (
     send_message,
     shard_indices,
 )
-from repro.campaign import CampaignCell
+from repro.campaign import EventLog, trigger_order
+from repro.dist.protocol import encode_plan
 from repro.errors import DistError
 from repro.service import ServiceCoordinator, backoff_delay
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import DEMO_SOURCE, plan_by_hand, run_lease
 
 
 def _spec(**overrides):
@@ -69,6 +72,14 @@ class TestParseAddress:
     def test_malformed_raises(self, bad):
         with pytest.raises(DistError):
             parse_address(bad)
+
+
+def _worker(coordinator, name):
+    """A raw connection that has said hello as worker ``name``."""
+    sock = socket.create_connection(coordinator.address, timeout=5.0)
+    send_message(sock, {"type": "hello", "name": name})
+    assert recv_message(sock)["type"] == "welcome"
+    return sock
 
 
 @pytest.fixture
@@ -161,15 +172,20 @@ class TestProtocolConversation:
     def test_lease_carries_spec_and_indices(self, conn):
         send_message(conn, {"type": "hello", "name": None, "procs": 1})
         recv_message(conn)
+        # the cell's first task is its plan, over everything left of it
+        plan = plan_by_hand(conn)
+        assert plan["attempt"] == 0
+        spec = CampaignSpec.from_dict(plan["spec"])
+        assert spec.key == ("demo", "REFINE")
+        assert decode_indices(plan["indices"], spec.n) == tuple(range(8))
         send_message(conn, {"type": "request"})
         lease = recv_message(conn)
         assert lease["type"] == "lease"
         assert lease["attempt"] == 0
-        spec = CampaignSpec.from_dict(lease["spec"])
-        assert spec.key == ("demo", "REFINE")
-        # the first lease is the head of the cell's trigger order
-        (order,) = CampaignCell(spec).shards(spec.n)
-        assert decode_indices(lease["indices"], spec.n) == order[:4]
+        assert CampaignSpec.from_dict(lease["spec"]) == spec
+        # the first slice is the head of the cell's trigger order
+        order = trigger_order(spec.make_tool(), spec.base_seed, range(8))
+        assert decode_indices(lease["indices"], spec.n) == tuple(order[:4])
 
     def test_result_for_unknown_task_is_an_error(self, conn):
         send_message(conn, {"type": "hello", "name": None, "procs": 1})
@@ -184,21 +200,19 @@ class TestIdleRequests:
 
     @pytest.fixture
     def coordinator(self, serving):
-        # one task, retried without backoff
-        return serving(chunk_size=8, backoff_base=0.0)
-
-    @staticmethod
-    def _worker(coordinator, name):
-        sock = socket.create_connection(coordinator.address, timeout=5.0)
-        send_message(sock, {"type": "hello", "name": name, "procs": 1})
-        assert recv_message(sock)["type"] == "welcome"
-        return sock
+        # one slice, retried without backoff; planned, so an idle worker is
+        # not handed a duplicate plan
+        coordinator = serving(chunk_size=8, backoff_base=0.0)
+        planner = _worker(coordinator, "planner")
+        plan_by_hand(planner)
+        planner.close()
+        return coordinator
 
     def test_held_request_is_granted_the_moment_work_is_requeued(
         self, coordinator
     ):
-        busy = self._worker(coordinator, "busy")
-        idle = self._worker(coordinator, "idle")
+        busy = _worker(coordinator, "busy")
+        idle = _worker(coordinator, "idle")
         try:
             send_message(busy, {"type": "request"})
             lease = recv_message(busy)
@@ -224,8 +238,8 @@ class TestIdleRequests:
         from repro.service import coordinator as module
 
         monkeypatch.setattr(module, "IDLE_HOLD_S", 0.2)
-        busy = self._worker(coordinator, "busy")
-        idle = self._worker(coordinator, "idle")
+        busy = _worker(coordinator, "busy")
+        idle = _worker(coordinator, "idle")
         try:
             send_message(busy, {"type": "request"})
             assert recv_message(busy)["type"] == "lease"
@@ -241,8 +255,8 @@ class TestIdleRequests:
             idle.close()
 
     def test_held_request_is_released_by_stop(self, coordinator):
-        busy = self._worker(coordinator, "busy")
-        idle = self._worker(coordinator, "idle")
+        busy = _worker(coordinator, "busy")
+        idle = _worker(coordinator, "idle")
         try:
             send_message(busy, {"type": "request"})
             assert recv_message(busy)["type"] == "lease"
@@ -260,3 +274,116 @@ class TestIdleRequests:
         finally:
             busy.close()
             idle.close()
+
+
+class TestPlans:
+    """A cell's first task is its plan; the coordinator builds nothing."""
+
+    @staticmethod
+    def _ask(sock) -> dict:
+        send_message(sock, {"type": "request"})
+        return recv_message(sock)
+
+    @staticmethod
+    def _answer(sock, plan) -> dict:
+        send_message(sock, {
+            "type": "plan_result", "task_id": plan["task_id"],
+            **encode_plan(*run_lease(plan)),
+        })
+        return recv_message(sock)
+
+    def test_a_waiting_cell_is_planned_by_every_idle_worker_once(
+        self, monkeypatch
+    ):
+        from repro.service import coordinator as module
+
+        monkeypatch.setattr(module, "IDLE_HOLD_S", 0.2)
+        coord = ServiceCoordinator(chunk_size=4)
+        coord.add_cells(_spec())
+        coord.start()
+        first = _worker(coord, "first")
+        second = _worker(coord, "second")
+        try:
+            plan = self._ask(first)
+            duplicate = self._ask(second)  # nothing else to do: plan it too
+            assert plan["type"] == duplicate["type"] == "plan"
+            assert plan["task_id"] != duplicate["task_id"]
+            assert plan["indices"] == duplicate["indices"]
+            # ... but never twice to one worker
+            assert self._ask(first)["type"] == "wait"
+            # the first plan in cuts the slices, a later one is a duplicate
+            assert self._answer(second, duplicate) == {
+                "type": "ok", "duplicate": False,
+            }
+            assert self._answer(first, plan) == {
+                "type": "ok", "duplicate": True,
+            }
+            leases = [self._ask(first), self._ask(second)]
+            assert [lease["type"] for lease in leases] == ["lease", "lease"]
+        finally:
+            first.close()
+            second.close()
+            coord.stop()
+
+    def test_lease_order(self):
+        """A slice of a cell the worker has built, then a plan nobody is
+        working on, then any slice, then a duplicate plan."""
+        a, b = _spec(), _spec(workload="other")
+        coord = ServiceCoordinator(chunk_size=4)
+        coord.add_cells([a, b])
+        coord.start()
+        socks = [_worker(coord, f"w{i}") for i in range(3)]
+        w1, w2, w3 = socks
+
+        def cell(reply):
+            return reply["type"], CampaignSpec.from_dict(reply["spec"]).key
+
+        try:
+            plan = self._ask(w1)
+            assert cell(plan) == ("plan", a.key)
+            self._answer(w1, plan)
+            assert cell(self._ask(w1)) == ("lease", a.key)  # its own cell
+            assert cell(self._ask(w2)) == ("plan", b.key)   # nobody's plan
+            assert cell(self._ask(w3)) == ("lease", a.key)  # any slice
+            assert cell(self._ask(w3)) == ("plan", b.key)   # duplicate plan
+        finally:
+            for sock in socks:
+                sock.close()
+            coord.stop()
+
+    def test_the_coordinator_holds_no_build(self):
+        coord = ServiceCoordinator(chunk_size=4)
+        try:
+            coord.add_cells(_spec(source="int main() { return 1; }"))
+            (task,) = coord._tasks.values()
+            assert (task.kind, task.indices) == ("plan", tuple(range(8)))
+        finally:
+            coord.stop()
+
+    def test_a_plan_out_of_attempts_fails_its_cell(self):
+        stream = io.StringIO()
+        coord = ServiceCoordinator(
+            max_attempts=1, backoff_base=0.0, events=EventLog(stream=stream)
+        )
+        coord.add_cells(_spec())
+        coord.start()
+        sock = _worker(coord, "flaky")
+        try:
+            for attempt in range(2):
+                plan = self._ask(sock)
+                assert (plan["type"], plan["attempt"]) == ("plan", attempt)
+                send_message(sock, {
+                    "type": "task_failed", "task_id": plan["task_id"],
+                    "error": "MemoryError: boom",
+                })
+                assert recv_message(sock)["type"] == "ok"
+            assert coord.cell_progress() == {}
+        finally:
+            sock.close()
+            coord.stop()
+        (error,) = [
+            json.loads(line)["error"] for line in stream.getvalue().splitlines()
+            if json.loads(line)["event"] == "service_error"
+        ]
+        assert error.startswith(f"plan {plan['task_id']} (demo/REFINE, 8 ")
+        assert "failed 2 times (last: failed: MemoryError: boom)" in error

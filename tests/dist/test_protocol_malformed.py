@@ -19,13 +19,20 @@ from repro.campaign import EventLog, read_events
 from repro.dist import CampaignSpec
 from repro.dist.protocol import (
     MAX_MESSAGE_BYTES,
+    encode_plan,
     recv_message,
     send_message,
 )
 from repro.errors import DistError
 from repro.service import LocalService, ServiceCoordinator
 
-from tests.conftest import DEMO_SOURCE, collect, request_for
+from tests.conftest import (
+    DEMO_SOURCE,
+    collect,
+    plan_by_hand,
+    request_for,
+    run_lease,
+)
 
 SPEC = CampaignSpec(
     workload="demo", source=DEMO_SOURCE, tool_name="REFINE", n=4
@@ -141,6 +148,7 @@ class TestMalformedMessages:
         with _connect(coordinator) as sock:
             send_message(sock, {"type": "hello", "procs": 1})
             recv_message(sock)
+            plan_by_hand(sock)
             send_message(sock, {"type": "request"})
             lease = recv_message(sock)
             assert lease["type"] == "lease"
@@ -183,6 +191,14 @@ class TestMalformedPartRequeue:
                     while lease["type"] == "wait":
                         send_message(sock, {"type": "request"})
                         lease = recv_message(sock)
+                    assert lease["type"] == "plan"
+                    send_message(sock, {
+                        "type": "plan_result", "task_id": lease["task_id"],
+                        **encode_plan(*run_lease(lease)),
+                    })
+                    assert recv_message(sock)["duplicate"] is False
+                    send_message(sock, {"type": "request"})
+                    lease = recv_message(sock)
                     assert lease["type"] == "lease"
                     send_message(sock, {
                         "type": "result", "task_id": lease["task_id"],
@@ -202,6 +218,71 @@ class TestMalformedPartRequeue:
         ]
         # once, by the result handler; the disconnect finds nothing leased
         assert requeues == [(lease["task_id"], "sloppy", "failed", 1)]
+
+
+class TestMalformedPlanRequeue:
+    """A plan is input from the network like a part: one that does not
+    fit its task is refused with a bounded error, handed on at once, and
+    binds nothing."""
+
+    @pytest.mark.parametrize("spoil", [
+        pytest.param(lambda p: p["order"].pop(), id="order-too-short"),
+        pytest.param(
+            lambda p: p["order"].__setitem__(0, p["order"][1]),
+            id="order-repeats-an-index",
+        ),
+        pytest.param(
+            lambda p: p["order"].__setitem__(0, float(p["order"][0])),
+            id="order-entry-not-an-integer",
+        ),
+        pytest.param(
+            lambda p: p.__setitem__("golden_output", "x" * 10_000),
+            id="golden-output-not-a-list",
+        ),
+    ])
+    def test_malformed_plan_requeues_its_task_at_once(self, tmp_path, spoil):
+        log = tmp_path / "events.jsonl"
+        with EventLog(log) as events:
+            with LocalService(
+                workers=0, chunk_size=2, lease_timeout=30.0,
+                backoff_base=0.01, events=events,
+            ) as svc:
+                cid = svc.client.submit(request_for(SPEC))
+                with _connect((svc.host, svc.port)) as sock:
+                    send_message(sock, {"type": "hello", "name": "sloppy"})
+                    recv_message(sock)
+                    plan = {"type": "wait"}  # until the pump has admitted
+                    while plan["type"] == "wait":
+                        send_message(sock, {"type": "request"})
+                        plan = recv_message(sock)
+                    assert plan["type"] == "plan"
+                    fields = encode_plan(*run_lease(plan))
+                    spoil(fields)
+                    send_message(sock, {
+                        "type": "plan_result", "task_id": plan["task_id"],
+                        **fields,
+                    })
+                    reply = recv_message(sock)
+                    assert reply["type"] == "error"
+                    assert reply["message"].startswith("malformed plan")
+                    assert len(reply["message"]) <= 500
+                    # the books are untouched: nothing bound, nothing cut
+                    coordinator = svc.coordinator
+                    cell = coordinator._cells[SPEC.key]
+                    assert cell.result is None and not cell.completed
+                    assert {t.kind for t in coordinator._tasks.values()} == {
+                        "plan"
+                    }
+                started = time.monotonic()
+                svc.start_worker(name="healthy")
+                results = collect(svc, cid, timeout=20.0)
+                assert time.monotonic() - started < 10.0
+        assert sum(results[SPEC.key].counts.values()) == 4
+        requeues = [
+            (e["task"], e["worker"], e["reason"], e["attempt"])
+            for e in read_events(log) if e["event"] == "task_requeue"
+        ]
+        assert requeues == [(plan["task_id"], "sloppy", "failed", 1)]
 
 
 class TestMalformedControl:

@@ -219,11 +219,11 @@ class TestPoisonTask:
             assert failed["state"] == "failed"
             assert re.search(reason, failed["error"])
             # ... and that is all that failed: the pump lives, the same
-            # client is still served — B's task, or nothing yet
+            # client is still served — B's plan, or nothing yet
             assert svc.coordinator._pump_thread.is_alive()
             reply = cursed.request_task()
-            assert reply["type"] in ("lease", "wait")
-            if reply["type"] == "lease":
+            assert reply["type"] in ("plan", "wait")
+            if reply["type"] == "plan":
                 assert reply["task_id"] != lease["task_id"]
             cursed.close()  # (what it may hold is requeued: B's 1 attempt)
 

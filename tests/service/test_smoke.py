@@ -13,13 +13,27 @@ import time
 
 import pytest
 
-from repro.campaign import make_tool, read_events, run_campaign
+from repro.campaign import (
+    CampaignSpec,
+    make_tool,
+    read_events,
+    run_campaign,
+    run_cell,
+    run_cells,
+)
 from repro.campaign.events import EventLog
 from repro.campaign.io import result_to_dict
-from repro.errors import ServiceError
+from repro.errors import CampaignError, ServiceError
+from repro.fi import tools as fi_tools
 from repro.service import LocalService
 
-from tests.conftest import DEMO_SOURCE, descendants, wait_progress
+from tests.conftest import (
+    DEMO_SOURCE,
+    descendants,
+    request_for,
+    serve,
+    wait_progress,
+)
 
 N = 4
 SEED = 99
@@ -49,6 +63,33 @@ def test_tiny_campaign_round_trip(tmp_path):
         # And a garbage submit is rejected at the wire.
         with pytest.raises(ServiceError, match="workloads"):
             svc.client.submit({"tools": ["REFINE"], "n": 1})
+
+
+def test_cells_are_built_only_by_the_workers_that_run_them(monkeypatch):
+    """The coordinator compiles nothing: with every compile in the harness's
+    own process failing, a 2-cell campaign on 2 workers — and the same
+    cells through ``run_cells(specs, workers=2)`` — still equal inline."""
+    specs = [
+        CampaignSpec(
+            workload="demo", source=DEMO_SOURCE, tool_name=tool, n=6,
+            base_seed=SEED, keep_records=True,
+        )
+        for tool in ("REFINE", "PINFI")
+    ]
+    inline = {spec.key: result_to_dict(run_cell(spec)) for spec in specs}
+    harness, compile_minic = os.getpid(), fi_tools.compile_minic
+
+    def compile_in_workers_only(*args, **kwargs):
+        if os.getpid() == harness:
+            raise CampaignError("the harness process compiled a cell")
+        return compile_minic(*args, **kwargs)
+
+    with LocalService(workers=2, chunk_size=2) as svc:
+        monkeypatch.setattr(fi_tools, "compile_minic", compile_in_workers_only)
+        served = serve(svc, request_for(specs[0], tools=["REFINE", "PINFI"]))
+    assert {k: result_to_dict(r) for k, r in served.items()} == inline
+    ran = run_cells(specs, workers=2)
+    assert {k: result_to_dict(r) for k, r in ran.items()} == inline
 
 
 def _wait_workers(svc, count):
@@ -184,13 +225,14 @@ def test_killed_coordinator_port_is_refused(tmp_path):
 
 def test_admitted_campaign_that_cannot_install_fails(tmp_path):
     """``campaign_admitted`` says the campaign got its slot, ahead of its
-    cells' own events; when installing them then fails (here: a program
-    whose fault-free run exits non-zero, so it cannot be profiled),
-    ``campaign_failed`` follows and the queue row says why."""
+    cells' own events; when a cell then cannot be built (here: a program
+    whose fault-free run exits non-zero, so it cannot be profiled), the
+    worker that leased its plan says so, ``campaign_failed`` follows at
+    once — no retry can build it — and the queue row says why."""
     log = tmp_path / "events.jsonl"
     with EventLog(log) as events:
         with LocalService(
-            workers=0, queue_path=tmp_path / "queue.sqlite", events=events
+            workers=1, queue_path=tmp_path / "queue.sqlite", events=events
         ) as svc:
             cid = svc.client.submit({
                 "workloads": ["broken"], "tools": ["REFINE"], "n": N,
@@ -202,4 +244,5 @@ def test_admitted_campaign_that_cannot_install_fails(tmp_path):
     ours = [
         e["event"] for e in read_events(log) if e.get("campaign") == cid
     ]
-    assert ours == ["campaign_admitted", "campaign_failed"]
+    assert ours == ["campaign_admitted", "plan_lease", "campaign_failed"]
+    assert "task_requeue" not in {e["event"] for e in read_events(log)}
