@@ -44,11 +44,8 @@ def format_operand(op) -> str:
 
 
 def format_instr(instr: MachineInstr) -> str:
-    mnemonic = instr.opcode
-    if instr.cc is not None:
-        mnemonic = instr.opcode.replace("cc", "") + instr.cc
     ops = ", ".join(format_operand(o) for o in instr.operands)
-    return f"{mnemonic} {ops}".rstrip()
+    return f"{instr.printed} {ops}".rstrip()
 
 
 def format_function(

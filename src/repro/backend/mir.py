@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.errors import BackendError
-from repro.backend.target import FLAGS, FPR
+from repro.backend.target import CALL_CLOBBERS, FLAGS, FPR, RSP
+from repro.machine.semantics import ISA, MNEMONICS, Mnemonic
 
 
 # -- operands ----------------------------------------------------------------
@@ -116,75 +117,48 @@ Operand = VReg | PReg | Imm | FImm | Mem | Label | FuncRef
 
 @dataclass(frozen=True)
 class OpcodeInfo:
-    """Dataflow semantics of an opcode.
+    """What the backend reads of an opcode.
 
-    ``defs``/``uses`` are operand indices.  ``reads_mem_base`` marks operands
-    whose embedded base register is read.  A two-address instruction lists
-    operand 0 in both defs and uses.
+    ``defs``/``uses`` are operand indices (a memory operand's base register
+    is always read).  ``ends``: every form ends a basic block (a call to an
+    intrinsic does not).  ``rsp``: writes rsp besides its operands.
+    ``fi_class``: its Table 2 class, ``None`` where it is never a
+    fault-injection candidate.
     """
 
     defs: tuple[int, ...] = ()
     uses: tuple[int, ...] = ()
     writes_flags: bool = False
     reads_flags: bool = False
-    is_terminator: bool = False
-    is_call: bool = False
+    ends: bool = False
+    rsp: bool = False
+    fi_class: str | None = None
 
 
-#: The sx64 instruction set.
-OPCODES: dict[str, OpcodeInfo] = {
-    # data movement
-    "mov": OpcodeInfo(defs=(0,), uses=(1,)),
-    "fmov": OpcodeInfo(defs=(0,), uses=(1,)),
-    "fconst": OpcodeInfo(defs=(0,), uses=(1,)),
-    "lea": OpcodeInfo(defs=(0,), uses=(1,)),
-    "load": OpcodeInfo(defs=(0,), uses=(1,)),
-    "store": OpcodeInfo(uses=(0, 1)),
-    "fload": OpcodeInfo(defs=(0,), uses=(1,)),
-    "fstore": OpcodeInfo(uses=(0, 1)),
-    # integer ALU (two-address, writes FLAGS like x86)
-    "add": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "sub": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "imul": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "and": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "or": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "xor": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "shl": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "sar": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "neg": OpcodeInfo(defs=(0,), uses=(0,), writes_flags=True),
-    "idiv": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    "irem": OpcodeInfo(defs=(0,), uses=(0, 1), writes_flags=True),
-    # floating ALU (two-address, no flags — like SSE)
-    "fadd": OpcodeInfo(defs=(0,), uses=(0, 1)),
-    "fsub": OpcodeInfo(defs=(0,), uses=(0, 1)),
-    "fmul": OpcodeInfo(defs=(0,), uses=(0, 1)),
-    "fdiv": OpcodeInfo(defs=(0,), uses=(0, 1)),
-    # comparisons and conditions
-    "cmp": OpcodeInfo(uses=(0, 1), writes_flags=True),
-    "fcmp": OpcodeInfo(uses=(0, 1), writes_flags=True),
-    "setcc": OpcodeInfo(defs=(0,), reads_flags=True),  # ops: dst (cc field)
-    "cmov": OpcodeInfo(defs=(0,), uses=(0, 1), reads_flags=True),  # dst, src
-    # control flow
-    "jmp": OpcodeInfo(is_terminator=True),
-    "jcc": OpcodeInfo(reads_flags=True),  # conditional: falls through
-    "call": OpcodeInfo(is_call=True, writes_flags=True),
-    "ret": OpcodeInfo(is_terminator=True),
-    # stack
-    "push": OpcodeInfo(uses=(0,)),
-    "pop": OpcodeInfo(defs=(0,)),
-    # conversions
-    "cvtsi2sd": OpcodeInfo(defs=(0,), uses=(1,)),
-    "cvttsd2si": OpcodeInfo(defs=(0,), uses=(1,)),
-    # REFINE instrumentation pseudo (see repro.fi.refine)
-    "fi_check": OpcodeInfo(),
-}
+def _opcode_info(m: Mnemonic) -> OpcodeInfo:
+    """The backend's view of a declaration: its semantics' flag effects, and a
+    call's clobber (a calling-convention fact, not the instruction's)."""
+    return OpcodeInfo(
+        m.defs, m.uses,
+        writes_flags=any(f.sem.writes for f in m.forms) or (
+            m.name == "call" and FLAGS in CALL_CLOBBERS),
+        reads_flags=m.reads_cc,
+        ends=all(f.sem.ends for f in m.forms),
+        rsp=m.rsp,
+        fi_class=m.fi_class,
+    )
+
+
+#: The sx64 instruction set, from its declaration
+#: (:data:`repro.machine.semantics.ISA`).
+OPCODES: dict[str, OpcodeInfo] = {m.name: _opcode_info(m) for m in ISA}
 
 #: Pseudo-instructions that exist only before frame lowering.
 PSEUDO_OPCODES: dict[str, OpcodeInfo] = {
     # CALL pseudo: ops = [FuncRef, ret-vreg-or-None, arg0, arg1, ...]
-    "pcall": OpcodeInfo(is_call=True, writes_flags=True),
+    "pcall": OpcodeInfo(writes_flags=FLAGS in CALL_CLOBBERS),
     # RET pseudo: ops = [value-vreg] or []
-    "pret": OpcodeInfo(is_terminator=True),
+    "pret": OpcodeInfo(ends=True),
     # incoming-arguments pseudo: ops = [dst-vreg, ...] (all defs)
     "pargs": OpcodeInfo(),
 }
@@ -254,39 +228,40 @@ class MachineInstr:
         return out
 
     def output_registers(self) -> list[str]:
-        """Names of *physical* output registers — the fault-injection
-        targets of this instruction (destination registers plus FLAGS).
+        """Names of the *physical* registers this instruction writes: its
+        destination registers, FLAGS, rsp.
 
         Only meaningful after register allocation.
         """
-        outs: list[str] = []
-        for op in self.reg_defs():
-            if isinstance(op, PReg):
-                outs.append(op.name)
-        if self.info.writes_flags:
+        outs = [op.name for op in self.reg_defs() if isinstance(op, PReg)]
+        info = self.info
+        if info.writes_flags:
             outs.append(FLAGS)
-        if self.opcode in ("push", "pop"):
-            outs.append("rsp")
+        if info.rsp:
+            outs.append(RSP)
         return outs
+
+    def fi_outputs(self) -> list[str]:
+        """The fault-injection targets: the output registers of an instruction
+        with a Table 2 class, none for any other (control transfers and
+        REFINE's check; stores write memory, not registers)."""
+        return self.output_registers() if self.info.fi_class else []
 
     @property
     def is_fi_candidate(self) -> bool:
         """True when the single-bit-flip fault model applies: the instruction
-        dynamically writes at least one architectural register.
+        has a Table 2 class and writes at least one architectural register."""
+        return bool(self.fi_outputs())
 
-        ``call``/``jmp``/``ret``/``fi_check`` are excluded (matching PINFI's
-        register-output targeting); stores write memory, not registers.
-        """
-        if self.opcode in ("call", "pcall", "jmp", "ret", "pret", "jcc", "fi_check"):
-            return False
-        return bool(self.output_registers())
+    @property
+    def printed(self) -> str:
+        """The printed mnemonic (``jcc`` with condition ``ge`` prints ``jge``)."""
+        m = MNEMONICS.get(self.opcode)
+        return self.opcode if m is None else m.printed.format(cc=self.cc)
 
     def __str__(self) -> str:
-        mnemonic = self.opcode
-        if self.cc is not None:
-            mnemonic = self.opcode.replace("cc", "") + self.cc
         ops = ", ".join(str(o) for o in self.operands)
-        return f"{mnemonic} {ops}".rstrip()
+        return f"{self.printed} {ops}".rstrip()
 
     def __repr__(self) -> str:
         return f"<MI {self}>"

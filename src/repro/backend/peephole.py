@@ -95,7 +95,7 @@ def _flags_live_after(instrs: list[MachineInstr], index: int) -> bool:
             return True
         if info.writes_flags:
             return False
-        if info.is_terminator:
+        if info.ends:
             # Our codegen always re-materializes FLAGS (cmp) in the block
             # that consumes them, so FLAGS never flow across block edges.
             return False

@@ -17,8 +17,6 @@ REFINE's accuracy argument depends on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 # -- register classes --------------------------------------------------------
 
@@ -81,6 +79,10 @@ CALLEE_SAVED_FPR: tuple[str, ...] = ()
 CALLER_SAVED_GPR = tuple(r for r in GPR_ALLOC if r not in CALLEE_SAVED_GPR)
 CALLER_SAVED_FPR = tuple(FPR_ALLOC)
 
+#: What a call clobbers besides the caller-saved registers: SysV leaves FLAGS
+#: undefined across a call, so the backend treats every call as writing them.
+CALL_CLOBBERS = (FLAGS,)
+
 
 # -- flags bits (x86 layout) ------------------------------------------------
 
@@ -96,110 +98,12 @@ ZF = 1 << ZF_BIT
 SF = 1 << SF_BIT
 OF = 1 << OF_BIT
 
-#: Condition codes, decoded from FLAGS exactly as x86 does.
-CONDITION_CODES = (
-    "e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "s", "ns", "p", "np",
-)
 
+# -- intrinsic costs -------------------------------------------------------------
 
-def condition_holds(cc: str, flags: int) -> bool:
-    """Evaluate an x86 condition code against a FLAGS value."""
-    zf = bool(flags & ZF)
-    sf = bool(flags & SF)
-    of = bool(flags & OF)
-    cf = bool(flags & CF)
-    if cc == "p":
-        return bool(flags & PF)
-    if cc == "np":
-        return not flags & PF
-    if cc == "e":
-        return zf
-    if cc == "ne":
-        return not zf
-    if cc == "l":
-        return sf != of
-    if cc == "le":
-        return zf or (sf != of)
-    if cc == "g":
-        return (not zf) and (sf == of)
-    if cc == "ge":
-        return sf == of
-    if cc == "b":
-        return cf
-    if cc == "be":
-        return cf or zf
-    if cc == "a":
-        return (not cf) and (not zf)
-    if cc == "ae":
-        return not cf
-    if cc == "s":
-        return sf
-    if cc == "ns":
-        return not sf
-    raise ValueError(f"unknown condition code {cc!r}")
-
-
-# -- instruction cost model ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-opcode simulated cycle costs.
-
-    Loosely calibrated to Sandy Bridge-class latencies (the paper's Xeon
-    E5-2670).  Figure 5 compares *relative* campaign times, so only the
-    ratios between instruction classes matter.
-    """
-
-    costs: dict[str, float]
-    default: float = 1.0
-
-    def cost(self, opcode: str) -> float:
-        return self.costs.get(opcode, self.default)
-
-
-DEFAULT_COSTS = CostModel(
-    costs={
-        "mov": 1.0,
-        "fmov": 1.0,
-        "fconst": 2.0,
-        "lea": 1.0,
-        "load": 4.0,
-        "store": 4.0,
-        "fload": 4.0,
-        "fstore": 4.0,
-        "add": 1.0,
-        "sub": 1.0,
-        "and": 1.0,
-        "or": 1.0,
-        "xor": 1.0,
-        "shl": 1.0,
-        "sar": 1.0,
-        "neg": 1.0,
-        "imul": 3.0,
-        "idiv": 25.0,
-        "irem": 25.0,
-        "fadd": 3.0,
-        "fsub": 3.0,
-        "fmul": 4.0,
-        "fdiv": 14.0,
-        "cmp": 1.0,
-        "fcmp": 2.0,
-        "setcc": 1.0,
-        "cmov": 1.0,
-        "jmp": 1.0,
-        "jcc": 1.5,  # average over prediction
-        "call": 6.0,
-        "ret": 4.0,
-        "push": 2.0,
-        "pop": 2.0,
-        "cvtsi2sd": 4.0,
-        "cvttsd2si": 4.0,
-        # REFINE's inline PreFI counter check: compare + not-taken branch.
-        "fi_check": 2.0,
-    }
-)
-
-#: Simulated cycle costs of the runtime intrinsics (libm-style).
+#: Simulated cycle costs of the runtime intrinsics (libm-style), beyond the
+#: ``call`` itself; an instruction's own cost is in its declaration
+#: (:data:`repro.machine.semantics.ISA`).
 INTRINSIC_COSTS: dict[str, float] = {
     "sqrt": 20.0,
     "fabs": 2.0,

@@ -17,47 +17,10 @@ import re
 from dataclasses import dataclass, field
 
 from repro.errors import CampaignError
+from repro.machine.semantics import MNEMONICS
 
 #: Valid -fi-instrs classes.
 INSTR_CLASSES = ("stack", "arithm", "mem", "all")
-
-#: Machine-opcode classification used by REFINE/PINFI filtering.
-_MACHINE_CLASS: dict[str, str] = {
-    # stack management / function setup
-    "push": "stack",
-    "pop": "stack",
-    # memory
-    "load": "mem",
-    "fload": "mem",
-    "store": "mem",
-    "fstore": "mem",
-    "lea": "mem",
-    # arithmetic / data
-    "mov": "arithm",
-    "fmov": "arithm",
-    "fconst": "arithm",
-    "add": "arithm",
-    "sub": "arithm",
-    "imul": "arithm",
-    "idiv": "arithm",
-    "irem": "arithm",
-    "and": "arithm",
-    "or": "arithm",
-    "xor": "arithm",
-    "shl": "arithm",
-    "sar": "arithm",
-    "neg": "arithm",
-    "fadd": "arithm",
-    "fsub": "arithm",
-    "fmul": "arithm",
-    "fdiv": "arithm",
-    "cmp": "arithm",
-    "fcmp": "arithm",
-    "setcc": "arithm",
-    "cmov": "arithm",
-    "cvtsi2sd": "arithm",
-    "cvttsd2si": "arithm",
-}
 
 #: IR-opcode classification used by LLFI filtering (IR has no stack class —
 #: that is precisely the accuracy gap the paper identifies).
@@ -132,10 +95,10 @@ class FIConfig:
         return self._func_matcher(name)  # type: ignore[operator]
 
     def match_machine_opcode(self, opcode: str) -> bool:
-        cls = _MACHINE_CLASS.get(opcode)
-        if cls is None:
-            return False
-        return self.instrs == "all" or self.instrs == cls
+        """Whether ``opcode``'s Table 2 class, from its declaration
+        (:data:`repro.machine.semantics.ISA`), is selected."""
+        m = MNEMONICS.get(opcode)
+        return m is not None and m.fi_class is not None and self.instrs in ("all", m.fi_class)
 
     def match_ir_opcode(self, opcode: str) -> bool:
         cls = _IR_CLASS.get(opcode)

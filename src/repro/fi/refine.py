@@ -61,12 +61,8 @@ class RefinePass:
             new_instrs: list[MachineInstr] = []
             for instr in block.instructions:
                 new_instrs.append(instr)
-                if not instr.is_fi_candidate:
-                    continue
-                if not self.config.match_machine_opcode(instr.opcode):
-                    continue
-                out_regs = tuple(instr.output_registers())
-                if not out_regs:
+                out_regs = tuple(instr.fi_outputs())
+                if not out_regs or not self.config.match_machine_opcode(instr.opcode):
                     continue
                 self.sites += 1
                 check = MachineInstr("fi_check", [Imm(self.sites)])

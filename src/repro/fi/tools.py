@@ -276,18 +276,12 @@ class PinfiTool(FITool):
         prog = self.program
         # Rebuild the candidate bitmap under the filter (cached per tool).
         if not hasattr(self, "_filtered_candidates"):
-            filtered = list(prog.is_candidate)
-            for pc, info in enumerate(prog.info):
-                if not filtered[pc]:
-                    continue
-                opcode = info.text.split()[0]
-                # map printed mnemonic back to opcode family
-                base = opcode.rstrip("0123456789")
-                if not self.config.match_function(info.func):
-                    filtered[pc] = False
-                elif not self.config.match_machine_opcode(_unmnemonic(base)):
-                    filtered[pc] = False
-            self._filtered_candidates = filtered
+            config = self.config
+            self._filtered_candidates = [
+                cand and config.match_function(info.func)
+                and config.match_machine_opcode(info.mnemonic)
+                for cand, info in zip(prog.is_candidate, prog.info)
+            ]
         cpu.program = _FilteredProgramView(prog, self._filtered_candidates)
 
     def _dynamic_candidates(self, cpu: CPU) -> int:
@@ -321,17 +315,6 @@ class _FilteredProgramView:
 
     def __getattr__(self, name):
         return getattr(self._prog, name)
-
-
-def _unmnemonic(mnemonic: str) -> str:
-    """Best-effort inverse of the assembly printer's mnemonic mapping."""
-    if mnemonic.startswith("j") and mnemonic != "jmp":
-        return "jcc"
-    if mnemonic.startswith("set"):
-        return "setcc"
-    if mnemonic.startswith("cmov"):
-        return "cmov"
-    return mnemonic
 
 
 #: Registry used by campaigns and the CLI.

@@ -6,10 +6,14 @@ Responsibilities of a real loader/linker, scaled down:
 * lay out globals in the data segment and build the initial memory image,
 * flatten functions into one code array and resolve labels/call targets,
 * pre-decode every instruction into a dispatch tuple so the interpreter's
-  hot loop never inspects operand objects,
-* precompute per-instruction fault-injection metadata (candidate flag and
-  output-register descriptors) used by PINFI's DBI hook and REFINE's
-  ``fi_check`` sites.
+  hot loop never inspects operand objects: the tuple is the opcode of the
+  instruction's form — looked up by its mnemonic and operand shape in
+  :data:`~repro.machine.semantics.FORMS`, derived from the ISA declaration —
+  then the slots its operands fill, a condition code's id where the form's
+  semantics read it,
+* precompute per-instruction cycle costs and fault-injection metadata
+  (candidate flag and output-register descriptors) used by PINFI's DBI hook
+  and REFINE's ``fi_check`` sites.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import LinkError
+from repro.backend.asmprinter import format_instr
 from repro.backend.binary import Binary
-from repro.backend.mir import FImm, FuncRef, Imm, Label, MachineInstr, Mem, PReg
-from repro.backend.target import DEFAULT_COSTS, INTRINSIC_COSTS
-from repro.machine import opcodes as O
+from repro.backend.mir import FImm, Imm, Label, MachineInstr, Mem, PReg
+from repro.backend.target import INTRINSIC_COSTS
 from repro.machine.intrinsics import INTRINSIC_TABLE
 from repro.machine.registers import FREG_INDEX, IREG_INDEX, output_descriptor
+from repro.machine.semantics import CONDITION_CODES, FORMS, MNEMONICS, NULL_GUARD
 
-#: Memory map constants.
-NULL_GUARD = 0x1000
+#: Memory map constants (and :data:`~repro.machine.semantics.NULL_GUARD`).
 DEFAULT_MEM_SIZE = 1 << 20
 STACK_GUARD = 0x1000
 
@@ -39,6 +43,8 @@ class InstrInfo:
     block: str
     index: int
     text: str
+    #: the instruction's mnemonic (``-fi-instrs`` filters by its class)
+    mnemonic: str
 
 
 @dataclass
@@ -123,63 +129,49 @@ class Loader:
                     self._decode(mf.name, block.name, idx, instr, label_pc)
         return self.prog
 
-    # -- operand helpers ------------------------------------------------------
-
-    def _ireg(self, op) -> int:
-        assert isinstance(op, PReg), op
-        return IREG_INDEX[op.name]
-
-    def _freg(self, op) -> int:
-        assert isinstance(op, PReg), op
-        return FREG_INDEX[op.name]
-
-    def _mem(self, op: Mem) -> tuple[bool, int, int]:
-        """Return (is_absolute, base_or_addr, disp)."""
-        if op.global_name is not None:
-            base = self.prog.globals_addr.get(op.global_name)
-            if base is None:
-                raise LinkError(f"undefined global @{op.global_name}")
-            return (True, base + op.disp, 0)
-        assert isinstance(op.base, PReg), op
-        return (False, IREG_INDEX[op.base.name], op.disp)
-
     # -- decoding ---------------------------------------------------------
 
-    def _emit(
-        self,
-        func: str,
-        block: str,
-        idx: int,
-        instr: MachineInstr,
-        decoded: tuple,
-        cost: float | None = None,
-    ) -> int:
+    def _operands(self, func: str, operands: list, label_pc: dict) -> tuple[str, list]:
+        """The operands' shape (:attr:`~repro.machine.semantics.Form.shape`)
+        and the decoded tuple slots they fill."""
         prog = self.prog
-        pc = len(prog.code)
-        prog.code.append(decoded)
-        prog.cost.append(
-            cost if cost is not None else DEFAULT_COSTS.cost(instr.opcode)
-        )
-        prog.is_candidate.append(instr.is_fi_candidate)
-        prog.outputs.append(
-            tuple(output_descriptor(r) for r in instr.output_registers())
-        )
-        from repro.backend.asmprinter import format_instr
-
-        prog.info.append(InstrInfo(func, block, idx, format_instr(instr)))
-        return pc
-
-    _ALU_RR = {
-        "add": O.ADD_RR, "sub": O.SUB_RR, "imul": O.IMUL_RR, "and": O.AND_RR,
-        "or": O.OR_RR, "xor": O.XOR_RR, "shl": O.SHL_RR, "sar": O.SAR_RR,
-        "idiv": O.IDIV_RR, "irem": O.IREM_RR,
-    }
-    _ALU_RI = {
-        "add": O.ADD_RI, "sub": O.SUB_RI, "imul": O.IMUL_RI, "and": O.AND_RI,
-        "or": O.OR_RI, "xor": O.XOR_RI, "shl": O.SHL_RI, "sar": O.SAR_RI,
-        "idiv": O.IDIV_RI, "irem": O.IREM_RI,
-    }
-    _FALU = {"fadd": O.FADD, "fsub": O.FSUB, "fmul": O.FMUL, "fdiv": O.FDIV}
+        shape = ""
+        slots: list = []
+        for op in operands:
+            kind = type(op)
+            if kind is PReg:
+                if op.name in IREG_INDEX:
+                    shape += "r"
+                    slots.append(IREG_INDEX[op.name])
+                else:
+                    shape += "f"
+                    slots.append(FREG_INDEX[op.name])
+            elif kind is Imm:
+                shape += "i"
+                slots.append(op.value)
+            elif kind is FImm:
+                shape += "c"
+                slots.append(op.value)
+            elif kind is Mem:
+                if op.global_name is None:
+                    shape += "m"
+                    slots += (IREG_INDEX[op.base.name], op.disp)
+                else:
+                    base = prog.globals_addr.get(op.global_name)
+                    if base is None:
+                        raise LinkError(f"undefined global @{op.global_name}")
+                    shape += "a"
+                    slots.append(base + op.disp)
+            elif kind is Label:
+                shape += "t"
+                slots.append(label_pc[(func, op.name)])
+            elif op.name in prog.func_entry:
+                shape += "p"
+                slots.append(prog.func_entry[op.name])
+            else:
+                shape += "n"
+                slots += (INTRINSIC_TABLE.index_of(op.name), op.name)
+        return shape, slots
 
     def _decode(
         self,
@@ -189,127 +181,37 @@ class Loader:
         instr: MachineInstr,
         label_pc: dict[tuple[str, str], int],
     ) -> None:
-        op = instr.opcode
-        ops = instr.operands
-        emit = lambda decoded, cost=None: self._emit(  # noqa: E731
-            func, block, idx, instr, decoded, cost
-        )
-
-        if op == "mov":
-            dst = self._ireg(ops[0])
-            if isinstance(ops[1], Imm):
-                emit((O.MOV_RI, dst, ops[1].value))
-            else:
-                emit((O.MOV_RR, dst, self._ireg(ops[1])))
-        elif op == "fmov":
-            emit((O.FMOV, self._freg(ops[0]), self._freg(ops[1])))
-        elif op == "fconst":
-            assert isinstance(ops[1], FImm)
-            emit((O.FCONST, self._freg(ops[0]), ops[1].value))
-        elif op == "lea":
-            dst = self._ireg(ops[0])
-            absolute, base, disp = self._mem(ops[1])
-            if absolute:
-                emit((O.LEA_ABS, dst, base))
-            else:
-                emit((O.LEA_RD, dst, base, disp))
-        elif op in ("load", "fload"):
-            is_f = op == "fload"
-            dst = self._freg(ops[0]) if is_f else self._ireg(ops[0])
-            absolute, base, disp = self._mem(ops[1])
-            if absolute:
-                emit(((O.FLOAD_ABS if is_f else O.LOAD_ABS), dst, base))
-            else:
-                emit(((O.FLOAD_RD if is_f else O.LOAD_RD), dst, base, disp))
-        elif op in ("store", "fstore"):
-            is_f = op == "fstore"
-            absolute, base, disp = self._mem(ops[0])
-            src = ops[1]
-            if isinstance(src, Imm):
-                if absolute:
-                    emit((O.STORE_ABS_I, base, src.value))
-                else:
-                    emit((O.STORE_RD_I, base, disp, src.value))
-            elif is_f:
-                if absolute:
-                    emit((O.FSTORE_ABS, base, self._freg(src)))
-                else:
-                    emit((O.FSTORE_RD, base, disp, self._freg(src)))
-            else:
-                if absolute:
-                    emit((O.STORE_ABS, base, self._ireg(src)))
-                else:
-                    emit((O.STORE_RD, base, disp, self._ireg(src)))
-        elif op in self._ALU_RR:
-            dst = self._ireg(ops[0])
-            if isinstance(ops[1], Imm):
-                emit((self._ALU_RI[op], dst, ops[1].value))
-            else:
-                emit((self._ALU_RR[op], dst, self._ireg(ops[1])))
-        elif op == "neg":
-            emit((O.NEG, self._ireg(ops[0])))
-        elif op in self._FALU:
-            emit((self._FALU[op], self._freg(ops[0]), self._freg(ops[1])))
-        elif op == "cmp":
-            a = self._ireg(ops[0])
-            if isinstance(ops[1], Imm):
-                emit((O.CMP_RI, a, ops[1].value))
-            else:
-                emit((O.CMP_RR, a, self._ireg(ops[1])))
-        elif op == "fcmp":
-            emit((O.FCMP, self._freg(ops[0]), self._freg(ops[1])))
-        elif op == "setcc":
-            emit((O.SETCC, self._ireg(ops[0]), O.CC_IDS[instr.cc]))
-        elif op == "cmov":
-            emit((O.CMOV, self._ireg(ops[0]), self._ireg(ops[1]), O.CC_IDS[instr.cc]))
-        elif op == "jmp":
-            target = ops[0]
-            assert isinstance(target, Label)
-            emit((O.JMP, label_pc[(func, target.name)]))
-        elif op == "jcc":
-            target = ops[0]
-            assert isinstance(target, Label)
-            emit((O.JCC, O.CC_IDS[instr.cc], label_pc[(func, target.name)]))
-        elif op == "call":
-            target = ops[0]
-            assert isinstance(target, FuncRef)
-            if target.name in self.prog.func_entry:
-                emit((O.CALL, self.prog.func_entry[target.name]))
-            else:
-                intr_id = INTRINSIC_TABLE.index_of(target.name)
-                cost = DEFAULT_COSTS.cost("call") + INTRINSIC_COSTS.get(
-                    target.name, 10.0
-                )
-                pc = emit((O.INTR, intr_id, target.name), cost)
-                if target.name.startswith("__fi_inject"):
-                    self.prog.llfi_site_pcs.append(pc)
-        elif op == "ret":
-            emit((O.RET,))
-        elif op == "push":
-            emit((O.PUSH, self._ireg(ops[0])))
-        elif op == "pop":
-            emit((O.POP, self._ireg(ops[0])))
-        elif op == "cvtsi2sd":
-            emit((O.CVTSI2SD, self._freg(ops[0]), self._ireg(ops[1])))
-        elif op == "cvttsd2si":
-            emit((O.CVTTSD2SI, self._ireg(ops[0]), self._freg(ops[1])))
-        elif op == "fi_check":
+        prog = self.prog
+        pc = len(prog.code)
+        shape, slots = self._operands(func, instr.operands, label_pc)
+        form = FORMS.get((instr.opcode, shape))
+        if form is None:
+            raise LinkError(f"cannot decode {instr} (operand shape {shape!r})")
+        k = form.sem.operands.find("k")
+        if k >= 0:
+            slots.insert(k, CONDITION_CODES.index(instr.cc))
+        cost = MNEMONICS[instr.opcode].cost
+        text = format_instr(instr)
+        if form.name == "INTR":
+            cost += INTRINSIC_COSTS.get(slots[1], 10.0)
+            if slots[1].startswith("__fi_inject"):
+                prog.llfi_site_pcs.append(pc)
+        elif form.name == "FI_CHECK":
             # REFINE site: the tuple carries the guarded instruction's
-            # fault-output descriptors so injection needs no lookup.
+            # fault-output descriptors so injection needs no lookup, and
+            # fault logs name the instruction whose outputs the site
+            # corrupts, not the instrumentation pseudo itself.
             meta = instr.fi_meta
-            outs = tuple(
-                output_descriptor(r) for r in getattr(meta, "out_regs", ())
-            )
-            site_id = getattr(meta, "site_id", -1)
-            pc = emit((O.FI_CHECK, outs, site_id))
-            guarded = getattr(meta, "guarded_text", "")
-            if guarded:
-                # Fault logs should name the instruction whose outputs the
-                # site corrupts, not the instrumentation pseudo itself.
-                self.prog.info[pc].text = guarded
-            self.prog.fi_check_pcs.append(pc)
-        else:  # pragma: no cover - exhaustive
-            raise LinkError(f"cannot decode opcode {op!r}")
+            slots = [tuple(map(output_descriptor, getattr(meta, "out_regs", ()))),
+                     getattr(meta, "site_id", -1)]
+            text = getattr(meta, "guarded_text", "") or text
+            prog.fi_check_pcs.append(pc)
+        outs = instr.fi_outputs()
+        prog.code.append((form.number, *slots))
+        prog.cost.append(cost)
+        prog.is_candidate.append(bool(outs))
+        prog.outputs.append(tuple(map(output_descriptor, outs)))
+        prog.info.append(InstrInfo(func, block, idx, text, instr.opcode))
 
 
 def load_binary(binary: Binary, mem_size: int = DEFAULT_MEM_SIZE) -> LoadedProgram:

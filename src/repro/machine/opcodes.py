@@ -1,81 +1,7 @@
-"""Decoded opcode numbers for the interpreter's dispatch loop.
+"""The opcode numbers by name (``ADD_RR``, ``LOAD_ABS`` ...), for code that
+tests a decoded instruction's opcode; each is its form's in
+:data:`repro.machine.semantics.ISA`."""
 
-The loader specializes each machine instruction by operand shape (register
-vs immediate source, register-relative vs absolute memory) so the hot loop
-never inspects operand kinds.
-"""
+from repro.machine.semantics import ISA
 
-from __future__ import annotations
-
-# data movement
-MOV_RR = 1
-MOV_RI = 2
-FMOV = 3
-FCONST = 4
-LEA_RD = 5    # dst <- base + disp
-LEA_ABS = 6   # dst <- absolute address (global)
-# memory
-LOAD_RD = 10
-LOAD_ABS = 11
-STORE_RD = 12
-STORE_RD_I = 13
-STORE_ABS = 14
-STORE_ABS_I = 15
-FLOAD_RD = 16
-FLOAD_ABS = 17
-FSTORE_RD = 18
-FSTORE_ABS = 19
-# integer ALU (writes FLAGS)
-ADD_RR = 20
-ADD_RI = 21
-SUB_RR = 22
-SUB_RI = 23
-IMUL_RR = 24
-IMUL_RI = 25
-AND_RR = 26
-AND_RI = 27
-OR_RR = 28
-OR_RI = 29
-XOR_RR = 30
-XOR_RI = 31
-SHL_RR = 32
-SHL_RI = 33
-SAR_RR = 34
-SAR_RI = 35
-NEG = 36
-IDIV_RR = 37
-IDIV_RI = 38
-IREM_RR = 39
-IREM_RI = 40
-# float ALU
-FADD = 50
-FSUB = 51
-FMUL = 52
-FDIV = 53
-# compare / conditions
-CMP_RR = 60
-CMP_RI = 61
-FCMP = 62
-SETCC = 63
-CMOV = 64
-# control flow
-JMP = 70
-JCC = 71
-CALL = 72
-INTR = 73
-RET = 74
-# stack
-PUSH = 80
-POP = 81
-# conversion
-CVTSI2SD = 90
-CVTTSD2SI = 91
-# instrumentation
-FI_CHECK = 100
-
-#: condition-code ids (must match target.CONDITION_CODES semantics)
-CC_IDS = {
-    "e": 0, "ne": 1, "l": 2, "le": 3, "g": 4, "ge": 5,
-    "b": 6, "be": 7, "a": 8, "ae": 9, "s": 10, "ns": 11,
-    "p": 12, "np": 13,
-}
+globals().update((form.name, form.number) for m in ISA for form in m.forms)

@@ -1,9 +1,19 @@
-"""The sx64 instruction set, written once.
+"""The sx64 instruction set, declared once.
 
-:data:`SEMANTICS` is the only place an opcode's meaning is spelled out.  An
-entry (:class:`Sem`) gives the kinds of the instruction's operands, the Python
-lines of its effect, its flag effect (reads, writes all, or none), its trap
-checks, and — through a :class:`Jump` — whether it ends a basic block.
+:data:`ISA` holds one declaration (:class:`Mnemonic`) per mnemonic: its
+operand shapes (:class:`Form`), each with its opcode number and semantics;
+the operands it writes and reads, and whether it writes rsp; its Table 2
+class, which also says whether it is a fault-injection candidate; its cycle
+cost; and its printed form.  Every other view of the instruction set is
+derived from it: the opcode names (:mod:`repro.machine.opcodes`), the
+loader's decoder (:data:`FORMS`), the backend's ``OpcodeInfo``
+(:mod:`repro.backend.mir`), ``-fi-instrs`` filtering and the cycle model.
+This module imports nothing from the backend.
+
+A form's semantics (:class:`Sem`) give the kinds of the decoded tuple's
+slots, the Python lines of its effect, its flag effect (reads, writes all,
+or none), its trap checks, and — through a :class:`Jump` — whether it ends a
+basic block; :data:`SEMANTICS` maps opcode numbers to them.
 
 :meth:`Context.emit` turns an entry into Python source.  A context decides
 how that source names things; there are two:
@@ -39,8 +49,6 @@ import struct
 from typing import NamedTuple
 
 from repro.errors import DivideByZero, IllegalInstruction, SegmentationFault, StackOverflow
-from repro.machine import opcodes as O
-from repro.machine.loader import NULL_GUARD
 from repro.machine.registers import RSP_IDX
 from repro.utils.bits import INT64_MIN, MASK64, to_signed64
 
@@ -53,25 +61,31 @@ HALT_PC = -1
 #: number of set bits.  Indexed by ``result & 255``; yields PF (4) or 0.
 PARITY_TABLE = tuple(4 if bin(i).count("1") % 2 == 0 else 0 for i in range(256))
 
+#: The first mapped address: every access below it segfaults.
+NULL_GUARD = 0x1000
+
+#: The condition codes; a code's id, its decoded operand, is its index.
+CONDITION_CODES = ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "s", "ns", "p", "np")
+
 #: Condition-code id -> whether it holds, over the FLAGS register (bits: CF
 #: 1, PF 4, ZF 64, SF 128, OF 2048).  The interpreter tests them in this
 #: order.
-CONDITIONS = {
-    1: "not {flags} & 64",                                      # ne
-    0: "{flags} & 64",                                          # e
-    2: "({flags} & 128 != 0) != ({flags} & 2048 != 0)",         # l
-    3: "{flags} & 64 or ({flags} & 128 != 0) != ({flags} & 2048 != 0)",  # le
-    4: "not {flags} & 64 and ({flags} & 128 != 0) == ({flags} & 2048 != 0)",  # g
-    5: "({flags} & 128 != 0) == ({flags} & 2048 != 0)",         # ge
-    6: "{flags} & 1",                                           # b
-    7: "{flags} & 65",                                          # be
-    8: "not {flags} & 65",                                      # a
-    9: "not {flags} & 1",                                       # ae
-    10: "{flags} & 128",                                        # s
-    11: "not {flags} & 128",                                    # ns
-    12: "{flags} & 4",                                          # p
-    13: "not {flags} & 4",                                      # np
-}
+CONDITIONS = {CONDITION_CODES.index(cc): holds for cc, holds in (
+    ("ne", "not {flags} & 64"),
+    ("e", "{flags} & 64"),
+    ("l", "({flags} & 128 != 0) != ({flags} & 2048 != 0)"),
+    ("le", "{flags} & 64 or ({flags} & 128 != 0) != ({flags} & 2048 != 0)"),
+    ("g", "not {flags} & 64 and ({flags} & 128 != 0) == ({flags} & 2048 != 0)"),
+    ("ge", "({flags} & 128 != 0) == ({flags} & 2048 != 0)"),
+    ("b", "{flags} & 1"),
+    ("be", "{flags} & 65"),
+    ("a", "not {flags} & 65"),
+    ("ae", "not {flags} & 1"),
+    ("s", "{flags} & 128"),
+    ("ns", "not {flags} & 128"),
+    ("p", "{flags} & 4"),
+    ("np", "not {flags} & 4"),
+)}
 
 
 # -- entries -------------------------------------------------------------------
@@ -235,10 +249,68 @@ def _divide(name: str, *result: str) -> tuple:
     )
 
 
-def _rr_ri(rr: int, ri: int, *code) -> dict[int, Sem]:
-    """The register-source and immediate-source forms of one operation."""
-    return {rr: Sem("rr", *code), ri: Sem("ri", *code)}
+# -- the declaration -----------------------------------------------------------
 
+class Form(NamedTuple):
+    """One operand shape of a mnemonic, and the opcode the loader decodes it
+    to."""
+
+    #: the opcode's name (``repro.machine.opcodes.<name>``)
+    name: str
+    #: the opcode's number; frozen, since ``isa_vectors.json`` stores it
+    number: int
+    #: the kinds of the machine instruction's operands, one letter each:
+    #: ``r`` / ``f`` an integer / float register, ``i`` / ``c`` an integer /
+    #: float immediate, ``m`` register + displacement memory, ``a`` a
+    #: global's (absolute) memory, ``t`` a block label, ``p`` a function of
+    #: the program, ``n`` an intrinsic
+    shape: str
+    sem: Sem
+
+
+class Mnemonic:
+    """One sx64 instruction, declared once: what the backend, the loader, the
+    cycle model, fault injection and the printer read of it."""
+
+    __slots__ = ("name", "cost", "fi_class", "defs", "uses", "forms", "rsp", "printed",
+                 "reads_cc")
+
+    def __init__(self, name: str, cost: float, fi_class: str | None, defs: tuple,
+                 uses: tuple, *forms: Form, rsp: bool = False, printed: str = "") -> None:
+        self.name = name
+        #: simulated cycles, loosely Sandy Bridge-class (the paper's Xeon
+        #: E5-2670); Figure 5 compares relative campaign times, so only the
+        #: ratios between instructions matter
+        self.cost = cost
+        #: its Table 2 class (``-fi-instrs``): ``stack``, ``mem`` or
+        #: ``arithm``.  An instruction with a class is a fault-injection
+        #: candidate where it writes a register; ``None`` (control transfers,
+        #: REFINE's check) never is
+        self.fi_class = fi_class
+        #: the operands it writes and reads, by index (a memory operand's
+        #: base register is always read; a two-address instruction lists
+        #: operand 0 in both)
+        self.defs = defs
+        self.uses = uses
+        #: its operand shapes, each with its opcode and semantics
+        self.forms = forms
+        #: writes rsp besides its operands
+        self.rsp = rsp
+        #: its printed mnemonic; ``{cc}`` is the condition code
+        self.printed = printed or name
+        #: reads FLAGS through a condition code
+        self.reads_cc = "{cc}" in self.printed
+
+
+def _rr_ri(name: str, rr: int, *code) -> tuple[Form, Form]:
+    """The register-source form (opcode ``rr``) and the immediate-source form
+    (``rr + 1``) of one operation."""
+    return (Form(f"{name}_RR", rr, "rr", Sem("rr", *code)),
+            Form(f"{name}_RI", rr + 1, "ri", Sem("ri", *code)))
+
+
+#: the defs and uses of a two-address operation
+_TWO = ((0,), (0, 1))
 
 _CVTTSD2SI = (
     "v = {2}",
@@ -274,74 +346,124 @@ _FCMP = Flags("\n".join((
     "else:", "    {fl} = 0",
 )))
 
-#: opcode -> its semantics
-SEMANTICS: dict[int, Sem] = {
+#: The sx64 instruction set: every mnemonic, once.
+ISA: tuple[Mnemonic, ...] = (
     # data movement
-    O.MOV_RR: Sem("rr", "{1} = {2}"),
-    O.MOV_RI: Sem("ri", "{1} = {2}"),
-    O.FMOV: Sem("ff", "{1} = {2}"),
-    O.FCONST: Sem("fc", "{1} = {2}"),
-    O.LEA_RD: Sem("rrd", "{1} = {2}{3}"),
-    O.LEA_ABS: Sem("ri", "{1} = {2}"),
+    Mnemonic("mov", 1.0, "arithm", (0,), (1,),
+             Form("MOV_RR", 1, "rr", Sem("rr", "{1} = {2}")),
+             Form("MOV_RI", 2, "ri", Sem("ri", "{1} = {2}"))),
+    Mnemonic("fmov", 1.0, "arithm", (0,), (1,), Form("FMOV", 3, "ff", Sem("ff", "{1} = {2}"))),
+    Mnemonic("fconst", 2.0, "arithm", (0,), (1,),
+             Form("FCONST", 4, "fc", Sem("fc", "{1} = {2}"))),
+    Mnemonic("lea", 1.0, "mem", (0,), (1,),
+             Form("LEA_RD", 5, "rm", Sem("rrd", "{1} = {2}{3}")),
+             Form("LEA_ABS", 6, "ra", Sem("ri", "{1} = {2}"))),
     # memory: register + displacement, or a static address the loader
     # placed inside memory
-    O.LOAD_RD: Sem("rrd", *_address(2, "load from"), Load("q", "{1}", "ad")),
-    O.LOAD_ABS: Sem("ri", Load("q", "{1}", "{2}")),
-    O.FLOAD_RD: Sem("frd", *_address(2, "fload from"), Load("d", "{1}", "ad")),
-    O.FLOAD_ABS: Sem("fi", Load("d", "{1}", "{2}")),
-    O.STORE_RD: Sem("rdr", *_address(1, "store to"), Store("q", "ad", "{3}")),
-    O.STORE_RD_I: Sem("rdi", *_address(1, "store to"), Store("q", "ad", "{3}")),
-    O.FSTORE_RD: Sem("rdf", *_address(1, "fstore to"), Store("d", "ad", "{3}")),
-    O.STORE_ABS: Sem("ir", Store("q", "{1}", "{2}")),
-    O.STORE_ABS_I: Sem("ii", Store("q", "{1}", "{2}")),
-    O.FSTORE_ABS: Sem("if", Store("d", "{1}", "{2}")),
-    # integer ALU
-    **_rr_ri(O.ADD_RR, O.ADD_RI, "r = {1} + {2}", _WRAP, _ADD_FLAGS, "{1} = w"),
-    **_rr_ri(O.SUB_RR, O.SUB_RI, "r = {1} - {2}", _WRAP, _SUB_FLAGS, "{1} = w"),
-    **_rr_ri(O.IMUL_RR, O.IMUL_RI, "r = {1} * {2}", "{1} = " + _WRAP,
-             Flags(_zsp("w").text + "\nif r != w:\n    {fl} |= 2049")),
+    Mnemonic("load", 4.0, "mem", (0,), (1,),
+             Form("LOAD_RD", 10, "rm",
+                  Sem("rrd", *_address(2, "load from"), Load("q", "{1}", "ad"))),
+             Form("LOAD_ABS", 11, "ra", Sem("ri", Load("q", "{1}", "{2}")))),
+    Mnemonic("store", 4.0, "mem", (), (0, 1),
+             Form("STORE_RD", 12, "mr",
+                  Sem("rdr", *_address(1, "store to"), Store("q", "ad", "{3}"))),
+             Form("STORE_RD_I", 13, "mi",
+                  Sem("rdi", *_address(1, "store to"), Store("q", "ad", "{3}"))),
+             Form("STORE_ABS", 14, "ar", Sem("ir", Store("q", "{1}", "{2}"))),
+             Form("STORE_ABS_I", 15, "ai", Sem("ii", Store("q", "{1}", "{2}")))),
+    Mnemonic("fload", 4.0, "mem", (0,), (1,),
+             Form("FLOAD_RD", 16, "fm",
+                  Sem("frd", *_address(2, "fload from"), Load("d", "{1}", "ad"))),
+             Form("FLOAD_ABS", 17, "fa", Sem("fi", Load("d", "{1}", "{2}")))),
+    Mnemonic("fstore", 4.0, "mem", (), (0, 1),
+             Form("FSTORE_RD", 18, "mf",
+                  Sem("rdf", *_address(1, "fstore to"), Store("d", "ad", "{3}"))),
+             Form("FSTORE_ABS", 19, "af", Sem("if", Store("d", "{1}", "{2}")))),
+    # integer ALU: two-address, writes FLAGS like x86
+    Mnemonic("add", 1.0, "arithm", *_TWO,
+             *_rr_ri("ADD", 20, "r = {1} + {2}", _WRAP, _ADD_FLAGS, "{1} = w")),
+    Mnemonic("sub", 1.0, "arithm", *_TWO,
+             *_rr_ri("SUB", 22, "r = {1} - {2}", _WRAP, _SUB_FLAGS, "{1} = w")),
+    Mnemonic("imul", 3.0, "arithm", *_TWO,
+             *_rr_ri("IMUL", 24, "r = {1} * {2}", "{1} = " + _WRAP,
+                     Flags(_zsp("w").text + "\nif r != w:\n    {fl} |= 2049"))),
     # bitwise: no overflow
-    **_rr_ri(O.AND_RR, O.AND_RI, "r = {1} & {2}", "{1} = r", _zsp("r")),
-    **_rr_ri(O.OR_RR, O.OR_RI, "r = {1} | {2}", "{1} = r", _zsp("r")),
-    **_rr_ri(O.XOR_RR, O.XOR_RI, "r = {1} ^ {2}", "{1} = r", _zsp("r")),
-    **_rr_ri(O.SHL_RR, O.SHL_RI, "r = {1} << ({2} & 63)", "{1} = " + _WRAP, _zsp("w")),
-    **_rr_ri(O.SAR_RR, O.SAR_RI, "r = {1} >> ({2} & 63)", "{1} = r", _zsp("r")),
-    O.NEG: Sem("r", "r = -{1}", "{1} = " + _WRAP, _zsp("w")),
-    **_rr_ri(O.IDIV_RR, O.IDIV_RI,
-             *_divide("idiv", "r = abs(a) // abs(b)", "if (a < 0) != (b < 0):")),
-    **_rr_ri(O.IREM_RR, O.IREM_RI, *_divide("irem", "r = abs(a) % abs(b)", "if a < 0:")),
-    # float ALU
-    O.FADD: Sem("ff", "{1} = {1} + {2}"),
-    O.FSUB: Sem("ff", "{1} = {1} - {2}"),
-    O.FMUL: Sem("ff", "{1} = {1} * {2}"),
-    O.FDIV: Sem("ff", *_FDIV),
+    Mnemonic("and", 1.0, "arithm", *_TWO,
+             *_rr_ri("AND", 26, "r = {1} & {2}", "{1} = r", _zsp("r"))),
+    Mnemonic("or", 1.0, "arithm", *_TWO, *_rr_ri("OR", 28, "r = {1} | {2}", "{1} = r", _zsp("r"))),
+    Mnemonic("xor", 1.0, "arithm", *_TWO,
+             *_rr_ri("XOR", 30, "r = {1} ^ {2}", "{1} = r", _zsp("r"))),
+    Mnemonic("shl", 1.0, "arithm", *_TWO,
+             *_rr_ri("SHL", 32, "r = {1} << ({2} & 63)", "{1} = " + _WRAP, _zsp("w"))),
+    Mnemonic("sar", 1.0, "arithm", *_TWO,
+             *_rr_ri("SAR", 34, "r = {1} >> ({2} & 63)", "{1} = r", _zsp("r"))),
+    Mnemonic("neg", 1.0, "arithm", (0,), (0,),
+             Form("NEG", 36, "r", Sem("r", "r = -{1}", "{1} = " + _WRAP, _zsp("w")))),
+    Mnemonic("idiv", 25.0, "arithm", *_TWO,
+             *_rr_ri("IDIV", 37, *_divide("idiv", "r = abs(a) // abs(b)",
+                                          "if (a < 0) != (b < 0):"))),
+    Mnemonic("irem", 25.0, "arithm", *_TWO,
+             *_rr_ri("IREM", 39, *_divide("irem", "r = abs(a) % abs(b)", "if a < 0:"))),
+    # float ALU: two-address, no flags (like SSE)
+    Mnemonic("fadd", 3.0, "arithm", *_TWO, Form("FADD", 50, "ff", Sem("ff", "{1} = {1} + {2}"))),
+    Mnemonic("fsub", 3.0, "arithm", *_TWO, Form("FSUB", 51, "ff", Sem("ff", "{1} = {1} - {2}"))),
+    Mnemonic("fmul", 4.0, "arithm", *_TWO, Form("FMUL", 52, "ff", Sem("ff", "{1} = {1} * {2}"))),
+    Mnemonic("fdiv", 14.0, "arithm", *_TWO, Form("FDIV", 53, "ff", Sem("ff", *_FDIV))),
     # compare / conditions
-    **_rr_ri(O.CMP_RR, O.CMP_RI, Flags(f"r = {{1}} - {{2}}\n{_WRAP}\n{_SUB_FLAGS.text}")),
-    O.FCMP: Sem("ff", _FCMP),
-    O.SETCC: Sem("rk", "{1} = 1 if {2} else 0", reads=True),
-    O.CMOV: Sem("rrk", "if {3}:", "    {1} = {2}", reads=True),
-    # control flow
-    O.JMP: Sem("t", Jump("{1}")),
-    O.JCC: Sem("kt", Jump("{2} if {1} else {next}"), reads=True),
-    O.CALL: Sem("t", *_push("call push to"), Store("q", "sp", "{next}"), Jump("{1}")),
-    # an intrinsic is handed the whole CPU, flags included
-    O.INTR: Sem("n-", "{cpu}._cur_pc = {pc}", "{cpu}.flags = {flags}", "IN[{1}]({cpu})",
-                "{flags} = {cpu}.flags", reads=True),
-    O.RET: Sem(
-        "", *_pop("ret pop from"), Load("q", "rp", "sp"), f"{_RSP} = sp + 8",
-        Halt(f"rp == {HALT_PC}"),
-        Trap("IllegalInstruction", "ret to {rp:#x}", "not 0 <= rp < {ncode}"),
-        Jump("rp"),
-    ),
+    Mnemonic("cmp", 1.0, "arithm", (), (0, 1),
+             *_rr_ri("CMP", 60, Flags(f"r = {{1}} - {{2}}\n{_WRAP}\n{_SUB_FLAGS.text}"))),
+    Mnemonic("fcmp", 2.0, "arithm", (), (0, 1), Form("FCMP", 62, "ff", Sem("ff", _FCMP))),
+    Mnemonic("setcc", 1.0, "arithm", (0,), (),
+             Form("SETCC", 63, "r", Sem("rk", "{1} = 1 if {2} else 0", reads=True)),
+             printed="set{cc}"),
+    Mnemonic("cmov", 1.0, "arithm", (0,), (0, 1),
+             Form("CMOV", 64, "rr", Sem("rrk", "if {3}:", "    {1} = {2}", reads=True)),
+             printed="cmov{cc}"),
+    # control flow (a conditional jump costs its average over prediction)
+    Mnemonic("jmp", 1.0, None, (), (), Form("JMP", 70, "t", Sem("t", Jump("{1}")))),
+    Mnemonic("jcc", 1.5, None, (), (),
+             Form("JCC", 71, "t", Sem("kt", Jump("{2} if {1} else {next}"), reads=True)),
+             printed="j{cc}"),
+    Mnemonic("call", 6.0, None, (), (),
+             Form("CALL", 72, "p",
+                  Sem("t", *_push("call push to"), Store("q", "sp", "{next}"), Jump("{1}"))),
+             # an intrinsic is handed the whole CPU, flags included
+             Form("INTR", 73, "n",
+                  Sem("n-", "{cpu}._cur_pc = {pc}", "{cpu}.flags = {flags}", "IN[{1}]({cpu})",
+                      "{flags} = {cpu}.flags", reads=True)),
+             rsp=True),
+    Mnemonic("ret", 4.0, None, (), (),
+             Form("RET", 74, "", Sem(
+                 "", *_pop("ret pop from"), Load("q", "rp", "sp"), f"{_RSP} = sp + 8",
+                 Halt(f"rp == {HALT_PC}"),
+                 Trap("IllegalInstruction", "ret to {rp:#x}", "not 0 <= rp < {ncode}"),
+                 Jump("rp"),
+             )),
+             rsp=True),
     # stack (a push of rsp stores the decremented value)
-    O.PUSH: Sem("r", *_push("push to"), Store("q", "sp", "{1}")),
-    O.POP: Sem("r", *_pop("pop from"), Load("q", "{1}", "sp"), f"{_RSP} = sp + 8"),
+    Mnemonic("push", 2.0, "stack", (), (0,),
+             Form("PUSH", 80, "r", Sem("r", *_push("push to"), Store("q", "sp", "{1}"))),
+             rsp=True),
+    Mnemonic("pop", 2.0, "stack", (0,), (),
+             Form("POP", 81, "r",
+                  Sem("r", *_pop("pop from"), Load("q", "{1}", "sp"), f"{_RSP} = sp + 8")),
+             rsp=True),
     # conversion
-    O.CVTSI2SD: Sem("fr", "{1} = float({2})"),
-    O.CVTTSD2SI: Sem("rf", *_CVTTSD2SI),
+    Mnemonic("cvtsi2sd", 4.0, "arithm", (0,), (1,),
+             Form("CVTSI2SD", 90, "fr", Sem("fr", "{1} = float({2})"))),
+    Mnemonic("cvttsd2si", 4.0, "arithm", (0,), (1,),
+             Form("CVTTSD2SI", 91, "rf", Sem("rf", *_CVTTSD2SI))),
     # instrumentation: REFINE's trigger counting, not an architectural effect
-    O.FI_CHECK: Sem("--"),
-}
+    # (costed as its inline PreFI check: a compare and a branch not taken)
+    Mnemonic("fi_check", 2.0, None, (), (), Form("FI_CHECK", 100, "i", Sem("--"))),
+)
+
+#: mnemonic -> its declaration
+MNEMONICS: dict[str, Mnemonic] = {m.name: m for m in ISA}
+#: (mnemonic, operand shape) -> the form it decodes to
+FORMS: dict[tuple[str, str], Form] = {(m.name, f.shape): f for m in ISA for f in m.forms}
+#: opcode -> its semantics
+SEMANTICS: dict[int, Sem] = {f.number: f.sem for m in ISA for f in m.forms}
 
 #: Opcodes that read FLAGS / overwrite every FLAGS bit / end a basic block.
 FLAG_READERS = frozenset(op for op, sem in SEMANTICS.items() if sem.reads)

@@ -15,7 +15,6 @@ from repro.backend.compiler import CompileOptions
 from repro.backend.mir import FuncRef, Label, Mem, OPCODES, VReg
 from repro.backend.target import (
     CALLEE_SAVED_GPR,
-    condition_holds,
     CF,
     OF,
     SF,
@@ -25,6 +24,14 @@ from repro.errors import BackendError, LinkError
 from repro.frontend import compile_source
 from repro.ir import verify_function
 from repro.irpasses import optimize_module
+from repro.machine.semantics import CONDITION_CODES, CONDITIONS
+
+
+def condition_holds(cc: str, flags: int) -> bool:
+    """Whether ``cc`` holds over ``flags``: the test the VM renders for the
+    code's id (an unknown code has none: ``ValueError``)."""
+    test = CONDITIONS[CONDITION_CODES.index(cc)].format(flags="flags")
+    return bool(eval(test, {"flags": flags}))
 
 
 def compile_to_mir(source: str, fn_name: str = "main", opt: str = "O2"):

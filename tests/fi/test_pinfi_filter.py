@@ -1,7 +1,8 @@
 """PINFI-specific behaviour: runtime candidate filtering and cycle model."""
 
+import pytest
 
-from repro.fi import FIConfig, PinfiTool, RefineTool
+from repro.fi import INSTR_CLASSES, FIConfig, PinfiTool, RefineTool
 
 from tests.conftest import DEMO_SOURCE
 
@@ -26,6 +27,16 @@ class TestRuntimeFilter:
             assert (
                 pin.profile.total_candidates == ref.profile.total_candidates
             ), f"filter {config} diverges"
+
+    @pytest.mark.parametrize("instrs", INSTR_CLASSES)
+    def test_class_filter_matches_refine_population(self, instrs):
+        """PINFI classifies each pc by its loaded mnemonic at run time, REFINE
+        each instruction at compile time: every -fi-instrs class selects the
+        same dynamic candidates, alone and with a function filter."""
+        for config in (FIConfig(instrs=instrs), FIConfig(funcs="dot", instrs=instrs)):
+            pin = PinfiTool(DEMO_SOURCE, "demo", config=config)
+            ref = RefineTool(DEMO_SOURCE, "demo", config=config)
+            assert pin.profile.total_candidates == ref.profile.total_candidates > 0
 
     def test_filtered_faults_land_in_selected_function(self):
         tool = PinfiTool(DEMO_SOURCE, "demo", config=FIConfig(funcs="fact"))
