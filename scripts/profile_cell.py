@@ -15,8 +15,9 @@ timed out) with the steps each class executed — on a small data segment
 under a memory fault model the timeouts are where the steps go, and how many
 of them were reused rather than run is the line to read — and what the golden
 cursor cost (sync states and forks captured, interpreter strides, seconds in
-captures) beside the tails' interpreter strides and their seconds — the
-block-vs-stride split that decides ``run_over_golden`` — then the top
+captures) beside the tails' interpreter strides (at fire points, and
+finishing blocks entered mid-way) and their seconds — the block-vs-stride
+split that decides ``run_over_golden`` — then the top
 functions by self time and by cumulative time, plus every
 ``builtins.compile`` call by caller (the engine
 byte-compiles once per binary, at translation; a second call from
@@ -94,9 +95,11 @@ class TailCensus:
         self.cursor[2] += scheduler.phases.fork_s
         self._seen = SchedulerStats()
 
-    def render(self, cursor: tuple[int, float], tails: tuple[int, float]) -> str:
+    def render(self, cursor: tuple[int, float], tails: tuple[int, float],
+               fire_strides: int) -> str:
         """``cursor`` / ``tails``: the interpreter strides each took, and
-        the seconds spent in them."""
+        the seconds spent in them; ``fire_strides``: how many of the tails'
+        were at fire points (the rest finished a block entered mid-way)."""
         total = sum(steps for _, steps in self.rows.values()) or 1
         lines = [f"{'tails':<19}{'count':>7}{'steps executed':>17}{'share':>8}"]
         lines += [
@@ -111,7 +114,8 @@ class TailCensus:
         )
         lines.append(
             f"tails: {tails[0]} interpreter strides in {tails[1]:.3f} s "
-            f"(fire points, sync states, mid-block entries)"
+            f"({fire_strides} at fire points, {tails[0] - fire_strides} "
+            f"mid-block entries)"
         )
         ran = self.rows["timeout"][0]
         lines.append(
@@ -149,14 +153,16 @@ def compile_callers(stats: pstats.Stats) -> dict[str, int]:
     }
 
 
-def strides(stats: pstats.Stats, caller: str) -> tuple[int, float]:
-    """Reference-loop strides ``caller`` took — ``run_cursor``: one per sync
-    state plus one per mid-block entry; ``_drive`` (the tails): one per fire
-    point, sync point and mid-block entry — and the seconds spent in them:
-    ``_interpret`` calls from ``caller`` and their cumulative time."""
+def calls_from(stats: pstats.Stats, callee: str, caller: str) -> tuple[int, float]:
+    """Calls of the engine's ``callee`` from ``caller``, and their
+    cumulative seconds.  The reference-loop strides are the ``_interpret``
+    calls: from ``run_cursor`` one per mid-block entry (none on a cold
+    cell: sync states sit on block entries), from ``_drive`` (the tails)
+    one per fire point (a careful window counts as one) and one per
+    mid-block entry."""
     calls, seconds = 0, 0.0
     for (path, _, name), entry in stats.stats.items():
-        if name == "_interpret" and _ENGINE in path:
+        if name == callee and _ENGINE in path:
             for (_, _, who), (n, _, _, cumulative) in entry[4].items():
                 if who == caller:
                     calls += n
@@ -190,7 +196,12 @@ def main() -> int:
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
           f"{stats.total_tt:.2f} s under cProfile")
-    print(census.render(strides(stats, "run_cursor"), strides(stats, "_drive")))
+    print(census.render(
+        calls_from(stats, "_interpret", "run_cursor"),
+        calls_from(stats, "_interpret", "_drive"),
+        # each fire stride's length is located first, once
+        calls_from(stats, "_fire_offset", "_drive")[0],
+    ))
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):
         stats.sort_stats(key).print_stats(args.top)

@@ -15,45 +15,55 @@ fault list by dynamic position).  So nothing here runs it twice:
    the block entry; one fork covers every trigger inside that block.
    Within a batch the cursor never rewinds, so the batch pays O(one golden
    run) of prefix execution instead of O(sum of per-experiment trigger
-   distances).
+   distances).  The cursor never leaves its blocks: forks and sync states
+   alike are taken at block entries.
 3. **Run each faulty tail** from its fork to completion, in trigger order.
-4. **Golden rejoin**: the cursor also records full-state sync snapshots at
-   interval multiples.  A faulty tail pauses at the same absolute step
-   counts (:meth:`~repro.engine.fast.FastEngine.resume_synced`) and, once
-   its architectural state (pc, flags, integer registers, bitwise float
+4. **Golden rejoin**: the cursor also records full-state sync snapshots, one
+   at the first block entry at or past each interval multiple.  A faulty
+   tail pauses at the first stop at or past each of those steps — a block
+   entry or the end of an interpreted stride
+   (:meth:`~repro.engine.fast.FastEngine.resume_synced`) — and, once its
+   architectural state (pc, flags, integer registers, bitwise float
    registers, all memory pages) equals the golden state at the same step,
    the rest of the run is *spliced* from the golden suffix instead of
    executed: equal state at equal step count implies identical future
    behaviour, and the tool counters are behaviourally inert once the
    single-shot fault has fired.  Outputs, counts, steps and exit code of a
-   spliced result are bit-identical to running the tail out natively.
+   spliced result are bit-identical to running the tail out natively.  No
+   rejoin is lost to where a tail stops: a golden state sits on a block
+   leader, so a tail in that state at that step is on that leader, which is
+   never strictly inside a block, a fire stride or a completion stride.
+   (A careful window can cross a leader, but a tail is never spliced while
+   its dwell window is open.)
    **How many** sync states is sized to the cell: S of them cost the cursor
-   S captures and exact strides (c = 160 us each, 1.5 % of a mean golden run
-   of G steps), while each of the r n tails that rejoin (r = 0.3-0.5) runs
-   about 1.5 G/S steps past where it re-converged, so S c + 1.5 r n G / S is
-   least at S proportional to sqrt(n).  ``4 * isqrt(n)`` puts the paper's
-   n = 1068 at the 128 it has always had (the cap) and n = 24 at 16; n is the
-   cell's, never a batch's, so every executor records the same timeline.
+   S captures (c <= 160 us each, 1.5 % of a mean golden run of G steps),
+   while each of the r n tails that rejoin (r = 0.3-0.5) runs about 1.5 G/S
+   steps past where it re-converged, so S c + 1.5 r n G / S is least at S
+   proportional to sqrt(n).  ``4 * isqrt(n)`` puts the paper's n = 1068 at
+   the 128 it has always had (the cap) and n = 24 at 16; n is the cell's,
+   never a batch's, so every executor records the same timeline.
 5. **Keep the timeline.**  Everything the first pass learned about the
-   golden run — the sync states, the step/count/exit totals — is a
-   :class:`GoldenTimeline` the scheduler retains, so one scheduler serves
-   any number of batches of the same tool (the shards of one cell, in any
-   order).  A later batch restores the nearest retained sync state below
-   its first trigger and replays the cursor only across its own trigger
-   window; its tails rejoin and splice against the retained timeline.
+   golden run — the sync states in step order, the step/count/exit totals —
+   is a :class:`GoldenTimeline` the scheduler retains, so one scheduler
+   serves any number of batches of the same tool (the shards of one cell,
+   in any order).  A later batch restores the nearest retained sync state
+   below its first trigger — a block entry, so the replay starts on a
+   block — and replays the cursor only across its own trigger window; its
+   tails rejoin and splice against the retained timeline.
 6. **Overrun → known ending.**  The golden ending is only the ending known
    in advance.  Every tail's last sync point is step G, the golden length:
-   a tail still running there has overrun — on a small data segment
-   typically a hang that will burn the whole 10x budget — and its state
-   (step 4's comparison) is looked up among the states earlier tails of
-   this scheduler overran in.  A match splices that tail's recorded
-   :class:`Ending`, exact for the reason step 4 is: equal state at an equal
-   step under an equal budget has one future.  A miss runs on, and its
-   ending is kept only if it ran at least one more golden length.  Faults
-   repeat — n draws from a (cell, bit) space that on a small data segment
-   is not much larger than n — so a hang is executed once per distinct
-   state, not once per experiment.  The table stays with the scheduler,
-   like the timeline, and holds :data:`ENDINGS_KEPT` entries, oldest out.
+   a tail still running at its first stop at or past G has overrun — on a
+   small data segment typically a hang that will burn the whole 10x budget
+   — and its state (step 4's comparison) is looked up among the states
+   earlier tails of this scheduler overran in, at the same step.  A match
+   splices that tail's recorded :class:`Ending`, exact for the reason step
+   4 is: equal state at an equal step under an equal budget has one
+   future.  A miss runs on, and its ending is kept only if it ran at least
+   one more golden length.  Faults repeat — n draws from a (cell, bit)
+   space that on a small data segment is not much larger than n — so a
+   hang is executed once per distinct state, not once per experiment.  The
+   table stays with the scheduler, like the timeline, and holds
+   :data:`ENDINGS_KEPT` entries, oldest out.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except the provenance pair ``engine``/``snapshot_hit`` matches the
@@ -67,7 +77,7 @@ from __future__ import annotations
 import struct
 import time
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
@@ -237,11 +247,14 @@ class Ending:
 class GoldenTimeline:
     """What one full cursor pass learned about a tool's golden run."""
 
-    #: sync states sit at multiples of this many dynamic instructions
+    #: a sync state sits at the first block entry at or past each multiple
+    #: of this many dynamic instructions
     interval: int
     #: absolute step count -> full golden state there (rejoin references),
     #: from the program entry at step 0
     sync_states: dict[int, CpuSnapshot] = field(default_factory=dict)
+    #: the sync states' step counts, in step order
+    sync_steps: list[int] = field(default_factory=list)
     #: per sync state, in step order: the trigger counter once the block
     #: the state sits in has run (``run_cursor``'s ``reach``; 0 at the
     #: entry).  A window may start from a state only if its first trigger
@@ -266,7 +279,7 @@ class GoldenTimeline:
         """The latest sync state from which a cursor forks ``trigger``
         exactly where a pass from the program entry would."""
         i = bisect_left(self.reaches, trigger)
-        return self.sync_states[(i - 1) * self.interval]
+        return self.sync_states[self.sync_steps[i - 1]]
 
 
 def _pack_fregs(fregs) -> bytes:
@@ -316,7 +329,8 @@ class TriggerScheduler:
         self._cpu = None
         #: plan of the tail currently resuming (rejoin gates on its window)
         self._tail_plan = None
-        #: (state at step G, how the tail that was in it ended): see
+        #: (state at the first stop at or past step G, how the tail that
+        #: was in it ended): see
         #: :meth:`_on_overrun`
         self._endings: deque[tuple[CpuSnapshot, Ending]] = deque(
             maxlen=ENDINGS_KEPT
@@ -348,12 +362,14 @@ class TriggerScheduler:
 
     def _sync_hook(self, timeline: GoldenTimeline, cpu, pc: int,
                    reach: int) -> None:
-        """Record the golden reference state at an interval multiple."""
+        """Record the golden reference state at the first block entry at or
+        past an interval multiple."""
         t0 = time.perf_counter()
         snap = capture_snapshot(cpu, pc, prev=self._prev_capture,
                                 base=self._base)
         self._prev_capture = snap
         timeline.sync_states[snap.steps] = snap
+        timeline.sync_steps.append(snap.steps)
         timeline.reaches.append(reach)
         self.stats.sync_states += 1
         self._hook_s += time.perf_counter() - t0
@@ -411,14 +427,32 @@ class TriggerScheduler:
                 f"{tool.name}: golden cursor of {tool.workload!r} ran "
                 f"{result.steps} steps, profile says {profile.steps}"
             )
-        if len(timeline.reaches) != 1 + len(syncs):
-            raise CampaignError(
-                f"{tool.name}: golden cursor of {tool.workload!r} recorded "
-                f"{len(timeline.reaches)} of {1 + len(syncs)} sync states"
-            )
         self.stats.cursor_steps = result.steps
         timeline.ending = Ending.of(result)
+        self._check_sync_steps(timeline)
         return timeline
+
+    def _check_sync_steps(self, timeline: GoldenTimeline) -> None:
+        """One state per distinct first stop: after the entry, each state
+        is the first block entry at or past the first multiple the state
+        before it fell short of, so within one block of that multiple; and
+        a multiple past the last state lies in the run's last block."""
+        tool = self.tool
+        interval = timeline.interval
+        translation = tool.engine.cache.translation_for(tool.program)
+        longest = max(meta.length for meta in translation.meta.values())
+        steps = timeline.sync_steps
+        pairs = list(zip(steps, steps[1:]))
+        if (steps[-1] // interval + 1) * interval < timeline.steps:
+            pairs.append((steps[-1], timeline.steps))
+        for prev, at in pairs:
+            multiple = (prev // interval + 1) * interval
+            if not multiple <= at < multiple + longest:
+                raise CampaignError(
+                    f"{tool.name}: golden cursor of {tool.workload!r} "
+                    f"stopped at step {at} after the sync state at step "
+                    f"{prev}, not within one block past step {multiple}"
+                )
 
     def _replay_window(self, timeline: GoldenTimeline) -> None:
         """Fork the batch's triggers from the nearest retained sync state
@@ -441,25 +475,24 @@ class TriggerScheduler:
 
     def _tail_syncs(self, fork_steps: int) -> list[int]:
         """Where a tail forked at ``fork_steps`` pauses: a thinned schedule
-        of golden rejoin checkpoints — the first :data:`REJOIN_DENSE`
-        interval multiples after the fork, then geometrically growing
-        strides — and last the golden length itself, where a tail still
+        of golden rejoin checkpoints — the first :data:`REJOIN_DENSE` sync
+        states after the fork, then geometrically growing strides over
+        them — and last the golden length itself, where a tail still
         running has overrun (:meth:`_on_overrun`)."""
-        interval = self._timeline.interval
-        golden_steps = self._timeline.steps
-        k = fork_steps // interval + 1
+        sync_steps = self._timeline.sync_steps
+        k = bisect_right(sync_steps, fork_steps)
         out: list[int] = []
         dense = REJOIN_DENSE
         stride = 1
-        while k * interval < golden_steps and len(out) < REJOIN_MAX_CHECKS:
-            out.append(k * interval)
+        while k < len(sync_steps) and len(out) < REJOIN_MAX_CHECKS:
+            out.append(sync_steps[k])
             if dense > 0:
                 dense -= 1
                 k += 1
             else:
                 stride *= REJOIN_GROWTH
                 k += stride
-        out.append(golden_steps)
+        out.append(self._timeline.steps)
         return out
 
     def _on_sync(self, cpu, pc: int) -> bool:
@@ -467,8 +500,8 @@ class TriggerScheduler:
 
         Returns True (stop; splice) only when the tail's full architectural
         state equals a state whose ending is known, at the same absolute
-        step count: the golden state there, or — at the golden length — a
-        state an earlier tail overran in.
+        step count: the golden state there, or — at or past the golden
+        length — a state an earlier tail overran in.
         Before the fault has fired the tail *is* the golden run, so a match
         is vacuous and splicing would skip the injection — never stop then.
         Likewise while a dwell window is still open (stuck-at models): the
@@ -485,7 +518,7 @@ class TriggerScheduler:
             if count < plan.last_index:
                 return False
         timeline = self._timeline
-        if cpu.steps == timeline.steps:
+        if cpu.steps >= timeline.steps:
             return self._on_overrun(cpu, pc)
         if self._mem_misses >= REJOIN_MAX_MEM_MISSES:
             return False
@@ -497,9 +530,10 @@ class TriggerScheduler:
         return True
 
     def _on_overrun(self, cpu, pc: int) -> bool:
-        """A tail is still running at the golden length G: splice the
-        ending of an earlier tail that was in exactly this state at G, or
-        remember the state so this tail's own ending can be recorded.
+        """A tail is still running at its first stop at or past the golden
+        length G: splice the ending of an earlier tail that was in exactly
+        this state at this step, or remember the state so this tail's own
+        ending can be recorded.
 
         Why a match is exact: same state, same step, same budget (one
         scheduler serves one tool, hence one
@@ -508,7 +542,7 @@ class TriggerScheduler:
         Which tail, of which batch, recorded the ending cannot matter.
         """
         for ref, ending in self._endings:
-            if self._same_state(cpu, pc, ref):
+            if ref.steps == cpu.steps and self._same_state(cpu, pc, ref):
                 self._spliced = ref, ending
                 self.stats.ending_hits += 1
                 return True

@@ -8,24 +8,30 @@ reference-exact by construction:
 * **budget tails** — when the next block could cross the step budget, the
   remainder of the run is delegated to the reference loop (the
   timeout-vs-snapshot-vs-halt ordering lives there);
-* **exact strides** — a sync point inside the next block, an armed plan
-  whose trigger counter would cross its target inside it, or a pc that is
-  not a translated block entry (a sync state, the instruction after a fire
-  point, a corrupted return address) all take the one slow path: flush the
-  batch, run the reference loop for exactly k instructions — to the sync
-  step, through the fire point, to the end of the enclosing block — and
-  free-run again from wherever that stops (the ZOFI insight: the binary
-  runs uninstrumented outside a bounded window around the injection point).
-  While a dwell window is open every site is a fire point, and the
-  reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows.
+* **exact strides** — an armed plan whose trigger counter would cross its
+  target inside the next block, or a pc that is not a translated block
+  entry (the instruction after a fire point, a corrupted return address),
+  take the one slow path: flush the batch, run the reference loop for
+  exactly k instructions — through the fire point, to the end of the
+  enclosing block — and free-run again from wherever that stops (the ZOFI
+  insight: the binary runs uninstrumented outside a bounded window around
+  the injection point).  While a dwell window is open every site is a fire
+  point, and the reference loop runs in :data:`CAREFUL_WINDOW`-instruction
+  windows;
+* **sync points** — observation points cost no stride: each is observed at
+  the first *stop* at or past it, a block entry or the end of a stride.
+  The golden cursor records its reference states that way, so each one
+  sits on a block leader, and a tail in that state at that step is on that
+  leader too — a leader is never strictly inside a block, a fire stride or
+  a completion stride, so the tail stops there and is compared.
 
 The strides use the CPU's snapshot-hook slot to stop; recording snapshots
 every k steps (:meth:`~repro.machine.cpu.CPU.record_snapshots`) is
 ``CPU.run``'s business, not this engine's.
 
 **Translation is the only code generation.**  A mid-block entry is
-interpreted to the end of its block, never compiled: every sync point and
-every fire point lands mid-block and is usually entered there once.  A
+interpreted to the end of its block, never compiled: every fire point
+lands mid-block and is usually entered there once.  A
 Python function generated per entry cost ≈ 1.1 ms per distinct pc (lulesh /
 REFINE: 144 of them at n = 24, 490 at n = 1068, 932 interior pcs in all);
 interpreting instead costs ≈ 0.13 ms per experiment (≈ 2.7 more ≈ 50 µs
@@ -54,14 +60,16 @@ between.  The trampoline keeps ``H``, the least of those, of the budget and
 of the next sync point, and a block whose end ``steps + n`` is below ``H``
 runs with no other test.  One that is not takes the slow path: each event
 is tested exactly there and, when none is due, ``H`` is taken afresh and
-the block runs.  Each time the horizon is met short of a target, the
+the block runs.  A sync point is never due inside a block: the block that
+reaches it runs whole, and the stop after it (at or past the point) is
+where it is observed.  Each time the horizon is met short of a target, the
 distance left has shrunk by the share of the steps run that the counter
 took, so a far target costs a few dozen slow tests, not one per block.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 
 from repro.engine.blocks import block_meta, is_llfi_visit
 from repro.engine.cache import GLOBAL_CACHE
@@ -127,17 +135,21 @@ class FastEngine:
         syncs,
         on_sync,
     ) -> ExecutionResult | None:
-        """Resume with exact-step observation points.
+        """Resume with observation points.
 
         ``syncs`` is a sorted sequence of absolute dynamic-instruction
-        counts; at each one the engine pauses with the CPU state fully
-        synced (steps, counters, counts, flags) and calls
-        ``on_sync(cpu, pc)``.  A truthy return stops execution and makes
-        this method return ``None`` — the caller owns the rest of the run
-        (the scheduler uses this to splice a golden tail once a faulty run
-        has provably re-converged).  Sync points already behind ``cpu.steps``
-        are skipped; points the run never reaches (halt, trap, timeout,
-        or a careful-window overshoot) are silently dropped.
+        counts.  At the first *stop* at or past each one — a block entry,
+        or the end of an interpreted stride — the engine pauses with the
+        CPU state fully synced (steps, counters, counts, flags) and calls
+        ``on_sync(cpu, pc)``; no instruction is interpreted to reach a
+        point.  Several points one block crosses are observed once, at its
+        end.  A truthy return stops execution and makes this method return
+        ``None`` — the caller owns the rest of the run (the scheduler uses
+        this to splice a golden tail once a faulty run has provably
+        re-converged).  Points already behind ``cpu.steps`` are skipped;
+        points the run never stops at or past (halt, trap, timeout) or
+        crosses inside an interpreted stride (the fire stride, a careful
+        window) are silently dropped.
         """
         return self._drive(cpu, pc, budget, syncs=syncs, on_sync=on_sync)
 
@@ -208,9 +220,9 @@ class FastEngine:
         A plan's target stays armed only until its fault has fired and its
         dwell window has closed (single-shot plans: ``last_index ==
         target_index``), and PINFI's only while attached; a disarmed target
-        is :data:`_NEVER`.  ``sync_v`` is the first sync point still ahead
-        — any the reference loop overshot are dropped (sync observation is
-        opportunistic).
+        is :data:`_NEVER`.  ``sync_v`` is the first sync point at or past
+        ``steps`` — any an interpreted stride crossed are dropped (sync
+        observation is opportunistic).
         """
         steps = cpu.steps
         FL[0] = cpu.flags
@@ -229,12 +241,17 @@ class FastEngine:
                 targets.append(_NEVER)
             else:
                 targets.append(plan.target_index)
-        sync_v = _NEVER
+        return (steps, rc, pin, lc, attached, *targets,
+                FastEngine._sync_from(syncs, steps))
+
+    @staticmethod
+    def _sync_from(syncs, steps: int) -> int:
+        """The first sync point at or past ``steps`` (:data:`_NEVER`: none)."""
         if syncs:
-            sync_i = bisect_right(syncs, steps)
-            if sync_i < len(syncs):
-                sync_v = syncs[sync_i]
-        return (steps, rc, pin, lc, attached, *targets, sync_v)
+            i = bisect_left(syncs, steps)
+            if i < len(syncs):
+                return syncs[i]
+        return _NEVER
 
     def _interpret(self, cpu, FL, execs, table, steps, rc, pin, lc, pc, k, syncs):
         """The one slow path: flush the batch, run the reference loop from
@@ -291,29 +308,30 @@ class FastEngine:
                 if steps + n >= horizon:
                     if fn is None:
                         n, s, c, l = trans.cover(pc)  # static facts only
-                    if steps + n >= budget_v and budget_v <= sync_v:
+                    if steps >= sync_v:
+                        # The first stop at or past a sync point (every point
+                        # the last block crossed): observe the state here.
+                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        if on_sync(cpu, pc):
+                            return None
+                        sync_v = self._sync_from(syncs, steps + 1)
+                    if steps + n >= budget_v:
                         # The budget could expire inside this block: hand the
                         # whole tail to the reference loop (plans included),
                         # preserving the exact timeout/halt ordering at the
-                        # boundary.  (On a budget/sync tie the timeout wins,
-                        # matching the reference loop's check order, so the
-                        # sync point is moot.)
+                        # boundary.  (A stop is always short of the budget, so
+                        # a sync point at or past it is never observed.)
                         self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                         cpu._loop(pc)
                         return cpu.build_result()
 
-                    at_sync = steps + n >= sync_v
                     armed = (
                         rc + s >= r_target or pin + c >= p_target
                         or lc + l >= l_target
                     )
-                    event = at_sync or armed or fn is None
+                    event = armed or fn is None
                     if event:
-                        if at_sync:
-                            # A sync point lands inside this block: stop at
-                            # exactly that step, then observe.
-                            k = sync_v - steps
-                        elif armed:
+                        if armed:
                             # The armed trigger fires inside this block, at
                             # a statically known instruction: slow-step
                             # exactly through it.  (Not locatable: watcher
@@ -332,8 +350,6 @@ class FastEngine:
                         )
                         if pc is None:
                             return cpu.build_result()  # halted inside the stride
-                        if at_sync and on_sync is not None and on_sync(cpu, pc):
-                            return None
                     horizon = min(
                         budget_v, sync_v, steps + r_target - rc,
                         steps + p_target - pin, steps + l_target - lc,
@@ -390,18 +406,17 @@ class FastEngine:
         every pending trigger ``<= upto`` and returns the next stop (or
         ``None``).
 
-        ``syncs``/``sync_hook`` additionally pause at exact absolute step
-        counts (reference states for golden-rejoin detection); the fork
-        check deliberately precedes the sync check so a partial-block
-        stride can never cross a pending trigger unforked.  The hook is
-        called as ``sync_hook(cpu, pc, reach)`` with ``reach`` the counter
-        value once the block ``pc`` sits in has run (a static count of the
-        trigger sites in ``[pc, block end)``): a trigger ``<= reach`` forks
-        before the block containing the sync point is left, so only
-        triggers beyond ``reach`` see the same fork points from this state
-        as from the program entry.  The entry itself is reported first, as
-        the sync state at step 0 (``reach`` 0: every trigger lies beyond
-        it).
+        ``syncs``/``sync_hook`` additionally pause at the first block
+        entry at or past each absolute step count in ``syncs`` (reference
+        states for golden-rejoin detection); no instruction is interpreted
+        to reach one, so every reference state sits on a block leader.  The
+        hook is called as ``sync_hook(cpu, pc, reach)`` with ``reach`` the
+        counter value once the block at ``pc`` has run (a static count of
+        its trigger sites): a trigger ``<= reach`` may fork in that block,
+        so only triggers beyond ``reach`` see the same fork points from
+        this state as from the program entry.  The entry itself is reported
+        first, as the sync state at step 0 (``reach`` 0: every trigger lies
+        beyond it).
 
         ``start_pc`` replays a *window* of a golden run whose timeline is
         already known: the CPU has been restored to a sync state recorded
@@ -434,7 +449,13 @@ class FastEngine:
                 if steps + n >= horizon:
                     if fn is None:
                         n, s, c, l = trans.cover(pc)  # static facts only
-                    if steps + n >= budget_v and budget_v <= sync_v:
+                    if steps >= sync_v:
+                        # The first block entry at or past a sync point: the
+                        # state there is the reference.
+                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        sync_hook(cpu, pc, (rc, pin, lc)[which] + (s, c, l)[which])
+                        sync_v = self._sync_from(syncs, steps + 1)
+                    if steps + n >= budget_v:
                         self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                         cpu._loop(pc)
                         return cpu.build_result()
@@ -443,29 +464,23 @@ class FastEngine:
                         upto = (rc, pin, lc)[which] + (s, c, l)[which]
                         if upto >= stop:
                             # A pending trigger fires inside this block: fork
-                            # at the block entry, before any stride can cross
-                            # it.
+                            # at the block entry.
                             self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                             stop = fork_hook(cpu, pc, upto)
                             if stop is None and start_pc is not None:
                                 return None
 
-                    at_sync = steps + n >= sync_v
-                    event = at_sync or fn is None
+                    event = fn is None
                     if event:
-                        # Stop at exactly the sync step and report the state
-                        # there, or (entered mid-block) finish the block.
+                        # Entered mid-block: finish the block.
                         pc, steps, rc, pin, lc, attached, _, _, _, sync_v = (
                             self._interpret(
                                 cpu, FL, execs, table, steps, rc, pin, lc, pc,
-                                sync_v - steps if at_sync else n, syncs,
+                                n, syncs,
                             )
                         )
                         if pc is None:
                             return cpu.build_result()
-                        if at_sync and sync_hook is not None:
-                            reach = (rc, pin, lc)[which] + trans.cover(pc)[1 + which]
-                            sync_hook(cpu, pc, reach)
                     horizon = min(budget_v, sync_v)
                     if stop is not None:
                         horizon = min(horizon, steps + stop - (rc, pin, lc)[which])

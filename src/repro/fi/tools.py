@@ -49,6 +49,12 @@ TIMEOUT_FACTOR = 10
 GOLDEN_BUDGET = 200_000_000
 
 
+def _int64s(counts) -> np.ndarray:
+    """Per-pc counts as the int64 array ``np.asarray`` builds from them, in
+    one pass (numpy converts a Python sequence element by element)."""
+    return np.fromiter(counts, np.int64, len(counts))
+
+
 @dataclass
 class ProfileResult:
     """Outcome of a tool's profiling phase (Figure 3a)."""
@@ -135,8 +141,7 @@ class FITool:
         raise NotImplementedError
 
     def _cycles(self, cpu: CPU, result: ExecutionResult) -> float:
-        base = float(np.dot(result.counts, self._cost_array))
-        return base
+        return float(np.dot(_int64s(result.counts), self._cost_array))
 
     @cached_property
     def _cost_array(self) -> np.ndarray:
@@ -293,11 +298,11 @@ class PinfiTool(FITool):
         detached = result.counts
         if attached is None:
             raise CampaignError("PINFI run without attached counts")
-        attached_cycles = float(np.dot(attached, costs))
+        attached_cycles = float(np.dot(_int64s(attached), costs))
         if attached is detached:
             detached_cycles = 0.0
         else:
-            detached_cycles = float(np.dot(detached, costs))
+            detached_cycles = float(np.dot(_int64s(detached), costs))
         return (
             PIN_ATTACH_COST
             + PIN_DBI_FACTOR * attached_cycles

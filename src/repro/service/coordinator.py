@@ -1251,6 +1251,14 @@ class ServiceCoordinator:
                 lifecycle.run(self, specs, ckpt_dir)
             except (DistError, CampaignError) as exc:
                 self._active.pop(cid, None)
+                with self._lock:
+                    closing = self._stopped or self._draining
+                if closing and isinstance(exc, DistError):
+                    # A drain or kill landed after the pump's check:
+                    # ``add_cells`` refused the campaign and installed
+                    # nothing, so it waits for the next coordinator.
+                    self.queue.set_state(cid, "queued")
+                    return
                 self.queue.set_state(cid, "failed", error=str(exc))
                 self._emit("campaign_failed", campaign=cid, error=str(exc))
 

@@ -401,12 +401,13 @@ class SchedulerOracle(Oracle):
     The trigger scheduler (:mod:`repro.campaign.schedule`) rests on three
     engine primitives: :meth:`~repro.engine.fast.FastEngine.run_cursor`
     (advance one CPU with fork and sync captures at counter crossings and
-    step multiples), :func:`~repro.snapshot.state.capture_snapshot` /
+    at the first block entries past step multiples),
+    :func:`~repro.snapshot.state.capture_snapshot` /
     :func:`~repro.snapshot.state.restore_snapshot` (freeze and revive the
     full architectural state), and
-    :meth:`~repro.engine.fast.FastEngine.resume_synced` (run from a fork
-    with exact-step pauses).  On an arbitrary program those must be
-    behaviour-preserving: the cursor run must equal the plain run bit for
+    :meth:`~repro.engine.fast.FastEngine.resume_synced` (run from a fork,
+    pausing at the first stop at or past each sync point).  On an
+    arbitrary program those must be behaviour-preserving: the cursor run must equal the plain run bit for
     bit, and a fresh CPU restored from *any* fork must finish with the
     plain run's output, exit code, per-pc counts and step total.  A cursor
     restarted from a retained sync state (``start_pc``, the scheduler's
@@ -489,7 +490,8 @@ class SchedulerOracle(Oracle):
             return None
 
         # A handful of trigger counters spread over the run, plus sync
-        # captures at an interval that does not align with block boundaries.
+        # captures at the first block entry at or past each multiple of an
+        # interval that does not align with block boundaries.
         triggers = sorted(
             t for t in {1, total // 3 + 1, 2 * total // 3 + 1, total}
             if 1 <= t <= total

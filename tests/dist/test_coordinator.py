@@ -1,5 +1,6 @@
-"""Unit tests for the coordinator: sharding, backoff, validation and the
-raw protocol conversation (no experiments run here)."""
+"""Unit tests for the coordinator: sharding, backoff, validation, the raw
+protocol conversation and admission (no experiments run here, but for one
+eight-experiment cell that a restarted coordinator finishes)."""
 
 import io
 import json
@@ -10,6 +11,7 @@ import pytest
 
 from repro.dist import (
     CampaignSpec,
+    CoordinatorClient,
     PROTOCOL_VERSION,
     decode_indices,
     parse_address,
@@ -17,12 +19,15 @@ from repro.dist import (
     send_message,
     shard_indices,
 )
-from repro.campaign import EventLog, trigger_order
+from repro.campaign import EventLog, read_events, run_cell, trigger_order
+from repro.campaign.io import result_to_dict
 from repro.dist.protocol import encode_plan
 from repro.errors import DistError
-from repro.service import ServiceCoordinator, backoff_delay
+from repro.service import CampaignQueue, ServiceCoordinator, backoff_delay
+from repro.service.lifecycle import StandardLifecycle
+from repro.workloads.registry import register_lifecycle
 
-from tests.conftest import DEMO_SOURCE, plan_by_hand, run_lease
+from tests.conftest import DEMO_SOURCE, plan_by_hand, request_for, run_lease
 
 
 def _spec(**overrides):
@@ -387,3 +392,57 @@ class TestPlans:
         ]
         assert error.startswith(f"plan {plan['task_id']} (demo/REFINE, 8 ")
         assert "failed 2 times (last: failed: MemoryError: boom)" in error
+
+
+class TestAdmissionRace:
+    """A drain that lands while the pump admits a campaign — after the
+    pump's ``_draining`` check, before ``add_cells`` — leaves the campaign
+    queued, not failed: nothing was installed, so the next coordinator on
+    the same queue admits it and finishes it as if nothing had happened."""
+
+    def test_a_drain_during_admission_requeues_the_campaign(self, tmp_path):
+        drains = []
+
+        class DrainFirst(StandardLifecycle):
+            name = "test-drain-during-admission"
+
+            def run(self, coordinator, specs, checkpoint_dir):
+                if not drains:
+                    drains.append(coordinator)
+                    coordinator.request_drain(30.0)
+                return super().run(coordinator, specs, checkpoint_dir)
+
+        register_lifecycle(DrainFirst())
+        spec = _spec()
+        queue = tmp_path / "queue.sqlite"
+        with EventLog(tmp_path / "events.jsonl") as log:
+            coord = ServiceCoordinator(
+                queue_path=queue, events=log, poll_interval=0.05
+            )
+            cid = coord.queue.submit(request_for(spec), lifecycle=DrainFirst.name)
+            coord.start()
+            coord.serve_until_stopped(poll=0.05)
+            coord.stop()
+        assert drains == [coord]
+        events = [e["event"] for e in read_events(tmp_path / "events.jsonl")]
+        assert "campaign_admitted" in events
+        assert "campaign_failed" not in events
+        with CampaignQueue(queue) as rows:
+            assert rows.info(cid)["state"] == "queued"
+
+        coord = ServiceCoordinator(queue_path=queue, poll_interval=0.05)
+        try:
+            coord.start()
+            with CoordinatorClient(*coord.address, name="hand") as client:
+                while coord.queue.info(cid)["state"] != "done":
+                    reply = client.request_task()
+                    if reply["type"] == "wait":
+                        time.sleep(0.05)
+                    elif reply["type"] == "plan":
+                        client.complete_plan(reply["task_id"], *run_lease(reply))
+                    else:
+                        client.complete(reply["task_id"], run_lease(reply))
+            fetched = coord._control_fetch({"campaign": cid})
+        finally:
+            coord.stop()
+        assert fetched["results"]["demo/REFINE"] == result_to_dict(run_cell(spec))

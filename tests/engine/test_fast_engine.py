@@ -7,11 +7,13 @@ finished by the interpreter, careful windows), its observable
 """
 
 import builtins
+from bisect import bisect_left
 
 import pytest
 
 from repro.backend import compile_minic
-from repro.campaign import CampaignSpec, make_tool, run_cell
+from repro.campaign import CampaignSpec, make_tool, resolve_trigger_order, run_cell
+from repro.campaign.schedule import TriggerScheduler
 from repro.engine import FastEngine
 from repro.engine import cache as cache_module
 from repro.engine import fast as fast_module
@@ -268,15 +270,28 @@ class TestMidBlockEntry:
         assert timeouts > 500
 
     def test_sync_points_inside_the_stride(self):
+        """A point inside the finishing stride is dropped; one at its end,
+        or past it, is observed at the first stop at or past it — the end
+        of the stride or a block entry — in the golden state there."""
         tool = make_tool("REFINE", DEMO_SOURCE, "demo")
         snaps, full = golden_states(tool._make_cpu(None))
         base = base_pages(tool.program)
+        leaders = set(discover_blocks(tool.program)[0])
+        entries = [k for k in range(1, full.steps) if snaps[k - 1].pc in leaders]
+        observed = 0
         for snap, end in mid_block_states(tool)[::5]:
             stride = end - snap.pc
+            stride_end = snap.steps + stride
             # two in the entry block, the block boundary, one far beyond
             syncs = sorted({snap.steps + 1, snap.steps + max(1, stride - 1),
-                            snap.steps + stride, snap.steps + stride + 40})
+                            stride_end, stride_end + 40})
             syncs = [s for s in syncs if s < full.steps]
+            stops = [stride_end, *(k for k in entries if k > stride_end)]
+            want = []
+            for point in syncs:
+                i = bisect_left(stops, point)
+                if point >= stride_end and i < len(stops) and stops[i] not in want:
+                    want.append(stops[i])
             seen = []
 
             def on_sync(cpu, pc):
@@ -288,15 +303,19 @@ class TestMidBlockEntry:
             restore_snapshot(cpu, snap)
             fast = FastEngine().resume_synced(
                 cpu, snap.pc, None, syncs, on_sync)
-            assert seen == syncs
+            assert seen == want
             assert_same_result(full, fast)
+            if not want:
+                continue
+            observed += 1
 
             # a truthy return hands the run back at exactly that state
             cpu = tool._make_cpu(None)
             restore_snapshot(cpu, snap)
             assert FastEngine().resume_synced(
                 cpu, snap.pc, None, syncs, lambda c, pc: True) is None
-            assert cpu.steps == syncs[0]
+            assert cpu.steps == want[0]
+        assert observed > 20
 
     def test_ret_into_a_block_interior(self):
         # A corrupted return address makes ``ret`` land on a pc no
@@ -321,6 +340,77 @@ class TestMidBlockEntry:
                                      poke=smash_return_address)
                 outcomes.add(ref.trap)
         assert len(outcomes) > 1  # some crash, some run on
+
+
+class TestSyncPointsCostNoStride:
+    """Sync points are observed where execution already stops: the golden
+    cursor records its states at block entries, and a tail in one of those
+    states reaches the next without interpreting an instruction."""
+
+    @staticmethod
+    def spy_strides(monkeypatch):
+        """Every ``_interpret`` call's ``(pc, k)``, while ``on[0]``."""
+        strides, on = [], [True]
+        real = FastEngine._interpret
+
+        def spied(self, cpu, FL, execs, table, steps, rc, pin, lc, pc, k, syncs):
+            if on[0]:
+                strides.append((pc, k))
+            return real(self, cpu, FL, execs, table, steps, rc, pin, lc, pc,
+                        k, syncs)
+
+        monkeypatch.setattr(FastEngine, "_interpret", spied)
+        return strides, on
+
+    @pytest.mark.parametrize("tool_name", ["REFINE", "PINFI", "LLFI"])
+    def test_cursor_passes_interpret_nothing(self, tool_name, monkeypatch):
+        """The full pass that records the timeline, and a later batch's
+        window replay from one of its states, run blocks only."""
+        tool = make_tool(tool_name, workload_sources()["EP"], "EP")
+        sched = TriggerScheduler(tool, 24)
+        strides, on = self.spy_strides(monkeypatch)
+        advance = sched._advance_cursor
+
+        def cursor_only():
+            on[0] = True
+            advance()
+            on[0] = False
+
+        sched._advance_cursor = cursor_only
+        order = [i for _, i in resolve_trigger_order(tool, 1, range(24))]
+        list(sched.run_batch(1, order[:12]))
+        assert sched.stats.sync_states > 10 and strides == []
+        list(sched.run_batch(1, order[12:]))
+        assert sched.stats.cursor_steps < tool.profile.steps
+        assert strides == []
+
+    def test_resuming_a_timeline_state_meets_every_later_one(self, monkeypatch):
+        """A disarmed run from a sync state stops at each later sync state's
+        step, in that state, and interprets nothing on the way."""
+        tool = make_tool("REFINE", workload_sources()["EP"], "EP")
+        sched = TriggerScheduler(tool, 24)
+        list(sched.run_batch(1, range(24)))
+        timeline = sched._timeline
+        base = base_pages(tool.program)
+        start = timeline.sync_states[timeline.sync_steps[1]]
+        later = timeline.sync_steps[2:]
+        seen = []
+
+        def on_sync(cpu, pc):
+            assert capture_snapshot(cpu, pc, base=base) == (
+                timeline.sync_states[cpu.steps])
+            seen.append(cpu.steps)
+            return False
+
+        strides, _ = self.spy_strides(monkeypatch)
+        cpu = tool._make_cpu(None)
+        restore_snapshot(cpu, start)
+        result = FastEngine().resume_synced(
+            cpu, start.pc, None, later, on_sync)
+        assert seen == later and len(later) > 10
+        assert strides == []
+        assert result.steps == timeline.steps
+        assert list(result.counts) == list(timeline.ending.counts)
 
 
 class TestLLFIVisits:

@@ -6,9 +6,13 @@ and computes the same thing."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pytest
 
 from repro.campaign.io import experiment_event_fields
+from repro.engine.blocks import discover_blocks
+from repro.errors import CampaignError
 from repro.campaign import make_tool
 from repro.campaign.schedule import (
     MIN_SYNC_INTERVAL,
@@ -45,15 +49,49 @@ class TestIntervalResolution:
         assert GoldenTimeline.auto_interval(100, 1) == MIN_SYNC_INTERVAL
 
     def test_recorded_timeline_uses_the_auto_rule(self, ep_tool):
+        """A sync state sits at the first block entry at or past each
+        multiple of the interval (the reference loop finds those steps on
+        its own), on a block leader, and the timeline lists them in step
+        order."""
         tool = ep_tool
         sched = TriggerScheduler(tool, 4)
         list(sched.run_batch(1, range(4)))
         timeline = sched._timeline
         steps = tool.profile.steps
         assert timeline.interval == GoldenTimeline.auto_interval(steps, 4)
-        assert sorted(timeline.sync_states) == list(
-            range(0, steps, timeline.interval)
+
+        leaders = set(discover_blocks(tool.program)[0])
+        entries = [0]
+        cpu = tool._make_cpu(None)
+        cpu.record_snapshots(
+            1, lambda c, pc: pc in leaders and entries.append(c.steps)
         )
+        cpu.run()
+        firsts = [bisect_left(entries, m)
+                  for m in range(timeline.interval, steps, timeline.interval)]
+        want = sorted({0} | {entries[i] for i in firsts if i < len(entries)})
+        assert len(want) > 4
+        assert timeline.sync_steps == sorted(timeline.sync_states) == want
+        assert all(
+            state.pc in leaders for state in timeline.sync_states.values()
+        )
+
+
+    def test_a_missing_sync_state_fails_the_pass(self, ep_tool):
+        """The pass cross-checks its timeline: a multiple no state answers
+        within one block is an error, not a thinner timeline."""
+        sched = TriggerScheduler(ep_tool, 4)
+        record = sched._sync_hook
+        calls = []
+
+        def drop_the_third(timeline, cpu, pc, reach):
+            calls.append(pc)
+            if len(calls) != 3:
+                record(timeline, cpu, pc, reach)
+
+        sched._sync_hook = drop_the_third
+        with pytest.raises(CampaignError, match="not within one block"):
+            list(sched.run_batch(1, range(4)))
 
 
 class TestEngine:

@@ -175,7 +175,7 @@ class TestCampaignDivergenceDetection:
 
         def late(self, trigger):
             i = min(bisect_left(self.reaches, trigger), len(self.reaches) - 1)
-            return self.sync_states[i * self.interval]
+            return self.sync_states[self.sync_steps[i]]
 
         monkeypatch.setattr(GoldenTimeline, "start_below", late)
         # only a lease replaying a window asks where to start
