@@ -36,9 +36,12 @@ import cProfile
 import dataclasses
 import os
 import pstats
+import time
+from contextlib import contextmanager
 
 from repro.campaign import CampaignSpec, Outcome, TriggerScheduler
 from repro.campaign.schedule import SchedulerStats
+from repro.engine import FastEngine
 from repro.fi import TOOL_ORDER
 from repro.workloads import workload_sources
 
@@ -153,21 +156,61 @@ def compile_callers(stats: pstats.Stats) -> dict[str, int]:
     }
 
 
-def calls_from(stats: pstats.Stats, callee: str, caller: str) -> tuple[int, float]:
-    """Calls of the engine's ``callee`` from ``caller``, and their
-    cumulative seconds.  The reference-loop strides are the ``_interpret``
-    calls: from ``run_cursor`` one per mid-block entry (none on a cold
-    cell: sync states sit on block entries), from ``_drive`` (the tails)
-    one per fire point (a careful window counts as one) and one per
-    mid-block entry."""
-    calls, seconds = 0, 0.0
+def calls_from(stats: pstats.Stats, callee: str, caller: str) -> int:
+    """Calls of the engine's ``callee`` from ``caller``."""
+    calls = 0
     for (path, _, name), entry in stats.stats.items():
         if name == callee and _ENGINE in path:
-            for (_, _, who), (n, _, _, cumulative) in entry[4].items():
+            for (_, _, who), (n, *_) in entry[4].items():
                 if who == caller:
                     calls += n
-                    seconds += cumulative
-    return calls, seconds
+    return calls
+
+
+class StrideTally:
+    """The reference-loop strides (``FastEngine._interpret`` calls) and
+    their seconds, split by who made them.  The cursor and the tails run on
+    the engine's one block loop, so a caller's name cannot tell them apart:
+    a stride made while the scheduler's ``_advance_cursor`` runs is the
+    cursor's (one per mid-block entry: none on a cold cell, since sync
+    states sit on block entries); every other is a tail's (one per fire
+    point — a careful window counts as one — and one per mid-block entry;
+    golden and profile runs make none)."""
+
+    def __init__(self) -> None:
+        #: [strides, seconds] of the cursor passes and of the tails
+        self.cursor = [0, 0.0]
+        self.tails = [0, 0.0]
+        self._in_cursor = False
+
+    @contextmanager
+    def installed(self):
+        interpret = FastEngine._interpret
+        advance = TriggerScheduler._advance_cursor
+
+        def tallied_interpret(engine, *args):
+            t0 = time.perf_counter()
+            try:
+                return interpret(engine, *args)
+            finally:
+                row = self.cursor if self._in_cursor else self.tails
+                row[0] += 1
+                row[1] += time.perf_counter() - t0
+
+        def tallied_advance_cursor(scheduler):
+            self._in_cursor = True
+            try:
+                advance(scheduler)
+            finally:
+                self._in_cursor = False
+
+        FastEngine._interpret = tallied_interpret
+        TriggerScheduler._advance_cursor = tallied_advance_cursor
+        try:
+            yield self
+        finally:
+            FastEngine._interpret = interpret
+            TriggerScheduler._advance_cursor = advance
 
 
 def main() -> int:
@@ -187,20 +230,22 @@ def main() -> int:
     tools = ("REFINE", "PINFI", "LLFI") if args.tool == "all" else [args.tool]
     profiler = cProfile.Profile()
     census = TailCensus()
-    for program in programs:
-        for tool in tools:
-            profiler.runcall(
-                cold_cell, program, tool, args.n, args.fault_model, census
-            )
+    strides = StrideTally()
+    with strides.installed():
+        for program in programs:
+            for tool in tools:
+                profiler.runcall(
+                    cold_cell, program, tool, args.n, args.fault_model, census
+                )
     stats = pstats.Stats(profiler)
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
           f"{stats.total_tt:.2f} s under cProfile")
     print(census.render(
-        calls_from(stats, "_interpret", "run_cursor"),
-        calls_from(stats, "_interpret", "_drive"),
-        # each fire stride's length is located first, once
-        calls_from(stats, "_fire_offset", "_drive")[0],
+        tuple(strides.cursor), tuple(strides.tails),
+        # each fire stride's length is located first, once (only a tail
+        # has an armed plan)
+        calls_from(stats, "_fire_offset", "_drive"),
     ))
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):

@@ -9,10 +9,13 @@ fault list by dynamic position).  So nothing here runs it twice:
 1. **Resolve** every experiment's trigger counter up front (a fault plan is
    a pure function of its seed) and sort the batch by ``(trigger, index)``.
 2. **Advance one cursor CPU** monotonically along the golden run with the
-   fast engine (:meth:`repro.engine.fast.FastEngine.run_cursor`).  Whenever
-   the next block would cross a pending trigger, capture one cheap
-   copy-on-write fork (:func:`repro.snapshot.state.capture_snapshot`) at
-   the block entry; one fork covers every trigger inside that block.
+   fast engine (:meth:`repro.engine.fast.FastEngine.run_cursor`), on the
+   same block loop every faulty tail runs on: the next pending trigger is
+   one more term of its horizon, a count on the tool's trigger counter
+   like a fire target.  Whenever the next block would cross a pending
+   trigger, capture one cheap copy-on-write fork
+   (:func:`repro.snapshot.state.capture_snapshot`) at the block entry; one
+   fork covers every trigger inside that block.
    Within a batch the cursor never rewinds, so the batch pays O(one golden
    run) of prefix execution instead of O(sum of per-experiment trigger
    distances).  The cursor never leaves its blocks: forks and sync states
@@ -22,7 +25,7 @@ fault list by dynamic position).  So nothing here runs it twice:
    at the first block entry at or past each interval multiple.  A faulty
    tail pauses at the first stop at or past each of those steps — a block
    entry or the end of an interpreted stride
-   (:meth:`~repro.engine.fast.FastEngine.resume_synced`) — and, once its
+   (:meth:`~repro.engine.fast.FastEngine.resume`) — and, once its
    architectural state (pc, flags, integer registers, bitwise float
    registers, all memory pages) equals the golden state at the same step,
    the rest of the run is *spliced* from the golden suffix instead of
@@ -495,8 +498,9 @@ class TriggerScheduler:
         out.append(self._timeline.steps)
         return out
 
-    def _on_sync(self, cpu, pc: int) -> bool:
-        """Splice test at one sync point of a faulty tail.
+    def _on_sync(self, cpu, pc: int, reach: int) -> bool:
+        """Splice test at one sync point of a faulty tail (``reach``, the
+        cursor's business, is not needed here).
 
         Returns True (stop; splice) only when the tail's full architectural
         state equals a state whose ending is known, at the same absolute
@@ -654,7 +658,7 @@ class TriggerScheduler:
             restore_snapshot(cpu, fork)
             self._mem_misses = 0
             self._overran = None
-            result = tool.engine.resume_synced(
+            result = tool.engine.resume(
                 cpu, fork.pc, tool.timeout_budget,
                 self._tail_syncs(fork.steps), self._on_sync,
             )

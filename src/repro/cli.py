@@ -265,6 +265,20 @@ def campaign_main(argv: list[str] | None = None) -> int:
     if args.workers < 1:
         print("refine-campaign: error: -j must be >= 1", file=sys.stderr)
         return 2
+    if args.submit is not None:
+        # what only a local run reads: the service has its own
+        local_only = [flag for flag, given in (
+            ("-j", args.workers > 1), ("--checkpoint-dir", args.checkpoint_dir),
+            ("--events", args.events), ("--db", args.db),
+        ) if given]
+        if local_only:
+            print(f"refine-campaign: error: {local_only[0]} is not read with "
+                  "--submit (the service keeps its own workers, "
+                  "checkpoints, events and database)", file=sys.stderr)
+            return 2
+    elif args.watch:
+        print("refine-campaign: error: --watch needs --submit", file=sys.stderr)
+        return 2
 
     sources = workload_sources()
     if args.workloads != "all":

@@ -1,13 +1,24 @@
 """The free-run fast engine (ZOFI-style execution core).
 
 Executes translated basic-block superinstructions at full speed and only
-pays for instrumentation where an event can actually occur.  Every such
-event is served by the reference ``CPU._loop`` itself, so its semantics are
-reference-exact by construction:
+pays for instrumentation where an event can actually occur.  Every run —
+a golden or profile run, a faulty tail, the scheduler's golden cursor —
+goes through one block loop (the trampoline, :meth:`FastEngine._drive`),
+whose slow path serves these events, tested in this order at the entry of
+a block that meets the horizon:
 
+* **sync points** — observation points cost no stride: each is observed at
+  the first *stop* at or past it, a block entry or the end of a stride.
+  The golden cursor records its reference states that way, so each one
+  sits on a block leader, and a tail in that state at that step is on that
+  leader too — a leader is never strictly inside a block, a fire stride or
+  a completion stride, so the tail stops there and is compared;
 * **budget tails** — when the next block could cross the step budget, the
   remainder of the run is delegated to the reference loop (the
   timeout-vs-snapshot-vs-halt ordering lives there);
+* **fork stops** — the golden cursor's: when the next block would carry
+  the tool's trigger counter to a pending stop, the hook is served at that
+  block entry, with no stride (a golden CPU has no armed plan);
 * **exact strides** — an armed plan whose trigger counter would cross its
   target inside the next block, or a pc that is not a translated block
   entry (the instruction after a fire point, a corrupted return address),
@@ -17,13 +28,7 @@ reference-exact by construction:
   insight: the binary runs uninstrumented outside a bounded window around
   the injection point).  While a dwell window is open every site is a fire
   point, and the reference loop runs in :data:`CAREFUL_WINDOW`-instruction
-  windows;
-* **sync points** — observation points cost no stride: each is observed at
-  the first *stop* at or past it, a block entry or the end of a stride.
-  The golden cursor records its reference states that way, so each one
-  sits on a block leader, and a tail in that state at that step is on that
-  leader too — a leader is never strictly inside a block, a fire stride or
-  a completion stride, so the tail stops there and is compared.
+  windows.
 
 The strides use the CPU's snapshot-hook slot to stop; recording snapshots
 every k steps (:meth:`~repro.machine.cpu.CPU.record_snapshots`) is
@@ -56,15 +61,16 @@ other fire point; the stub itself then runs, on the reference loop.
 block's length per block (its sites are the block's instructions), so a
 counter read at ``x`` at step ``steps`` cannot reach its target ``t`` inside
 any later block that ends before step ``steps + t - x``, whatever runs in
-between.  The trampoline keeps ``H``, the least of those, of the budget and
-of the next sync point, and a block whose end ``steps + n`` is below ``H``
-runs with no other test.  One that is not takes the slow path: each event
-is tested exactly there and, when none is due, ``H`` is taken afresh and
-the block runs.  A sync point is never due inside a block: the block that
-reaches it runs whole, and the stop after it (at or past the point) is
-where it is observed.  Each time the horizon is met short of a target, the
-distance left has shrunk by the share of the steps run that the counter
-took, so a far target costs a few dozen slow tests, not one per block.
+between.  The trampoline keeps ``H``, the least of those (fire targets and
+a pending fork stop alike), of the budget and of the next sync point, and
+a block whose end ``steps + n`` is below ``H`` runs with no other test.
+One that is not takes the slow path: each event is tested exactly there
+and, when none is due, ``H`` is taken afresh and the block runs.  A sync
+point is never due inside a block: the block that reaches it runs whole,
+and the stop after it (at or past the point) is where it is observed.
+Each time the horizon is met short of a target, the distance left has
+shrunk by the share of the steps run that the counter took, so a far
+target costs a few dozen slow tests, not one per block.
 """
 
 from __future__ import annotations
@@ -124,24 +130,17 @@ class FastEngine:
     def run(self, cpu: CPU, budget: int | None = None) -> ExecutionResult:
         return self._drive(cpu, cpu.prepare_entry(), budget)
 
-    def resume(self, cpu: CPU, pc: int, budget: int | None = None) -> ExecutionResult:
-        return self._drive(cpu, pc, budget)
-
-    def resume_synced(
-        self,
-        cpu: CPU,
-        pc: int,
-        budget: int | None,
-        syncs,
-        on_sync,
-    ) -> ExecutionResult | None:
-        """Resume with observation points.
+    def resume(self, cpu: CPU, pc: int, budget: int | None = None, syncs=(),
+               on_sync=None) -> ExecutionResult | None:
+        """Resume at ``pc``, optionally with observation points.
 
         ``syncs`` is a sorted sequence of absolute dynamic-instruction
         counts.  At the first *stop* at or past each one — a block entry,
         or the end of an interpreted stride — the engine pauses with the
         CPU state fully synced (steps, counters, counts, flags) and calls
-        ``on_sync(cpu, pc)``; no instruction is interpreted to reach a
+        ``on_sync(cpu, pc, reach)`` — the protocol :meth:`run_cursor`'s
+        ``sync_hook`` shares; here ``reach`` counts ``refine_count``, and a
+        tail has no use for it — no instruction is interpreted to reach a
         point.  Several points one block crosses are observed once, at its
         end.  A truthy return stops execution and makes this method return
         ``None`` — the caller owns the rest of the run (the scheduler uses
@@ -151,7 +150,59 @@ class FastEngine:
         crosses inside an interpreted stride (the fire stride, a careful
         window) are silently dropped.
         """
-        return self._drive(cpu, pc, budget, syncs=syncs, on_sync=on_sync)
+        return self._drive(cpu, pc, budget, syncs, on_sync)
+
+    def run_cursor(
+        self,
+        cpu: CPU,
+        *,
+        budget: int | None = None,
+        counter: str = "refine_count",
+        first_stop: int | None = None,
+        fork_hook=None,
+        syncs=None,
+        sync_hook=None,
+        start_pc: int | None = None,
+    ) -> ExecutionResult | None:
+        """Free-run a golden (plan-free) CPU with counter-based fork stops.
+
+        The trigger-ordered scheduler advances one cursor monotonically
+        along the golden run.  ``counter`` names the tool's trigger counter
+        (one of :data:`COUNTERS`); whenever the next block would carry that
+        counter to ``first_stop`` or beyond, the engine syncs the CPU at the
+        block entry — counter still strictly below every pending trigger —
+        and calls ``fork_hook(cpu, pc, upto)`` with ``upto`` the counter
+        value after the block.  The hook captures one snapshot covering
+        every pending trigger ``<= upto`` and returns the next stop (or
+        ``None``): the stop is one more horizon term, like a fire target.
+
+        ``syncs``/``sync_hook`` are :meth:`resume`'s ``syncs``/``on_sync``
+        (reference states for golden-rejoin detection; each sits on a
+        block leader).  ``reach`` is the counter value once the block at
+        ``pc`` has run (a static count of its trigger sites): a trigger
+        ``<= reach`` may fork in that block, so only triggers beyond
+        ``reach`` see the same fork points from this state as from the
+        program entry.  The entry itself is reported first, as the sync
+        state at step 0 (``reach`` 0: every trigger lies beyond it).
+
+        ``start_pc`` replays a *window* of a golden run whose timeline is
+        already known: the CPU has been restored to a sync state recorded
+        by an earlier full pass and execution continues at that state's
+        pc.  Nothing past the last pending trigger is of interest then, so
+        the cursor returns ``None`` as soon as ``fork_hook`` reports no
+        further stop instead of running to the halt.
+        """
+        which = COUNTERS.index(counter)
+        if budget is not None:
+            cpu.budget = budget
+        if start_pc is None:
+            pc = cpu.prepare_entry()
+            if sync_hook is not None:
+                sync_hook(cpu, pc, 0)
+        else:
+            pc = start_pc
+        return self._drive(cpu, pc, None, syncs, sync_hook, which, first_stop,
+                           fork_hook, start_pc is not None)
 
     # -- trampoline ---------------------------------------------------------
 
@@ -278,14 +329,13 @@ class FastEngine:
             cpu._snap_hook = None
         return (pc, *self._reload(cpu, FL, syncs))
 
-    def _drive(
-        self,
-        cpu: CPU,
-        pc: int,
-        budget: int | None,
-        syncs=None,
-        on_sync=None,
-    ) -> ExecutionResult | None:
+    def _drive(self, cpu: CPU, pc: int, budget: int | None, syncs=(),
+               on_sync=None, which: int = 0, stop: int | None = None,
+               fork_hook=None, window: bool = False) -> ExecutionResult | None:
+        """The one block loop (module docstring).  ``which`` indexes
+        :data:`COUNTERS`: the counter ``reach`` and the cursor's fork
+        ``stop`` (``None``: none pending) count on; a ``window`` ends, with
+        ``None``, once ``fork_hook`` reports no further stop."""
         if budget is not None:
             cpu.budget = budget
         trans, FL, table = self._block_ctx(cpu)
@@ -312,7 +362,7 @@ class FastEngine:
                         # The first stop at or past a sync point (every point
                         # the last block crossed): observe the state here.
                         self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-                        if on_sync(cpu, pc):
+                        if on_sync(cpu, pc, (rc, pin, lc)[which] + (s, c, l)[which]):
                             return None
                         sync_v = self._sync_from(syncs, steps + 1)
                     if steps + n >= budget_v:
@@ -324,6 +374,15 @@ class FastEngine:
                         self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
                         cpu._loop(pc)
                         return cpu.build_result()
+                    if stop is not None:
+                        upto = (rc, pin, lc)[which] + (s, c, l)[which]
+                        if upto >= stop:
+                            # A pending trigger fires inside this block: fork
+                            # at the block entry.
+                            self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                            stop = fork_hook(cpu, pc, upto)
+                            if stop is None and window:
+                                return None
 
                     armed = (
                         rc + s >= r_target or pin + c >= p_target
@@ -354,134 +413,6 @@ class FastEngine:
                         budget_v, sync_v, steps + r_target - rc,
                         steps + p_target - pin, steps + l_target - lc,
                     )
-                    if event:
-                        continue
-
-                try:
-                    next_pc = fn()
-                except MachineTrap as trap:
-                    self._unwind_trap(cpu, FL, execs, table, steps, rc, pin,
-                                      lc, attached, pc, trap.pc)
-                    raise
-
-                if pc in execs:
-                    execs[pc] += 1
-                else:
-                    execs[pc] = 1
-                steps += n
-                rc += s
-                if attached:
-                    pin += c
-                lc += l
-                if next_pc < 0:
-                    self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-                    return cpu.build_result()
-                pc = next_pc
-        except MachineTrap as trap:
-            return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
-
-    # -- golden cursor ------------------------------------------------------
-
-    def run_cursor(
-        self,
-        cpu: CPU,
-        *,
-        budget: int | None = None,
-        counter: str = "refine_count",
-        first_stop: int | None = None,
-        fork_hook=None,
-        syncs=None,
-        sync_hook=None,
-        start_pc: int | None = None,
-    ) -> ExecutionResult | None:
-        """Free-run a golden (plan-free) CPU with counter-based fork stops.
-
-        The trigger-ordered scheduler advances one cursor monotonically
-        along the golden run.  ``counter`` names the tool's trigger counter
-        (one of :data:`COUNTERS`); whenever the next block would carry that
-        counter to ``first_stop`` or beyond, the engine syncs the CPU at the
-        block entry — counter still strictly below every pending trigger —
-        and calls ``fork_hook(cpu, pc, upto)`` with ``upto`` the counter
-        value after the block.  The hook captures one snapshot covering
-        every pending trigger ``<= upto`` and returns the next stop (or
-        ``None``).
-
-        ``syncs``/``sync_hook`` additionally pause at the first block
-        entry at or past each absolute step count in ``syncs`` (reference
-        states for golden-rejoin detection); no instruction is interpreted
-        to reach one, so every reference state sits on a block leader.  The
-        hook is called as ``sync_hook(cpu, pc, reach)`` with ``reach`` the
-        counter value once the block at ``pc`` has run (a static count of
-        its trigger sites): a trigger ``<= reach`` may fork in that block,
-        so only triggers beyond ``reach`` see the same fork points from
-        this state as from the program entry.  The entry itself is reported
-        first, as the sync state at step 0 (``reach`` 0: every trigger lies
-        beyond it).
-
-        ``start_pc`` replays a *window* of a golden run whose timeline is
-        already known: the CPU has been restored to a sync state recorded
-        by an earlier full pass and execution continues at that state's
-        pc.  Nothing past the last pending trigger is of interest then, so
-        the cursor returns ``None`` as soon as ``fork_hook`` reports no
-        further stop instead of running to the halt.
-        """
-        if budget is not None:
-            cpu.budget = budget
-        which = COUNTERS.index(counter)
-
-        trans, FL, table = self._block_ctx(cpu)
-        execs: dict[int, int] = {}
-
-        pc = cpu.prepare_entry() if start_pc is None else start_pc
-        budget_v = cpu.budget
-        steps, rc, pin, lc, attached, _, _, _, sync_v = self._reload(cpu, FL, syncs)
-        stop = first_stop
-        if sync_hook is not None and start_pc is None:
-            sync_hook(cpu, pc, (rc, pin, lc)[which])
-        horizon = 0  # the first block takes the slow path, which sets it
-
-        get = table.get
-
-        try:
-            while True:
-                fn, n, s, c, l = get(pc, _MISS)
-
-                if steps + n >= horizon:
-                    if fn is None:
-                        n, s, c, l = trans.cover(pc)  # static facts only
-                    if steps >= sync_v:
-                        # The first block entry at or past a sync point: the
-                        # state there is the reference.
-                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-                        sync_hook(cpu, pc, (rc, pin, lc)[which] + (s, c, l)[which])
-                        sync_v = self._sync_from(syncs, steps + 1)
-                    if steps + n >= budget_v:
-                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-                        cpu._loop(pc)
-                        return cpu.build_result()
-
-                    if stop is not None:
-                        upto = (rc, pin, lc)[which] + (s, c, l)[which]
-                        if upto >= stop:
-                            # A pending trigger fires inside this block: fork
-                            # at the block entry.
-                            self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-                            stop = fork_hook(cpu, pc, upto)
-                            if stop is None and start_pc is not None:
-                                return None
-
-                    event = fn is None
-                    if event:
-                        # Entered mid-block: finish the block.
-                        pc, steps, rc, pin, lc, attached, _, _, _, sync_v = (
-                            self._interpret(
-                                cpu, FL, execs, table, steps, rc, pin, lc, pc,
-                                n, syncs,
-                            )
-                        )
-                        if pc is None:
-                            return cpu.build_result()
-                    horizon = min(budget_v, sync_v)
                     if stop is not None:
                         horizon = min(horizon, steps + stop - (rc, pin, lc)[which])
                     if event:

@@ -228,6 +228,8 @@ class ServiceCoordinator:
             raise DistError("checkpoint_every must be positive")
         if max_attempts < 1:
             raise DistError("max_attempts must be >= 1")
+        if chunk_size is not None and chunk_size < 1:
+            raise DistError("chunk_size must be >= 1")
         self._host = host
         self._port = port
         self._chunk_size = chunk_size

@@ -14,8 +14,9 @@ executing this program agree?":
   identical to the uninstrumented golden run, modulo the hooks themselves.
 * :class:`EngineOracle` / :class:`SchedulerOracle` — the fast engine and
   the cursor/fork/sync primitives of the trigger scheduler vs the
-  interpreter loop: the program alone (no fault), and for the engine also
-  its LLFI build, unarmed and with one fault.
+  interpreter loop, with no fault armed: the engine on the clean and the
+  LLFI build (and the LLFI build with one fault too), the scheduler on the
+  REFINE and the LLFI build, each forked on its tool's counter.
 
 One level up, :func:`check_workload_equivalence` holds a whole production
 campaign on a registered workload to the reference campaign
@@ -405,14 +406,19 @@ class SchedulerOracle(Oracle):
     :func:`~repro.snapshot.state.capture_snapshot` /
     :func:`~repro.snapshot.state.restore_snapshot` (freeze and revive the
     full architectural state), and
-    :meth:`~repro.engine.fast.FastEngine.resume_synced` (run from a fork,
-    pausing at the first stop at or past each sync point).  On an
-    arbitrary program those must be behaviour-preserving: the cursor run must equal the plain run bit for
-    bit, and a fresh CPU restored from *any* fork must finish with the
-    plain run's output, exit code, per-pc counts and step total.  A cursor
-    restarted from a retained sync state (``start_pc``, the scheduler's
-    window replay) must capture each trigger's fork at the very point the
-    full pass did.
+    :meth:`~repro.engine.fast.FastEngine.resume` (run from a fork,
+    pausing at the first stop at or past each sync point) — the cursor and
+    the tails alike run on the engine's one block loop.  On an arbitrary
+    program those must be behaviour-preserving: the cursor run must equal
+    the plain run bit for bit, and a fresh CPU restored from *any* fork
+    must finish with the plain run's output, exit code, per-pc counts and
+    step total.  A cursor restarted from a retained sync state
+    (``start_pc``, the scheduler's window replay) must capture each
+    trigger's fork at the very point the full pass did.
+
+    Each program runs as its REFINE build, forking on ``refine_count``,
+    and as its LLFI build, forking on ``llfi_count``: the fork stops and
+    each sync state's ``reach`` count on the tool's counter by position.
     """
 
     name = "scheduler"
@@ -425,6 +431,23 @@ class SchedulerOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
+        def instrument(binary) -> None:
+            refine_instrument(binary, FIConfig())
+
+        for counter, build, options in (
+            ("refine_count", "REFINE build", {"mir_pass": instrument}),
+            ("llfi_count", "LLFI build", {"ir_pass": llfi_instrument}),
+        ):
+            program = load_binary(compile_ir(
+                clone_module(module),
+                CompileOptions(opt_level=self.opt_level, **options),
+            ))
+            problem = self._check_build(program, counter, build)
+            if problem is not None:
+                return problem
+        return None
+
+    def _check_build(self, program, counter: str, build: str) -> Divergence | None:
         from repro.engine import FastEngine
         from repro.snapshot.state import (
             base_pages,
@@ -433,24 +456,16 @@ class SchedulerOracle(Oracle):
             restore_snapshot,
         )
 
-        def instrument(binary) -> None:
-            refine_instrument(binary, FIConfig())
-
-        binary = compile_ir(
-            clone_module(module),
-            CompileOptions(opt_level=self.opt_level, mir_pass=instrument),
-        )
-        program = load_binary(binary)
         engine = FastEngine()
         plain_cpu = CPU(program)
         plain = engine.run(plain_cpu, budget=self.budget)
-        total = plain_cpu._refine_count
+        total = getattr(plain_cpu, "_" + counter)
         if plain.trap is not None or total <= 0:
             # Trapping/timeout programs never reach the scheduler (the
             # golden run must be clean); nothing to fork without candidates.
             return None
         expected = RunOutcome(
-            engine="fast-plain",
+            engine=f"fast-plain ({build})",
             exit_code=plain.exit_code,
             trap=plain.trap,
             output=tuple(plain.output),
@@ -462,17 +477,14 @@ class SchedulerOracle(Oracle):
             restore_snapshot(revived, snap)
             return snap.pc, cpu_state_digest(revived)
 
-        def outcome_of(result, label: str) -> RunOutcome:
-            return RunOutcome(
-                engine=label,
+        def diverged(result, label: str) -> Divergence | None:
+            actual = RunOutcome(
+                engine=f"{label} ({build})",
                 exit_code=result.exit_code,
                 trap=result.trap,
                 output=tuple(result.output),
                 trace=tuple(result.counts),
             )
-
-        def diverged(result, label: str) -> Divergence | None:
-            actual = outcome_of(result, label)
             if (
                 expected.behaviour() != actual.behaviour()
                 or expected.trace != actual.trace
@@ -482,7 +494,7 @@ class SchedulerOracle(Oracle):
                     oracle=self.name,
                     detail=(
                         f"{label} diverged from the uninterrupted run "
-                        f"(steps {plain.steps} vs {result.steps})"
+                        f"({build}; steps {plain.steps} vs {result.steps})"
                     ),
                     expected=expected,
                     actual=actual,
@@ -497,79 +509,50 @@ class SchedulerOracle(Oracle):
             if 1 <= t <= total
         )
         base = base_pages(program)
-        forks: dict[int, object] = {}
-        sync_states: dict[int, object] = {}
-        pending = list(triggers)
-        prev = None
-
-        def fork_hook(c, pc, upto):
-            nonlocal prev
-            snap = capture_snapshot(c, pc, prev=prev, base=base)
-            prev = snap
-            while pending and pending[0] <= upto:
-                forks[pending.pop(0)] = snap
-            return pending[0] if pending else None
-
-        def sync_hook(c, pc, reach) -> None:
-            nonlocal prev
-            snap = capture_snapshot(c, pc, prev=prev, base=base)
-            prev = snap
-            sync_states[snap.steps] = (reach, snap)
-
         interval = max(1, plain.steps // 7)
         sync_steps = list(range(interval, plain.steps, interval))
-        cursor = engine.run_cursor(
-            CPU(program),
-            budget=self.budget,
-            counter="refine_count",
-            first_stop=triggers[0],
-            fork_hook=fork_hook,
-            syncs=sync_steps,
-            sync_hook=sync_hook,
-        )
-        problem = diverged(cursor, "fork/sync cursor")
-        if problem is not None:
-            return problem
-        if pending:
-            return Divergence(
-                oracle=self.name,
-                detail=(
-                    f"cursor finished without forking for trigger(s) "
-                    f"{pending} (of {total} candidates)"
-                ),
-                expected=expected,
+
+        def full_pass() -> tuple:
+            """The cursor from the entry: its result, its fork per trigger,
+            its sync states (step -> ``(reach, state)``) and the triggers
+            it never forked for."""
+            forks: dict[int, object] = {}
+            sync_states: dict[int, object] = {}
+            pending = list(triggers)
+            prev = None
+
+            def fork_hook(c, pc, upto):
+                nonlocal prev
+                snap = capture_snapshot(c, pc, prev=prev, base=base)
+                prev = snap
+                while pending and pending[0] <= upto:
+                    forks[pending.pop(0)] = snap
+                return pending[0] if pending else None
+
+            def sync_hook(c, pc, reach) -> None:
+                nonlocal prev
+                snap = capture_snapshot(c, pc, prev=prev, base=base)
+                prev = snap
+                sync_states[snap.steps] = (reach, snap)
+
+            cursor = engine.run_cursor(
+                CPU(program),
+                budget=self.budget,
+                counter=counter,
+                first_stop=triggers[0],
+                fork_hook=fork_hook,
+                syncs=sync_steps,
+                sync_hook=sync_hook,
             )
-        for trigger, snap in sorted(forks.items()):
-            if snap.counter("refine_count") >= trigger:
-                return Divergence(
-                    oracle=self.name,
-                    detail=(
-                        f"fork for trigger {trigger} was captured after the "
-                        f"trigger ({snap.counter('refine_count')} candidates "
-                        "already executed) — resuming would skip the "
-                        "injection point"
-                    ),
-                    expected=expected,
-                )
-            tail = CPU(program)
-            restore_snapshot(tail, snap)
-            result = engine.resume_synced(
-                tail, snap.pc, self.budget,
-                [s for s in sync_steps if s > snap.steps],
-                lambda c, pc: False,
-            )
-            problem = diverged(result, f"tail forked at trigger {trigger}")
-            if problem is not None:
-                return problem
-            # Window replay: from the latest sync state whose block does not
-            # reach the trigger (the entry, at worst), the cursor must fork
-            # where the full pass did.
-            starts = [
-                start for reach, start in sync_states.values()
-                if reach < trigger
-            ]
+            return cursor, forks, sync_states, pending
+
+        def window_replay(trigger: int, sync_states: dict) -> tuple:
+            """Restart the cursor from the latest sync state whose block does
+            not reach ``trigger`` (the entry, at worst): that state and the
+            fork it captures (``None`` if none)."""
+            start = [s for reach, s in sync_states.values() if reach < trigger][-1]
             window = CPU(program)
-            restore_snapshot(window, starts[-1])
+            restore_snapshot(window, start)
             refork: list = []
 
             def window_hook(c, pc, upto):
@@ -579,19 +562,67 @@ class SchedulerOracle(Oracle):
             engine.run_cursor(
                 window,
                 budget=self.budget,
-                counter="refine_count",
+                counter=counter,
                 first_stop=trigger,
                 fork_hook=window_hook,
-                start_pc=starts[-1].pc,
+                start_pc=start.pc,
             )
-            if not refork or state_of(refork[0]) != state_of(snap):
+            return start, refork[0] if refork else None
+
+        cursor, forks, sync_states, pending = full_pass()
+        warm = None
+        problem = diverged(cursor, "fork/sync cursor")
+        if problem is not None:
+            return problem
+        if pending:
+            return Divergence(
+                oracle=self.name,
+                detail=(
+                    f"cursor finished without forking for trigger(s) "
+                    f"{pending} (of {total} {counter}, {build})"
+                ),
+                expected=expected,
+            )
+        for trigger, snap in sorted(forks.items()):
+            if snap.counter(counter) >= trigger:
                 return Divergence(
                     oracle=self.name,
                     detail=(
-                        f"window replay from step {starts[-1].steps} forked "
+                        f"fork for trigger {trigger} was captured after the "
+                        f"trigger ({snap.counter(counter)} {counter} already "
+                        f"counted, {build}) — resuming would skip the "
+                        "injection point"
+                    ),
+                    expected=expected,
+                )
+            tail = CPU(program)
+            restore_snapshot(tail, snap)
+            result = engine.resume(
+                tail, snap.pc, self.budget,
+                [s for s in sync_steps if s > snap.steps],
+                lambda c, pc, reach: False,
+            )
+            problem = diverged(result, f"tail forked at trigger {trigger}")
+            if problem is not None:
+                return problem
+            start, refork = window_replay(trigger, sync_states)
+            if refork and state_of(refork) != state_of(snap):
+                # A float op meeting two NaNs returns one of their payloads,
+                # and which one can change once CPython specialises the op's
+                # bytecode.  The full pass ran cold; repeat the check on the
+                # same pass run again, warm, bit for bit.
+                if warm is None:
+                    warm = full_pass()
+                snap = warm[1][trigger]
+                start, refork = window_replay(trigger, warm[2])
+            if refork is None or state_of(refork) != state_of(snap):
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"window replay from step {start.steps} forked "
                         f"trigger {trigger} at "
-                        f"{refork[0].steps if refork else 'no'} steps, the "
-                        f"full pass at {snap.steps}"
+                        f"{refork.steps if refork else 'no'} steps, the "
+                        f"full pass at {snap.steps} ({build})"
                     ),
                     expected=expected,
                 )

@@ -100,7 +100,7 @@ class TestProductionVsOracle:
         the two ``*_steps_saved`` counters: a reused ending must be in
         them, or a traced lap charges its time to steps nobody ran."""
         tool = _tool("REFINE", "cache-line")
-        resume = tool.engine.resume_synced
+        resume = tool.engine.resume
         executed = []
 
         def counting(cpu, *args):
@@ -109,7 +109,7 @@ class TestProductionVsOracle:
             executed.append(cpu.steps - before)
             return result
 
-        monkeypatch.setattr(tool.engine, "resume_synced", counting)
+        monkeypatch.setattr(tool.engine, "resume", counting)
         sched = TriggerScheduler(tool, N)
         got = _run(sched)
         stats = sched.stats
@@ -182,12 +182,12 @@ def _paused_in(sched, ref, fault):
 
 
 def _spy(sched, name, note):
-    """Call ``note(cpu)`` ahead of every ``sched.<name>(cpu, pc)``."""
+    """Call ``note(cpu)`` ahead of every ``sched.<name>(cpu, pc, ...)``."""
     real = getattr(sched, name)
 
-    def spied(cpu, pc):
+    def spied(cpu, *args):
         note(cpu)
-        return real(cpu, pc)
+        return real(cpu, *args)
 
     setattr(sched, name, spied)
 
@@ -249,14 +249,14 @@ class TestNearMisses:
         cpu = _paused_in(sched, ref, fault)
         # the near-miss budget of the golden rejoin does not apply at G
         sched._mem_misses = REJOIN_MAX_MEM_MISSES
-        assert sched._on_sync(cpu, ref.pc)
+        assert sched._on_sync(cpu, ref.pc, 0)
         assert sched._spliced[0] is ref
-        assert not sched._on_sync(cpu, ref.pc + 1)
+        assert not sched._on_sync(cpu, ref.pc + 1, 0)
         # a window that closed on the last candidate before G is closed
         plan = sched.tool.plan_from_seed(1)
         plan.target_index, plan.last_index = 1, cpu._refine_count
         sched._tail_plan = plan
-        assert sched._on_sync(cpu, ref.pc)
+        assert sched._on_sync(cpu, ref.pc, 0)
 
     @pytest.mark.parametrize("perturb", [
         _flip_byte_in_clean_page, _negate_a_zero, _flip_a_flag,
@@ -268,7 +268,7 @@ class TestNearMisses:
         cpu = _paused_in(sched, ref, fault)
         perturb(sched, cpu, ref)
         hits = sched.stats.ending_hits
-        assert not sched._on_sync(cpu, ref.pc)
+        assert not sched._on_sync(cpu, ref.pc, 0)
         assert sched.stats.ending_hits == hits
 
     def test_nan_payloads_compare_bitwise(self, cell):
@@ -280,9 +280,9 @@ class TestNearMisses:
         try:
             cpu = _paused_in(sched, ref, fault)
             cpu.fregs[0] = _nan(1)  # same bits, and NaN != NaN as floats
-            assert sched._on_sync(cpu, ref.pc)
+            assert sched._on_sync(cpu, ref.pc, 0)
             cpu.fregs[0] = _nan(2)
-            assert not sched._on_sync(cpu, ref.pc)
+            assert not sched._on_sync(cpu, ref.pc, 0)
         finally:
             sched._endings.popleft()
 

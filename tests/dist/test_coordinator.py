@@ -125,6 +125,13 @@ class TestCoordinatorValidation:
         with pytest.raises(DistError, match="max_attempts"):
             ServiceCoordinator(max_attempts=0)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_rejects_bad_chunk_size(self, chunk_size):
+        """Refused at construction: 0 is not "auto" (that is ``None``), and
+        a negative size would bind a cell whose plan then cannot shard."""
+        with pytest.raises(DistError, match="chunk_size"):
+            ServiceCoordinator(chunk_size=chunk_size)
+
     def test_address_requires_start(self):
         coord = ServiceCoordinator()
         try:

@@ -294,14 +294,14 @@ class TestMidBlockEntry:
                     want.append(stops[i])
             seen = []
 
-            def on_sync(cpu, pc):
+            def on_sync(cpu, pc, reach):
                 assert capture_snapshot(cpu, pc, base=base) == snaps[cpu.steps - 1]
                 seen.append(cpu.steps)
                 return False
 
             cpu = tool._make_cpu(None)
             restore_snapshot(cpu, snap)
-            fast = FastEngine().resume_synced(
+            fast = FastEngine().resume(
                 cpu, snap.pc, None, syncs, on_sync)
             assert seen == want
             assert_same_result(full, fast)
@@ -312,8 +312,8 @@ class TestMidBlockEntry:
             # a truthy return hands the run back at exactly that state
             cpu = tool._make_cpu(None)
             restore_snapshot(cpu, snap)
-            assert FastEngine().resume_synced(
-                cpu, snap.pc, None, syncs, lambda c, pc: True) is None
+            assert FastEngine().resume(
+                cpu, snap.pc, None, syncs, lambda c, pc, reach: True) is None
             assert cpu.steps == want[0]
         assert observed > 20
 
@@ -396,7 +396,7 @@ class TestSyncPointsCostNoStride:
         later = timeline.sync_steps[2:]
         seen = []
 
-        def on_sync(cpu, pc):
+        def on_sync(cpu, pc, reach):
             assert capture_snapshot(cpu, pc, base=base) == (
                 timeline.sync_states[cpu.steps])
             seen.append(cpu.steps)
@@ -405,7 +405,7 @@ class TestSyncPointsCostNoStride:
         strides, _ = self.spy_strides(monkeypatch)
         cpu = tool._make_cpu(None)
         restore_snapshot(cpu, start)
-        result = FastEngine().resume_synced(
+        result = FastEngine().resume(
             cpu, start.pc, None, later, on_sync)
         assert seen == later and len(later) > 10
         assert strides == []

@@ -272,6 +272,32 @@ class TestExitCodes:
         assert campaign_main(argv) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("flag", [
+        "-j 2", "--checkpoint-dir ck", "--events ev.jsonl", "--db run.sqlite",
+    ])
+    def test_submit_refuses_what_only_a_local_run_reads(self, flag, capsys):
+        """Refused before any connection is made (nothing listens on the
+        address): a submitted campaign runs on the service's workers,
+        checkpoints, events and database."""
+        argv = ["-w", "CG", "-t", "REFINE", "-n", "2",
+                "--submit", "127.0.0.1:1", *flag.split()]
+        assert campaign_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag.split()[0]} is not read with --submit" in err
+
+    def test_watch_without_submit_is_usage_error(self, capsys):
+        assert campaign_main(["-w", "CG", "-t", "REFINE", "-n", "2",
+                              "--watch"]) == 2
+        assert "--watch needs --submit" in capsys.readouterr().err
+
+    def test_service_refuses_a_chunk_size_below_one(self, tmp_path, capsys):
+        from repro.cli import service_main
+
+        assert service_main(["serve", "--listen", "127.0.0.1:0", "-q",
+                             "--queue", str(tmp_path / "q.sqlite"),
+                             "--chunk-size", "0"]) == 1
+        assert "chunk_size must be >= 1" in capsys.readouterr().err
+
     def test_worker_bad_address_is_usage_error(self, capsys):
         from repro.cli import worker_main
 

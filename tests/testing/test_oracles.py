@@ -130,6 +130,64 @@ class TestDivergenceDetection:
         assert divergence is not None
         assert divergence.oracle == "zero"
 
+    def test_scheduler_oracle_catches_reach_off_the_wrong_counter(
+        self, monkeypatch
+    ):
+        """A cursor whose sync states report ``refine_count`` whatever the
+        tool's counter is exact on a REFINE build; the LLFI build, forked
+        on ``llfi_count``, shows the window replay starting too late."""
+        from repro.engine import FastEngine
+
+        real = FastEngine.run_cursor
+
+        def refine_reach(self, cpu, *, counter="refine_count", sync_hook=None,
+                         **kwargs):
+            if sync_hook is not None and counter != "refine_count":
+                hook = sync_hook
+
+                def sync_hook(c, pc, reach):
+                    return hook(c, pc, c._refine_count)
+
+            return real(self, cpu, counter=counter, sync_hook=sync_hook,
+                        **kwargs)
+
+        monkeypatch.setattr(FastEngine, "run_cursor", refine_reach)
+        divergence = ORACLES["scheduler"].check(generate_module(0))
+        assert divergence is not None
+        assert "window replay" in divergence.detail
+        assert "(LLFI build)" in divergence.detail
+
+    def test_scheduler_oracle_compares_window_forks_bit_for_bit(
+        self, monkeypatch
+    ):
+        """A window fork at the full pass's pc and step whose memory holds
+        -1 where the full pass's fork holds -7 is a different state, on the
+        warm rerun of the full pass too.  (The word is the one above the
+        entry's sentinel return address, which no program reads; both
+        values have a NaN's bit pattern.)"""
+        import struct
+
+        from repro.engine import FastEngine
+
+        real = FastEngine.run_cursor
+
+        def word_at_forks(self, cpu, *, start_pc=None, fork_hook=None,
+                          **kwargs):
+            hook = fork_hook
+            word = -1 if start_pc is not None else -7
+
+            def fork_hook(c, pc, upto):
+                struct.pack_into("<q", c.mem, len(c.mem) - 8, word)
+                return hook(c, pc, upto)
+
+            return real(self, cpu, start_pc=start_pc, fork_hook=fork_hook,
+                        **kwargs)
+
+        monkeypatch.setattr(FastEngine, "run_cursor", word_at_forks)
+        divergence = ORACLES["scheduler"].check(generate_module(0))
+        assert divergence is not None
+        assert "window replay" in divergence.detail
+
 
 class TestCampaignDivergenceDetection:
     """``check_workload_equivalence`` is the one referee between production
