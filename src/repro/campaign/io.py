@@ -8,6 +8,8 @@ happen offline.
 from __future__ import annotations
 
 import json
+import math
+import struct
 from pathlib import Path
 from typing import Iterable
 
@@ -30,6 +32,9 @@ def _value_to_dict(value: object) -> dict | None:
 
     Floats travel as ``float.hex()`` strings: bit-exact, and safe for
     ``nan``/``inf`` which bare JSON numbers cannot represent portably.
+    ``float.hex()`` prints every NaN as ``nan``, so a NaN also carries its
+    64-bit pattern (``bits``, hex), which a reader prefers: a bit flip that
+    lands in a NaN's payload survives the round trip.
     """
     if value is None:
         return None
@@ -40,6 +45,9 @@ def _value_to_dict(value: object) -> dict | None:
     if isinstance(value, int):
         return {"kind": "int", "value": value}
     if isinstance(value, float):
+        if math.isnan(value):
+            (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+            return {"kind": "float", "hex": value.hex(), "bits": hex(bits)}
         return {"kind": "float", "hex": value.hex()}
     return {"kind": "str", "value": value}
 
@@ -53,6 +61,9 @@ def _value_from_dict(data: object) -> object:
     if kind == "int":
         return int(data["value"])
     if kind == "float":
+        if "bits" in data:  # a NaN, payload and all
+            bits = struct.pack("<Q", int(data["bits"], 16))
+            return struct.unpack("<d", bits)[0]
         return float.fromhex(data["hex"])
     if kind == "str":
         return data["value"]

@@ -9,7 +9,7 @@
 * ``refine-worker`` — connect to a ``refine-service`` and run leased
   campaign slices; ``--reconnect-window`` rides out service restarts.
 * ``refine-service`` — run the persistent campaign service (durable queue,
-  per-tenant quotas, auto-validation, ``--soak`` divergence mining), plus
+  per-tenant quotas, auto-validation of every drained campaign), plus
   ``status``/``list``/``cancel``/``drain`` control verbs against one.
 * ``refine-fuzz`` — differential fuzzing of the compiler and the
   zero-interference property (see :mod:`repro.testing`).
@@ -538,12 +538,6 @@ class _ServiceTelemetry(EventLog):
             line = f"campaign {fields['campaign']} FAILED: {fields['error']}"
         elif event == "campaign_cancelled":
             line = f"campaign {fields['campaign']} cancelled"
-        elif event == "soak_submit":
-            line = (
-                f"soak round {fields['round']}: queued "
-                f"{'/'.join(fields['workloads'])} x "
-                f"{'/'.join(fields['tools'])} (campaign {fields['campaign']})"
-            )
         elif event == "worker_join":
             line = f"worker {fields['worker']} joined"
         elif event == "worker_leave":
@@ -584,8 +578,6 @@ def _cmd_service_serve(args) -> int:
             lease_timeout=args.lease_timeout,
             checkpoint_every=args.checkpoint_every,
             events=telemetry,
-            soak=args.soak, soak_seed=args.soak_seed, soak_n=args.soak_n,
-            soak_backlog=args.soak_backlog, artifacts_dir=args.artifacts,
         )
     except ReproError as exc:
         print(f"refine-service: error: {exc}", file=sys.stderr)
@@ -628,8 +620,7 @@ def _cmd_service_status(args) -> int:
     info = status["info"]
     line = (
         f"campaign {info['id']}: {info['state']} "
-        f"(tenant {info['tenant']!r}, priority {info['priority']}, "
-        f"lifecycle {info['lifecycle']})"
+        f"(tenant {info['tenant']!r}, priority {info['priority']})"
     )
     if info.get("validation"):
         line += f" — validation: {info['validation']}"
@@ -658,8 +649,7 @@ def _cmd_service_list(args) -> int:
         )
         print(
             f"{row['id']:>5d} {row['state']:>10s} prio={row['priority']:<3d} "
-            f"tenant={row['tenant']} lifecycle={row['lifecycle']}"
-            f"{validation}{flags}"
+            f"tenant={row['tenant']}{validation}{flags}"
         )
     return 0
 
@@ -716,17 +706,6 @@ def service_main(argv: list[str] | None = None) -> int:
     p.add_argument("--grace", type=float, default=30.0,
                    help="drain grace period for SIGTERM/SIGINT and the "
                    "drain verb")
-    p.add_argument("--soak", action="store_true",
-                   help="soak mode: keep the queue topped up with seeded "
-                   "fuzz campaigns mining for outcome-distribution "
-                   "divergences")
-    p.add_argument("--soak-seed", type=int, default=0x5EED0EF1)
-    p.add_argument("--soak-n", type=int, default=None,
-                   help="experiments per soak cell (default 24)")
-    p.add_argument("--soak-backlog", type=int, default=2,
-                   help="soak campaigns to keep live in the queue")
-    p.add_argument("--artifacts", default=None, metavar="DIR",
-                   help="file soak divergences here as reducer inputs")
     p.add_argument("--events", default=None,
                    help="append JSONL telemetry events to this file")
     p.add_argument("-q", "--quiet", action="store_true")

@@ -15,7 +15,7 @@ The serving side — lease table, queue, checkpoints — is the one
 coordinator, :class:`repro.service.ServiceCoordinator`
 (:class:`repro.service.LocalService` is its single-host harness: the
 coordinator plus worker processes).  See
-``docs/api.md`` for the lifecycle and wire-protocol reference.
+``docs/api.md`` for the service and wire-protocol reference.
 """
 
 from repro.campaign.cell import shard_indices

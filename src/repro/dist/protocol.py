@@ -61,8 +61,10 @@ and hangs up (:func:`repro.service.client.control_call`):
 ==================  =========================================================
 client → service
 ==================  =========================================================
-``submit``          ``request`` (a campaign request dict: workloads, tools,
-                    n, seed, priority, tenant, lifecycle, validation knobs)
+``submit``          ``request`` (a campaign request dict: ``workloads``,
+                    ``tools``, ``n``, optional ``sources`` and any
+                    ``CampaignSpec`` field), optional ``tenant``,
+                    ``priority``
 ``status``          ``campaign`` (queue id) — one campaign's state + progress
 ``list``            optional ``tenant`` — queue snapshot, newest first
 ``cancel``          ``campaign`` — cancel queued or running campaign

@@ -80,7 +80,7 @@ class DistConnectionError(DistError):
 
 class ServiceError(DistError):
     """Persistent campaign-service failure (queue corruption, quota or
-    admission violation, lifecycle contract breach).  A subclass of
+    admission violation, an unworkable campaign request).  A subclass of
     :class:`DistError` because the service is the long-lived face of the
     distributed layer — callers catching the dist family catch this too."""
 

@@ -73,12 +73,11 @@ class ServiceClient:
         *,
         tenant: str = "default",
         priority: int = 0,
-        lifecycle: str = "standard",
     ) -> int:
         """Enqueue a campaign request; returns the service's campaign id."""
         reply = self._call({
             "type": "submit", "request": request, "tenant": tenant,
-            "priority": priority, "lifecycle": lifecycle,
+            "priority": priority,
         })
         return reply["campaign"]
 

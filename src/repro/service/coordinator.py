@@ -59,16 +59,19 @@ A background *pump* thread advances the queue state machine:
 1. **cancel** — tear down flagged campaigns (retiring their cells and
    checkpointing partial progress);
 2. **finalize** — campaigns whose cells all completed are validated
-   (lifecycle ``validate``: chi-squared vs pinned baselines) and marked
+   (:func:`~repro.service.validate.validate_results`: chi-squared vs
+   pinned baselines, when the service has a results database) and marked
    ``done``, their verdicts written to the results database;
 3. **admit** — while there is an open slot, the highest-priority queued
-   campaign is populated through its lifecycle and its cells opened from
-   their checkpoints and added live, each as one plan task — nothing is
-   compiled here, so admission takes no time from the fleet
-   (``campaign_admitted`` is logged once it has the slot, ahead of its
-   cells' events; if adding them fails, ``campaign_failed`` follows);
-4. **soak** — in soak mode, the queue is topped up with deterministic
-   fuzz campaigns mining for divergence.
+   campaign is populated (:func:`~repro.service.lifecycle.populate`) and
+   its cells opened from their checkpoints and added live, each as one
+   plan task — nothing is compiled here, so admission takes no time from
+   the fleet (``campaign_admitted`` is logged once it has the slot, ahead
+   of its cells' events; if adding them fails, ``campaign_failed``
+   follows).
+
+Every campaign is described, populated, run and validated by that one
+rule; a queue row's ``lifecycle`` column is not read.
 
 Durability: the queue file records intent, per-campaign checkpoint
 directories record progress, and the results database records outcomes —
@@ -97,7 +100,12 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.campaign.cell import CampaignCell, CampaignSpec, shard_indices
+from repro.campaign.cell import (
+    DEFAULT_SEED,
+    CampaignCell,
+    CampaignSpec,
+    shard_indices,
+)
 from repro.campaign.checkpoint import DEFAULT_CHECKPOINT_EVERY
 from repro.campaign.classify import Outcome
 from repro.campaign.events import EventLog
@@ -122,9 +130,9 @@ from repro.errors import (
 )
 from repro.resultsdb.db import ResultsDB
 from repro.resultsdb.ingest import DatabaseSink
+from repro.service.lifecycle import describe, populate
 from repro.service.queue import CampaignQueue
-from repro.service.soak import SOAK_PRIORITY, SOAK_TENANT, soak_request
-from repro.workloads import get_lifecycle
+from repro.service.validate import validate_results
 
 #: Lease lifetime without a heartbeat before a task is requeued.
 DEFAULT_LEASE_TIMEOUT = 60.0
@@ -148,6 +156,10 @@ DEFAULT_TASKS_PER_CAMPAIGN = 32
 #: in-memory cache only serves ``fetch`` (fresh ``--watch`` pulls and the
 #: equivalence tests).
 RESULT_CACHE = 8
+
+#: ``source`` of the baselines the service pins (the name its one campaign
+#: rule has always had in stores).
+BASELINE_SOURCE = "service:standard"
 
 
 def backoff_delay(attempt: int, base: float = 0.5, cap: float = 30.0) -> float:
@@ -213,11 +225,6 @@ class ServiceCoordinator:
         backoff_cap: float = 30.0,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         events: EventLog | None = None,
-        soak: bool = False,
-        soak_seed: int = 0,
-        soak_n: int | None = None,
-        soak_backlog: int = 2,
-        artifacts_dir: str | Path | None = None,
         poll_interval: float = 0.2,
     ) -> None:
         if max_active < 1:
@@ -287,15 +294,8 @@ class ServiceCoordinator:
             None if checkpoint_root is None else Path(checkpoint_root)
         )
         self._max_active = max_active
-        self._soak = soak
-        self._soak_seed = soak_seed
-        self._soak_n = soak_n
-        self._soak_backlog = soak_backlog
-        self._artifacts_dir = (
-            None if artifacts_dir is None else str(artifacts_dir)
-        )
         self._poll_interval = poll_interval
-        #: queue id -> {"keys", "request", "lifecycle"} of admitted campaigns
+        #: queue id -> {"keys", "request"} of admitted campaigns
         self._active: dict[int, dict] = {}
         #: queue id -> {"results", "validation"} of recent finished campaigns
         self._finished: OrderedDict[int, dict] = OrderedDict()
@@ -327,8 +327,7 @@ class ServiceCoordinator:
         address = self.address
         self._emit(
             "service_start", host=address[0], port=address[1],
-            queue=self.queue.path, soak=self._soak,
-            counts=self.queue.counts(),
+            queue=self.queue.path, counts=self.queue.counts(),
         )
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="refine-coordinator", daemon=True
@@ -477,9 +476,9 @@ class ServiceCoordinator:
         *,
         checkpoint_path: str | Path | None = None,
     ) -> list[tuple[str, str]]:
-        """Admit campaign cells into the lease table (the pump does, through
-        :meth:`~repro.service.lifecycle.WorkloadLifecycle.run`, and so does
-        ``run_cells(specs, workers=N)``, one cell at a time).
+        """Admit campaign cells into the lease table (the pump does for each
+        campaign it admits, and so does ``run_cells(specs, workers=N)``,
+        one cell at a time).
 
         Each cell is opened from its checkpoint in ``checkpoint_dir`` — or,
         for one spec, the file ``checkpoint_path`` — and what is left of it
@@ -1151,7 +1150,6 @@ class ServiceCoordinator:
         self._finalize_completed()
         if not self._draining:
             self._admit()
-            self._top_up_soak()
 
     def _handle_cancels(self) -> None:
         for row in self.queue.cancelling():
@@ -1178,10 +1176,7 @@ class ServiceCoordinator:
             results = self.retire_cells(entry["keys"])
             del self._active[cid]
             try:
-                lifecycle = get_lifecycle(entry["lifecycle"])
-                verdict = lifecycle.validate(
-                    entry["request"], results, self._db
-                )
+                verdict = self._validate(entry["request"], results)
             except ReproError as exc:
                 self.queue.set_state(cid, "failed", error=str(exc))
                 self._emit("campaign_failed", campaign=cid, error=str(exc))
@@ -1207,8 +1202,7 @@ class ServiceCoordinator:
             cid = row["id"]
             self.queue.set_state(cid, "populating")
             try:
-                lifecycle = get_lifecycle(row["lifecycle"])
-                specs = lifecycle.populate(row["request"])
+                specs = populate(row["request"])
             except ReproError as exc:
                 self.queue.set_state(cid, "failed", error=str(exc))
                 self._emit("campaign_failed", campaign=cid, error=str(exc))
@@ -1242,15 +1236,10 @@ class ServiceCoordinator:
                 priority=row["priority"], cells=len(keys),
                 experiments=sum(spec.n for spec in specs),
             )
-            self._active[cid] = {
-                "keys": keys,
-                "request": row["request"],
-                "lifecycle": row["lifecycle"],
-                "tenant": row["tenant"],
-            }
+            self._active[cid] = {"keys": keys, "request": row["request"]}
             self.queue.set_state(cid, "running")
             try:
-                lifecycle.run(self, specs, ckpt_dir)
+                self.add_cells(specs, ckpt_dir)
             except (DistError, CampaignError) as exc:
                 self._active.pop(cid, None)
                 with self._lock:
@@ -1264,27 +1253,16 @@ class ServiceCoordinator:
                 self.queue.set_state(cid, "failed", error=str(exc))
                 self._emit("campaign_failed", campaign=cid, error=str(exc))
 
-    def _top_up_soak(self) -> None:
-        if not self._soak:
-            return
-        while self.queue.tenant_live(SOAK_TENANT) < self._soak_backlog:
-            round_index = self.queue.submitted_count(SOAK_TENANT)
-            kwargs = {} if self._soak_n is None else {"n": self._soak_n}
-            request = soak_request(
-                round_index, soak_seed=self._soak_seed,
-                artifacts=self._artifacts_dir, **kwargs,
-            )
-            try:
-                cid = self.queue.submit(
-                    request, tenant=SOAK_TENANT, priority=SOAK_PRIORITY,
-                    lifecycle="soak",
-                )
-            except ServiceError:
-                return  # quota: enough soak work in flight
-            self._emit(
-                "soak_submit", campaign=cid, round=round_index,
-                workloads=request["workloads"], tools=request["tools"],
-            )
+    def _validate(self, request: dict, results: dict) -> dict:
+        """A drained campaign's verdict: chi-squared against the pinned
+        baselines, or ``skipped`` with no results database."""
+        if self._db is None:
+            return {"overall": "skipped", "cells": {}}
+        return validate_results(
+            self._db, results,
+            base_seed=request.get("base_seed", DEFAULT_SEED),
+            source=BASELINE_SOURCE,
+        )
 
     def _cache_result(self, cid: int, results: dict, verdict: dict) -> None:
         self._finished[cid] = {"results": results, "validation": verdict}
@@ -1323,15 +1301,14 @@ class ServiceCoordinator:
         request = message.get("request")
         if not isinstance(request, dict):
             raise ServiceError("submit needs a 'request' object")
-        lifecycle_name = message.get("lifecycle", "standard")
         # Validate at the wire: an unworkable request dies here with a
-        # useful message instead of as a 'failed' row minutes later.
-        summary = get_lifecycle(lifecycle_name).describe(request)
+        # useful message instead of as a 'failed' row minutes later.  (A
+        # ``lifecycle`` key from an older client is ignored.)
+        summary = describe(request)
         cid = self.queue.submit(
             request,
             tenant=str(message.get("tenant", "default")),
             priority=int(message.get("priority", 0)),
-            lifecycle=lifecycle_name,
         )
         self._kick.set()
         return {"type": "ok", "campaign": cid, "describe": summary}

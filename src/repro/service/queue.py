@@ -157,7 +157,6 @@ class CampaignQueue:
         *,
         tenant: str = "default",
         priority: int = 0,
-        lifecycle: str = "standard",
     ) -> int:
         """Enqueue one campaign request; returns its queue id.
 
@@ -178,10 +177,10 @@ class CampaignQueue:
                     f"(quota {self.tenant_quota}); cancel or drain first"
                 )
             cur = self._conn.execute(
-                "INSERT INTO queue(tenant, priority, state, lifecycle,"
-                " request, submitted_at) VALUES (?, ?, 'queued', ?, ?, ?)",
+                "INSERT INTO queue(tenant, priority, state, request,"
+                " submitted_at) VALUES (?, ?, 'queued', ?, ?)",
                 (
-                    tenant, int(priority), lifecycle,
+                    tenant, int(priority),
                     json.dumps(request, sort_keys=True), time.time(),
                 ),
             )
@@ -331,12 +330,4 @@ class CampaignQueue:
                 "SELECT COUNT(*) FROM queue WHERE tenant=? AND state IN"
                 " (?, ?, ?, ?)",
                 (tenant, *LIVE_STATES),
-            ).fetchone()[0]
-
-    def submitted_count(self, tenant: str) -> int:
-        """Campaigns a tenant ever submitted (drives the soak generator's
-        deterministic round index across restarts)."""
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM queue WHERE tenant=?", (tenant,)
             ).fetchone()[0]

@@ -13,12 +13,13 @@ Per-cell verdicts:
   regression, a perturbed workload, or a genuinely different campaign
   pinned under the same name).
 * ``pinned``  — no baseline existed; this run's distribution was pinned
-  as the reference (first-run bootstrap, ``pin_missing=True``).
-* ``skipped`` — the test is undefined (degenerate table) or pinning was
-  disabled and no baseline exists.
+  as the reference (first contact bootstraps the store).
+* ``skipped`` — the test is undefined (a degenerate table).
 
-The overall verdict is ``failed`` if any cell failed, else ``passed`` if
-any cell was actually tested, else whichever bootstrap state applies.
+Every service campaign is validated this way when the service has a
+results database, at the paper's alpha (:data:`DEFAULT_ALPHA`).  The
+overall verdict is ``failed`` if any cell failed, else ``passed`` if any
+cell was actually tested, else whichever bootstrap state applies.
 Verdicts are written onto the campaign rows (``validation`` /
 ``validation_p``) so ``refine-db query`` and the HTML report surface them.
 """
@@ -31,7 +32,7 @@ from repro.errors import StatsError
 from repro.resultsdb.db import ResultsDB
 from repro.stats.chisq import chi2_contingency
 
-#: Significance threshold (the paper's alpha) unless the request overrides.
+#: Significance threshold: the paper's alpha (Table 5).
 DEFAULT_ALPHA = 0.05
 
 
@@ -40,33 +41,28 @@ def validate_cell(
     result: CampaignResult,
     *,
     base_seed: int,
-    alpha: float = DEFAULT_ALPHA,
-    pin_missing: bool = True,
     source: str | None = None,
 ) -> dict:
     """Validate one cell; returns its verdict dict (and records it on the
-    cell's campaign row)."""
+    cell's campaign row).  A cell with no baseline pins its own."""
     counts = {o.value: result.frequency(o) for o in OUTCOME_ORDER}
     baseline = db.get_baseline(result.workload, result.tool,
                                result.fault_model)
     p_value: float | None = None
     if baseline is None:
-        if pin_missing:
-            db.pin_baseline(
-                result.workload, result.tool,
-                fault_model=result.fault_model, n=result.n,
-                counts=counts, base_seed=base_seed, source=source,
-            )
-            verdict = "pinned"
-        else:
-            verdict = "skipped"
+        db.pin_baseline(
+            result.workload, result.tool,
+            fault_model=result.fault_model, n=result.n,
+            counts=counts, base_seed=base_seed, source=source,
+        )
+        verdict = "pinned"
     else:
         table = [
             [baseline["counts"].get(o.value, 0) for o in OUTCOME_ORDER],
             [counts[o.value] for o in OUTCOME_ORDER],
         ]
         try:
-            test = chi2_contingency(table, alpha=alpha)
+            test = chi2_contingency(table, alpha=DEFAULT_ALPHA)
             p_value = test.p_value
             verdict = "failed" if test.significant else "passed"
         except StatsError:
@@ -81,7 +77,6 @@ def validate_cell(
     return {
         "verdict": verdict,
         "p_value": p_value,
-        "alpha": alpha,
         "counts": counts,
         "baseline": None if baseline is None else baseline["counts"],
         "campaign_row": cid,
@@ -93,21 +88,18 @@ def validate_results(
     results: dict[tuple[str, str], CampaignResult],
     *,
     base_seed: int,
-    alpha: float = DEFAULT_ALPHA,
-    pin_missing: bool = True,
     source: str | None = None,
 ) -> dict:
     """Validate every cell of a drained campaign.
 
-    Returns ``{"overall": verdict, "alpha": alpha, "cells":
+    Returns ``{"overall": verdict, "alpha": DEFAULT_ALPHA, "cells":
     {"workload/tool": {...}}}``; per-cell details are as
     :func:`validate_cell`.
     """
     cells: dict[str, dict] = {}
     for (workload, tool), result in sorted(results.items()):
         cells[f"{workload}/{tool}"] = validate_cell(
-            db, result, base_seed=base_seed, alpha=alpha,
-            pin_missing=pin_missing, source=source,
+            db, result, base_seed=base_seed, source=source,
         )
     verdicts = [c["verdict"] for c in cells.values()]
     if "failed" in verdicts:
@@ -118,4 +110,4 @@ def validate_results(
         overall = "pinned"
     else:
         overall = "skipped"
-    return {"overall": overall, "alpha": alpha, "cells": cells}
+    return {"overall": overall, "alpha": DEFAULT_ALPHA, "cells": cells}

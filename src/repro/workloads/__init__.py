@@ -3,10 +3,7 @@
 from repro.workloads.registry import (
     WorkloadSpec,
     all_workloads,
-    get_lifecycle,
     get_workload,
-    lifecycle_names,
-    register_lifecycle,
     workload_names,
     workload_sources,
 )
@@ -14,10 +11,7 @@ from repro.workloads.registry import (
 __all__ = [
     "WorkloadSpec",
     "all_workloads",
-    "get_lifecycle",
     "get_workload",
-    "lifecycle_names",
-    "register_lifecycle",
     "workload_names",
     "workload_sources",
 ]

@@ -88,52 +88,3 @@ def _ensure_loaded() -> None:
         xsbench,
     )
     _LOADED = True
-
-
-# ---------------------------------------------------------------------------
-# Lifecycle registry: named describe/populate/run/validate contracts the
-# campaign service binds queue rows to (see repro.service.lifecycle).  They
-# live here, next to the workloads they draw programs from, so anything
-# that can name a workload can also name how campaigns over it behave.
-# ---------------------------------------------------------------------------
-
-_LIFECYCLES: dict[str, object] = {}
-_LIFECYCLES_LOADED = False
-
-
-def register_lifecycle(lifecycle) -> object:
-    """Register a :class:`repro.service.lifecycle.WorkloadLifecycle`
-    instance under its ``name`` (last registration wins, so tests can
-    shadow the built-ins)."""
-    name = getattr(lifecycle, "name", None)
-    if not isinstance(name, str) or not name:
-        raise WorkloadError("lifecycle needs a non-empty string 'name'")
-    _LIFECYCLES[name] = lifecycle
-    return lifecycle
-
-
-def get_lifecycle(name: str):
-    """Look up a lifecycle by name (loading the built-ins on first use)."""
-    _ensure_lifecycles_loaded()
-    try:
-        return _LIFECYCLES[name]
-    except KeyError:
-        raise WorkloadError(
-            f"unknown lifecycle {name!r}; available: {sorted(_LIFECYCLES)}"
-        ) from None
-
-
-def lifecycle_names() -> list[str]:
-    _ensure_lifecycles_loaded()
-    return sorted(_LIFECYCLES)
-
-
-def _ensure_lifecycles_loaded() -> None:
-    """Import the service's lifecycle module (it self-registers).  Lazy so
-    :mod:`repro.workloads` never hard-depends on the service package."""
-    global _LIFECYCLES_LOADED
-    if _LIFECYCLES_LOADED:
-        return
-    import repro.service.lifecycle  # noqa: F401
-
-    _LIFECYCLES_LOADED = True

@@ -5,6 +5,7 @@ degradation (ISSUE satellite 4)."""
 from __future__ import annotations
 
 import json
+import struct
 
 import pytest
 
@@ -27,8 +28,11 @@ from repro.campaign.checkpoint import (
     checkpoint_from_dict,
     checkpoint_to_dict,
 )
+from repro.campaign.io import experiment_event_fields
 from repro.errors import CampaignError
 from repro.machine.cpu import FaultRecord
+from repro.resultsdb import DatabaseSink, ResultsDB
+from repro.resultsdb.queries import to_campaign_result
 
 from tests.conftest import DEMO_SOURCE
 
@@ -97,6 +101,73 @@ class TestV3Roundtrip:
             if a.fault is not None:
                 assert a.fault.model == b.fault.model
                 assert a.fault.bits == b.fault.bits
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+def _nan(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+class TestNaNPayloads:
+    """A flip into a NaN's payload survives every path a fault value takes:
+    the saved matrix, the wire format and the results database.
+    ``float.hex()`` alone prints every NaN as ``nan``."""
+
+    SIGNALLING = 0x7FF0BA2070899998
+    QUIET = 0x7FF8000000C0FFEE
+
+    def _nan_result(self) -> CampaignResult:
+        fault = _fault(
+            operand_desc="freg:1", value_before=_nan(self.QUIET),
+            value_after=_nan(self.SIGNALLING),
+        )
+        return _result(fault)
+
+    def _assert_payloads(self, fault: FaultRecord) -> None:
+        assert hex(_bits(fault.value_after)) == hex(self.SIGNALLING)
+        assert hex(_bits(fault.value_before)) == hex(self.QUIET)
+
+    def test_save_and_load_matrix(self, tmp_path):
+        path = tmp_path / "m.json"
+        save_matrix({("demo", "REFINE"): self._nan_result()}, path)
+        restored = load_matrix(path)[("demo", "REFINE")]
+        self._assert_payloads(restored.records[0].fault)
+
+    def test_wire_format(self):
+        wire = json.loads(json.dumps(result_to_dict(self._nan_result())))
+        self._assert_payloads(result_from_dict(wire).records[0].fault)
+
+    def test_results_database(self):
+        result = self._nan_result()
+        with ResultsDB() as db:
+            sink = DatabaseSink(db)
+            cell = dict(workload="demo", tool="REFINE")
+            sink.emit("cell_start", n=1, base_seed=7, **cell)
+            sink.emit(
+                "experiment", **cell,
+                **experiment_event_fields(result.records[0]),
+            )
+            sink.emit("cell_finish", counts={"soc": 1}, **cell)
+            sink.close()
+            (cid,) = [row[0] for row in db.execute("SELECT id FROM campaigns")]
+            restored = to_campaign_result(db, cid)
+        self._assert_payloads(restored.records[0].fault)
+
+    def test_files_without_the_pattern_still_read(self):
+        payload = result_to_dict(self._nan_result())
+        for side in ("value_before", "value_after"):
+            del payload["records"][0]["fault"][side]["bits"]
+        fault = result_from_dict(payload).records[0].fault
+        assert fault.value_after != fault.value_after  # still a NaN
+
+    def test_other_floats_keep_their_encoding(self):
+        fault = _fault(value_before=1.5, value_after=float("-inf"))
+        record = result_to_dict(_result(fault))["records"][0]["fault"]
+        assert record["value_before"] == {"kind": "float", "hex": (1.5).hex()}
+        assert record["value_after"] == {"kind": "float", "hex": "-inf"}
 
 
 class TestV2Compat:

@@ -5,6 +5,7 @@ eight-experiment cell that a restarted coordinator finishes)."""
 import io
 import json
 import socket
+import sqlite3
 import time
 
 import pytest
@@ -22,10 +23,11 @@ from repro.dist import (
 from repro.campaign import EventLog, read_events, run_cell, trigger_order
 from repro.campaign.io import result_to_dict
 from repro.dist.protocol import encode_plan
+from repro.campaign.classify import OUTCOME_ORDER
 from repro.errors import DistError
+from repro.resultsdb import ResultsDB
 from repro.service import CampaignQueue, ServiceCoordinator, backoff_delay
-from repro.service.lifecycle import StandardLifecycle
-from repro.workloads.registry import register_lifecycle
+from repro.stats.chisq import chi2_contingency
 
 from tests.conftest import DEMO_SOURCE, plan_by_hand, request_for, run_lease
 
@@ -409,24 +411,23 @@ class TestAdmissionRace:
 
     def test_a_drain_during_admission_requeues_the_campaign(self, tmp_path):
         drains = []
-
-        class DrainFirst(StandardLifecycle):
-            name = "test-drain-during-admission"
-
-            def run(self, coordinator, specs, checkpoint_dir):
-                if not drains:
-                    drains.append(coordinator)
-                    coordinator.request_drain(30.0)
-                return super().run(coordinator, specs, checkpoint_dir)
-
-        register_lifecycle(DrainFirst())
         spec = _spec()
         queue = tmp_path / "queue.sqlite"
         with EventLog(tmp_path / "events.jsonl") as log:
             coord = ServiceCoordinator(
                 queue_path=queue, events=log, poll_interval=0.05
             )
-            cid = coord.queue.submit(request_for(spec), lifecycle=DrainFirst.name)
+            add_cells = coord.add_cells
+
+            def drain_first(*args, **kwargs):
+                # the pump has passed its ``_draining`` check by now
+                if not drains:
+                    drains.append(coord)
+                    coord.request_drain(30.0)
+                return add_cells(*args, **kwargs)
+
+            coord.add_cells = drain_first
+            cid = coord.queue.submit(request_for(spec))
             coord.start()
             coord.serve_until_stopped(poll=0.05)
             coord.stop()
@@ -438,18 +439,80 @@ class TestAdmissionRace:
             assert rows.info(cid)["state"] == "queued"
 
         coord = ServiceCoordinator(queue_path=queue, poll_interval=0.05)
-        try:
-            coord.start()
-            with CoordinatorClient(*coord.address, name="hand") as client:
-                while coord.queue.info(cid)["state"] != "done":
-                    reply = client.request_task()
-                    if reply["type"] == "wait":
-                        time.sleep(0.05)
-                    elif reply["type"] == "plan":
-                        client.complete_plan(reply["task_id"], *run_lease(reply))
-                    else:
-                        client.complete(reply["task_id"], run_lease(reply))
-            fetched = coord._control_fetch({"campaign": cid})
-        finally:
-            coord.stop()
+        fetched = _serve_by_hand(coord, cid)
         assert fetched["results"]["demo/REFINE"] == result_to_dict(run_cell(spec))
+
+
+def _serve_by_hand(coord, cid):
+    """Start ``coord``, run campaign ``cid`` to ``done`` from one
+    hand-driven worker, stop it; returns the campaign's ``fetch`` reply."""
+    try:
+        coord.start()
+        with CoordinatorClient(*coord.address, name="hand") as client:
+            while coord.queue.info(cid)["state"] != "done":
+                reply = client.request_task()
+                if reply["type"] == "wait":
+                    time.sleep(0.05)
+                elif reply["type"] == "plan":
+                    client.complete_plan(reply["task_id"], *run_lease(reply))
+                else:
+                    client.complete(reply["task_id"], run_lease(reply))
+        return coord._control_fetch({"campaign": cid})
+    finally:
+        coord.stop()
+
+
+class TestOneCampaignRule:
+    """Queue files written by older services still open, and every row in
+    them — a soak-mining row included — runs under the one rule:
+    validation on (there is a database), alpha 0.05, and a cell with no
+    baseline pins one.  The row's ``lifecycle`` and the request's old
+    validation knobs are ignored, and nothing is filed anywhere."""
+
+    def test_an_old_soak_row_runs_to_the_standard_verdict(self, tmp_path):
+        spec = _spec()
+        counts = [run_cell(spec).frequency(o) for o in OUTCOME_ORDER]
+        # A pinned REFINE baseline this run differs from at 0.05, not 0.001.
+        baseline = next(
+            [a, b, 100 - a - b]
+            for a in range(0, 101, 5) for b in range(0, 101 - a, 5)
+            if 0.002 < chi2_contingency([[a, b, 100 - a - b], counts]).p_value
+            < 0.04
+        )
+        db_path = tmp_path / "results.sqlite"
+        with ResultsDB(db_path) as db:
+            db.pin_baseline(
+                "demo", "REFINE", fault_model=spec.fault_model, n=100,
+                counts=dict(zip([o.value for o in OUTCOME_ORDER], baseline)),
+            )
+        artifacts = tmp_path / "artifacts"
+        request = {
+            **request_for(spec, tools=["REFINE", "PINFI"]),
+            "alpha": 0.001, "pin_missing": False, "validate": False,
+            "artifacts": str(artifacts),
+        }
+        queue = tmp_path / "queue.sqlite"
+        CampaignQueue(queue).close()
+        with sqlite3.connect(queue) as conn:
+            conn.execute(
+                "INSERT INTO queue(tenant, priority, state, lifecycle, request,"
+                " submitted_at) VALUES ('soak', -10, 'running', 'soak', ?, 0)",
+                (json.dumps(request),),
+            )
+        conn.close()
+
+        coord = ServiceCoordinator(
+            queue_path=queue, db_path=db_path, poll_interval=0.05
+        )
+        fetched = _serve_by_hand(coord, 1)
+        verdict = fetched["validation"]
+        assert verdict["overall"] == "failed"
+        assert verdict["cells"]["demo/REFINE"]["verdict"] == "failed"
+        assert verdict["cells"]["demo/PINFI"]["verdict"] == "pinned"
+        with CampaignQueue(queue) as rows:
+            info = rows.info(1)
+        assert (info["state"], info["validation"]) == ("done", "failed")
+        with ResultsDB(db_path) as db:
+            pinned = db.get_baseline("demo", "PINFI", spec.fault_model)
+        assert pinned["source"] == "service:standard"
+        assert not artifacts.exists()

@@ -44,7 +44,7 @@ class TestContextCache:
         assert len(worker._contexts) == 3
 
     def test_cache_stays_at_its_bound(self):
-        # A soak-mode service feeds a worker one new program per campaign.
+        # A long-lived service feeds a worker one new program per campaign.
         worker = Worker("127.0.0.1", 1)
         for k in range(CONTEXT_CAPACITY + 3):
             worker._run_task(_spec(workload=f"demo{k}"), (0, 1))

@@ -37,7 +37,6 @@ from repro.resultsdb.report import build_report
 from repro.service import (
     CampaignQueue,
     LocalService,
-    SOAK_TENANT,
     ServiceCoordinator,
     ServiceClient,
 )
@@ -466,28 +465,3 @@ class TestValidation:
         # outcome) a degenerate table the test cannot judge.
         assert final["info"]["validation"] in ("passed", "skipped")
 
-
-class TestSoak:
-    def test_soak_mode_mines_and_pins(self, tmp_path):
-        """`--soak` keeps the queue topped up with deterministic fuzz
-        campaigns under the soak tenant; first contact pins baselines."""
-        paths = _paths(tmp_path)
-        svc = LocalService(
-            workers=1, soak=True, soak_n=4, soak_backlog=1,
-            artifacts_dir=tmp_path / "artifacts", **paths
-        )
-        try:
-            done_rows = []
-            deadline = time.monotonic() + 240.0
-            while time.monotonic() < deadline and not done_rows:
-                rows = svc.client.list(tenant=SOAK_TENANT)["campaigns"]
-                done_rows = [r for r in rows if r["state"] == "done"]
-                time.sleep(0.2)
-        finally:
-            svc.stop()
-        assert done_rows, "no soak campaign completed in time"
-        row = done_rows[0]
-        assert row["tenant"] == SOAK_TENANT
-        assert row["lifecycle"] == "soak"
-        assert row["priority"] < 0  # below any user work
-        assert row["validation"] in ("pinned", "passed", "skipped")
