@@ -64,6 +64,8 @@ class TailCensus:
         self.timeouts_reused = 0
         #: the cursor passes: [sync states, forks, seconds in captures]
         self.cursor = [0, 0, 0.0]
+        #: [rides, steps ridden, intervals recorded, seconds recording them]
+        self.rides = [0, 0, 0, 0.0]
         self._seen = SchedulerStats()
 
     def note(self, record, stats: SchedulerStats) -> None:
@@ -96,6 +98,10 @@ class TailCensus:
         self.cursor[0] += scheduler.stats.sync_states
         self.cursor[1] += scheduler.stats.forks
         self.cursor[2] += scheduler.phases.fork_s
+        self.rides[0] += scheduler.stats.rides
+        self.rides[1] += scheduler.stats.ridden_steps
+        self.rides[2] += len(scheduler.timeline.accesses)
+        self.rides[3] += scheduler.timeline.record_s
         self._seen = SchedulerStats()
 
     def render(self, cursor: tuple[int, float], tails: tuple[int, float],
@@ -119,6 +125,11 @@ class TailCensus:
             f"tails: {tails[0]} interpreter strides in {tails[1]:.3f} s "
             f"({fire_strides} at fire points, {tails[0] - fire_strides} "
             f"mid-block entries)"
+        )
+        rides, ridden, recorded, record_s = self.rides
+        lines.append(
+            f"rides: {rides} ({ridden:,} steps ridden, not executed), "
+            f"{recorded} intervals' access sets recorded in {record_s:.3f} s"
         )
         ran = self.rows["timeout"][0]
         lines.append(

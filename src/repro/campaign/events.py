@@ -60,7 +60,9 @@ event                     extra fields
                           tails spliced onto one), ``sync_states``,
                           ``cursor_steps``, ``prefix_steps_saved``,
                           ``tail_steps_saved`` (steps either kind of
-                          splice skipped) —
+                          splice or a ride skipped), ``rides`` /
+                          ``ridden_steps`` (tails that jumped along the
+                          golden timeline / the steps they jumped) —
                           the scheduler's counters (see
                           :mod:`repro.campaign.schedule`); cumulative from
                           the inline runner (emitted after the cursor and
@@ -200,6 +202,7 @@ class CampaignStats:
         #: trigger-scheduler counters (from ``scheduler_stats`` events)
         self.sched_forks = 0
         self.sched_rejoins = 0
+        self.sched_rides = 0
         self.sched_ending_hits = 0
         self.sched_steps_saved = 0
         self._restored = done  # restored from a checkpoint, not run here
@@ -216,6 +219,7 @@ class CampaignStats:
         (``accumulate=True``)."""
         forks = int(fields.get("forks", 0))
         rejoins = int(fields.get("rejoins", 0))
+        rides = int(fields.get("rides", 0))
         ending_hits = int(fields.get("ending_hits", 0))
         saved = int(fields.get("prefix_steps_saved", 0)) + int(
             fields.get("tail_steps_saved", 0)
@@ -223,11 +227,13 @@ class CampaignStats:
         if accumulate:
             self.sched_forks += forks
             self.sched_rejoins += rejoins
+            self.sched_rides += rides
             self.sched_ending_hits += ending_hits
             self.sched_steps_saved += saved
         else:
             self.sched_forks = forks
             self.sched_rejoins = rejoins
+            self.sched_rides = rides
             self.sched_ending_hits = ending_hits
             self.sched_steps_saved = saved
 
@@ -269,6 +275,7 @@ class CampaignStats:
             line += (
                 f" | sched {self.sched_forks} forks, "
                 f"{self.sched_rejoins} rejoins, "
+                f"{self.sched_rides} rides, "
                 f"{self.sched_ending_hits} endings reused, "
                 f"{self.sched_steps_saved:,} steps saved"
             )

@@ -25,9 +25,11 @@ fault list by dynamic position).  So nothing here runs it twice:
    at the first block entry at or past each interval multiple.  A faulty
    tail pauses at the first stop at or past each of those steps — a block
    entry or the end of an interpreted stride
-   (:meth:`~repro.engine.fast.FastEngine.resume`) — and, once its
-   architectural state (pc, flags, integer registers, bitwise float
-   registers, all memory pages) equals the golden state at the same step,
+   (:meth:`~repro.engine.fast.FastEngine.resume`; a stop that cannot be in
+   the golden state's pc, flags and integer registers costs nothing) —
+   and, once its architectural state (pc, flags, integer registers,
+   bitwise float registers, all memory pages) equals the golden state at
+   the same step,
    the rest of the run is *spliced* from the golden suffix instead of
    executed: equal state at equal step count implies identical future
    behaviour, and the tool counters are behaviourally inert once the
@@ -67,6 +69,35 @@ fault list by dynamic position).  So nothing here runs it twice:
    hang is executed once per distinct state, not once per experiment.  The
    table stays with the scheduler, like the timeline, and holds
    :data:`ENDINGS_KEPT` entries, oldest out.
+7. **Ride.**  A tail that stops at golden sync state j equal to it in pc,
+   flags and every register, but not in memory, differs only in some set D
+   of 8-byte words.  Over a golden interval (sync state to sync state, or
+   the last one to the end) that reads no word of D before writing it,
+   the tail executes exactly the golden instructions — so it need not: it
+   jumps (:meth:`TriggerScheduler._ride`).  Each interval's
+   :class:`IntervalAccess` says which words it reads before writing them
+   whole, with their golden values, and which it writes, with theirs; a
+   partial or unaligned access counts as a read of both words it touches.
+   The ride crosses every interval whose reads find the golden values,
+   writing the interval's golden results as it goes (a word of D the golden
+   run writes drops out), and lands on the sync state k before the first
+   interval that reads a word of D: the golden registers, flags and steps
+   there, the golden count deltas and output lines from j to k added to the
+   tail's own.  The engine goes on from k's pc on its one block loop (the
+   ``on_sync`` protocol of :meth:`~repro.engine.fast.FastEngine.resume`),
+   and the tail pauses again at the next sync points, densely, as after
+   every near miss.  A ride across the last interval ends as the golden run
+   does and splices the golden ending from j.  Exact for step 4's reason:
+   over the ridden intervals the tail reads nothing that differs.  The
+   gate is the rejoin gate (fault fired, dwell window closed, PINFI
+   detached), and nothing rides at or past G.  An interval's sets are
+   recorded by replaying it once from its sync state on the access-logging
+   rendering of the interpreter loop (:func:`record_interval`) — on the
+   :data:`RECORD_AT_ASK`-th ask, since a logged replay costs several block
+   runs — and stay with the timeline.  A ride costs the pages and words it
+   writes and the pcs the ridden intervals executed; no memory comparison
+   is needed to start one beyond the rejoin test's, which stops at the
+   first page that differs.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except the provenance pair ``engine``/``snapshot_hit`` matches the
@@ -85,14 +116,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import isqrt
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.campaign.classify import classify
 from repro.campaign.results import ExperimentRecord
+from repro.engine.fast import _ExitFast, _step_stop
 from repro.errors import CampaignError
 from repro.fi.tools import GOLDEN_BUDGET, FITool
-from repro.machine.cpu import ExecutionResult
+from repro.machine.cpu import ExecutionResult, access_logging_loop
 from repro.snapshot.state import (
     PAGE_SIZE,
+    CleanMemory,
     CpuSnapshot,
     base_pages,
     capture_snapshot,
@@ -110,16 +146,19 @@ SCHEDULE = "trigger"
 SYNC_DENSITY = 128
 MIN_SYNC_INTERVAL = 256
 
-#: Rejoin-check thinning: check the first few sync points after the fork
+#: Rejoin-check thinning: check the first few sync points after the fork —
+#: and after each near miss, where registers matched and memory did not —
 #: densely (most convergent runs re-join within one interval), then back
 #: off geometrically so divergent runs pay almost nothing.
 REJOIN_DENSE = 2
 REJOIN_GROWTH = 4
 REJOIN_MAX_CHECKS = 8
 
-#: Stop attempting full-memory comparisons for a tail after this many
-#: expensive near-misses (registers matched, memory did not).
-REJOIN_MAX_MEM_MISSES = 2
+#: A golden interval's access sets are recorded when the sixth ride asks to
+#: cross it, not the first: a logged replay costs 5-9 times what running
+#: the interval on blocks does, so a set is paid for only once enough tails
+#: want it to pay back (module docstring, step 7).
+RECORD_AT_ASK = 6
 
 #: Recorded endings one scheduler keeps, oldest out (each holds a reference
 #: state's dirty pages and two per-pc count vectors).
@@ -178,8 +217,14 @@ class SchedulerStats:
     #: golden-prefix instructions not re-executed thanks to forks
     prefix_steps_saved: int = 0
     #: tail instructions not re-executed thanks to a spliced ending (the
-    #: golden one or a recorded one)
+    #: golden one or a recorded one) or a ride
     tail_steps_saved: int = 0
+    #: tails that jumped along the golden timeline while only memory the
+    #: golden run did not read differed, and the steps they jumped (part of
+    #: ``tail_steps_saved``; like ``ending_hits``, how many depends on what
+    #: this scheduler recorded before)
+    rides: int = 0
+    ridden_steps: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -194,6 +239,8 @@ class SchedulerStats:
             "cursor_steps": self.cursor_steps,
             "prefix_steps_saved": self.prefix_steps_saved,
             "tail_steps_saved": self.tail_steps_saved,
+            "rides": self.rides,
+            "ridden_steps": self.ridden_steps,
         }
 
     def accumulate(self, fields: dict) -> None:
@@ -246,6 +293,93 @@ class Ending:
         )
 
 
+class IntervalAccess(NamedTuple):
+    """What one golden interval — from a sync state to the next, or to the
+    end of the run — does with memory, in 8-byte words (word ``i`` is the
+    bytes at ``8 i``).  An access at an unaligned address touches two
+    words, and writes them only in part; a partial write counts as a read."""
+
+    #: the words it reads before it writes them whole, ascending, and their
+    #: golden bytes at its start (8 each)
+    reads: np.ndarray
+    read_values: bytes
+    #: every word it writes, ascending, and their golden values (int64) at
+    #: its end
+    writes: np.ndarray
+    write_values: np.ndarray
+    #: every instruction it executes, and how many times
+    pcs: np.ndarray
+    executions: np.ndarray
+
+
+def _accesses(notes: list[int]) -> tuple[set[int], set[int]]:
+    """The words an interval reads before writing them whole, and the words
+    it writes, from the access-logging loop's notes (a load's address, a
+    store's complement, in execution order)."""
+    reads: set[int] = set()
+    writes: set[int] = set()
+    whole: set[int] = set()
+    for address in notes:
+        if address < 0:
+            address = ~address
+            word = address >> 3
+            writes.add(word)
+            if not address & 7:
+                whole.add(word)
+                continue
+            writes.add(word + 1)  # in part: a read of both words
+        word = address >> 3
+        if word not in whole:
+            reads.add(word)
+        if address & 7 and word + 1 not in whole:
+            reads.add(word + 1)
+    return reads, writes
+
+
+def _words_of(state: CpuSnapshot, base: list[bytes], words) -> bytes:
+    """The bytes of ``words`` (ascending) in ``state``'s memory, 8 each."""
+    out = []
+    for word in words:
+        off = word * 8
+        page = state.pages.get(off // PAGE_SIZE) or base[off // PAGE_SIZE]
+        out.append(page[off % PAGE_SIZE:off % PAGE_SIZE + 8])
+    return b"".join(out)
+
+
+def record_interval(cpu, start: CpuSnapshot, end, base: list[bytes]) -> IntervalAccess:
+    """Replay the golden interval from sync state ``start`` to ``end`` — the
+    next sync state, or the run's :class:`Ending` — on the access-logging
+    rendering of the interpreter loop, on ``cpu``, a fresh CPU of the
+    program (whose :func:`~repro.snapshot.state.base_pages` are ``base``),
+    and return its :class:`IntervalAccess`."""
+    restore_snapshot(cpu, start)
+    notes: list[int] = []
+    loop = access_logging_loop(notes.append)
+    if isinstance(end, CpuSnapshot):
+        cpu._snap_every, cpu._snap_hook = end.steps - start.steps, _step_stop
+    try:
+        loop(cpu, start.pc)
+        pc = None
+    except _ExitFast as stopped:
+        pc = stopped.pc
+    finally:
+        cpu._snap_every, cpu._snap_hook = 0, None
+    if cpu.steps != end.steps or pc != getattr(end, "pc", None):
+        raise CampaignError(
+            f"the golden interval from step {start.steps} replayed to step "
+            f"{cpu.steps} (pc {pc}), not to step {end.steps}"
+        )
+    reads, writes = map(sorted, _accesses(notes))
+    written = np.array(writes, dtype=np.intp)
+    counts = [(pc, b - a) for pc, (a, b) in enumerate(zip(start.counts, end.counts)) if a != b]
+    return IntervalAccess(
+        np.array(reads, dtype=np.intp), _words_of(start, base, reads),
+        written, np.frombuffer(cpu.mem, np.int64)[written],
+        np.array([pc for pc, _ in counts], dtype=np.intp),
+        np.array([n for _, n in counts], dtype=np.int64),
+    )
+
+
 @dataclass
 class GoldenTimeline:
     """What one full cursor pass learned about a tool's golden run."""
@@ -265,6 +399,13 @@ class GoldenTimeline:
     reaches: list[int] = field(default_factory=list)
     #: how the golden run ends, set when the pass has finished
     ending: Ending | None = None
+    #: interval (the index of its sync state) -> its access sets, recorded
+    #: on the :data:`RECORD_AT_ASK`-th ask (:meth:`TriggerScheduler._access`)
+    accesses: dict[int, IntervalAccess] = field(default_factory=dict)
+    #: interval -> rides that asked to cross it before it was recorded
+    asks: dict[int, int] = field(default_factory=dict)
+    #: seconds spent recording access sets
+    record_s: float = 0.0
 
     @property
     def steps(self) -> int:
@@ -320,7 +461,8 @@ class TriggerScheduler:
         self.stats = SchedulerStats()
         self.phases = PhaseTimes()
         self._timeline: GoldenTimeline | None = None
-        self._base: list[bytes] | None = None
+        #: the program's fresh memory (built with the timeline)
+        self._clean: CleanMemory | None = None
         self._forks: dict[int, CpuSnapshot] = {}
         self._triggers: list[int] = []
         self._pend_i = 0
@@ -331,13 +473,25 @@ class TriggerScheduler:
         #: across experiments and batches)
         self._cpu = None
         #: plan of the tail currently resuming (rejoin gates on its window)
+        #: and the sync points it pauses at
         self._tail_plan = None
+        self._syncs: list[int] = []
+        #: the pooled CPU's memory as int64 words, and the executions the
+        #: running tail's rides owe its counts (:meth:`_ride`)
+        self._live = None
+        self._owed = None
+        self._owing = False
         #: (state at the first stop at or past step G, how the tail that
         #: was in it ended): see
         #: :meth:`_on_overrun`
         self._endings: deque[tuple[CpuSnapshot, Ending]] = deque(
             maxlen=ENDINGS_KEPT
         )
+
+    @property
+    def timeline(self) -> GoldenTimeline | None:
+        """The retained golden timeline (``None`` before the first batch)."""
+        return self._timeline
 
     # -- cursor -------------------------------------------------------------
 
@@ -351,7 +505,7 @@ class TriggerScheduler:
         """
         t0 = time.perf_counter()
         snap = capture_snapshot(cpu, pc, prev=self._prev_capture,
-                                base=self._base)
+                                base=self._clean)
         self._prev_capture = snap
         triggers = self._triggers
         i = self._pend_i
@@ -369,7 +523,7 @@ class TriggerScheduler:
         past an interval multiple."""
         t0 = time.perf_counter()
         snap = capture_snapshot(cpu, pc, prev=self._prev_capture,
-                                base=self._base)
+                                base=self._clean)
         self._prev_capture = snap
         timeline.sync_states[snap.steps] = snap
         timeline.sync_steps.append(snap.steps)
@@ -399,13 +553,15 @@ class TriggerScheduler:
     def _record_timeline(self) -> GoldenTimeline:
         tool = self.tool
         profile = tool.profile
-        self._base = base_pages(tool.program)
+        self._clean = CleanMemory(base_pages(tool.program))
         timeline = GoldenTimeline(
             interval=GoldenTimeline.auto_interval(profile.steps, self.n)
         )
         # the entry, reported unasked, is sync state 0
         syncs = list(range(timeline.interval, profile.steps, timeline.interval))
         cpu = self._cpu = tool._make_cpu(None)
+        self._live = np.frombuffer(cpu.mem, np.int64)
+        self._owed = np.zeros(len(tool.program.code), np.int64)
         result = tool.engine.run_cursor(
             cpu,
             budget=GOLDEN_BUDGET,
@@ -477,11 +633,11 @@ class TriggerScheduler:
     # -- known endings: the golden one, and recorded ones -------------------
 
     def _tail_syncs(self, fork_steps: int) -> list[int]:
-        """Where a tail forked at ``fork_steps`` pauses: a thinned schedule
-        of golden rejoin checkpoints — the first :data:`REJOIN_DENSE` sync
-        states after the fork, then geometrically growing strides over
-        them — and last the golden length itself, where a tail still
-        running has overrun (:meth:`_on_overrun`)."""
+        """Where a tail forked (or near the golden run) at ``fork_steps``
+        pauses: a thinned schedule of golden rejoin checkpoints — the first
+        :data:`REJOIN_DENSE` sync states after it, then geometrically
+        growing strides over them — and last the golden length itself,
+        where a tail still running has overrun (:meth:`_on_overrun`)."""
         sync_steps = self._timeline.sync_steps
         k = bisect_right(sync_steps, fork_steps)
         out: list[int] = []
@@ -498,14 +654,17 @@ class TriggerScheduler:
         out.append(self._timeline.steps)
         return out
 
-    def _on_sync(self, cpu, pc: int, reach: int) -> bool:
+    def _on_sync(self, cpu, pc: int, reach: int) -> bool | int:
         """Splice test at one sync point of a faulty tail (``reach``, the
         cursor's business, is not needed here).
 
         Returns True (stop; splice) only when the tail's full architectural
         state equals a state whose ending is known, at the same absolute
         step count: the golden state there, or — at or past the golden
-        length — a state an earlier tail overran in.
+        length — a state an earlier tail overran in.  A tail that equals
+        the golden state in everything but a few words of memory instead
+        rides (:meth:`_ride`): it returns the pc it now stands at, or True
+        once the ride has reached a known ending.
         Before the fault has fired the tail *is* the golden run, so a match
         is vacuous and splicing would skip the injection — never stop then.
         Likewise while a dwell window is still open (stuck-at models): the
@@ -524,14 +683,107 @@ class TriggerScheduler:
         timeline = self._timeline
         if cpu.steps >= timeline.steps:
             return self._on_overrun(cpu, pc)
-        if self._mem_misses >= REJOIN_MAX_MEM_MISSES:
-            return False
         ref = timeline.sync_states.get(cpu.steps)
-        if ref is None or not self._same_state(cpu, pc, ref):
+        if ref is None:
             return False
-        self._spliced = ref, timeline.ending
-        self.stats.rejoins += 1
-        return True
+        same = self._same_state(cpu, pc, ref)
+        if same:
+            self._spliced = ref, timeline.ending
+            self.stats.rejoins += 1
+            return True
+        if same is None:
+            return False
+        went = self._ride(cpu, bisect_left(timeline.sync_steps, cpu.steps))
+        if went is not True:
+            # near the golden run: pause densely again from where it stands
+            self._syncs[:] = self._tail_syncs(cpu.steps)
+        return went
+
+    def _access(self, k: int) -> IntervalAccess | None:
+        """Interval ``k``'s access sets, recorded on its
+        :data:`RECORD_AT_ASK`-th ask (``None`` before)."""
+        timeline = self._timeline
+        access = timeline.accesses.get(k)
+        if access is None:
+            asks = timeline.asks[k] = timeline.asks.get(k, 0) + 1
+            if asks < RECORD_AT_ASK:
+                return None
+            t0 = time.perf_counter()
+            steps = timeline.sync_steps
+            access = timeline.accesses[k] = record_interval(
+                self.tool._make_cpu(None),
+                timeline.sync_states[steps[k]],
+                timeline.sync_states[steps[k + 1]] if k + 1 < len(steps)
+                else timeline.ending,
+                self._clean.pages,
+            )
+            timeline.record_s += time.perf_counter() - t0
+        return access
+
+    def _ride(self, cpu, j: int) -> bool | int:
+        """Jump a tail that equals golden sync state ``j`` in everything but
+        some words of memory along the golden timeline (module docstring,
+        step 7).
+
+        Over each following interval whose reads all find the golden
+        values, the tail would execute exactly the golden instructions: the
+        words the interval writes take their golden values, every other
+        word keeps its own.  The tail lands on the sync state ``k`` before
+        the first interval that reads a word where it differs: the golden
+        registers, flags and steps there, the golden count deltas and
+        output lines from ``j`` to ``k`` added to its own — and the engine
+        goes on at ``k``'s pc, which is returned.  A tail that rides across
+        the last interval ends as the golden run does: it splices the
+        golden ending from ``j`` (True).  (The count deltas are owed, and
+        paid by :meth:`_settle`.)
+        """
+        timeline = self._timeline
+        sync_steps = timeline.sync_steps
+        last = len(sync_steps)
+        live = self._live
+        k = j
+        while k < last:
+            access = self._access(k)
+            if access is None or live[access.reads].tobytes() != access.read_values:
+                break
+            live[access.writes] = access.write_values
+            k += 1
+        if k == j:
+            return False
+        self.stats.rides += 1
+        start = timeline.sync_states[sync_steps[j]]
+        if k == last:
+            self.stats.ridden_steps += timeline.steps - start.steps
+            self._spliced = start, timeline.ending
+            return True
+        end = timeline.sync_states[sync_steps[k]]
+        cpu.iregs[:] = end.iregs
+        cpu.fregs[:] = end.fregs
+        cpu.flags = end.flags
+        cpu.steps = end.steps
+        cpu.output.extend(end.output[len(start.output):])
+        cpu._refine_count += end.refine_count - start.refine_count
+        cpu._llfi_count += end.llfi_count - start.llfi_count
+        owed = self._owed
+        for i in range(j, k):
+            access = timeline.accesses[i]
+            owed[access.pcs] += access.executions
+        self._owing = True
+        self.stats.ridden_steps += end.steps - start.steps
+        self.stats.tail_steps_saved += end.steps - start.steps
+        return end.pc
+
+    def _settle(self, cpu) -> None:
+        """Add the executions the tail's rides owe to its per-pc counts (in
+        one pass per tail, not one per ride)."""
+        if self._owing:
+            owed = self._owed
+            counts = cpu.counts
+            pcs = np.flatnonzero(owed)
+            for pc, n in zip(pcs.tolist(), owed[pcs].tolist()):
+                counts[pc] += n
+            owed[pcs] = 0
+            self._owing = False
 
     def _on_overrun(self, cpu, pc: int) -> bool:
         """A tail is still running at its first stop at or past the golden
@@ -550,30 +802,23 @@ class TriggerScheduler:
                 self._spliced = ref, ending
                 self.stats.ending_hits += 1
                 return True
-        self._overran = capture_snapshot(cpu, pc, base=self._base)
+        self._settle(cpu)
+        self._overran = capture_snapshot(cpu, pc, base=self._clean)
         return False
 
-    def _same_state(self, cpu, pc: int, ref: CpuSnapshot) -> bool:
+    def _same_state(self, cpu, pc: int, ref: CpuSnapshot) -> bool | None:
         """Is the CPU, paused before ``pc``, bit for bit in state ``ref``?
-        Registers first (floats bitwise: NaN payloads, signed zeros), then
-        every page of memory — the comparison itself, not a digest.  Getting
-        as far as memory and missing there is the expensive kind of miss:
-        ``_mem_misses`` tallies it for the golden rejoin's gate."""
+        ``None`` if not even its pc, flags or registers are (floats
+        bitwise: NaN payloads, signed zeros); ``False`` if those are and
+        memory is not — the comparison itself, not a digest
+        (:class:`CleanMemory`)."""
         if pc != ref.pc or cpu.flags != ref.flags:
-            return False
+            return None
         if tuple(cpu.iregs) != ref.iregs:
-            return False
+            return None
         if _pack_fregs(cpu.fregs) != _pack_fregs(ref.fregs):
-            return False
-        # in place, page by page: ``startswith`` is a memcmp at an offset
-        # (no copy of the address space, as in ``capture_snapshot``)
-        mem = cpu.mem
-        pages = ref.pages
-        for i, clean in enumerate(self._base):
-            if not mem.startswith(pages.get(i, clean), i * PAGE_SIZE):
-                self._mem_misses += 1
-                return False
-        return True
+            return None
+        return self._clean.same(cpu.mem, ref.pages)
 
     def _splice(self, cpu, at: CpuSnapshot, ending: Ending) -> ExecutionResult:
         """Complete a tail from the ending of a run that passed through the
@@ -616,16 +861,8 @@ class TriggerScheduler:
         pages, no fired fault, and the previous tail's plan replaced.
         """
         cpu = self._cpu
-        # page by page against the clean image: a compare reads one page of
-        # memory (nearly every clean page is the same zero page, hot in
-        # cache) where a copy reads a template and writes memory, and only
-        # the pages the last tail dirtied are copied back
-        mem = cpu.mem
-        off = 0
-        for clean in self._base:
-            if not mem.startswith(clean, off):
-                mem[off:off + PAGE_SIZE] = clean
-            off += PAGE_SIZE
+        # only the pages the last tail dirtied are copied back
+        self._clean.reset(cpu.mem)
         cpu.fault = None
         counter = self.counter
         if plan is None:
@@ -656,12 +893,13 @@ class TriggerScheduler:
             self._tail_plan = plan
             cpu = self._cpu_for(plan)
             restore_snapshot(cpu, fork)
-            self._mem_misses = 0
+            self._syncs = self._tail_syncs(fork.steps)
             self._overran = None
             result = tool.engine.resume(
-                cpu, fork.pc, tool.timeout_budget,
-                self._tail_syncs(fork.steps), self._on_sync,
+                cpu, fork.pc, tool.timeout_budget, self._syncs, self._on_sync,
+                self._timeline.sync_states,
             )
+            self._settle(cpu)
             if result is None:
                 result = self._splice(cpu, *self._spliced)
             elif (

@@ -23,6 +23,7 @@ stack overflow, timeout, abnormal exit).
 
 from __future__ import annotations
 
+import functools
 import linecache
 from dataclasses import dataclass, field
 
@@ -608,12 +609,10 @@ $ARMS
 LOOP_FILENAME = "<generated CPU._loop>"
 
 
-def interpreter_loop():
-    """``CPU._loop``, generated from :data:`~repro.machine.semantics.SEMANTICS`
-    as it is now: a chain of literal-opcode tests in dispatch order, each arm
-    an entry rendered by :class:`_Interpreter`.  Its source is registered
-    with :mod:`linecache` under :data:`LOOP_FILENAME`."""
-    ctx = _Interpreter()
+def _loop_source(ctx: _Interpreter) -> str:
+    """:data:`_LOOP` with its arms: a chain of literal-opcode tests in
+    dispatch order, each an entry of
+    :data:`~repro.machine.semantics.SEMANTICS` rendered by ``ctx``."""
     order = [op for op in _DISPATCH_ORDER if op in SEMANTICS]
     order += [op for op in SEMANTICS if op not in order and op != O.FI_CHECK]
     arms = []
@@ -622,16 +621,55 @@ def interpreter_loop():
         lines = ctx.conditions(SEMANTICS[op])
         ctx.emit(op, None, lines)
         arms.append("                " + "\n".join(lines).replace("\n", "\n                "))
-    source = _LOOP.replace("$FI_CHECK", str(O.FI_CHECK)).replace("$ARMS", "\n".join(arms))
+    return _LOOP.replace("$FI_CHECK", str(O.FI_CHECK)).replace("$ARMS", "\n".join(arms))
+
+
+def _defined(source: str, filename: str, name: str):
+    """Run generated ``source`` and return what it defines as ``name``; the
+    source is registered with :mod:`linecache` under ``filename``."""
     ns = namespace()
     ns.update(INTRINSIC_TABLE=INTRINSIC_TABLE, ExecutionTimeout=ExecutionTimeout)
-    exec(compile(source, LOOP_FILENAME, "exec"), ns)
-    linecache.cache[LOOP_FILENAME] = (len(source), None, source.splitlines(True), LOOP_FILENAME)
-    loop = ns["_loop"]
+    exec(compile(source, filename, "exec"), ns)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return ns[name]
+
+
+def interpreter_loop():
+    """``CPU._loop``, generated from the semantics table as it is now (see
+    :func:`_loop_source`), under :data:`LOOP_FILENAME`."""
+    loop = _defined(_loop_source(_Interpreter()), LOOP_FILENAME, "_loop")
     loop.__qualname__ = "CPU._loop"
     return loop
 
 CPU._loop = interpreter_loop()
+
+
+class _Logging(_Interpreter):
+    """The access-logging rendering: the interpreter's, with every load
+    handing its address to ``NOTE`` first and every store the complement of
+    its address."""
+
+    def access(self, store, addr, out):
+        out.append(f"NOTE(~({addr}))" if store else f"NOTE({addr})")
+
+
+@functools.cache
+def _logging_factory():
+    """``make(NOTE)``, which binds the access-logging loop to its note
+    (compiled once, on first use: a campaign that records no access set
+    never pays for it)."""
+    loop = _loop_source(_Logging()).replace("\n", "\n    ")
+    return _defined(f"def make(NOTE):\n    {loop}\n    return _loop\n",
+                    "<generated access-logging loop>", "make")
+
+
+def access_logging_loop(note):
+    """``CPU._loop`` (call it as ``loop(cpu, pc)``) rendered to call
+    ``note(address)`` before every memory load and ``note(~address)``
+    before every store, in execution order — ``note`` is typically a list's
+    ``append``.  Each access is one 8-byte word at ``address``, aligned or
+    not; nothing else touches memory."""
+    return _logging_factory()(note)
 
 
 def execute(

@@ -18,6 +18,7 @@ Responsibilities of a real loader/linker, scaled down:
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass, field
 
@@ -76,8 +77,16 @@ class LoadedProgram:
     def stack_top(self) -> int:
         return self.mem_size - 16
 
-    def fresh_memory(self) -> bytearray:
-        mem = bytearray(self.mem_size)
+    def fresh_memory(self) -> bytearray | mmap.mmap:
+        """The loaded image, in memory of its own that the OS maps to its
+        shared zero page until it is written: most of the address space is
+        never written, so it costs no resident memory, and reading it — a
+        snapshot capture, the scheduler's state comparisons — reads one
+        cached page (a ``bytearray`` where no such mapping exists)."""
+        try:
+            mem = mmap.mmap(-1, self.mem_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        except (AttributeError, OSError):
+            mem = bytearray(self.mem_size)
         mem[NULL_GUARD : NULL_GUARD + len(self.data_image)] = self.data_image
         return mem
 

@@ -16,7 +16,7 @@ or none), its trap checks, and — through a :class:`Jump` — whether it ends a
 basic block; :data:`SEMANTICS` maps opcode numbers to them.
 
 :meth:`Context.emit` turns an entry into Python source.  A context decides
-how that source names things; there are two:
+how that source names things; there are three:
 
 * the interpreter's (:mod:`repro.machine.cpu`), from which ``CPU._loop`` is
   generated once, at import: operands are read off the decoded tuple at run
@@ -26,7 +26,11 @@ how that source names things; there are two:
   literals, the pc is ``P[i]``, flags are ``FL[0]``, memory goes through
   typed views on little-endian hosts, a flag write nobody observes is not
   emitted, and values known at translation time are specialised — a static
-  address is a fixed view index, an immediate's unsigned value a literal.
+  address is a fixed view index, an immediate's unsigned value a literal;
+* the access-logging one (:func:`repro.machine.cpu.access_logging_loop`),
+  built on first use: the interpreter's, with every :class:`Load` and
+  :class:`Store` first noting its address.  Only those items touch memory;
+  intrinsics touch registers and output alone.
 
 **Templates.**  Code lines are :meth:`str.format` templates.  ``{1}`` ...
 ``{3}`` are the instruction's operands (its tuple slots), rendered by their
@@ -496,6 +500,11 @@ class Context:
             return f"int.from_bytes(M[{addr}:{addr} + 8], 'little', signed=True)"
         return f"PDU(M, {addr})[0]"
 
+    def access(self, store: bool, addr: str, out: list[str]) -> None:
+        """Lines ahead of a :class:`Load` (``store`` false) or :class:`Store`
+        of the word at ``addr``: none, but for the access-logging rendering
+        (:func:`repro.machine.cpu.access_logging_loop`)."""
+
     def store(self, width: str, addr: str, value: str, out: list[str]) -> None:
         if width == "d":
             out.append(f"PDP(M, {addr}, {value})")
@@ -526,10 +535,13 @@ class Context:
                 out.append(f"if {item.cond.format_map(f)}:")
                 out.append(f"    raise {item.exc}(f'{item.message}', {f['pc']})")
             elif kind is Load:
-                out.append(f"{item.dst.format_map(f)} = "
-                           f"{self.load(item.width, item.addr.format_map(f))}")
+                addr = item.addr.format_map(f)
+                self.access(False, addr, out)
+                out.append(f"{item.dst.format_map(f)} = {self.load(item.width, addr)}")
             elif kind is Store:
-                self.store(item.width, item.addr.format_map(f), item.value.format_map(f), out)
+                addr = item.addr.format_map(f)
+                self.access(True, addr, out)
+                self.store(item.width, addr, item.value.format_map(f), out)
             elif kind is Jump:
                 out.append(self.JUMP.format(item.target.format_map(f)))
             else:

@@ -8,7 +8,8 @@ resume mid-program and remain bit-identical to an uninterrupted run:
   pages that differ from the freshly loaded image are kept, and pages
   unchanged since the previous snapshot share the same ``bytes`` object,
   so a snapshot holds (and a capture copies) O(dirty pages); finding them
-  is one in-place memcmp per page of the address space;
+  is an in-place memcmp per page the run writes and one per run of pages
+  it does not (:class:`CleanMemory`);
 * the I/O cursor (everything printed so far);
 * the dynamic accounting the fault-injection tools trigger on: ``steps``,
   per-pc execution ``counts``, and the PINFI/REFINE/LLFI candidate
@@ -93,6 +94,104 @@ def base_pages(program) -> list[bytes]:
     ]
 
 
+#: A run of zeros no memory is longer than, shared by the process and only
+#: ever replaced by a longer one: a ``bytes`` of zeros is allocated zeroed
+#: and never written, so it occupies no resident memory however long it is
+#: (:meth:`CleanMemory.changed`).
+_zeros = b""
+
+
+class CleanMemory:
+    """A program's freshly loaded memory, page by page, and the comparison of
+    a live memory with it — or with a snapshot's pages laid over it — in
+    runs rather than page by page.
+
+    Nearly all of the image is zeros.  Its other pages (the data segment)
+    and the pages it has been told or has found to be written are
+    *watched*: compared one by one.  Each run of zero pages between them is
+    compared against the process's run of zeros in one memcmp; a run that
+    differs is halved down to the pages that do, and those are watched from
+    then on.  So a memory that differs only where it is watched costs one
+    comparison per watched page and one per run — and most of that cost is
+    reading the memory itself.
+    """
+
+    def __init__(self, pages: list[bytes]) -> None:
+        global _zeros
+        #: :func:`base_pages` of the program
+        self.pages = pages
+        size = len(pages) * PAGE_SIZE
+        if len(_zeros) < size:
+            _zeros = bytes(size)
+        zero = bytes(PAGE_SIZE)
+        self._watched: set[int] = set()
+        self.watch(i for i, page in enumerate(pages) if page != zero)
+
+    def watch(self, pages) -> None:
+        """Compare the pages at these indices one by one from now on."""
+        self._watched.update(pages)
+        self._order = sorted(self._watched)
+        #: the runs of unwatched pages, ``(first, past)``
+        self._runs = [
+            (lo, hi)
+            for lo, hi in zip([0] + [i + 1 for i in self._order],
+                              self._order + [len(self.pages)])
+            if lo < hi
+        ]
+
+    @staticmethod
+    def _dirty(view, lo: int, hi: int) -> list[int]:
+        """The pages of the run ``[lo, hi)`` where ``view`` is not zeros."""
+        out = []
+        todo = [(lo, hi)]
+        while todo:
+            lo, hi = todo.pop()
+            if _zeros.startswith(view[lo * PAGE_SIZE:hi * PAGE_SIZE]):
+                continue
+            if hi - lo == 1:
+                out.append(lo)
+            else:
+                mid = (lo + hi) // 2
+                todo += ((mid, hi), (lo, mid))
+        return out
+
+    def same(self, mem, pages: dict[int, bytes]) -> bool:
+        """Whether ``mem`` equals this image with ``pages`` (a snapshot's)
+        laid over it; a difference is usually found at a watched page."""
+        return not self.changed(mem, pages, first=True)
+
+    def changed(self, mem, pages: dict[int, bytes], first: bool = False) -> list[int]:
+        """The indices of the pages where ``mem`` differs from this image
+        with ``pages`` laid over it (``first``: only the first found)."""
+        if not pages.keys() <= self._watched:
+            self.watch(pages)
+        # ``image.startswith(view)``: a memcmp, whatever ``mem`` is
+        view = memoryview(mem)
+        base = self.pages
+        out = []
+        for idx in self._order:
+            if not (pages.get(idx) or base[idx]).startswith(
+                view[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE]
+            ):
+                out.append(idx)
+                if first:
+                    return out
+        found = []
+        for lo, hi in self._runs:
+            if not _zeros.startswith(view[lo * PAGE_SIZE:hi * PAGE_SIZE]):
+                found += self._dirty(view, lo, hi)
+                if first:
+                    break
+        if found:
+            self.watch(found)
+        return out + found
+
+    def reset(self, mem) -> None:
+        """Make ``mem`` this image again, copying only the pages that differ."""
+        for idx in self.changed(mem, {}):
+            mem[idx * PAGE_SIZE:(idx + 1) * PAGE_SIZE] = self.pages[idx]
+
+
 def capture_snapshot(
     cpu: CPU,
     pc: int,
@@ -103,20 +202,20 @@ def capture_snapshot(
 
     ``prev`` is the previous snapshot of the same run (pages unchanged
     since it are shared, pages changed are re-scanned against the fresh
-    image via ``base``).  ``base`` is :func:`base_pages` of the program;
-    computed on the fly when omitted (cheap, but recorders should pass it).
+    image via ``base``).  ``base`` is the program's :class:`CleanMemory`,
+    or its :func:`base_pages`; computed on the fly when omitted (cheap, but
+    recorders should pass a :class:`CleanMemory`: it learns where the run
+    writes).
     """
-    if base is None:
-        base = base_pages(cpu.program)
-    # Compare in place: ``startswith(page, off)`` is a memcmp against the
-    # live image (no copy of the address space, no slice per page), and
-    # only a page that differs is materialised.
+    if not isinstance(base, CleanMemory):
+        base = CleanMemory(base_pages(cpu.program) if base is None else base)
+    # Compare in place (no copy of the address space), and only a page
+    # that differs is materialised.
     mem = cpu.mem
     pages: dict[int, bytes] = {} if prev is None else dict(prev.pages)
-    for idx, clean in enumerate(base):
+    for idx in base.changed(mem, pages):
         off = idx * PAGE_SIZE
-        if not mem.startswith(pages.get(idx, clean), off):
-            pages[idx] = bytes(mem[off : off + PAGE_SIZE])
+        pages[idx] = bytes(mem[off : off + PAGE_SIZE])
     ca = cpu.counts_attached
     alias = ca is cpu.counts
     return CpuSnapshot(

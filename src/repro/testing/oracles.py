@@ -16,7 +16,8 @@ executing this program agree?":
   the cursor/fork/sync primitives of the trigger scheduler vs the
   interpreter loop, with no fault armed: the engine on the clean and the
   LLFI build (and the LLFI build with one fault too), the scheduler on the
-  REFINE and the LLFI build, each forked on its tool's counter.
+  REFINE and the LLFI build, each forked on its tool's counter, with the
+  golden intervals' recorded access sets checked on both.
 
 One level up, :func:`check_workload_equivalence` holds a whole production
 campaign on a registered workload to the reference campaign
@@ -419,6 +420,8 @@ class SchedulerOracle(Oracle):
     Each program runs as its REFINE build, forking on ``refine_count``,
     and as its LLFI build, forking on ``llfi_count``: the fork stops and
     each sync state's ``reach`` count on the tool's counter by position.
+    Last, the ride pass (:meth:`_ride_pass`) holds the access sets a tail
+    rides on to the blocks.
     """
 
     name = "scheduler"
@@ -626,8 +629,81 @@ class SchedulerOracle(Oracle):
                     ),
                     expected=expected,
                 )
+        states = [snap for _, (_, snap) in sorted(sync_states.items())]
+        return self._ride_pass(engine, program, states, plain, build)
+
+    def _ride_pass(self, engine, program, states: list, plain,
+                   build: str) -> Divergence | None:
+        """The access sets a ride trusts, held to the blocks.
+
+        For up to :data:`RIDE_SAMPLES` sync states ``j``, spread over the
+        run, the golden interval from ``j`` is recorded on the
+        access-logging loop (:func:`repro.campaign.schedule.record_interval`)
+        and then run twice on blocks from ``j``: as recorded, and with the
+        words around every word it reads or writes — the neighbour of an
+        unaligned access among them — and the words it writes, but none it
+        reads, perturbed.  Both runs must end in the same state but at the
+        perturbed words the interval does not write, which keep their
+        perturbed values.
+        """
+        from repro.campaign.schedule import record_interval
+        from repro.snapshot.state import (
+            PAGE_SIZE,
+            base_pages,
+            cpu_state_digest,
+            restore_snapshot,
+        )
+
+        base = base_pages(program)
+        memory_words = len(base) * PAGE_SIZE // 8
+        picks = range(len(states))
+        if len(states) > RIDE_SAMPLES:
+            picks = [i * (len(states) - 1) // (RIDE_SAMPLES - 1)
+                     for i in range(RIDE_SAMPLES)]
+        for i in picks:
+            start = states[i]
+            end = states[i + 1] if i + 1 < len(states) else plain
+            access = record_interval(CPU(program), start, end, base)
+            reads = set(access.reads.tolist())
+            writes = set(access.writes.tolist())
+            near = {w + d for w in reads | writes for d in (-1, 1)}
+            perturbed = sorted(
+                w for w in near | writes if 0 <= w < memory_words and w not in reads
+            )
+
+            def run(flip: bool) -> CPU:
+                cpu = CPU(program)
+                restore_snapshot(cpu, start)
+                if flip:
+                    for w in perturbed:
+                        cpu.mem[w * 8] ^= 0xA5
+                engine.resume(cpu, start.pc, self.budget, [end.steps],
+                              lambda c, pc, reach: True)
+                if not flip:
+                    for w in perturbed:
+                        if w not in writes:
+                            cpu.mem[w * 8] ^= 0xA5
+                return cpu
+
+            # (twice, for a float op meeting two NaNs: see the window replay)
+            if all(
+                cpu_state_digest(run(False)) != cpu_state_digest(run(True))
+                for _ in range(2)
+            ):
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"ride pass: the interval from step {start.steps} "
+                        f"ended elsewhere with {len(perturbed)} words it does "
+                        f"not read perturbed ({build})"
+                    ),
+                )
         return None
 
+
+#: Sync states per build whose intervals the scheduler oracle's ride pass
+#: checks (:meth:`SchedulerOracle._ride_pass`).
+RIDE_SAMPLES = 4
 
 #: Registry used by ``refine-fuzz --oracle`` and the test-suite.
 ORACLES: dict[str, Oracle] = {

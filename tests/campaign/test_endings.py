@@ -1,6 +1,8 @@
 """Overrun -> known ending: a tail still running at the golden length is
 spliced onto the recorded ending of an earlier tail that was in exactly its
-state (step 6 of :mod:`repro.campaign.schedule`).
+state (step 6 of :mod:`repro.campaign.schedule`); and rides: a tail that
+differs from the golden run only in memory the golden run does not read
+jumps along the golden timeline (step 7).
 
 The equivalence matrices elsewhere run n = 4..24, where no hang repeats, so
 they would pass with this mechanism broken.  Here the program is built to
@@ -26,7 +28,7 @@ from repro.campaign import (
 )
 from repro.campaign import schedule
 from repro.campaign.io import experiment_event_fields
-from repro.campaign.schedule import REJOIN_MAX_MEM_MISSES, TriggerScheduler
+from repro.campaign.schedule import TriggerScheduler
 from repro.engine import fast as fast_module
 from repro.fi.tools import TOOL_CLASSES
 from repro.snapshot import restore_snapshot
@@ -97,27 +99,42 @@ class TestProductionVsOracle:
 
     def test_tail_steps_saved_is_steps_not_executed(self, monkeypatch):
         """perfbench derives ``campaign.tail_steps`` as record steps minus
-        the two ``*_steps_saved`` counters: a reused ending must be in
-        them, or a traced lap charges its time to steps nobody ran."""
-        tool = _tool("REFINE", "cache-line")
-        resume = tool.engine.resume
-        executed = []
+        the two ``*_steps_saved`` counters: a reused ending and a ride must
+        be in them, or a traced lap charges its time to steps nobody ran.
+        A ride moves ``cpu.steps`` inside ``resume``, so each ride's jump is
+        measured on its own and taken off what ``resume`` moved."""
+        for tool in (
+            _tool("REFINE", "cache-line"),
+            make_tool("REFINE", RIDE_SOURCE, "ride", fault_model="memory-cell"),
+        ):
+            resume = tool.engine.resume
+            executed = []
 
-        def counting(cpu, *args):
-            before = cpu.steps
-            result = resume(cpu, *args)
-            executed.append(cpu.steps - before)
-            return result
+            def counting(cpu, *args):
+                before = cpu.steps
+                result = resume(cpu, *args)
+                executed.append(cpu.steps - before)
+                return result
 
-        monkeypatch.setattr(tool.engine, "resume", counting)
-        sched = TriggerScheduler(tool, N)
-        got = _run(sched)
-        stats = sched.stats
-        assert stats.ending_hits > 0
-        assert sum(executed) == (
-            sum(rec["steps"] for rec in got.values())
-            - stats.prefix_steps_saved - stats.tail_steps_saved
-        )
+            monkeypatch.setattr(tool.engine, "resume", counting)
+            sched = TriggerScheduler(tool, N)
+            real_ride = sched._ride
+
+            def ride(cpu, j):
+                before = cpu.steps
+                went = real_ride(cpu, j)
+                executed.append(before - cpu.steps)
+                return went
+
+            sched._ride = ride
+            got = _run(sched)
+            stats = sched.stats
+            assert stats.ending_hits > 0 or stats.ridden_steps > 0
+            assert sum(executed) == (
+                sum(rec["steps"] for rec in got.values())
+                - stats.prefix_steps_saved - stats.tail_steps_saved
+            )
+        assert stats.rides > 0
 
     @pytest.mark.parametrize("tool_name", TOOLS)
     def test_shards_in_any_order_on_one_scheduler_or_many(self, tool_name):
@@ -177,7 +194,6 @@ def _paused_in(sched, ref, fault):
     restore_snapshot(cpu, ref)
     cpu.fault = fault
     sched._tail_plan = None
-    sched._mem_misses = 0
     return cpu
 
 
@@ -201,7 +217,7 @@ def _untouched_page(sched, ref):
     dirty = set(ref.pages)
     for state in sched._timeline.sync_states.values():
         dirty |= set(state.pages)
-    return next(i for i in range(len(sched._base)) if i not in dirty)
+    return next(i for i in range(len(sched._clean.pages)) if i not in dirty)
 
 
 def _flip_byte_in_clean_page(sched, cpu, ref):
@@ -247,8 +263,6 @@ class TestNearMisses:
     def test_the_recorded_state_itself_splices(self, cell):
         sched, ref, fault = cell
         cpu = _paused_in(sched, ref, fault)
-        # the near-miss budget of the golden rejoin does not apply at G
-        sched._mem_misses = REJOIN_MAX_MEM_MISSES
         assert sched._on_sync(cpu, ref.pc, 0)
         assert sched._spliced[0] is ref
         assert not sched._on_sync(cpu, ref.pc + 1, 0)
@@ -384,3 +398,152 @@ class TestBound:
             at.steps >= golden and ending.steps >= 2 * golden
             for at, ending in recorded
         )
+
+
+#: Golden run: 200 iterations over ``acc``, about 5,000-14,000 steps a
+#: build.  ``unused`` is never touched and ``late`` is read once, at the
+#: end: a memory fault there leaves a tail equal to the golden run in
+#: everything but that word, which the golden run does not read until then.
+RIDE_SOURCE = """
+int unused[32];
+int late = 3;
+int acc[4];
+
+int main() {
+  int seed = 7;
+  for (int k = 0; k < 200; k = k + 1) {
+    seed = (seed * 1103515245 + 12345) % 2147483648;
+    acc[k % 4] = acc[k % 4] + seed % 10;
+  }
+  print_int(acc[0] + acc[1] + acc[2] + acc[3] + late);
+  return 0;
+}
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _ride_cell(tool_name, model="memory-cell"):
+    """``(scheduler, records by index, rides)`` of the ride program's cell,
+    each ride as ``(fault address, sync state index, what it returned,
+    the step it left the tail at, whether the interval from there had
+    been recorded)``."""
+    tool = make_tool(tool_name, RIDE_SOURCE, "ride", fault_model=model)
+    sched = TriggerScheduler(tool, N)
+    rides = []
+    real_ride = sched._ride
+
+    def ride(cpu, j):
+        went = real_ride(cpu, j)
+        timeline = sched._timeline
+        at = timeline.sync_steps.index(cpu.steps)
+        rides.append((cpu.fault.address, j, went, cpu.steps, at in timeline.accesses))
+        return went
+
+    sched._ride = ride
+    return sched, _run(sched), rides
+
+
+@functools.lru_cache(maxsize=None)
+def _ride_oracle(tool_name, model="memory-cell"):
+    result = reference_campaign(
+        tool_name, RIDE_SOURCE, "ride", N, SEED, fault_model=model
+    )
+    return {rec.index: _fields(rec) for rec in result.records}
+
+
+def _word_of(sched, name):
+    return sched.tool.program.globals_addr[name] // 8
+
+
+class TestRides:
+    @pytest.mark.parametrize("tool_name", TOOLS)
+    def test_a_fault_in_memory_never_read_rides_to_the_golden_ending(
+        self, tool_name
+    ):
+        sched, got, rides = _ride_cell(tool_name)
+        assert got == _ride_oracle(tool_name)
+        assert sched.stats.rides > 0 and sched.stats.ridden_steps > 0
+        lo = _word_of(sched, "unused")
+        unused = [ride for ride in rides if lo <= ride[0] // 8 < lo + 32]
+        # it stops only before an interval not recorded yet (the first
+        # RECORD_AT_ASK - 1 rides to ask for one are refused it)
+        assert any(went is True for _, _, went, _, _ in unused)
+        assert all(went is True or not recorded for _, _, went, _, recorded in unused)
+        golden = sched.tool.profile.steps
+        flipped = [
+            rec for rec in got.values()
+            if rec["fault"]["address"] is not None
+            and lo <= rec["fault"]["address"] // 8 < lo + 32
+        ]
+        assert flipped and all(
+            rec["steps"] == golden and rec["outcome"] == "benign" for rec in flipped
+        )
+
+    @pytest.mark.parametrize("tool_name", TOOLS)
+    def test_a_fault_on_a_word_read_later_stops_its_ride_there(self, tool_name):
+        """A ride lands on the sync state before the first interval that
+        reads the word, and none it crossed reads it."""
+        sched, got, rides = _ride_cell(tool_name)
+        timeline = sched._timeline
+        late = _word_of(sched, "late")
+        landed = [(j, steps) for address, j, went, steps, recorded in rides
+                  if address == late * 8 and type(went) is int and recorded]
+        assert landed
+        for j, steps in landed:
+            k = timeline.sync_steps.index(steps)
+            assert late in timeline.accesses[k].reads
+            assert all(late not in timeline.accesses[i].reads for i in range(j, k))
+
+    @pytest.mark.parametrize("tool_name", ["REFINE", "PINFI"])
+    def test_an_open_dwell_window_never_rides(self, tool_name):
+        model = "stuck-at:dwell=100000"
+        sched, got, rides = _ride_cell(tool_name, model)
+        assert got == _ride_oracle(tool_name, model)
+        assert rides == [] and sched.stats.rides == 0
+
+    def test_an_attached_pinfi_never_rides(self):
+        """A tail paused at a golden sync state, equal to it but for one
+        word no interval reads, rides; the same tail still attached does
+        not."""
+        sched, got, _ = _ride_cell("PINFI")
+        timeline = sched._timeline
+        ref = timeline.sync_states[timeline.sync_steps[2]]
+        fault = next(rec for rec in sched.run_batch(SEED, [0])).fault
+        word = _word_of(sched, "unused")
+        for attached, rides in ((True, False), (False, True)):
+            cpu = _paused_in(sched, ref, fault)
+            cpu._attached = attached
+            cpu.mem[word * 8] ^= 1
+            assert bool(sched._on_sync(cpu, ref.pc, 0)) is rides
+
+    def test_riding_one_interval_past_a_read_is_caught(self, monkeypatch):
+        """A ride that lands where it should and then crosses the interval
+        that reads a word where the tail differs skips what that read
+        changes: the records no longer equal the oracle."""
+        real_ride = TriggerScheduler._ride
+
+        def one_too_far(self, cpu, j):
+            went = real_ride(self, cpu, j)
+            if type(went) is not int:
+                return went
+            timeline = self._timeline
+            k = timeline.sync_steps.index(cpu.steps)
+            access = timeline.accesses.get(k)
+            if access is None:
+                return went
+            reads = self._live[access.reads].tobytes()
+            timeline.accesses[k] = access._replace(read_values=reads)
+            try:
+                again = real_ride(self, cpu, k)
+            finally:
+                timeline.accesses[k] = access
+            return went if again is False else again
+
+        monkeypatch.setattr(TriggerScheduler, "_ride", one_too_far)
+        tool = make_tool("REFINE", RIDE_SOURCE, "ride", fault_model="memory-cell")
+        got = _run(TriggerScheduler(tool, N))
+        want = _ride_oracle("REFINE")
+        # (``late`` is only printed: the golden ending's output is the tell)
+        assert "outcome" in {
+            field for i in want for field in want[i] if got[i][field] != want[i][field]
+        }

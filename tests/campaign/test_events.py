@@ -150,12 +150,13 @@ class TestCampaignStats:
 
     def test_scheduler_line_counts_rejoins_and_reused_endings_apart(self):
         stats = CampaignStats(total=10)
-        batch = {"forks": 7, "rejoins": 2, "ending_hits": 3,
+        batch = {"forks": 7, "rejoins": 2, "rides": 5, "ending_hits": 3,
                  "prefix_steps_saved": 1000, "tail_steps_saved": 234}
         stats.note_scheduler(batch)
         stats.note_scheduler(batch)  # cumulative: replaces
         assert stats.render().endswith(
-            "| sched 7 forks, 2 rejoins, 3 endings reused, 1,234 steps saved"
+            "| sched 7 forks, 2 rejoins, 5 rides, 3 endings reused, "
+            "1,234 steps saved"
         )
         stats.note_scheduler(batch, accumulate=True)  # a chunk's own: adds
-        assert "14 forks, 4 rejoins, 6 endings reused, 2,468" in stats.render()
+        assert "14 forks, 4 rejoins, 10 rides, 6 endings reused, 2,468" in stats.render()

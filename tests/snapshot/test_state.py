@@ -138,7 +138,7 @@ class TestInPlaceScan:
                     assert (snap.pages[idx] is page) == same
             fresh = CPU(program)
             restore_snapshot(fresh, snap)
-            assert fresh.mem == cpu.mem
+            assert bytes(fresh.mem) == bytes(cpu.mem)
             prev = snap
         return prev
 

@@ -331,8 +331,9 @@ def test_engine_generates_code_in_one_place():
     """Translating a binary is the engine's only code generation: one
     ``compile(`` call site (``engine/cache.py``), none for mid-block
     entries — those are interpreted to the end of their block.  The only
-    other site is the interpreter loop, generated once at import
-    (``machine/cpu.py``).  The guard that counts the calls at run time is
+    other site is the interpreter loop's (``machine/cpu.py``): the loop,
+    generated once at import, and its access-logging rendering, on first
+    use.  The guard that counts the calls at run time is
     ``tests/engine/test_fast_engine.py::TestOneCompilePerBinary``."""
     import re
     from pathlib import Path

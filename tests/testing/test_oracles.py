@@ -188,6 +188,50 @@ class TestDivergenceDetection:
         assert divergence is not None
         assert "window replay" in divergence.detail
 
+    def test_scheduler_ride_pass_catches_an_unaligned_read_noted_low_only(
+        self, monkeypatch
+    ):
+        """A build whose array load reads 4 bytes past each element's start
+        (the high half of one word, the low half of the next) is recorded
+        exactly by the access log; a log that notes such a read as its low
+        word only lets the ride pass perturb the high word, which the
+        interval does read."""
+        import dataclasses
+
+        import repro.testing.oracles as oracles_mod
+        from repro.backend.mir import Mem
+        from repro.campaign import schedule
+
+        real_instrument = oracles_mod.refine_instrument
+
+        def unaligned(binary, config=None):
+            sites = real_instrument(binary, config)
+            for mf in binary.functions.values():
+                for block in mf.blocks:
+                    for instr in block.instructions:
+                        for i, op in enumerate(instr.operands):
+                            if (instr.opcode == "load" and isinstance(op, Mem)
+                                    and op.base is not None and op.frame_slot is None):
+                                instr.operands[i] = dataclasses.replace(op, disp=op.disp + 4)
+            return sites
+
+        real_accesses = schedule._accesses
+
+        def low_word_only(notes):
+            return real_accesses([a & ~7 if a >= 0 else a for a in notes])
+
+        module = parse_module(PRINTING_MODULE)
+        oracle = ORACLES["scheduler"]
+        monkeypatch.setattr(schedule, "_accesses", low_word_only)
+        assert oracle.check(module) is None  # every access aligned: no mutant
+        monkeypatch.setattr(oracles_mod, "refine_instrument", unaligned)
+        divergence = oracle.check(module)
+        assert divergence is not None
+        assert "ride pass" in divergence.detail
+        assert "(REFINE build)" in divergence.detail
+        monkeypatch.setattr(schedule, "_accesses", real_accesses)
+        assert oracle.check(module) is None
+
 
 class TestCampaignDivergenceDetection:
     """``check_workload_equivalence`` is the one referee between production
