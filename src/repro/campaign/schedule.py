@@ -25,11 +25,9 @@ fault list by dynamic position).  So nothing here runs it twice:
    at the first block entry at or past each interval multiple.  A faulty
    tail pauses at the first stop at or past each of those steps — a block
    entry or the end of an interpreted stride
-   (:meth:`~repro.engine.fast.FastEngine.resume`; a stop that cannot be in
-   the golden state's pc, flags and integer registers costs nothing) —
-   and, once its architectural state (pc, flags, integer registers,
-   bitwise float registers, all memory pages) equals the golden state at
-   the same step,
+   (:meth:`~repro.engine.fast.FastEngine.resume`) — and, once its
+   architectural state (pc, flags, integer registers, bitwise float
+   registers, all memory pages) equals the golden state at the same step,
    the rest of the run is *spliced* from the golden suffix instead of
    executed: equal state at equal step count implies identical future
    behaviour, and the tool counters are behaviourally inert once the
@@ -351,7 +349,8 @@ def record_interval(cpu, start: CpuSnapshot, end, base: list[bytes]) -> Interval
     next sync state, or the run's :class:`Ending` — on the access-logging
     rendering of the interpreter loop, on ``cpu``, a fresh CPU of the
     program (whose :func:`~repro.snapshot.state.base_pages` are ``base``),
-    and return its :class:`IntervalAccess`."""
+    and return its :class:`IntervalAccess`.  The replay says which words
+    are read and written; their values are the golden states'."""
     restore_snapshot(cpu, start)
     notes: list[int] = []
     loop = access_logging_loop(notes.append)
@@ -371,10 +370,16 @@ def record_interval(cpu, start: CpuSnapshot, end, base: list[bytes]) -> Interval
         )
     reads, writes = map(sorted, _accesses(notes))
     written = np.array(writes, dtype=np.intp)
+    if isinstance(end, CpuSnapshot):
+        values = np.frombuffer(_words_of(end, base, writes), np.int64)
+    else:
+        # no state after the last interval: a ride across it splices the
+        # golden ending, so these values are never read again
+        values = np.frombuffer(cpu.mem, np.int64)[written]
     counts = [(pc, b - a) for pc, (a, b) in enumerate(zip(start.counts, end.counts)) if a != b]
     return IntervalAccess(
         np.array(reads, dtype=np.intp), _words_of(start, base, reads),
-        written, np.frombuffer(cpu.mem, np.int64)[written],
+        written, values,
         np.array([pc for pc, _ in counts], dtype=np.intp),
         np.array([n for _, n in counts], dtype=np.int64),
     )
@@ -897,7 +902,6 @@ class TriggerScheduler:
             self._overran = None
             result = tool.engine.resume(
                 cpu, fork.pc, tool.timeout_budget, self._syncs, self._on_sync,
-                self._timeline.sync_states,
             )
             self._settle(cpu)
             if result is None:

@@ -12,10 +12,9 @@ a block that meets the horizon:
   The golden cursor records its reference states that way, so each one
   sits on a block leader, and a tail in that state at that step is on that
   leader too — a leader is never strictly inside a block, a fire stride or
-  a completion stride, so the tail stops there and is compared (and a stop
-  whose pc, flags or integer registers differ from that state is dropped
-  without syncing anything).  A hook that rewrites the CPU — a ride along
-  the golden timeline — hands back the pc to go on from;
+  a completion stride, so the tail stops there and is compared.  A hook
+  that rewrites the CPU — a ride along the golden timeline — hands back
+  the pc to go on from;
 * **budget tails** — when the next block could cross the step budget, the
   remainder of the run is delegated to the reference loop (the
   timeout-vs-snapshot-vs-halt ordering lives there);
@@ -134,7 +133,7 @@ class FastEngine:
         return self._drive(cpu, cpu.prepare_entry(), budget)
 
     def resume(self, cpu: CPU, pc: int, budget: int | None = None, syncs=(),
-               on_sync=None, expect=None) -> ExecutionResult | None:
+               on_sync=None) -> ExecutionResult | None:
         """Resume at ``pc``, optionally with observation points.
 
         ``syncs`` is a sorted sequence of absolute dynamic-instruction
@@ -154,17 +153,12 @@ class FastEngine:
         along the golden timeline), and execution goes on from that pc, on
         the same loop, with every local read afresh.  ``syncs`` is read
         afresh after each call, so ``on_sync`` may change it in place.
-        ``expect`` maps some points to a state (anything with a ``pc``,
-        ``flags`` and ``iregs``: a :class:`~repro.snapshot.state.CpuSnapshot`):
-        such a point is observed only where the run stops at exactly that
-        step, at that pc, with those flags and integer registers — a caller
-        that only wants to see states equal to recorded ones pays nothing
-        anywhere else.  Points already behind ``cpu.steps`` are skipped;
+        Points already behind ``cpu.steps`` are skipped;
         points the run never stops at or past (halt, trap, timeout) or
         crosses inside an interpreted stride (the fire stride, a careful
         window) are silently dropped.
         """
-        return self._drive(cpu, pc, budget, syncs, on_sync, expect=expect)
+        return self._drive(cpu, pc, budget, syncs, on_sync)
 
     def run_cursor(
         self,
@@ -345,15 +339,11 @@ class FastEngine:
 
     def _drive(self, cpu: CPU, pc: int, budget: int | None, syncs=(),
                on_sync=None, which: int = 0, stop: int | None = None,
-               fork_hook=None, window: bool = False,
-               expect=None) -> ExecutionResult | None:
+               fork_hook=None, window: bool = False) -> ExecutionResult | None:
         """The one block loop (module docstring).  ``which`` indexes
         :data:`COUNTERS`: the counter ``reach`` and the cursor's fork
         ``stop`` (``None``: none pending) count on; a ``window`` ends, with
-        ``None``, once ``fork_hook`` reports no further stop; ``expect`` is
-        :meth:`resume`'s."""
-        expected = (expect or {}).get
-        iregs = cpu.iregs
+        ``None``, once ``fork_hook`` reports no further stop."""
         if budget is not None:
             cpu.budget = budget
         trans, FL, table = self._block_ctx(cpu)
@@ -376,13 +366,6 @@ class FastEngine:
                 if steps + n >= horizon:
                     if fn is None:
                         n, s, c, l = trans.cover(pc)  # static facts only
-                    # Skip each point the last block crossed that expects a
-                    # state this stop cannot be in.
-                    while steps >= sync_v and (want := expected(sync_v)) and not (
-                        steps == sync_v and pc == want.pc and FL[0] == want.flags
-                        and tuple(iregs) == want.iregs
-                    ):
-                        sync_v = self._sync_from(syncs, sync_v + 1)
                     if steps >= sync_v:
                         # The first stop at or past a sync point (every point
                         # the last block crossed): observe the state here.

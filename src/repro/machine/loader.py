@@ -77,16 +77,13 @@ class LoadedProgram:
     def stack_top(self) -> int:
         return self.mem_size - 16
 
-    def fresh_memory(self) -> bytearray | mmap.mmap:
+    def fresh_memory(self) -> mmap.mmap:
         """The loaded image, in memory of its own that the OS maps to its
         shared zero page until it is written: most of the address space is
         never written, so it costs no resident memory, and reading it — a
         snapshot capture, the scheduler's state comparisons — reads one
-        cached page (a ``bytearray`` where no such mapping exists)."""
-        try:
-            mem = mmap.mmap(-1, self.mem_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        except (AttributeError, OSError):
-            mem = bytearray(self.mem_size)
+        cached page."""
+        mem = mmap.mmap(-1, self.mem_size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         mem[NULL_GUARD : NULL_GUARD + len(self.data_image)] = self.data_image
         return mem
 

@@ -7,7 +7,6 @@ finished by the interpreter, careful windows), its observable
 """
 
 import builtins
-import dataclasses
 from bisect import bisect_left
 
 import pytest
@@ -414,51 +413,18 @@ class TestSyncPointsCostNoStride:
         assert list(result.counts) == list(timeline.ending.counts)
 
 
-class TestExpectedStates:
-    """``resume``'s ``expect``: a point is observed only where the run can
-    be in the state expected there, and a hook may move the run."""
-
-    @staticmethod
-    def timeline():
-        tool = make_tool("REFINE", workload_sources()["EP"], "EP")
-        sched = TriggerScheduler(tool, 24)
-        list(sched.run_batch(1, range(24)))
-        return tool, sched.timeline
-
-    def test_a_point_whose_state_cannot_be_met_costs_no_call(self):
-        """Each later sync state expected at a pc the run is not at is
-        passed over; a point one block crosses together with such a one is
-        still observed, at the first stop past both."""
-        tool, timeline = self.timeline()
-        start = timeline.sync_states[timeline.sync_steps[1]]
-        later = timeline.sync_steps[2:]
-        elsewhere = {
-            steps: dataclasses.replace(timeline.sync_states[steps], pc=-1)
-            for steps in later
-        }
-        # two points inside the block that starts at the third state, the
-        # first expecting a state, the second not
-        crossed = [later[0] + 1, later[0] + 2]
-        elsewhere[crossed[0]] = timeline.sync_states[later[0]]
-        seen = []
-
-        def on_sync(cpu, pc, reach):
-            seen.append(cpu.steps)
-            return False
-
-        cpu = tool._make_cpu(None)
-        restore_snapshot(cpu, start)
-        result = FastEngine().resume(
-            cpu, start.pc, None, sorted(later + crossed), on_sync, elsewhere)
-        assert len(seen) == 1 and seen[0] > crossed[1]
-        assert result.steps == timeline.steps
-        assert list(result.counts) == list(timeline.ending.counts)
+class TestRewritingHook:
+    """A sync hook may move the run: it rewrites the CPU and returns the pc
+    to go on from."""
 
     def test_a_hook_that_moves_the_run_is_followed(self):
         """A hook at one sync state puts the CPU in a later one and returns
         its pc: the run goes on from there and ends as the golden run
         does."""
-        tool, timeline = self.timeline()
+        tool = make_tool("REFINE", workload_sources()["EP"], "EP")
+        sched = TriggerScheduler(tool, 24)
+        list(sched.run_batch(1, range(24)))
+        timeline = sched.timeline
         steps = timeline.sync_steps
         start = timeline.sync_states[steps[1]]
         there = timeline.sync_states[steps[-2]]
@@ -473,8 +439,7 @@ class TestExpectedStates:
 
         cpu = tool._make_cpu(None)
         restore_snapshot(cpu, start)
-        result = FastEngine().resume(
-            cpu, start.pc, None, steps[2:], on_sync, timeline.sync_states)
+        result = FastEngine().resume(cpu, start.pc, None, steps[2:], on_sync)
         assert seen == [steps[2], steps[-1]]
         assert result.steps == timeline.steps
         assert result.output == list(timeline.ending.output)
