@@ -10,10 +10,15 @@ selection is a pure function of the derived seed.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import make_tool, run_campaign
+from repro.campaign.cell import DEFAULT_SEED
 from repro.errors import CampaignError
 from repro.fi import LLFITool, PinfiTool, RefineTool
 from repro.fi.models import (
@@ -27,6 +32,9 @@ from repro.fi.models import (
     resolve_fault_model,
     residency_weights,
 )
+from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
+from repro.machine.cpu import FaultRecord
+from repro.utils.ieee754 import double_to_bits
 from repro.utils.rng import derive_seed
 
 from tests.conftest import DEMO_SOURCE
@@ -155,6 +163,73 @@ class TestSingleBitIdentity:
                 plain.plan_from_seed(seed).corrupt_opcode
                 == modeled.plan_from_seed(seed).corrupt_opcode
             )
+
+
+# ------------------------------------------------------ fault-record pin
+
+
+#: sha256 (first 16 hex digits) over every field of every ``fault`` of the
+#: first 24 experiments of each (tool, model) cell on the demo program at
+#: ``DEFAULT_SEED``.  Published digests and perfbench hash outcomes, cycles
+#: and traps but no fault-record field; this pins the records themselves.
+FAULT_RECORD_PIN = {
+    ("LLFI", "single-bit"): "e1c670b745d8ddeb",
+    ("LLFI", "multi-bit"): "e326dfb90afec24d",
+    ("LLFI", "memory-cell"): "0dcc13e2de6510ff",
+    ("LLFI", "cache-line"): "4b067504f2af0ce6",
+    ("LLFI", "stuck-at"): "0efb86ade529e7db",
+    ("REFINE", "single-bit"): "6cde6abe601f7d74",
+    ("REFINE", "multi-bit"): "ed83429273fac6e8",
+    ("REFINE", "memory-cell"): "8589663f6a83b6a3",
+    ("REFINE", "cache-line"): "9642d7ca51ffc6ea",
+    ("REFINE", "opcode"): "25e035b712b3f3f4",
+    ("REFINE", "stuck-at"): "1d1a4bfc12ed246b",
+    ("PINFI", "single-bit"): "36b97175e62da769",
+    ("PINFI", "multi-bit"): "1ab972a93429d7c1",
+    ("PINFI", "memory-cell"): "4b307c2a6238417d",
+    ("PINFI", "cache-line"): "98f440722e7824a9",
+    ("PINFI", "opcode"): "526523ae945f69a6",
+    ("PINFI", "stuck-at"): "8a058887d0a4d5c6",
+}
+
+
+def _hostable(tool_name: str, spec: str) -> bool:
+    try:
+        parse_fault_model(spec).check_tool(TOOL_CLASSES[tool_name])
+    except CampaignError:
+        return False
+    return True
+
+
+def _field_text(value) -> str:
+    """A field as hashed: a float by its 64-bit pattern (NaN payloads
+    count), anything else by its repr."""
+    if isinstance(value, float):
+        return f"f{double_to_bits(value):016x}"
+    return repr(value)
+
+
+class TestFaultRecordPin:
+    def test_every_model_covered(self):
+        assert FAULT_RECORD_PIN.keys() == {
+            (tool, model) for tool in TOOL_ORDER for model in MODEL_ORDER
+            if _hostable(tool, model)
+        }
+
+    @pytest.mark.parametrize("cell", sorted(FAULT_RECORD_PIN))
+    def test_fault_records_unchanged(self, cell):
+        tool_name, model = cell
+        tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=model)
+        result = run_campaign(tool, n=24, base_seed=DEFAULT_SEED, keep_records=True)
+        digest = hashlib.sha256()
+        for rec in result.records:
+            if rec.fault is None:
+                digest.update(b"none|")
+                continue
+            for f in dataclasses.fields(FaultRecord):
+                text = _field_text(getattr(rec.fault, f.name))
+                digest.update(f"{f.name}={text}|".encode())
+        assert digest.hexdigest()[:16] == FAULT_RECORD_PIN[cell]
 
 
 # ------------------------------------------------------ hypothesis: models
