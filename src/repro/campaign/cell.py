@@ -58,7 +58,6 @@ def make_tool(
     workload: str,
     config: FIConfig | None = None,
     opt_level: str = "O2",
-    opcode_faults: float = 0.0,
     fault_model: str | None = None,
 ) -> FITool:
     """Build a configured tool.  ``fault_model`` is a :mod:`repro.fi.models`
@@ -71,7 +70,7 @@ def make_tool(
         ) from None
     return cls(
         source, workload, config=config, opt_level=opt_level,
-        opcode_faults=opcode_faults, fault_model=fault_model,
+        fault_model=fault_model,
     )
 
 
@@ -152,7 +151,6 @@ class CampaignSpec:
     fi_enabled: bool = True
     fi_funcs: str = "*"
     fi_instrs: str = "all"
-    opcode_faults: float = 0.0
     #: :mod:`repro.fi.models` spec, held in canonical form so checkpoints,
     #: events and workers' parts all spell it alike; absent in messages
     #: from older coordinators, defaulting to the paper's model.
@@ -162,8 +160,8 @@ class CampaignSpec:
         if self.n <= 0:
             raise CampaignSpecError("campaign needs n >= 1 experiments")
         # Valid means its tool can be built (nothing compiles yet): one
-        # definition of an unknown tool, a bad ``fi_instrs``, opcode faults
-        # or a fault model the tool cannot host.
+        # definition of an unknown tool, a bad ``fi_instrs`` or a fault
+        # model the tool cannot host.
         try:
             model = self.make_tool().fault_model
         except CampaignError as exc:
@@ -184,7 +182,14 @@ class CampaignSpec:
         # required ones must be present.  Keys that are no field are dropped
         # unread: specs written while the execution path was still a choice
         # name an engine, a schedule and a snapshot interval, and a queue
-        # that holds them must outlive the upgrade.
+        # that holds them must outlive the upgrade.  A retired knob that
+        # would change what runs is refused instead: an ``opcode_faults``
+        # probability mixed OP-code faults into a single-bit campaign.
+        if data.get("opcode_faults"):
+            raise CampaignSpecError(
+                f"opcode_faults={data['opcode_faults']!r} is no longer "
+                'supported; run OP-code faults as fault_model="opcode"'
+            )
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
         try:
             return cls(**kwargs)
@@ -203,7 +208,6 @@ class CampaignSpec:
             n=n, base_seed=base_seed, keep_records=keep_records,
             opt_level=tool.opt_level, fi_enabled=tool.config.enabled,
             fi_funcs=tool.config.funcs, fi_instrs=tool.config.instrs,
-            opcode_faults=tool.opcode_faults,
             fault_model=tool.fault_model.spec,
         )
 
@@ -215,7 +219,7 @@ class CampaignSpec:
                 enabled=self.fi_enabled, funcs=self.fi_funcs,
                 instrs=self.fi_instrs,
             ),
-            self.opt_level, self.opcode_faults, self.fault_model,
+            self.opt_level, self.fault_model,
         )
 
     def context_key(self) -> tuple:

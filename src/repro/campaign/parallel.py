@@ -133,7 +133,6 @@ def run_campaign_parallel(
     config: FIConfig | None = None,
     opt_level: str = "O2",
     keep_records: bool = False,
-    opcode_faults: float = 0.0,
     progress: Callable[[int, int], None] | None = None,
     checkpoint_path: str | Path | None = None,
     checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
@@ -155,8 +154,7 @@ def run_campaign_parallel(
         workload=workload, source=source, tool_name=tool_name, n=n,
         base_seed=base_seed, keep_records=keep_records, opt_level=opt_level,
         fi_enabled=config.enabled, fi_funcs=config.funcs,
-        fi_instrs=config.instrs, opcode_faults=opcode_faults,
-        fault_model=fault_model,
+        fi_instrs=config.instrs, fault_model=fault_model,
     )
     return _run_cells(
         [(spec, checkpoint_path)], workers,

@@ -49,15 +49,14 @@ telemetry and the results database.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, IllegalInstruction
 from repro.machine.cpu import FaultPlan, FaultRecord
 from repro.machine.loader import NULL_GUARD
 from repro.machine.registers import SPACE_FLOAT, SPACE_INT
 from repro.utils.bits import MASK64, to_signed64
+from repro.utils.ieee754 import bits_to_double, double_to_bits
 from repro.utils.rng import SplitMix64
 
 #: Memory-corruption granularities (bytes).
@@ -67,19 +66,35 @@ LINE_BYTES = 64
 #: Budget for the residency-recording run (matches profiling).
 _RESIDENCY_BUDGET = 200_000_000
 
-_PACK_D = struct.Struct("<d")
-_PACK_Q = struct.Struct("<Q")
-
-
-def _xor_double(value: float, mask: int) -> float:
-    """XOR ``mask`` into the raw IEEE-754 image of ``value``."""
-    (raw,) = _PACK_Q.unpack(_PACK_D.pack(value))
-    return _PACK_D.unpack(_PACK_Q.pack((raw ^ mask) & MASK64))[0]
-
 
 def _set_bit(raw: int, bit: int, value: int) -> int:
     """Force one bit of a 64-bit image to 0 or 1."""
     return raw | (1 << bit) if value else raw & ~(1 << bit) & MASK64
+
+
+def _corrupt_register(cpu, space: int, reg_idx: int, change) -> tuple:
+    """Rewrite one output register through ``change``, a function of its
+    unsigned 64-bit image (a float register's IEEE-754 encoding; the
+    flags as they are).  Returns ``(before, after, operand_desc)``."""
+    if space == SPACE_INT:
+        before = cpu.iregs[reg_idx]
+        after = cpu.iregs[reg_idx] = to_signed64(change(before & MASK64))
+        return before, after, f"ireg:{reg_idx}"
+    if space == SPACE_FLOAT:
+        before = cpu.fregs[reg_idx]
+        after = cpu.fregs[reg_idx] = bits_to_double(change(double_to_bits(before)))
+        return before, after, f"freg:{reg_idx}"
+    before = cpu.flags
+    after = cpu.flags = change(before)
+    return before, after, "flags"
+
+
+def _corrupt_value(value, is_float: bool, change) -> tuple:
+    """:func:`_corrupt_register` for an IR value LLFI intercepts: returns
+    ``(after, operand_desc)``."""
+    if is_float:
+        return bits_to_double(change(double_to_bits(value))), "ir-value:f64"
+    return to_signed64(change(value & MASK64)), "ir-value:i64"
 
 
 def residency_weights(tool) -> np.ndarray:
@@ -120,11 +135,11 @@ class FaultModel:
     """Base class: seed -> :class:`FaultPlan` drawing plus fault application.
 
     Subclasses declare their parameters in :attr:`PARAMS` (name -> default,
-    all integers) and override :meth:`_draw` and — unless the plan routes
-    through the legacy single-bit path (``plan.model is None``) — the two
-    application hooks :meth:`apply` (register-level sites: REFINE
+    all integers), override :meth:`_draw` if their plans need more than a
+    trigger window and two picks, and implement the two application hooks
+    every plan's trigger calls: :meth:`apply` (register-level sites: REFINE
     ``fi_check``, PINFI candidates) and :meth:`apply_value` (LLFI's
-    intercepted IR values).
+    intercepted IR values).  Only the models write fault records.
     """
 
     name = "base"
@@ -177,17 +192,10 @@ class FaultModel:
         """Draw one experiment's full fault plan from its seed.
 
         The draw order is part of the reproducibility contract: trigger
-        first, then the model's picks, then the tool's legacy
-        ``opcode_faults`` probability — the single-bit model replays the
-        historical sequence exactly, so ``--fault-model single-bit`` is
-        bit-identical to the pre-model default.
+        first, then the model's picks.
         """
         rng = SplitMix64(seed)
-        target = self._pick_target(tool, rng)
-        plan = self._draw(tool, rng, target)
-        if tool.opcode_faults:
-            plan.corrupt_opcode = rng.random() < tool.opcode_faults
-        return plan
+        return self._draw(tool, rng, self._pick_target(tool, rng))
 
     def _pick_target(self, tool, rng: SplitMix64) -> int:
         total = tool.profile.total_candidates
@@ -201,7 +209,16 @@ class FaultModel:
         return 1 + min(int(np.searchsorted(cdf, u, side="right")), total - 1)
 
     def _draw(self, tool, rng: SplitMix64, target: int) -> FaultPlan:
-        raise NotImplementedError
+        """The plan over ``dwell`` candidates from ``target``, with an
+        operand pick and a bit pick (in that order)."""
+        return FaultPlan(
+            target_index=target,
+            operand_pick=rng.random(),
+            bit_pick=rng.random(),
+            tool=tool.name,
+            model=self,
+            last_index=target + self.dwell - 1,
+        )
 
     # -- application --------------------------------------------------------
 
@@ -243,50 +260,56 @@ class FaultModel:
 
 
 class SingleBitModel(FaultModel):
-    """The paper's model, verbatim.  Plans carry ``model=None`` so the CPU
-    takes the exact historical ``_apply_flip`` path — bit-identity with the
-    pre-model default is structural, not re-implemented."""
+    """The paper's model (Section 3.1): flip one bit, uniform over the
+    operand's width, of one uniformly picked output operand."""
 
     name = "single-bit"
 
-    def _draw(self, tool, rng, target):
-        return FaultPlan(
-            target_index=target,
-            operand_pick=rng.random(),
-            bit_pick=rng.random(),
-            tool=tool.name,
+    def apply(self, cpu, plan, pc, outputs, dynamic_index):
+        op_idx, space, reg_idx, _, bit = plan.choose(outputs)
+        before, after, desc = _corrupt_register(
+            cpu, space, reg_idx, lambda raw: raw ^ (1 << bit)
         )
+        self._record(
+            cpu, plan, pc, operand_index=op_idx, operand_desc=desc,
+            bit=bit, before=before, after=after, dynamic_index=dynamic_index,
+        )
+
+    def apply_value(self, cpu, plan, value, width, is_float, dynamic_index):
+        # LLFI flips a bit of the IR value, uniform over its bit width.
+        bit = min(int(plan.bit_pick * width), width - 1)
+        after, desc = _corrupt_value(value, is_float, lambda raw: raw ^ (1 << bit))
+        self._record(
+            cpu, plan, cpu._cur_pc, operand_index=0, operand_desc=desc,
+            bit=bit, before=value, after=after, dynamic_index=dynamic_index,
+        )
+        return after
 
 
 class OpcodeModel(FaultModel):
     """Instruction-fetch corruption: the bit lands in the OP-code encoding
     and the trigger instruction is undecodable (paper Section 4.5, made a
-    first-class model).  Routes through the legacy ``corrupt_opcode`` path."""
+    first-class model).  The real REFINE's assembly-emitting stage rejects
+    invalid OP codes, so the paper leaves this off; here it is opt-in
+    with ``--fault-model opcode``."""
 
     name = "opcode"
 
     def check_tool(self, tool) -> None:
-        if not tool.supports_opcode_faults:
+        if not tool.sees_encodings:
             raise CampaignError(
                 f"{tool.name} operates above the instruction encoding and "
                 "cannot model OP-code corruption"
             )
 
-    def _draw(self, tool, rng, target):
-        return FaultPlan(
-            target_index=target,
-            operand_pick=rng.random(),
-            bit_pick=rng.random(),
-            tool=tool.name,
-            corrupt_opcode=True,
-            model=self,
-        )
-
     def apply(self, cpu, plan, pc, outputs, dynamic_index):
-        # The legacy corrupt-opcode path does exactly the right thing
-        # (records the site, raises IllegalInstruction); carrying the model
-        # on the plan makes the record's ``model`` field say ``opcode``.
-        cpu._apply_flip(plan, pc, outputs, dynamic_index)
+        self._record(
+            cpu, plan, pc, operand_index=-1, operand_desc="opcode",
+            bit=min(int(plan.bit_pick * 8), 7),
+            before=cpu.program.info[pc].text, after="<invalid opcode>",
+            dynamic_index=dynamic_index,
+        )
+        raise IllegalInstruction("corrupted opcode", pc)
 
 
 class MultiBitModel(FaultModel):
@@ -336,24 +359,10 @@ class MultiBitModel(FaultModel):
     def apply(self, cpu, plan, pc, outputs, dynamic_index):
         op_idx, space, reg_idx, width, _ = plan.choose(outputs)
         bits = self.flip_bits(plan, width)
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        if space == SPACE_INT:
-            before = cpu.iregs[reg_idx]
-            after = to_signed64((before & MASK64) ^ mask)
-            cpu.iregs[reg_idx] = after
-            desc = f"ireg:{reg_idx}"
-        elif space == SPACE_FLOAT:
-            before = cpu.fregs[reg_idx]
-            after = _xor_double(before, mask)
-            cpu.fregs[reg_idx] = after
-            desc = f"freg:{reg_idx}"
-        else:
-            before = cpu.flags
-            after = before ^ mask
-            cpu.flags = after
-            desc = "flags"
+        mask = sum(1 << b for b in bits)
+        before, after, desc = _corrupt_register(
+            cpu, space, reg_idx, lambda raw: raw ^ mask
+        )
         self._record(
             cpu, plan, pc, operand_index=op_idx, operand_desc=desc,
             bit=bits[0], before=before, after=after,
@@ -362,15 +371,8 @@ class MultiBitModel(FaultModel):
 
     def apply_value(self, cpu, plan, value, width, is_float, dynamic_index):
         bits = self.flip_bits(plan, width)
-        mask = 0
-        for b in bits:
-            mask |= 1 << b
-        if is_float:
-            after = _xor_double(value, mask)
-            desc = "ir-value:f64"
-        else:
-            after = to_signed64((value & MASK64) ^ mask)
-            desc = "ir-value:i64"
+        mask = sum(1 << b for b in bits)
+        after, desc = _corrupt_value(value, is_float, lambda raw: raw ^ mask)
         self._record(
             cpu, plan, cpu._cur_pc, operand_index=0, operand_desc=desc,
             bit=bits[0], before=value, after=after,
@@ -410,15 +412,6 @@ class _MemoryModel(FaultModel):
             )
         return lo + self.unit * min(
             int(plan.operand_pick * n_units), n_units - 1
-        )
-
-    def _draw(self, tool, rng, target):
-        return FaultPlan(
-            target_index=target,
-            operand_pick=rng.random(),
-            bit_pick=rng.random(),
-            tool=tool.name,
-            model=self,
         )
 
     def apply_value(self, cpu, plan, value, width, is_float, dynamic_index):
@@ -492,38 +485,14 @@ class StuckAtModel(FaultModel):
         if self.dwell < 1:
             raise CampaignError("stuck-at dwell must be >= 1")
 
-    def _draw(self, tool, rng, target):
-        return FaultPlan(
-            target_index=target,
-            operand_pick=rng.random(),
-            bit_pick=rng.random(),
-            tool=tool.name,
-            model=self,
-            last_index=target + self.dwell - 1,
-        )
-
     def apply(self, cpu, plan, pc, outputs, dynamic_index):
         site = plan.state
         if site is None:
-            op_idx, space, reg_idx, width, bit = plan.choose(outputs)
-            site = plan.state = (op_idx, space, reg_idx, width, bit)
-        op_idx, space, reg_idx, width, bit = site
-        if space == SPACE_INT:
-            before = cpu.iregs[reg_idx]
-            after = to_signed64(_set_bit(before & MASK64, bit, self.value))
-            cpu.iregs[reg_idx] = after
-            desc = f"ireg:{reg_idx}"
-        elif space == SPACE_FLOAT:
-            before = cpu.fregs[reg_idx]
-            (raw,) = _PACK_Q.unpack(_PACK_D.pack(before))
-            after = _PACK_D.unpack(_PACK_Q.pack(_set_bit(raw, bit, self.value)))[0]
-            cpu.fregs[reg_idx] = after
-            desc = f"freg:{reg_idx}"
-        else:
-            before = cpu.flags
-            after = _set_bit(before, bit, self.value)
-            cpu.flags = after
-            desc = "flags"
+            site = plan.state = plan.choose(outputs)
+        op_idx, space, reg_idx, _, bit = site
+        before, after, desc = _corrupt_register(
+            cpu, space, reg_idx, lambda raw: _set_bit(raw, bit, self.value)
+        )
         self._record(
             cpu, plan, pc, operand_index=op_idx, operand_desc=desc,
             bit=bit, before=before, after=after, dynamic_index=dynamic_index,
@@ -533,13 +502,9 @@ class StuckAtModel(FaultModel):
         bit = plan.state
         if bit is None:
             bit = plan.state = min(int(plan.bit_pick * width), width - 1)
-        if is_float:
-            (raw,) = _PACK_Q.unpack(_PACK_D.pack(value))
-            after = _PACK_D.unpack(_PACK_Q.pack(_set_bit(raw, bit, self.value)))[0]
-            desc = "ir-value:f64"
-        else:
-            after = to_signed64(_set_bit(value & MASK64, bit, self.value))
-            desc = "ir-value:i64"
+        after, desc = _corrupt_value(
+            value, is_float, lambda raw: _set_bit(raw, bit, self.value)
+        )
         self._record(
             cpu, plan, cpu._cur_pc, operand_index=0, operand_desc=desc,
             bit=bit, before=value, after=after, dynamic_index=dynamic_index,

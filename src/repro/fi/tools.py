@@ -82,7 +82,7 @@ class FITool:
 
     #: whether the tool's observation level can corrupt instruction
     #: encodings (machine/binary level only; IR tools cannot).
-    supports_opcode_faults = True
+    sees_encodings = True
 
     #: CpuSnapshot counter a fault trigger is compared against (the dynamic
     #: candidate count the tool's ``target_index`` indexes into); the
@@ -95,7 +95,6 @@ class FITool:
         workload: str = "program",
         config: FIConfig | None = None,
         opt_level: str = "O2",
-        opcode_faults: float = 0.0,
         fault_model: FaultModel | str | None = None,
     ) -> None:
         self.source = source
@@ -104,16 +103,6 @@ class FITool:
         self.opt_level = opt_level
         #: what executes this tool's runs
         self.engine = FastEngine()
-        if not 0.0 <= opcode_faults <= 1.0:
-            raise CampaignError("opcode_faults must be a probability")
-        if opcode_faults and not self.supports_opcode_faults:
-            raise CampaignError(
-                f"{self.name} operates above the instruction encoding and "
-                "cannot model OP-code corruption"
-            )
-        #: probability that a fault lands in the OP-code encoding instead of
-        #: an output register (paper Section 4.5 extension; default off).
-        self.opcode_faults = opcode_faults
         #: pluggable fault model (repro.fi.models); spec string, instance or
         #: None (single-bit default).  Validated against the tool's level.
         self.fault_model = resolve_fault_model(fault_model)
@@ -232,7 +221,7 @@ class LLFITool(FITool):
     name = "LLFI"
     _SNAPSHOT_COUNTER = "llfi_count"
     #: IR-level injection never touches instruction encodings.
-    supports_opcode_faults = False
+    sees_encodings = False
 
     def _compile(self) -> Binary:
         options = CompileOptions(

@@ -14,7 +14,11 @@ Fault-injection observation points (one CPU, three tools):
 * **REFINE** (backend level) — ``fi_check`` pseudo-instructions compiled
   into the binary consult the same kind of counter.
 * **LLFI** (IR level) — ``__fi_inject_*`` intrinsic stubs called from the
-  instrumented code route through :meth:`llfi_visit_int`/``_float``.
+  instrumented code route through :meth:`CPU.llfi_visit`.
+
+Where a trigger fires, the plan's fault model (:mod:`repro.fi.models`)
+corrupts the state and writes the :class:`FaultRecord`; the CPU only
+counts, and decides when.
 
 Crashes surface as :class:`~repro.errors.MachineTrap` subclasses recorded in
 the :class:`ExecutionResult` (segfault, illegal instruction, divide-by-zero,
@@ -27,20 +31,13 @@ import functools
 import linecache
 from dataclasses import dataclass, field
 
-from repro.errors import ExecutionTimeout, IllegalInstruction, MachineTrap
+from repro.errors import ExecutionTimeout, MachineTrap
 from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
 from repro.machine.loader import LoadedProgram
-from repro.machine.registers import (
-    RAX_IDX,
-    RBP_IDX,
-    RSP_IDX,
-    SPACE_FLOAT,
-    SPACE_INT,
-)
+from repro.machine.registers import RAX_IDX, RBP_IDX, RSP_IDX
 from repro.machine.semantics import CONDITIONS, HALT_PC, SEMANTICS, Context, namespace
-from repro.utils.bits import MASK64, to_signed64
-from repro.utils.ieee754 import flip_double_bit
+from repro.utils.bits import MASK64
 
 
 @dataclass
@@ -110,24 +107,18 @@ class FaultPlan:
     ``operand_pick`` and ``bit_pick`` are uniform draws in [0, 1) made
     up-front so an experiment is a pure function of its seed.
 
-    ``corrupt_opcode`` models the paper's Section 4.5 extension: a flip in
-    the instruction's OP-code field rather than an output register.  The
-    assembly-emitting stage of the real REFINE rejects invalid OP codes, so
-    like the paper this is off by default; when enabled the corrupted
-    instruction raises an illegal-instruction trap.
-
-    ``model`` selects a pluggable fault model (:mod:`repro.fi.models`).
-    ``None`` is the legacy single-bit path — the hot loop's fast case.  A
-    model plan may span a **dwell window**: every candidate with dynamic
-    count in ``[target_index, last_index]`` applies the fault (single-shot
-    plans have ``last_index == target_index``).  ``picks`` carries any
-    extra pre-drawn uniforms the model needs, and ``state`` is per-run
-    scratch (e.g. the stuck-at site chosen at first application) that tool
-    arming resets.
+    ``model`` is the fault model (:mod:`repro.fi.models`) that draws the
+    plan and applies it: every candidate whose dynamic count is in the
+    **dwell window** ``[target_index, last_index]`` calls its ``apply``
+    (register-level sites) or ``apply_value`` (LLFI's IR values);
+    single-shot plans have ``last_index == target_index``.  ``picks``
+    carries any extra pre-drawn uniforms the model needs, and ``state`` is
+    per-run scratch (e.g. the stuck-at site chosen at first application)
+    that tool arming resets.
     """
 
     __slots__ = (
-        "target_index", "operand_pick", "bit_pick", "tool", "corrupt_opcode",
+        "target_index", "operand_pick", "bit_pick", "tool",
         "last_index", "model", "picks", "state",
     )
 
@@ -137,8 +128,7 @@ class FaultPlan:
         operand_pick: float,
         bit_pick: float,
         tool: str,
-        corrupt_opcode: bool = False,
-        model=None,
+        model,
         picks: tuple = (),
         last_index: int | None = None,
     ) -> None:
@@ -146,7 +136,6 @@ class FaultPlan:
         self.operand_pick = operand_pick
         self.bit_pick = bit_pick
         self.tool = tool
-        self.corrupt_opcode = corrupt_opcode
         self.last_index = target_index if last_index is None else last_index
         self.model = model
         self.picks = picks
@@ -243,80 +232,11 @@ class CPU:
         self._snap_every = every
         self._snap_hook = hook
 
-    # -- fault application ----------------------------------------------------
+    # -- LLFI stub hook (invoked from intrinsics) ----------------------------
 
-    def _apply_fault(
-        self, plan: FaultPlan, pc: int, outputs: tuple, dynamic_index: int
-    ) -> None:
-        """Apply one fault observation at a register-level candidate site.
-
-        Plans without a model object take the legacy single-bit path
-        (:meth:`_apply_flip`); model plans delegate so multi-bit, memory,
-        and stuck-at semantics live in :mod:`repro.fi.models`.
-        """
-        model = plan.model
-        if model is None:
-            self._apply_flip(plan, pc, outputs, dynamic_index)
-        else:
-            model.apply(self, plan, pc, outputs, dynamic_index)
-
-    def _apply_flip(
-        self, plan: FaultPlan, pc: int, outputs: tuple, dynamic_index: int
-    ) -> None:
-        info = self.program.info[pc]
-        model_spec = "single-bit" if plan.model is None else plan.model.spec
-        if plan.corrupt_opcode:
-            # Section 4.5 extension: the bit lands in the OP-code encoding,
-            # yielding an undecodable instruction.
-            self.fault = FaultRecord(
-                tool=plan.tool,
-                dynamic_index=dynamic_index,
-                pc=pc,
-                func=info.func,
-                block=info.block,
-                instr_text=info.text,
-                operand_index=-1,
-                operand_desc="opcode",
-                bit=min(int(plan.bit_pick * 8), 7),
-                value_before=info.text,
-                value_after="<invalid opcode>",
-                model=model_spec,
-            )
-            raise IllegalInstruction("corrupted opcode", pc)
-        op_idx, space, reg_idx, width, bit = plan.choose(outputs)
-        if space == SPACE_INT:
-            before = self.iregs[reg_idx]
-            after = to_signed64((before & MASK64) ^ (1 << bit))
-            self.iregs[reg_idx] = after
-            desc = f"ireg:{reg_idx}"
-        elif space == SPACE_FLOAT:
-            before = self.fregs[reg_idx]
-            after = flip_double_bit(before, bit)
-            self.fregs[reg_idx] = after
-            desc = f"freg:{reg_idx}"
-        else:
-            before = self.flags
-            after = self.flags ^ (1 << bit)
-            self.flags = after
-            desc = "flags"
-        self.fault = FaultRecord(
-            tool=plan.tool,
-            dynamic_index=dynamic_index,
-            pc=pc,
-            func=info.func,
-            block=info.block,
-            instr_text=info.text,
-            operand_index=op_idx,
-            operand_desc=desc,
-            bit=bit,
-            value_before=before,
-            value_after=after,
-            model=model_spec,
-        )
-
-    # -- LLFI stub hooks (invoked from intrinsics) ---------------------------
-
-    def llfi_visit_int(self, value: int, width: int = 64) -> int:
+    def llfi_visit(self, value, width: int, is_float: bool):
+        """One visit of an LLFI stub: count it and return ``value``, which
+        the plan's model corrupts if the count is in the dwell window."""
         self._llfi_count += 1
         if self._site_trace is not None:
             self._site_trace.append(self._cur_pc)
@@ -325,61 +245,9 @@ class CPU:
             plan.target_index <= self._llfi_count <= plan.last_index
         ):
             return value
-        if plan.model is not None:
-            return plan.model.apply_value(
-                self, plan, value, width, False, self._llfi_count
-            )
-        # LLFI flips a bit of the IR value, uniform over its bit width.
-        bit = min(int(plan.bit_pick * width), width - 1)
-        after = to_signed64((value & MASK64) ^ (1 << bit))
-        pc = self._cur_pc
-        info = self.program.info[pc]
-        self.fault = FaultRecord(
-            tool=plan.tool,
-            dynamic_index=self._llfi_count,
-            pc=pc,
-            func=info.func,
-            block=info.block,
-            instr_text=info.text,
-            operand_index=0,
-            operand_desc="ir-value:i64",
-            bit=bit,
-            value_before=value,
-            value_after=after,
+        return plan.model.apply_value(
+            self, plan, value, width, is_float, self._llfi_count
         )
-        return after
-
-    def llfi_visit_float(self, value: float) -> float:
-        self._llfi_count += 1
-        if self._site_trace is not None:
-            self._site_trace.append(self._cur_pc)
-        plan = self._llfi_plan
-        if plan is None or not (
-            plan.target_index <= self._llfi_count <= plan.last_index
-        ):
-            return value
-        if plan.model is not None:
-            return plan.model.apply_value(
-                self, plan, value, 64, True, self._llfi_count
-            )
-        bit = min(int(plan.bit_pick * 64), 63)
-        after = flip_double_bit(value, bit)
-        pc = self._cur_pc
-        info = self.program.info[pc]
-        self.fault = FaultRecord(
-            tool=plan.tool,
-            dynamic_index=self._llfi_count,
-            pc=pc,
-            func=info.func,
-            block=info.block,
-            instr_text=info.text,
-            operand_index=0,
-            operand_desc="ir-value:f64",
-            bit=bit,
-            value_before=value,
-            value_after=after,
-        )
-        return after
 
     @property
     def llfi_dynamic_count(self) -> int:
@@ -552,7 +420,7 @@ def _loop(self, entry_pc):
                     # are live here; sync before flipping).  A dwell window
                     # re-applies at every in-window site.
                     self.flags = flags
-                    self._apply_fault(refine_plan, cur, t[1], refine_count)
+                    refine_plan.model.apply(self, refine_plan, cur, t[1], refine_count)
                     flags = self.flags
                 pc = cur + 1
 $ARMS
@@ -572,7 +440,7 @@ $ARMS
                     and pin_plan.target_index <= pin_count <= pin_plan.last_index
                 ):
                     self.flags = flags
-                    self._apply_fault(pin_plan, cur, outputs[cur], pin_count)
+                    pin_plan.model.apply(self, pin_plan, cur, outputs[cur], pin_count)
                     flags = self.flags
                     if pin_count >= pin_plan.last_index:
                         # Detach: instrumentation overhead ends once the

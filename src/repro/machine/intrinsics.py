@@ -148,20 +148,20 @@ def _llfi_inject_i64(cpu) -> None:
     rax.  The actual decision logic lives in the CPU's FI controller.
     """
     value = cpu.iregs[RSI_IDX]
-    cpu.iregs[RAX_IDX] = cpu.llfi_visit_int(value, 64)
+    cpu.iregs[RAX_IDX] = cpu.llfi_visit(value, 64, False)
 
 
 def _llfi_inject_i1(cpu) -> None:
     """LLFI stub for i1 (compare-result) values: a 1-bit flip target."""
     value = cpu.iregs[RSI_IDX]
-    cpu.iregs[RAX_IDX] = cpu.llfi_visit_int(value, 1)
+    cpu.iregs[RAX_IDX] = cpu.llfi_visit(value, 1, False)
 
 
 def _llfi_inject_f64(cpu) -> None:
     """LLFI ``injectFault`` stub for float values (rdi = site id, xmm0 =
     value; result in xmm0)."""
     value = cpu.fregs[XMM0_IDX]
-    cpu.fregs[XMM0_IDX] = cpu.llfi_visit_float(value)
+    cpu.fregs[XMM0_IDX] = cpu.llfi_visit(value, 64, True)
 
 
 class IntrinsicTable:

@@ -35,6 +35,7 @@ from dataclasses import astuple, dataclass
 
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
+from repro.fi.models import SingleBitModel
 from repro.fi.llfi import llfi_instrument
 from repro.fi.refine import refine_instrument
 from repro.ir import Module, clone_module
@@ -335,7 +336,7 @@ class EngineOracle(Oracle):
         problem, _, _ = self._compare(
             llfi, f"LLFI build armed at visit {target}",
             TIMEOUT_FACTOR * golden.steps,
-            lambda: FaultPlan(target, 0.0, bit_pick, "LLFI"),
+            lambda: FaultPlan(target, 0.0, bit_pick, "LLFI", SingleBitModel()),
         )
         return problem
 

@@ -94,38 +94,36 @@ class TestRendering:
 
 
 class TestOpcodeCorruption:
-    """Paper Section 4.5 extension (off by default)."""
+    """Paper Section 4.5 extension (``fault_model="opcode"``; off by
+    default)."""
 
     def test_llfi_rejects_opcode_faults(self):
         with pytest.raises(CampaignError, match="OP-code"):
-            make_tool_with_opcode("LLFI")
+            make_tool("LLFI", DEMO_SOURCE, "demo", fault_model="opcode")
 
     def test_refine_opcode_faults_always_crash(self):
-        tool = make_tool_with_opcode("REFINE", probability=1.0)
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo", fault_model="opcode")
         result = run_campaign(tool, n=30, keep_records=True)
         assert result.frequency(Outcome.CRASH) == 30
         for rec in result.records:
             assert rec.fault.operand_desc == "opcode"
             assert rec.trap == "illegal-instruction"
 
-    def test_partial_probability_mixes(self):
-        tool = make_tool_with_opcode("REFINE", probability=0.5)
-        result = run_campaign(tool, n=60, keep_records=True)
-        descs = {r.fault.operand_desc for r in result.records}
-        assert "opcode" in descs
-        assert len(descs) > 1
+    def test_opcode_faults_hit_the_single_bit_sites(self, campaign):
+        """The opcode model draws what the single-bit model draws: each
+        experiment corrupts the same dynamic instruction, in its encoding
+        instead of an output."""
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo", fault_model="opcode")
+        result = run_campaign(tool, n=campaign.n, keep_records=True)
+        for single, opcode in zip(campaign.records, result.records, strict=True):
+            assert (opcode.fault.dynamic_index, opcode.fault.pc) == (
+                single.fault.dynamic_index, single.fault.pc
+            )
+            assert opcode.fault.operand_desc == "opcode"
 
     def test_default_off(self, campaign):
         descs = {r.fault.operand_desc for r in campaign.records}
         assert "opcode" not in descs
-
-
-def make_tool_with_opcode(tool_name: str, probability: float = 1.0):
-    from repro.fi import TOOL_CLASSES
-
-    return TOOL_CLASSES[tool_name](
-        DEMO_SOURCE, "demo", opcode_faults=probability
-    )
 
 
 class TestEdgeCasesAgainstStore:
@@ -163,9 +161,9 @@ class TestEdgeCasesAgainstStore:
         assert self._db_groups(result, "func") == []
 
     def test_single_outcome_campaign(self):
-        # Opcode corruption at probability 1.0: every experiment crashes.
-        # One group, 100% crash, identical through the store.
-        tool = make_tool_with_opcode("REFINE", probability=1.0)
+        # Opcode corruption: every experiment crashes.  One group, 100%
+        # crash, identical through the store.
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo", fault_model="opcode")
         result = run_campaign(tool, n=12, keep_records=True)
         mem = by_function(result)
         assert all(g.proportion(Outcome.CRASH) == 1.0 for g in mem)

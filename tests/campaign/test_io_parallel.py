@@ -222,30 +222,23 @@ class TestParallelRunner:
 
     def test_opcode_faults_matches_sequential(self):
         """The parallel runner must run the same fault model as the
-        sequential one when OP-code corruption is enabled."""
-        tool = make_tool("REFINE", DEMO_SOURCE, "demo", opcode_faults=0.5)
+        sequential one under OP-code corruption."""
+        tool = make_tool("REFINE", DEMO_SOURCE, "demo", fault_model="opcode")
         sequential = run_campaign(tool, n=12, base_seed=11, keep_records=True)
         parallel = run_campaign_parallel(
             "REFINE", DEMO_SOURCE, "demo", n=12, workers=3, base_seed=11,
-            keep_records=True, opcode_faults=0.5,
+            keep_records=True, fault_model="opcode",
         )
         assert parallel.counts == sequential.counts
-        assert [r.fault.operand_desc for r in parallel.records] == [
-            r.fault.operand_desc for r in sequential.records
+        assert [r.fault for r in parallel.records] == [
+            r.fault for r in sequential.records
         ]
-        # with p=0.5 over 12 draws, some faults land in the opcode encoding
-        assert any(
-            r.fault.operand_desc == "opcode" for r in parallel.records
-        )
+        assert all(r.fault.operand_desc == "opcode" for r in parallel.records)
 
     def test_opcode_faults_rejected_for_llfi(self):
         with pytest.raises(CampaignError, match="instruction encoding"):
             run_campaign_parallel(
-                "LLFI", DEMO_SOURCE, "demo", n=5, opcode_faults=0.1
-            )
-        with pytest.raises(CampaignError, match="probability"):
-            run_campaign_parallel(
-                "REFINE", DEMO_SOURCE, "demo", n=5, opcode_faults=1.5
+                "LLFI", DEMO_SOURCE, "demo", n=5, fault_model="opcode"
             )
 
     def test_progress_reports_chunk_completions(self):

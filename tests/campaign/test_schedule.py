@@ -128,7 +128,7 @@ class TestTimelineReuse:
     @pytest.mark.parametrize("model", MODEL_ORDER)
     @pytest.mark.parametrize("tool_name", sorted(TOOL_CLASSES))
     def test_shards_in_any_order_equal_one_batch(self, tool_name, model):
-        if model == "opcode" and not TOOL_CLASSES[tool_name].supports_opcode_faults:
+        if model == "opcode" and not TOOL_CLASSES[tool_name].sees_encodings:
             pytest.skip("IR-level tools cannot corrupt instruction encodings")
         tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=model)
         whole = {

@@ -15,7 +15,7 @@ from repro.dist.protocol import (
     recv_message,
     send_message,
 )
-from repro.errors import DistError
+from repro.errors import CampaignSpecError, DistError
 
 from tests.conftest import DEMO_SOURCE
 
@@ -167,8 +167,24 @@ class TestCampaignSpec:
         ],
     )
     def test_invalid_spec_raises(self, overrides):
+        # through ``from_dict``, the door a request or a queued spec takes
+        data = {**self._spec().to_dict(), **overrides}
         with pytest.raises(DistError):
-            self._spec(**overrides)
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("probability", [0.3, 1.0])
+    def test_retired_opcode_probability_is_refused(self, probability):
+        # a request still asking to mix OP-code faults in must not quietly
+        # run plain single-bit
+        data = {**self._spec().to_dict(), "opcode_faults": probability}
+        with pytest.raises(CampaignSpecError, match='fault_model="opcode"'):
+            CampaignSpec.from_dict(data)
+
+    @pytest.mark.parametrize("probability", [0, 0.0])
+    def test_retired_opcode_probability_of_zero_is_dropped(self, probability):
+        spec = self._spec()
+        data = {**spec.to_dict(), "opcode_faults": probability}
+        assert CampaignSpec.from_dict(data) == spec
 
     def test_invalid_spec_is_catchable_as_either_family(self):
         # the spec configures local runners and travels the wire
@@ -181,7 +197,7 @@ class TestCampaignSpec:
     def test_valid_means_the_tool_can_be_built(self):
         # what used to surface only when a worker built the tool
         with pytest.raises(DistError, match="instruction encoding"):
-            self._spec(tool_name="LLFI", opcode_faults=0.1)
+            self._spec(tool_name="LLFI", fault_model="opcode")
         with pytest.raises(DistError, match="unknown fault model"):
             self._spec(fault_model="cosmic-ray")
 

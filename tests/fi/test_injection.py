@@ -3,6 +3,7 @@
 import pytest
 
 from repro.fi import LLFITool, PinfiTool, RefineTool, TIMEOUT_FACTOR
+from repro.fi.models import SingleBitModel
 from repro.machine.cpu import FaultPlan
 
 from tests.conftest import DEMO_SOURCE
@@ -18,15 +19,15 @@ def tool(request):
 class TestFaultPlan:
     def test_choose_uniform_operand(self):
         outputs = (("i", 0, 64), ("i", 1, 64), ("flags", 0, 16))
-        plan = FaultPlan(1, operand_pick=0.99, bit_pick=0.0, tool="t")
+        plan = FaultPlan(1, operand_pick=0.99, bit_pick=0.0, tool="t", model=SingleBitModel())
         op_idx, *_ = plan.choose(outputs)
         assert op_idx == 2
-        plan = FaultPlan(1, operand_pick=0.0, bit_pick=0.0, tool="t")
+        plan = FaultPlan(1, operand_pick=0.0, bit_pick=0.0, tool="t", model=SingleBitModel())
         assert plan.choose(outputs)[0] == 0
 
     def test_bit_respects_width(self):
         outputs = (("flags", 0, 16),)
-        plan = FaultPlan(1, operand_pick=0.0, bit_pick=0.999, tool="t")
+        plan = FaultPlan(1, operand_pick=0.0, bit_pick=0.999, tool="t", model=SingleBitModel())
         *_, bit = plan.choose(outputs)
         assert bit == 15
 

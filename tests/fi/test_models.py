@@ -135,7 +135,7 @@ class TestSingleBitIdentity:
             assert (a.target_index, a.operand_pick, a.bit_pick) == (
                 b.target_index, b.operand_pick, b.bit_pick
             )
-            assert a.model is None and b.model is None
+            assert type(a.model) is type(b.model) is SingleBitModel
             assert a.last_index == b.last_index == a.target_index
 
     def test_runs_identical_to_default(self, refine_tool):
@@ -151,21 +151,16 @@ class TestSingleBitIdentity:
             )
             assert fa.model == fb.model == "single-bit"
 
-    def test_opcode_probability_draw_order_preserved(self):
-        """The legacy opcode_faults draw happens after the model's picks,
-        replaying the historical RNG sequence."""
-        plain = RefineTool(DEMO_SOURCE, "demo", opcode_faults=0.3)
-        modeled = RefineTool(
-            DEMO_SOURCE, "demo", opcode_faults=0.3, fault_model="single-bit"
-        )
-        for seed in range(100):
-            assert (
-                plain.plan_from_seed(seed).corrupt_opcode
-                == modeled.plan_from_seed(seed).corrupt_opcode
-            )
-
 
 # ------------------------------------------------------ fault-record pin
+
+
+def _hostable(tool_name: str, spec: str) -> bool:
+    try:
+        parse_fault_model(spec).check_tool(TOOL_CLASSES[tool_name])
+    except CampaignError:
+        return False
+    return True
 
 
 #: sha256 (first 16 hex digits) over every field of every ``fault`` of the
@@ -191,14 +186,6 @@ FAULT_RECORD_PIN = {
     ("PINFI", "opcode"): "526523ae945f69a6",
     ("PINFI", "stuck-at"): "8a058887d0a4d5c6",
 }
-
-
-def _hostable(tool_name: str, spec: str) -> bool:
-    try:
-        parse_fault_model(spec).check_tool(TOOL_CLASSES[tool_name])
-    except CampaignError:
-        return False
-    return True
 
 
 def _field_text(value) -> str:
@@ -230,6 +217,23 @@ class TestFaultRecordPin:
                 text = _field_text(getattr(rec.fault, f.name))
                 digest.update(f"{f.name}={text}|".encode())
         assert digest.hexdigest()[:16] == FAULT_RECORD_PIN[cell]
+
+
+class TestRecordsNameTheirModel:
+    """A record says the model its campaign ran under, parameters and
+    all — weighted single-bit included."""
+
+    @pytest.mark.parametrize("tool_name, spec", [
+        (tool, spec) for tool in TOOL_ORDER
+        for spec in (*MODEL_ORDER, "single-bit:weighted=1", "multi-bit:k=3,weighted=1")
+        if _hostable(tool, spec)
+    ])
+    def test_record_model_is_campaign_model(self, tool_name, spec):
+        tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=spec)
+        result = run_campaign(tool, n=12, keep_records=True)
+        assert result.fault_model == parse_fault_model(spec).spec
+        for rec in result.records:
+            assert rec.fault.model == result.fault_model
 
 
 # ------------------------------------------------------ hypothesis: models

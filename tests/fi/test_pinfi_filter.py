@@ -62,10 +62,11 @@ class TestCycleModel:
         for runs of comparable length."""
         tool = PinfiTool(DEMO_SOURCE, "demo")
         total = tool.profile.total_candidates
+        from repro.fi.models import SingleBitModel
         from repro.machine.cpu import FaultPlan
 
         def run_with_target(k):
-            plan = FaultPlan(k, 0.0, 0.0, "PINFI")  # dst reg, bit 0
+            plan = FaultPlan(k, 0.0, 0.0, "PINFI", SingleBitModel())  # dst reg, bit 0
             cpu = tool._make_cpu(plan)
             result = cpu.run(budget=tool.profile.steps * 10)
             return result, tool._cycles(cpu, result)

@@ -221,10 +221,11 @@ class TestIntrinsics:
 
 class TestOpcodeCorruptionTrap:
     def test_corrupt_opcode_plan_raises_illegal_instruction(self, demo_program):
+        from repro.fi.models import OpcodeModel
         from repro.machine.cpu import FaultPlan
 
         cpu = CPU(demo_program)
-        cpu.attach_pinfi(FaultPlan(5, 0.0, 0.0, "PINFI", corrupt_opcode=True))
+        cpu.attach_pinfi(FaultPlan(5, 0.0, 0.0, "PINFI", OpcodeModel()))
         result = cpu.run(budget=10_000_000)
         assert result.trap == "illegal-instruction"
         assert result.fault is not None
@@ -240,10 +241,11 @@ class TestCycleAccounting:
         assert cycles > result.steps  # every op costs >= 1 cycle
 
     def test_pinfi_attached_counts_split(self, demo_program):
+        from repro.fi.models import SingleBitModel
         from repro.machine.cpu import FaultPlan
 
         cpu = CPU(demo_program)
-        cpu.attach_pinfi(FaultPlan(10, 0.5, 0.5, "PINFI"))
+        cpu.attach_pinfi(FaultPlan(10, 0.5, 0.5, "PINFI", SingleBitModel()))
         result = cpu.run(budget=10_000_000)
         assert result.counts_attached is not None
         if result.counts_attached is not result.counts:

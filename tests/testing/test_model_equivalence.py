@@ -7,8 +7,9 @@ in trigger order, or from instruction 0 on the interpreter loop in index
 order — because the evaluation's accuracy claims compare *tools*, and any
 engine/scheduler dependence would confound them.
 
-Tier-1 runs a small smoke subset (two workloads, every model); the full
-14-workload x 3-tool sweep over every model runs under ``-m slow`` in CI.
+Tier-1 runs a small smoke subset (two workloads, every model and weighted
+single-bit); the full 14-workload x 3-tool sweep over the same models runs
+under ``-m slow`` in CI.
 Both run n = 4..8, where no hang repeats; the scheduler's reuse of recorded
 endings (``tests/campaign/test_endings.py``) is held to the oracle on the
 cell that motivated it, EP x ``cache-line``, at an n where it fires.
@@ -31,10 +32,13 @@ from repro.workloads import get_workload, workload_names
 
 SMOKE_WORKLOADS = ("CG", "lulesh")
 
+#: Every registered model, plus residency-weighted trigger selection.
+MODELS = MODEL_ORDER + ("single-bit:weighted=1",)
+
 
 class TestFaultModelEquivalenceSmoke:
     @pytest.mark.parametrize("workload", SMOKE_WORKLOADS)
-    @pytest.mark.parametrize("model", MODEL_ORDER)
+    @pytest.mark.parametrize("model", MODELS)
     def test_model_equivalent_across_engines_and_schedulers(
         self, workload, model
     ):
@@ -51,7 +55,7 @@ class TestFaultModelEquivalenceFull:
 
     @pytest.mark.parametrize("workload", workload_names())
     def test_all_models_equivalent(self, workload):
-        divergence = check_workload_fault_model_equivalence(workload)
+        divergence = check_workload_fault_model_equivalence(workload, MODELS)
         assert divergence is None, divergence.describe()
 
 
