@@ -35,8 +35,8 @@ from dataclasses import astuple, dataclass
 
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
-from repro.fi.models import SingleBitModel
 from repro.fi.llfi import llfi_instrument
+from repro.fi.models import SingleBitModel
 from repro.fi.refine import refine_instrument
 from repro.ir import Module, clone_module
 from repro.machine.cpu import CPU, ExecutionResult, FaultPlan
