@@ -31,7 +31,7 @@ fault list by dynamic position).  So nothing here runs it twice:
    the rest of the run is *spliced* from the golden suffix instead of
    executed: equal state at equal step count implies identical future
    behaviour, and the tool counters are behaviourally inert once the
-   single-shot fault has fired.  Outputs, counts, steps and exit code of a
+   single-shot fault has fired.  Outputs, cycles, steps and exit code of a
    spliced result are bit-identical to running the tail out natively.  No
    rejoin is lost to where a tail stops: a golden state sits on a block
    leader, so a tail in that state at that step is on that leader, which is
@@ -46,7 +46,7 @@ fault list by dynamic position).  So nothing here runs it twice:
    the 128 it has always had (the cap) and n = 24 at 16; n is the cell's,
    never a batch's, so every executor records the same timeline.
 5. **Keep the timeline.**  Everything the first pass learned about the
-   golden run — the sync states in step order, the step/count/exit totals —
+   golden run — the sync states in step order, the step/cycle/exit totals —
    is a :class:`GoldenTimeline` the scheduler retains, so one scheduler
    serves any number of batches of the same tool (the shards of one cell,
    in any order).  A later batch restores the nearest retained sync state
@@ -80,7 +80,7 @@ fault list by dynamic position).  So nothing here runs it twice:
    writing the interval's golden results as it goes (a word of D the golden
    run writes drops out), and lands on the sync state k before the first
    interval that reads a word of D: the golden registers, flags and steps
-   there, the golden count deltas and output lines from j to k added to the
+   there, the golden cycle deltas and output lines from j to k added to the
    tail's own.  The engine goes on from k's pc on its one block loop (the
    ``on_sync`` protocol of :meth:`~repro.engine.fast.FastEngine.resume`),
    and the tail pauses again at the next sync points, densely, as after
@@ -93,9 +93,8 @@ fault list by dynamic position).  So nothing here runs it twice:
    rendering of the interpreter loop (:func:`record_interval`) — on the
    :data:`RECORD_AT_ASK`-th ask, since a logged replay costs several block
    runs — and stay with the timeline.  A ride costs the pages and words it
-   writes and the pcs the ridden intervals executed; no memory comparison
-   is needed to start one beyond the rejoin test's, which stops at the
-   first page that differs.
+   writes; no memory comparison is needed to start one beyond the rejoin
+   test's, which stops at the first page that differs.
 
 Bit-identity bar: every :class:`~repro.campaign.results.ExperimentRecord`
 field except the provenance pair ``engine``/``snapshot_hit`` matches the
@@ -108,7 +107,6 @@ from __future__ import annotations
 
 import struct
 import time
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -159,7 +157,7 @@ REJOIN_MAX_CHECKS = 8
 RECORD_AT_ASK = 6
 
 #: Recorded endings one scheduler keeps, oldest out (each holds a reference
-#: state's dirty pages and two per-pc count vectors).
+#: state's dirty pages).
 ENDINGS_KEPT = 64
 
 
@@ -276,9 +274,8 @@ class Ending:
     trap_pc: int
     exit_code: int
     steps: int
-    #: per-static-instruction execution counts at the end (packed ``q``: a
-    #: scheduler may hold :data:`ENDINGS_KEPT` of these)
-    counts: array
+    #: simulated cycles executed by the end, doubled
+    half_cycles: int
     #: every line printed by the end
     output: tuple[str, ...]
 
@@ -287,7 +284,7 @@ class Ending:
         """A copy: the pooled CPU whose run this was goes on to run tails."""
         return cls(
             result.trap, result.trap_pc, result.exit_code, result.steps,
-            array("q", result.counts), tuple(result.output),
+            result.half_cycles, tuple(result.output),
         )
 
 
@@ -305,9 +302,6 @@ class IntervalAccess(NamedTuple):
     #: its end
     writes: np.ndarray
     write_values: np.ndarray
-    #: every instruction it executes, and how many times
-    pcs: np.ndarray
-    executions: np.ndarray
 
 
 def _accesses(notes: list[int]) -> tuple[set[int], set[int]]:
@@ -376,12 +370,9 @@ def record_interval(cpu, start: CpuSnapshot, end, base: list[bytes]) -> Interval
         # no state after the last interval: a ride across it splices the
         # golden ending, so these values are never read again
         values = np.frombuffer(cpu.mem, np.int64)[written]
-    counts = [(pc, b - a) for pc, (a, b) in enumerate(zip(start.counts, end.counts)) if a != b]
     return IntervalAccess(
         np.array(reads, dtype=np.intp), _words_of(start, base, reads),
         written, values,
-        np.array([pc for pc, _ in counts], dtype=np.intp),
-        np.array([n for _, n in counts], dtype=np.int64),
     )
 
 
@@ -481,11 +472,8 @@ class TriggerScheduler:
         #: and the sync points it pauses at
         self._tail_plan = None
         self._syncs: list[int] = []
-        #: the pooled CPU's memory as int64 words, and the executions the
-        #: running tail's rides owe its counts (:meth:`_ride`)
+        #: the pooled CPU's memory as int64 words (:meth:`_ride`)
         self._live = None
-        self._owed = None
-        self._owing = False
         #: (state at the first stop at or past step G, how the tail that
         #: was in it ended): see
         #: :meth:`_on_overrun`
@@ -566,7 +554,6 @@ class TriggerScheduler:
         syncs = list(range(timeline.interval, profile.steps, timeline.interval))
         cpu = self._cpu = tool._make_cpu(None)
         self._live = np.frombuffer(cpu.mem, np.int64)
-        self._owed = np.zeros(len(tool.program.code), np.int64)
         result = tool.engine.run_cursor(
             cpu,
             budget=GOLDEN_BUDGET,
@@ -675,7 +662,7 @@ class TriggerScheduler:
         Likewise while a dwell window is still open (stuck-at models): the
         fault keeps re-applying, so the tail may not be spliced — and PINFI
         may not be treated as detached — until the window closes.  A tail
-        PINFI is still attached to is never spliced: its counts still
+        PINFI is still attached to is never spliced: its cycles still
         accumulate into the attach-time accounting a splice leaves alone.
         """
         if cpu.fault is None or cpu._attached:
@@ -735,12 +722,11 @@ class TriggerScheduler:
         words the interval writes take their golden values, every other
         word keeps its own.  The tail lands on the sync state ``k`` before
         the first interval that reads a word where it differs: the golden
-        registers, flags and steps there, the golden count deltas and
+        registers, flags and steps there, the golden cycle deltas and
         output lines from ``j`` to ``k`` added to its own — and the engine
         goes on at ``k``'s pc, which is returned.  A tail that rides across
         the last interval ends as the golden run does: it splices the
-        golden ending from ``j`` (True).  (The count deltas are owed, and
-        paid by :meth:`_settle`.)
+        golden ending from ``j`` (True).
         """
         timeline = self._timeline
         sync_steps = timeline.sync_steps
@@ -766,29 +752,13 @@ class TriggerScheduler:
         cpu.fregs[:] = end.fregs
         cpu.flags = end.flags
         cpu.steps = end.steps
+        cpu.half_cycles += end.half_cycles - start.half_cycles
         cpu.output.extend(end.output[len(start.output):])
         cpu._refine_count += end.refine_count - start.refine_count
         cpu._llfi_count += end.llfi_count - start.llfi_count
-        owed = self._owed
-        for i in range(j, k):
-            access = timeline.accesses[i]
-            owed[access.pcs] += access.executions
-        self._owing = True
         self.stats.ridden_steps += end.steps - start.steps
         self.stats.tail_steps_saved += end.steps - start.steps
         return end.pc
-
-    def _settle(self, cpu) -> None:
-        """Add the executions the tail's rides owe to its per-pc counts (in
-        one pass per tail, not one per ride)."""
-        if self._owing:
-            owed = self._owed
-            counts = cpu.counts
-            pcs = np.flatnonzero(owed)
-            for pc, n in zip(pcs.tolist(), owed[pcs].tolist()):
-                counts[pc] += n
-            owed[pcs] = 0
-            self._owing = False
 
     def _on_overrun(self, cpu, pc: int) -> bool:
         """A tail is still running at its first stop at or past the golden
@@ -807,7 +777,6 @@ class TriggerScheduler:
                 self._spliced = ref, ending
                 self.stats.ending_hits += 1
                 return True
-        self._settle(cpu)
         self._overran = capture_snapshot(cpu, pc, base=self._clean)
         return False
 
@@ -830,12 +799,12 @@ class TriggerScheduler:
         state it is in.
 
         The tail's state at step ``S = at.steps`` is bitwise equal to
-        ``at``, so its remaining execution is that run's remainder: counts
-        gain the run's per-pc deltas past ``S``, output gains its lines
-        past ``S``, and the tail ends at the run's step count the way the
-        run did (the golden run: cleanly, with the golden exit code; an
-        overrun tail: usually on the timeout).  PINFI's frozen attach-time
-        accounting (``counts_attached``, ``attached_candidates``) is
+        ``at``, so its remaining execution is that run's remainder: cycles
+        gain the run's cycles past ``S``, output gains its lines past
+        ``S``, and the tail ends at the run's step count the way the run
+        did (the golden run: cleanly, with the golden exit code; an overrun
+        tail: usually on the timeout).  PINFI's frozen attach-time
+        accounting (``half_cycles_attached``, ``attached_candidates``) is
         untouched — the fault always fires (and PINFI detaches) before a
         splice is admissible.
         """
@@ -846,10 +815,8 @@ class TriggerScheduler:
         result.output = list(cpu.output) + list(ending.output[len(at.output):])
         result.steps = ending.steps
         result.fault = cpu.fault
-        result.counts = [
-            c + e - a for c, e, a in zip(cpu.counts, ending.counts, at.counts)
-        ]
-        result.counts_attached = cpu.counts_attached
+        result.half_cycles = cpu.half_cycles + ending.half_cycles - at.half_cycles
+        result.half_cycles_attached = cpu.half_cycles_attached
         result.attached_candidates = cpu.attached_candidates
         self.stats.tail_steps_saved += ending.steps - at.steps
         return result
@@ -903,7 +870,6 @@ class TriggerScheduler:
             result = tool.engine.resume(
                 cpu, fork.pc, tool.timeout_budget, self._syncs, self._on_sync,
             )
-            self._settle(cpu)
             if result is None:
                 result = self._splice(cpu, *self._spliced)
             elif (

@@ -9,14 +9,14 @@ tuple unpacking, no dynamic accounting.
 
 Dynamic accounting is recovered *in bulk* by the trampoline
 (:mod:`repro.engine.fast`): a block is a contiguous pc range, so its
-execution contributes a known constant to ``steps``, to every
-``counts[pc]`` in its extent, and to the REFINE, PINFI and LLFI trigger
-counters (:attr:`BlockMeta.sites` / :attr:`BlockMeta.cands` /
+execution contributes a known constant to ``steps``, to the simulated
+cycles (:attr:`BlockMeta.half_cycles`), and to the REFINE, PINFI and LLFI
+trigger counters (:attr:`BlockMeta.sites` / :attr:`BlockMeta.cands` /
 :attr:`BlockMeta.llfis`).
 
 Traps keep exact reference semantics because every potentially-trapping
-instruction raises with its own pc; the trampoline rewinds the batched
-accounting to the executed prefix (``range(entry, trap.pc)``).
+instruction raises with its own pc; the trampoline accounts the executed
+prefix (``range(entry, trap.pc)``) instead of the block.
 
 **A trigger cannot fire inside a block.**  Fire points are interpreted, so
 a REFINE ``fi_check`` is no code at all and an LLFI visit — a call to an
@@ -29,7 +29,7 @@ fork reads them there) and at an intrinsic call that is not an LLFI visit
 (the intrinsic is handed the CPU); a flag write that the block itself
 overwrites before either is never emitted (:func:`flag_liveness`), so a
 ``cmp`` whose flags nobody reads is no code at all.  At a trap it owes only
-what a trapped run is compared on — trap kind, trap pc, steps, counts,
+what a trapped run is compared on — trap kind, trap pc, steps, cycles,
 output: ``ExecutionResult`` carries no flags and no state is compared after
 a trap.  Faults never land inside a block, so a block always starts from
 exact state.
@@ -72,8 +72,8 @@ from repro.utils.bits import MASK64, to_signed64
 #: translation fingerprint (:func:`repro.engine.cache.translation_fingerprint`).
 #: 2: dead flag writes dropped, memory words through typed views, no pc in
 #: the generated code.  3: rendered from the semantics table.  4: an LLFI
-#: visit is its unfired effect.
-TRANSLATION_VERSION = 4
+#: visit is its unfired effect.  5: a block's meta carries its half-cycles.
+TRANSLATION_VERSION = 5
 
 #: Whether generated code indexes typed views of memory: they are native
 #: byte order, and the machine's memory is little-endian.
@@ -103,6 +103,8 @@ class BlockMeta(NamedTuple):
     cands: int
     #: static LLFI visit count (LLFI trigger increment)
     llfis: int
+    #: summed ``half_cost`` (simulated cycles, doubled)
+    half_cycles: int
 
 
 def discover_blocks(program: LoadedProgram) -> tuple[list[int], list[int]]:
@@ -151,7 +153,8 @@ def block_meta(program: LoadedProgram, start: int, end: int) -> BlockMeta:
             llfis += 1
         if is_cand[pc]:
             cands += 1
-    return BlockMeta(end - start, sites, cands, llfis)
+    return BlockMeta(end - start, sites, cands, llfis,
+                     sum(program.half_cost[start:end]))
 
 
 def flag_liveness(code: list[tuple], start: int, end: int) -> list[bool]:

@@ -24,7 +24,7 @@ a block that meets the horizon:
 * **exact strides** — an armed plan whose trigger counter would cross its
   target inside the next block, or a pc that is not a translated block
   entry (the instruction after a fire point, a corrupted return address),
-  take the one slow path: flush the batch, run the reference loop for
+  take the one slow path: sync the CPU, run the reference loop for
   exactly k instructions — through the fire point, to the end of the
   enclosing block — and free-run again from wherever that stops (the ZOFI
   insight: the binary runs uninstrumented outside a bounded window around
@@ -45,12 +45,14 @@ interpreting instead costs ≈ 0.13 ms per experiment (≈ 2.7 more ≈ 50 µs
 strides per tail), which compiling wins back only past ≈ 4–8 k experiments
 per cell — 4–8 × the paper's n = 1068, and then by a percent or two.
 
-Everything observable — steps, per-pc counts, trigger counters, traps,
+Everything observable — steps, simulated cycles, trigger counters, traps,
 output, and the full state wherever execution pauses — is bit-identical to
-the reference interpreter: free-run accounting is batched per block (a block
-is a contiguous pc range, so its contribution is a static constant), trap
-unwinding rewinds the batch to the executed prefix, and a block owes exact
-flags only where they are observed (:mod:`repro.engine.blocks`).
+the reference interpreter: free-run accounting is one static constant per
+block (a block is a contiguous pc range) added to scalar locals, a trap
+accounts the executed prefix instead, and a block owes exact flags only
+where they are observed (:mod:`repro.engine.blocks`).  Cycles are counted
+in halves (every cost is a multiple of half a cycle), so they are integers
+and their sum is exact in any order.
 
 **Three tools, one trigger mechanism.**  REFINE's ``fi_check``s, PINFI's
 candidates and LLFI's visits (calls to an ``__fi_inject_*`` stub) are all
@@ -100,7 +102,7 @@ COUNTERS = ("refine_count", "pin_count", "llfi_count")
 
 #: What the block table answers for a pc that is not a block entry: its
 #: length puts ``steps + n`` past any horizon, so the slow path sees it.
-_MISS = (None, _NEVER, 0, 0, 0)
+_MISS = (None, _NEVER, 0, 0, 0, 0)
 
 
 class _ExitFast(Exception):
@@ -139,7 +141,7 @@ class FastEngine:
         ``syncs`` is a sorted sequence of absolute dynamic-instruction
         counts.  At the first *stop* at or past each one — a block entry,
         or the end of an interpreted stride — the engine pauses with the
-        CPU state fully synced (steps, counters, counts, flags) and calls
+        CPU state fully synced (steps, counters, cycles, flags) and calls
         ``on_sync(cpu, pc, reach)`` — the protocol :meth:`run_cursor`'s
         ``sync_hook`` shares; here ``reach`` counts ``refine_count``, and a
         tail has no use for it — no instruction is interpreted to reach a
@@ -149,7 +151,7 @@ class FastEngine:
         this to splice a golden tail once a faulty run has provably
         re-converged).  A return that is an ``int`` (not a ``bool``) is a
         pc: ``on_sync`` has rewritten the CPU in place (registers, flags,
-        memory, steps, counters, counts, output — the scheduler's ride
+        memory, steps, counters, cycles, output — the scheduler's ride
         along the golden timeline), and execution goes on from that pc, on
         the same loop, with every local read afresh.  ``syncs`` is read
         afresh after each call, so ``on_sync`` may change it in place.
@@ -216,8 +218,8 @@ class FastEngine:
 
     def _block_ctx(self, cpu: CPU):
         """``(translation, FL, table)`` for ``cpu``: the block table maps
-        each block entry to ``(fn, n, sites, cands, llfis)``, the block's
-        function bound to this CPU and its
+        each block entry to ``(fn, n, sites, cands, llfis, half_cycles)``,
+        the block's function bound to this CPU and its
         :class:`~repro.engine.blocks.BlockMeta`.
 
         Instantiating a translation builds one closure per block, which
@@ -273,8 +275,8 @@ class FastEngine:
 
     @staticmethod
     def _reload(cpu: CPU, FL, syncs):
-        """The trampoline's locals, read off a synced CPU: ``(steps, rc,
-        pin, lc, attached, r_target, p_target, l_target, sync_v)``.
+        """The trampoline's locals, read off a synced CPU: ``(steps, hc,
+        rc, pin, lc, attached, r_target, p_target, l_target, sync_v)``.
 
         A plan's target stays armed only until its fault has fired and its
         dwell window has closed (single-shot plans: ``last_index ==
@@ -285,6 +287,7 @@ class FastEngine:
         """
         steps = cpu.steps
         FL[0] = cpu.flags
+        hc = cpu.half_cycles
         rc = cpu._refine_count
         pin = cpu._pin_count
         lc = cpu._llfi_count
@@ -300,7 +303,7 @@ class FastEngine:
                 targets.append(_NEVER)
             else:
                 targets.append(plan.target_index)
-        return (steps, rc, pin, lc, attached, *targets,
+        return (steps, hc, rc, pin, lc, attached, *targets,
                 FastEngine._sync_from(syncs, steps))
 
     @staticmethod
@@ -312,8 +315,8 @@ class FastEngine:
                 return syncs[i]
         return _NEVER
 
-    def _interpret(self, cpu, FL, execs, table, steps, rc, pin, lc, pc, k, syncs):
-        """The one slow path: flush the batch, run the reference loop from
+    def _interpret(self, cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs):
+        """The one slow path: sync the CPU, run the reference loop from
         ``pc`` for exactly ``k`` instructions (``None``: the watcher
         window), and reload the trampoline's locals.
 
@@ -322,7 +325,7 @@ class FastEngine:
         propagate.  Armed plans, dwell windows, LLFI stubs and the PINFI
         detach inside the stride are the reference loop's business.
         """
-        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+        self._flush(cpu, FL, steps, hc, rc, pin, lc)
         if k is None:
             cpu._snap_every, cpu._snap_hook = CAREFUL_WINDOW, _fault_watcher
         else:
@@ -347,36 +350,34 @@ class FastEngine:
         if budget is not None:
             cpu.budget = budget
         trans, FL, table = self._block_ctx(cpu)
-        execs: dict[int, int] = {}
 
         budget_v = cpu.budget
         # (a fault that fired before the resume point may already have
         # closed a plan's window: _reload disarms it)
-        steps, rc, pin, lc, attached, r_target, p_target, l_target, sync_v = (
-            self._reload(cpu, FL, syncs)
-        )
+        (steps, hc, rc, pin, lc, attached, r_target, p_target, l_target,
+         sync_v) = self._reload(cpu, FL, syncs)
         horizon = 0  # the first block takes the slow path, which sets it
 
         get = table.get
 
         try:
             while True:
-                fn, n, s, c, l = get(pc, _MISS)
+                fn, n, s, c, l, h = get(pc, _MISS)
 
                 if steps + n >= horizon:
                     if fn is None:
-                        n, s, c, l = trans.cover(pc)  # static facts only
+                        n, s, c, l, h = trans.cover(pc)  # static facts only
                     if steps >= sync_v:
                         # The first stop at or past a sync point (every point
                         # the last block crossed): observe the state here.
-                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        self._flush(cpu, FL, steps, hc, rc, pin, lc)
                         went = on_sync(cpu, pc, (rc, pin, lc)[which] + (s, c, l)[which])
                         if type(went) is int:
                             # The CPU was rewritten in place: go on from the
                             # pc returned, through the slow path.
                             pc = went
-                            (steps, rc, pin, lc, attached, r_target, p_target,
-                             l_target, sync_v) = self._reload(cpu, FL, syncs)
+                            (steps, hc, rc, pin, lc, attached, r_target,
+                             p_target, l_target, sync_v) = self._reload(cpu, FL, syncs)
                             sync_v = self._sync_from(syncs, steps + 1)
                             horizon = 0
                             continue
@@ -389,7 +390,7 @@ class FastEngine:
                         # preserving the exact timeout/halt ordering at the
                         # boundary.  (A stop is always short of the budget, so
                         # a sync point at or past it is never observed.)
-                        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                        self._flush(cpu, FL, steps, hc, rc, pin, lc)
                         cpu._loop(pc)
                         return cpu.build_result()
                     if stop is not None:
@@ -397,7 +398,7 @@ class FastEngine:
                         if upto >= stop:
                             # A pending trigger fires inside this block: fork
                             # at the block entry.
-                            self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                            self._flush(cpu, FL, steps, hc, rc, pin, lc)
                             stop = fork_hook(cpu, pc, upto)
                             if stop is None and window:
                                 return None
@@ -420,10 +421,9 @@ class FastEngine:
                         else:
                             # Entered mid-block: finish the block.
                             k = n
-                        (pc, steps, rc, pin, lc, attached, r_target, p_target,
-                         l_target, sync_v) = self._interpret(
-                            cpu, FL, execs, table, steps, rc, pin, lc, pc, k,
-                            syncs,
+                        (pc, steps, hc, rc, pin, lc, attached, r_target,
+                         p_target, l_target, sync_v) = self._interpret(
+                            cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs,
                         )
                         if pc is None:
                             return cpu.build_result()  # halted inside the stride
@@ -439,59 +439,47 @@ class FastEngine:
                 try:
                     next_pc = fn()
                 except MachineTrap as trap:
-                    self._unwind_trap(cpu, FL, execs, table, steps, rc, pin,
-                                      lc, attached, pc, trap.pc)
+                    self._unwind_trap(cpu, FL, steps, hc, rc, pin, lc, pc,
+                                      trap.pc)
                     raise
 
-                if pc in execs:
-                    execs[pc] += 1
-                else:
-                    execs[pc] = 1
                 steps += n
+                hc += h
                 rc += s
                 if attached:
                     pin += c
                 lc += l
                 if next_pc < 0:
-                    self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
+                    self._flush(cpu, FL, steps, hc, rc, pin, lc)
                     return cpu.build_result()
                 pc = next_pc
         except MachineTrap as trap:
             return cpu.build_result(trap=trap.kind, trap_pc=trap.pc)
 
-    # -- batched accounting -------------------------------------------------
+    # -- accounting ---------------------------------------------------------
 
     @staticmethod
-    def _flush(cpu, FL, execs, table, steps, rc, pin, lc) -> None:
-        """Expand batched block accounting onto the CPU object."""
-        counts = cpu.counts
-        for entry, k in execs.items():
-            for p in range(entry, entry + table[entry][1]):
-                counts[p] += k
-        execs.clear()
+    def _flush(cpu, FL, steps, hc, rc, pin, lc) -> None:
+        """Write the trampoline's accounting onto the CPU object."""
         cpu.steps = steps
+        cpu.half_cycles = hc
         cpu.flags = FL[0]
         cpu._refine_count = rc
         cpu._pin_count = pin
         cpu._llfi_count = lc
         if cpu._attached:
             cpu.attached_candidates = pin
+            cpu.half_cycles_attached = hc
 
-    def _unwind_trap(self, cpu, FL, execs, table, steps, rc, pin, lc,
-                     attached, entry, trap_pc) -> None:
+    def _unwind_trap(self, cpu, FL, steps, hc, rc, pin, lc, entry,
+                     trap_pc) -> None:
         """Account the executed prefix of a block that trapped mid-way.
 
         Reference semantics: instructions before the trapping one are
         counted; the trapping instruction itself is not.
         """
-        self._flush(cpu, FL, execs, table, steps, rc, pin, lc)
-        counts = cpu.counts
-        for p in range(entry, trap_pc):
-            counts[p] += 1
         prefix = block_meta(cpu.program, entry, trap_pc)
-        cpu.steps = steps + prefix.length
-        cpu._refine_count = rc + prefix.sites
-        cpu._llfi_count = lc + prefix.llfis
-        if attached:
-            cpu._pin_count = pin + prefix.cands
-            cpu.attached_candidates = cpu._pin_count
+        if cpu._attached:
+            pin += prefix.cands
+        self._flush(cpu, FL, steps + prefix.length, hc + prefix.half_cycles,
+                    rc + prefix.sites, pin, lc + prefix.llfis)

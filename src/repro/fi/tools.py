@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from repro.backend.compiler import CompileOptions, compile_minic
 from repro.backend.binary import Binary
 from repro.engine import FastEngine
@@ -47,12 +45,6 @@ TIMEOUT_FACTOR = 10
 
 #: Step budget of a fault-free run (the profile, the golden cursor).
 GOLDEN_BUDGET = 200_000_000
-
-
-def _int64s(counts) -> np.ndarray:
-    """Per-pc counts as the int64 array ``np.asarray`` builds from them, in
-    one pass (numpy converts a Python sequence element by element)."""
-    return np.fromiter(counts, np.int64, len(counts))
 
 
 @dataclass
@@ -130,11 +122,7 @@ class FITool:
         raise NotImplementedError
 
     def _cycles(self, cpu: CPU, result: ExecutionResult) -> float:
-        return float(np.dot(_int64s(result.counts), self._cost_array))
-
-    @cached_property
-    def _cost_array(self) -> np.ndarray:
-        return np.asarray(self.program.cost, dtype=np.float64)
+        return result.half_cycles / 2
 
     @cached_property
     def profile(self) -> ProfileResult:
@@ -282,21 +270,12 @@ class PinfiTool(FITool):
         return cpu.pinfi_dynamic_count
 
     def _cycles(self, cpu: CPU, result: ExecutionResult) -> float:
-        costs = self._cost_array
-        attached = result.counts_attached
-        detached = result.counts
-        if attached is None:
-            raise CampaignError("PINFI run without attached counts")
-        attached_cycles = float(np.dot(_int64s(attached), costs))
-        if attached is detached:
-            detached_cycles = 0.0
-        else:
-            detached_cycles = float(np.dot(_int64s(detached), costs))
+        attached = result.half_cycles_attached
         return (
             PIN_ATTACH_COST
-            + PIN_DBI_FACTOR * attached_cycles
+            + PIN_DBI_FACTOR * (attached / 2)
             + PIN_CALLBACK_COST * result.attached_candidates
-            + detached_cycles
+            + (result.half_cycles - attached) / 2
         )
 
 

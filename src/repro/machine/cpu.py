@@ -80,10 +80,12 @@ class ExecutionResult:
     trap: str | None = None
     trap_pc: int = -1
     fault: FaultRecord | None = None
-    #: dynamic execution count per static instruction
-    counts: list[int] = field(default_factory=list)
-    #: counts while a DBI tool was attached (PINFI only)
-    counts_attached: list[int] | None = None
+    #: simulated cycles executed, doubled (every instruction costs a
+    #: multiple of half a cycle: ``LoadedProgram.half_cost``)
+    half_cycles: int = 0
+    #: the part of ``half_cycles`` executed while a DBI tool was attached
+    #: (PINFI only)
+    half_cycles_attached: int = 0
     #: number of candidate instructions executed while attached (PINFI)
     attached_candidates: int = 0
 
@@ -159,7 +161,7 @@ class CPU:
         self.fregs: list[float] = [0.0] * 16
         self.flags = 0
         self.output: list[str] = []
-        self.counts = [0] * len(program.code)
+        self.half_cycles = 0
         self.steps = 0
         self.budget = 1 << 62
 
@@ -167,8 +169,10 @@ class CPU:
         self._attached = False
         self._pin_count = 0
         self._pin_plan: FaultPlan | None = None
-        self.counts_attached: list[int] | None = None
+        #: candidates and half-cycles executed while attached, frozen at
+        #: detach
         self.attached_candidates = 0
+        self.half_cycles_attached = 0
 
         # REFINE state
         self._refine_count = 0
@@ -207,8 +211,6 @@ class CPU:
         self._pin_plan = plan
         if plan is not None:
             plan.state = None
-        self.counts_attached = self.counts
-        # Execution counts accumulate into the attached array until detach.
 
     def arm_refine(self, plan: FaultPlan) -> None:
         plan.state = None
@@ -290,7 +292,7 @@ class CPU:
         file, flags, memory, output and dynamic counters: execution picks up
         mid-program exactly where the snapshot was taken, and the returned
         :class:`ExecutionResult` is bit-identical to a from-scratch run's
-        (``steps`` and ``counts`` include the restored prefix).
+        (``steps`` and ``half_cycles`` include the restored prefix).
         """
         return self._execute(pc, budget)
 
@@ -314,8 +316,8 @@ class CPU:
         result.output = self.output
         result.steps = self.steps
         result.fault = self.fault
-        result.counts = self.counts
-        result.counts_attached = self.counts_attached
+        result.half_cycles = self.half_cycles
+        result.half_cycles_attached = self.half_cycles_attached
         result.attached_candidates = self.attached_candidates
         return result
 
@@ -344,7 +346,7 @@ class _Interpreter(Context):
     chain over ``cc`` into ``c``."""
 
     JUMP = "pc = {}"
-    HALT = ("counts[cur] += 1", "steps += 1", "break")
+    HALT = ("half += half_cost[cur]", "steps += 1", "break")
     NEXT = ("pc = cur + 1",)
 
     def operand(self, kind, slot, t):
@@ -371,7 +373,7 @@ class _Interpreter(Context):
 
 
 #: The loop around the arms: REFINE's ``fi_check`` first, then the generated
-#: arms, then the post-step accounting (counts, budget, PINFI attach/detach,
+#: arms, then the post-step accounting (cycles, budget, PINFI attach/detach,
 #: the snapshot hook).
 _LOOP = '''\
 def _loop(self, entry_pc):
@@ -384,12 +386,13 @@ def _loop(self, entry_pc):
     M = self.mem
     top = prog.mem_size - 8
     stack_limit = prog.stack_limit
-    counts = self.counts
+    half_cost = prog.half_cost
     n_code = len(code)
     IN = INTRINSIC_TABLE.impls
 
     pc = entry_pc
     steps = self.steps
+    half = self.half_cycles
     budget = self.budget
     flags = self.flags
     attached = self._attached
@@ -427,7 +430,7 @@ $ARMS
             else:
                 raise IllegalInstruction(f"opcode {op}", cur)
 
-            counts[cur] += 1
+            half += half_cost[cur]
             steps += 1
             if steps >= budget:
                 raise ExecutionTimeout(f"budget {budget} exhausted", cur)
@@ -447,30 +450,32 @@ $ARMS
                         # fault's dwell window closes.
                         attached = False
                         self.attached_candidates = pin_count
-                        counts = [0] * n_code
-                        self.counts = counts
+                        self.half_cycles_attached = half
             if steps >= snap_at:
                 # Snapshot boundary: sync loop-local state onto the CPU (after
                 # candidate accounting, so pin_count matches the executed
                 # prefix) and hand a resumable view to the hook.
                 self.steps = steps
+                self.half_cycles = half
                 self.flags = flags
                 self._pin_count = pin_count
                 self._refine_count = refine_count
                 self._attached = attached
+                if attached:
+                    self.attached_candidates = pin_count
+                    self.half_cycles_attached = half
                 snap_hook(self, pc)
                 snap_at = steps + snap_every
     finally:
         self.steps = steps
+        self.half_cycles = half
         self.flags = flags
         self._pin_count = pin_count
         self._refine_count = refine_count
         self._attached = attached
         if attached:
             self.attached_candidates = pin_count
-            # Never detached: all counts are attached counts.
-            if self.counts_attached is not self.counts:
-                self.counts_attached = self.counts
+            self.half_cycles_attached = half
 '''
 
 #: Where tracebacks and profiles find the generated loop's lines.

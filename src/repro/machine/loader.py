@@ -21,6 +21,7 @@ from __future__ import annotations
 import mmap
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.errors import LinkError
 from repro.backend.asmprinter import format_instr
@@ -68,6 +69,18 @@ class LoadedProgram:
     llfi_site_pcs: list[int] = field(default_factory=list)
     #: pc values of REFINE fi_check pseudos
     fi_check_pcs: list[int] = field(default_factory=list)
+
+    @cached_property
+    def half_cost(self) -> list[int]:
+        """``2 * cost`` per pc, exactly: every cost is a multiple of half a
+        cycle, so a run's cycles are its summed half-cycles over two, an
+        integer sum that is exact in any order."""
+        half = [int(2 * c) for c in self.cost]
+        bad = next((pc for pc, c in enumerate(self.cost) if 2 * c != half[pc]), None)
+        if bad is not None:
+            raise LinkError(f"cost {self.cost[bad]} at pc {bad} is not a "
+                            "multiple of half a cycle")
+        return half
 
     @property
     def stack_limit(self) -> int:

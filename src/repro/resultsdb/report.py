@@ -32,8 +32,6 @@ from html import escape
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from repro.campaign.classify import OUTCOME_ORDER
 from repro.campaign.runner import run_campaign
 from repro.errors import StatsError
@@ -413,6 +411,45 @@ _DETACH_RUNS = 40
 _STUCK_AT = ("EP", "stuck-at:dwell=32", 60)
 
 
+def _detach_costs(tool: PinfiTool, seed: int) -> tuple[float, float]:
+    """One PINFI experiment's simulated cycles as PIN runs it — detaching
+    once it has injected — and as if PIN stayed attached.
+
+    The second needs every candidate the run executes, and a detached PIN
+    counts none: so the run goes plan-free to the block its fault fires in,
+    is armed there, and at the first stop after the fire (PIN has just
+    detached) is attached again, plan-free, to count the rest.  Counting
+    changes nothing the run does.
+    """
+    plan = tool.plan_from_seed(seed)
+    engine = tool.engine
+    cpu = tool._make_cpu(None)
+    fork: list[int] = []
+    engine.run_cursor(cpu, counter="pin_count", first_stop=plan.target_index,
+                      fork_hook=lambda cpu, pc, upto: fork.append(pc),
+                      start_pc=cpu.prepare_entry())
+    cpu.attach_pinfi(plan)
+    # a stop at every step the fire stride may end at: it ends in this block
+    syncs = list(range(cpu.steps + 1, cpu.steps + len(tool.program.code)))
+    frozen: list[tuple[int, int]] = []
+
+    def reattach(cpu, pc: int, reach: int) -> int:
+        frozen.append((cpu.half_cycles_attached, cpu.attached_candidates))
+        syncs.clear()
+        cpu.attach_pinfi(None)
+        return pc
+
+    result = engine.resume(cpu, fork[0], tool.timeout_budget, syncs, reattach)
+    half, cands = frozen[0] if frozen else (
+        result.half_cycles_attached, result.attached_candidates)
+    return (
+        tool._cycles(cpu, replace(result, half_cycles_attached=half,
+                                  attached_candidates=cands)),
+        tool._cycles(cpu, replace(result, half_cycles_attached=result.half_cycles,
+                                  attached_candidates=cpu.pinfi_dynamic_count)),
+    )
+
+
 def paper_tables() -> list[_Table]:
     """Listings 1–2, Tables 2–3, Appendix A, the PINFI-detach and
     optimisation-level ablations and the stuck-at cells: what EXPERIMENTS.md
@@ -489,19 +526,11 @@ def paper_tables() -> list[_Table]:
     ))
 
     tool = pinfi[_ABLATION]
-    candidate = np.asarray(tool.program.is_candidate)
     detached = attached = 0.0
     for seed in range(_DETACH_RUNS):
-        run = tool.inject(seed)
-        counts = np.asarray(run.result.counts_attached)
-        if run.result.counts is not run.result.counts_attached:
-            counts = counts + run.result.counts
-        detached += run.cycles
-        # the same run, costed by PINFI's model as if PIN never detached
-        attached += tool._cycles(None, replace(
-            run.result, counts=counts, counts_attached=counts,
-            attached_candidates=int(counts @ candidate),
-        ))
+        as_run, staying = _detach_costs(tool, seed)
+        detached += as_run
+        attached += staying
     tables.append(_Table(
         "ablation-detach", f"PINFI's detach-after-injection ({_ABLATION})",
         ["PINFI", "simulated cycles"],

@@ -11,8 +11,9 @@ resume mid-program and remain bit-identical to an uninterrupted run:
   is an in-place memcmp per page the run writes and one per run of pages
   it does not (:class:`CleanMemory`);
 * the I/O cursor (everything printed so far);
-* the dynamic accounting the fault-injection tools trigger on: ``steps``,
-  per-pc execution ``counts``, and the PINFI/REFINE/LLFI candidate
+* the dynamic accounting the fault-injection tools trigger on and are
+  costed by: ``steps``, the simulated cycles (``half_cycles``, and the part
+  of them PINFI ran attached), and the PINFI/REFINE/LLFI candidate
   counters.
 
 Capture happens at instruction boundaries via
@@ -49,24 +50,20 @@ class CpuSnapshot:
     flags: int
     #: output lines printed so far (the I/O cursor)
     output: tuple[str, ...]
-    #: per-static-instruction execution counts
-    counts: tuple[int, ...]
+    #: simulated cycles executed before this point, doubled
+    half_cycles: int
     #: tool trigger counters at this boundary
     pin_count: int
     refine_count: int
     llfi_count: int
     #: page index -> PAGE_SIZE bytes differing from the fresh memory image
     pages: dict[int, bytes] = field(default_factory=dict)
-    #: PINFI attached-phase counts when they are a *distinct* array (i.e.
-    #: the snapshot was taken after detach); ``None`` when absent or still
-    #: aliasing ``counts`` (see ``attached_alias``)
-    counts_attached: tuple[int, ...] | None = None
     #: was the DBI tool still attached at capture time?
     attached: bool = False
-    #: did ``cpu.counts_attached`` alias ``cpu.counts`` at capture time?
-    attached_alias: bool = False
-    #: candidates executed while attached (fixed at detach time)
+    #: candidates and half-cycles executed while attached (fixed at detach
+    #: time)
     attached_candidates: int = 0
+    half_cycles_attached: int = 0
 
     @property
     def dirty_pages(self) -> int:
@@ -216,8 +213,6 @@ def capture_snapshot(
     for idx in base.changed(mem, pages):
         off = idx * PAGE_SIZE
         pages[idx] = bytes(mem[off : off + PAGE_SIZE])
-    ca = cpu.counts_attached
-    alias = ca is cpu.counts
     return CpuSnapshot(
         pc=pc,
         steps=cpu.steps,
@@ -225,20 +220,14 @@ def capture_snapshot(
         fregs=tuple(cpu.fregs),
         flags=cpu.flags,
         output=tuple(cpu.output),
-        counts=tuple(cpu.counts),
+        half_cycles=cpu.half_cycles,
         pin_count=cpu._pin_count,
         refine_count=cpu._refine_count,
         llfi_count=cpu._llfi_count,
         pages=pages,
-        # Preserve the attached/detached distinction: a distinct attached
-        # array (post-detach) is stored verbatim; an alias is re-created at
-        # restore time rather than duplicated.
-        counts_attached=(
-            None if ca is None or alias else tuple(ca)
-        ),
         attached=cpu._attached,
-        attached_alias=alias,
         attached_candidates=cpu.attached_candidates,
+        half_cycles_attached=cpu.half_cycles_attached,
     )
 
 
@@ -257,7 +246,7 @@ def restore_snapshot(cpu: CPU, snap: CpuSnapshot) -> None:
     cpu.flags = snap.flags
     cpu.steps = snap.steps
     cpu.output = list(snap.output)
-    cpu.counts = list(snap.counts)
+    cpu.half_cycles = snap.half_cycles
     cpu._pin_count = snap.pin_count
     cpu._refine_count = snap.refine_count
     cpu._llfi_count = snap.llfi_count
@@ -265,18 +254,10 @@ def restore_snapshot(cpu: CPU, snap: CpuSnapshot) -> None:
     for idx, data in snap.pages.items():
         off = idx * PAGE_SIZE
         mem[off : off + len(data)] = data
-    # PINFI attach/detach state travels with the snapshot.  While attached,
-    # counts accumulate into the attached array (re-establish the alias
-    # attach_pinfi() set up); after detach, the attached array is frozen
-    # and distinct from the post-detach counts.
+    # PINFI attach/detach state travels with the snapshot.
     cpu._attached = snap.attached
     cpu.attached_candidates = snap.attached_candidates
-    if snap.attached_alias:
-        cpu.counts_attached = cpu.counts
-    elif snap.counts_attached is not None:
-        cpu.counts_attached = list(snap.counts_attached)
-    else:
-        cpu.counts_attached = None
+    cpu.half_cycles_attached = snap.half_cycles_attached
 
 
 def cpu_state_digest(cpu: CPU) -> str:
@@ -294,8 +275,8 @@ def cpu_state_digest(cpu: CPU) -> str:
     h.update(cpu.flags.to_bytes(8, "little"))
     h.update(cpu.steps.to_bytes(9, "little", signed=True))
     h.update(repr(cpu.output).encode())
-    h.update(repr(cpu.counts).encode())
-    for c in (cpu._pin_count, cpu._refine_count, cpu._llfi_count):
+    for c in (cpu.half_cycles, cpu.half_cycles_attached, cpu.attached_candidates,
+              cpu._pin_count, cpu._refine_count, cpu._llfi_count):
         h.update(c.to_bytes(9, "little", signed=True))
     h.update(bytes(cpu.mem))
     return h.hexdigest()

@@ -11,7 +11,8 @@ executing this program agree?":
 * :class:`ZeroInterferenceOracle` — REFINE's core instrumentation claim
   (paper Section 3): a binary instrumented with ``fi_check`` hooks but with
   *no fault armed* must produce output **and** a dynamic-instruction trace
-  identical to the uninstrumented golden run, modulo the hooks themselves.
+  (the pcs it executes, in order) identical to the uninstrumented golden
+  run, modulo the hooks themselves.
 * :class:`EngineOracle` / :class:`SchedulerOracle` — the fast engine and
   the cursor/fork/sync primitives of the trigger scheduler vs the
   interpreter loop, with no fault armed: the engine on the clean and the
@@ -31,7 +32,10 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import astuple, dataclass
+from array import array
+from dataclasses import astuple, dataclass, replace
+
+import numpy as np
 
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
@@ -63,8 +67,9 @@ class RunOutcome:
     exit_code: int
     trap: str | None
     output: tuple[str, ...]
-    #: per-instruction execution counts with FI hook sites filtered out
-    #: (only populated by the zero-interference oracle)
+    #: the executed pcs in order, FI hook sites filtered out and the rest
+    #: numbered as in the uninstrumented binary (only populated by the
+    #: zero-interference oracle)
     trace: tuple[int, ...] | None = None
 
     def behaviour(self) -> tuple:
@@ -145,6 +150,82 @@ def compiled_outcome(
     )
 
 
+def pc_trace(cpu: CPU, budget: int) -> tuple[ExecutionResult, array]:
+    """Run ``cpu`` from its entry on the interpreter loop and return its
+    result and every pc it executed, in order.
+
+    The loop's snapshot hook, called after every instruction, names the
+    next one; a trapping instruction is named but does not execute (a
+    timeout's last instruction does)."""
+    trace = array("q", [cpu.prepare_entry()])
+    cpu.record_snapshots(1, lambda c, pc: trace.append(pc))
+    result = cpu.resume(trace[0], budget)
+    if result.trap not in (None, "timeout"):
+        trace.pop()
+    return result, trace
+
+
+#: x86's default NaN and its negation, as int64 words.  Which of two NaNs a
+#: float op returns is not pinned yet (ROADMAP item 8): where a run meets
+#: default NaNs of both signs, the sign it keeps can depend on whether
+#: CPython has specialised the op, and a block run a few times has not.
+_DEFAULT_NAN = 0x7FF8000000000000
+_NEGATED_DEFAULT_NAN = -0x0008000000000000
+
+
+def _default_nan_signless(data: bytes) -> bytes:
+    """``data``, its 8-byte words that are a negated default NaN made the
+    default NaN."""
+    words = np.frombuffer(data, np.int64).copy()
+    words[words == _NEGATED_DEFAULT_NAN] = _DEFAULT_NAN
+    return words.tobytes()
+
+
+def comparable(snap, base: list[bytes]):
+    """A :class:`~repro.snapshot.state.CpuSnapshot` as a value equal to
+    another's exactly when their states are — float registers by bit
+    pattern, and only the pages that differ from ``base`` (the program's
+    :func:`~repro.snapshot.state.base_pages`; a capture chained on an
+    earlier one may keep a page that has gone back to the image) — but for
+    the sign of a default NaN, in a register or an aligned word of memory
+    (:data:`_DEFAULT_NAN`)."""
+    return replace(
+        snap,
+        fregs=_default_nan_signless(struct.pack(f"<{len(snap.fregs)}d", *snap.fregs)),
+        pages={i: _default_nan_signless(page)
+               for i, page in snap.pages.items() if page != base[i]},
+    )
+
+
+def state_of(cpu: CPU, pc: int, clean) -> object:
+    """The complete state of ``cpu``, paused before ``pc`` — registers,
+    flags, memory, output, steps, cycles, every tool counter — as a
+    :func:`comparable` value (``clean``: the program's
+    :class:`~repro.snapshot.state.CleanMemory`)."""
+    from repro.snapshot.state import capture_snapshot
+
+    return comparable(capture_snapshot(cpu, pc, base=clean), clean.pages)
+
+
+def reference_states(cpu: CPU, stops, clean, budget: int):
+    """Run ``cpu`` from its entry on the interpreter loop to its end and
+    return its result and its :func:`state_of` at each step count of
+    ``stops`` (ascending, past 0) that it reaches."""
+    from repro.engine.fast import _ExitFast, _step_stop
+
+    pc = cpu.prepare_entry()
+    states = {}
+    for stop in stops:
+        cpu.record_snapshots(stop - cpu.steps, _step_stop)
+        try:
+            return cpu.resume(pc, budget), states
+        except _ExitFast as paused:
+            pc = paused.pc
+            states[cpu.steps] = state_of(cpu, pc, clean)
+    cpu._snap_every = 0
+    return cpu.resume(pc, budget), states
+
+
 def _agree(a: RunOutcome, b: RunOutcome) -> bool:
     """Outcome equality, with one exception: the budgets of the two engines
     are in different units (IR steps vs machine instructions), so when both
@@ -221,9 +302,8 @@ class ZeroInterferenceOracle(Oracle):
     This is the property that justifies trusting REFINE campaign results:
     splicing ``fi_check`` pseudo-instructions after every candidate must not
     change what the program computes, prints, or even *executes* — after
-    masking out the hook sites, the per-instruction execution counts of the
-    instrumented run must equal the golden run's counts instruction for
-    instruction.
+    masking out the hook sites, the instrumented run must execute the
+    golden run's instructions in the golden order, one for one.
     """
 
     name = "zero"
@@ -243,24 +323,28 @@ class ZeroInterferenceOracle(Oracle):
             module, self.opt_level, mir_pass=instrument
         )
         hook_pcs = set(instr_prog.fi_check_pcs)
+        golden_trace = instr_trace = None
+        if "timeout" not in (golden_result.trap, instr_result.trap):
+            # (finite runs: their traces are worth keeping)
+            kept = [pc for pc in range(len(instr_prog.code)) if pc not in hook_pcs]
+            number = dict(zip(kept, range(len(kept))))
+            golden_trace = tuple(pc_trace(CPU(golden_prog), MACHINE_BUDGET)[1])
+            instr_trace = tuple(number[pc] for pc in pc_trace(
+                CPU(instr_prog), MACHINE_BUDGET)[1] if pc in number)
 
         golden = RunOutcome(
             engine="golden",
             exit_code=golden_result.exit_code,
             trap=golden_result.trap,
             output=tuple(golden_result.output),
-            trace=tuple(golden_result.counts),
+            trace=golden_trace,
         )
         instrumented = RunOutcome(
             engine="instrumented",
             exit_code=instr_result.exit_code,
             trap=instr_result.trap,
             output=tuple(instr_result.output),
-            trace=tuple(
-                count
-                for pc, count in enumerate(instr_result.counts)
-                if pc not in hook_pcs
-            ),
+            trace=instr_trace,
         )
         if not _agree(golden, instrumented):
             return Divergence(
@@ -282,9 +366,9 @@ class ZeroInterferenceOracle(Oracle):
                 oracle=self.name,
                 detail=(
                     "instrumentation perturbed the dynamic-instruction trace "
-                    f"(first mismatch at filtered pc {first}; "
+                    f"(first mismatch at step {first}; "
                     f"{len(golden.trace)} golden vs "
-                    f"{len(instrumented.trace)} filtered instrumented pcs)"
+                    f"{len(instrumented.trace)} filtered instrumented steps)"
                 ),
                 expected=golden,
                 actual=instrumented,
@@ -297,7 +381,8 @@ class EngineOracle(Oracle):
 
     The free-run engine (:mod:`repro.engine`) must be *bit-identical* to
     ``CPU._loop`` — same output, same exit code, same trap and trap pc,
-    same dynamic-instruction counts, same step total.  Both sides run under
+    same step and cycle totals, the same complete state at the end and
+    wherever a run pauses along the way.  Both sides run under
     the **same** machine budget, so unlike the cross-representation oracles
     above there is no timeout leniency: a mutual timeout must truncate at
     exactly the same step.
@@ -320,6 +405,10 @@ class EngineOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
+        # a divergence is confirmed once more, warm: see SchedulerOracle.check
+        return self._check(module) and self._check(module)
+
+    def _check(self, module: Module) -> Divergence | None:
         from repro.fi.tools import TIMEOUT_FACTOR
 
         clean = self._program(module, None)
@@ -349,18 +438,48 @@ class EngineOracle(Oracle):
     def _compare(self, program, build: str, budget: int, plan_of=None):
         """``(divergence or None, the reference result, its LLFI visits)``
         of one build run on both engines, each CPU armed with its own
-        ``plan_of()`` if given."""
-        from repro.engine import FastEngine
+        ``plan_of()`` if given.
 
-        runs = []
-        for engine, run in (
-            ("reference", lambda cpu: cpu.run(budget=budget)),
-            ("fast", lambda cpu: FastEngine().run(cpu, budget=budget)),
-        ):
+        The fast engine runs twice: plainly, and pausing — as a tail does —
+        at the first stop at or past each of :data:`ENGINE_SYNCS` points
+        spread over the run.  The reference loop runs once, pausing at
+        exactly the steps the paused run stopped at.  The three must end
+        alike, and be in the same complete state (:func:`state_of`)
+        wherever both paused and at the end, unless a trap cut a block
+        short (a block owes no flags there)."""
+        from repro.engine import FastEngine
+        from repro.snapshot.state import CleanMemory, base_pages
+
+        clean = CleanMemory(base_pages(program))
+
+        def armed() -> CPU:
             cpu = CPU(program)
             if plan_of is not None:
                 cpu.arm_llfi(plan_of())
-            result = run(cpu)
+            return cpu
+
+        fast_cpu = armed()
+        fast = FastEngine().run(fast_cpu, budget=budget)
+        paused_cpu = armed()
+        paused_at: dict[int, object] = {}
+
+        def on_sync(cpu, pc, reach) -> bool:
+            paused_at[cpu.steps] = state_of(cpu, pc, clean)
+            return False
+
+        interval = max(1, fast.steps // ENGINE_SYNCS)
+        paused = FastEngine().resume(
+            paused_cpu, paused_cpu.prepare_entry(), budget,
+            range(interval, fast.steps, interval), on_sync,
+        )
+        ref_cpu = armed()
+        ref, ref_states = reference_states(ref_cpu, sorted(paused_at), clean, budget)
+
+        runs = []
+        for engine, cpu, result in (
+            ("reference", ref_cpu, ref), ("fast", fast_cpu, fast),
+            ("fast, paused", paused_cpu, paused),
+        ):
             fault = result.fault
             runs.append((
                 RunOutcome(
@@ -368,33 +487,48 @@ class EngineOracle(Oracle):
                     exit_code=result.exit_code,
                     trap=result.trap,
                     output=tuple(result.output),
-                    trace=tuple(result.counts),
                 ),
                 result,
                 cpu.llfi_dynamic_count,
                 fault and (fault.dynamic_index, fault.pc, fault.bit),
+                state_of(cpu, -1, clean) if result.trap in (None, "timeout") else None,
             ))
-        (expected, ref, ref_visits, ref_fault), (actual, fast, fast_visits, fast_fault) = runs
-        if (
-            expected.behaviour() != actual.behaviour()
-            or expected.trace != actual.trace
-            or ref.steps != fast.steps
-            or ref.trap_pc != fast.trap_pc
-            or ref_visits != fast_visits
-            or ref_fault != fast_fault
-        ):
-            return Divergence(
-                oracle=self.name,
-                detail=(
-                    f"fast engine diverged from the reference loop ({build}; "
-                    f"steps {ref.steps} vs {fast.steps}, trap_pc "
-                    f"{ref.trap_pc} vs {fast.trap_pc}, LLFI visits "
-                    f"{ref_visits} vs {fast_visits}, fault {ref_fault} vs "
-                    f"{fast_fault})"
-                ),
-                expected=expected,
-                actual=actual,
-            ), ref, ref_visits
+        expected, ref, ref_visits, ref_fault, ref_end = runs[0]
+        for actual, other, visits, fault, end in runs[1:]:
+            if (
+                expected.behaviour() != actual.behaviour()
+                or ref.steps != other.steps
+                or ref.half_cycles != other.half_cycles
+                or ref.trap_pc != other.trap_pc
+                or ref_visits != visits
+                or ref_fault != fault
+                or ref_end != end
+            ):
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"{actual.engine} diverged from the reference loop "
+                        f"(steps {ref.steps} vs {other.steps}, half-cycles "
+                        f"{ref.half_cycles} vs {other.half_cycles}, trap_pc "
+                        f"{ref.trap_pc} vs {other.trap_pc}, LLFI visits "
+                        f"{ref_visits} vs {visits}, fault {ref_fault} vs "
+                        f"{fault}, end state "
+                        f"{'equal' if ref_end == end else 'differs'})"
+                    ),
+                    expected=expected,
+                    actual=actual,
+                ), ref, ref_visits
+        for step, state in paused_at.items():
+            if ref_states.get(step) != state:
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"fast engine paused at step {step} in another state "
+                        f"than the reference loop's there ({build})"
+                    ),
+                    expected=expected,
+                    actual=runs[2][0],
+                ), ref, ref_visits
         return None, ref, ref_visits
 
 
@@ -413,8 +547,10 @@ class SchedulerOracle(Oracle):
     the tails alike run on the engine's one block loop.  On an arbitrary
     program those must be behaviour-preserving: the cursor run must equal
     the plain run bit for bit, and a fresh CPU restored from *any* fork
-    must finish with the plain run's output, exit code, per-pc counts and
-    step total.  A cursor restarted from a retained sync state
+    must finish with the plain run's output, exit code, cycle and step
+    totals and complete end state (:func:`state_of`).  Every sync state the
+    cursor records must be the interpreter loop's complete state at that
+    step, and each tail must be in it when it stops there.  A cursor restarted from a retained sync state
     (``start_pc``, the scheduler's window replay) must capture each
     trigger's fork at the very point the full pass did.
 
@@ -446,7 +582,12 @@ class SchedulerOracle(Oracle):
                 clone_module(module),
                 CompileOptions(opt_level=self.opt_level, **options),
             ))
-            problem = self._check_build(program, counter, build)
+            # A divergence is confirmed once more, warm: a float op meeting
+            # two NaNs returns one of their payloads, and which one can
+            # change once CPython specialises the op's bytecode, so a cold
+            # pass and a warm one can differ in payloads alone.
+            problem = (self._check_build(program, counter, build)
+                       and self._check_build(program, counter, build))
             if problem is not None:
                 return problem
         return None
@@ -454,6 +595,7 @@ class SchedulerOracle(Oracle):
     def _check_build(self, program, counter: str, build: str) -> Divergence | None:
         from repro.engine import FastEngine
         from repro.snapshot.state import (
+            CleanMemory,
             base_pages,
             capture_snapshot,
             cpu_state_digest,
@@ -473,32 +615,33 @@ class SchedulerOracle(Oracle):
             exit_code=plain.exit_code,
             trap=plain.trap,
             output=tuple(plain.output),
-            trace=tuple(plain.counts),
         )
+        base = base_pages(program)
+        clean = CleanMemory(base)
+        plain_end = state_of(plain_cpu, -1, clean)
 
-        def state_of(snap) -> tuple:
-            revived = CPU(program)
-            restore_snapshot(revived, snap)
-            return snap.pc, cpu_state_digest(revived)
-
-        def diverged(result, label: str) -> Divergence | None:
+        def diverged(result, cpu, label: str) -> Divergence | None:
             actual = RunOutcome(
                 engine=f"{label} ({build})",
                 exit_code=result.exit_code,
                 trap=result.trap,
                 output=tuple(result.output),
-                trace=tuple(result.counts),
             )
+            end = state_of(cpu, -1, clean)
             if (
                 expected.behaviour() != actual.behaviour()
-                or expected.trace != actual.trace
                 or result.steps != plain.steps
+                or result.half_cycles != plain.half_cycles
+                or end != plain_end
             ):
                 return Divergence(
                     oracle=self.name,
                     detail=(
                         f"{label} diverged from the uninterrupted run "
-                        f"({build}; steps {plain.steps} vs {result.steps})"
+                        f"({build}; steps {plain.steps} vs {result.steps}, "
+                        f"half-cycles {plain.half_cycles} vs "
+                        f"{result.half_cycles}, end state "
+                        f"{'equal' if end == plain_end else 'differs'})"
                     ),
                     expected=expected,
                     actual=actual,
@@ -512,14 +655,13 @@ class SchedulerOracle(Oracle):
             t for t in {1, total // 3 + 1, 2 * total // 3 + 1, total}
             if 1 <= t <= total
         )
-        base = base_pages(program)
         interval = max(1, plain.steps // 7)
         sync_steps = list(range(interval, plain.steps, interval))
 
         def full_pass() -> tuple:
-            """The cursor from the entry: its result, its fork per trigger,
-            its sync states (step -> ``(reach, state)``) and the triggers
-            it never forked for."""
+            """The cursor from the entry: its result and CPU, its fork per
+            trigger, its sync states (step -> ``(reach, state)``) and the
+            triggers it never forked for."""
             forks: dict[int, object] = {}
             sync_states: dict[int, object] = {}
             pending = list(triggers)
@@ -539,8 +681,9 @@ class SchedulerOracle(Oracle):
                 prev = snap
                 sync_states[snap.steps] = (reach, snap)
 
+            cpu = CPU(program)
             cursor = engine.run_cursor(
-                CPU(program),
+                cpu,
                 budget=self.budget,
                 counter=counter,
                 first_stop=triggers[0],
@@ -548,7 +691,7 @@ class SchedulerOracle(Oracle):
                 syncs=sync_steps,
                 sync_hook=sync_hook,
             )
-            return cursor, forks, sync_states, pending
+            return cursor, cpu, forks, sync_states, pending
 
         def window_replay(trigger: int, sync_states: dict) -> tuple:
             """Restart the cursor from the latest sync state whose block does
@@ -573,11 +716,29 @@ class SchedulerOracle(Oracle):
             )
             return start, refork[0] if refork else None
 
-        cursor, forks, sync_states, pending = full_pass()
-        warm = None
-        problem = diverged(cursor, "fork/sync cursor")
+        cursor, cursor_cpu, forks, sync_states, pending = full_pass()
+        problem = diverged(cursor, cursor_cpu, "fork/sync cursor")
         if problem is not None:
             return problem
+        golden = {step: comparable(snap, base) for step, (_, snap) in sync_states.items()}
+        interpreter = CPU(program)
+        ended, reference = reference_states(
+            interpreter, sorted(step for step in golden if step), clean,
+            self.budget,
+        )
+        problem = diverged(ended, interpreter, "interpreter loop")
+        if problem is not None:
+            return problem
+        for step in golden:
+            if step and reference.get(step) != golden[step]:
+                return Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"the cursor's sync state at step {step} is not the "
+                        f"interpreter loop's state there ({build})"
+                    ),
+                    expected=expected,
+                )
         if pending:
             return Divergence(
                 oracle=self.name,
@@ -601,25 +762,32 @@ class SchedulerOracle(Oracle):
                 )
             tail = CPU(program)
             restore_snapshot(tail, snap)
+            strays: list[int] = []
+
+            def stopped(c, pc, reach) -> bool:
+                if state_of(c, pc, clean) != golden.get(c.steps):
+                    strays.append(c.steps)
+                return False
+
             result = engine.resume(
                 tail, snap.pc, self.budget,
-                [s for s in sync_steps if s > snap.steps],
-                lambda c, pc, reach: False,
+                [s for s in sync_steps if s > snap.steps], stopped,
             )
-            problem = diverged(result, f"tail forked at trigger {trigger}")
+            label = f"tail forked at trigger {trigger}"
+            problem = diverged(result, tail, label)
+            if problem is None and strays:
+                problem = Divergence(
+                    oracle=self.name,
+                    detail=(
+                        f"{label} stopped at step {strays[0]} in another "
+                        f"state than the cursor's sync state there ({build})"
+                    ),
+                    expected=expected,
+                )
             if problem is not None:
                 return problem
             start, refork = window_replay(trigger, sync_states)
-            if refork and state_of(refork) != state_of(snap):
-                # A float op meeting two NaNs returns one of their payloads,
-                # and which one can change once CPython specialises the op's
-                # bytecode.  The full pass ran cold; repeat the check on the
-                # same pass run again, warm, bit for bit.
-                if warm is None:
-                    warm = full_pass()
-                snap = warm[1][trigger]
-                start, refork = window_replay(trigger, warm[2])
-            if refork is None or state_of(refork) != state_of(snap):
+            if refork is None or comparable(refork, base) != comparable(snap, base):
                 return Divergence(
                     oracle=self.name,
                     detail=(
@@ -686,11 +854,7 @@ class SchedulerOracle(Oracle):
                             cpu.mem[w * 8] ^= 0xA5
                 return cpu
 
-            # (twice, for a float op meeting two NaNs: see the window replay)
-            if all(
-                cpu_state_digest(run(False)) != cpu_state_digest(run(True))
-                for _ in range(2)
-            ):
+            if cpu_state_digest(run(False)) != cpu_state_digest(run(True)):
                 return Divergence(
                     oracle=self.name,
                     detail=(
@@ -705,6 +869,11 @@ class SchedulerOracle(Oracle):
 #: Sync states per build whose intervals the scheduler oracle's ride pass
 #: checks (:meth:`SchedulerOracle._ride_pass`).
 RIDE_SAMPLES = 4
+
+#: Points over a run at whose first stop the engine oracle's paused run
+#: compares its complete state with the reference loop's
+#: (:meth:`EngineOracle._compare`).
+ENGINE_SYNCS = 16
 
 #: Registry used by ``refine-fuzz --oracle`` and the test-suite.
 ORACLES: dict[str, Oracle] = {
@@ -758,7 +927,7 @@ def _fault_bits(fault) -> tuple | None:
 def _first_mismatch(production, oracle) -> tuple[int, str] | None:
     """``(index, field)`` of the first record of ``production`` (sorted by
     index) that differs from the oracle's, or ``None``.  Every field is
-    exact except ``cycles`` (float dot product; summation order) and the
+    exact (``cycles`` too: both sides sum integer half-cycles) except the
     provenance pair ``engine``/``snapshot_hit``."""
     if len(production.records) != len(oracle.records):
         return -1, "record count"
@@ -768,7 +937,7 @@ def _first_mismatch(production, oracle) -> tuple[int, str] | None:
                 return want.index, field
         if _fault_bits(want.fault) != _fault_bits(got.fault):
             return want.index, "fault"
-        if abs(want.cycles - got.cycles) > 1e-9 * max(1.0, abs(want.cycles)):
+        if want.cycles != got.cycles:
             return want.index, "cycles"
     return None
 

@@ -8,11 +8,7 @@ from repro.utils.bits import (
     to_signed64,
     to_unsigned64,
 )
-from repro.utils.ieee754 import (
-    bits_to_double,
-    double_to_bits,
-    flip_double_bit,
-)
+from repro.utils.ieee754 import bits_to_double, double_to_bits
 from repro.utils.rng import SplitMix64, derive_seed
 
 __all__ = [
@@ -24,7 +20,6 @@ __all__ = [
     "to_unsigned64",
     "bits_to_double",
     "double_to_bits",
-    "flip_double_bit",
     "SplitMix64",
     "derive_seed",
 ]

@@ -22,15 +22,3 @@ def double_to_bits(value: float) -> int:
 def bits_to_double(bits: int) -> float:
     """Decode an unsigned 64-bit integer as an IEEE-754 double."""
     return _PACK_D.unpack(_PACK_Q.pack(bits & ((1 << 64) - 1)))[0]
-
-
-def flip_double_bit(value: float, bit: int) -> float:
-    """Flip bit ``bit`` (0 = LSB of mantissa, 63 = sign) of a double.
-
-    Flipping high exponent bits can produce infinities or NaNs — exactly the
-    behaviour a register upset has on real hardware, and an important source
-    of silent output corruption and crashes in FI studies.
-    """
-    if not 0 <= bit < 64:
-        raise ValueError(f"bit {bit} out of range for binary64")
-    return bits_to_double(double_to_bits(value) ^ (1 << bit))

@@ -368,8 +368,7 @@ class TestPlantedFaults:
         real = TriggerScheduler._splice
 
         def double_counting(self, cpu, at, ending):
-            zeros = (0,) * len(at.counts)
-            return real(self, cpu, dataclasses.replace(at, counts=zeros), ending)
+            return real(self, cpu, dataclasses.replace(at, half_cycles=0), ending)
 
         monkeypatch.setattr(TriggerScheduler, "_splice", double_counting)
         assert self._diverges() == {"cycles"}

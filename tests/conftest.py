@@ -44,6 +44,20 @@ int main() {
 DEMO_DOT = sum((i * 0.5 + 1.0) ** 2 for i in range(16))
 
 
+def hostable(tool_name: str, spec: str) -> bool:
+    """Whether the tool can run the fault model ``spec`` (LLFI, at the IR
+    level, cannot corrupt instruction encodings)."""
+    from repro.errors import CampaignError
+    from repro.fi.models import parse_fault_model
+    from repro.fi.tools import TOOL_CLASSES
+
+    try:
+        parse_fault_model(spec).check_tool(TOOL_CLASSES[tool_name])
+    except CampaignError:
+        return False
+    return True
+
+
 #: Wall budget of one tier-1 (non-``slow``) test.  The slowest honest one
 #: takes ~6 s on the reference box; a test that sits out a network timeout
 #: or a backoff window takes minutes, and must fail here instead of

@@ -40,11 +40,10 @@ def assert_same_result(a, b):
     assert a.trap == b.trap
     assert a.trap_pc == b.trap_pc
     assert a.steps == b.steps
-    assert list(a.counts) == list(b.counts)
+    assert a.half_cycles == b.half_cycles
     # PINFI's attached-phase accounting (what its cycle model reads)
     assert a.attached_candidates == b.attached_candidates
-    assert (a.counts_attached is None) == (b.counts_attached is None)
-    assert list(a.counts_attached or ()) == list(b.counts_attached or ())
+    assert a.half_cycles_attached == b.half_cycles_attached
 
 
 def golden_states(cpu):
@@ -87,8 +86,8 @@ class TestRunEquivalence:
 
     def test_trap_mid_block(self):
         # Division by a runtime zero traps partway through a basic block;
-        # the fast engine must rewind its batched counts to the executed
-        # prefix (trapping instruction itself not counted).
+        # the fast engine must account only the executed prefix (trapping
+        # instruction itself not counted).
         src = """
         int zero = 0;
         int main() { int a = 7; return a / zero; }
@@ -353,11 +352,10 @@ class TestSyncPointsCostNoStride:
         strides, on = [], [True]
         real = FastEngine._interpret
 
-        def spied(self, cpu, FL, execs, table, steps, rc, pin, lc, pc, k, syncs):
+        def spied(self, cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs):
             if on[0]:
                 strides.append((pc, k))
-            return real(self, cpu, FL, execs, table, steps, rc, pin, lc, pc,
-                        k, syncs)
+            return real(self, cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs)
 
         monkeypatch.setattr(FastEngine, "_interpret", spied)
         return strides, on
@@ -410,7 +408,7 @@ class TestSyncPointsCostNoStride:
         assert seen == later and len(later) > 10
         assert strides == []
         assert result.steps == timeline.steps
-        assert list(result.counts) == list(timeline.ending.counts)
+        assert result.half_cycles == timeline.ending.half_cycles
 
 
 class TestRewritingHook:
@@ -443,7 +441,7 @@ class TestRewritingHook:
         assert seen == [steps[2], steps[-1]]
         assert result.steps == timeline.steps
         assert result.output == list(timeline.ending.output)
-        assert list(result.counts) == list(timeline.ending.counts)
+        assert result.half_cycles == timeline.ending.half_cycles
 
 
 class TestLLFIVisits:

@@ -32,12 +32,12 @@ from repro.fi.models import (
     resolve_fault_model,
     residency_weights,
 )
-from repro.fi.tools import TOOL_CLASSES, TOOL_ORDER
+from repro.fi.tools import TOOL_ORDER
 from repro.machine.cpu import FaultRecord
 from repro.utils.ieee754 import double_to_bits
 from repro.utils.rng import derive_seed
 
-from tests.conftest import DEMO_SOURCE
+from tests.conftest import DEMO_SOURCE, hostable
 
 
 @pytest.fixture(scope="module")
@@ -155,14 +155,6 @@ class TestSingleBitIdentity:
 # ------------------------------------------------------ fault-record pin
 
 
-def _hostable(tool_name: str, spec: str) -> bool:
-    try:
-        parse_fault_model(spec).check_tool(TOOL_CLASSES[tool_name])
-    except CampaignError:
-        return False
-    return True
-
-
 #: sha256 (first 16 hex digits) over every field of every ``fault`` of the
 #: first 24 experiments of each (tool, model) cell on the demo program at
 #: ``DEFAULT_SEED``.  Published digests and perfbench hash outcomes, cycles
@@ -200,7 +192,7 @@ class TestFaultRecordPin:
     def test_every_model_covered(self):
         assert FAULT_RECORD_PIN.keys() == {
             (tool, model) for tool in TOOL_ORDER for model in MODEL_ORDER
-            if _hostable(tool, model)
+            if hostable(tool, model)
         }
 
     @pytest.mark.parametrize("cell", sorted(FAULT_RECORD_PIN))
@@ -226,7 +218,7 @@ class TestRecordsNameTheirModel:
     @pytest.mark.parametrize("tool_name, spec", [
         (tool, spec) for tool in TOOL_ORDER
         for spec in (*MODEL_ORDER, "single-bit:weighted=1", "multi-bit:k=3,weighted=1")
-        if _hostable(tool, spec)
+        if hostable(tool, spec)
     ])
     def test_record_model_is_campaign_model(self, tool_name, spec):
         tool = make_tool(tool_name, DEMO_SOURCE, "demo", fault_model=spec)

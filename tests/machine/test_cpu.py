@@ -161,7 +161,12 @@ class TestTraps:
 
 class TestExecutionResult:
     def test_counts_sum_to_steps(self, demo_program, demo_result):
-        assert sum(demo_result.counts) == demo_result.steps
+        from repro.testing.oracles import pc_trace
+
+        _, trace = pc_trace(CPU(demo_program), 10_000_000)
+        assert len(trace) == demo_result.steps
+        assert demo_result.half_cycles == sum(
+            demo_program.half_cost[pc] for pc in trace)
 
     def test_fresh_cpu_per_run_is_deterministic(self, demo_program):
         r1 = CPU(demo_program).run()
@@ -234,23 +239,33 @@ class TestOpcodeCorruptionTrap:
 
 class TestCycleAccounting:
     def test_counts_support_cost_model(self, demo_program):
-        import numpy as np
-
         result = CPU(demo_program).run()
-        cycles = float(np.dot(result.counts, demo_program.cost))
-        assert cycles > result.steps  # every op costs >= 1 cycle
+        assert result.half_cycles / 2 > result.steps  # every op costs >= 1 cycle
 
     def test_pinfi_attached_counts_split(self, demo_program):
         from repro.fi.models import SingleBitModel
         from repro.machine.cpu import FaultPlan
 
-        cpu = CPU(demo_program)
-        cpu.attach_pinfi(FaultPlan(10, 0.5, 0.5, "PINFI", SingleBitModel()))
-        result = cpu.run(budget=10_000_000)
-        assert result.counts_attached is not None
-        if result.counts_attached is not result.counts:
-            total = sum(result.counts_attached) + sum(result.counts)
-            assert total == result.steps
+        from repro.testing.oracles import pc_trace
+
+        def run(run):
+            cpu = CPU(demo_program)
+            cpu.attach_pinfi(FaultPlan(10, 0.5, 0.5, "PINFI", SingleBitModel()))
+            return run(cpu)
+
+        result = run(lambda cpu: cpu.run(budget=10_000_000))
+        _, trace = run(lambda cpu: pc_trace(cpu, 10_000_000))
+        # attached through the instruction that was the 10th candidate
+        attached = candidates = 0
+        for pc in trace:
+            attached += demo_program.half_cost[pc]
+            candidates += demo_program.is_candidate[pc]
+            if candidates == 10:
+                break
+        assert result.attached_candidates == 10
+        assert result.half_cycles_attached == attached
+        assert result.half_cycles == sum(demo_program.half_cost[pc] for pc in trace)
+        assert result.half_cycles > attached
 
 
 class TestExitStatusMasking:

@@ -38,9 +38,7 @@ def assert_records_identical(a, b, context=""):
         assert ra.trap == rb.trap, (context, ra.index)
         assert ra.exit_code == rb.exit_code, (context, ra.index)
         assert ra.fault == rb.fault, (context, ra.index)
-        assert ra.cycles == pytest.approx(rb.cycles, abs=1e-9), (
-            context, ra.index,
-        )
+        assert ra.cycles == rb.cycles, (context, ra.index)
     assert a.counts == b.counts, context
     assert a.total_steps == b.total_steps, context
 

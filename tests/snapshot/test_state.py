@@ -63,7 +63,7 @@ class TestRoundTrip:
         assert tuple(fresh.fregs) == snap.fregs
         assert fresh.flags == snap.flags
         assert tuple(fresh.output) == snap.output
-        assert tuple(fresh.counts) == snap.counts
+        assert fresh.half_cycles == snap.half_cycles
         for idx, page in snap.pages.items():
             off = idx * PAGE_SIZE
             assert bytes(fresh.mem[off:off + len(page)]) == page
@@ -78,7 +78,7 @@ class TestRoundTrip:
             assert resumed.exit_code == full.exit_code
             assert resumed.trap == full.trap
             assert resumed.steps == full.steps
-            assert list(resumed.counts) == list(full.counts)
+            assert resumed.half_cycles == full.half_cycles
 
 
 class TestPageDeltas:
@@ -200,18 +200,17 @@ class TestToolCounters:
         snap = snaps[len(snaps) // 2]
         fresh = tool._make_cpu(tool.plan_from_seed(1))
         restore_snapshot(fresh, snap)
-        # attach_pinfi aliases counts_attached to counts; the restore must
-        # re-establish that after replacing the counts list.
-        assert fresh.counts_attached is fresh.counts
-        assert fresh._pin_count == snap.pin_count
+        # still attached: the attached-phase accounting is the whole run
+        assert snap.half_cycles_attached == snap.half_cycles
+        assert fresh.half_cycles_attached == fresh.half_cycles == snap.half_cycles
+        assert fresh.attached_candidates == fresh._pin_count == snap.pin_count
 
 
 class TestDetachThenSnapshot:
     """Snapshots taken *after* PINFI detaches must round-trip the split
-    counter arrays: ``counts_attached`` holds the attached-phase counts as
-    a distinct array, ``counts`` continues from zero, and the restore must
-    not re-alias them (the old restore unconditionally set
-    ``cpu.counts_attached = cpu.counts``, silently merging the phases)."""
+    accounting: ``half_cycles_attached`` and ``attached_candidates`` stay
+    frozen at their detach-time values while ``half_cycles`` goes on, and
+    the restore must not merge the phases."""
 
     def _faulty_run(self, tool, seed):
         cpu = tool._make_cpu(tool.plan_from_seed(seed))
@@ -232,16 +231,19 @@ class TestDetachThenSnapshot:
         else:
             pytest.skip("no seed produced a post-detach snapshot")
         snap = next(s for s in snaps if not s.attached)
-        assert snap.counts_attached is not None
+        assert snap.half_cycles_attached < snap.half_cycles
 
         fresh = tool._make_cpu(None)  # _make_cpu re-attaches by default...
         restore_snapshot(fresh, snap)
         # ...but the snapshot says the run had already detached.
         assert fresh._attached is False
-        assert fresh.counts_attached is not None
-        assert fresh.counts_attached is not fresh.counts
-        assert tuple(fresh.counts_attached) == snap.counts_attached
-        assert tuple(fresh.counts) == snap.counts
+        assert fresh.half_cycles_attached == snap.half_cycles_attached
+        assert fresh.attached_candidates == snap.attached_candidates
+        assert fresh.half_cycles == snap.half_cycles
+        resumed = fresh.resume(snap.pc, budget=200_000_000)
+        assert resumed.half_cycles == result.half_cycles
+        assert resumed.half_cycles_attached == result.half_cycles_attached
+        assert resumed.attached_candidates == result.attached_candidates
 
     def test_attached_snapshot_keeps_alias(self):
         spec = get_workload("EP")
@@ -252,8 +254,9 @@ class TestDetachThenSnapshot:
             capture_snapshot(c, pc)))
         cpu.run(budget=200_000_000)
         snap = snaps[0]
-        assert snap.attached and snap.attached_alias
+        assert snap.attached
+        assert snap.half_cycles_attached == snap.half_cycles
         fresh = tool._make_cpu(None)
         restore_snapshot(fresh, snap)
         assert fresh._attached is True
-        assert fresh.counts_attached is fresh.counts
+        assert fresh.half_cycles_attached == fresh.half_cycles

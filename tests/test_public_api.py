@@ -394,3 +394,38 @@ def test_the_paper_tables_have_one_renderer():
         assert [where for where, text in texts.items() if phrase in text] == [
             "resultsdb/report.py"
         ], phrase
+
+
+def test_run_accounting_is_scalar():
+    """A run's cycles are counted as half-cycle totals, not per pc: the CPU,
+    its results, its snapshots, a recorded ending and an interval's access
+    sets hold no sequence with one count per instruction of the program."""
+    from array import array
+
+    import numpy as np
+
+    from repro.campaign import make_tool
+    from repro.campaign.schedule import Ending, IntervalAccess, TriggerScheduler
+
+    from tests.conftest import DEMO_SOURCE
+
+    tool = make_tool("PINFI", DEMO_SOURCE, "demo")
+    scheduler = TriggerScheduler(tool, 24)
+    list(scheduler.run_batch(1, range(24)))
+    timeline = scheduler.timeline
+    cpu = scheduler._cpu
+    n_code = len(tool.program.code)
+    gone = {"counts", "counts_attached", "attached_alias", "pcs", "executions"}
+    for obj in (cpu, cpu.build_result(), timeline.ending,
+                timeline.sync_states[timeline.sync_steps[-1]]):
+        fields = vars(obj) if not dataclasses.is_dataclass(obj) else {
+            f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        assert not gone & set(fields), type(obj).__name__
+        per_pc = [
+            name for name, value in fields.items()
+            if isinstance(value, (list, tuple, array, np.ndarray))
+            and len(value) == n_code
+        ]
+        assert not per_pc, (type(obj).__name__, per_pc)
+    assert isinstance(timeline.ending, Ending)
+    assert IntervalAccess._fields == ("reads", "read_values", "writes", "write_values")

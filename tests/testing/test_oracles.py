@@ -83,6 +83,38 @@ class TestOutcomes:
         assert format_module(module) == before
 
 
+def test_states_compare_bit_for_bit_but_a_default_nans_sign():
+    """Which of two NaNs a float op returns is not pinned yet (ROADMAP item
+    8), so a default NaN's sign is the one difference a state comparison
+    lets pass — in a float register or a memory word; -1 and -7, both NaN
+    patterns too, stay different."""
+    import struct
+
+    from repro.backend import compile_minic
+    from repro.machine import CPU, load_binary
+    from repro.snapshot.state import CleanMemory, base_pages
+    from repro.testing.oracles import state_of
+
+    from tests.conftest import DEMO_SOURCE
+
+    program = load_binary(compile_minic(DEMO_SOURCE, "demo"))
+    clean = CleanMemory(base_pages(program))
+    word = program.mem_size - 64
+
+    def state(freg_bits: int, memory_word: int):
+        cpu = CPU(program)
+        cpu.fregs[3] = struct.unpack("<d", struct.pack("<Q", freg_bits))[0]
+        struct.pack_into("<q", cpu.mem, word, memory_word)
+        return state_of(cpu, 0, clean)
+
+    negated, default = 0xFFF8000000000000, 0x7FF8000000000000
+    as_int = struct.unpack("<q", struct.pack("<Q", negated))[0]
+    assert state(negated, 5) == state(default, 5)
+    assert state(0, as_int) == state(0, default)
+    assert state(0, -1) != state(0, -7)
+    assert state(negated | 1, 5) != state(default | 1, 5)
+
+
 class TestDivergenceDetection:
     def test_interp_oracle_detects_planted_miscompile(self, monkeypatch):
         # Corrupt the backend deliberately; the oracle must notice.
@@ -161,10 +193,12 @@ class TestDivergenceDetection:
         self, monkeypatch
     ):
         """A window fork at the full pass's pc and step whose memory holds
-        -1 where the full pass's fork holds -7 is a different state, on the
+        -1 where the full pass's fork holds 0 is a different state, on the
         warm rerun of the full pass too.  (The word is the one above the
-        entry's sentinel return address, which no program reads; both
-        values have a NaN's bit pattern.)"""
+        entry's sentinel return address, which no program reads; -1 has a
+        NaN's bit pattern.  Only window forks are touched: a full pass or
+        a tail that held the word would end in another state than the
+        plain run, which the oracle catches first.)"""
         import struct
 
         from repro.engine import FastEngine
@@ -174,10 +208,11 @@ class TestDivergenceDetection:
         def word_at_forks(self, cpu, *, start_pc=None, fork_hook=None,
                           **kwargs):
             hook = fork_hook
-            word = -1 if start_pc is not None else -7
+            if start_pc is None:
+                return real(self, cpu, fork_hook=fork_hook, **kwargs)
 
             def fork_hook(c, pc, upto):
-                struct.pack_into("<q", c.mem, len(c.mem) - 8, word)
+                struct.pack_into("<q", c.mem, len(c.mem) - 8, -1)
                 return hook(c, pc, upto)
 
             return real(self, cpu, start_pc=start_pc, fork_hook=fork_hook,
@@ -187,6 +222,43 @@ class TestDivergenceDetection:
         divergence = ORACLES["scheduler"].check(generate_module(0))
         assert divergence is not None
         assert "window replay" in divergence.detail
+
+    @pytest.mark.parametrize("oracle", ["engine", "scheduler"])
+    def test_stale_exit_flags_are_caught_with_equal_totals(
+        self, oracle, monkeypatch
+    ):
+        """A block that takes its exit flags for unobserved drops its last
+        flag write when nothing inside it reads the flags: no step, no
+        cycle and no output changes (every reader is in the writer's
+        block), so end-of-run counts could not see it — the complete state
+        where a run pauses does."""
+        from repro.engine import FastEngine, blocks
+        from repro.engine.cache import TranslationCache
+        from repro.machine.semantics import FLAG_READERS, FLAG_WRITERS
+
+        def exit_unobserved(code, start, end):
+            live = [True] * (end - start)
+            observed = False  # the planted fault: True, at the block's exit
+            for pc in range(end - 1, start - 1, -1):
+                live[pc - start] = observed
+                op = code[pc][0]
+                if op in FLAG_READERS and not blocks.is_llfi_visit(code[pc]):
+                    observed = True
+                elif op in FLAG_WRITERS:
+                    observed = False
+            return live
+
+        monkeypatch.setattr(blocks, "flag_liveness", exit_unobserved)
+        monkeypatch.setattr(FastEngine, "cache", TranslationCache())
+        divergence = ORACLES[oracle].check(generate_module(0))
+        assert divergence is not None
+        assert "state" in divergence.detail
+        steps = re.search(r"steps (\d+) vs (\d+)", divergence.detail)
+        cycles = re.search(r"half-cycles (\d+) vs (\d+)", divergence.detail)
+        for totals in (steps, cycles):
+            assert totals is None or totals[1] == totals[2]
+        assert divergence.expected is None or divergence.actual is None or (
+            divergence.expected.behaviour() == divergence.actual.behaviour())
 
     def test_scheduler_ride_pass_catches_an_unaligned_read_noted_low_only(
         self, monkeypatch
