@@ -51,7 +51,7 @@ def assert_recounted(tool, plan_of, budget):
 @pytest.mark.parametrize("program", PROGRAMS)
 def test_golden_run(program, tool_name):
     tool = _tool(program, tool_name)
-    result, trace = assert_recounted(tool, lambda: None, None)
+    result, _ = assert_recounted(tool, lambda: None, None)
     assert result.trap is None
     if tool_name == "PINFI":
         # attached from the first instruction to the last
