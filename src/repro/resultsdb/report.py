@@ -411,43 +411,24 @@ _DETACH_RUNS = 40
 _STUCK_AT = ("EP", "stuck-at:dwell=32", 60)
 
 
-def _detach_costs(tool: PinfiTool, seed: int) -> tuple[float, float]:
-    """One PINFI experiment's simulated cycles as PIN runs it — detaching
-    once it has injected — and as if PIN stayed attached.
+def _candidates(tool: PinfiTool, seed: int, half_cycles: int) -> int:
+    """The candidates PINFI's experiment ``seed`` executes, as if PIN stayed
+    attached: a detached PIN counts none, so the run stops at every block
+    and is attached again, plan-free, at the first stop after it detaches.
+    It must still execute the ``half_cycles`` the production run did."""
+    cpu = tool._make_cpu(tool.plan_from_seed(seed))
 
-    The second needs every candidate the run executes, and a detached PIN
-    counts none: so the run goes plan-free to the block its fault fires in,
-    is armed there, and at the first stop after the fire (PIN has just
-    detached) is attached again, plan-free, to count the rest.  Counting
-    changes nothing the run does.
-    """
-    plan = tool.plan_from_seed(seed)
-    engine = tool.engine
-    cpu = tool._make_cpu(None)
-    fork: list[int] = []
-    engine.run_cursor(cpu, counter="pin_count", first_stop=plan.target_index,
-                      fork_hook=lambda cpu, pc, upto: fork.append(pc),
-                      start_pc=cpu.prepare_entry())
-    cpu.attach_pinfi(plan)
-    # a stop at every step the fire stride may end at: it ends in this block
-    syncs = list(range(cpu.steps + 1, cpu.steps + len(tool.program.code)))
-    frozen: list[tuple[int, int]] = []
-
-    def reattach(cpu, pc: int, reach: int) -> int:
-        frozen.append((cpu.half_cycles_attached, cpu.attached_candidates))
-        syncs.clear()
+    def reattach(cpu, pc: int, reach: int) -> int | bool:
+        if cpu._attached:
+            return False
         cpu.attach_pinfi(None)
         return pc
 
-    result = engine.resume(cpu, fork[0], tool.timeout_budget, syncs, reattach)
-    half, cands = frozen[0] if frozen else (
-        result.half_cycles_attached, result.attached_candidates)
-    return (
-        tool._cycles(cpu, replace(result, half_cycles_attached=half,
-                                  attached_candidates=cands)),
-        tool._cycles(cpu, replace(result, half_cycles_attached=result.half_cycles,
-                                  attached_candidates=cpu.pinfi_dynamic_count)),
-    )
+    result = tool.engine.resume(cpu, cpu.prepare_entry(), tool.timeout_budget,
+                                range(1, tool.timeout_budget), reattach)
+    if result.half_cycles != half_cycles:
+        raise StatsError(f"PINFI's experiment {seed} ran otherwise re-attached")
+    return cpu.pinfi_dynamic_count
 
 
 def paper_tables() -> list[_Table]:
@@ -528,9 +509,13 @@ def paper_tables() -> list[_Table]:
     tool = pinfi[_ABLATION]
     detached = attached = 0.0
     for seed in range(_DETACH_RUNS):
-        as_run, staying = _detach_costs(tool, seed)
-        detached += as_run
-        attached += staying
+        run = tool.inject(seed)
+        detached += run.cycles
+        # the same run, costed by PINFI's model as if PIN never detached
+        attached += tool._cycles(None, replace(
+            run.result, half_cycles_attached=run.result.half_cycles,
+            attached_candidates=_candidates(tool, seed, run.result.half_cycles),
+        ))
     tables.append(_Table(
         "ablation-detach", f"PINFI's detach-after-injection ({_ABLATION})",
         ["PINFI", "simulated cycles"],

@@ -67,10 +67,15 @@ class RunOutcome:
     exit_code: int
     trap: str | None
     output: tuple[str, ...]
-    #: the executed pcs in order, FI hook sites filtered out and the rest
-    #: numbered as in the uninstrumented binary (only populated by the
-    #: zero-interference oracle)
+    #: the executed pcs in order, FI hook sites dropped and the rest numbered
+    #: as in the uninstrumented binary (only the zero-interference oracle's)
     trace: tuple[int, ...] | None = None
+
+    @classmethod
+    def of(cls, engine: str, result, trace=None) -> RunOutcome:
+        """The outcome of a run's result (either engine's or the IR interpreter's)."""
+        return cls(engine, result.exit_code, result.trap, tuple(result.output),
+                   trace)
 
     def behaviour(self) -> tuple:
         return (self.exit_code, self.trap, self.output)
@@ -118,12 +123,7 @@ class Divergence:
 def interp_outcome(module: Module, budget: int = INTERP_BUDGET) -> RunOutcome:
     """Execute ``module`` on the reference interpreter."""
     result = interpret(clone_module(module), budget=budget)
-    return RunOutcome(
-        engine="interp",
-        exit_code=result.exit_code,
-        trap=result.trap,
-        output=tuple(result.output),
-    )
+    return RunOutcome.of("interp", result)
 
 
 def _run_binary(
@@ -142,21 +142,14 @@ def compiled_outcome(
 ) -> RunOutcome:
     """Compile ``module`` at ``opt_level`` and execute it on the machine."""
     result, _ = _run_binary(module, opt_level, budget=budget)
-    return RunOutcome(
-        engine=f"machine-{opt_level}",
-        exit_code=result.exit_code,
-        trap=result.trap,
-        output=tuple(result.output),
-    )
+    return RunOutcome.of(f"machine-{opt_level}", result)
 
 
 def pc_trace(cpu: CPU, budget: int) -> tuple[ExecutionResult, array]:
     """Run ``cpu`` from its entry on the interpreter loop and return its
-    result and every pc it executed, in order.
-
-    The loop's snapshot hook, called after every instruction, names the
-    next one; a trapping instruction is named but does not execute (a
-    timeout's last instruction does)."""
+    result and every pc it executed, in order: the loop's snapshot hook,
+    called after every instruction, names the next one (a trapping one is
+    named but does not execute; a timeout's last one does)."""
     trace = array("q", [cpu.prepare_entry()])
     cpu.record_snapshots(1, lambda c, pc: trace.append(pc))
     result = cpu.resume(trace[0], budget)
@@ -165,65 +158,27 @@ def pc_trace(cpu: CPU, budget: int) -> tuple[ExecutionResult, array]:
     return result, trace
 
 
-#: x86's default NaN and its negation, as int64 words.  Which of two NaNs a
-#: float op returns is not pinned yet (ROADMAP item 8): where a run meets
-#: default NaNs of both signs, the sign it keeps can depend on whether
-#: CPython has specialised the op, and a block run a few times has not.
-_DEFAULT_NAN = 0x7FF8000000000000
-_NEGATED_DEFAULT_NAN = -0x0008000000000000
-
-
-def _default_nan_signless(data: bytes) -> bytes:
-    """``data``, its 8-byte words that are a negated default NaN made the
-    default NaN."""
-    words = np.frombuffer(data, np.int64).copy()
-    words[words == _NEGATED_DEFAULT_NAN] = _DEFAULT_NAN
-    return words.tobytes()
-
-
-def comparable(snap, base: list[bytes]):
+def comparable(snap, base: list[bytes], signless: bool = False):
     """A :class:`~repro.snapshot.state.CpuSnapshot` as a value equal to
-    another's exactly when their states are — float registers by bit
-    pattern, and only the pages that differ from ``base`` (the program's
-    :func:`~repro.snapshot.state.base_pages`; a capture chained on an
-    earlier one may keep a page that has gone back to the image) — but for
-    the sign of a default NaN, in a register or an aligned word of memory
-    (:data:`_DEFAULT_NAN`)."""
+    another's exactly when their states are: float registers by bit
+    pattern, and only the pages that differ from ``base`` (a capture
+    chained on an earlier one may keep a page gone back to the image).
+    ``signless`` lets the sign of x86's default NaN pass, in a register or
+    an aligned memory word: which of two NaNs a float op returns is not
+    pinned yet (ROADMAP item 8), and the interpreter loop and a block
+    CPython has not specialised can keep different ones."""
+
+    def fix(data: bytes) -> bytes:
+        if not signless:
+            return data
+        words = np.frombuffer(data, np.int64)
+        return np.where(words == -0x0008000000000000, 0x7FF8000000000000, words).tobytes()
+
     return replace(
         snap,
-        fregs=_default_nan_signless(struct.pack(f"<{len(snap.fregs)}d", *snap.fregs)),
-        pages={i: _default_nan_signless(page)
-               for i, page in snap.pages.items() if page != base[i]},
+        fregs=fix(struct.pack(f"<{len(snap.fregs)}d", *snap.fregs)),
+        pages={i: fix(page) for i, page in snap.pages.items() if page != base[i]},
     )
-
-
-def state_of(cpu: CPU, pc: int, clean) -> object:
-    """The complete state of ``cpu``, paused before ``pc`` — registers,
-    flags, memory, output, steps, cycles, every tool counter — as a
-    :func:`comparable` value (``clean``: the program's
-    :class:`~repro.snapshot.state.CleanMemory`)."""
-    from repro.snapshot.state import capture_snapshot
-
-    return comparable(capture_snapshot(cpu, pc, base=clean), clean.pages)
-
-
-def reference_states(cpu: CPU, stops, clean, budget: int):
-    """Run ``cpu`` from its entry on the interpreter loop to its end and
-    return its result and its :func:`state_of` at each step count of
-    ``stops`` (ascending, past 0) that it reaches."""
-    from repro.engine.fast import _ExitFast, _step_stop
-
-    pc = cpu.prepare_entry()
-    states = {}
-    for stop in stops:
-        cpu.record_snapshots(stop - cpu.steps, _step_stop)
-        try:
-            return cpu.resume(pc, budget), states
-        except _ExitFast as paused:
-            pc = paused.pc
-            states[cpu.steps] = state_of(cpu, pc, clean)
-    cpu._snap_every = 0
-    return cpu.resume(pc, budget), states
 
 
 def _agree(a: RunOutcome, b: RunOutcome) -> bool:
@@ -322,30 +277,17 @@ class ZeroInterferenceOracle(Oracle):
         instr_result, instr_prog = _run_binary(
             module, self.opt_level, mir_pass=instrument
         )
-        hook_pcs = set(instr_prog.fi_check_pcs)
         golden_trace = instr_trace = None
         if "timeout" not in (golden_result.trap, instr_result.trap):
-            # (finite runs: their traces are worth keeping)
-            kept = [pc for pc in range(len(instr_prog.code)) if pc not in hook_pcs]
-            number = dict(zip(kept, range(len(kept))))
+            # finite runs: their pcs, the instrumented run's hooks dropped
+            kept = set(range(len(instr_prog.code))) - set(instr_prog.fi_check_pcs)
+            number = {pc: i for i, pc in enumerate(sorted(kept))}
             golden_trace = tuple(pc_trace(CPU(golden_prog), MACHINE_BUDGET)[1])
             instr_trace = tuple(number[pc] for pc in pc_trace(
                 CPU(instr_prog), MACHINE_BUDGET)[1] if pc in number)
 
-        golden = RunOutcome(
-            engine="golden",
-            exit_code=golden_result.exit_code,
-            trap=golden_result.trap,
-            output=tuple(golden_result.output),
-            trace=golden_trace,
-        )
-        instrumented = RunOutcome(
-            engine="instrumented",
-            exit_code=instr_result.exit_code,
-            trap=instr_result.trap,
-            output=tuple(instr_result.output),
-            trace=instr_trace,
-        )
+        golden = RunOutcome.of("golden", golden_result, golden_trace)
+        instrumented = RunOutcome.of("instrumented", instr_result, instr_trace)
         if not _agree(golden, instrumented):
             return Divergence(
                 oracle=self.name,
@@ -380,12 +322,11 @@ class EngineOracle(Oracle):
     """Fast block-compiled execution engine vs the reference dispatch loop.
 
     The free-run engine (:mod:`repro.engine`) must be *bit-identical* to
-    ``CPU._loop`` — same output, same exit code, same trap and trap pc,
-    same step and cycle totals, the same complete state at the end and
-    wherever a run pauses along the way.  Both sides run under
-    the **same** machine budget, so unlike the cross-representation oracles
-    above there is no timeout leniency: a mutual timeout must truncate at
-    exactly the same step.
+    ``CPU._loop`` — same output, exit code, trap and trap pc, step and
+    cycle totals, and the same pcs and complete states where it stops.
+    Both sides run under the **same** machine budget, so unlike the
+    cross-representation oracles above there is no timeout leniency: a
+    mutual timeout must truncate at exactly the same step.
 
     Each program runs as its clean build and as its LLFI build, whose
     visits blocks count in bulk: unarmed, where the visit counts must agree
@@ -405,10 +346,6 @@ class EngineOracle(Oracle):
         self.budget = budget
 
     def check(self, module: Module) -> Divergence | None:
-        # a divergence is confirmed once more, warm: see SchedulerOracle.check
-        return self._check(module) and self._check(module)
-
-    def _check(self, module: Module) -> Divergence | None:
         from repro.fi.tools import TIMEOUT_FACTOR
 
         clean = self._program(module, None)
@@ -440,17 +377,19 @@ class EngineOracle(Oracle):
         of one build run on both engines, each CPU armed with its own
         ``plan_of()`` if given.
 
-        The fast engine runs twice: plainly, and pausing — as a tail does —
-        at the first stop at or past each of :data:`ENGINE_SYNCS` points
-        spread over the run.  The reference loop runs once, pausing at
-        exactly the steps the paused run stopped at.  The three must end
-        alike, and be in the same complete state (:func:`state_of`)
-        wherever both paused and at the end, unless a trap cut a block
-        short (a block owes no flags there)."""
+        The fast engine runs twice: plainly, and stopping — as a tail does
+        — at every block entry.  At each stop its pc must be the reference
+        loop's there, and at stops a sixteenth of the run apart its complete
+        state too.  The three runs must end alike, and in one complete state
+        unless a trap cut a block short (a block owes no flags there).
+        States compare as :func:`comparable` values, ``signless``."""
         from repro.engine import FastEngine
-        from repro.snapshot.state import CleanMemory, base_pages
+        from repro.snapshot.state import CleanMemory, base_pages, capture_snapshot
 
         clean = CleanMemory(base_pages(program))
+
+        def state(cpu, pc):
+            return comparable(capture_snapshot(cpu, pc, base=clean), clean.pages, True)
 
         def armed() -> CPU:
             cpu = CPU(program)
@@ -460,41 +399,50 @@ class EngineOracle(Oracle):
 
         fast_cpu = armed()
         fast = FastEngine().run(fast_cpu, budget=budget)
-        paused_cpu = armed()
-        paused_at: dict[int, object] = {}
+        every = max(1, fast.steps // 16)
+        stops: dict[int, object] = {}  # step -> pc, or the state there
+        due = every
 
         def on_sync(cpu, pc, reach) -> bool:
-            paused_at[cpu.steps] = state_of(cpu, pc, clean)
+            nonlocal due
+            stops[cpu.steps] = pc
+            if cpu.steps >= due:
+                stops[cpu.steps], due = state(cpu, pc), cpu.steps + every
             return False
 
-        interval = max(1, fast.steps // ENGINE_SYNCS)
-        paused = FastEngine().resume(
-            paused_cpu, paused_cpu.prepare_entry(), budget,
-            range(interval, fast.steps, interval), on_sync,
+        stepped_cpu = armed()
+        stepped = FastEngine().resume(
+            stepped_cpu, stepped_cpu.prepare_entry(), budget, range(1, budget),
+            on_sync,
         )
+        strays: list[int] = []
+
+        def step(cpu, pc) -> None:
+            want = stops.get(cpu.steps, pc)
+            if want != pc and (type(want) is int or want != state(cpu, pc)):
+                strays.append(cpu.steps)
+
         ref_cpu = armed()
-        ref, ref_states = reference_states(ref_cpu, sorted(paused_at), clean, budget)
+        ref_cpu.record_snapshots(1, step)
+        ref = ref_cpu.run(budget=budget)
 
         runs = []
-        for engine, cpu, result in (
-            ("reference", ref_cpu, ref), ("fast", fast_cpu, fast),
-            ("fast, paused", paused_cpu, paused),
+        for engine, cpu, result, astray in (
+            ("reference", ref_cpu, ref, None), ("fast", fast_cpu, fast, None),
+            ("fast, stopping at every block", stepped_cpu, stepped,
+             strays[0] if strays else None),
         ):
             fault = result.fault
             runs.append((
-                RunOutcome(
-                    engine=f"{engine} ({build})",
-                    exit_code=result.exit_code,
-                    trap=result.trap,
-                    output=tuple(result.output),
-                ),
+                RunOutcome.of(f"{engine} ({build})", result),
                 result,
                 cpu.llfi_dynamic_count,
                 fault and (fault.dynamic_index, fault.pc, fault.bit),
-                state_of(cpu, -1, clean) if result.trap in (None, "timeout") else None,
+                state(cpu, -1) if result.trap in (None, "timeout") else None,
+                astray,
             ))
-        expected, ref, ref_visits, ref_fault, ref_end = runs[0]
-        for actual, other, visits, fault, end in runs[1:]:
+        expected, ref, ref_visits, ref_fault, ref_end, _ = runs[0]
+        for actual, other, visits, fault, end, astray in runs[1:]:
             if (
                 expected.behaviour() != actual.behaviour()
                 or ref.steps != other.steps
@@ -503,6 +451,7 @@ class EngineOracle(Oracle):
                 or ref_visits != visits
                 or ref_fault != fault
                 or ref_end != end
+                or astray is not None
             ):
                 return Divergence(
                     oracle=self.name,
@@ -513,21 +462,11 @@ class EngineOracle(Oracle):
                         f"{ref.trap_pc} vs {other.trap_pc}, LLFI visits "
                         f"{ref_visits} vs {visits}, fault {ref_fault} vs "
                         f"{fault}, end state "
-                        f"{'equal' if ref_end == end else 'differs'})"
+                        f"{'equal' if ref_end == end else 'differs'}, "
+                        f"first stop at another pc or state: step {astray})"
                     ),
                     expected=expected,
                     actual=actual,
-                ), ref, ref_visits
-        for step, state in paused_at.items():
-            if ref_states.get(step) != state:
-                return Divergence(
-                    oracle=self.name,
-                    detail=(
-                        f"fast engine paused at step {step} in another state "
-                        f"than the reference loop's there ({build})"
-                    ),
-                    expected=expected,
-                    actual=runs[2][0],
                 ), ref, ref_visits
         return None, ref, ref_visits
 
@@ -548,11 +487,11 @@ class SchedulerOracle(Oracle):
     program those must be behaviour-preserving: the cursor run must equal
     the plain run bit for bit, and a fresh CPU restored from *any* fork
     must finish with the plain run's output, exit code, cycle and step
-    totals and complete end state (:func:`state_of`).  Every sync state the
-    cursor records must be the interpreter loop's complete state at that
-    step, and each tail must be in it when it stops there.  A cursor restarted from a retained sync state
-    (``start_pc``, the scheduler's window replay) must capture each
-    trigger's fork at the very point the full pass did.
+    totals and complete end state, and be in the cursor's sync state
+    wherever it stops at one.  A cursor restarted from a retained sync
+    state (``start_pc``, the scheduler's window replay) must capture each
+    trigger's fork at the very point the full pass did.  States compare
+    bit for bit, as :func:`comparable` values.
 
     Each program runs as its REFINE build, forking on ``refine_count``,
     and as its LLFI build, forking on ``llfi_count``: the fork stops and
@@ -582,10 +521,9 @@ class SchedulerOracle(Oracle):
                 clone_module(module),
                 CompileOptions(opt_level=self.opt_level, **options),
             ))
-            # A divergence is confirmed once more, warm: a float op meeting
-            # two NaNs returns one of their payloads, and which one can
-            # change once CPython specialises the op's bytecode, so a cold
-            # pass and a warm one can differ in payloads alone.
+            # A divergence is confirmed once more, warm: which of two NaN
+            # payloads a float op returns can change once CPython
+            # specialises it (ROADMAP item 8).
             problem = (self._check_build(program, counter, build)
                        and self._check_build(program, counter, build))
             if problem is not None:
@@ -598,7 +536,6 @@ class SchedulerOracle(Oracle):
             CleanMemory,
             base_pages,
             capture_snapshot,
-            cpu_state_digest,
             restore_snapshot,
         )
 
@@ -610,29 +547,24 @@ class SchedulerOracle(Oracle):
             # Trapping/timeout programs never reach the scheduler (the
             # golden run must be clean); nothing to fork without candidates.
             return None
-        expected = RunOutcome(
-            engine=f"fast-plain ({build})",
-            exit_code=plain.exit_code,
-            trap=plain.trap,
-            output=tuple(plain.output),
-        )
+        expected = RunOutcome.of(f"fast-plain ({build})", plain)
         base = base_pages(program)
         clean = CleanMemory(base)
-        plain_end = state_of(plain_cpu, -1, clean)
 
-        def diverged(result, cpu, label: str) -> Divergence | None:
-            actual = RunOutcome(
-                engine=f"{label} ({build})",
-                exit_code=result.exit_code,
-                trap=result.trap,
-                output=tuple(result.output),
-            )
-            end = state_of(cpu, -1, clean)
+        def state(cpu, pc):
+            return comparable(capture_snapshot(cpu, pc, base=clean), base)
+
+        plain_end = state(plain_cpu, -1)
+
+        def diverged(result, cpu, label: str, strays=()) -> Divergence | None:
+            actual = RunOutcome.of(f"{label} ({build})", result)
+            end = state(cpu, -1)
             if (
                 expected.behaviour() != actual.behaviour()
                 or result.steps != plain.steps
                 or result.half_cycles != plain.half_cycles
                 or end != plain_end
+                or strays
             ):
                 return Divergence(
                     oracle=self.name,
@@ -641,7 +573,9 @@ class SchedulerOracle(Oracle):
                         f"({build}; steps {plain.steps} vs {result.steps}, "
                         f"half-cycles {plain.half_cycles} vs "
                         f"{result.half_cycles}, end state "
-                        f"{'equal' if end == plain_end else 'differs'})"
+                        f"{'equal' if end == plain_end else 'differs'}, "
+                        f"stopped in another state than the cursor's sync "
+                        f"state at steps {list(strays)})"
                     ),
                     expected=expected,
                     actual=actual,
@@ -721,24 +655,6 @@ class SchedulerOracle(Oracle):
         if problem is not None:
             return problem
         golden = {step: comparable(snap, base) for step, (_, snap) in sync_states.items()}
-        interpreter = CPU(program)
-        ended, reference = reference_states(
-            interpreter, sorted(step for step in golden if step), clean,
-            self.budget,
-        )
-        problem = diverged(ended, interpreter, "interpreter loop")
-        if problem is not None:
-            return problem
-        for step in golden:
-            if step and reference.get(step) != golden[step]:
-                return Divergence(
-                    oracle=self.name,
-                    detail=(
-                        f"the cursor's sync state at step {step} is not the "
-                        f"interpreter loop's state there ({build})"
-                    ),
-                    expected=expected,
-                )
         if pending:
             return Divergence(
                 oracle=self.name,
@@ -765,7 +681,7 @@ class SchedulerOracle(Oracle):
             strays: list[int] = []
 
             def stopped(c, pc, reach) -> bool:
-                if state_of(c, pc, clean) != golden.get(c.steps):
+                if state(c, pc) != golden.get(c.steps):
                     strays.append(c.steps)
                 return False
 
@@ -773,17 +689,8 @@ class SchedulerOracle(Oracle):
                 tail, snap.pc, self.budget,
                 [s for s in sync_steps if s > snap.steps], stopped,
             )
-            label = f"tail forked at trigger {trigger}"
-            problem = diverged(result, tail, label)
-            if problem is None and strays:
-                problem = Divergence(
-                    oracle=self.name,
-                    detail=(
-                        f"{label} stopped at step {strays[0]} in another "
-                        f"state than the cursor's sync state there ({build})"
-                    ),
-                    expected=expected,
-                )
+            problem = diverged(result, tail, f"tail forked at trigger {trigger}",
+                               strays)
             if problem is not None:
                 return problem
             start, refork = window_replay(trigger, sync_states)
@@ -869,11 +776,6 @@ class SchedulerOracle(Oracle):
 #: Sync states per build whose intervals the scheduler oracle's ride pass
 #: checks (:meth:`SchedulerOracle._ride_pass`).
 RIDE_SAMPLES = 4
-
-#: Points over a run at whose first stop the engine oracle's paused run
-#: compares its complete state with the reference loop's
-#: (:meth:`EngineOracle._compare`).
-ENGINE_SYNCS = 16
 
 #: Registry used by ``refine-fuzz --oracle`` and the test-suite.
 ORACLES: dict[str, Oracle] = {

@@ -111,3 +111,15 @@ class TestInstrumentedDecoding:
         binary = compile_minic(SRC, "t", options)
         prog = load_binary(binary)
         assert prog.llfi_site_pcs
+
+
+def test_every_cost_is_a_multiple_of_half_a_cycle(prog):
+    """Runs count cycles in halves (``LoadedProgram.half_cost``): exact only
+    while every instruction and intrinsic costs a multiple of 0.5 (10 is
+    the loader's cost of an intrinsic the table does not name)."""
+    from repro.backend.target import INTRINSIC_COSTS
+    from repro.machine.semantics import MNEMONICS
+
+    costs = [m.cost for m in MNEMONICS.values()] + [*INTRINSIC_COSTS.values(), 10.0]
+    assert all(2 * c == int(2 * c) for c in costs)
+    assert prog.half_cost == [2 * c for c in prog.cost]

@@ -83,29 +83,30 @@ class TestOutcomes:
         assert format_module(module) == before
 
 
-def test_states_compare_bit_for_bit_but_a_default_nans_sign():
+def test_states_compare_bit_for_bit_or_signless():
     """Which of two NaNs a float op returns is not pinned yet (ROADMAP item
-    8), so a default NaN's sign is the one difference a state comparison
-    lets pass — in a float register or a memory word; -1 and -7, both NaN
-    patterns too, stay different."""
+    8), so a default NaN's sign is the one difference a ``signless`` state
+    comparison lets pass — in a float register or a memory word; -1 and -7,
+    both NaN patterns too, stay different.  Without ``signless`` every bit
+    counts."""
     import struct
 
     from repro.backend import compile_minic
     from repro.machine import CPU, load_binary
-    from repro.snapshot.state import CleanMemory, base_pages
-    from repro.testing.oracles import state_of
+    from repro.snapshot.state import base_pages, capture_snapshot
+    from repro.testing.oracles import comparable
 
     from tests.conftest import DEMO_SOURCE
 
     program = load_binary(compile_minic(DEMO_SOURCE, "demo"))
-    clean = CleanMemory(base_pages(program))
+    base = base_pages(program)
     word = program.mem_size - 64
 
-    def state(freg_bits: int, memory_word: int):
+    def state(freg_bits: int, memory_word: int, signless: bool = True):
         cpu = CPU(program)
         cpu.fregs[3] = struct.unpack("<d", struct.pack("<Q", freg_bits))[0]
         struct.pack_into("<q", cpu.mem, word, memory_word)
-        return state_of(cpu, 0, clean)
+        return comparable(capture_snapshot(cpu, 0, base=base), base, signless)
 
     negated, default = 0xFFF8000000000000, 0x7FF8000000000000
     as_int = struct.unpack("<q", struct.pack("<Q", negated))[0]
@@ -113,6 +114,9 @@ def test_states_compare_bit_for_bit_but_a_default_nans_sign():
     assert state(0, as_int) == state(0, default)
     assert state(0, -1) != state(0, -7)
     assert state(negated | 1, 5) != state(default | 1, 5)
+    assert state(negated, 5, False) != state(default, 5, False)
+    assert state(0, as_int, False) != state(0, default, False)
+    assert state(default, 5, False) == state(default, 5, False)
 
 
 class TestDivergenceDetection:
@@ -223,15 +227,27 @@ class TestDivergenceDetection:
         assert divergence is not None
         assert "window replay" in divergence.detail
 
-    @pytest.mark.parametrize("oracle", ["engine", "scheduler"])
-    def test_stale_exit_flags_are_caught_with_equal_totals(
-        self, oracle, monkeypatch
-    ):
+    @staticmethod
+    def _caught_by_state_alone(divergence) -> None:
+        """``divergence`` names a state that differs, with equal step and
+        cycle totals and equal behaviour."""
+        assert divergence is not None
+        assert ("end state differs" in divergence.detail
+                or re.search(r"state: step \d|sync state at steps \[\d",
+                             divergence.detail))
+        steps = re.search(r"steps (\d+) vs (\d+)", divergence.detail)
+        cycles = re.search(r"half-cycles (\d+) vs (\d+)", divergence.detail)
+        for totals in (steps, cycles):
+            assert totals is None or totals[1] == totals[2]
+        assert divergence.expected is None or divergence.actual is None or (
+            divergence.expected.behaviour() == divergence.actual.behaviour())
+
+    def test_stale_exit_flags_are_caught_with_equal_totals(self, monkeypatch):
         """A block that takes its exit flags for unobserved drops its last
         flag write when nothing inside it reads the flags: no step, no
         cycle and no output changes (every reader is in the writer's
-        block), so end-of-run counts could not see it — the complete state
-        where a run pauses does."""
+        block), so end-of-run counts could not see it — the engine
+        oracle's complete states where the fast engine stops do."""
         from repro.engine import FastEngine, blocks
         from repro.engine.cache import TranslationCache
         from repro.machine.semantics import FLAG_READERS, FLAG_WRITERS
@@ -250,15 +266,28 @@ class TestDivergenceDetection:
 
         monkeypatch.setattr(blocks, "flag_liveness", exit_unobserved)
         monkeypatch.setattr(FastEngine, "cache", TranslationCache())
-        divergence = ORACLES[oracle].check(generate_module(0))
-        assert divergence is not None
-        assert "state" in divergence.detail
-        steps = re.search(r"steps (\d+) vs (\d+)", divergence.detail)
-        cycles = re.search(r"half-cycles (\d+) vs (\d+)", divergence.detail)
-        for totals in (steps, cycles):
-            assert totals is None or totals[1] == totals[2]
-        assert divergence.expected is None or divergence.actual is None or (
-            divergence.expected.behaviour() == divergence.actual.behaviour())
+        self._caught_by_state_alone(ORACLES["engine"].check(generate_module(0)))
+
+    def test_a_restore_writing_an_unread_word_is_caught_with_equal_totals(
+        self, monkeypatch
+    ):
+        """A restore that leaves -1 in a word no program reads (the one
+        above the entry's sentinel return address) changes no step, no
+        cycle and no output, so end-of-run counts could not see it — the
+        scheduler oracle's complete states of the tails do."""
+        import struct
+
+        from repro.snapshot import state
+
+        real = state.restore_snapshot
+
+        def restore(cpu, snap):
+            real(cpu, snap)
+            struct.pack_into("<q", cpu.mem, len(cpu.mem) - 8, -1)
+
+        monkeypatch.setattr(state, "restore_snapshot", restore)
+        self._caught_by_state_alone(
+            ORACLES["scheduler"].check(generate_module(0)))
 
     def test_scheduler_ride_pass_catches_an_unaligned_read_noted_low_only(
         self, monkeypatch
