@@ -198,7 +198,7 @@ class TestDivergenceDetection:
     ):
         """A window fork at the full pass's pc and step whose memory holds
         -1 where the full pass's fork holds 0 is a different state, on the
-        warm rerun of the full pass too.  (The word is the one above the
+        warm repeat of the build too.  (The word is the one above the
         entry's sentinel return address, which no program reads; -1 has a
         NaN's bit pattern.  Only window forks are touched: a full pass or
         a tail that held the word would end in another state than the
