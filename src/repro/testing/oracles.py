@@ -378,11 +378,12 @@ class EngineOracle(Oracle):
         ``plan_of()`` if given.
 
         The fast engine runs twice: plainly, and stopping — as a tail does
-        — at every block entry.  At each stop its pc must be the reference
-        loop's there, and at stops a sixteenth of the run apart its complete
-        state too.  The three runs must end alike, and in one complete state
-        unless a trap cut a block short (a block owes no flags there).
-        States compare as :func:`comparable` values, ``signless``."""
+        — at every block entry (a run to the budget, too long to keep a pc
+        per block: a sixteenth of it apart).  At each stop its pc must be the
+        reference loop's there, and at stops a sixteenth of the run apart its
+        complete state too.  The three runs must end alike, and in one
+        complete state unless a trap cut a block short (a block owes no flags
+        there).  States compare as :func:`comparable` values, ``signless``."""
         from repro.engine import FastEngine
         from repro.snapshot.state import CleanMemory, base_pages, capture_snapshot
 
@@ -410,10 +411,10 @@ class EngineOracle(Oracle):
                 stops[cpu.steps], due = state(cpu, pc), cpu.steps + every
             return False
 
+        syncs = range(every, budget, every) if fast.trap == "timeout" else range(1, budget)
         stepped_cpu = armed()
         stepped = FastEngine().resume(
-            stepped_cpu, stepped_cpu.prepare_entry(), budget, range(1, budget),
-            on_sync,
+            stepped_cpu, stepped_cpu.prepare_entry(), budget, syncs, on_sync,
         )
         strays: list[int] = []
 

@@ -60,6 +60,14 @@ class TestRegistry:
         for oracle in ORACLES.values():
             assert oracle.check(module) is None
 
+    @pytest.mark.parametrize("budget", [150, 333])
+    def test_engine_oracle_passes_runs_cut_by_the_budget(self, budget):
+        """A run to the budget stops only a sixteenth of it apart, and both
+        engines must still time out at the same step, in the same state."""
+        from repro.testing.oracles import EngineOracle
+
+        assert EngineOracle(budget=budget).check(generate_module(0)) is None
+
 
 class TestOutcomes:
     def test_interp_and_machine_agree_on_output(self):
