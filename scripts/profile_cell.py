@@ -105,10 +105,11 @@ class TailCensus:
         self._seen = SchedulerStats()
 
     def render(self, cursor: tuple[int, float], tails: tuple[int, float],
-               fire_strides: int) -> str:
+               fire_strides: int, deopts: int) -> str:
         """``cursor`` / ``tails``: the interpreter strides each took, and
-        the seconds spent in them; ``fire_strides``: how many of the tails'
-        were at fire points (the rest finished a block entered mid-way)."""
+        the seconds spent in them; ``fire_strides`` / ``deopts``: how many
+        of the tails' were at fire points / ran a block whose frame guard
+        failed (the rest finished a block entered mid-way)."""
         total = sum(steps for _, steps in self.rows.values()) or 1
         lines = [f"{'tails':<19}{'count':>7}{'steps executed':>17}{'share':>8}"]
         lines += [
@@ -123,8 +124,9 @@ class TailCensus:
         )
         lines.append(
             f"tails: {tails[0]} interpreter strides in {tails[1]:.3f} s "
-            f"({fire_strides} at fire points, {tails[0] - fire_strides} "
-            f"mid-block entries)"
+            f"({fire_strides} at fire points, "
+            f"{tails[0] - fire_strides - deopts} mid-block entries, "
+            f"{deopts} guard deopts)"
         )
         rides, ridden, recorded, record_s = self.rides
         lines.append(
@@ -167,17 +169,6 @@ def compile_callers(stats: pstats.Stats) -> dict[str, int]:
     }
 
 
-def calls_from(stats: pstats.Stats, callee: str, caller: str) -> int:
-    """Calls of the engine's ``callee`` from ``caller``."""
-    calls = 0
-    for (path, _, name), entry in stats.stats.items():
-        if name == callee and _ENGINE in path:
-            for (_, _, who), (n, *_) in entry[4].items():
-                if who == caller:
-                    calls += n
-    return calls
-
-
 class StrideTally:
     """The reference-loop strides (``FastEngine._interpret`` calls) and
     their seconds, split by who made them.  The cursor and the tails run on
@@ -185,28 +176,47 @@ class StrideTally:
     a stride made while the scheduler's ``_advance_cursor`` runs is the
     cursor's (one per mid-block entry: none on a cold cell, since sync
     states sit on block entries); every other is a tail's (one per fire
-    point — a careful window counts as one — and one per mid-block entry;
-    golden and profile runs make none)."""
+    point — a careful window counts as one — one per mid-block entry, and
+    one per guard deopt; golden and profile runs make none).  A deopt is a
+    stride from a translated block entry that no fire point located first
+    (``_fire_offset``)."""
 
     def __init__(self) -> None:
         #: [strides, seconds] of the cursor passes and of the tails
         self.cursor = [0, 0.0]
         self.tails = [0, 0.0]
+        #: the tails' strides through a fire point, and those that ran a
+        #: block its frame guard refused
+        self.fires = 0
+        self.deopts = 0
         self._in_cursor = False
+        self._fire = False
 
     @contextmanager
     def installed(self):
         interpret = FastEngine._interpret
+        fire_offset = FastEngine._fire_offset
         advance = TriggerScheduler._advance_cursor
 
-        def tallied_interpret(engine, *args):
+        def tallied_interpret(engine, cpu, *args):
+            fire, self._fire = self._fire, False
+            pc = args[6]
             t0 = time.perf_counter()
             try:
-                return interpret(engine, *args)
+                return interpret(engine, cpu, *args)
             finally:
                 row = self.cursor if self._in_cursor else self.tails
                 row[0] += 1
                 row[1] += time.perf_counter() - t0
+                if not self._in_cursor:
+                    if fire:
+                        self.fires += 1
+                    elif pc in cpu._fast_ctx[2]:
+                        self.deopts += 1
+
+        def tallied_fire_offset(*args):
+            self._fire = True
+            return fire_offset(*args)
 
         def tallied_advance_cursor(scheduler):
             self._in_cursor = True
@@ -216,11 +226,13 @@ class StrideTally:
                 self._in_cursor = False
 
         FastEngine._interpret = tallied_interpret
+        FastEngine._fire_offset = staticmethod(tallied_fire_offset)
         TriggerScheduler._advance_cursor = tallied_advance_cursor
         try:
             yield self
         finally:
             FastEngine._interpret = interpret
+            FastEngine._fire_offset = staticmethod(fire_offset)
             TriggerScheduler._advance_cursor = advance
 
 
@@ -252,12 +264,8 @@ def main() -> int:
     callers = compile_callers(stats)  # while the paths are still whole
     print(f"{args.program} x {args.tool} x n={args.n} ({args.fault_model}): "
           f"{stats.total_tt:.2f} s under cProfile")
-    print(census.render(
-        tuple(strides.cursor), tuple(strides.tails),
-        # each fire stride's length is located first, once (only a tail
-        # has an armed plan)
-        calls_from(stats, "_fire_offset", "_drive"),
-    ))
+    print(census.render(tuple(strides.cursor), tuple(strides.tails),
+                        strides.fires, strides.deopts))
     stats.strip_dirs()
     for key in ("tottime", "cumulative"):
         stats.sort_stats(key).print_stats(args.top)

@@ -15,8 +15,9 @@ trigger counters (:attr:`BlockMeta.sites` / :attr:`BlockMeta.cands` /
 :attr:`BlockMeta.llfis`).
 
 Traps keep exact reference semantics because every potentially-trapping
-instruction raises with its own pc; the trampoline accounts the executed
-prefix (``range(entry, trap.pc)``) instead of the block.
+instruction raises with its own pc (or a frame guard hands the block to the
+interpreter loop first); the trampoline accounts the executed prefix
+(``range(entry, trap.pc)``) instead of the block.
 
 **A trigger cannot fire inside a block.**  Fire points are interpreted, so
 a REFINE ``fi_check`` is no code at all and an LLFI visit — a call to an
@@ -34,11 +35,36 @@ output: ``ExecutionResult`` carries no flags and no state is compared after
 a trap.  Faults never land inside a block, so a block always starts from
 exact state.
 
+**Registers are locals.**  A block keeps the registers and FLAGS it
+touches in locals (``r13``, ``x0``, ``fl``): it loads the ones it reads
+before writing them and writes back the ones it wrote before each
+``return``.  An intrinsic call, which is handed the CPU, splits it into
+stretches: what a stretch wrote is written back before the call, and what
+the next one reads is loaded after it.  A register that only one
+instruction of a stretch touches is read or written in place (``I[3]``),
+which costs no load and no write-back.  A trap writes no local back, so the
+register file holds what the block found but for its in-place writes;
+nothing reads it (a trapped run is compared on what the paragraph above
+names).
+
+**Frame slots are checked once a block.**  Each base register ``b`` the
+block reads before it writes ``b`` (a call writes every register) gets one
+guard at the entry over the accesses at a multiple ``d`` of 8 from it:
+``NULL_GUARD - d_min <= b <= top - d_max`` (:func:`frame_guard`).  If it
+fails, the block returns :data:`DEOPT` before doing anything, and the
+trampoline interprets it; a guard fails only where a guarded access would
+trap, so the interpreter loop traps at or before it, after the same
+prefix.  Since ``(b + d) >> 3 == (b >> 3) + d // 8`` and ``(b + d) & 7 ==
+b & 7``, a guarded access is ``q13[o13 - 11]``: word ``d // 8`` on from
+``o13 = b >> 3`` in the view ``q13 = QS[b & 7]`` picked at the entry,
+exact for any alignment of ``b``.  Any other access keeps its own check.
+
 **8-byte memory traffic goes through typed views.**  ``make_blocks`` binds
 ``memoryview`` casts of ``cpu.mem`` once per instantiation: ``QS[k]`` /
 ``DS[k]`` see memory from byte ``k`` on as int64 / float64 words, so the
 word at any address ``ad`` — aligned or not — is word ``ad >> 3`` of view
-``ad & 7``.  Loads, stores, push, pop, call and return index them; only an
+``ad & 7`` (``Q0`` / ``D0`` for a static aligned address).  Loads, stores,
+push, pop, call and return index them; only an
 integer store outside int64 (what an overflowing ``lea`` leaves in a
 register), which a view refuses, takes the slice code.  The views are
 native byte order, so they are generated only on little-endian hosts
@@ -49,6 +75,7 @@ mutated in place and never resized or replaced.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import sys
@@ -57,14 +84,21 @@ from typing import NamedTuple
 from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
 from repro.machine.loader import LoadedProgram
+from repro.machine.registers import FREG_NAMES, IREG_NAMES
 from repro.machine.semantics import (
     CONDITIONS,
     FLAG_READERS,
     FLAG_WRITERS,
+    NULL_GUARD,
+    REGISTER_FIELDS,
     SEMANTICS,
     TERMINATORS,
+    Address,
     Context,
+    Load,
+    Store,
     namespace,
+    template_fields,
 )
 from repro.utils.bits import MASK64, to_signed64
 
@@ -73,7 +107,8 @@ from repro.utils.bits import MASK64, to_signed64
 #: 2: dead flag writes dropped, memory words through typed views, no pc in
 #: the generated code.  3: rendered from the semantics table.  4: an LLFI
 #: visit is its unfired effect.  5: a block's meta carries its half-cycles.
-TRANSLATION_VERSION = 5
+#: 6: frame guards, and registers and flags in locals.
+TRANSLATION_VERSION = 6
 
 #: Whether generated code indexes typed views of memory: they are native
 #: byte order, and the machine's memory is little-endian.
@@ -181,8 +216,85 @@ def flag_liveness(code: list[tuple], start: int, end: int) -> list[bool]:
 
 # -- code generation ---------------------------------------------------------
 
+#: What a block returns when a frame guard fails: it has done nothing, and
+#: the trampoline runs it on the interpreter loop (:mod:`repro.engine.fast`).
+DEOPT = -2
+
+#: An integer / float register's block-local name, by its index.
+_INT_LOCALS = tuple(f"r{i}" for i in range(len(IREG_NAMES)))
+_FLOAT_LOCALS = tuple(f"x{i}" for i in range(len(FREG_NAMES)))
+#: A register's block-local name, by its template field (its name).
+_LOCALS = {**dict(zip(IREG_NAMES, _INT_LOCALS)), **dict(zip(FREG_NAMES, _FLOAT_LOCALS))}
+#: A register's block-local name -> its template field, and its element of
+#: the register files.
+_NAMES = {local: name for name, local in _LOCALS.items()}
+_FILES = {local: REGISTER_FIELDS[name] for name, local in _LOCALS.items()}
+
 #: A condition code as generated code tests it.
-_CC = {cc: "(" + cond.format(flags="FL[0]") + ")" for cc, cond in CONDITIONS.items()}
+_CC = {cc: "(" + cond.format(flags="fl") + ")" for cc, cond in CONDITIONS.items()}
+
+
+class _Facts(NamedTuple):
+    """What :func:`gen_block_body` reads of one instruction."""
+
+    #: an LLFI visit's unfired effect, a template over register fields
+    #: (``None``: not a visit)
+    visit: str | None
+    #: an intrinsic call, which is handed the CPU
+    call: bool
+    #: reads FLAGS; writes every FLAGS bit
+    reads_flags: bool
+    writes_flags: bool
+    #: the register locals it reads, with its flag write rendered and
+    #: without it, and those it writes
+    uses: frozenset
+    uses_unflagged: frozenset
+    defs: frozenset
+    #: a register + displacement access: ``(base, displacement, width)``
+    frame: tuple | None
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _facts(t: tuple) -> _Facts:
+    """The :class:`_Facts` of instruction ``t``, from its declaration
+    (cached: a program repeats its instructions, and programs share most of
+    theirs)."""
+    op = t[0]
+    if is_llfi_visit(t):
+        template = INTRINSIC_TABLE.unfired[t[1]]
+        defs, uses = template_fields(template)
+        uses = frozenset(_LOCALS[n] for n in uses)
+        return _Facts(template, False, False, False, uses, uses,
+                      frozenset(_LOCALS[n] for n in defs), None)
+    sem = SEMANTICS.get(op)
+    if sem is None:
+        return _Facts(None, False, False, False, frozenset(), frozenset(), frozenset(), None)
+
+    def local(fields) -> frozenset:
+        """The locals of the registers ``fields`` name: by name, or as an
+        operand (its value, or its unsigned value)."""
+        return frozenset(
+            [_LOCALS[name] for name in fields if name in _LOCALS]
+            + [(_INT_LOCALS if kind == "r" else _FLOAT_LOCALS)[t[k]]
+               for name, kind, k in sem.slots
+               if kind in "rf" and (name in fields or name + "u" in fields)])
+
+    frame = None
+    for item in sem.code:
+        if isinstance(item, Address):
+            width = next(x.width for x in sem.code
+                         if isinstance(x, (Load, Store)) and x.addr == "ad")
+            frame = t[item.base], t[item.disp], width
+    unflagged = local(sem.uses)
+    return _Facts(None, op == O.INTR, sem.reads, sem.writes,
+                  unflagged | local(sem.flag_uses), unflagged, local(sem.defs), frame)
+
+
+def frame_guard(base: int, d_min: int, d_max: int, top: int) -> str:
+    """The entry test of base register ``base``, whose accesses lie ``d_min``
+    ... ``d_max`` bytes from it: every one inside memory, or :data:`DEOPT`."""
+    return (f"if not {NULL_GUARD - d_min} <= r{base} <= {top - d_max}:\n"
+            f"    return {DEOPT}")
 
 
 def _float(value: float) -> str:
@@ -197,10 +309,13 @@ def _float(value: float) -> str:
 
 class _Block(Context):
     """Generated code's rendering of an entry (:mod:`repro.machine.semantics`):
-    operands are literals, instruction ``i``'s pc is ``P[i]``, flags are
-    ``FL[0]`` (a multi-line flag computation goes through the local ``fl``),
-    and memory words are view elements (:data:`VIEWS`) — at a fixed index
-    for a static address."""
+    operands are literals, registers and flags are block locals (``r3``,
+    ``x0``, ``fl``; or register-file elements, :attr:`direct`), instruction
+    ``i``'s pc is ``P[i]``, and memory words are
+    view elements (:data:`VIEWS`) — at a fixed index for a static address,
+    through the base register's view for a guarded frame slot
+    (:attr:`slot`).  :func:`gen_block_body` sets :attr:`slot`,
+    :attr:`exits` and :attr:`direct` as it goes."""
 
     JUMP = "return {}"
     HALT = ("return -1",)
@@ -210,14 +325,29 @@ class _Block(Context):
         self.top = program.mem_size - 8
         #: the fields of the instruction being rendered (:meth:`fields`)
         self.f = {"ncode": "P[-1]", "top": str(self.top), "cpu": "cpu",
-                  "stack_limit": str(program.stack_limit), "flags": "FL[0]"}
+                  "stack_limit": str(program.stack_limit), "flags": "fl", **_LOCALS}
+        #: ``(base register, displacement)`` of a guarded frame access
+        self.slot: tuple[int, int] | None = None
+        #: the write-back ahead of a return
+        self.exits: tuple[str, ...] = ()
+        #: the registers named by their register-file element, not a local
+        self.direct: frozenset = frozenset()
+
+    def name_directly(self, direct: frozenset) -> None:
+        """Render the registers in ``direct`` as register-file elements
+        (``I[3]``) and every other one as its local."""
+        f = self.f
+        for local in self.direct:
+            f[_NAMES[local]] = local
+        for local in direct:
+            f[_NAMES[local]] = _FILES[local]
+        self.direct = direct
 
     def operand(self, kind, slot, t):
         v = t[slot]
-        if kind == "r":
-            return f"I[{v}]"
-        if kind == "f":
-            return f"F[{v}]"
+        if kind == "r" or kind == "f":
+            local = _INT_LOCALS[v] if kind == "r" else _FLOAT_LOCALS[v]
+            return _FILES[local] if local in self.direct else local
         if kind == "t":
             return f"P[{v}]"
         if kind == "k":
@@ -237,67 +367,162 @@ class _Block(Context):
         return f
 
     def set_flags(self, text, f, out):
-        if "\n" in text:
-            f["fl"] = "fl"
-            out.append(text.format_map(f))
-            out.append("FL[0] = fl")
-        else:
-            f["fl"] = "FL[0]"
-            out.append(text.format_map(f))
+        f["fl"] = "fl"
+        out.append(text.format_map(f))
 
-    def _word(self, addr: str) -> str | None:
-        """The view index of the word at ``addr``; ``None``: use slices
+    def address(self, item, f, out):
+        if self.slot is None:
+            super().address(item, f, out)
+
+    def leave(self):
+        return self.exits
+
+    def _word(self, width: str, addr: str) -> str | None:
+        """The view element of the word at ``addr``; ``None``: use slices
         (no views, or a static address a view does not reach)."""
         if not VIEWS:
             return None
+        views = "QS" if width == "q" else "DS"
         if addr.isdigit():
             a = int(addr)
-            return f"[{a & 7}][{a >> 3}]" if a <= self.top else None
-        return f"[{addr} & 7][{addr} >> 3]"
+            if a > self.top:
+                return None
+            return f"{views[0]}0[{a >> 3}]" if a & 7 == 0 else f"{views}[{a & 7}][{a >> 3}]"
+        if addr == "ad" and self.slot is not None:
+            base, d = self.slot
+            index = f"o{base} {'-' if d < 0 else '+'} {abs(d) >> 3}" if d else f"o{base}"
+            return f"{width}{base}[{index}]"
+        return f"{views}[{addr} & 7][{addr} >> 3]"
 
     def load(self, width, addr):
-        word = self._word(addr)
-        if word is None:
-            return super().load(width, addr)
-        return ("QS" if width == "q" else "DS") + word
+        word = self._word(width, addr)
+        return super().load(width, addr) if word is None else word
 
     def store(self, width, addr, value, out):
-        word = self._word(addr)
+        word = self._word(width, addr)
         if word is None:
             super().store(width, addr, value, out)
         elif width == "d" or value.startswith("P["):  # (a pc fits in int64)
-            out.append(f"{'DS' if width == 'd' else 'QS'}{word} = {value}")
+            out.append(f"{word} = {value}")
         elif value.lstrip("-").isdigit():
-            out.append(f"QS{word} = {to_signed64(int(value))}")
+            out.append(f"{word} = {to_signed64(int(value))}")
         else:
             # a view refuses an int outside int64 (what an overflowing
             # ``lea`` leaves in a register): the slice code stores its low
             # 64 bits, as the interpreter does
+            if addr == "ad" and self.slot is not None:
+                addr = "(r%d + %d)" % self.slot
             out.append("try:")
-            out.append(f"    QS{word} = {value}")
+            out.append(f"    {word} = {value}")
             out.append("except ValueError:")
             super().store(width, addr, value, out)
             out[-1] = "    " + out[-1]
 
 
+def _sorted(names) -> list[str]:
+    return sorted(names, key=lambda name: (name[0], int(name[1:])))
+
+
 def gen_block_body(ctx: _Block, code: list[tuple], start: int, end: int) -> list[str]:
     """Generate the body of one block function (unindented lines, some
     several to a string): ``code[start:end]``, in translated numbering
-    (:func:`gen_source`)."""
+    (:func:`gen_source`).
+
+    The body opens with its frame guards: one per base register the block
+    reads before it writes it (a call writes every register), over the
+    accesses at a multiple of 8 from it, which then index the view picked
+    for it (``q13[o13 - 11]``, module docstring).  Then the registers it
+    reads before writing them are loaded into locals; an intrinsic call
+    splits the block into stretches, each loading what it reads and
+    writing back what it writes."""
     live = flag_liveness(code, start, end)
-    lines: list[str] = []
+    # One pass over the block: each stretch's loads and writes, the guarded
+    # accesses, and how the block touches FLAGS.
+    # [locals read before written, written, touched by one instruction,
+    # by more]
+    stretches = [[set(), set(), set(), set()]]
+    slots = {}  # instruction -> (base, displacement) of a guarded access
+    guards = {}  # base -> [least, greatest displacement, views]
+    written = set()  # locals written so far (``None``: past a call)
+    flags_in = None  # FLAGS read before written (``None``: untouched)
+    flags_out = False  # FLAGS written
     for i in range(start, end):
-        op = code[i][0]
-        if is_llfi_visit(code[i]):
-            unfired = INTRINSIC_TABLE.unfired[code[i][1]]
-            if unfired:
-                lines.append(unfired)
+        facts = _facts(code[i])
+        writes = facts.writes_flags and live[i - start]
+        if flags_in is None and (facts.reads_flags or writes):
+            flags_in = facts.reads_flags
+        # (a call reads FLAGS off the CPU and writes them back)
+        flags_out = flags_out or writes or facts.call
+        if facts.call:
+            written = None
+            stretches.append([set(), set(), set(), set()])
+            continue
+        frame = facts.frame
+        if frame is not None and VIEWS and written is not None:
+            base, d, width = frame
+            if d % 8 == 0 and f"r{base}" not in written:
+                slots[i] = base, d
+                guard = guards.setdefault(base, [d, d, set()])
+                guard[0], guard[1] = min(guard[0], d), max(guard[1], d)
+                guard[2].add(width)
+        loads, stored, once, more = stretches[-1]
+        uses = facts.uses if live[i - start] else facts.uses_unflagged
+        loads |= uses - stored
+        stored |= facts.defs
+        touched = uses | facts.defs
+        more |= once & touched
+        once |= touched
+        once -= more
+        if written is not None:
+            written |= facts.defs
+    lines: list[str] = []
+    for base, (d_min, d_max, views) in sorted(guards.items()):
+        lines.append(f"r{base} = I[{base}]")
+        lines.append(frame_guard(base, d_min, d_max, ctx.top))
+        lines.extend(f"{w}{base} = {'QS' if w == 'q' else 'DS'}[r{base} & 7]"
+                     for w in sorted(views))
+        lines.append(f"o{base} = r{base} >> 3")
+    if flags_in:
+        lines.append("fl = FL[0]")
+    guarded = {f"r{base}" for base in guards}
+    stretch = iter(stretches)
+
+    fl_out = ("FL[0] = fl",) if flags_out else ()
+
+    def enter(skip=frozenset()):
+        """Load the next stretch's registers; return its write-back.  A
+        register one instruction of the stretch touches is read and written
+        in place instead (a guard's base stays a local)."""
+        loads, stored, once, _ = next(stretch)
+        ctx.name_directly(frozenset(once - guarded))
+        lines.extend(f"{name} = {_FILES[name]}"
+                     for name in _sorted(loads - skip - ctx.direct))
+        back = tuple(f"{_FILES[name]} = {name}" for name in _sorted(stored - ctx.direct))
+        ctx.exits = back + fl_out
+        return back
+
+    back = enter(guarded)
+    for i in range(start, end):
+        t = code[i]
+        op = t[0]
+        facts = _facts(t)
+        if facts.visit is not None:
+            if facts.visit:
+                lines.append(facts.visit.format_map(ctx.f))
+        elif facts.call:
+            lines.extend(back)
+            ctx.emit(op, t, lines, i)
+            back = enter()
         elif op in SEMANTICS:
-            ctx.emit(op, code[i], lines, i, live[i - start])
+            ctx.slot = slots.get(i)
+            ctx.emit(op, t, lines, i, live[i - start])
         else:
             lines.append(f"raise IllegalInstruction(f'opcode {op}', P[{i}])")
     if code[end - 1][0] not in TERMINATORS:
+        lines.extend(ctx.exits)
         lines.append(f"return P[{end}]")
+    ctx.slot = None
+    ctx.name_directly(frozenset())
     return lines
 
 
@@ -344,6 +569,8 @@ def gen_source(
         out.append("    W = [memoryview(M)[k:k + (len(M) - k) // 8 * 8] for k in range(8)]")
         out.append("    QS = tuple(w.cast('q') for w in W)")
         out.append("    DS = tuple(w.cast('d') for w in W)")
+        out.append("    Q0 = QS[0]")
+        out.append("    D0 = DS[0]")
     ctx = _Block(program)
     for start in leaders:
         first, end = index[start], index[end_of[start]]

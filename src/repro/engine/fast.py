@@ -22,15 +22,17 @@ a block that meets the horizon:
   the tool's trigger counter to a pending stop, the hook is served at that
   block entry, with no stride (a golden CPU has no armed plan);
 * **exact strides** — an armed plan whose trigger counter would cross its
-  target inside the next block, or a pc that is not a translated block
+  target inside the next block, a pc that is not a translated block
   entry (the instruction after a fire point, a corrupted return address),
-  take the one slow path: sync the CPU, run the reference loop for
-  exactly k instructions — through the fire point, to the end of the
-  enclosing block — and free-run again from wherever that stops (the ZOFI
-  insight: the binary runs uninstrumented outside a bounded window around
-  the injection point).  While a dwell window is open every site is a fire
-  point, and the reference loop runs in :data:`CAREFUL_WINDOW`-instruction
-  windows.
+  or a block whose frame guard failed (it returns
+  :data:`~repro.engine.blocks.DEOPT` having done nothing; its accounting is
+  taken back, and it traps on the reference loop) take the one slow path:
+  sync the CPU, run the reference loop for exactly k instructions — through
+  the fire point, to the end of the enclosing block — and free-run again
+  from wherever that stops (the ZOFI insight: the binary runs
+  uninstrumented outside a bounded window around the injection point).
+  While a dwell window is open every site is a fire point, and the
+  reference loop runs in :data:`CAREFUL_WINDOW`-instruction windows.
 
 The strides use the CPU's snapshot-hook slot to stop; recording snapshots
 every k steps (:meth:`~repro.machine.cpu.CPU.record_snapshots`) is
@@ -81,7 +83,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from repro.engine.blocks import block_meta, is_llfi_visit
+from repro.engine.blocks import DEOPT, block_meta, is_llfi_visit
 from repro.engine.cache import GLOBAL_CACHE
 from repro.errors import MachineTrap
 from repro.machine.cpu import CPU, ExecutionResult
@@ -450,7 +452,20 @@ class FastEngine:
                     pin += c
                 lc += l
                 if next_pc < 0:
-                    self._flush(cpu, FL, steps, hc, rc, pin, lc)
+                    if next_pc == DEOPT:
+                        # A frame guard failed and the block did nothing:
+                        # take its accounting back and interpret it (it
+                        # traps at or before the access the guard refused).
+                        (pc, steps, hc, rc, pin, lc, attached, r_target,
+                         p_target, l_target, sync_v) = self._interpret(
+                            cpu, FL, steps - n, hc - h, rc - s,
+                            pin - c if attached else pin, lc - l, pc, n, syncs,
+                        )
+                        if pc is not None:
+                            horizon = 0
+                            continue
+                    else:
+                        self._flush(cpu, FL, steps, hc, rc, pin, lc)
                     return cpu.build_result()
                 pc = next_pc
         except MachineTrap as trap:

@@ -36,7 +36,14 @@ from repro.machine import opcodes as O
 from repro.machine.intrinsics import INTRINSIC_TABLE
 from repro.machine.loader import LoadedProgram
 from repro.machine.registers import RAX_IDX, RBP_IDX, RSP_IDX
-from repro.machine.semantics import CONDITIONS, HALT_PC, SEMANTICS, Context, namespace
+from repro.machine.semantics import (
+    CONDITIONS,
+    HALT_PC,
+    REGISTER_FIELDS,
+    SEMANTICS,
+    Context,
+    namespace,
+)
 from repro.utils.bits import MASK64
 
 
@@ -354,7 +361,8 @@ class _Interpreter(Context):
 
     def fields(self, i):
         return {"pc": "cur", "next": "cur + 1", "ncode": "n_code", "top": "top",
-                "stack_limit": "stack_limit", "cpu": "self", "flags": "flags"}
+                "stack_limit": "stack_limit", "cpu": "self", "flags": "flags",
+                **REGISTER_FIELDS}
 
     def set_flags(self, text, f, out):
         f["fl"] = "flags"

@@ -177,9 +177,10 @@ class IntrinsicTable:
 
     def register(self, name: str, impl: Callable, unfired: str | None = None) -> None:
         """Add ``name``; an LLFI stub also gives ``unfired``, its effect
-        where its fault does not fire — the value passes through — as a line
-        over the register files ``I`` / ``F`` (empty: none).  A translated
-        block renders a visit as that line (:mod:`repro.engine.blocks`)."""
+        where its fault does not fire — the value passes through — as a
+        template over register fields (``{rax}``; empty: none).  A
+        translated block renders a visit as that line, over its register
+        locals (:mod:`repro.engine.blocks`)."""
         self._index[name] = len(self.names)
         if unfired is not None:
             self.unfired[len(self.names)] = unfired
@@ -206,8 +207,6 @@ for _name in PURE_MATH:
         _name,
         _binary_math(_name) if _name in BINARY_MATH else _unary_math(_name),
     )
-INTRINSIC_TABLE.register("__fi_inject_i64", _llfi_inject_i64,
-                         unfired=f"I[{RAX_IDX}] = I[{RSI_IDX}]")
+INTRINSIC_TABLE.register("__fi_inject_i64", _llfi_inject_i64, unfired="{rax} = {rsi}")
 INTRINSIC_TABLE.register("__fi_inject_f64", _llfi_inject_f64, unfired="")
-INTRINSIC_TABLE.register("__fi_inject_i1", _llfi_inject_i1,
-                         unfired=f"I[{RAX_IDX}] = I[{RSI_IDX}]")
+INTRINSIC_TABLE.register("__fi_inject_i1", _llfi_inject_i1, unfired="{rax} = {rsi}")

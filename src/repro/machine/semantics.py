@@ -23,10 +23,12 @@ how that source names things; there are three:
   time (``I[t[1]]``, ``t[2]``), the pc is ``cur``, flags are the loop's local
   ``flags``, memory goes through slices, and every flag write is computed;
 * the block translator's (:mod:`repro.engine.blocks`): operands are inlined
-  literals, the pc is ``P[i]``, flags are ``FL[0]``, memory goes through
-  typed views on little-endian hosts, a flag write nobody observes is not
-  emitted, and values known at translation time are specialised — a static
-  address is a fixed view index, an immediate's unsigned value a literal;
+  literals, registers and flags are block locals, the pc is ``P[i]``,
+  memory goes through typed views on little-endian hosts, an
+  :class:`Address` the block's frame guard covers is no code, a flag write
+  nobody observes is not emitted, and values known at translation time are
+  specialised — a static address is a fixed view index, an immediate's
+  unsigned value a literal;
 * the access-logging one (:func:`repro.machine.cpu.access_logging_loop`),
   built on first use: the interpreter's, with every :class:`Load` and
   :class:`Store` first noting its address.  Only those items touch memory;
@@ -38,11 +40,13 @@ kind (:attr:`Sem.operands`), and ``{1u}`` ... ``{3u}`` the same operands'
 low 64 bits as an unsigned value.  The context names the rest: ``{pc}`` and
 ``{next}`` (this instruction's pc and the one after it), ``{ncode}`` (the
 code length), ``{top}`` (the last address a word can be read from),
-``{stack_limit}``, ``{cpu}``, ``{flags}`` (the FLAGS register), and ``{fl}``
-(the FLAGS a :class:`Flags` item computes).  Both contexts run the source
-against :func:`namespace` and bind the register files ``I`` / ``F`` and the
-memory ``M``.  An entry reads every operand it needs before it writes its
-destination, so a destination that is also a source is never read stale.
+``{stack_limit}``, ``{cpu}``, ``{flags}`` (the FLAGS register), ``{fl}``
+(the FLAGS a :class:`Flags` item computes), and a register by its name
+(``{rsp}``, ``{rax}``, ``{xmm0}`` ...; :data:`REGISTER_FIELDS`).  Every
+context runs the source against :func:`namespace` and binds the register
+files ``I`` / ``F`` and the memory ``M``.  An entry reads every operand it
+needs before it writes its destination, so a destination that is also a
+source is never read stale.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import struct
 from typing import NamedTuple
 
 from repro.errors import DivideByZero, IllegalInstruction, SegmentationFault, StackOverflow
-from repro.machine.registers import RSP_IDX
+from repro.machine.registers import FREG_NAMES, IREG_NAMES
 from repro.utils.bits import INT64_MIN, MASK64, to_signed64
 
 _PACK_D = struct.Struct("<d")
@@ -67,6 +71,13 @@ PARITY_TABLE = tuple(4 if bin(i).count("1") % 2 == 0 else 0 for i in range(256))
 
 #: The first mapped address: every access below it segfaults.
 NULL_GUARD = 0x1000
+
+#: A register's template field (its name) -> how the interpreter loop reads
+#: it; a block renders the same fields as locals (:mod:`repro.engine.blocks`).
+REGISTER_FIELDS = {
+    **{name: f"I[{i}]" for i, name in enumerate(IREG_NAMES)},
+    **{name: f"F[{i}]" for i, name in enumerate(FREG_NAMES)},
+}
 
 #: The condition codes; a code's id, its decoded operand, is its index.
 CONDITION_CODES = ("e", "ne", "l", "le", "g", "ge", "b", "be", "a", "ae", "s", "ns", "p", "np")
@@ -101,6 +112,18 @@ class Trap(NamedTuple):
     exc: str
     message: str
     cond: str
+
+
+class Address(NamedTuple):
+    """``ad = `` the base register in slot ``base`` + the displacement in
+    slot ``disp``, an access (``what``) that segfaults outside memory.  A
+    block may check one base register once for all its displacements (its
+    frame guards, :mod:`repro.engine.blocks`) and index memory without
+    ``ad``."""
+
+    base: int
+    disp: int
+    what: str
 
 
 class Load(NamedTuple):
@@ -143,13 +166,40 @@ def _named(template):
     """``{1}`` -> ``{_1}``: operand fields as names ``str.format_map`` takes."""
     if isinstance(template, str):
         return re.sub(r"\{(\du?)\}", r"{_\1}", template)
-    return tuple(map(_named, template))
+    if isinstance(template, tuple):
+        return tuple(map(_named, template))
+    return template  # a slot number
+
+
+def template_fields(text: str) -> tuple[frozenset, frozenset]:
+    """The fields code ``text`` assigns (a line ``{x} = ...``, at any depth)
+    and those it reads: every other occurrence, a conditional assignment's
+    target included (what it leaves alone keeps the old value)."""
+    named = re.findall(r"\{(\w+)\}", text)
+    unconditional = re.findall(r"(?m)^\{(\w+)\} =", text)
+    for name in unconditional:
+        named.remove(name)
+    return frozenset(re.findall(r"(?m)^\s*\{(\w+)\} =", text)), frozenset(named)
+
+
+def _text(item) -> str:
+    """An item's code as :func:`template_fields` reads it."""
+    if isinstance(item, str):
+        return item
+    if isinstance(item, Load):
+        return f"{item.dst} = ({item.addr})"
+    if isinstance(item, Store):
+        return f"({item.addr}) = {item.value}"
+    if isinstance(item, Address):
+        return "({_%d}{_%d})" % (item.base, item.disp)
+    return f"({item.target if isinstance(item, Jump) else item.cond})"
 
 
 class Sem:
     """One opcode's semantics; see the module docstring."""
 
-    __slots__ = ("operands", "code", "reads", "writes", "ends", "slots", "unsigned")
+    __slots__ = ("operands", "code", "reads", "writes", "ends", "slots", "unsigned",
+                 "defs", "uses", "flag_uses")
 
     def __init__(self, operands: str, *code, reads: bool = False) -> None:
         #: one kind per tuple slot after the opcode: ``r`` / ``f`` an integer
@@ -175,12 +225,17 @@ class Sem:
         #: the format fields of its operands, by slot
         self.slots = tuple((f"_{k}", kind, k) for k, kind in enumerate(operands, 1)
                            if kind != "-")
+        #: the fields it assigns and reads (:func:`template_fields`): operand
+        #: slots (``_1`` ..., ``_1u``), registers by name, ``flags``; and
+        #: those only its :class:`Flags` item reads
+        self.defs, self.uses = template_fields(
+            "\n".join(_text(x) for x in self.code if not isinstance(x, Flags)))
+        self.flag_uses = template_fields(
+            "\n".join(x.text for x in self.code if isinstance(x, Flags)))[1]
         #: the slots whose unsigned value (``{1u}`` ...) the code reads
-        text = repr(self.code)
-        self.unsigned = tuple(s for s in self.slots if "{%su}" % s[0] in text)
+        self.unsigned = tuple(s for s in self.slots
+                              if s[0] + "u" in self.uses | self.flag_uses)
 
-
-_RSP = f"I[{RSP_IDX}]"
 
 #: ``r`` wrapped to int64 (``tos`` only when it overflowed)
 _WRAP = f"w = r if {INT64_MIN} <= r < {-INT64_MIN} else tos(r)"
@@ -211,29 +266,20 @@ _ADD_FLAGS = _arith("(w & MK) < {2u}")
 _SUB_FLAGS = _arith("(w & MK) + {2u} > MK")
 
 
-def _address(base: int, what: str) -> tuple:
-    """``ad = `` base register + displacement (slots ``base``, ``base + 1``),
-    segfaulting outside memory."""
-    return (
-        "ad = {%d}{%d}" % (base, base + 1),
-        Trap("SegmentationFault", what + " {ad:#x}", "not %d <= ad <= {top}" % NULL_GUARD),
-    )
-
-
 def _push(what: str) -> tuple:
     """``sp = `` rsp - 8, checked against the stack limit and memory."""
     return (
-        f"sp = {_RSP} - 8",
+        "sp = {rsp} - 8",
         Trap("StackOverflow", "rsp={sp:#x}", "sp < {stack_limit}"),
         Trap("SegmentationFault", what + " {sp:#x}", "sp > {top}"),
-        f"{_RSP} = sp",
+        "{rsp} = sp",
     )
 
 
 def _pop(what: str) -> tuple:
     """``sp = `` rsp, segfaulting outside memory."""
     return (
-        f"sp = {_RSP}",
+        "sp = {rsp}",
         Trap("SegmentationFault", what + " {sp:#x}", "not %d <= sp <= {top}" % NULL_GUARD),
     )
 
@@ -366,22 +412,22 @@ ISA: tuple[Mnemonic, ...] = (
     # placed inside memory
     Mnemonic("load", 4.0, "mem", (0,), (1,),
              Form("LOAD_RD", 10, "rm",
-                  Sem("rrd", *_address(2, "load from"), Load("q", "{1}", "ad"))),
+                  Sem("rrd", Address(2, 3, "load from"), Load("q", "{1}", "ad"))),
              Form("LOAD_ABS", 11, "ra", Sem("ri", Load("q", "{1}", "{2}")))),
     Mnemonic("store", 4.0, "mem", (), (0, 1),
              Form("STORE_RD", 12, "mr",
-                  Sem("rdr", *_address(1, "store to"), Store("q", "ad", "{3}"))),
+                  Sem("rdr", Address(1, 2, "store to"), Store("q", "ad", "{3}"))),
              Form("STORE_RD_I", 13, "mi",
-                  Sem("rdi", *_address(1, "store to"), Store("q", "ad", "{3}"))),
+                  Sem("rdi", Address(1, 2, "store to"), Store("q", "ad", "{3}"))),
              Form("STORE_ABS", 14, "ar", Sem("ir", Store("q", "{1}", "{2}"))),
              Form("STORE_ABS_I", 15, "ai", Sem("ii", Store("q", "{1}", "{2}")))),
     Mnemonic("fload", 4.0, "mem", (0,), (1,),
              Form("FLOAD_RD", 16, "fm",
-                  Sem("frd", *_address(2, "fload from"), Load("d", "{1}", "ad"))),
+                  Sem("frd", Address(2, 3, "fload from"), Load("d", "{1}", "ad"))),
              Form("FLOAD_ABS", 17, "fa", Sem("fi", Load("d", "{1}", "{2}")))),
     Mnemonic("fstore", 4.0, "mem", (), (0, 1),
              Form("FSTORE_RD", 18, "mf",
-                  Sem("rdf", *_address(1, "fstore to"), Store("d", "ad", "{3}"))),
+                  Sem("rdf", Address(1, 2, "fstore to"), Store("d", "ad", "{3}"))),
              Form("FSTORE_ABS", 19, "af", Sem("if", Store("d", "{1}", "{2}")))),
     # integer ALU: two-address, writes FLAGS like x86
     Mnemonic("add", 1.0, "arithm", *_TWO,
@@ -438,7 +484,7 @@ ISA: tuple[Mnemonic, ...] = (
              rsp=True),
     Mnemonic("ret", 4.0, None, (), (),
              Form("RET", 74, "", Sem(
-                 "", *_pop("ret pop from"), Load("q", "rp", "sp"), f"{_RSP} = sp + 8",
+                 "", *_pop("ret pop from"), Load("q", "rp", "sp"), "{rsp} = sp + 8",
                  Halt(f"rp == {HALT_PC}"),
                  Trap("IllegalInstruction", "ret to {rp:#x}", "not 0 <= rp < {ncode}"),
                  Jump("rp"),
@@ -450,7 +496,7 @@ ISA: tuple[Mnemonic, ...] = (
              rsp=True),
     Mnemonic("pop", 2.0, "stack", (0,), (),
              Form("POP", 81, "r",
-                  Sem("r", *_pop("pop from"), Load("q", "{1}", "sp"), f"{_RSP} = sp + 8")),
+                  Sem("r", *_pop("pop from"), Load("q", "{1}", "sp"), "{rsp} = sp + 8")),
              rsp=True),
     # conversion
     Mnemonic("cvtsi2sd", 4.0, "arithm", (0,), (1,),
@@ -505,6 +551,21 @@ class Context:
         of the word at ``addr``: none, but for the access-logging rendering
         (:func:`repro.machine.cpu.access_logging_loop`)."""
 
+    def address(self, item: Address, f: dict, out: list[str]) -> None:
+        """Lines that compute ``ad`` and check it."""
+        out.append(f"ad = {f['_%d' % item.base]}{f['_%d' % item.disp]}")
+        self.trap(Trap("SegmentationFault", item.what + " {ad:#x}",
+                       "not %d <= ad <= {top}" % NULL_GUARD), f, out)
+
+    def trap(self, item: Trap, f: dict, out: list[str]) -> None:
+        out.append(f"if {item.cond.format_map(f)}:")
+        out.append(f"    raise {item.exc}(f'{item.message}', {f['pc']})")
+
+    def leave(self) -> tuple[str, ...]:
+        """Lines ahead of a jump or a halt: none, but for a block's
+        write-back of its register locals."""
+        return ()
+
     def store(self, width: str, addr: str, value: str, out: list[str]) -> None:
         if width == "d":
             out.append(f"PDP(M, {addr}, {value})")
@@ -532,8 +593,9 @@ class Context:
                 if live:
                     self.set_flags(item.text, f, out)
             elif kind is Trap:
-                out.append(f"if {item.cond.format_map(f)}:")
-                out.append(f"    raise {item.exc}(f'{item.message}', {f['pc']})")
+                self.trap(item, f, out)
+            elif kind is Address:
+                self.address(item, f, out)
             elif kind is Load:
                 addr = item.addr.format_map(f)
                 self.access(False, addr, out)
@@ -543,10 +605,11 @@ class Context:
                 self.access(True, addr, out)
                 self.store(item.width, addr, item.value.format_map(f), out)
             elif kind is Jump:
+                out.extend(self.leave())
                 out.append(self.JUMP.format(item.target.format_map(f)))
             else:
                 out.append(f"if {item.cond.format_map(f)}:")
-                out.extend("    " + line for line in self.HALT)
+                out.extend("    " + line for line in (*self.leave(), *self.HALT))
         if not sem.ends:
             out.extend(self.NEXT)
 

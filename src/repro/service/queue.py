@@ -322,12 +322,3 @@ class CampaignQueue:
                 "SELECT state, COUNT(*) FROM queue GROUP BY state"
             ).fetchall()
         return {state: count for state, count in rows}
-
-    def tenant_live(self, tenant: str) -> int:
-        """Live campaigns a tenant currently holds (quota accounting)."""
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM queue WHERE tenant=? AND state IN"
-                " (?, ?, ?, ?)",
-                (tenant, *LIVE_STATES),
-            ).fetchone()[0]

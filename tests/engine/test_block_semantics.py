@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 from contextlib import contextmanager
 
@@ -38,7 +39,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from repro.engine import blocks
-from repro.engine.blocks import block_meta, exec_namespace, gen_source
+from repro.engine.blocks import DEOPT, block_meta, exec_namespace, gen_source
 from repro.errors import MachineTrap
 from repro.machine import CPU
 from repro.machine import opcodes as O
@@ -276,25 +277,47 @@ def _observed(cpu, exit_pc, state, llfis) -> dict:
     }
 
 
-def _run_block(program, state) -> dict:
+def _block(program, cpu):
+    """The block at pc 0, translated and bound to ``cpu``, and its ``FL``."""
     n = len(program.code)
     source, pcs = gen_source(program, [0], [n])
     ns = exec_namespace()
     exec(compile(source, "<block>", "exec"), ns)
-    cpu = _cpu(program, state)
     FL = [cpu.flags]
-    block = ns["make_blocks"](cpu, FL, pcs)[0]
+    return ns["make_blocks"](cpu, FL, pcs)[0], FL
+
+
+def _run_block(program, state) -> dict:
+    """The block's run, driven as ``FastEngine._drive`` drives it: a block
+    whose frame guard fails has done nothing, and the interpreter loop runs
+    it instead."""
+    cpu = _cpu(program, state)
+    block, FL = _block(program, cpu)
     try:
         exit_pc = block()
     except MachineTrap as trap:
         llfis = block_meta(program, 0, trap.pc).llfis
         return {"trap": trap.kind, "pc": trap.pc, "llfis": llfis}
+    if exit_pc == DEOPT:
+        return _interpret(program, cpu, state)
     cpu.flags = FL[0]
-    return _observed(cpu, exit_pc, state, block_meta(program, 0, n).llfis)
+    return _observed(cpu, exit_pc, state, block_meta(program, 0, len(program.code)).llfis)
+
+
+def _deopts(program, state) -> bool:
+    """Whether the block's frame guards send it to the interpreter loop."""
+    try:
+        return _block(program, _cpu(program, state))[0]() == DEOPT
+    except MachineTrap:
+        return False
 
 
 def _run_interpreter(program, state) -> dict:
-    cpu = _cpu(program, state)
+    return _interpret(program, _cpu(program, state), state)
+
+
+def _interpret(program, cpu, state) -> dict:
+    """``CPU._loop`` on ``cpu`` for exactly the block's length."""
     cpu.record_snapshots(len(program.code), _stop)
     try:
         cpu._loop(0)
@@ -314,7 +337,10 @@ def outcomes(code, state) -> tuple[dict, dict]:
 
 
 def block_diverges(case) -> bool:
-    block, interpreter = outcomes(*case)
+    try:
+        block, interpreter = outcomes(*case)
+    except NameError:  # the block read a local it never loaded
+        return True
     return block != interpreter
 
 
@@ -369,11 +395,11 @@ def test_a_flag_write_nothing_observes_is_no_code():
         code = [(O.CMP_RR, 7, 8), *visit, (O.CMP_RI, 9, 5), (O.JCC, 0, 0)]
         body = blocks.gen_block_body(blocks._Block(_program(code)), code, 0, len(code))
         source = "\n".join(body)
-        assert "I[7]" not in source and "I[8]" not in source
-        assert "r = I[9] - 5" in source
-        assert source.count("FL[0] = ") == 1
+        assert not {"r7", "r8", "I[7]", "I[8]"} & set(re.findall(r"r\d+|I\[\d+\]", source))
+        assert "r = I[9] - 5" in source  # its one instruction reads it in place
+        assert source.count("fl = PAR") == 1
         if visit:
-            assert INTRINSIC_TABLE.unfired[_INJECT_I64] in source
+            assert f"I[{RAX_IDX}] = I[{RSI_IDX}]" in source
             assert "cpu" not in source
 
 
@@ -433,3 +459,193 @@ EDGE_CASES = {
 def test_edge_cases_match_the_interpreter(name):
     block, interpreter = outcomes(*EDGE_CASES[name])
     assert block == interpreter
+
+
+# -- frame guards --------------------------------------------------------------
+
+#: tuple slots of the base register and the displacement of a frame access
+_FRAME_ACCESS = {O.LOAD_RD: (2, 3), O.FLOAD_RD: (2, 3), O.STORE_RD: (1, 2),
+                 O.STORE_RD_I: (1, 2), O.FSTORE_RD: (1, 2)}
+_PRINT_INT = INTRINSIC_TABLE.index_of("print_int")
+_SQRT = INTRINSIC_TABLE.index_of("sqrt")
+
+
+def guarded_accesses(code) -> list[tuple[int, int, int]]:
+    """``(pc, base, displacement)`` of each access a frame guard covers: one
+    at a multiple of 8 from a base register nothing before it in the block
+    writes (a call writes every register; an LLFI visit, ``rax``)."""
+    written, out = set(), []
+    for pc, t in enumerate(code):
+        if t[0] in _FRAME_ACCESS:
+            base, d = (t[k] for k in _FRAME_ACCESS[t[0]])
+            if base not in written and d % 8 == 0:
+                out.append((pc, base, d))
+        if t[0] == O.INTR:
+            written |= {RAX_IDX} if t[1] in INTRINSIC_TABLE.unfired else set(range(14))
+        elif t[0] in (O.LOAD_RD, O.ADD_RI, O.MOV_RI):
+            written.add(t[1])
+    return out
+
+
+#: the base registers of the frame blocks below
+_BASES = st.sampled_from([13, 5])
+#: where a base points: anywhere, near either end of memory (aligned or
+#: not), or outside it
+_BASE_VALUES = st.one_of(
+    addresses, st.integers(NULL_GUARD - 40, NULL_GUARD + 120),
+    st.integers(MEM_SIZE - 120, MEM_SIZE + 40),
+)
+_DISPS = st.sampled_from([-88, -16, -8, 0, 8, 24, 4, -3])
+
+
+@st.composite
+def frame_cases(draw):
+    """A block of frame accesses through two base registers, with writes
+    to a base, intrinsic calls and LLFI visits between them, and a state
+    whose bases point near the ends of memory."""
+    ops = st.one_of(
+        st.tuples(st.just(O.LOAD_RD), ireg, _BASES, _DISPS),
+        st.tuples(st.just(O.STORE_RD), _BASES, _DISPS, ireg),
+        st.tuples(st.just(O.STORE_RD_I), _BASES, _DISPS, int64s),
+        st.tuples(st.just(O.FLOAD_RD), freg, _BASES, _DISPS),
+        st.tuples(st.just(O.FSTORE_RD), _BASES, _DISPS, freg),
+        st.tuples(st.just(O.ADD_RI), _BASES, st.sampled_from([8, -64, 1 << 20])),
+        st.tuples(st.just(O.INTR), st.sampled_from([_PRINT_INT, _SQRT, _INJECT_I64])),
+    )
+    code = draw(st.lists(ops, min_size=1, max_size=8))
+    iregs, *rest = draw(states_for(code))
+    for base in (13, 5):
+        iregs[base] = draw(_BASE_VALUES)
+    return code, (iregs, *rest)
+
+
+def guard_errors(case) -> list[str]:
+    """What is wrong with how ``case``'s block guards its frame accesses:
+    it must deopt exactly when a guarded access would segfault from the
+    entry state; then the interpreter loop traps no later than that access,
+    and otherwise it segfaults at no guarded access; and what the block
+    does, driven as the engine drives it, is what the interpreter loop
+    does."""
+    code, state = case
+    program = _program(code)
+    guarded = guarded_accesses(code)
+    refused = [pc for pc, base, d in guarded
+               if not NULL_GUARD <= state[0][base] + d <= MEM_SIZE - 8]
+    with _intrinsics_print_flags():
+        deopts = _deopts(program, state)
+        block, interpreter = _run_block(program, state), _run_interpreter(program, state)
+    errors = []
+    if deopts != bool(refused):
+        errors.append(f"deopts {deopts}, refused accesses at {refused}")
+    if refused and not interpreter.get("pc", len(code)) <= refused[0]:
+        errors.append(f"the interpreter loop ran past {refused[0]}: {interpreter}")
+    if not refused and interpreter.get("trap") == "segfault" and interpreter["pc"] in {
+            pc for pc, _, _ in guarded}:
+        errors.append(f"a guarded access segfaulted: {interpreter}")
+    if block != interpreter:
+        errors.append(f"block {block} != interpreter {interpreter}")
+    return errors
+
+
+needs_views = pytest.mark.skipif(not blocks.VIEWS, reason="frame guards index typed views")
+
+
+@needs_views
+@settings(_SETTINGS, max_examples=200)
+@given(case=frame_cases())
+def test_a_block_deopts_exactly_when_a_guarded_access_would_segfault(case):
+    assert guard_errors(case) == []
+
+
+@needs_views
+def test_a_guard_built_from_the_greatest_displacement_alone_is_caught(monkeypatch):
+    """Planted: the lower bound taken from the greatest displacement, not
+    the least, lets an access below memory through unchecked."""
+    real = blocks.frame_guard
+    monkeypatch.setattr(blocks, "frame_guard",
+                        lambda base, d_min, d_max, top: real(base, d_max, d_max, top))
+    code, _ = find(
+        frame_cases(), lambda case: bool(guard_errors(case)),
+        settings=settings(max_examples=2000, database=None, derandomize=True,
+                          phases=[Phase.generate]),
+    )
+    assert len({t[k] for t in code if t[0] in _FRAME_ACCESS
+                for k in _FRAME_ACCESS[t[0]][1:]}) > 1
+
+
+#: a frame base near the top of memory, aligned and not
+_HIGH = MEM_SIZE - 8 - 2048
+
+#: name -> (block, state, whether its guards refuse it)
+FRAME_CASES = {
+    "a misaligned base in range": (
+        [(O.LOAD_RD, 0, 13, -8), (O.STORE_RD, 13, 8, 0), (O.FSTORE_RD, 13, 0, 1),
+         (O.FLOAD_RD, 2, 13, -16), (O.STORE_RD_I, 13, 16, -5)],
+        _edge_state([(13, _HIGH + 3)]), False),
+    "a base written mid-block keeps its own check": (
+        [(O.LOAD_RD, 0, 13, -8), (O.ADD_RI, 13, 1 << 20), (O.LOAD_RD, 1, 13, -8)],
+        _edge_state([(13, _HIGH)]), False),
+    "a base loaded over keeps its own check": (
+        [(O.LOAD_RD, 13, 13, -8), (O.LOAD_RD, 1, 13, -8)],
+        _edge_state([(13, _HIGH)]), False),
+    "an intrinsic call between frame accesses": (
+        [(O.LOAD_RD, RDI_IDX, 13, -8), (O.ADD_RI, RDI_IDX, 1), (O.FLOAD_RD, XMM0_IDX, 13, -16),
+         (O.INTR, _PRINT_INT), (O.INTR, _SQRT), (O.FSTORE_RD, 13, -24, XMM0_IDX),
+         (O.FSTORE_RD, 13, -32, XMM0_IDX), (O.LOAD_RD, 1, 13, 8)],
+        _edge_state([(13, _HIGH)]), False),
+    "a base out of range at the third frame access": (
+        [(O.LOAD_RD, 0, 13, -8), (O.STORE_RD, 13, -16, 0), (O.LOAD_RD, 1, 13, 4096)],
+        _edge_state([(13, _HIGH)]), True),
+}
+
+
+@needs_views
+@pytest.mark.parametrize("name", sorted(FRAME_CASES))
+def test_frame_cases_match_the_interpreter(name):
+    code, state, refused = FRAME_CASES[name]
+    assert _deopts(_program(code), state) == refused
+    assert guard_errors((code, state)) == []
+
+
+def test_an_intrinsic_call_writes_registers_back_and_reloads_them():
+    """The first call reads ``rdi`` off the CPU, the second writes ``xmm0``
+    there (each is a local: two instructions of its stretch touch it)."""
+    code, _, _ = FRAME_CASES["an intrinsic call between frame accesses"]
+    body = blocks.gen_block_body(blocks._Block(_program(code)), code, 0, len(code))
+    source = "\n".join(body)
+    assert source.index(f"I[{RDI_IDX}] = r{RDI_IDX}") < source.index("IN[")
+    assert source.index(f"x{XMM0_IDX} = F[{XMM0_IDX}]") > source.rindex("IN[")
+    # the access after the call is checked where it happens
+    assert "ad = r13 + 8" in source
+
+
+@needs_views
+def test_a_refused_block_traps_on_the_interpreter_loop(monkeypatch):
+    """Through the engine's block loop: output, then a block whose third
+    frame access leaves memory.  Its guard refuses it, the interpreter loop
+    runs it, and the run ends as on the interpreter loop alone: same trap,
+    pc, steps, half-cycles and output."""
+    from repro.engine import FastEngine
+
+    block, state, _ = FRAME_CASES["a base out of range at the third frame access"]
+    code = [(O.MOV_RI, RDI_IDX, 7), (O.INTR, _PRINT_INT), (O.JMP, 3), *block, (O.RET,)]
+    program = LoadedProgram(
+        binary=None, code=code, cost=[1.0, 3.0, 1.0, 4.0, 4.0, 4.0, 4.0],
+        is_candidate=[False] * len(code), outputs=[()] * len(code),
+        data_end=DATA_END, mem_size=MEM_SIZE, func_entry={"f": 0},
+    )
+    strides = []
+    interpret = FastEngine._interpret
+
+    def spied(self, cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs):
+        strides.append((pc, k))
+        return interpret(self, cpu, FL, steps, hc, rc, pin, lc, pc, k, syncs)
+
+    monkeypatch.setattr(FastEngine, "_interpret", spied)
+    fast = FastEngine().resume(_cpu(program, state), 0)
+    reference = _cpu(program, state).resume(0)
+    assert strides == [(3, 4)]  # the refused block, whole
+    assert fast.trap == reference.trap == "segfault"
+    assert fast.trap_pc == reference.trap_pc == 5
+    assert (fast.steps, fast.half_cycles) == (reference.steps, reference.half_cycles) == (5, 26)
+    assert fast.output == reference.output == ["7"]

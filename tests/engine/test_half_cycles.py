@@ -14,7 +14,7 @@ import pytest
 
 from repro.campaign import make_tool
 from repro.engine import FastEngine
-from repro.machine.registers import RSP_IDX
+from repro.machine.registers import RBP_IDX, RSP_IDX
 from repro.testing.oracles import pc_trace
 from repro.workloads import workload_sources
 
@@ -99,14 +99,17 @@ def test_pinfi_plan_that_fires(program):
         tool.program, trace[split:])
 
 
-#: What every integer register but ``rsp`` is poisoned with: an address
-#: below the first mapped one, so that an access through it segfaults.
-UNMAPPED = 8
+#: What every integer register but ``rsp`` and ``rbp`` is poisoned with: an
+#: address far past memory, so that an access through it, or through an
+#: address computed from it, segfaults.  (A block's frame guards refuse an
+#: access through a poisoned base register before the block runs: the
+#: interpreter loop runs that block instead.)
+UNMAPPED = 1 << 40
 
 
 def poison(cpu) -> None:
     for reg in range(len(cpu.iregs)):
-        if reg != RSP_IDX:
+        if reg not in (RSP_IDX, RBP_IDX):
             cpu.iregs[reg] = UNMAPPED
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.blocks import exec_namespace, gen_source
+from repro.engine.blocks import DEOPT, exec_namespace, gen_source
 from repro.errors import MachineTrap
 from repro.machine import CPU
 from repro.machine import opcodes as O
@@ -174,6 +174,10 @@ def run_block(code: tuple, state: dict) -> dict:
         exit_pc = block()
     except MachineTrap as trap:
         return {"trap": trap.kind, "pc": trap.pc}
+    if exit_pc == DEOPT:
+        # a frame guard refused the block, which did nothing: the engine
+        # runs it on the interpreter loop (``FastEngine._drive``)
+        return run_interpreter(code, state)
     cpu.flags = FL[0]
     return _result(cpu, exit_pc, state)
 

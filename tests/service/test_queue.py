@@ -95,9 +95,12 @@ class TestQuota:
     def test_terminal_states_free_quota(self):
         with CampaignQueue(":memory:", tenant_quota=1) as q:
             for terminal in ("done", "failed", "cancelled"):
+                # accepted: the campaign before it has ended
                 cid = q.submit(_request(), tenant="alice")
                 q.set_state(cid, terminal)
-            assert q.tenant_live("alice") == 0
+            q.submit(_request(), tenant="alice")
+            with pytest.raises(ServiceError, match="quota"):
+                q.submit(_request(), tenant="alice")
 
     def test_quota_must_be_positive(self):
         with pytest.raises(ServiceError, match="tenant_quota"):
@@ -105,11 +108,13 @@ class TestQuota:
 
 
 class TestStates:
-    def test_every_live_state_counts(self, queue):
+    def test_every_live_state_counts(self):
         for state in LIVE_STATES:
-            cid = queue.submit(_request(), tenant="t")
-            queue.set_state(cid, state)
-        assert queue.tenant_live("t") == len(LIVE_STATES)
+            with CampaignQueue(":memory:", tenant_quota=1) as q:
+                cid = q.submit(_request(), tenant="t")
+                q.set_state(cid, state)
+                with pytest.raises(ServiceError, match="quota"):
+                    q.submit(_request(), tenant="t")
 
     def test_unknown_state_rejected(self, queue):
         cid = queue.submit(_request())
