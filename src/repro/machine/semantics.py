@@ -47,6 +47,10 @@ context runs the source against :func:`namespace` and binds the register
 files ``I`` / ``F`` and the memory ``M``.  An entry reads every operand it
 needs before it writes its destination, so a destination that is also a
 source is never read stale.
+
+**NaNs.**  A float op whose result is a NaN returns x86 SSE's
+(:func:`sse_nan`).  Python's ``x + y`` does not pin which of two NaNs comes
+back: CPython's generic and specialised float paths differ.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from typing import NamedTuple
 from repro.errors import DivideByZero, IllegalInstruction, SegmentationFault, StackOverflow
 from repro.machine.registers import FREG_NAMES, IREG_NAMES
 from repro.utils.bits import INT64_MIN, MASK64, to_signed64
+from repro.utils.ieee754 import bits_to_double, double_to_bits
 
 _PACK_D = struct.Struct("<d")
 
@@ -284,6 +289,11 @@ def _pop(what: str) -> tuple:
     )
 
 
+def _float_op(op: str, a: str = "{1}", b: str = "{2}") -> tuple:
+    """``{1} = a op b``, a NaN result x86 SSE's (:func:`sse_nan`)."""
+    return (f"r = {a} {op} {b}", "if r != r:", f"    r = sse_nan({a}, {b}, r)", "{1} = r")
+
+
 def _divide(name: str, *result: str) -> tuple:
     """Signed division of operand 1 by operand 2, trapping on a zero divisor
     and on the quotient that overflows (``INT64_MIN / -1``)."""
@@ -383,7 +393,7 @@ _FDIV = (
     "    else:",
     "        {1} = copysign(INF, a) * copysign(1.0, b)",
     "else:",
-    "    {1} = a / b",
+    *("    " + line for line in _float_op("/", "a", "b")),
 )
 
 #: ucomisd: unordered sets ZF, PF and CF
@@ -455,9 +465,9 @@ ISA: tuple[Mnemonic, ...] = (
     Mnemonic("irem", 25.0, "arithm", *_TWO,
              *_rr_ri("IREM", 39, *_divide("irem", "r = abs(a) % abs(b)", "if a < 0:"))),
     # float ALU: two-address, no flags (like SSE)
-    Mnemonic("fadd", 3.0, "arithm", *_TWO, Form("FADD", 50, "ff", Sem("ff", "{1} = {1} + {2}"))),
-    Mnemonic("fsub", 3.0, "arithm", *_TWO, Form("FSUB", 51, "ff", Sem("ff", "{1} = {1} - {2}"))),
-    Mnemonic("fmul", 4.0, "arithm", *_TWO, Form("FMUL", 52, "ff", Sem("ff", "{1} = {1} * {2}"))),
+    Mnemonic("fadd", 3.0, "arithm", *_TWO, Form("FADD", 50, "ff", Sem("ff", *_float_op("+")))),
+    Mnemonic("fsub", 3.0, "arithm", *_TWO, Form("FSUB", 51, "ff", Sem("ff", *_float_op("-")))),
+    Mnemonic("fmul", 4.0, "arithm", *_TWO, Form("FMUL", 52, "ff", Sem("ff", *_float_op("*")))),
     Mnemonic("fdiv", 14.0, "arithm", *_TWO, Form("FDIV", 53, "ff", Sem("ff", *_FDIV))),
     # compare / conditions
     Mnemonic("cmp", 1.0, "arithm", (), (0, 1),
@@ -614,6 +624,15 @@ class Context:
             out.extend(self.NEXT)
 
 
+def sse_nan(a: float, b: float, r: float) -> float:
+    """x86 SSE's NaN result ``r`` of a float op on ``a`` and ``b``: ``a`` if it
+    is a NaN, else ``b`` if it is one, quieted; else ``r``, the op's own."""
+    for x in (a, b):
+        if x != x:
+            return bits_to_double(double_to_bits(x) | 1 << 51)  # the quiet bit
+    return r
+
+
 def namespace() -> dict:
     """The globals generated code runs against."""
     return {
@@ -626,6 +645,7 @@ def namespace() -> dict:
         "INF": math.inf,
         "copysign": math.copysign,
         "trunc": math.trunc,
+        "sse_nan": sse_nan,
         "SegmentationFault": SegmentationFault,
         "StackOverflow": StackOverflow,
         "DivideByZero": DivideByZero,

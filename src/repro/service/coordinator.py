@@ -71,7 +71,7 @@ A background *pump* thread advances the queue state machine:
    follows).
 
 Every campaign is described, populated, run and validated by that one
-rule; a queue row's ``lifecycle`` column is not read.
+rule.
 
 Durability: the queue file records intent, per-campaign checkpoint
 directories record progress, and the results database records outcomes —
@@ -219,10 +219,8 @@ class ServiceCoordinator:
         max_active: int = 1,
         chunk_size: int | None = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-        heartbeat_interval: float | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = 0.5,
-        backoff_cap: float = 30.0,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         events: EventLog | None = None,
         poll_interval: float = 0.2,
@@ -241,14 +239,8 @@ class ServiceCoordinator:
         self._port = port
         self._chunk_size = chunk_size
         self._lease_timeout = lease_timeout
-        self._heartbeat_interval = (
-            heartbeat_interval
-            if heartbeat_interval is not None
-            else max(0.05, lease_timeout / 4.0)
-        )
         self._max_attempts = max_attempts
         self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
         self._checkpoint_every = checkpoint_every
         self._events = events
 
@@ -810,7 +802,7 @@ class ServiceCoordinator:
             "type": "welcome",
             "version": PROTOCOL_VERSION,
             "worker": name,
-            "heartbeat_s": self._heartbeat_interval,
+            "heartbeat_s": max(0.05, self._lease_timeout / 4.0),
             "lease_timeout_s": self._lease_timeout,
         }
 
@@ -1094,9 +1086,7 @@ class ServiceCoordinator:
             return
         worker = task.worker
         self._release(task)
-        delay = backoff_delay(
-            task.attempt, self._backoff_base, self._backoff_cap
-        )
+        delay = backoff_delay(task.attempt, self._backoff_base)
         task.state = "pending"
         task.not_before = time.monotonic() + delay
         self._pending[task.task_id] = task

@@ -38,7 +38,7 @@ from pathlib import Path
 from repro.errors import ServiceError
 
 #: Bumped on incompatible queue schema changes; stored in ``meta``.
-QUEUE_SCHEMA_VERSION = 1
+QUEUE_SCHEMA_VERSION = 2
 
 #: Campaigns in these states count against their tenant's quota and are
 #: returned to ``queued`` by restart recovery.
@@ -61,7 +61,6 @@ CREATE TABLE IF NOT EXISTS queue (
     tenant           TEXT NOT NULL DEFAULT 'default',
     priority         INTEGER NOT NULL DEFAULT 0,
     state            TEXT NOT NULL DEFAULT 'queued',
-    lifecycle        TEXT NOT NULL DEFAULT 'standard',
     request          TEXT NOT NULL,              -- JSON campaign request
     submitted_at     REAL NOT NULL,
     started_at       REAL,
@@ -78,12 +77,13 @@ CREATE INDEX IF NOT EXISTS ix_queue_tenant ON queue(tenant, state);
 """
 
 _ROW_FIELDS = (
-    "id", "tenant", "priority", "state", "lifecycle", "request",
+    "id", "tenant", "priority", "state", "request",
     "submitted_at", "started_at", "finished_at", "cancel_requested",
     "error", "validation", "detail",
 )
 
-_SELECT = "SELECT " + ", ".join(_ROW_FIELDS) + " FROM queue"
+_COLUMNS = ", ".join(_ROW_FIELDS)
+_SELECT = f"SELECT {_COLUMNS} FROM queue"
 
 
 def _decode(row: tuple) -> dict:
@@ -132,6 +132,13 @@ class CampaignQueue:
                     "INSERT INTO meta(key, value) VALUES ('queue_version', ?)",
                     (str(QUEUE_SCHEMA_VERSION),),
                 )
+            elif row[0] == "1":  # drop ``lifecycle``, by a copy: any SQLite runs it
+                self._conn.executescript(
+                    "BEGIN; DROP INDEX ix_queue_state; DROP INDEX ix_queue_tenant;"
+                    f" ALTER TABLE queue RENAME TO queue_v1; {_SCHEMA}"
+                    f" INSERT INTO queue({_COLUMNS}) SELECT {_COLUMNS} FROM queue_v1;"
+                    " DROP TABLE queue_v1; UPDATE meta SET value = '2'"
+                    " WHERE key = 'queue_version'; COMMIT;")
             elif int(row[0]) != QUEUE_SCHEMA_VERSION:
                 raise ServiceError(
                     f"{self.path} has queue version {row[0]}, this build "

@@ -35,8 +35,6 @@ import zlib
 from array import array
 from dataclasses import astuple, dataclass, replace
 
-import numpy as np
-
 from repro.backend.compiler import CompileOptions, compile_ir
 from repro.fi.config import FIConfig
 from repro.fi.llfi import llfi_instrument
@@ -158,26 +156,15 @@ def pc_trace(cpu: CPU, budget: int) -> tuple[ExecutionResult, array]:
     return result, trace
 
 
-def comparable(snap, base: list[bytes], signless: bool = False):
+def comparable(snap, base: list[bytes]):
     """A :class:`~repro.snapshot.state.CpuSnapshot` as a value equal to
     another's exactly when their states are: float registers by bit
     pattern, and only the pages that differ from ``base`` (a capture
-    chained on an earlier one may keep a page gone back to the image).
-    ``signless`` lets the sign of x86's default NaN pass, in a register or
-    an aligned memory word: which of two NaNs a float op returns is not
-    pinned yet (ROADMAP item 8), and the interpreter loop and a block
-    CPython has not specialised can keep different ones."""
-
-    def fix(data: bytes) -> bytes:
-        if not signless:
-            return data
-        words = np.frombuffer(data, np.int64)
-        return np.where(words == -0x0008000000000000, 0x7FF8000000000000, words).tobytes()
-
+    chained on an earlier one may keep a page gone back to the image)."""
     return replace(
         snap,
-        fregs=fix(struct.pack(f"<{len(snap.fregs)}d", *snap.fregs)),
-        pages={i: fix(page) for i, page in snap.pages.items() if page != base[i]},
+        fregs=struct.pack(f"<{len(snap.fregs)}d", *snap.fregs),
+        pages={i: page for i, page in snap.pages.items() if page != base[i]},
     )
 
 
@@ -383,14 +370,14 @@ class EngineOracle(Oracle):
         reference loop's there, and at stops a sixteenth of the run apart its
         complete state too.  The three runs must end alike, and in one
         complete state unless a trap cut a block short (a block owes no flags
-        there).  States compare as :func:`comparable` values, ``signless``."""
+        there).  States compare bit for bit, as :func:`comparable` values."""
         from repro.engine import FastEngine
         from repro.snapshot.state import CleanMemory, base_pages, capture_snapshot
 
         clean = CleanMemory(base_pages(program))
 
         def state(cpu, pc):
-            return comparable(capture_snapshot(cpu, pc, base=clean), clean.pages, True)
+            return comparable(capture_snapshot(cpu, pc, base=clean), clean.pages)
 
         def armed() -> CPU:
             cpu = CPU(program)
@@ -522,11 +509,7 @@ class SchedulerOracle(Oracle):
                 clone_module(module),
                 CompileOptions(opt_level=self.opt_level, **options),
             ))
-            # A divergence is confirmed once more, warm: which of two NaN
-            # payloads a float op returns can change once CPython
-            # specialises it (ROADMAP item 8).
-            problem = (self._check_build(program, counter, build)
-                       and self._check_build(program, counter, build))
+            problem = self._check_build(program, counter, build)
             if problem is not None:
                 return problem
         return None

@@ -462,12 +462,38 @@ def _serve_by_hand(coord, cid):
         coord.stop()
 
 
+#: A version-1 queue file's schema, as services wrote it before the
+#: ``lifecycle`` column went.
+QUEUE_V1 = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL) WITHOUT ROWID;
+INSERT INTO meta VALUES ('queue_version', '1');
+CREATE TABLE queue (
+    id               INTEGER PRIMARY KEY AUTOINCREMENT,
+    tenant           TEXT NOT NULL DEFAULT 'default',
+    priority         INTEGER NOT NULL DEFAULT 0,
+    state            TEXT NOT NULL DEFAULT 'queued',
+    lifecycle        TEXT NOT NULL DEFAULT 'standard',
+    request          TEXT NOT NULL,
+    submitted_at     REAL NOT NULL,
+    started_at       REAL,
+    finished_at      REAL,
+    cancel_requested INTEGER NOT NULL DEFAULT 0,
+    error            TEXT,
+    validation       TEXT,
+    detail           TEXT
+);
+CREATE INDEX ix_queue_state ON queue(state, priority DESC, id ASC);
+CREATE INDEX ix_queue_tenant ON queue(tenant, state);
+"""
+
+
 class TestOneCampaignRule:
-    """Queue files written by older services still open, and every row in
-    them — a soak-mining row included — runs under the one rule:
-    validation on (there is a database), alpha 0.05, and a cell with no
-    baseline pins one.  The row's ``lifecycle`` and the request's old
-    validation knobs are ignored, and nothing is filed anywhere."""
+    """Version-1 queue files, written by older services, still open (the
+    service upgrades them in place), and every row in them — a
+    soak-mining row included — runs under the one rule: validation on
+    (there is a database), alpha 0.05, and a cell with no baseline pins
+    one.  The request's old validation knobs are ignored, and nothing is
+    filed anywhere."""
 
     def test_an_old_soak_row_runs_to_the_standard_verdict(self, tmp_path):
         spec = _spec()
@@ -492,8 +518,8 @@ class TestOneCampaignRule:
             "artifacts": str(artifacts),
         }
         queue = tmp_path / "queue.sqlite"
-        CampaignQueue(queue).close()
         with sqlite3.connect(queue) as conn:
+            conn.executescript(QUEUE_V1)
             conn.execute(
                 "INSERT INTO queue(tenant, priority, state, lifecycle, request,"
                 " submitted_at) VALUES ('soak', -10, 'running', 'soak', ?, 0)",
@@ -511,7 +537,13 @@ class TestOneCampaignRule:
         assert verdict["cells"]["demo/PINFI"]["verdict"] == "pinned"
         with CampaignQueue(queue) as rows:
             info = rows.info(1)
+            assert rows.submit(request) == 2
         assert (info["state"], info["validation"]) == ("done", "failed")
+        with sqlite3.connect(queue) as conn:
+            assert conn.execute("SELECT value FROM meta").fetchall() == [("2",)]
+            columns = [c[1] for c in conn.execute("PRAGMA table_info(queue)")]
+        conn.close()
+        assert "lifecycle" not in columns
         with ResultsDB(db_path) as db:
             pinned = db.get_baseline("demo", "PINFI", spec.fault_model)
         assert pinned["source"] == "service:standard"

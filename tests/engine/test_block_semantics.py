@@ -170,14 +170,8 @@ def states_for(draw, code):
     fregs = [rng.uniform(-1e6, 1e6) for _ in range(16)]
     for i, address in sorted(ints.items()):
         iregs[i] = draw(addresses if address else reg_values)
-    nan = None
     for f in sorted(flts):
         fregs[f] = draw(floats)
-        if fregs[f] != fregs[f]:
-            # One NaN bit pattern per state: CPython does not pin which NaN
-            # an operation on two returns (its specialised and generic float
-            # paths take the operands in different orders).
-            nan = fregs[f] = fregs[f] if nan is None else nan
     flags = draw(st.integers(0, 0xFFF))
     ret_word = draw(st.sampled_from([-1, 0, 1, 1000, INT64_MIN]))
     return iregs, fregs, flags, seed, ret_word

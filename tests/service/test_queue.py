@@ -39,7 +39,6 @@ class TestSubmit:
         assert info["state"] == "queued"
         assert info["tenant"] == "alice"
         assert info["priority"] == 7
-        assert info["lifecycle"] == "standard"
         assert info["request"] == _request()
         assert not info["cancel_requested"]
         assert info["started_at"] is None

@@ -91,12 +91,9 @@ class TestOutcomes:
         assert format_module(module) == before
 
 
-def test_states_compare_bit_for_bit_or_signless():
-    """Which of two NaNs a float op returns is not pinned yet (ROADMAP item
-    8), so a default NaN's sign is the one difference a ``signless`` state
-    comparison lets pass — in a float register or a memory word; -1 and -7,
-    both NaN patterns too, stay different.  Without ``signless`` every bit
-    counts."""
+def test_states_compare_bit_for_bit():
+    """Every bit of a state counts: a default NaN's sign in a float register
+    or a memory word, and two NaN patterns of a memory word (-1 and -7)."""
     import struct
 
     from repro.backend import compile_minic
@@ -110,21 +107,67 @@ def test_states_compare_bit_for_bit_or_signless():
     base = base_pages(program)
     word = program.mem_size - 64
 
-    def state(freg_bits: int, memory_word: int, signless: bool = True):
+    def state(freg_bits: int, memory_word: int):
         cpu = CPU(program)
         cpu.fregs[3] = struct.unpack("<d", struct.pack("<Q", freg_bits))[0]
         struct.pack_into("<q", cpu.mem, word, memory_word)
-        return comparable(capture_snapshot(cpu, 0, base=base), base, signless)
+        return comparable(capture_snapshot(cpu, 0, base=base), base)
 
     negated, default = 0xFFF8000000000000, 0x7FF8000000000000
     as_int = struct.unpack("<q", struct.pack("<Q", negated))[0]
-    assert state(negated, 5) == state(default, 5)
-    assert state(0, as_int) == state(0, default)
+    assert state(negated, 5) != state(default, 5)
+    assert state(0, as_int) != state(0, default)
     assert state(0, -1) != state(0, -7)
-    assert state(negated | 1, 5) != state(default | 1, 5)
-    assert state(negated, 5, False) != state(default, 5, False)
-    assert state(0, as_int, False) != state(0, default, False)
-    assert state(default, 5, False) == state(default, 5, False)
+    assert state(default, 5) == state(default, 5)
+
+
+def _fuzz_program(base_seed: int, index: int):
+    """Program ``index`` of ``refine-fuzz --seed base_seed``."""
+    from repro.utils.rng import derive_seed
+
+    return generate_module(derive_seed(base_seed, "refine-fuzz", index))
+
+
+class TestTwoNaNRegressions:
+    """Fuzz programs whose float ops meet two different NaNs: their results
+    once depended on how warm CPython's bytecode was."""
+
+    @pytest.mark.parametrize("index", [158, 920, 976])
+    def test_scheduler_oracle_passes_each_build_in_one_pass(self, index, monkeypatch):
+        """Once each program's third fast run ended in a default NaN of the
+        other sign, so a first, cold pass over either build failed."""
+        from repro.testing.oracles import SchedulerOracle
+
+        real = SchedulerOracle._check_build
+        verdicts = []
+
+        def one_pass(self, *args):
+            verdicts.append(real(self, *args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(SchedulerOracle, "_check_build", one_pass)
+        assert ORACLES["scheduler"].check(_fuzz_program(4, index)) is None
+        assert verdicts == [None, None]
+
+    def test_blocks_and_the_loop_end_bit_for_bit_alike(self):
+        """Seed 2's program 463 once ended with float registers that a block
+        and the interpreter loop left as NaNs of different signs."""
+        from repro.backend.compiler import CompileOptions, compile_ir
+        from repro.engine import FastEngine
+        from repro.machine import CPU, load_binary
+        from repro.snapshot.state import CleanMemory, base_pages, capture_snapshot
+        from repro.testing.oracles import comparable
+
+        module = _fuzz_program(2, 463)
+        assert ORACLES["engine"].check(module) is None
+        program = load_binary(compile_ir(module, CompileOptions(opt_level="O2")))
+        base = base_pages(program)
+        ends = []
+        for run in (FastEngine().run, CPU.run):
+            cpu = CPU(program)
+            assert run(cpu).trap is None
+            ends.append(comparable(capture_snapshot(cpu, -1, base=CleanMemory(base)), base))
+        assert ends[0] == ends[1]
 
 
 class TestDivergenceDetection:
@@ -205,12 +248,11 @@ class TestDivergenceDetection:
         self, monkeypatch
     ):
         """A window fork at the full pass's pc and step whose memory holds
-        -1 where the full pass's fork holds 0 is a different state, on the
-        warm repeat of the build too.  (The word is the one above the
-        entry's sentinel return address, which no program reads; -1 has a
-        NaN's bit pattern.  Only window forks are touched: a full pass or
-        a tail that held the word would end in another state than the
-        plain run, which the oracle catches first.)"""
+        -1 where the full pass's fork holds 0 is a different state.  (The
+        word is the one above the entry's sentinel return address, which no
+        program reads; -1 has a NaN's bit pattern.  Only window forks are
+        touched: a full pass or a tail that held the word would end in
+        another state than the plain run, which the oracle catches first.)"""
         import struct
 
         from repro.engine import FastEngine
